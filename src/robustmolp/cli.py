@@ -4,7 +4,8 @@ Reports are JSON objects with sorted keys and 17-significant-digit float
 formatting so that reruns on identical inputs produce identical output
 (the wall_time_ms field is the one measured, hence non-reproducible,
 entry).  Exit codes: 0 success/positive verdict, 1 negative verdict,
-2 inconclusive/unknown, 3 parse or schema error, 4 infeasibility of the
+2 inconclusive/unknown (including a numerical failure or a box too large
+to enumerate), 3 parse or schema error, 4 infeasibility of the
 nominal system or candidate point, 5 precondition violation (wrong
 constraint class, negative u, Slater failure), 6 certifier/oracle
 disagreement.
@@ -25,10 +26,12 @@ from . import oracle
 from .efficiency import (EfficiencyCertificate, ConstraintMultiplier,
                          NotFeasiblePointError, SlaterViolatedError,
                          UnsupportedClassError, certify_weak_efficiency)
-from .feasibility import (NominalInfeasibleError, ball_robust_feasible,
-                          radius_of_robust_feasibility)
-from .model import (ProblemFormatError, Singleton, ValidationError,
-                    load_problem, validate_dimensions, validate_problem)
+from .feasibility import (NominalInfeasibleError, NonCertifiedError,
+                          ball_robust_feasible, radius_of_robust_feasibility)
+from .model import (BoxTooLargeError, ProblemFormatError, Singleton,
+                    ValidationError, load_problem, reject_nonfinite_constant,
+                    validate_dimensions, validate_problem)
+from .numerics import NumericalBreakdown, SingularMatrixError
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -145,8 +148,14 @@ def cmd_radius(args) -> int:
     return EXIT_OK
 
 
+def _finite_option(name, value):
+    if not math.isfinite(value):
+        raise ProblemFormatError(f"{name} must be finite, got {value}")
+
+
 def cmd_feasible(args) -> int:
     t0 = time.monotonic()
+    _finite_option("--alpha", args.alpha)
     problem = _load(args.problem_file)
     rows = _nominal_rows(problem)
     res = ball_robust_feasible(rows, args.alpha)
@@ -214,6 +223,8 @@ def _parse_point(text, n):
         raise ProblemFormatError(f"bad point: {exc}") from exc
     if len(vals) != n:
         raise ProblemFormatError(f"point has {len(vals)} coordinates, expected {n}")
+    if not all(math.isfinite(v) for v in vals):
+        raise ProblemFormatError("point coordinates must be finite")
     return np.array(vals)
 
 
@@ -263,12 +274,13 @@ def cmd_certify(args) -> int:
 
 def cmd_verify(args) -> int:
     t0 = time.monotonic()
+    _finite_option("--tol", args.tol)
     problem = _load(args.problem_file)
     vp = validate_problem(problem)
     x_bar = _parse_point(args.point, problem.n)
     try:
         with open(args.cert, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=reject_nonfinite_constant)
     except (OSError, json.JSONDecodeError) as exc:
         raise ProblemFormatError(f"bad certificate file: {exc}") from exc
     if isinstance(doc, dict) and "payload" in doc:
@@ -351,6 +363,11 @@ def main(argv=None) -> int:
     except (SlaterViolatedError, UnsupportedClassError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except (NonCertifiedError, NumericalBreakdown, SingularMatrixError,
+            BoxTooLargeError) as exc:
+        # the library could not decide; exit 1 would read as a negative verdict
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
 
 
 if __name__ == "__main__":

@@ -24,8 +24,7 @@ class NominalInfeasibleError(Exception):
 
 
 class NonCertifiedError(Exception):
-    """Minimum-norm solve hit its iteration cap without an optimality
-    certificate."""
+    """Minimum-norm point failed its variational-inequality check."""
 
 
 def _as_rows(rows):

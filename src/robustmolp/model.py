@@ -215,6 +215,17 @@ def _check_constraint_dims(c, n, j):
                               f"unknown constraint type {type(c).__name__}", j)
 
 
+def _check_finite(name, value, j=None):
+    if isinstance(value, float):
+        ok = math.isfinite(value)
+    elif isinstance(value, tuple):      # polytope vertices, ellipsoid spans
+        ok = all(np.isfinite(v).all() for v in value)
+    else:
+        ok = bool(np.isfinite(value).all())
+    if not ok:
+        raise ValidationError("NonFinite", f"{name} has a NaN or infinite entry", j)
+
+
 def validate_dimensions(p: UncertainMOLP) -> None:
     """Everything validate_problem checks except the sign condition on u.
 
@@ -232,7 +243,12 @@ def validate_dimensions(p: UncertainMOLP) -> None:
         raise ValidationError("DimensionMismatch", f"v has length {p.v.size}, expected {p.n}")
     if len(p.constraints) < 1:
         raise ValidationError("DimensionMismatch", "at least one constraint required")
+    for name in ("C_bar", "u", "v"):
+        _check_finite(name, getattr(p, name))
     for j, c in enumerate(p.constraints):
+        for name, value in vars(c).items():
+            if name != "s":         # the norm index may be inf
+                _check_finite(name, value, j)
         _check_constraint_dims(c, p.n, j)
 
 
@@ -510,11 +526,17 @@ def parse_problem(doc) -> UncertainMOLP:
         raise ProblemFormatError(str(exc)) from exc
 
 
+def reject_nonfinite_constant(token):
+    """`parse_constant` hook for json.load: NaN and Infinity are not JSON
+    numbers and would slip past every later check as floats."""
+    raise ProblemFormatError(f"non-finite number {token} is not allowed")
+
+
 def load_problem(path) -> UncertainMOLP:
     """Read and parse a UTF-8 JSON problem file (unknown keys rejected)."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=reject_nonfinite_constant)
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"invalid JSON: {exc}") from exc
     return parse_problem(doc)

@@ -369,6 +369,7 @@ class MinNormResult:
     weights: np.ndarray   # simplex weights over the input points
     mu: float             # nonnegative ray coefficient
     certified: bool       # variational inequality verified
+    iterations: int       # passive-set least-squares solves
 
 
 def _vi_margin(M, q, p):
@@ -378,44 +379,65 @@ def _vi_margin(M, q, p):
     return min(worst, float(M[:, p] @ q))
 
 
-def _polish_min_norm(M, w, p, include_mu):
-    lam = w[:p]
-    sup = np.nonzero(lam > 1e-9)[0]
-    if sup.size == 0:
-        sup = np.array([int(np.argmax(lam))])
-    cols = list(sup)
-    if include_mu:
-        cols.append(p)
-    Ms = M[:, cols]
-    nv = len(cols)
-    e = np.array([1.0 if c != p else 0.0 for c in cols])
-    KKT = np.zeros((nv + 1, nv + 1))
-    KKT[:nv, :nv] = 2.0 * (Ms.T @ Ms)
-    KKT[:nv, nv] = e
-    KKT[nv, :nv] = e
-    rhs = np.zeros(nv + 1)
-    rhs[nv] = 1.0
-    sol = np.linalg.lstsq(KKT, rhs, rcond=None)[0][:nv]
-    if np.any(sol < -1e-10):
-        return None
-    sol = np.maximum(sol, 0.0)
-    w_new = np.zeros(p + 1)
-    for c, v in zip(cols, sol):
-        w_new[c] = v
-    tot = w_new[:p].sum()
-    if tot <= 0:
-        return None
-    w_new[:p] /= tot
-    return w_new
+def _nnls(E, f):
+    """Lawson-Hanson active-set solve of min ||E u - f|| over u >= 0.
+
+    Each outer step frees the bound column with the largest positive
+    gradient entry; the inner loop solves least squares on the free set
+    and steps back to the boundary while a free coefficient would turn
+    nonpositive.  The least-squares value strictly decreases between outer
+    steps, so no free set repeats and the loop is finite; a step that
+    fails to decrease it (a gradient entry at rounding level) ends the
+    solve.  Returns (u, number of least-squares solves).
+    """
+    n = E.shape[1]
+    tol = 10.0 * np.finfo(float).eps * sum(E.shape)
+    u = np.zeros(n)
+    free = np.zeros(n, bool)
+    resid, value, solves = f.copy(), float(f @ f), 0
+    while True:
+        grad = E.T @ resid
+        grad[free] = -_INF
+        j = int(np.argmax(grad))
+        if grad[j] <= tol:
+            break
+        free[j] = True
+        while True:
+            solves += 1
+            z = np.zeros(n)
+            z[free] = np.linalg.lstsq(E[:, free], f, rcond=None)[0]
+            blocked = free & (z <= 0.0)
+            if not blocked.any():
+                u = z
+                break
+            # u >= 0 >= z on the blocked set; both zero means ratio 0
+            ratios = np.full(n, _INF)
+            ratios[blocked] = u[blocked] / np.maximum(u[blocked] - z[blocked],
+                                                      np.finfo(float).tiny)
+            i = int(np.argmin(ratios))
+            u = u + ratios[i] * (z - u)
+            u[i] = 0.0
+            free &= u > 0.0
+            u[~free] = 0.0
+        resid = f - E @ u
+        new_value = float(resid @ resid)
+        if not new_value < value:
+            break
+        value = new_value
+    return u, solves
 
 
-def min_norm_point(points, ray, vi_tol: float = 1e-8,
-                   max_iter: int = 1_000_000) -> MinNormResult:
+def min_norm_point(points, ray, vi_tol: float = 1e-8) -> MinNormResult:
     """Minimize ||q||^2 over q in conv(points) + R+ * ray.
 
-    Projected gradient over (simplex weights, ray coefficient) with a fixed
-    1/L step, polished by an active-support KKT solve.  Optimality is
-    certified through the variational inequality on the generators.
+    One nonnegative least-squares solve (Lawson & Hanson) of
+    E u ~ e_{k+1} with E = [[P, r], [1^T, 0]]: at its optimum u_P sums to
+    t = 1/(1 + d^2), where d is the distance sought, and dividing by t
+    gives the simplex weights and the ray coefficient.  A target inside
+    the set (d = 0) needs no special case.  The points are scaled to unit
+    size and the ray to unit length first, which leaves the weights
+    unchanged.  Optimality is certified independently through the
+    variational inequality on the generators.
     """
     pts = [np.asarray(q, float) for q in points]
     if not pts:
@@ -423,35 +445,23 @@ def min_norm_point(points, ray, vi_tol: float = 1e-8,
     r = np.asarray(ray, float)
     p = len(pts)
     M = np.column_stack(pts + [r])
-    sigma = np.linalg.norm(M, 2)
-    L = 2.0 * max(sigma * sigma, 1e-12)
-    step = 1.0 / L
-
-    w = np.zeros(p + 1)
-    w[:p] = 1.0 / p
-
-    def finish(w_fin):
-        q = M @ w_fin
-        cert = _vi_margin(M, q, p) >= -vi_tol
-        return MinNormResult(q, w_fin[:p], float(w_fin[p]), cert)
-
-    check_every = 128
-    for it in range(max_iter):
-        q = M @ w
-        grad = 2.0 * (M.T @ q)
-        w_next = np.empty_like(w)
-        w_next[:p] = project_simplex(w[:p] - step * grad[:p])
-        w_next[p] = max(0.0, w[p] - step * grad[p])
-        moved = np.linalg.norm(w_next - w) / step
-        w = w_next
-        if it % check_every == 0 or moved <= 1e-10:
-            for include_mu in (w[p] > 1e-9, True, False):
-                cand = _polish_min_norm(M, w, p, include_mu)
-                if cand is not None and _vi_margin(M, M @ cand, p) >= -1e-10:
-                    return finish(cand)
-            if moved <= 1e-10:
-                return finish(w)
-    return finish(w)
+    k = M.shape[0]
+    big = float(np.abs(M[:, :p]).max())
+    s = 1.0 / big if big > 0 else 1.0
+    r_len = float(np.linalg.norm(r))
+    c = 1.0 / r_len if r_len > 0 else 0.0
+    E = np.zeros((k + 1, p + 1))
+    E[:k, :p] = s * M[:, :p]
+    E[:k, p] = c * r
+    E[k, :p] = 1.0
+    f = np.zeros(k + 1)
+    f[k] = 1.0
+    u, solves = _nnls(E, f)
+    t = u[:p].sum()
+    w = np.append(u[:p] / t, c * u[p] / (s * t))
+    q = M @ w
+    cert = _vi_margin(M, q, p) >= -vi_tol
+    return MinNormResult(q, w[:p], float(w[p]), cert, solves)
 
 
 # ---------------------------------------------------------------------------

@@ -262,3 +262,65 @@ def test_canonical_float_formatting(tmp_path, capsys):
     # round-trip exactness of the 17-significant-digit payload
     rep = json.loads(out)
     assert rep["payload"]["radius"] == math.sqrt(28 / 3)
+
+
+# ---------------------------------------------------------------------------
+# non-finite input and library failures
+# ---------------------------------------------------------------------------
+
+NONFINITE_A = ('{"m": 1, "n": 2, "C_bar": [[1.0, 1.0]], "u": [0.0], "v": [0.0, 0.0], '
+               '"constraints": [{"kind": "singleton", "a_bar": [Infinity, 1], '
+               '"b_bar": 0.0}]}')
+
+
+def test_non_finite_problem_file_exit_3(tmp_path, capsys):
+    # json.load accepts Infinity: radius crashed with IndexError and
+    # certify answered refuted
+    path = tmp_path / "inf.json"
+    path.write_text(NONFINITE_A, encoding="utf-8")
+    assert main(["radius", str(path)]) == 3
+    assert main(["certify", str(path), "--point", "0,0"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("error:") == 2 and "non-finite" in err
+
+
+def test_non_finite_options_exit_3(tmp_path, capsys):
+    path = _write(tmp_path, EX2)
+    assert main(["certify", path, "--point", "nan,0,0"]) == 3
+    assert main(["certify", path, "--point", "1,inf,1.5"]) == 3
+    assert capsys.readouterr().err.count("error:") == 2
+    code, out = _run(capsys, ["certify", path, "--point", "1,1,1.5", "--json"])
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(out, encoding="utf-8")
+    assert main(["verify", path, "--point", "1,1,1.5", "--cert", str(cert_file),
+                 "--tol", "nan"]) == 3
+    radius_path = _write(tmp_path, EX1, "r.json")
+    for alpha in ("nan", "inf"):
+        assert main(["feasible", radius_path, "--alpha", alpha]) == 3
+    err = capsys.readouterr().err
+    assert err.count("error:") == 3 and "must be finite" in err
+
+
+def test_box_too_large_exit_2(tmp_path, capsys):
+    n = 17
+    doc = {"m": 1, "n": n, "C_bar": [[1.0] * n], "u": [0.0], "v": [0.0] * n,
+           "constraints": [{"kind": "box", "a_lo": [-1.0] * n, "a_hi": [1.0] * n,
+                            "b_lo": -2.0, "b_hi": -1.0}]}
+    code = main(["certify", _write(tmp_path, doc), "--point", ",".join(["0"] * n)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "2^17" in err
+
+
+@pytest.mark.parametrize("exc_name", ["NonCertifiedError", "NumericalBreakdown",
+                                      "SingularMatrixError"])
+def test_numerical_failure_exit_2(tmp_path, capsys, monkeypatch, exc_name):
+    import robustmolp
+    import robustmolp.cli as cli_mod
+
+    def failing(rows):
+        raise getattr(robustmolp, exc_name)("numerical failure")
+
+    monkeypatch.setattr(cli_mod, "radius_of_robust_feasibility", failing)
+    assert main(["radius", _write(tmp_path, EX1)]) == 2
+    assert capsys.readouterr().err == "error: numerical failure\n"

@@ -101,6 +101,20 @@ def test_radius_single_row():
     assert res.rho == pytest.approx(1.0, abs=1e-10)
 
 
+SIX_ROWS = [(np.array([2.0, 1, 0]), 6.0), (np.array([-5.0, -4, 4]), -6.0),
+            (np.array([-5.0, -4, -4]), -31.0), (np.array([2.0, 3, 3]), 17.0),
+            (np.array([3.0, -3, -1]), -4.0), (np.array([-4.0, 2, -5]), -19.0)]
+
+
+def test_radius_small_certified_on_six_row_system():
+    # a projected-gradient solve ran ~30 s here, then raised NonCertifiedError
+    res = radius_of_robust_feasibility(SIX_ROWS)
+    assert res.certified
+    assert res.rho == pytest.approx(0.013065011515622, abs=1e-9)
+    assert ball_robust_feasible(SIX_ROWS, 0.5 * res.rho).status == "feasible"
+    assert ball_robust_feasible(SIX_ROWS, 2.0 * res.rho).status == "infeasible"
+
+
 def test_radius_infeasible_nominal_raises():
     with pytest.raises(NominalInfeasibleError):
         radius_of_robust_feasibility([(np.array([1.0]), 0.0),

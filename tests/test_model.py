@@ -9,7 +9,8 @@ from robustmolp.model import (Ball, Box, BoxTooLargeError, ConcaveRow,
                               ProblemFormatError, Singleton, UncertainMOLP,
                               ValidationError, box_vertices, endpoint_objectives,
                               load_problem, parse_problem, problem_to_dict,
-                              reduce_constraints, validate_problem)
+                              reduce_constraints, validate_dimensions,
+                              validate_problem)
 from robustmolp.numerics import sphere_directions
 
 _INF = float("inf")
@@ -70,6 +71,39 @@ def test_empty_vertex_list_rejected():
     with pytest.raises(ValidationError) as exc:
         validate_problem(p)
     assert exc.value.kind == "EmptyVertexList"
+
+
+def test_non_finite_data_rejected():
+    nan = float("nan")
+    cases = [
+        (UncertainMOLP(1, 2, [[nan, 0.0]], [0.0], [0.0, 0.0],
+                       (Singleton([1.0, 0.0], 0.0),)), None),
+        (UncertainMOLP(1, 2, [[1.0, 0.0]], [0.0], [0.0, 0.0],
+                       (Singleton([_INF, 1.0], 0.0),)), 0),
+        (UncertainMOLP(1, 1, [[1.0]], [0.0], [0.0],
+                       (Singleton([1.0], 0.0), Polytope(((1.0, 0.0), (2.0, nan))))), 1),
+        (UncertainMOLP(1, 1, [[1.0]], [0.0], [0.0],
+                       (NormBall([1.0], [[nan]], 0.5, 2, 0.0, 0.0),)), 0),
+    ]
+    for p, where in cases:
+        with pytest.raises(ValidationError) as exc:
+            validate_dimensions(p)
+        assert exc.value.kind == "NonFinite"
+        assert exc.value.constraint == where
+    # an infinite norm index is a valid choice, not non-finite data
+    ok = UncertainMOLP(1, 1, [[1.0]], [0.0], [0.0],
+                       (NormBall([1.0], [[1.0]], 0.5, _INF, 0.0, 0.0),))
+    validate_dimensions(ok)
+
+
+def test_non_finite_json_constants_rejected(tmp_path):
+    for text in ('[Infinity, 1]', '[NaN, 1]', '[-Infinity, 1]'):
+        path = tmp_path / "p.json"
+        path.write_text('{"m": 1, "n": 2, "C_bar": [[0, 0]], "u": [0], "v": [0, 0], '
+                        '"constraints": [{"kind": "singleton", "a_bar": %s, '
+                        '"b_bar": 0}]}' % text, encoding="utf-8")
+        with pytest.raises(ProblemFormatError, match="non-finite"):
+            load_problem(path)
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,32 @@ def test_min_norm_two_points_grid_oracle():
     assert res.mu == pytest.approx(1.0, abs=1e-8)
 
 
+def test_min_norm_six_point_set_is_exact_and_finite():
+    # hypographical points of a feasible 6-row system in R^3 on which a
+    # projected-gradient solve ran for ~30 s without certifying
+    pts = [(2, 1, 0, 6), (-5, -4, 4, -6), (-5, -4, -4, -31), (2, 3, 3, 17),
+           (3, -3, -1, -4), (-4, 2, -5, -19)]
+    res = min_norm_point(pts, (0, 0, 0, -1))
+    assert res.certified
+    assert np.linalg.norm(res.p_star) == pytest.approx(0.013065011515622, abs=1e-9)
+    # active-set termination: each column enters and leaves a few times
+    assert 1 <= res.iterations <= 3 * (len(pts) + 1)
+
+
+def test_min_norm_distance_zero_inside_polytope():
+    # target strictly inside the triangle, no ray: the same solve returns
+    # the origin with weights that reproduce it
+    pts = [(1.0, 0.0), (-1.0, 1.0), (-1.0, -1.0)]
+    res = min_norm_point(pts, (0.0, 0.0))
+    assert res.certified
+    assert np.linalg.norm(res.p_star) <= 1e-12
+    assert res.mu == 0.0
+    assert res.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.all(res.weights > 0)
+    recon = sum(w * np.asarray(g) for w, g in zip(res.weights, pts))
+    assert np.linalg.norm(recon) <= 1e-12
+
+
 def test_min_norm_variational_inequality_property(rng):
     for _ in range(100):
         k = int(rng.integers(1, 5))
@@ -256,6 +282,7 @@ def test_min_norm_variational_inequality_property(rng):
         assert np.all(res.weights >= -1e-15)
         assert res.weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert res.mu >= 0
+        assert 1 <= res.iterations <= 3 * (p + 1)
 
 
 # ---------------------------------------------------------------------------
