@@ -2,8 +2,8 @@
 radius of robust feasibility for ball-perturbed constraints and certification
 of robust weak efficiency under rank-1 objective uncertainty."""
 
-from .model import (Ball, Box, BoxTooLargeError, ConcaveRow, Ellipsoid,
-                    LinearRow, NormBall, Polytope, ProblemFormatError,
+from .model import (Ball, BallRow, Box, BoxTooLargeError, ConcaveRow,
+                    Ellipsoid, LinearRow, NormBall, Polytope, ProblemFormatError,
                     RobustFeasibleSet, Singleton, UncertainMOLP,
                     ValidatedProblem, ValidationError, endpoint_objectives,
                     load_problem, parse_problem, problem_to_dict,
@@ -20,9 +20,7 @@ from .feasibility import (BallFeasibility, FeasibilityResult, HypographicalSet,
 from .efficiency import (ActiveGeometry, CertifyOutcome, ConstraintMultiplier,
                          EfficiencyCertificate, NotFeasiblePointError,
                          SlaterViolatedError, UnsupportedClassError,
-                         active_geometry, certify_box, certify_ellipsoid,
-                         certify_norm, certify_polytope,
-                         certify_weak_efficiency, check_slater,
+                         active_geometry, certify_weak_efficiency, check_slater,
                          weakly_efficient_for_scenario)
 from .oracle import (OracleVerdict, VerificationReport, Witness,
                      refute_robust_weak_efficiency, scenario_grid,

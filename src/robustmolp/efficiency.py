@@ -16,8 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .feasibility import SlackSearch, maximize_min_slack
-from .model import (Ball, Box, Ellipsoid, LinearRow, NormBall, Polytope,
-                    RobustFeasibleSet, Singleton, ValidatedProblem,
+from .model import (Ball, LinearRow, RobustFeasibleSet, ValidatedProblem,
                     endpoint_objectives, reduce_constraints)
 from .numerics import (ConeFeasibilitySystem, LinearProgram, VarBlock,
                        norm_value, solve_cone_system, solve_lp)
@@ -181,12 +180,6 @@ class EndpointSolve:
     registry: tuple | None = None           # conic block layout
 
 
-@dataclass(frozen=True)
-class EndpointVerdicts:
-    nominal: EndpointSolve
-    perturbed: EndpointSolve
-
-
 def _solve_polyhedral_endpoint(C, geo: ActiveGeometry, X: RobustFeasibleSet):
     """Exact LP: scalarization weights on the simplex whose image lies in
     the cone of active rows (complementarity is structural)."""
@@ -212,40 +205,12 @@ def _solve_polyhedral_endpoint(C, geo: ActiveGeometry, X: RobustFeasibleSet):
     return EndpointSolve(True, True, resid, lam, row_mu=mu)
 
 
-def certify_polytope(vp: ValidatedProblem, x_bar,
-                     geometry: ActiveGeometry | None = None) -> EndpointVerdicts:
-    """Endpoint verdicts for all-singleton/polytope uncertainty (exact)."""
-    p = vp.problem
-    if not all(isinstance(c, (Singleton, Polytope)) for c in p.constraints):
-        raise UnsupportedClassError("certify_polytope needs singleton/polytope classes")
-    return _polyhedral_verdicts(vp, x_bar, geometry)
-
-
-def certify_box(vp: ValidatedProblem, x_bar,
-                geometry: ActiveGeometry | None = None) -> EndpointVerdicts:
-    """Endpoint verdicts for box (or singleton) uncertainty: identical to
-    the polytope path applied to the box vertex rows."""
-    p = vp.problem
-    if not all(isinstance(c, (Singleton, Box)) for c in p.constraints):
-        raise UnsupportedClassError("certify_box needs box/singleton classes")
-    return _polyhedral_verdicts(vp, x_bar, geometry)
-
-
-def _polyhedral_verdicts(vp, x_bar, geometry=None):
-    X = reduce_constraints(vp)
-    x_bar = np.asarray(x_bar, float)
-    geo = geometry or active_geometry(X, x_bar)
-    C0, C1 = endpoint_objectives(vp)
-    return EndpointVerdicts(_solve_polyhedral_endpoint(C0, geo, X),
-                            _solve_polyhedral_endpoint(C1, geo, X))
-
-
 def _endpoint_cone_system(C, vp, X, geo, x_bar):
     """Joint multiplier system for one endpoint objective.
 
     Variables: lambda on the simplex; per polyhedral constraint, one
-    nonnegative multiplier per active row; per norm-ball or ellipsoid
-    constraint, a cone block (y_j, mu_j) with ||y_j||_s <= mu_j replacing
+    nonnegative multiplier per active row; per affine-norm-ball row
+    a_bar + P w, a cone block (y_j, mu_j) with ||y_j||_s <= mu_j replacing
     the bilinear product of the multiplier and its unit witness.
     Equalities: C^T lambda equals the multiplier combination of realized
     scenario vectors, and the scalarized value matches the multiplier
@@ -258,7 +223,7 @@ def _endpoint_cone_system(C, vp, X, geo, x_bar):
     registry = []          # (constraint index, tag, payload)
     vec = {0: C.T}         # n x m
     sca = {0: (C @ x_bar).reshape(1, m)}
-    for j, con in enumerate(p.constraints):
+    for j in range(len(p.constraints)):
         rows_j = [r for r in X.rows if r.source == j]
         if all(isinstance(r, LinearRow) for r in rows_j):
             # active-support restriction enforces complementarity structurally
@@ -270,34 +235,16 @@ def _endpoint_cone_system(C, vp, X, geo, x_bar):
             vec[bi] = -np.column_stack([X.rows[i].a for i in act])
             sca[bi] = -np.array([[X.rows[i].b for i in act]])
             registry.append((j, "poly", (bi, tuple(act))))
-        elif isinstance(con, NormBall):
-            bi = len(blocks)
-            blocks.append(VarBlock("soc", n + 1, con.s))
-            Z_inv = rows_j[0].Z_inv
-            Mv = np.zeros((n, n + 1))
-            Mv[:, :n] = con.delta * Z_inv
-            Mv[:, n] = -con.a_bar
-            vec[bi] = Mv
-            Ms = np.zeros((1, n + 1))
-            Ms[0, n] = -con.b_hi
-            sca[bi] = Ms
-            registry.append((j, "norm", (bi, Z_inv)))
-        elif isinstance(con, Ellipsoid):
-            q = len(con.spans)
-            bi = len(blocks)
-            blocks.append(VarBlock("soc", q + 1, 2))
-            A = np.array([s for s in con.spans])     # q x n
-            Mv = np.zeros((n, q + 1))
-            Mv[:, :q] = A.T
-            Mv[:, q] = -con.a0
-            vec[bi] = Mv
-            Ms = np.zeros((1, q + 1))
-            Ms[0, q] = -con.b_hi
-            sca[bi] = Ms
-            registry.append((j, "ellipsoid", (bi, A)))
         else:
-            raise UnsupportedClassError(
-                f"constraint {j}: class {con.kind} not certifiable")
+            row = rows_j[0]      # a cone class reduces to one ConcaveRow
+            q = row.P.shape[1]
+            bi = len(blocks)
+            blocks.append(VarBlock("soc", q + 1, row.s))
+            vec[bi] = np.column_stack([row.P, -row.a_bar])
+            Ms = np.zeros((1, q + 1))
+            Ms[0, q] = -row.b
+            sca[bi] = Ms
+            registry.append((j, "cone", (bi, row)))
     sys = ConeFeasibilitySystem.build(
         blocks,
         [(vec, np.zeros(n)), (sca, np.zeros(1))])
@@ -314,36 +261,6 @@ def _solve_cone_endpoint(C, vp, X, geo, x_bar, tol):
         lam = lam / lam.sum() if lam.sum() > 0 else np.full(len(parts[0]), 1.0 / len(parts[0]))
     return EndpointSolve(res.feasible, res.exact, res.residual, lam,
                          cone_x=res.x, registry=registry), sys
-
-
-def certify_norm(vp: ValidatedProblem, x_bar) -> EndpointVerdicts:
-    """Endpoint verdicts for norm-ball uncertainty (Slater required)."""
-    p = vp.problem
-    if not all(isinstance(c, (Singleton, NormBall)) for c in p.constraints):
-        raise UnsupportedClassError("certify_norm needs norm-ball classes")
-    return _cone_verdicts(vp, x_bar)
-
-
-def certify_ellipsoid(vp: ValidatedProblem, x_bar) -> EndpointVerdicts:
-    """Endpoint verdicts for ellipsoidal uncertainty (Slater required)."""
-    p = vp.problem
-    if not all(isinstance(c, (Singleton, Ellipsoid)) for c in p.constraints):
-        raise UnsupportedClassError("certify_ellipsoid needs ellipsoid classes")
-    return _cone_verdicts(vp, x_bar)
-
-
-def _cone_verdicts(vp, x_bar, tol=RESIDUAL_TOL):
-    X = reduce_constraints(vp)
-    x_bar = np.asarray(x_bar, float)
-    _check_membership(X, x_bar)
-    slater = check_slater(X)
-    if not slater.ok:
-        raise SlaterViolatedError(slater.max_slack)
-    geo = active_geometry(X, x_bar)
-    C0, C1 = endpoint_objectives(vp)
-    e0, _ = _solve_cone_endpoint(C0, vp, X, geo, x_bar, tol)
-    e1, _ = _solve_cone_endpoint(C1, vp, X, geo, x_bar, tol)
-    return EndpointVerdicts(e0, e1)
 
 
 # ---------------------------------------------------------------------------
@@ -372,24 +289,16 @@ class EfficiencyCertificate:
     residuals: dict
 
 
-def _nominal_scenario(con, n):
-    if isinstance(con, Singleton):
-        return con.a_bar.copy(), con.b_bar
-    if isinstance(con, Polytope):
-        v = con.vertices[0]
-        return v[:n].copy(), float(v[n])
-    if isinstance(con, Box):
-        return con.a_lo.copy(), con.b_hi
-    if isinstance(con, NormBall):
-        return con.a_bar.copy(), con.b_hi
-    if isinstance(con, Ellipsoid):
-        return con.a0.copy(), con.b_hi
-    return con.a_bar.copy(), con.b_bar
+def _nominal_scenario(X, j):
+    """The first reduced row of constraint j as an (a, b) scenario."""
+    row = next(r for r in X.rows if r.source == j)
+    a = row.a if isinstance(row, LinearRow) else row.a_bar
+    return a.copy(), row.b
 
 
 def _poly_constraint_records(p, X, geo, row_mu, x_bar):
     recs = []
-    for j, con in enumerate(p.constraints):
+    for j in range(len(p.constraints)):
         idxs = [t for t, i in enumerate(geo.active_rows)
                 if X.rows[i].source == j]
         mu_j = float(sum(row_mu[t] for t in idxs))
@@ -398,7 +307,7 @@ def _poly_constraint_records(p, X, geo, row_mu, x_bar):
             b = sum(row_mu[t] * X.rows[geo.active_rows[t]].b for t in idxs) / mu_j
         else:
             mu_j = 0.0
-            a, b = _nominal_scenario(con, p.n)
+            a, b = _nominal_scenario(X, j)
         comp = mu_j * (float(a @ x_bar) - b)
         recs.append(ConstraintMultiplier(mu_j, np.asarray(a, float), float(b),
                                          None, 0.0, comp))
@@ -409,7 +318,6 @@ def _cone_constraint_records(p, X, geo, sol: EndpointSolve, sys, x_bar):
     parts = sys.split(sol.cone_x)
     recs = {j: None for j in range(len(p.constraints))}
     for j, tag, payload in sol.registry:
-        con = p.constraints[j]
         if tag == "poly":
             bi, act = payload
             mu_vals = np.maximum(parts[bi], 0.0)
@@ -418,39 +326,24 @@ def _cone_constraint_records(p, X, geo, sol: EndpointSolve, sys, x_bar):
                 a = sum(mu_vals[t] * X.rows[i].a for t, i in enumerate(act)) / mu_j
                 b = sum(mu_vals[t] * X.rows[i].b for t, i in enumerate(act)) / mu_j
             else:
-                a, b = _nominal_scenario(con, p.n)
+                a, b = _nominal_scenario(X, j)
             recs[j] = ConstraintMultiplier(mu_j, np.asarray(a, float), float(b),
                                            None, 0.0,
                                            mu_j * (float(np.asarray(a) @ x_bar) - float(b)))
-        elif tag == "norm":
-            bi, Z_inv = payload
+        else:
+            bi, row = payload
             seg = parts[bi]
             y, mu_j = seg[:-1], max(0.0, float(seg[-1]))
             w = y / mu_j if mu_j > 1e-10 else np.zeros_like(y)
-            wn = norm_value(w, con.s)
+            wn = norm_value(w, row.s)
             if wn > 1.0:
                 w = w / wn
-                wn = 1.0
-            a = con.a_bar - con.delta * (Z_inv @ w)
-            b = con.b_hi
-            recs[j] = ConstraintMultiplier(mu_j, a, b, w, norm_value(w, con.s),
-                                           mu_j * (float(a @ x_bar) - b))
-        else:
-            bi, A = payload
-            seg = parts[bi]
-            z, mu_j = seg[:-1], max(0.0, float(seg[-1]))
-            w = z / mu_j if mu_j > 1e-10 else np.zeros_like(z)
-            wn = float(np.linalg.norm(w))
-            if wn > 1.0:
-                w = w / wn
-                wn = 1.0
-            a = con.a0 - A.T @ w
-            b = con.b_hi
-            recs[j] = ConstraintMultiplier(mu_j, a, b, w, wn,
-                                           mu_j * (float(a @ x_bar) - b))
-    for j, con in enumerate(p.constraints):
+            a = row.a_bar - row.P @ w
+            recs[j] = ConstraintMultiplier(mu_j, a, row.b, w, norm_value(w, row.s),
+                                           mu_j * (float(a @ x_bar) - row.b))
+    for j in recs:
         if recs[j] is None:
-            a, b = _nominal_scenario(con, p.n)
+            a, b = _nominal_scenario(X, j)
             recs[j] = ConstraintMultiplier(0.0, a, b, None, 0.0, 0.0)
     return tuple(recs[j] for j in range(len(p.constraints)))
 

@@ -13,10 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConcaveRow, LinearRow
+from .model import BallRow, LinearRow
 from .numerics import LinearProgram, MinNormResult, min_norm_point, solve_lp
 
 _INF = float("inf")
+
+ASCENT_ITERS = 5000     # subgradient steps before the cutting planes
+CUT_ROUNDS = 40         # cutting-plane LPs per box size
 
 
 class NominalInfeasibleError(Exception):
@@ -144,10 +147,6 @@ def radius_of_robust_feasibility(nominal) -> RadiusResult:
 # Concave min-slack maximization (shared with the Slater check)
 # ---------------------------------------------------------------------------
 
-def _row_slack(row, x):
-    return row.slack(x)
-
-
 def _row_supergradient(row, x):
     if isinstance(row, LinearRow):
         return row.a
@@ -162,9 +161,7 @@ class SlackSearch:
     bound_valid: bool     # upper bound free of box-truncation effects
 
 
-def maximize_min_slack(rows, n, target: float = 0.0,
-                       ascent_iters: int = 5000,
-                       cut_rounds: int = 40) -> SlackSearch:
+def maximize_min_slack(rows, n, target: float = 0.0) -> SlackSearch:
     """Maximize min_j slack_j(x) over R^n for concave row slacks.
 
     Subgradient ascent with diminishing 1/sqrt(k) steps from the origin,
@@ -176,18 +173,19 @@ def maximize_min_slack(rows, n, target: float = 0.0,
     x = np.zeros(n)
 
     def phi(pt):
-        return min(_row_slack(r, pt) for r in rows)
+        return min(r.slack(pt) for r in rows)
 
-    best_x, best_v = x.copy(), phi(x)
-    for k in range(1, ascent_iters + 1):
-        vals = [_row_slack(r, x) for r in rows]
+    vals = [r.slack(x) for r in rows]
+    best_x, best_v = x.copy(), min(vals)
+    for k in range(1, ASCENT_ITERS + 1):
         i = int(np.argmin(vals))
         g = _row_supergradient(rows[i], x)
         ng = np.linalg.norm(g)
         if ng < 1e-14:
             break
         x = x + (1.0 / math.sqrt(k)) * g / ng
-        v = phi(x)
+        vals = [r.slack(x) for r in rows]
+        v = min(vals)
         if v > best_v:
             best_x, best_v = x.copy(), v
         if best_v >= target and k >= 32:
@@ -206,10 +204,10 @@ def maximize_min_slack(rows, n, target: float = 0.0,
         anchors = [best_x, np.zeros(n)]
         ub = _INF
         box_hit = False
-        for _round in range(cut_rounds):
+        for _round in range(CUT_ROUNDS):
             for pt in anchors:
                 for r in rows:
-                    if isinstance(r, ConcaveRow):
+                    if not isinstance(r, LinearRow):
                         g = r.supergradient(pt)
                         c0 = r.slack(pt) - float(g @ pt)
                         cuts.append((g, c0))
@@ -265,19 +263,18 @@ def ball_robust_feasible(nominal, alpha: float,
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     rows = _as_rows(nominal)
-    nom = is_feasible(rows)
-    if not nom.feasible:
-        raise NominalInfeasibleError("nominal system is infeasible")
     if alpha == 0.0:
+        nom = is_feasible(rows)
+        if not nom.feasible:
+            raise NominalInfeasibleError("nominal system is infeasible")
         return BallFeasibility("feasible", nom.x, None)
-    rr = radius_of_robust_feasibility(rows)
+    rr = radius_of_robust_feasibility(rows)   # raises on infeasible nominal
     if alpha > rr.rho + boundary_tol:
         return BallFeasibility("infeasible", None, rr.rho)
     if abs(alpha - rr.rho) <= boundary_tol:
         return BallFeasibility("inconclusive", None, rr.rho)
     n = rows[0][0].size
-    worst = [ConcaveRow("ball", a, b, j, alpha=alpha)
-             for j, (a, b) in enumerate(rows)]
+    worst = [BallRow(a, b, j, alpha) for j, (a, b) in enumerate(rows)]
     search = maximize_min_slack(worst, n, target=0.0)
     if search.value < -1e-8:  # pragma: no cover - radius guarantees a witness
         return BallFeasibility("inconclusive", None, rr.rho)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import SingularMatrixError, dual_norm_value, invert_symmetric
+from .numerics import (SingularMatrixError, dual_norm_value, invert_symmetric,
+                       norm_value)
 
 _INF = float("inf")
 
@@ -284,88 +285,77 @@ class LinearRow:
 
 @dataclass(frozen=True)
 class ConcaveRow:
-    """Worst-case slack of a non-polyhedral uncertainty class.
+    """Worst case of an affine norm-ball class {a_bar + P w : ||w||_s <= 1}.
 
-    slack(x) = a_bar.x - b - penalty(x) with penalty the support function
-    of the class's perturbation set; scenario_row materializes one extreme
-    realization from a unit direction.
+    slack(x) = a_bar.x - b - ||P^T x||_{s*}, the s*-norm being the support
+    function of the unit s-ball; scenario_row materializes one extreme
+    realization a_bar + P w from a direction scaled to the unit s-sphere.
     """
 
-    kind: str             # "norm_ball" | "ellipsoid" | "ball"
     a_bar: np.ndarray
     b: float
     source: int
-    delta: float = 0.0
-    s: float = 2.0
-    Z_inv: np.ndarray | None = None
-    spans: np.ndarray | None = None   # q x n matrix of span vectors
-    alpha: float = 0.0
+    P: np.ndarray         # n x q
+    s: float              # norm index of w: 1, 2, or inf
 
     def direction_dim(self):
-        if self.kind == "norm_ball":
-            return self.a_bar.size
-        if self.kind == "ellipsoid":
-            return self.spans.shape[0] if self.spans is not None else 0
+        return self.P.shape[1]
+
+    def slack(self, x):
+        x = np.asarray(x, float)
+        return float(self.a_bar @ x - self.b - dual_norm_value(self.P.T @ x, self.s))
+
+    def supergradient(self, x):
+        y = self.P.T @ np.asarray(x, float)
+        return self.a_bar - self.P @ _dual_norm_subgradient(y, self.s)
+
+    def scenario_row(self, direction):
+        """One realized (a, b) row from a direction in R^q."""
+        d = np.asarray(direction, float)
+        return self.a_bar + self.P @ (d / max(1e-30, norm_value(d, self.s))), self.b
+
+
+def _dual_norm_subgradient(y, s):
+    """A unit s-norm d with d.y equal to the conjugate norm of y."""
+    if s == 2:
+        ny = np.linalg.norm(y)
+        return y / ny if ny > 1e-14 else np.zeros_like(y)
+    if s == 1:
+        # conjugate norm is max-abs: subgradient supported on argmax
+        d = np.zeros_like(y)
+        i = int(np.argmax(np.abs(y)))
+        d[i] = np.sign(y[i])
+        return d
+    return np.sign(y)
+
+
+@dataclass(frozen=True)
+class BallRow:
+    """Worst case of a joint Euclidean ball of radius alpha around (a_bar, b):
+    slack(x) = a_bar.x - b - alpha * sqrt(x.x + 1)."""
+
+    a_bar: np.ndarray
+    b: float
+    source: int
+    alpha: float
+
+    def direction_dim(self):
         return self.a_bar.size + 1
 
     def slack(self, x):
         x = np.asarray(x, float)
-        if self.kind == "norm_ball":
-            pen = self.delta * dual_norm_value(self.Z_inv @ x, self.s)
-        elif self.kind == "ellipsoid":
-            pen = float(np.linalg.norm(self.spans @ x)) if self.spans is not None and self.spans.size else 0.0
-        else:
-            pen = self.alpha * math.sqrt(float(x @ x) + 1.0)
-        return float(self.a_bar @ x - self.b - pen)
+        return float(self.a_bar @ x - self.b - self.alpha * math.sqrt(float(x @ x) + 1.0))
 
     def supergradient(self, x):
         x = np.asarray(x, float)
-        if self.kind == "norm_ball":
-            y = self.Z_inv @ x
-            if self.s == 2:
-                ny = np.linalg.norm(y)
-                d = y / ny if ny > 1e-14 else np.zeros_like(y)
-            elif self.s == 1:
-                # conjugate norm is max-abs: subgradient supported on argmax
-                d = np.zeros_like(y)
-                i = int(np.argmax(np.abs(y)))
-                d[i] = np.sign(y[i])
-            else:
-                d = np.sign(y)
-            return self.a_bar - self.delta * (self.Z_inv @ d)
-        if self.kind == "ellipsoid":
-            if self.spans is None or self.spans.size == 0:
-                return self.a_bar.copy()
-            w = self.spans @ x
-            nw = np.linalg.norm(w)
-            if nw <= 1e-14:
-                return self.a_bar.copy()
-            return self.a_bar - self.spans.T @ (w / nw)
-        denom = math.sqrt(float(x @ x) + 1.0)
-        return self.a_bar - self.alpha * x / denom
+        return self.a_bar - self.alpha * x / math.sqrt(float(x @ x) + 1.0)
 
     def scenario_row(self, direction):
-        """One realized (a, b) row from a unit direction of the class."""
+        """One realized (a, b) row from a direction in R^{n+1}."""
         d = np.asarray(direction, float)
-        if self.kind == "norm_ball":
-            u = d / max(1e-30, _s_norm(d, self.s))
-            return self.a_bar + self.delta * (self.Z_inv @ u), self.b
-        if self.kind == "ellipsoid":
-            if self.spans is None or self.spans.size == 0:
-                return self.a_bar.copy(), self.b
-            u = d / max(1e-30, np.linalg.norm(d))
-            return self.a_bar + self.spans.T @ u, self.b
         u = d / max(1e-30, np.linalg.norm(d))
         n = self.a_bar.size
         return self.a_bar + self.alpha * u[:n], self.b + self.alpha * float(u[n])
-
-
-def _s_norm(x, s):
-    if s == 1:
-        return float(np.abs(x).sum())
-    if s == 2:
-        return float(np.linalg.norm(x))
-    return float(np.abs(x).max())
 
 
 @dataclass(frozen=True)
@@ -373,7 +363,7 @@ class RobustFeasibleSet:
     """Reduced representation of the robust feasible region."""
 
     n: int
-    rows: tuple           # LinearRow / ConcaveRow, constraint order
+    rows: tuple           # LinearRow / ConcaveRow / BallRow, constraint order
 
     @property
     def all_linear(self):
@@ -383,7 +373,7 @@ class RobustFeasibleSet:
         return [r for r in self.rows if isinstance(r, LinearRow)]
 
     def concave(self):
-        return [r for r in self.rows if isinstance(r, ConcaveRow)]
+        return [r for r in self.rows if not isinstance(r, LinearRow)]
 
 
 def box_vertices(a_lo, a_hi):
@@ -406,7 +396,8 @@ def reduce_constraints(vp: ValidatedProblem) -> RobustFeasibleSet:
 
     Singletons and polytope/box vertex enumerations become linear rows (the
     right-hand side of interval classes collapses to its upper endpoint);
-    norm-ball, ellipsoid, and joint-ball classes become one concave row.
+    a norm ball becomes one ConcaveRow with P = delta Z^-1, an ellipsoid one
+    with P = spans^T and s = 2, and a joint ball one BallRow.
     """
     p = vp.problem
     rows = []
@@ -424,17 +415,15 @@ def reduce_constraints(vp: ValidatedProblem) -> RobustFeasibleSet:
                 # zero perturbation radius: the worst case is exactly linear
                 rows.append(LinearRow(c.a_bar, c.b_hi, j))
             else:
-                rows.append(ConcaveRow("norm_ball", c.a_bar, c.b_hi, j,
-                                       delta=c.delta, s=c.s,
-                                       Z_inv=invert_symmetric(c.Z)))
+                rows.append(ConcaveRow(c.a_bar, c.b_hi, j,
+                                       c.delta * invert_symmetric(c.Z), c.s))
         elif isinstance(c, Ellipsoid):
             if not c.spans:
                 rows.append(LinearRow(c.a0, c.b_hi, j))
             else:
-                spans = np.array([s for s in c.spans])
-                rows.append(ConcaveRow("ellipsoid", c.a0, c.b_hi, j, spans=spans))
+                rows.append(ConcaveRow(c.a0, c.b_hi, j, np.array(c.spans).T, 2))
         elif isinstance(c, Ball):
-            rows.append(ConcaveRow("ball", c.a_bar, c.b_bar, j, alpha=c.alpha))
+            rows.append(BallRow(c.a_bar, c.b_bar, j, c.alpha))
         else:  # pragma: no cover - validation rejects unknown classes
             raise ValidationError("DimensionMismatch", "unknown class", j)
     return RobustFeasibleSet(p.n, tuple(rows))

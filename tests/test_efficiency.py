@@ -4,9 +4,8 @@ import pytest
 from conftest import random_polyhedral_problem, vertex_candidate
 from robustmolp.efficiency import (NotFeasiblePointError, SlaterViolatedError,
                                    UnsupportedClassError, active_geometry,
-                                   certify_box, certify_ellipsoid, certify_norm,
-                                   certify_polytope, certify_weak_efficiency,
-                                   check_slater, weakly_efficient_for_scenario)
+                                   certify_weak_efficiency, check_slater,
+                                   weakly_efficient_for_scenario)
 from robustmolp.model import (Ball, Box, Ellipsoid, NormBall, Polytope,
                               Singleton, UncertainMOLP, box_vertices,
                               reduce_constraints, validate_problem)
@@ -142,15 +141,13 @@ def test_certify_singletons_equals_endpointwise_efficiency(rng):
 
 
 def test_certify_polytope_wrapper_endpoint_verdicts():
-    verd = certify_polytope(derived_instance(), XBAR)
-    assert verd.nominal.feasible and verd.perturbed.feasible
-    assert verd.nominal.exact and verd.perturbed.exact
-    assert verd.nominal.lam == pytest.approx([2 / 3, 1 / 3], abs=1e-9)
-    assert verd.perturbed.lam == pytest.approx([1 / 3, 2 / 3], abs=1e-9)
-    p = UncertainMOLP(1, 1, [[1.0]], [0.0], [0.0],
-                      (Box([1.0], [2.0], 0.0, 0.0),))
-    with pytest.raises(UnsupportedClassError):
-        certify_polytope(validate_problem(p), np.array([0.0]))
+    out = certify_weak_efficiency(derived_instance(), XBAR)
+    # both endpoint systems feasible, on the exact per-row (LP) path
+    assert out.status == "certified"
+    cert = out.certificate
+    assert cert.row_mu_nominal is not None and cert.row_mu_perturbed is not None
+    assert cert.lambda_nominal == pytest.approx([2 / 3, 1 / 3], abs=1e-9)
+    assert cert.lambda_perturbed == pytest.approx([1 / 3, 2 / 3], abs=1e-9)
 
 
 def test_certify_box_wrapper_matches_polytope_wrapper(rng):
@@ -166,10 +163,9 @@ def test_certify_box_wrapper_matches_polytope_wrapper(rng):
                            (Box(lo, hi, b_hi, b_hi),))
         pp = UncertainMOLP(2, n, C, pb.u, pb.v,
                            (Polytope(tuple(np.concatenate([v, [b_hi]]) for v in verts)),))
-        vb = certify_box(validate_problem(pb), x0)
-        vp_ = certify_polytope(validate_problem(pp), x0)
-        assert vb.nominal.feasible == vp_.nominal.feasible
-        assert vb.perturbed.feasible == vp_.perturbed.feasible
+        ob = certify_weak_efficiency(validate_problem(pb), x0)
+        op = certify_weak_efficiency(validate_problem(pp), x0)
+        assert ob.status == op.status
 
 
 def test_certify_box_one_dimensional_hand_case():
@@ -350,10 +346,8 @@ def test_norm_vs_ellipsoid_agreement(rng):
 def test_certify_norm_wrapper_and_slater_error():
     p = UncertainMOLP(1, 1, [[1.0]], [0.0], [0.0],
                       (NormBall([1.0], [[1.0]], 0.5, 2, 0.0, 0.0),))
-    verd = certify_norm(validate_problem(p), np.array([0.0]))
-    assert verd.nominal.feasible and verd.perturbed.feasible
-    with pytest.raises(UnsupportedClassError):
-        certify_norm(derived_instance(), XBAR)
+    out = certify_weak_efficiency(validate_problem(p), np.array([0.0]))
+    assert out.status == "certified"        # both endpoint systems feasible
 
 
 def test_certify_ellipsoid_no_spans_equals_singleton():
@@ -369,10 +363,9 @@ def test_certify_ellipsoid_wrapper():
     p = UncertainMOLP(1, 2, [[1.0, 1.0]], [0.0], [0.0, 0.0],
                       (Ellipsoid([2.0, 0.0], (np.array([0.5, 0.0]),
                                               np.array([0.0, 0.5])), 0.0, 0.0),))
-    verd = certify_ellipsoid(validate_problem(p), np.array([0.0, 0.0]))
-    assert verd.nominal.feasible is not None   # runs both endpoints
-    with pytest.raises(UnsupportedClassError):
-        certify_ellipsoid(derived_instance(), XBAR)
+    out = certify_weak_efficiency(validate_problem(p), np.array([0.0, 0.0]))
+    # x = (1, -1.5) is feasible and improves x1 + x2
+    assert out.status == "refuted"
 
 
 def test_mixed_classes_joint_system():

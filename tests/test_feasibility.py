@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import random_feasible_rows
+from robustmolp import feasibility
 from robustmolp.feasibility import (NominalInfeasibleError, ball_robust_feasible,
                                     cone_contains, hypographical_set,
-                                    is_feasible, radius_of_robust_feasibility)
+                                    is_feasible, maximize_min_slack,
+                                    radius_of_robust_feasibility)
 
 HYPO = [(np.array([-2.0, -1, -2]), -6.0), (np.array([-1.0, -2, -2]), -6.0),
         (np.array([-1.0, 0, 0]), -3.0), (np.array([0.0, -1, 0]), -3.0),
@@ -194,6 +196,44 @@ def test_ball_probe_inconclusive_at_radius():
 def test_ball_probe_infeasible_nominal_raises():
     with pytest.raises(NominalInfeasibleError):
         ball_robust_feasible([(np.array([1.0]), 0.0), (np.array([-1.0]), 1.0)], 0.5)
+
+
+def test_ball_probe_solves_nominal_lp_once(monkeypatch):
+    calls = []
+
+    def counting(rows):
+        calls.append(len(rows))
+        return is_feasible(rows)
+
+    monkeypatch.setattr(feasibility, "is_feasible", counting)
+    assert ball_robust_feasible(HYPO, 2.9).status == "feasible"
+    assert calls == [len(HYPO)]
+    with pytest.raises(NominalInfeasibleError):
+        ball_robust_feasible([(np.array([1.0]), 0.0), (np.array([-1.0]), 1.0)], 0.0)
+
+
+class _CountingRow:
+    """A linear row that counts its slack evaluations."""
+
+    def __init__(self, a, b):
+        self.a, self.b, self.calls = np.asarray(a, float), b, 0
+
+    def slack(self, x):
+        self.calls += 1
+        return float(self.a @ x - self.b)
+
+    def supergradient(self, x):
+        return self.a
+
+
+def test_min_slack_ascent_evaluates_each_row_once_per_step():
+    rows = [_CountingRow([1.0, 0.0], -1.0), _CountingRow([0.0, 1.0], -2.0),
+            _CountingRow([-1.0, -1.0], -3.0)]
+    search = maximize_min_slack(rows, 2, target=0.0)
+    assert search.value >= 1.0
+    # the target holds at the origin, so the ascent stops after its minimum
+    # of 32 steps: one evaluation per row at the origin and one per step
+    assert [r.calls for r in rows] == [33, 33, 33]
 
 
 def test_ball_bracketing_random_systems(rng):

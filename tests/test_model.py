@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from robustmolp.model import (Ball, Box, BoxTooLargeError, ConcaveRow,
-                              Ellipsoid, LinearRow, NormBall, Polytope,
-                              ProblemFormatError, Singleton, UncertainMOLP,
-                              ValidationError, box_vertices, endpoint_objectives,
-                              load_problem, parse_problem, problem_to_dict,
-                              reduce_constraints, validate_dimensions,
-                              validate_problem)
+from robustmolp.model import (Ball, BallRow, Box, BoxTooLargeError,
+                              ConcaveRow, Ellipsoid, LinearRow, NormBall,
+                              Polytope, ProblemFormatError, Singleton,
+                              UncertainMOLP, ValidationError, box_vertices,
+                              endpoint_objectives, load_problem, parse_problem,
+                              problem_to_dict, reduce_constraints,
+                              validate_dimensions, validate_problem)
 from robustmolp.numerics import sphere_directions
 
 _INF = float("inf")
@@ -173,7 +173,7 @@ def test_zero_radius_ball_matches_linear_row():
     p = UncertainMOLP(1, 1, [[1.0]], [0.0], [0.0], (Ball([1.0], 0.0, 0.0),))
     X = reduce_constraints(validate_problem(p))
     row = X.rows[0]
-    assert isinstance(row, ConcaveRow)
+    assert isinstance(row, BallRow)
     for x in (-2.0, 0.0, 0.5, 3.0):
         assert row.slack(np.array([x])) == pytest.approx(x, abs=1e-15)
 
@@ -213,6 +213,33 @@ def test_norm_ball_concave_row_lower_bounds_scenarios(rng):
             ar, br = row.scenario_row(d)
             assert val <= float(ar @ x - br) + 1e-12
         assert br == 2.0          # worst case uses the upper b endpoint
+
+
+def test_norm_ball_and_ellipsoid_share_one_row(rng):
+    # a 2-norm ball with radius delta and shape Z is the ellipsoid spanned
+    # by the rows of delta * Z^-1: both reduce to the same affine-norm-ball row
+    for _ in range(10):
+        n = int(rng.integers(1, 4))
+        a = rng.integers(-5, 6, n).astype(float)
+        B = rng.normal(0, 1, (n, n))
+        Z = B @ B.T + n * np.eye(n)
+        delta = float(rng.uniform(0.1, 2.0))
+        p_nb = UncertainMOLP(1, n, np.zeros((1, n)), [0.0], np.zeros(n),
+                             (NormBall(a, Z, delta, 2, -1.0, 2.0),))
+        p_el = UncertainMOLP(1, n, np.zeros((1, n)), [0.0], np.zeros(n),
+                             (Ellipsoid(a, tuple(delta * np.linalg.inv(Z)), -1.0, 2.0),))
+        nb = reduce_constraints(validate_problem(p_nb)).rows[0]
+        el = reduce_constraints(validate_problem(p_el)).rows[0]
+        assert isinstance(nb, ConcaveRow) and isinstance(el, ConcaveRow)
+        assert nb.s == el.s == 2 and nb.direction_dim() == el.direction_dim() == n
+        for _ in range(5):
+            x = rng.normal(0, 2, n)
+            d = rng.normal(0, 1, n)
+            assert nb.slack(x) == pytest.approx(el.slack(x), rel=0, abs=1e-12)
+            assert nb.supergradient(x) == pytest.approx(el.supergradient(x), rel=0, abs=1e-12)
+            (a_nb, b_nb), (a_el, b_el) = nb.scenario_row(d), el.scenario_row(d)
+            assert a_nb == pytest.approx(a_el, rel=0, abs=1e-12)
+            assert b_nb == b_el == 2.0
 
 
 def test_zero_delta_norm_ball_reduces_to_linear():
