@@ -346,7 +346,12 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed help (code 0) or a usage error on stderr;
+        # its own code 2 would read as "inconclusive"
+        return EXIT_OK if exc.code == 0 else EXIT_PARSE
     try:
         return args.func(args)
     except (ProblemFormatError, OSError, ValueError) as exc:

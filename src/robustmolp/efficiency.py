@@ -401,11 +401,14 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar,
     X = reduce_constraints(vp)
     _check_membership(X, x_bar)
     C0, C1 = endpoint_objectives(vp)
+    # u = 0 or v = 0 makes the endpoints coincide; compare bits, since a
+    # -0.0 against a 0.0 can flip the sign of a zero in the certificate
+    same = C0.tobytes() == C1.tobytes()
 
     if X.all_linear:
         geo = active_geometry(X, x_bar)
         e0 = _solve_polyhedral_endpoint(C0, geo, X)
-        e1 = _solve_polyhedral_endpoint(C1, geo, X)
+        e1 = e0 if same else _solve_polyhedral_endpoint(C1, geo, X)
         if e0.feasible and e1.feasible:
             cert = EfficiencyCertificate(
                 e0.lam, e1.lam,
@@ -428,7 +431,8 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar,
         raise SlaterViolatedError(slater.max_slack)
     geo = active_geometry(X, x_bar)
     e0, sys0 = _solve_cone_endpoint(C0, vp, X, geo, x_bar, residual_tol)
-    e1, sys1 = _solve_cone_endpoint(C1, vp, X, geo, x_bar, residual_tol)
+    e1, sys1 = ((e0, sys0) if same else
+                _solve_cone_endpoint(C1, vp, X, geo, x_bar, residual_tol))
     residuals = {"nominal": e0.residual, "perturbed": e1.residual}
 
     if e0.feasible and e1.feasible:

@@ -550,6 +550,8 @@ class ConeResult:
     exact: bool               # verdict from the LP path (polyhedral blocks)
     residual: float           # row-scaled equality residual (2-norm)
     x: np.ndarray
+    iterations: int           # projected-gradient iterations (0 on "lp")
+    stop_reason: str          # "lp" | "converged" | "farkas" | "stalled" | "budget"
 
 
 def _project_soc(y, t):
@@ -647,44 +649,95 @@ def _polish_cone(A, b, x, blocks, offsets):
     return Vt.T @ sol
 
 
+_FARKAS_STRIDE = 16     # iterations between Farkas certificate checks
+
+
+def _farkas_bound(A, b, z, blocks, offsets):
+    """Lower bound on ||A x' - b|| over all block-feasible x' certified by z.
+
+    When c = A^T z lies in the dual of every block (nonneg: c >= 0; soc of
+    index s: ||c_y||_{s*} <= c_t), every block-feasible x' has
+    z.(A x' - b) >= g := sum over simplex blocks of min(c_B) - b.z, so
+    ||A x' - b|| >= g / ||z||.  Returns -inf when z certifies nothing: c
+    leaves a dual cone, or a free block is present.  z must be nonzero.
+    """
+    c = A.T @ z
+    g = -float(b @ z)
+    for o, blk in zip(offsets, blocks):
+        seg = c[o:o + blk.dim]
+        if blk.kind == "simplex":
+            g += float(seg.min())
+        elif blk.kind == "nonneg":
+            if seg.min() < 0.0:
+                return -_INF
+        elif blk.kind == "soc":
+            if dual_norm_value(seg[:-1], blk.norm_index) > seg[-1]:
+                return -_INF
+        else:
+            return -_INF
+    return g / float(np.linalg.norm(z))
+
+
 def _pgd_min_residual(A, b, blocks, offsets, D, tol, max_iter):
-    """FISTA on 0.5*||Ax - b||^2 with per-block projections."""
+    """FISTA on 0.5*||Ax - b||^2 with per-block projections.
+
+    Returns (best point, its residual norm, iterations, stop reason).  The
+    run stops when the best residual is "converged" (at most
+    min(tol/100, 1e-10)); at "farkas", once the best point's residual
+    z = A x - b certifies through _farkas_bound that no block-feasible point
+    gets within tol (checked every _FARKAS_STRIDE iterations); when the
+    improvement between checkpoints has "stalled"; or at max_iter
+    ("budget").
+    """
     sigma = np.linalg.norm(A, 2) if A.size else 0.0
     step = 1.0 / max(sigma * sigma, 1e-12)
     x = _project_blocks(_initial_point(blocks, offsets, D), blocks, offsets)
-    best_x, best_r = x, float(np.linalg.norm(A @ x - b))
+    z = A @ x - b
+    r_x = float(np.linalg.norm(z))
+    best_x, best_z, best_r = x, z, r_x
     yv, t_acc = x.copy(), 1.0
     stall_mark, stalls = best_r, 0
+    done, reason = 0, "budget"
     for it in range(max_iter):
+        done = it + 1
         grad = A.T @ (A @ yv - b)
         x_new = _project_blocks(yv - step * grad, blocks, offsets)
-        r_new = float(np.linalg.norm(A @ x_new - b))
+        z_new = A @ x_new - b
+        r_new = float(np.linalg.norm(z_new))
         if r_new < best_r:
-            best_x, best_r = x_new, r_new
+            best_x, best_z, best_r = x_new, z_new, r_new
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
         yv = x_new + ((t_acc - 1.0) / t_new) * (x_new - x)
-        if r_new > float(np.linalg.norm(A @ x - b)):
+        if r_new > r_x:
             yv, t_new = x_new.copy(), 1.0      # restart on non-monotone step
-        x, t_acc = x_new, t_new
+        x, r_x, t_acc = x_new, r_new, t_new
         if it % 512 == 0 or best_r <= 1e-12:
             cand = _polish_cone(A, b, best_x, blocks, offsets)
             if cand is not None:
                 cand = _project_blocks(cand, blocks, offsets)
-                r_cand = float(np.linalg.norm(A @ cand - b))
+                z_cand = A @ cand - b
+                r_cand = float(np.linalg.norm(z_cand))
                 if r_cand < best_r:
-                    best_x, best_r = cand, r_cand
+                    best_x, best_z, best_r = cand, z_cand, r_cand
             if best_r <= min(tol * 1e-2, 1e-10):
+                reason = "converged"
                 break
             # infeasible systems converge to a positive floor; stop once
             # the checkpoint-to-checkpoint improvement dies out
             if stall_mark - best_r <= 1e-13 * max(1.0, best_r):
                 stalls += 1
                 if stalls >= 4:
+                    reason = "stalled"
                     break
             else:
                 stalls = 0
             stall_mark = best_r
-    return best_x, best_r
+        # the certified bound never exceeds best_r, so only check above tol
+        if (it % _FARKAS_STRIDE == 0 and best_r > tol
+                and _farkas_bound(A, b, best_z, blocks, offsets) > tol):
+            reason = "farkas"
+            break
+    return best_x, best_r, done, reason
 
 
 def solve_cone_system(sys: ConeFeasibilitySystem, tol: float = 1e-7,
@@ -694,7 +747,8 @@ def solve_cone_system(sys: ConeFeasibilitySystem, tol: float = 1e-7,
     All-polyhedral systems (no Euclidean cone blocks) are decided exactly
     through an LP reformulation; otherwise the scaled residual norm is
     driven down by accelerated projected gradient and the verdict is
-    Feasible only when it lands below tol.
+    Feasible only when it lands below tol.  When the LP finds no point,
+    the projected gradient still runs, only to report the best residual.
     """
     offsets, D = sys.offsets
     A, b = sys.stacked()
@@ -712,14 +766,14 @@ def solve_cone_system(sys: ConeFeasibilitySystem, tol: float = 1e-7,
         x_lp = _cone_lp_path(sys, As, bs, offsets, D)
         if x_lp is not None:
             res = float(np.linalg.norm(As @ x_lp - bs))
-            return ConeResult(True, True, res, x_lp)
-        x_best, r_best = _pgd_min_residual(As, bs, sys.blocks, offsets, D,
-                                           tol, min(max_iter, 10_000))
-        return ConeResult(False, True, r_best, x_best)
+            return ConeResult(True, True, res, x_lp, 0, "lp")
+        x_best, r_best, its, reason = _pgd_min_residual(
+            As, bs, sys.blocks, offsets, D, tol, min(max_iter, 10_000))
+        return ConeResult(False, True, r_best, x_best, its, reason)
 
-    x_best, r_best = _pgd_min_residual(As, bs, sys.blocks, offsets, D,
-                                       tol, max_iter)
-    return ConeResult(r_best <= tol, False, r_best, x_best)
+    x_best, r_best, its, reason = _pgd_min_residual(
+        As, bs, sys.blocks, offsets, D, tol, max_iter)
+    return ConeResult(r_best <= tol, False, r_best, x_best, its, reason)
 
 
 def _cone_lp_path(sys, As, bs, offsets, D):

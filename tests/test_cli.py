@@ -201,6 +201,20 @@ def test_verify_tight_tolerance_fails_on_float_noise(tmp_path, capsys):
     assert code == 1
 
 
+def test_usage_errors_exit_3_and_help_exits_0(tmp_path, capsys):
+    # "-1,0" as its own argument reads as an option to argparse; the usage
+    # error must not leave main() as SystemExit(2), which means inconclusive
+    path = _write(tmp_path, EX2)
+    assert main(["certify", path, "--point", "-1,0"]) == 3
+    assert "expected one argument" in capsys.readouterr().err
+    assert main(["certify", path]) == 3
+    assert "--point" in capsys.readouterr().err
+    assert main([]) == 3
+    capsys.readouterr()
+    assert main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_verify_parse_error_exit_3(tmp_path, capsys):
     path = _write(tmp_path, EX2)
     bad = tmp_path / "bad.json"

@@ -368,6 +368,31 @@ def test_certify_ellipsoid_wrapper():
     assert out.status == "refuted"
 
 
+def test_coinciding_endpoints_solve_one_cone_system(monkeypatch):
+    # u = 0 makes both endpoint objectives C_bar: one solve serves both
+    import robustmolp.efficiency as eff
+    calls = []
+
+    def counting(sys, **kw):
+        calls.append(sys)
+        return solve(sys, **kw)
+
+    solve = eff.solve_cone_system
+    monkeypatch.setattr(eff, "solve_cone_system", counting)
+    p = UncertainMOLP(1, 1, [[1.0]], [0.0], [-2.0],
+                      (NormBall([1.0], [[1.0]], 0.5, 2, 0.0, 0.0),))
+    out = certify_weak_efficiency(validate_problem(p), np.array([0.0]))
+    assert out.status == "certified"
+    assert len(calls) == 1
+    cert = out.certificate
+    assert np.array_equal(cert.lambda_nominal, cert.lambda_perturbed)
+    calls.clear()
+    p = UncertainMOLP(1, 1, [[1.0]], [1.0], [1.0],
+                      (NormBall([1.0], [[1.0]], 0.5, 2, 0.0, 0.0),))
+    assert certify_weak_efficiency(validate_problem(p), np.array([0.0])).status == "certified"
+    assert len(calls) == 2
+
+
 def test_mixed_classes_joint_system():
     # one polytope + one norm ball, candidate on both boundaries
     p = UncertainMOLP(

@@ -304,6 +304,9 @@ def test_cone_unreachable_equality_residual():
     assert not res.feasible and res.exact
     assert res.residual == pytest.approx(1.0, abs=1e-9)
     assert res.x == pytest.approx([1.0], abs=1e-9)
+    # the LP already said infeasible; the residual run stops at its first
+    # Farkas check instead of running to its iteration cap
+    assert res.stop_reason == "farkas" and res.iterations == 1
 
 
 def test_cone_known_multiplier_system():
@@ -327,6 +330,7 @@ def test_cone_soc_projection_path():
         [({0: np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])}, [2.0, 0.5])])
     res = solve_cone_system(sys)
     assert res.feasible and not res.exact
+    assert res.stop_reason == "converged"
     assert res.residual <= 1e-9
     assert np.linalg.norm(res.x[:2]) <= res.x[2] + 1e-10
 
@@ -349,6 +353,14 @@ def test_cone_soc_one_and_inf_norm_lp_paths():
         assert t >= t_needed - 1e-9
 
 
+def _scaled(sys):
+    """The row-scaled (A, b) that solve_cone_system works on."""
+    A, b = sys.stacked()
+    mx = np.abs(A).max(axis=1)
+    scale = 1.0 / np.where(mx > 0, mx, 1.0)
+    return A * scale[:, None], b * scale
+
+
 def test_cone_polyhedral_paths_agree(rng):
     # LP path and projected-gradient path must report the same feasibility
     # verdict on all-polyhedral systems.
@@ -362,9 +374,54 @@ def test_cone_polyhedral_paths_agree(rng):
         rhs = rng.integers(-2, 3, 2).astype(float)
         sys = ConeFeasibilitySystem.build(blocks, [({0: A0, 1: A1}, rhs)])
         res = solve_cone_system(sys)
-        A, b = sys.stacked()
-        scale = np.array([1.0 / max(1e-30, np.abs(r).max()) for r in A])
+        A, b = _scaled(sys)
         off, D = sys.offsets
-        x, r = _pgd_min_residual(A * scale[:, None], b * scale, blocks, off, D,
-                                 1e-7, 60_000)
+        _, r, _, _ = _pgd_min_residual(A, b, blocks, off, D, 1e-7, 60_000)
         assert res.feasible == (r <= 1e-7), (res.residual, r)
+
+
+def test_farkas_stops_only_on_lp_infeasible_systems(rng):
+    # every Farkas stop on an all-polyhedral system (soc blocks of index 1
+    # and inf included) must be one the exact LP calls infeasible
+    from robustmolp.numerics import _cone_lp_path, _pgd_min_residual
+    stops = 0
+    for _ in range(60):
+        blocks = [VarBlock("simplex", int(rng.integers(1, 3))),
+                  VarBlock("nonneg", int(rng.integers(1, 3))),
+                  VarBlock("soc", int(rng.integers(1, 4)), 1),
+                  VarBlock("soc", int(rng.integers(1, 4)), _INF)]
+        k = int(rng.integers(2, 5))
+        coeffs = {i: rng.integers(-3, 4, (k, blk.dim)).astype(float)
+                  for i, blk in enumerate(blocks)}
+        sys = ConeFeasibilitySystem.build(
+            blocks, [(coeffs, rng.integers(-3, 4, k).astype(float))])
+        A, b = _scaled(sys)
+        off, D = sys.offsets
+        _, r, _, reason = _pgd_min_residual(A, b, blocks, off, D, 1e-7, 2000)
+        if reason == "farkas":
+            stops += 1
+            assert r > 1e-7
+            assert _cone_lp_path(sys, A, b, off, D) is None
+    assert stops >= 5
+
+
+def test_infeasible_soc2_system_stops_at_farkas_certificate():
+    # lambda on the simplex, (y, t) in the 2-norm cone with y1 = 2 + lambda1,
+    # y2 = lambda2 and t = 1: ||y|| >= 2 > t, so no point fits
+    sys = ConeFeasibilitySystem.build(
+        [VarBlock("simplex", 2), VarBlock("soc", 3, 2)],
+        [({0: np.array([[-1.0, 0.0], [0.0, 0.0], [0.0, -1.0]]),
+           1: np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])},
+          [2.0, 1.0, 0.0])])
+    res = solve_cone_system(sys)
+    assert not res.feasible and not res.exact
+    assert res.stop_reason == "farkas"
+    assert res.iterations <= 64
+    # replay the certificate here: z = A x - b with A^T z in the dual cones
+    A, b = _scaled(sys)
+    z = A @ res.x - b
+    c = A.T @ z
+    assert np.linalg.norm(c[2:4]) <= c[4]
+    g = c[:2].min() - b @ z
+    assert g / np.linalg.norm(z) > 1e-7
+    assert res.residual >= g / np.linalg.norm(z)
