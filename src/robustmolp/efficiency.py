@@ -11,6 +11,7 @@ feasibility (Slater) condition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,6 +27,11 @@ _INF = float("inf")
 ACTIVE_TOL = 1e-8
 RESIDUAL_TOL = 1e-7
 SLATER_MARGIN = 1e-6
+
+
+# one string per endpoint, shared by every refutation that names it
+_INFEASIBLE_ENDPOINT = {e: f"{e} endpoint multiplier system is infeasible"
+                        for e in ("nominal", "perturbed")}
 
 
 class NotFeasiblePointError(Exception):
@@ -128,7 +134,7 @@ def weakly_efficient_for_scenario(C, X, x_bar,
     t = float(sol.x[n])
     if t <= tol:
         return ScenarioCheck(True)
-    wit = sol.x[:n]
+    wit = sol.x[:n].copy()
     return ScenarioCheck(False, wit, base - C @ wit)
 
 
@@ -267,7 +273,7 @@ def _solve_cone_endpoint(C, vp, X, geo, x_bar, tol):
 # Certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstraintMultiplier:
     mu: float
     scenario_a: np.ndarray
@@ -277,7 +283,7 @@ class ConstraintMultiplier:
     complementarity: float          # mu * (scenario_a . x_bar - scenario_b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EfficiencyCertificate:
     lambda_nominal: np.ndarray
     lambda_perturbed: np.ndarray
@@ -289,14 +295,26 @@ class EfficiencyCertificate:
     residuals: dict
 
 
+def _retainable(a):
+    """A reduced row's coefficients, fit to keep in a certificate.
+
+    The constraint's own array, or a slice of one of its polytope
+    vertices, is shared.  A row of a matrix is copied: a box vertex row
+    would keep the whole 2^n x n vertex matrix alive for as long as the
+    certificate lives.
+    """
+    return a if a.base is None or a.base.ndim == 1 else a.copy()
+
+
 def _nominal_scenario(X, j):
     """The first reduced row of constraint j as an (a, b) scenario."""
     row = next(r for r in X.rows if r.source == j)
-    a = row.a if isinstance(row, LinearRow) else row.a_bar
-    return a.copy(), row.b
+    return _retainable(row.a if isinstance(row, LinearRow) else row.a_bar), row.b
 
 
-def _poly_constraint_records(p, X, geo, row_mu, x_bar):
+def _poly_constraint_records(p, X, geo, row_mu, x_bar, zero):
+    """One record per constraint; a constraint with no multiplier mass
+    gets its record from `zero`, which both endpoints share."""
     recs = []
     for j in range(len(p.constraints)):
         idxs = [t for t, i in enumerate(geo.active_rows)
@@ -304,13 +322,23 @@ def _poly_constraint_records(p, X, geo, row_mu, x_bar):
         mu_j = float(sum(row_mu[t] for t in idxs))
         if mu_j > 1e-15 and idxs:
             a = sum(row_mu[t] * X.rows[geo.active_rows[t]].a for t in idxs) / mu_j
-            b = sum(row_mu[t] * X.rows[geo.active_rows[t]].b for t in idxs) / mu_j
+            b = float(sum(row_mu[t] * X.rows[geo.active_rows[t]].b for t in idxs) / mu_j)
+            row_a = X.rows[geo.active_rows[idxs[0]]].a
+            # the mean of one row is nearly always that row bit for bit;
+            # then the record keeps the row's array instead of a new one
+            if len(idxs) == 1 and a.tobytes() == row_a.tobytes():
+                a = _retainable(row_a)
+            recs.append(ConstraintMultiplier(mu_j, np.asarray(a, float), b,
+                                             None, 0.0, mu_j * (float(a @ x_bar) - b)))
         else:
-            mu_j = 0.0
-            a, b = _nominal_scenario(X, j)
-        comp = mu_j * (float(a @ x_bar) - b)
-        recs.append(ConstraintMultiplier(mu_j, np.asarray(a, float), float(b),
-                                         None, 0.0, comp))
+            if j not in zero:
+                a, b = _nominal_scenario(X, j)
+                # mu times the slack, a zero whose sign shows in the
+                # canonical JSON, taken from the two shared constants
+                neg = math.copysign(1.0, float(a @ x_bar) - b) < 0
+                zero[j] = ConstraintMultiplier(0.0, a, float(b), None, 0.0,
+                                               -0.0 if neg else 0.0)
+            recs.append(zero[j])
     return tuple(recs)
 
 
@@ -350,13 +378,16 @@ def _cone_constraint_records(p, X, geo, sol: EndpointSolve, sys, x_bar):
 
 def _certificate_residuals(C0, C1, cert, x_bar):
     out = {}
-    for tag, C, lam, recs in (("nominal", C0, cert.lambda_nominal, cert.nominal),
-                              ("perturbed", C1, cert.lambda_perturbed, cert.perturbed)):
+    for eq_key, comp_key, C, lam, recs in (
+            ("endpoint_equality_nominal", "complementarity_nominal",
+             C0, cert.lambda_nominal, cert.nominal),
+            ("endpoint_equality_perturbed", "complementarity_perturbed",
+             C1, cert.lambda_perturbed, cert.perturbed)):
         lhs = C.T @ lam
         rhs = sum(r.mu * r.scenario_a for r in recs)
-        out[f"endpoint_equality_{tag}"] = float(np.linalg.norm(lhs - rhs))
-        out[f"complementarity_{tag}"] = float(max((abs(r.complementarity) for r in recs),
-                                                  default=0.0))
+        out[eq_key] = float(np.linalg.norm(lhs - rhs))
+        out[comp_key] = float(max((abs(r.complementarity) for r in recs),
+                                  default=0.0))
     return out
 
 
@@ -364,7 +395,7 @@ def _certificate_residuals(C0, C1, cert, x_bar):
 # Top-level certification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RefutationInfo:
     reason: str
     endpoint: str | None = None
@@ -373,7 +404,7 @@ class RefutationInfo:
     gap: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertifyOutcome:
     status: str                       # "certified" | "refuted" | "unknown"
     certificate: EfficiencyCertificate | None = None
@@ -410,11 +441,12 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar,
         e0 = _solve_polyhedral_endpoint(C0, geo, X)
         e1 = e0 if same else _solve_polyhedral_endpoint(C1, geo, X)
         if e0.feasible and e1.feasible:
-            cert = EfficiencyCertificate(
-                e0.lam, e1.lam,
-                _poly_constraint_records(p, X, geo, e0.row_mu, x_bar),
-                _poly_constraint_records(p, X, geo, e1.row_mu, x_bar),
-                geo.active_rows, e0.row_mu, e1.row_mu, {})
+            zero = {}
+            nominal = _poly_constraint_records(p, X, geo, e0.row_mu, x_bar, zero)
+            perturbed = (nominal if e1 is e0 else
+                         _poly_constraint_records(p, X, geo, e1.row_mu, x_bar, zero))
+            cert = EfficiencyCertificate(e0.lam, e1.lam, nominal, perturbed,
+                                         geo.active_rows, e0.row_mu, e1.row_mu, {})
             resid = _certificate_residuals(C0, C1, cert, x_bar)
             cert = replace(cert, residuals=resid)
             return CertifyOutcome("certified", certificate=cert, residuals=resid)
@@ -422,7 +454,7 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar,
                              else ("perturbed", C1, 1.0))
         chk = weakly_efficient_for_scenario(C_fail, X, x_bar)
         info = RefutationInfo(
-            f"{name} endpoint multiplier system is infeasible", name,
+            _INFEASIBLE_ENDPOINT[name], name,
             rho if not chk.efficient else None, chk.witness, chk.gap)
         return CertifyOutcome("refuted", refutation=info)
 

@@ -139,8 +139,7 @@ def radius_of_robust_feasibility(nominal) -> RadiusResult:
     res: MinNormResult = min_norm_point(list(H.points), H.ray)
     if not res.certified:
         raise NonCertifiedError("minimum-norm solve did not certify optimality")
-    return RadiusResult(float(np.linalg.norm(res.p_star)), res.p_star,
-                        res.weights, res.mu, True)
+    return RadiusResult(res.distance, res.p_star, res.weights, res.mu, True)
 
 
 # ---------------------------------------------------------------------------

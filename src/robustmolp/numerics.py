@@ -65,6 +65,7 @@ class LpSolution:
     value: float | None = None
     dual: np.ndarray | None = None        # one multiplier per input row
     dual_value: float | None = None
+    pivots: int = 0                       # Bland pivots, phases 1 and 2
 
     @property
     def optimal(self):
@@ -80,181 +81,169 @@ def solve_lp(lp: LinearProgram, max_pivots: int = 100_000) -> LpSolution:
 
     Infeasible/unbounded verdicts are exact (up to the scaled phase-1
     threshold); optimal solutions come with a dual vector per input row,
-    recovered from the final basis.
+    recovered from the final basis.  `max_pivots` bounds the pivots of
+    phases 1 and 2; the drive-out of artificial variables between them is
+    not counted.
+
+    The tableau is stored transposed, one array row per column, so that a
+    pivot is a single rank-1 update of the columns where the pivot row is
+    nonzero.  Its last column holds the reduced costs and its last row
+    the right-hand side.  A basic column is an exact unit vector with a
+    zero reduced cost (a pivot never touches it), so Bland's scan for the
+    entering column needs no test of basis membership.
     """
     c = np.asarray(lp.objective, float)
     lb = np.asarray(lp.lower_bounds, float)
     d = c.size
+    finite = np.isfinite(lb)
 
-    # Shift finitely-bounded variables to >= 0, split free ones.
-    cols = []      # (orig index, sign)
-    offsets = np.where(np.isfinite(lb), lb, 0.0)
-    for j in range(d):
-        cols.append((j, 1.0))
-        if not np.isfinite(lb[j]):
-            cols.append((j, -1.0))
-    n_var = len(cols)
-    c_std = np.array([c[j] * s for j, s in cols])
+    # Shift finitely-bounded variables to >= 0; a free variable gets a
+    # negated copy in the column right after its own.
+    offsets = np.where(finite, lb, 0.0)
+    free = ~finite
+    first = np.arange(d) + np.cumsum(free) - free
+    neg = first[free] + 1
+    n_var = d + len(neg)
 
     m = len(lp.rows)
-    scales = np.ones(m)
-    flips = np.ones(m)
-    A = np.zeros((m, n_var))
-    b = np.zeros(m)
-    senses = []
-    for i, (g, h, sense) in enumerate(lp.rows):
-        row = np.array([g[j] * s for j, s in cols])
-        rhs = h - float(g @ offsets)
-        mx = np.abs(row).max() if row.size else 0.0
-        if mx > 0:
-            scales[i] = 1.0 / mx
-        row = row * scales[i]
-        rhs = rhs * scales[i]
-        A[i] = row
-        b[i] = rhs
-        senses.append(sense)
-
-    n_slack = sum(1 for s in senses if s == ">=")
-    N = n_var + n_slack
-    T = np.zeros((m, N + 1))
-    T[:, :n_var] = A
-    si = n_var
-    slack_col = {}
-    for i, sense in enumerate(senses):
-        if sense == ">=":
-            T[i, si] = -1.0
-            slack_col[i] = si
-            si += 1
-    T[:, -1] = b
-    for i in range(m):
-        if T[i, -1] < 0:
-            T[i, :] *= -1.0
-            flips[i] = -1.0
-
-    A_std = T[:, :N].copy()     # standard-form matrix, for dual recovery
-    b_std = T[:, -1].copy()
-
-    cost_std = np.concatenate([c_std, np.zeros(n_slack)])
-
     if m == 0:
-        if np.any(cost_std < -1e-12):
+        if np.any(c < -1e-12) or np.any(c[free] > 1e-12):
             return LpSolution("unbounded")
         x = offsets.copy()
         return LpSolution("optimal", x, float(c @ x),
                           np.zeros(0), float(c @ x))
+    gs, heights, senses = zip(*lp.rows)
+    G = np.array(gs)
+    heights = np.array(heights)
+    slack_rows = np.flatnonzero(np.array(senses) == ">=")
+    n_slack = len(slack_rows)
+    N = n_var + n_slack
+    c_std = np.zeros(N)
+    c_std[first] = c
+    c_std[neg] = -c[free]
 
-    # Phase 1: artificial basis.
-    art = np.eye(m)
-    T = np.hstack([T[:, :N], art, T[:, -1:]])
-    basis = [N + i for i in range(m)]
-    total = N + m
+    # Rows scaled to unit max-norm, then flipped to make b >= 0.
+    mx = np.abs(G).max(axis=1, initial=0.0)
+    scales = np.ones(m)
+    np.divide(1.0, mx, out=scales, where=mx > 0)
+    rhs = (heights - G @ offsets) * scales
+    flips = np.where(rhs < 0, -1.0, 1.0)
+    signed_scales = scales * flips
+    rows = G * signed_scales[:, None]
 
-    def pivot(r, col, z):
-        piv = T[r, col]
-        T[r, :] /= piv
-        for i in range(m_live[0]):
-            if i != r and abs(T[i, col]) > 0:
-                T[i, :] -= T[i, col] * T[r, :]
-        z -= z[col] * T[r, :]
-        basis[r] = col
-        return z
+    def standard_form(out):
+        """Write the standard-form matrix [A | slacks], transposed, to out."""
+        out[first] = rows.T
+        out[neg] = -rows[:, free].T
+        out[n_var + np.arange(n_slack), slack_rows] = -flips[slack_rows]
+        return out
 
-    m_live = [m]
+    # Phase 1: [A | slacks | artificials | b]^T, reduced costs last.
+    T = np.zeros((N + m + 1, m + 1))
+    standard_form(T[:N, :m])
+    np.fill_diagonal(T[N:N + m], 1.0)
+    T[-1, :m] = rhs * flips
+    # Phase-1 reduced costs: minus the sum of the rows, added in row order
+    # (a cumulative sum is sequential, where sum may pair terms up).  A
+    # slack column holds one entry, an artificial one cancels its cost.
+    total = np.cumsum(rows, axis=0)[-1]
+    T[first, m] = -total
+    T[neg, m] = total[free]
+    T[n_var + np.arange(n_slack), m] = flips[slack_rows]
+    T[-1, m] = -np.cumsum(T[-1, :m])[-1]
+    basis = list(range(N, N + m))
     pivots = 0
 
-    def run_simplex(z, allowed):
+    def pivot(r, enter):
+        nz = T[:, r].nonzero()[0]
+        block = T.take(nz, axis=0)
+        prow = block[:, r] / T[enter, r]
+        # the update also reaches row r (column r of block); reset it
+        block -= np.multiply.outer(prow, T[enter])
+        block[:, r] = prow
+        T[nz] = block
+        basis[r] = enter
+
+    def run_simplex(allowed):
         nonlocal pivots
         while True:
-            enter = -1
-            for j in range(allowed):
-                if j not in basis and z[j] < -_RC_EPS:
-                    enter = j
-                    break
-            if enter < 0:
-                return z, "optimal"
-            best_ratio, leave = None, -1
-            for i in range(m_live[0]):
-                a = T[i, enter]
-                if a > _PIV_EPS:
-                    ratio = T[i, -1] / a
-                    if (best_ratio is None or ratio < best_ratio - 1e-12 or
-                            (abs(ratio - best_ratio) <= 1e-12 and basis[i] < basis[leave])):
-                        best_ratio, leave = ratio, i
-            if leave < 0:
-                return z, "unbounded"
-            z = pivot(leave, enter, z)
+            cand = (T[:allowed, -1] < -_RC_EPS).nonzero()[0]
+            if not cand.size:
+                return "optimal"
+            enter = int(cand[0])
+            col = T[enter, :-1]
+            elig = (col > _PIV_EPS).nonzero()[0]
+            if not elig.size:
+                return "unbounded"
+            best, leave = _INF, -1
+            ratios = T[-1].take(elig) / col.take(elig)
+            for i, ratio in zip(elig.tolist(), ratios.tolist()):
+                if (leave < 0 or ratio < best - 1e-12 or
+                        (abs(ratio - best) <= 1e-12 and basis[i] < basis[leave])):
+                    best, leave = ratio, i
+            pivot(leave, enter)
             pivots += 1
             if pivots > max_pivots:
                 raise NumericalBreakdown(f"pivot budget {max_pivots} exhausted")
 
-    # Phase-1 objective: sum of artificials, reduced against the basis.
-    z1 = np.concatenate([np.zeros(N), np.ones(m), [0.0]])
-    for i in range(m):
-        z1 -= T[i, :]
-    z1, status = run_simplex(z1, total)
-    if status == "unbounded":  # cannot happen: phase-1 objective bounded below
+    if run_simplex(N + m) == "unbounded":  # cannot happen: bounded below
         raise NumericalBreakdown("phase-1 unbounded")
-    if -z1[-1] > 1e-9:
-        return LpSolution("infeasible")
+    if -T[-1, -1] > 1e-9:
+        return LpSolution("infeasible", pivots=pivots)
 
-    # Drive remaining artificials out of the basis; drop redundant rows.
+    # Drive remaining artificials out of the basis; move the rows where
+    # none can leave behind the live ones, and drop them.
     keep = list(range(m))
+    mk = m
     r = 0
-    while r < m_live[0]:
+    while r < mk:
         if basis[r] >= N:
-            done = False
-            for j in range(N):
-                if abs(T[r, j]) > 1e-9 and j not in basis:
-                    z1 = pivot(r, j, z1)
-                    done = True
-                    break
-            if not done:
-                last = m_live[0] - 1
-                T[[r, last]] = T[[last, r]]
+            cand = (np.abs(T[:N, r]) > 1e-9).nonzero()[0]
+            if not cand.size:
+                last = mk - 1
+                T[:, [r, last]] = T[:, [last, r]]
                 basis[r], basis[last] = basis[last], basis[r]
                 keep[r], keep[last] = keep[last], keep[r]
-                m_live[0] -= 1
+                mk -= 1
                 continue
+            pivot(r, int(cand[0]))
         r += 1
-    mk = m_live[0]
     kept_rows = keep[:mk]
+    del basis[mk:]
 
-    # Phase 2.
-    z2 = np.concatenate([cost_std, np.zeros(m), [0.0]])
-    for i in range(mk):
-        cb = cost_std[basis[i]] if basis[i] < N else 0.0
-        if cb != 0.0:
-            z2 -= cb * T[i, :]
-    z2, status = run_simplex(z2, N)
-    if status == "unbounded":
-        return LpSolution("unbounded")
+    # Phase 2 over the kept rows, without the artificial columns: the
+    # right-hand side moves up over the first of them, and a view drops
+    # the rest and the dropped rows.
+    T[N] = T[-1]
+    T = T[:N + 1, :mk + 1]
+    T[:N, -1] = c_std
+    T[-1, -1] = 0.0
+    for i in np.flatnonzero(c_std[basis]).tolist():
+        T[:, -1] -= c_std[basis[i]] * T[:, i]
+    if run_simplex(N) == "unbounded":
+        return LpSolution("unbounded", pivots=pivots)
 
+    basis = np.array(basis, dtype=int)
     x_std = np.zeros(N)
-    for i in range(mk):
-        if basis[i] < N:
-            x_std[basis[i]] = T[i, -1]
-    x = offsets.copy()
-    for col, (j, s) in enumerate(cols):
-        x[j] += s * x_std[col]
+    x_std[basis] = T[-1, :-1]
+    del T                        # free the largest array before the dual solve
+    x = offsets + x_std[first]
+    x[free] -= x_std[neg]
     value = float(c @ x)
 
     # Dual recovery: solve B^T y = c_B on the kept standard-form rows.
     dual = np.zeros(m)
     if mk:
-        B = A_std[np.ix_(kept_rows, basis[:mk])]
+        Bt = standard_form(np.zeros((N, m)))[basis[:, None], kept_rows]
         try:
-            y_hat = np.linalg.solve(B.T, cost_std[basis[:mk]])
+            y_hat = np.linalg.solve(Bt, c_std[basis])
         except np.linalg.LinAlgError:
-            y_hat = np.linalg.lstsq(B.T, cost_std[basis[:mk]], rcond=None)[0]
-        for pos, i in enumerate(kept_rows):
-            dual[i] = flips[i] * scales[i] * y_hat[pos]
+            y_hat = np.linalg.lstsq(Bt, c_std[basis], rcond=None)[0]
+        dual[kept_rows] = signed_scales[kept_rows] * y_hat
 
-    heights = np.array([h for _, h, _ in lp.rows])
-    G = np.array([g for g, _, _ in lp.rows]) if m else np.zeros((0, d))
     w = c - G.T @ dual
-    finite = np.isfinite(lb)
     dual_value = float(dual @ heights + w[finite] @ lb[finite])
-    return LpSolution("optimal", x, value, dual, dual_value)
+    return LpSolution("optimal", x, value, dual, dual_value, pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +359,7 @@ class MinNormResult:
     mu: float             # nonnegative ray coefficient
     certified: bool       # variational inequality verified
     iterations: int       # passive-set least-squares solves
+    distance: float       # ||p_star||, free of overflow
 
 
 def _vi_margin(M, q, p):
@@ -437,7 +427,8 @@ def min_norm_point(points, ray, vi_tol: float = 1e-8) -> MinNormResult:
     the set (d = 0) needs no special case.  The points are scaled to unit
     size and the ray to unit length first, which leaves the weights
     unchanged.  Optimality is certified independently through the
-    variational inequality on the generators.
+    variational inequality on the generators, with `vi_tol` applied to the
+    data scaled down by a power of two to entries below 1.
     """
     pts = [np.asarray(q, float) for q in points]
     if not pts:
@@ -460,8 +451,14 @@ def min_norm_point(points, ray, vi_tol: float = 1e-8) -> MinNormResult:
     t = u[:p].sum()
     w = np.append(u[:p] / t, c * u[p] / (s * t))
     q = M @ w
-    cert = _vi_margin(M, q, p) >= -vi_tol
-    return MinNormResult(q, w[:p], float(w[p]), cert, solves)
+    # Check and measure at entries below 1: a power of two scales exactly,
+    # so data up to the float range cannot overflow q.q, and the norm is
+    # that of q bit for bit.
+    sigma = math.ldexp(1.0, -max(0, math.frexp(max(big, r_len))[1]))
+    qs = sigma * q
+    cert = _vi_margin(sigma * M, qs, p) >= -vi_tol
+    return MinNormResult(q, w[:p], float(w[p]), cert, solves,
+                         float(np.linalg.norm(qs)) / sigma)
 
 
 # ---------------------------------------------------------------------------

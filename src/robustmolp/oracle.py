@@ -133,14 +133,14 @@ def refute_robust_weak_efficiency(p, x_bar, k: int = 11,
 # Certificate replay
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     name: str
     residual: float
     passed: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationReport:
     ok: bool
     checks: tuple

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,23 @@ def test_radius_single_constraint(tmp_path, capsys):
     code, rep = _run_json(capsys, ["radius", _write(tmp_path, doc)])
     assert code == 0
     assert rep["payload"]["radius"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_radius_of_rows_near_the_float_limit(tmp_path, capsys):
+    # the VI check once formed q.q at this size: overflow, NaN margin, exit 2
+    doc = {"m": 1, "n": 2, "C_bar": [[0.0, 0.0]], "u": [0.0], "v": [0.0, 0.0],
+           "constraints": [
+               {"kind": "singleton", "a_bar": [1e300, 0.0], "b_bar": -1e300},
+               {"kind": "singleton", "a_bar": [0.0, 1e300], "b_bar": -1e300},
+               {"kind": "singleton", "a_bar": [-1e300, -1e300], "b_bar": -3e300}]}
+    path = _write(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, rep = _run_json(capsys, ["radius", path])
+    assert code == 0
+    # the radius of the same rows at unit scale
+    assert rep["payload"]["radius"] == pytest.approx(1e300 * 1.2247448713915889,
+                                                     rel=1e-12)
 
 
 def test_radius_exit_codes(tmp_path, capsys):

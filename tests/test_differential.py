@@ -106,3 +106,55 @@ def test_min_norm_point_matches_scipy_nnls():
         assert res.certified
         assert np.linalg.norm(res.p_star) == pytest.approx(
             _nnls_distance(pts, ray), abs=1e-9)
+
+
+def _large_lp(rng):
+    """200 to 260 rows over 4 to 8 variables, half of them free.
+
+    Most inequality rows are tight at an integer anchor (degenerate ties
+    in the ratio test), and every equality row comes twice, so phase 1
+    ends with artificials to drive out and redundant rows to drop; every
+    fourth instance gets a contradicting equality and is infeasible.
+    """
+    d = int(rng.integers(4, 9))
+    lb = np.where(rng.integers(0, 2, d) == 0, 0.0, -_INF)
+    x0 = rng.integers(0, 3, d).astype(float)
+    rows = []
+    for _ in range(int(rng.integers(200, 251))):
+        g = rng.integers(-3, 4, d).astype(float)
+        rows.append((g, float(g @ x0) - float(rng.integers(0, 3) // 2), ">="))
+    for _ in range(int(rng.integers(2, 5))):
+        g = rng.integers(-3, 4, d).astype(float)
+        rows += [(g, float(g @ x0), "==")] * 2
+    if rng.integers(0, 4) == 0:
+        rows.append((rows[-1][0], rows[-1][1] + 1.0, "=="))
+    for j in range(d):
+        e = np.zeros(d)
+        e[j] = 1.0
+        rows += [(e, -9.0, ">="), (-e, -9.0, ">=")]
+    rng.shuffle(rows)
+    return LinearProgram.build(rng.integers(-3, 4, d).astype(float), rows, lb)
+
+
+def test_solve_lp_matches_highs_on_large_degenerate_lps_with_duplicate_rows():
+    rng = np.random.default_rng(20261020)
+    seen = {"optimal": 0, "infeasible": 0}
+    for _ in range(24):
+        lp = _large_lp(rng)
+        ref_status, ref_value = _highs(lp)
+        sol = solve_lp(lp)
+        assert sol.status == ref_status
+        seen[sol.status] += 1
+        if not sol.optimal:
+            continue
+        assert sol.value == pytest.approx(ref_value, abs=1e-7)
+        assert sol.dual_value == pytest.approx(sol.value, abs=1e-7)
+        G = np.array([g for g, _, _ in lp.rows])
+        slack = G @ sol.x - np.array([h for _, h, _ in lp.rows])
+        ge = np.array([s == ">=" for _, _, s in lp.rows])
+        assert np.all(slack[ge] >= -1e-7) and np.all(np.abs(slack[~ge]) <= 1e-7)
+        assert np.all(sol.dual[ge] >= -1e-9)
+        reduced = lp.objective - G.T @ sol.dual
+        free = ~np.isfinite(lp.lower_bounds)
+        assert np.all(np.abs(reduced[free]) <= 1e-9) and np.all(reduced[~free] >= -1e-9)
+    assert all(count >= 4 for count in seen.values()), seen

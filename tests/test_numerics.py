@@ -123,7 +123,19 @@ def test_lp_pivot_budget_breakdown():
                              [0.0, 0.0])
     with pytest.raises(NumericalBreakdown):
         solve_lp(lp, max_pivots=1)
-    assert solve_lp(lp).optimal
+    sol = solve_lp(lp)
+    assert sol.optimal
+    # the count is the one the budget bounds
+    assert sol.pivots == 2
+    assert solve_lp(lp, max_pivots=sol.pivots).pivots == sol.pivots
+
+
+def test_lp_without_variables():
+    # every row is redundant or contradictory: the drive-out drops them all
+    empty = np.zeros(0)
+    sol = solve_lp(LinearProgram.build(empty, [(empty, 0.0, "=="), (empty, 0.0, "==")], empty))
+    assert sol.optimal and sol.x.size == 0 and np.all(sol.dual == 0.0)
+    assert solve_lp(LinearProgram.build(empty, [(empty, 1.0, ">=")], empty)).status == "infeasible"
 
 
 def test_lp_equality_rows_and_free_vars(rng):
