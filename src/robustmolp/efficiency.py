@@ -152,11 +152,11 @@ class SlaterCheck:
 
 def check_slater(constraints, n=None,
                  margin: float = SLATER_MARGIN) -> SlaterCheck:
-    """Search for a point with strictly positive worst-case slack everywhere.
+    """Decide whether some point has worst-case slack >= margin everywhere.
 
-    Subgradient ascent plus cutting-plane refinement on the concave
-    min-slack; violation is reported when the concavity bound certifies the
-    supremum is nonpositive or the budget runs out below the margin.
+    An LP for linear and s = 1/inf rows; for s = 2 rows a 1-norm LP proves
+    it and an inf-norm LP with tangent cuts disproves it, with max_slack
+    the relaxation's bound (see maximize_min_slack).
     """
     if isinstance(constraints, RobustFeasibleSet):
         rows, n = constraints.rows, constraints.n
@@ -167,8 +167,7 @@ def check_slater(constraints, n=None,
     search: SlackSearch = maximize_min_slack(rows, n, target=margin)
     if search.value >= margin:
         return SlaterCheck(True, search.x, search.value, _INF)
-    ub = search.upper_bound if search.bound_valid else search.value
-    return SlaterCheck(False, None, search.value, ub)
+    return SlaterCheck(False, None, search.value, search.upper_bound)
 
 
 # ---------------------------------------------------------------------------

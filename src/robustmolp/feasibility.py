@@ -8,18 +8,16 @@ ball perturbations, and feasibility probing at a given perturbation size.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BallRow, LinearRow
+from .model import BallRow, ConcaveRow, LinearRow
 from .numerics import LinearProgram, MinNormResult, min_norm_point, solve_lp
 
 _INF = float("inf")
 
-ASCENT_ITERS = 5000     # subgradient steps before the cutting planes
-CUT_ROUNDS = 40         # cutting-plane LPs per box size
+CUT_ROUNDS = 40         # tangent-cut LPs for s = 2 rows in the Slater check
 
 
 class NominalInfeasibleError(Exception):
@@ -143,104 +141,95 @@ def radius_of_robust_feasibility(nominal) -> RadiusResult:
 
 
 # ---------------------------------------------------------------------------
-# Concave min-slack maximization (shared with the Slater check)
+# Min-slack maximization by LP (the Slater check)
 # ---------------------------------------------------------------------------
-
-def _row_supergradient(row, x):
-    if isinstance(row, LinearRow):
-        return row.a
-    return row.supergradient(x)
-
 
 @dataclass(frozen=True)
 class SlackSearch:
     x: np.ndarray
-    value: float          # best achieved min-slack
-    upper_bound: float    # certified bound on the achievable min-slack
-    bound_valid: bool     # upper bound free of box-truncation effects
+    value: float          # min-slack achieved at x
+    upper_bound: float    # LP bound on the supremum; inf if x decided it
+
+
+def _slack_lp(rows, n, cap, two_norm, cuts):
+    """max t <= cap s.t. slack_j(x) >= t and g.x - t >= b for each cut (g, b).
+
+    A ConcaveRow's dual norm ||P^T x|| becomes auxiliary columns tau >= 0
+    with tau >= +-P_i.x for every column P_i of P: one tau bounds the
+    inf-norm (s = 1 rows), one tau per column the 1-norm (s = inf rows).
+    The 2-norm of an s = 2 row is replaced by the `two_norm` (1 or inf).
+    Returns (x, t).
+    """
+    main, bands, width = [], [], n + 1
+    for r in rows:
+        if isinstance(r, LinearRow):
+            main.append((r.a, r.b, 0, 0))
+            continue
+        if not isinstance(r, ConcaveRow):
+            raise TypeError(f"no min-slack LP for {type(r).__name__}")
+        dual = two_norm if r.s == 2 else (_INF if r.s == 1 else 1)
+        k = 1 if dual == _INF else r.P.shape[1]
+        main.append((r.a_bar, r.b, width, k))
+        bands.append((r.P.T, width, k))
+        width += k
+    main += [(g, b, 0, 0) for g, b in cuts]
+    lp_rows = []
+    for g, b, c, k in main:
+        coef = np.zeros(width)
+        coef[:n], coef[n], coef[c:c + k] = g, -1.0, -1.0
+        lp_rows.append((coef, b, ">="))
+    for PT, c, k in bands:
+        for sign in (1.0, -1.0):
+            band = np.zeros((PT.shape[0], width))
+            band[:, :n] = sign * PT
+            band[:, c:c + k] = 1.0 if k == 1 else np.eye(k)
+            lp_rows += [(g, 0.0, ">=") for g in band]
+    cap_row = np.zeros(width)
+    cap_row[n] = -1.0
+    lp_rows.append((cap_row, -cap, ">="))
+    lower = np.zeros(width)
+    lower[:n + 1] = -_INF
+    sol = solve_lp(LinearProgram.build(cap_row, lp_rows, lower))  # min -t
+    return sol.x[:n], float(sol.x[n])
 
 
 def maximize_min_slack(rows, n, target: float = 0.0) -> SlackSearch:
-    """Maximize min_j slack_j(x) over R^n for concave row slacks.
+    """Maximize min_j slack_j(x) over R^n for linear and concave rows.
 
-    Subgradient ascent with diminishing 1/sqrt(k) steps from the origin,
-    then cutting-plane refinement (each round solves an LP over tangent
-    over-estimators inside a box) until the target slack is achieved or
-    the model bound certifies it cannot be.
+    One LP in (x, t) maximizes t <= max(1, target) subject to
+    slack_j(x) >= t, each dual norm written with auxiliary columns
+    (Ben-Tal, El Ghaoui & Nemirovski, Robust Optimization, 2009).  With
+    linear, s = 1 and s = inf rows only, the LP is exact and its value is
+    the supremum (or the cap).  The 2-norm of an s = 2 row lies between the
+    inf-norm and the 1-norm: the LP with the 1-norm is a restriction whose
+    point is a witness, and the LP with the inf-norm plus Kelley's tangent
+    cuts yhat.P^T x <= ||P^T x||_2 at each round's point is a relaxation
+    whose value bounds the supremum.  The cut rounds stop when a point
+    reaches the target, when the bound falls below it, or after CUT_ROUNDS.
     """
     rows = list(rows)
-    x = np.zeros(n)
+    cap = max(1.0, target)
 
     def phi(pt):
         return min(r.slack(pt) for r in rows)
 
-    vals = [r.slack(x) for r in rows]
-    best_x, best_v = x.copy(), min(vals)
-    for k in range(1, ASCENT_ITERS + 1):
-        i = int(np.argmin(vals))
-        g = _row_supergradient(rows[i], x)
-        ng = np.linalg.norm(g)
-        if ng < 1e-14:
+    x, bound = _slack_lp(rows, n, cap, 1, ())
+    best_x, best_v = x, phi(x)
+    round_rows = [r for r in rows if isinstance(r, ConcaveRow) and r.s == 2]
+    if not round_rows:
+        return SlackSearch(best_x, best_v, bound)
+    bound, cuts = _INF, []
+    for _ in range(CUT_ROUNDS):
+        if best_v >= target:
             break
-        x = x + (1.0 / math.sqrt(k)) * g / ng
-        vals = [r.slack(x) for r in rows]
-        v = min(vals)
+        cuts += [(r.supergradient(x), r.b) for r in round_rows]
+        x, bound = _slack_lp(rows, n, cap, _INF, cuts)
+        if bound < target:
+            break
+        v = phi(x)
         if v > best_v:
-            best_x, best_v = x.copy(), v
-        if best_v >= target and k >= 32:
-            break
-    if best_v >= target:
-        return SlackSearch(best_x, best_v, _INF, False)
-
-    # Cutting planes: concave slacks lie below their tangents, so the LP
-    # value is a valid upper bound as long as the box is not binding.
-    R = max(10.0, 4.0 * float(np.abs(best_x).max()) + 10.0)
-    for _ in range(3):
-        cuts = []
-        for r in rows:
-            if isinstance(r, LinearRow):
-                cuts.append((r.a, -r.b))
-        anchors = [best_x, np.zeros(n)]
-        ub = _INF
-        box_hit = False
-        for _round in range(CUT_ROUNDS):
-            for pt in anchors:
-                for r in rows:
-                    if not isinstance(r, LinearRow):
-                        g = r.supergradient(pt)
-                        c0 = r.slack(pt) - float(g @ pt)
-                        cuts.append((g, c0))
-            anchors = []
-            lp_rows = [(np.concatenate([g, [-1.0]]), -c0, ">=")
-                       for g, c0 in cuts]
-            for i in range(n):
-                e = np.zeros(n + 1)
-                e[i] = 1.0
-                lp_rows.append((e, -R, ">="))
-                lp_rows.append((-e, -R, ">="))
-            obj = np.zeros(n + 1)
-            obj[-1] = -1.0
-            sol = solve_lp(LinearProgram.build(obj, lp_rows,
-                                               np.full(n + 1, -_INF)))
-            if not sol.optimal:
-                break
-            xk = sol.x[:n]
-            ub = float(sol.x[n])
-            box_hit = bool(np.abs(xk).max() >= R - 1e-6)
-            vk = phi(xk)
-            if vk > best_v:
-                best_x, best_v = xk.copy(), vk
-            if best_v >= target:
-                return SlackSearch(best_x, best_v, ub, not box_hit)
-            if ub < target and not box_hit:
-                return SlackSearch(best_x, best_v, ub, True)
-            if ub - best_v <= 1e-12:
-                break
-            anchors = [xk]
-        if not box_hit:
-            break
-        R *= 10.0
-    return SlackSearch(best_x, best_v, ub, not box_hit)
+            best_x, best_v = x, v
+    return SlackSearch(best_x, best_v, bound)
 
 
 @dataclass(frozen=True)
@@ -255,7 +244,8 @@ def ball_robust_feasible(nominal, alpha: float,
     """Probe feasibility when every row's (a, b) may move in an alpha-ball.
 
     The sign decision near the boundary is delegated to the radius value;
-    strictly inside, a witness with worst-case slack >= -1e-8 is produced.
+    strictly inside, the witness comes in closed form from the radius's
+    nearest point and is checked to have worst-case slack >= -1e-8.
     Exactly at the radius (within boundary_tol) the answer is inconclusive
     because attainment of the supremum is not guaranteed.
     """
@@ -272,9 +262,19 @@ def ball_robust_feasible(nominal, alpha: float,
         return BallFeasibility("infeasible", None, rr.rho)
     if abs(alpha - rr.rho) <= boundary_tol:
         return BallFeasibility("inconclusive", None, rr.rho)
-    n = rows[0][0].size
-    worst = [BallRow(a, b, j, alpha) for j, (a, b) in enumerate(rows)]
-    search = maximize_min_slack(worst, n, target=0.0)
-    if search.value < -1e-8:  # pragma: no cover - radius guarantees a witness
+    # Witness from p* = (a*, b*): its VI gives a_j.a* + b_j b* >= rho^2 for
+    # every row, and b* <= 0.  For b* < 0, x = a*/|b*| has
+    # sqrt(x.x + 1) = rho/|b*|, so every worst-case slack is at least
+    # rho(rho - alpha)/|b*|.  For b* = 0, x = t a* with
+    # sqrt(t^2 rho^2 + 1) <= t rho + 1 has slack_j >= t rho(rho - alpha)
+    # - b_j - alpha, which t below makes nonnegative.
+    a_star, b_star = rr.p_star[:-1], float(rr.p_star[-1])
+    if b_star < 0:
+        x = a_star / -b_star
+    else:
+        t = max(0.0, (max(b for _, b in rows) + alpha) / (rr.rho * (rr.rho - alpha)))
+        x = t * a_star
+    worst = min(BallRow(a, b, j, alpha).slack(x) for j, (a, b) in enumerate(rows))
+    if worst < -1e-8:  # pragma: no cover - the closed form guarantees >= 0
         return BallFeasibility("inconclusive", None, rr.rho)
-    return BallFeasibility("feasible", search.x, rr.rho)
+    return BallFeasibility("feasible", x, rr.rho)

@@ -254,9 +254,12 @@ def validate_dimensions(p: UncertainMOLP) -> None:
 
 
 def validate_problem(p: UncertainMOLP) -> ValidatedProblem:
-    """Full invariant check; the certification theory additionally needs
-    u >= 0 componentwise, so negative entries are rejected here."""
+    """Full invariant check; certification also needs a finite perturbed
+    objective C_bar + u v^T and u >= 0 componentwise, so an overflowing
+    endpoint and negative entries of u are rejected here."""
     validate_dimensions(p)
+    with np.errstate(over="ignore"):
+        _check_finite("C_bar + u v^T", endpoint_objectives(p)[1])
     if np.any(p.u < 0):
         bad = int(np.argmin(p.u))
         raise ValidationError(
@@ -346,10 +349,6 @@ class BallRow:
         x = np.asarray(x, float)
         return float(self.a_bar @ x - self.b - self.alpha * math.sqrt(float(x @ x) + 1.0))
 
-    def supergradient(self, x):
-        x = np.asarray(x, float)
-        return self.a_bar - self.alpha * x / math.sqrt(float(x @ x) + 1.0)
-
     def scenario_row(self, direction):
         """One realized (a, b) row from a direction in R^{n+1}."""
         d = np.asarray(direction, float)
@@ -384,11 +383,8 @@ def box_vertices(a_lo, a_hi):
     if n > BOX_DIMENSION_CAP:
         raise BoxTooLargeError(
             f"box in R^{n} needs 2^{n} rows; cap is n <= {BOX_DIMENSION_CAP}")
-    out = np.empty((1 << n, n))
-    for l in range(1 << n):
-        for i in range(n):
-            out[l, i] = a_hi[i] if (l >> i) & 1 else a_lo[i]
-    return out
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    return np.where(bits == 1, a_hi, a_lo)
 
 
 def reduce_constraints(vp: ValidatedProblem) -> RobustFeasibleSet:

@@ -177,6 +177,18 @@ def test_certify_slater_violated_exit_5(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_certify_overflowing_perturbed_objective_exit_3(tmp_path, capsys):
+    # C_bar + u v^T overflows; the certificate's perturbed residual was NaN
+    doc = {"m": 2, "n": 1, "C_bar": [[-1e300], [0.0]], "u": [2.0, 1e300],
+           "v": [-1e300],
+           "constraints": [{"kind": "singleton", "a_bar": [0.0], "b_bar": -1e300}]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["certify", _write(tmp_path, doc), "--point", "1e-300", "--json"])
+    assert code == 3
+    assert "NonFinite" in capsys.readouterr().err
+
+
 def test_verify_round_trip_and_tamper(tmp_path, capsys):
     path = _write(tmp_path, EX2)
     code, out = _run(capsys, ["certify", path, "--point", "1,1,1.5", "--json"])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_polyhedral_problem, vertex_candidate
+from robustmolp import feasibility
 from robustmolp.efficiency import (NotFeasiblePointError, SlaterViolatedError,
                                    UnsupportedClassError, active_geometry,
                                    certify_weak_efficiency, check_slater,
@@ -253,6 +254,48 @@ def test_slater_violated_when_delta_too_large():
     assert chk.max_slack <= 0.0 + 1e-9
     with pytest.raises(SlaterViolatedError):
         certify_weak_efficiency(validate_problem(p), np.array([0.0]))
+
+
+def _slater_lps(monkeypatch, delta, s):
+    """Slater check of the row (1, 1).x - delta ||x||_{s*} >= 0 with the LPs
+    it solves, where s* is the norm conjugate to s."""
+    calls = []
+    solve = feasibility.solve_lp
+
+    def counted(lp, *args, **kwargs):
+        calls.append(lp)
+        return solve(lp, *args, **kwargs)
+
+    monkeypatch.setattr(feasibility, "solve_lp", counted)
+    p = UncertainMOLP(1, 2, [[1.0, 0.0]], [0.0], [0.0, 0.0],
+                      (NormBall([1.0, 1.0], np.eye(2), delta, s, 0.0, 0.0),))
+    return check_slater(reduce_constraints(validate_problem(p))), len(calls)
+
+
+@pytest.mark.parametrize("s, threshold", [(1, 2.0), (_INF, 1.0)])
+def test_slater_of_norm_one_and_inf_rows_is_one_lp(monkeypatch, s, threshold):
+    # the supremum of the min-slack is 0 from delta = threshold on, else +inf
+    chk, lps = _slater_lps(monkeypatch, 0.9 * threshold, s)
+    assert chk.ok and chk.min_slack >= 1.0 - 1e-12 and lps == 1
+    chk, lps = _slater_lps(monkeypatch, 1.1 * threshold, s)
+    assert not chk.ok and chk.max_slack == 0.0 and lps == 1
+
+
+def test_slater_of_two_norm_row_decided_by_tangent_cuts(monkeypatch):
+    # with the 1-norm in place of the 2-norm, (1, 1).x - 1.2 ||x||_1 <= 0,
+    # so the inner LP fails; 1.2 < sqrt(2) makes the true supremum +inf,
+    # and the first inf-norm LP's point shows it
+    chk, lps = _slater_lps(monkeypatch, 1.2, 2)
+    assert chk.ok and chk.min_slack > 0.3 and lps == 2
+    x = chk.x0
+    assert x.sum() - 1.2 * np.linalg.norm(x) == pytest.approx(chk.min_slack)
+
+
+def test_slater_of_two_norm_row_violated_reports_nonpositive_bound(monkeypatch):
+    # 1.5 > sqrt(2): the supremum is 0 at x = 0; the inf-norm relaxation is
+    # reaches its cap of 1 until a tangent cut at its point closes it
+    chk, lps = _slater_lps(monkeypatch, 1.5, 2)
+    assert not chk.ok and chk.max_slack <= 0.0 and lps == 3
 
 
 # ---------------------------------------------------------------------------

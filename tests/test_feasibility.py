@@ -9,6 +9,7 @@ from robustmolp.feasibility import (NominalInfeasibleError, ball_robust_feasible
                                     cone_contains, hypographical_set,
                                     is_feasible, maximize_min_slack,
                                     radius_of_robust_feasibility)
+from robustmolp.model import BallRow, LinearRow
 
 HYPO = [(np.array([-2.0, -1, -2]), -6.0), (np.array([-1.0, -2, -2]), -6.0),
         (np.array([-1.0, 0, 0]), -3.0), (np.array([0.0, -1, 0]), -3.0),
@@ -212,28 +213,68 @@ def test_ball_probe_solves_nominal_lp_once(monkeypatch):
         ball_robust_feasible([(np.array([1.0]), 0.0), (np.array([-1.0]), 1.0)], 0.0)
 
 
-class _CountingRow:
-    """A linear row that counts its slack evaluations."""
+def _counting(monkeypatch, name):
+    """Replace feasibility.<name> by a wrapper that records each call."""
+    calls = []
+    original = getattr(feasibility, name)
 
-    def __init__(self, a, b):
-        self.a, self.b, self.calls = np.asarray(a, float), b, 0
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
 
-    def slack(self, x):
-        self.calls += 1
-        return float(self.a @ x - self.b)
-
-    def supergradient(self, x):
-        return self.a
+    monkeypatch.setattr(feasibility, name, counted)
+    return calls
 
 
-def test_min_slack_ascent_evaluates_each_row_once_per_step():
-    rows = [_CountingRow([1.0, 0.0], -1.0), _CountingRow([0.0, 1.0], -2.0),
-            _CountingRow([-1.0, -1.0], -3.0)]
+def test_min_slack_of_linear_rows_is_one_lp(monkeypatch):
+    lps = _counting(monkeypatch, "solve_lp")
+    rows = [LinearRow([1.0, 0.0], -1.0, 0), LinearRow([0.0, 1.0], -2.0, 1),
+            LinearRow([-1.0, -1.0], -3.0, 2)]
     search = maximize_min_slack(rows, 2, target=0.0)
-    assert search.value >= 1.0
-    # the target holds at the origin, so the ascent stops after its minimum
-    # of 32 steps: one evaluation per row at the origin and one per step
-    assert [r.calls for r in rows] == [33, 33, 33]
+    # the supremum is 2, so the LP stops at its cap of 1
+    assert len(lps) == 1
+    assert search.upper_bound == 1.0
+    assert search.value >= 1.0 - 1e-12
+    assert min(r.slack(search.x) for r in rows) == search.value
+
+
+def _witness_systems(rng):
+    """Random nominal systems, some homogeneous (b* = 0), plus hand cases:
+    x >= 0 has p* = (1, 0), and x >= -1e-12 has b* = -1e-12."""
+    yield [(np.array([1.0]), 0.0)]
+    yield [(np.array([1.0, 0.0]), 0.0), (np.array([0.0, 1.0]), 0.0)]
+    yield [(np.array([1.0]), -1e-12)]
+    yield [(np.array([1.0, 1.0]), -1e-12), (np.array([1.0, -1.0]), -3e-13)]
+    for k in range(60):
+        rows, x0 = random_feasible_rows(rng, n=int(rng.integers(1, 5)),
+                                        p=int(rng.integers(1, 6)), min_slack=1)
+        if k % 3 == 0:      # homogeneous rows a.x >= 0, strict at x0
+            rows = [(a, 0.0) for a, _ in rows if a @ x0 > 0] or rows
+        yield rows
+
+
+def test_ball_witness_is_closed_form_and_robust_feasible(monkeypatch, rng):
+    zero_b = tiny_b = 0
+    for rows in _witness_systems(rng):
+        for scale in (1e-6, 1.0, 1e6):
+            scaled = [(scale * a, scale * b) for a, b in rows]
+            rr = radius_of_robust_feasibility(scaled)
+            b_star = rr.p_star[-1]
+            zero_b += b_star == 0.0
+            tiny_b += -1e-12 * scale <= b_star < 0.0
+            for frac in (0.1, 0.5, 0.9, 1.0 - 1e-6):
+                alpha = frac * rr.rho
+                with monkeypatch.context() as m:
+                    feas = _counting(m, "is_feasible")
+                    lps = _counting(m, "solve_lp")
+                    mnp = _counting(m, "min_norm_point")
+                    out = ball_robust_feasible(scaled, alpha, boundary_tol=0.0)
+                assert out.status == "feasible"
+                assert (len(feas), len(lps), len(mnp)) == (1, 1, 1)
+                worst = min(BallRow(a, b, j, alpha).slack(out.x)
+                            for j, (a, b) in enumerate(scaled))
+                assert worst >= 0.0, (scaled, alpha, worst)
+    assert zero_b >= 6 and tiny_b >= 6
 
 
 def test_ball_bracketing_random_systems(rng):

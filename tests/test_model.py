@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -311,3 +312,29 @@ def test_missing_keys_and_bad_norm_index_rejected():
     doc["constraints"][1]["s"] = 3
     with pytest.raises(ProblemFormatError):
         parse_problem(doc)
+
+
+def test_box_vertices_match_the_loop_reference():
+    rng = np.random.default_rng(7)
+    for n in range(9):
+        lo = rng.normal(size=n)
+        hi = lo + rng.random(n)
+        ref = np.empty((1 << n, n))
+        for l in range(1 << n):
+            for i in range(n):
+                ref[l, i] = hi[i] if (l >> i) & 1 else lo[i]
+        assert box_vertices(lo, hi).tobytes() == ref.tobytes()
+    assert box_vertices([0.0, 10.0], [1.0, 11.0]).tolist() == [
+        [0.0, 10.0], [1.0, 10.0], [0.0, 11.0], [1.0, 11.0]]
+
+
+def test_overflowing_perturbed_objective_rejected():
+    # C_bar + u v^T = [[-3e300], [-inf]]: every entry of the data is finite
+    p = UncertainMOLP(2, 1, [[-1e300], [0.0]], [2.0, 1e300], [-1e300],
+                      (Singleton([0.0], -1e300),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        validate_dimensions(p)          # radius analysis never forms it
+        with pytest.raises(ValidationError) as exc:
+            validate_problem(p)
+    assert exc.value.kind == "NonFinite" and exc.value.constraint is None
