@@ -3,10 +3,11 @@
 A candidate point is robust weakly efficient exactly when suitable
 scalarization weights exist for both endpoint objectives of the rank-1
 uncertainty segment, with the scalarized gradient lying in the cone
-spanned by active constraint data.  Polyhedral uncertainty classes are
-decided exactly by LP; norm-ball and ellipsoidal classes go through a
-conic multiplier system solved to a residual tolerance under a strict
-feasibility (Slater) condition.
+spanned by active constraint data.  Polyhedral uncertainty classes,
+s = 1/inf norm balls included once lifted into linear rows, are decided
+exactly by LP; 2-norm balls and ellipsoids go through a conic multiplier
+system solved to a residual tolerance under a strict feasibility (Slater)
+condition.
 """
 
 from __future__ import annotations
@@ -20,13 +21,15 @@ from .feasibility import SlackSearch, maximize_min_slack
 from .model import (Ball, LinearRow, RobustFeasibleSet, ValidatedProblem,
                     endpoint_objectives, reduce_constraints)
 from .numerics import (ConeFeasibilitySystem, LinearProgram, VarBlock,
-                       norm_value, solve_cone_system, solve_lp)
+                       norm_value, slack_value, solve_cone_system, solve_lp)
 
 _INF = float("inf")
 
 ACTIVE_TOL = 1e-8
-RESIDUAL_TOL = 1e-7
+RESIDUAL_TOL = 1e-7     # certificate residuals, verify_certificate's default
 SLATER_MARGIN = 1e-6
+IMPROVEMENT_TOL = 1e-9  # smallest improvement t that refutes a scenario
+ORACLE_GRID = 5         # scenario grid of the oracle behind a refutation
 
 
 # one string per endpoint, shared by every refutation that names it
@@ -39,7 +42,7 @@ class NotFeasiblePointError(Exception):
 
 
 class SlaterViolatedError(Exception):
-    """No strictly feasible point found for the norm/ellipsoid system."""
+    """No strictly feasible point found for a 2-norm ball or ellipsoid set."""
 
     def __init__(self, max_slack):
         self.max_slack = max_slack
@@ -61,8 +64,7 @@ class ActiveGeometry:
     generators: tuple         # normal-cone generators, -a per active row
 
 
-def active_geometry(X: RobustFeasibleSet, x_bar,
-                    tol: float = ACTIVE_TOL) -> ActiveGeometry:
+def active_geometry(X: RobustFeasibleSet, x_bar) -> ActiveGeometry:
     """Active linear rows at x_bar and the normal-cone generators they span.
 
     Ties at exactly the tolerance count as active; any violation beyond it
@@ -74,18 +76,18 @@ def active_geometry(X: RobustFeasibleSet, x_bar,
         if not isinstance(row, LinearRow):
             continue
         s = row.slack(x_bar)
-        if s < -tol:
+        if s < -ACTIVE_TOL:
             raise NotFeasiblePointError(
                 f"row {idx} violated by {-s:.3e} at the candidate point")
-        if s <= tol:
+        if s <= ACTIVE_TOL:
             active.append(idx)
             gens.append(-row.a)
     return ActiveGeometry(x_bar, tuple(active), tuple(gens))
 
 
-def _check_membership(X: RobustFeasibleSet, x_bar, tol: float = ACTIVE_TOL):
+def _check_membership(X: RobustFeasibleSet, x_bar):
     for idx, row in enumerate(X.rows):
-        if row.slack(x_bar) < -tol:
+        if row.slack(x_bar) < -ACTIVE_TOL:
             raise NotFeasiblePointError(
                 f"row {idx} violated by {-row.slack(x_bar):.3e}")
 
@@ -101,13 +103,12 @@ class ScenarioCheck:
     gap: np.ndarray | None = None
 
 
-def weakly_efficient_for_scenario(C, X, x_bar,
-                                  tol: float = 1e-9) -> ScenarioCheck:
+def weakly_efficient_for_scenario(C, X, x_bar) -> ScenarioCheck:
     """Is x_bar weakly efficient for objective C over a polyhedral X?
 
     Maximizes the smallest componentwise improvement t over X (capped at 1
     so the LP always has an optimum); no point improves every objective
-    strictly exactly when the optimal t is <= tol.
+    strictly exactly when the optimal t is <= IMPROVEMENT_TOL.
     """
     C = np.atleast_2d(np.asarray(C, float))
     rows = X.rows if isinstance(X, RobustFeasibleSet) else tuple(X)
@@ -132,7 +133,7 @@ def weakly_efficient_for_scenario(C, X, x_bar,
     if sol.status == "unbounded":  # pragma: no cover - cap prevents this
         return ScenarioCheck(False)
     t = float(sol.x[n])
-    if t <= tol:
+    if t <= IMPROVEMENT_TOL:
         return ScenarioCheck(True)
     wit = sol.x[:n].copy()
     return ScenarioCheck(False, wit, base - C @ wit)
@@ -150,22 +151,15 @@ class SlaterCheck:
     max_slack: float          # certified bound when ok is False
 
 
-def check_slater(constraints, n=None,
-                 margin: float = SLATER_MARGIN) -> SlaterCheck:
-    """Decide whether some point has worst-case slack >= margin everywhere.
+def check_slater(X: RobustFeasibleSet) -> SlaterCheck:
+    """Decide whether some point has worst-case slack >= SLATER_MARGIN.
 
     An LP for linear and s = 1/inf rows; for s = 2 rows a 1-norm LP proves
     it and an inf-norm LP with tangent cuts disproves it, with max_slack
     the relaxation's bound (see maximize_min_slack).
     """
-    if isinstance(constraints, RobustFeasibleSet):
-        rows, n = constraints.rows, constraints.n
-    else:
-        rows = tuple(constraints)
-        if n is None:
-            n = rows[0].a.size if isinstance(rows[0], LinearRow) else rows[0].a_bar.size
-    search: SlackSearch = maximize_min_slack(rows, n, target=margin)
-    if search.value >= margin:
+    search: SlackSearch = maximize_min_slack(X.rows, X.n, target=SLATER_MARGIN)
+    if search.value >= SLATER_MARGIN:
         return SlaterCheck(True, search.x, search.value, _INF)
     return SlaterCheck(False, None, search.value, search.upper_bound)
 
@@ -177,12 +171,11 @@ def check_slater(constraints, n=None,
 @dataclass(frozen=True)
 class EndpointSolve:
     feasible: bool
-    exact: bool
     residual: float
     lam: np.ndarray | None = None
-    row_mu: np.ndarray | None = None        # polyhedral path, per active row
-    cone_x: np.ndarray | None = None        # conic path assignment
-    registry: tuple | None = None           # conic block layout
+    row_mu: np.ndarray | None = None        # LP path, per active row
+    mu_of: dict | None = None               # active linear row -> multiplier
+    cones: dict | None = None               # constraint -> (row, its (y, mu) block)
 
 
 def _solve_polyhedral_endpoint(C, geo: ActiveGeometry, X: RobustFeasibleSet):
@@ -201,71 +194,74 @@ def _solve_polyhedral_endpoint(C, geo: ActiveGeometry, X: RobustFeasibleSet):
     lp_rows.append((g, 1.0, "=="))
     sol = solve_lp(LinearProgram.build(np.zeros(d), lp_rows, np.zeros(d)))
     if not sol.optimal:
-        return EndpointSolve(False, True, _INF)
+        return EndpointSolve(False, _INF)
     lam = np.maximum(sol.x[:m], 0.0)
     lam = lam / lam.sum()
     mu = np.maximum(sol.x[m:], 0.0)
     A = np.array(act).T if k else np.zeros((n, 0))
     resid = float(np.linalg.norm(C.T @ lam - (A @ mu if k else 0.0)))
-    return EndpointSolve(True, True, resid, lam, row_mu=mu)
+    return EndpointSolve(True, resid, lam, mu, dict(zip(geo.active_rows, mu)))
 
 
 def _endpoint_cone_system(C, vp, X, geo, x_bar):
     """Joint multiplier system for one endpoint objective.
 
     Variables: lambda on the simplex; per polyhedral constraint, one
-    nonnegative multiplier per active row; per affine-norm-ball row
-    a_bar + P w, a cone block (y_j, mu_j) with ||y_j||_s <= mu_j replacing
+    nonnegative multiplier per active row; per 2-norm ball or ellipsoid row
+    a_bar + P w, a cone block (y_j, mu_j) with ||y_j||_2 <= mu_j replacing
     the bilinear product of the multiplier and its unit witness.
     Equalities: C^T lambda equals the multiplier combination of realized
     scenario vectors, and the scalarized value matches the multiplier
     combination of right-hand sides (which encodes complementarity).
+    Returns the system and (constraint, block, active rows or row) per block.
     """
     p = vp.problem
     C = np.atleast_2d(np.asarray(C, float))
     m, n = C.shape
     blocks = [VarBlock("simplex", m)]
-    registry = []          # (constraint index, tag, payload)
+    registry = []
     vec = {0: C.T}         # n x m
     sca = {0: (C @ x_bar).reshape(1, m)}
     for j in range(len(p.constraints)):
         rows_j = [r for r in X.rows if r.source == j]
+        bi = len(blocks)
         if all(isinstance(r, LinearRow) for r in rows_j):
             # active-support restriction enforces complementarity structurally
             act = [i for i in geo.active_rows if X.rows[i].source == j]
             if not act:
                 continue
-            bi = len(blocks)
             blocks.append(VarBlock("nonneg", len(act)))
             vec[bi] = -np.column_stack([X.rows[i].a for i in act])
             sca[bi] = -np.array([[X.rows[i].b for i in act]])
-            registry.append((j, "poly", (bi, tuple(act))))
+            registry.append((j, bi, act))
         else:
             row = rows_j[0]      # a cone class reduces to one ConcaveRow
             q = row.P.shape[1]
-            bi = len(blocks)
-            blocks.append(VarBlock("soc", q + 1, row.s))
+            blocks.append(VarBlock("soc", q + 1))
             vec[bi] = np.column_stack([row.P, -row.a_bar])
-            Ms = np.zeros((1, q + 1))
-            Ms[0, q] = -row.b
-            sca[bi] = Ms
-            registry.append((j, "cone", (bi, row)))
+            sca[bi] = np.append(np.zeros(q), -row.b)
+            registry.append((j, bi, row))
     sys = ConeFeasibilitySystem.build(
         blocks,
         [(vec, np.zeros(n)), (sca, np.zeros(1))])
-    return sys, tuple(registry)
+    return sys, registry
 
 
-def _solve_cone_endpoint(C, vp, X, geo, x_bar, tol):
+def _solve_cone_endpoint(C, vp, X, geo, x_bar):
     sys, registry = _endpoint_cone_system(C, vp, X, geo, x_bar)
-    res = solve_cone_system(sys, tol=tol)
-    lam = None
-    if res.feasible:
-        parts = sys.split(res.x)
-        lam = np.maximum(parts[0], 0.0)
-        lam = lam / lam.sum() if lam.sum() > 0 else np.full(len(parts[0]), 1.0 / len(parts[0]))
-    return EndpointSolve(res.feasible, res.exact, res.residual, lam,
-                         cone_x=res.x, registry=registry), sys
+    res = solve_cone_system(sys)
+    if not res.feasible:
+        return EndpointSolve(False, res.residual)
+    parts = sys.split(res.x)
+    lam = np.maximum(parts[0], 0.0)
+    lam = lam / lam.sum() if lam.sum() > 0 else np.full(len(parts[0]), 1.0 / len(parts[0]))
+    mu_of, cones = {}, {}
+    for j, bi, rows in registry:
+        if isinstance(rows, list):          # active linear rows
+            mu_of.update(zip(rows, np.maximum(parts[bi], 0.0)))
+        else:                               # one ConcaveRow
+            cones[j] = (rows, parts[bi])
+    return EndpointSolve(True, res.residual, lam, mu_of=mu_of, cones=cones)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +284,7 @@ class EfficiencyCertificate:
     lambda_perturbed: np.ndarray
     nominal: tuple                  # ConstraintMultiplier per constraint
     perturbed: tuple
-    active_rows: tuple              # polyhedral path only, else ()
+    active_rows: tuple              # LP path only (rows of the lifted set), else ()
     row_mu_nominal: np.ndarray | None
     row_mu_perturbed: np.ndarray | None
     residuals: dict
@@ -305,77 +301,77 @@ def _retainable(a):
     return a if a.base is None or a.base.ndim == 1 else a.copy()
 
 
-def _nominal_scenario(X, j):
-    """The first reduced row of constraint j as an (a, b) scenario."""
-    row = next(r for r in X.rows if r.source == j)
-    return _retainable(row.a if isinstance(row, LinearRow) else row.a_bar), row.b
+def _in_rn(a, n):
+    """The first n entries of a: a itself unless the lift padded it, so a
+    record keeps no extra view object of an unlifted row."""
+    return a if a.size == n else a[:n]
 
 
-def _poly_constraint_records(p, X, geo, row_mu, x_bar, zero):
-    """One record per constraint; a constraint with no multiplier mass
-    gets its record from `zero`, which both endpoints share."""
+def _witness_record(row, n, mu_j, y, x_bar):
+    """Record of an affine norm-ball row a_bar + P w whose multiplier mu_j
+    carries y = mu_j w; w is scaled back into the unit s-ball."""
+    w = y / mu_j if mu_j > 1e-10 else np.zeros_like(y)
+    w = w / max(1.0, norm_value(w, row.s))
+    a = _in_rn(row.a_bar - row.P @ w, n)
+    slack = slack_value(a, x_bar, row.b)
+    return ConstraintMultiplier(mu_j, a, row.b, w, norm_value(w, row.s),
+                                mu_j * slack if mu_j else math.copysign(0.0, slack))
+
+
+def _constraint_records(p, X, sol: EndpointSolve, x_bar, zero):
+    """One record per constraint from an endpoint solution over X, the
+    lifted set, cut back to R^n.
+
+    A cone block (y, mu) gives the multiplier and the witness w = y/mu.  A
+    ball lifted at row k0 (RobustFeasibleSet.lift) gives them from its
+    rows: mu on the main row, and mu w = nu(tau >= P^T x) - nu(tau >= -P^T x)
+    on its band rows.  Any other constraint gets the multiplier-weighted
+    mean of its active rows, and with no multiplier mass its first row,
+    a record that `zero` shares between the endpoints.
+    """
+    n = p.n
+    cones = sol.cones or {}
+    balls = {row.source: (k0, row) for k0, row in X.lifted}
+    terms = {}
+    for i, mu in sol.mu_of.items():
+        terms.setdefault(X.rows[i].source, []).append((X.rows[i], mu))
     recs = []
     for j in range(len(p.constraints)):
-        idxs = [t for t, i in enumerate(geo.active_rows)
-                if X.rows[i].source == j]
-        mu_j = float(sum(row_mu[t] for t in idxs))
-        if mu_j > 1e-15 and idxs:
-            a = sum(row_mu[t] * X.rows[geo.active_rows[t]].a for t in idxs) / mu_j
-            b = float(sum(row_mu[t] * X.rows[geo.active_rows[t]].b for t in idxs) / mu_j)
-            row_a = X.rows[geo.active_rows[idxs[0]]].a
+        if j in cones:
+            row, seg = cones[j]
+            recs.append(_witness_record(row, n, max(0.0, float(seg[-1])), seg[:-1], x_bar))
+            continue
+        if j in balls:
+            k0, row = balls[j]
+            q = row.P.shape[1]
+            nu = np.array([sol.mu_of.get(k0 + 1 + i, 0.0) for i in range(2 * q)])
+            recs.append(_witness_record(row, n, float(sol.mu_of.get(k0, 0.0)),
+                                        nu[q:] - nu[:q], x_bar))
+            continue
+        act = terms.get(j, ())
+        mu_j = float(sum(mu for _, mu in act))
+        if mu_j > 1e-15:
+            a = sum(mu * _in_rn(r.a, n) for r, mu in act) / mu_j
+            b = float(sum(mu * r.b for r, mu in act) / mu_j)
             # the mean of one row is nearly always that row bit for bit;
             # then the record keeps the row's array instead of a new one
-            if len(idxs) == 1 and a.tobytes() == row_a.tobytes():
-                a = _retainable(row_a)
-            recs.append(ConstraintMultiplier(mu_j, np.asarray(a, float), b,
-                                             None, 0.0, mu_j * (float(a @ x_bar) - b)))
-        else:
-            if j not in zero:
-                a, b = _nominal_scenario(X, j)
-                # mu times the slack, a zero whose sign shows in the
-                # canonical JSON, taken from the two shared constants
-                neg = math.copysign(1.0, float(a @ x_bar) - b) < 0
-                zero[j] = ConstraintMultiplier(0.0, a, float(b), None, 0.0,
-                                               -0.0 if neg else 0.0)
-            recs.append(zero[j])
+            if len(act) == 1 and a.tobytes() == _in_rn(act[0][0].a, n).tobytes():
+                a = _retainable(_in_rn(act[0][0].a, n))
+            recs.append(ConstraintMultiplier(mu_j, np.asarray(a, float), b, None, 0.0,
+                                             mu_j * slack_value(a, x_bar, b)))
+            continue
+        if j not in zero:
+            row = next(r for r in X.rows if r.source == j)
+            a = _retainable(_in_rn(row.a if isinstance(row, LinearRow) else row.a_bar, n))
+            # mu times the slack: a zero whose sign shows in the canonical
+            # JSON, and no NaN where the slack overflows
+            zero[j] = ConstraintMultiplier(0.0, a, row.b, None, 0.0,
+                                           math.copysign(0.0, slack_value(a, x_bar, row.b)))
+        recs.append(zero[j])
     return tuple(recs)
 
 
-def _cone_constraint_records(p, X, geo, sol: EndpointSolve, sys, x_bar):
-    parts = sys.split(sol.cone_x)
-    recs = {j: None for j in range(len(p.constraints))}
-    for j, tag, payload in sol.registry:
-        if tag == "poly":
-            bi, act = payload
-            mu_vals = np.maximum(parts[bi], 0.0)
-            mu_j = float(mu_vals.sum())
-            if mu_j > 1e-15:
-                a = sum(mu_vals[t] * X.rows[i].a for t, i in enumerate(act)) / mu_j
-                b = sum(mu_vals[t] * X.rows[i].b for t, i in enumerate(act)) / mu_j
-            else:
-                a, b = _nominal_scenario(X, j)
-            recs[j] = ConstraintMultiplier(mu_j, np.asarray(a, float), float(b),
-                                           None, 0.0,
-                                           mu_j * (float(np.asarray(a) @ x_bar) - float(b)))
-        else:
-            bi, row = payload
-            seg = parts[bi]
-            y, mu_j = seg[:-1], max(0.0, float(seg[-1]))
-            w = y / mu_j if mu_j > 1e-10 else np.zeros_like(y)
-            wn = norm_value(w, row.s)
-            if wn > 1.0:
-                w = w / wn
-            a = row.a_bar - row.P @ w
-            recs[j] = ConstraintMultiplier(mu_j, a, row.b, w, norm_value(w, row.s),
-                                           mu_j * (float(a @ x_bar) - row.b))
-    for j in recs:
-        if recs[j] is None:
-            a, b = _nominal_scenario(X, j)
-            recs[j] = ConstraintMultiplier(0.0, a, b, None, 0.0, 0.0)
-    return tuple(recs[j] for j in range(len(p.constraints)))
-
-
-def _certificate_residuals(C0, C1, cert, x_bar):
+def _certificate_residuals(C0, C1, cert):
     out = {}
     for eq_key, comp_key, C, lam, recs in (
             ("endpoint_equality_nominal", "complementarity_nominal",
@@ -411,15 +407,42 @@ class CertifyOutcome:
     residuals: dict | None = None
 
 
-def certify_weak_efficiency(vp: ValidatedProblem, x_bar,
-                            residual_tol: float = RESIDUAL_TOL,
-                            oracle_grid: int = 5) -> CertifyOutcome:
+def _oracle_outcome(p, x_bar, residuals):
+    """Refuted when the oracle finds a dominating scenario witness, else
+    unknown with the residuals that left the question open."""
+    from . import oracle as _oracle
+    verdict = _oracle.refute_robust_weak_efficiency(p, x_bar, k=ORACLE_GRID)
+    if verdict.outcome == "refuted":
+        w = verdict.witness
+        return CertifyOutcome("refuted", refutation=RefutationInfo(
+            "dominating scenario witness found", None, w.rho, w.x, w.gap),
+            residuals=residuals)
+    return CertifyOutcome("unknown", residuals=residuals)
+
+
+def _certified(p, x_bar, C0, C1, cert, extra):
+    """The certified outcome, unless a residual that verify_certificate
+    replays exceeds RESIDUAL_TOL: then the replay would reject the
+    certificate, and the outcome is the oracle's."""
+    resid = _certificate_residuals(C0, C1, cert)
+    ok = all(v <= RESIDUAL_TOL for v in resid.values())      # False on NaN
+    resid.update(extra)
+    if not ok:
+        return _oracle_outcome(p, x_bar, resid)
+    cert = replace(cert, residuals=resid)
+    return CertifyOutcome("certified", certificate=cert, residuals=resid)
+
+
+def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
     """Certify or refute robust weak efficiency of a robust-feasible point.
 
-    All-polyhedral uncertainty is decided exactly; once a norm-ball or
-    ellipsoid class is present the joint conic system is solved under a
-    verified Slater condition, refutations require a dominating scenario
-    witness, and an unresolved residual yields "unknown".
+    The feasible set is lifted (RobustFeasibleSet.lift) so that s = 1/inf
+    norm balls become linear rows.  An all-linear lifted set is decided
+    exactly by LP; once a 2-norm ball or an ellipsoid is present the joint
+    conic system is solved under a verified Slater condition, refutations
+    require a dominating scenario witness, and an unresolved residual
+    yields "unknown".  A certificate whose endpoint-equality or
+    complementarity residual exceeds RESIDUAL_TOL is never issued.
     """
     p = vp.problem
     x_bar = np.asarray(x_bar, float)
@@ -434,60 +457,40 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar,
     # u = 0 or v = 0 makes the endpoints coincide; compare bits, since a
     # -0.0 against a 0.0 can flip the sign of a zero in the certificate
     same = C0.tobytes() == C1.tobytes()
+    XL, xl = X.lift(x_bar)
+    # the objectives do not see the lift's auxiliary columns
+    D0, D1 = ((C0, C1) if XL is X else
+              (np.hstack([C, np.zeros((p.m, XL.n - p.n))]) for C in (C0, C1)))
+    lp = XL.all_linear
+    if not lp:
+        slater = check_slater(X)
+        if not slater.ok:
+            raise SlaterViolatedError(slater.max_slack)
+    geo = active_geometry(XL, xl)
 
-    if X.all_linear:
-        geo = active_geometry(X, x_bar)
-        e0 = _solve_polyhedral_endpoint(C0, geo, X)
-        e1 = e0 if same else _solve_polyhedral_endpoint(C1, geo, X)
-        if e0.feasible and e1.feasible:
-            zero = {}
-            nominal = _poly_constraint_records(p, X, geo, e0.row_mu, x_bar, zero)
-            perturbed = (nominal if e1 is e0 else
-                         _poly_constraint_records(p, X, geo, e1.row_mu, x_bar, zero))
-            cert = EfficiencyCertificate(e0.lam, e1.lam, nominal, perturbed,
-                                         geo.active_rows, e0.row_mu, e1.row_mu, {})
-            resid = _certificate_residuals(C0, C1, cert, x_bar)
-            cert = replace(cert, residuals=resid)
-            return CertifyOutcome("certified", certificate=cert, residuals=resid)
-        name, C_fail, rho = (("nominal", C0, 0.0) if not e0.feasible
-                             else ("perturbed", C1, 1.0))
-        chk = weakly_efficient_for_scenario(C_fail, X, x_bar)
-        info = RefutationInfo(
-            _INFEASIBLE_ENDPOINT[name], name,
-            rho if not chk.efficient else None, chk.witness, chk.gap)
-        return CertifyOutcome("refuted", refutation=info)
+    def solve(C):
+        if lp:
+            return _solve_polyhedral_endpoint(C, geo, XL)
+        return _solve_cone_endpoint(C, vp, XL, geo, xl)
 
-    slater = check_slater(X)
-    if not slater.ok:
-        raise SlaterViolatedError(slater.max_slack)
-    geo = active_geometry(X, x_bar)
-    e0, sys0 = _solve_cone_endpoint(C0, vp, X, geo, x_bar, residual_tol)
-    e1, sys1 = ((e0, sys0) if same else
-                _solve_cone_endpoint(C1, vp, X, geo, x_bar, residual_tol))
-    residuals = {"nominal": e0.residual, "perturbed": e1.residual}
-
+    e0 = solve(D0)
+    e1 = e0 if same else solve(D1)
     if e0.feasible and e1.feasible:
-        cert = EfficiencyCertificate(
-            e0.lam, e1.lam,
-            _cone_constraint_records(p, X, geo, e0, sys0, x_bar),
-            _cone_constraint_records(p, X, geo, e1, sys1, x_bar),
-            (), None, None, {})
-        resid = _certificate_residuals(C0, C1, cert, x_bar)
-        resid.update({f"system_{k}": v for k, v in residuals.items()})
-        cert = replace(cert, residuals=resid)
-        return CertifyOutcome("certified", certificate=cert, residuals=resid)
-
-    exact = (e0.exact or e0.feasible) and (e1.exact or e1.feasible)
-    from . import oracle as _oracle
-    verdict = _oracle.refute_robust_weak_efficiency(p, x_bar, k=oracle_grid)
-    if verdict.outcome == "refuted":
-        w = verdict.witness
-        return CertifyOutcome("refuted", refutation=RefutationInfo(
-            "dominating scenario witness found", None, w.rho, w.x, w.gap),
-            residuals=residuals)
-    if exact:
-        name = "nominal" if not e0.feasible else "perturbed"
-        return CertifyOutcome("refuted", refutation=RefutationInfo(
-            f"{name} endpoint multiplier system is infeasible (exact)", name),
-            residuals=residuals)
-    return CertifyOutcome("unknown", residuals=residuals)
+        zero = {}
+        nominal = _constraint_records(p, XL, e0, x_bar, zero)
+        perturbed = nominal if e1 is e0 else _constraint_records(p, XL, e1, x_bar, zero)
+        cert = EfficiencyCertificate(e0.lam, e1.lam, nominal, perturbed,
+                                     geo.active_rows if lp else (), e0.row_mu, e1.row_mu, {})
+        return _certified(p, x_bar, C0, C1, cert, {} if lp else {
+            "system_nominal": e0.residual, "system_perturbed": e1.residual})
+    if not lp:
+        return _oracle_outcome(p, x_bar, {"nominal": e0.residual,
+                                          "perturbed": e1.residual})
+    name, D_fail, rho = (("nominal", D0, 0.0) if not e0.feasible
+                         else ("perturbed", D1, 1.0))
+    chk = weakly_efficient_for_scenario(D_fail, XL, xl)
+    info = RefutationInfo(
+        _INFEASIBLE_ENDPOINT[name], name,
+        rho if not chk.efficient else None,
+        None if chk.witness is None else _in_rn(chk.witness, p.n), chk.gap)
+    return CertifyOutcome("refuted", refutation=info)

@@ -12,12 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BallRow, ConcaveRow, LinearRow
+from .model import BallRow, ConcaveRow, LinearRow, dual_norm_bands
 from .numerics import LinearProgram, MinNormResult, min_norm_point, solve_lp
 
 _INF = float("inf")
 
 CUT_ROUNDS = 40         # tangent-cut LPs for s = 2 rows in the Slater check
+MEMBER_TOL = 1e-9       # relative equality residual of a cone combination
 
 
 class NominalInfeasibleError(Exception):
@@ -71,7 +72,7 @@ class ConeMembership:
     weights: np.ndarray | None = None
 
 
-def cone_contains(generators, target, tol: float = 1e-9) -> ConeMembership:
+def cone_contains(generators, target) -> ConeMembership:
     """Exact membership of target in cone(generators).
 
     Finitely generated cones are closed, so this is a single feasibility
@@ -91,7 +92,7 @@ def cone_contains(generators, target, tol: float = 1e-9) -> ConeMembership:
     if not sol.optimal:
         return ConeMembership(False)
     w = np.maximum(sol.x, 0.0)
-    if np.linalg.norm(G @ w - t) > tol * max(1.0, np.linalg.norm(t)):
+    if np.linalg.norm(G @ w - t) > MEMBER_TOL * max(1.0, np.linalg.norm(t)):
         return ConeMembership(False)
     return ConeMembership(True, w)
 
@@ -155,10 +156,9 @@ def _slack_lp(rows, n, cap, two_norm, cuts):
     """max t <= cap s.t. slack_j(x) >= t and g.x - t >= b for each cut (g, b).
 
     A ConcaveRow's dual norm ||P^T x|| becomes auxiliary columns tau >= 0
-    with tau >= +-P_i.x for every column P_i of P: one tau bounds the
-    inf-norm (s = 1 rows), one tau per column the 1-norm (s = inf rows).
-    The 2-norm of an s = 2 row is replaced by the `two_norm` (1 or inf).
-    Returns (x, t).
+    (dual_norm_bands): one tau bounds the inf-norm (s = 1 rows), one tau
+    per column of P the 1-norm (s = inf rows).  The 2-norm of an s = 2 row
+    is replaced by the `two_norm` (1 or inf).  Returns (x, t).
     """
     main, bands, width = [], [], n + 1
     for r in rows:
@@ -167,10 +167,11 @@ def _slack_lp(rows, n, cap, two_norm, cuts):
             continue
         if not isinstance(r, ConcaveRow):
             raise TypeError(f"no min-slack LP for {type(r).__name__}")
-        dual = two_norm if r.s == 2 else (_INF if r.s == 1 else 1)
-        k = 1 if dual == _INF else r.P.shape[1]
+        s = r.s if r.s != 2 else (_INF if two_norm == 1 else 1)
+        B = dual_norm_bands(r.P, s)
+        k = B.shape[1] - n
         main.append((r.a_bar, r.b, width, k))
-        bands.append((r.P.T, width, k))
+        bands.append((B, width, k))
         width += k
     main += [(g, b, 0, 0) for g, b in cuts]
     lp_rows = []
@@ -178,12 +179,10 @@ def _slack_lp(rows, n, cap, two_norm, cuts):
         coef = np.zeros(width)
         coef[:n], coef[n], coef[c:c + k] = g, -1.0, -1.0
         lp_rows.append((coef, b, ">="))
-    for PT, c, k in bands:
-        for sign in (1.0, -1.0):
-            band = np.zeros((PT.shape[0], width))
-            band[:, :n] = sign * PT
-            band[:, c:c + k] = 1.0 if k == 1 else np.eye(k)
-            lp_rows += [(g, 0.0, ">=") for g in band]
+    for B, c, k in bands:
+        band = np.zeros((B.shape[0], width))
+        band[:, :n], band[:, c:c + k] = B[:, :n], B[:, n:]
+        lp_rows += [(g, 0.0, ">=") for g in band]
     cap_row = np.zeros(width)
     cap_row[n] = -1.0
     lp_rows.append((cap_row, -cap, ">="))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (SingularMatrixError, dual_norm_value, invert_symmetric,
-                       norm_value)
+                       norm_value, slack_value)
 
 _INF = float("inf")
 
@@ -283,7 +283,7 @@ class LinearRow:
         object.__setattr__(self, "b", float(self.b))
 
     def slack(self, x):
-        return float(self.a @ x - self.b)
+        return slack_value(self.a, x, self.b)
 
 
 @dataclass(frozen=True)
@@ -316,6 +316,21 @@ class ConcaveRow:
         """One realized (a, b) row from a direction in R^q."""
         d = np.asarray(direction, float)
         return self.a_bar + self.P @ (d / max(1e-30, norm_value(d, self.s))), self.b
+
+
+def dual_norm_bands(P, s):
+    """Band rows tau >= +-P^T x that bound the norm of P^T x conjugate to
+    the s-norm by auxiliary columns tau: one tau bounds the inf-norm
+    (s = 1), one tau per column of P the 1-norm (s = inf, the taus summed
+    by the caller).  Returns the 2q rows as a 2q x (n + k) array over
+    (x, tau) with k taus, each row >= 0; the rows tau >= -P^T x come first.
+    """
+    n, q = P.shape
+    k = 1 if s == 1 else q
+    bands = np.zeros((2 * q, n + k))
+    bands[:q, :n], bands[q:, :n] = P.T, -P.T
+    bands[:, n:] = 1.0 if k == 1 else np.vstack([np.eye(q)] * 2)
+    return bands
 
 
 def _dual_norm_subgradient(y, s):
@@ -363,6 +378,51 @@ class RobustFeasibleSet:
 
     n: int
     rows: tuple           # LinearRow / ConcaveRow / BallRow, constraint order
+    lifted: tuple = ()    # (index of its main row, ConcaveRow) per lifted ball
+
+    def lift(self, x_bar):
+        """Rewrite each s = 1/inf ConcaveRow as linear rows over (x, tau).
+
+        The worst case a_bar.x - ||P^T x||_{s*} >= b becomes the main row
+        a_bar.x - sum(tau) >= b followed by its band rows tau >= +-P^T x
+        (dual_norm_bands); every other row gets zero coefficients on the
+        taus.  The lifted set projects onto this one, so a point is weakly
+        efficient for C here exactly when its lift is for [C 0] there.
+        Returns the lifted set and point (x_bar, tau) with the smallest tau:
+        |P^T x_bar| for s = inf, max |P^T x_bar| for s = 1.  A set with no
+        such row, or with a joint-ball row (no form over extra columns),
+        comes back unchanged with x_bar.
+        """
+        balls = [dual_norm_bands(r.P, r.s) for r in self.rows
+                 if isinstance(r, ConcaveRow) and r.s != 2]
+        if not balls or any(isinstance(r, BallRow) for r in self.rows):
+            return self, x_bar
+        x_bar = np.asarray(x_bar, float)
+        n = self.n
+        pad = sum(B.shape[1] - n for B in balls)
+        rows, lifted, taus, col = [], [], [], n
+        bands = iter(balls)
+        for r in self.rows:
+            if isinstance(r, LinearRow):
+                rows.append(LinearRow(np.pad(r.a, (0, pad)), r.b, r.source))
+            elif r.s == 2:
+                rows.append(ConcaveRow(np.pad(r.a_bar, (0, pad)), r.b, r.source,
+                                       np.pad(r.P, ((0, pad), (0, 0))), 2))
+            else:
+                B = next(bands)
+                k = B.shape[1] - n
+                main = np.pad(r.a_bar, (0, pad))
+                main[col:col + k] = -1.0
+                lifted.append((len(rows), r))
+                rows.append(LinearRow(main, r.b, r.source))
+                g = np.zeros((B.shape[0], n + pad))
+                g[:, :n], g[:, col:col + k] = B[:, :n], B[:, n:]
+                rows += [LinearRow(gi, 0.0, r.source) for gi in g]
+                z = np.abs(r.P.T @ x_bar)
+                taus.append(z if k > 1 else z.max(keepdims=True))
+                col += k
+        return (RobustFeasibleSet(n + pad, tuple(rows), tuple(lifted)),
+                np.concatenate([x_bar, *taus]))
 
     @property
     def all_linear(self):

@@ -3,17 +3,23 @@
 Provides the primitives everything else is built on: a two-phase simplex
 LP solver with dual certificates, Euclidean projection onto the unit
 simplex, the minimum-norm point of a polytope-plus-ray set, and a
-block-structured cone feasibility solver.
+block-structured second-order-cone feasibility solver.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 _INF = float("inf")
+
+DET_TOL = 1e-12         # scaled determinant below which a matrix is singular
+VI_TOL = 1e-8           # minimum-norm variational inequality, on scaled data
+CONE_TOL = 1e-7         # row-scaled equality residual of a feasible cone point
+CONE_MAX_ITER = 30_000  # projected-gradient iterations per cone system
 
 
 class NumericalBreakdown(Exception):
@@ -291,14 +297,33 @@ def norm_value(x: np.ndarray, s) -> float:
     raise ValueError(f"norm index {s!r} not in {{1, 2, inf}}")
 
 
-def invert_symmetric(Z: np.ndarray, det_tol: float = 1e-12) -> np.ndarray:
+def slack_value(a, x, b) -> float:
+    """a.x - b, never NaN: an overflow gives the correctly signed infinity.
+
+    The float dot product is kept when it is finite, since an overflow
+    never turns finite again.  Otherwise the sum is redone in exact
+    rationals, where products of 1e300 entries cancel exactly; scaling by
+    a power of two alone would flush the small products of such a sum.
+    """
+    v = float(np.vdot(a, x)) - b
+    if math.isfinite(v):
+        return v
+    exact = sum(Fraction(p) * Fraction(q) for p, q in
+                zip(np.ravel(a).tolist(), np.ravel(x).tolist())) - Fraction(b)
+    try:
+        return float(exact)
+    except OverflowError:
+        return _INF if exact > 0 else -_INF
+
+
+def invert_symmetric(Z: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric matrix; raises SingularMatrixError when the
-    determinant of the max-abs-scaled matrix falls below det_tol."""
+    determinant of the max-abs-scaled matrix falls below DET_TOL."""
     Z = np.asarray(Z, float)
     if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
         raise ValueError("expected a square matrix")
     scale = np.abs(Z).max()
-    if scale == 0 or abs(np.linalg.det(Z / scale)) <= det_tol:
+    if scale == 0 or abs(np.linalg.det(Z / scale)) <= DET_TOL:
         raise SingularMatrixError("matrix is numerically singular")
     return np.linalg.inv(Z)
 
@@ -417,7 +442,7 @@ def _nnls(E, f):
     return u, solves
 
 
-def min_norm_point(points, ray, vi_tol: float = 1e-8) -> MinNormResult:
+def min_norm_point(points, ray) -> MinNormResult:
     """Minimize ||q||^2 over q in conv(points) + R+ * ray.
 
     One nonnegative least-squares solve (Lawson & Hanson) of
@@ -427,7 +452,7 @@ def min_norm_point(points, ray, vi_tol: float = 1e-8) -> MinNormResult:
     the set (d = 0) needs no special case.  The points are scaled to unit
     size and the ray to unit length first, which leaves the weights
     unchanged.  Optimality is certified independently through the
-    variational inequality on the generators, with `vi_tol` applied to the
+    variational inequality on the generators, with VI_TOL applied to the
     data scaled down by a power of two to entries below 1.
     """
     pts = [np.asarray(q, float) for q in points]
@@ -456,7 +481,7 @@ def min_norm_point(points, ray, vi_tol: float = 1e-8) -> MinNormResult:
     # that of q bit for bit.
     sigma = math.ldexp(1.0, -max(0, math.frexp(max(big, r_len))[1]))
     qs = sigma * q
-    cert = _vi_margin(sigma * M, qs, p) >= -vi_tol
+    cert = _vi_margin(sigma * M, qs, p) >= -VI_TOL
     return MinNormResult(q, w[:p], float(w[p]), cert, solves,
                          float(np.linalg.norm(qs)) / sigma)
 
@@ -469,16 +494,15 @@ def min_norm_point(points, ray, vi_tol: float = 1e-8) -> MinNormResult:
 class VarBlock:
     """A block of decision variables with its own feasible set.
 
-    kinds: "free", "nonneg", "simplex", and "soc" where the block is
-    (y, t) with ||y||_s <= t and dim = len(y) + 1.
+    kinds: "nonneg", "simplex", and "soc" where the block is (y, t) with
+    ||y||_2 <= t and dim = len(y) + 1.
     """
 
     kind: str
     dim: int
-    norm_index: float = 2.0
 
     def __post_init__(self):
-        if self.kind not in ("free", "nonneg", "simplex", "soc"):
+        if self.kind not in ("nonneg", "simplex", "soc"):
             raise ValueError(f"unknown block kind {self.kind!r}")
         if self.dim < 1:
             raise ValueError("block dimension must be >= 1")
@@ -544,11 +568,11 @@ class ConeFeasibilitySystem:
 @dataclass(frozen=True)
 class ConeResult:
     feasible: bool
-    exact: bool               # verdict from the LP path (polyhedral blocks)
+    exact: bool               # always False: the verdict is up to CONE_TOL
     residual: float           # row-scaled equality residual (2-norm)
     x: np.ndarray
-    iterations: int           # projected-gradient iterations (0 on "lp")
-    stop_reason: str          # "lp" | "converged" | "farkas" | "stalled" | "budget"
+    iterations: int           # projected-gradient iterations
+    stop_reason: str          # "converged" | "farkas" | "stalled" | "budget"
 
 
 def _project_soc(y, t):
@@ -593,12 +617,7 @@ def _polish_cone(A, b, x, blocks, offsets):
     sum_rows = []       # simplex sum-to-one constraints over reduced vars
     for o, blk in zip(offsets, blocks):
         seg = x[o:o + blk.dim]
-        if blk.kind == "free":
-            for i in range(blk.dim):
-                e = np.zeros(D)
-                e[o + i] = 1.0
-                cols.append((e, False))
-        elif blk.kind in ("nonneg", "simplex"):
+        if blk.kind in ("nonneg", "simplex"):
             idxs = [i for i in range(blk.dim) if seg[i] > 1e-9]
             if blk.kind == "simplex" and not idxs:
                 idxs = [int(np.argmax(seg))]
@@ -652,11 +671,11 @@ _FARKAS_STRIDE = 16     # iterations between Farkas certificate checks
 def _farkas_bound(A, b, z, blocks, offsets):
     """Lower bound on ||A x' - b|| over all block-feasible x' certified by z.
 
-    When c = A^T z lies in the dual of every block (nonneg: c >= 0; soc of
-    index s: ||c_y||_{s*} <= c_t), every block-feasible x' has
+    When c = A^T z lies in the dual of every block (nonneg: c >= 0; soc:
+    ||c_y||_2 <= c_t), every block-feasible x' has
     z.(A x' - b) >= g := sum over simplex blocks of min(c_B) - b.z, so
-    ||A x' - b|| >= g / ||z||.  Returns -inf when z certifies nothing: c
-    leaves a dual cone, or a free block is present.  z must be nonzero.
+    ||A x' - b|| >= g / ||z||.  Returns -inf when z certifies nothing
+    because c leaves a dual cone.  z must be nonzero.
     """
     c = A.T @ z
     g = -float(b @ z)
@@ -667,10 +686,7 @@ def _farkas_bound(A, b, z, blocks, offsets):
         elif blk.kind == "nonneg":
             if seg.min() < 0.0:
                 return -_INF
-        elif blk.kind == "soc":
-            if dual_norm_value(seg[:-1], blk.norm_index) > seg[-1]:
-                return -_INF
-        else:
+        elif np.linalg.norm(seg[:-1]) > seg[-1]:    # soc
             return -_INF
     return g / float(np.linalg.norm(z))
 
@@ -737,99 +753,19 @@ def _pgd_min_residual(A, b, blocks, offsets, D, tol, max_iter):
     return best_x, best_r, done, reason
 
 
-def solve_cone_system(sys: ConeFeasibilitySystem, tol: float = 1e-7,
-                      max_iter: int = 30_000) -> ConeResult:
+def solve_cone_system(sys: ConeFeasibilitySystem) -> ConeResult:
     """Find a block-feasible point satisfying the equalities.
 
-    All-polyhedral systems (no Euclidean cone blocks) are decided exactly
-    through an LP reformulation; otherwise the scaled residual norm is
-    driven down by accelerated projected gradient and the verdict is
-    Feasible only when it lands below tol.  When the LP finds no point,
-    the projected gradient still runs, only to report the best residual.
+    The row-scaled residual norm is driven down by accelerated projected
+    gradient (at most CONE_MAX_ITER iterations), and the verdict is
+    feasible only when it lands within CONE_TOL.  Polyhedral systems
+    belong to an LP; this solver is for systems with second-order cones.
     """
     offsets, D = sys.offsets
     A, b = sys.stacked()
-    scale = np.ones(A.shape[0])
-    for i in range(A.shape[0]):
-        mx = np.abs(A[i]).max()
-        if mx > 0:
-            scale[i] = 1.0 / mx
-    As = A * scale[:, None]
-    bs = b * scale
-
-    soc2 = any(blk.kind == "soc" and blk.norm_index == 2 and blk.dim > 1
-               for blk in sys.blocks)
-    if not soc2:
-        x_lp = _cone_lp_path(sys, As, bs, offsets, D)
-        if x_lp is not None:
-            res = float(np.linalg.norm(As @ x_lp - bs))
-            return ConeResult(True, True, res, x_lp, 0, "lp")
-        x_best, r_best, its, reason = _pgd_min_residual(
-            As, bs, sys.blocks, offsets, D, tol, min(max_iter, 10_000))
-        return ConeResult(False, True, r_best, x_best, its, reason)
-
+    mx = np.abs(A).max(axis=1, initial=0.0)
+    scale = np.divide(1.0, mx, out=np.ones_like(mx), where=mx > 0)
     x_best, r_best, its, reason = _pgd_min_residual(
-        As, bs, sys.blocks, offsets, D, tol, max_iter)
-    return ConeResult(r_best <= tol, False, r_best, x_best, its, reason)
-
-
-def _cone_lp_path(sys, As, bs, offsets, D):
-    """Exact feasibility via LP for systems whose blocks are polyhedral
-    (free/nonneg/simplex and 1- or inf-norm cones)."""
-    lb = np.full(D, -_INF)
-    rows = []
-    aux_cols = 0
-    aux_specs = []       # rows referencing aux columns, appended after sizing
-    for o, blk in zip(offsets, sys.blocks):
-        if blk.kind in ("nonneg", "simplex"):
-            lb[o:o + blk.dim] = 0.0
-        if blk.kind == "simplex":
-            g = np.zeros(D)
-            g[o:o + blk.dim] = 1.0
-            rows.append((g, 1.0, "=="))
-        if blk.kind == "soc":
-            dy = blk.dim - 1
-            ti = o + dy
-            if dy == 0:
-                g = np.zeros(D)
-                g[ti] = 1.0
-                rows.append((g, 0.0, ">="))
-            elif blk.norm_index == _INF or blk.norm_index == math.inf:
-                for i in range(dy):
-                    for sgn in (1.0, -1.0):
-                        g = np.zeros(D)
-                        g[ti] = 1.0
-                        g[o + i] = sgn
-                        rows.append((g, 0.0, ">="))
-            elif blk.norm_index == 1:
-                aux_specs.append((o, dy, ti, aux_cols))
-                aux_cols += dy
-            else:
-                return None
-    total = D + aux_cols
-
-    def widen(g):
-        gg = np.zeros(total)
-        gg[:D] = g
-        return gg
-
-    wrows = [(widen(g), h, s) for g, h, s in rows]
-    for o, dy, ti, astart in aux_specs:
-        for i in range(dy):
-            for sgn in (1.0, -1.0):
-                g = np.zeros(total)
-                g[D + astart + i] = 1.0
-                g[o + i] = sgn
-                wrows.append((g, 0.0, ">="))
-        g = np.zeros(total)
-        g[ti] = 1.0
-        g[D + astart:D + astart + dy] = -1.0
-        wrows.append((g, 0.0, ">="))
-    for i in range(As.shape[0]):
-        wrows.append((widen(As[i]), float(bs[i]), "=="))
-    lbw = np.concatenate([lb, np.full(aux_cols, -_INF)])
-    lp = LinearProgram.build(np.zeros(total), wrows, lbw)
-    sol = solve_lp(lp)
-    if not sol.optimal:
-        return None
-    return sol.x[:D]
+        A * scale[:, None], b * scale, sys.blocks, offsets, D, CONE_TOL,
+        CONE_MAX_ITER)
+    return ConeResult(r_best <= CONE_TOL, False, r_best, x_best, its, reason)

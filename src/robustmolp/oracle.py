@@ -2,10 +2,11 @@
 and certificate replay.
 
 This layer is the trust anchor for the certifiers, so it only claims a
-confirmation when the decision was exact (all-linear feasible set, endpoint
-scenario LPs); anything that needed sampling caps at inconclusive.  It
-deliberately skips the u >= 0 validation gate so that instances with
-sign-violating rank-1 factors can still be analysed.
+confirmation when the decision was exact (a feasible set that is all-linear
+once its s = 1/inf norm balls are lifted, endpoint scenario LPs); anything
+that needed sampling caps at inconclusive.  It deliberately skips the
+u >= 0 validation gate so that instances with sign-violating rank-1
+factors can still be analysed.
 """
 
 from __future__ import annotations
@@ -79,15 +80,16 @@ def _pull_witness_inside(X, x_bar, w):
     return lo
 
 
-def refute_robust_weak_efficiency(p, x_bar, k: int = 11,
-                                  samples: int = SUPPORT_SAMPLES) -> OracleVerdict:
+def refute_robust_weak_efficiency(p, x_bar, k: int = 11) -> OracleVerdict:
     """Scan a scenario grid for a feasible point strictly dominating x_bar.
 
-    Concave worst-case rows are replaced by `samples` boundary-scenario
-    rows (a superset of the true set), so every candidate witness is
-    replayed against the exact rows before a refutation is claimed; with
-    sampling in play and no refutation found the verdict stays
-    inconclusive.
+    The scenario LPs run over the lifted set (RobustFeasibleSet.lift), so
+    singleton, polytope, box and s = 1/inf norm-ball classes are exact.
+    Any other concave worst-case row is replaced by SUPPORT_SAMPLES
+    boundary-scenario rows (a superset of the true set), so every candidate
+    witness is replayed against the exact rows before a refutation is
+    claimed; with sampling in play and no refutation found the verdict
+    stays inconclusive.
     """
     p = _as_problem(p)
     validate_dimensions(p)
@@ -97,33 +99,31 @@ def refute_robust_weak_efficiency(p, x_bar, k: int = 11,
         if row.slack(x_bar) < -1e-8:
             raise NotFeasiblePointError(
                 f"row {idx} violated by {-row.slack(x_bar):.3e}")
-    exact = X.all_linear
-    rows = list(X.linear())
-    for cr in X.concave():
-        dd = cr.direction_dim()
-        if dd == 0:
-            rows.append(LinearRow(cr.a_bar, cr.b, cr.source))
-            continue
-        for d in sphere_directions(dd, samples):
+    XL, xl = X.lift(x_bar)
+    exact = XL.all_linear
+    rows = list(XL.linear())
+    for cr in XL.concave():
+        for d in sphere_directions(cr.direction_dim(), SUPPORT_SAMPLES):
             a, b = cr.scenario_row(d)
             rows.append(LinearRow(a, b, cr.source))
-    X_dec = RobustFeasibleSet(X.n, tuple(rows))
+    X_dec = RobustFeasibleSet(XL.n, tuple(rows))
+    tau_cols = np.zeros((p.m, XL.n - p.n))
 
     checks = 0
     for i, C in enumerate(scenario_grid(p, k)):
         rho = i / (k - 1)
-        chk = weakly_efficient_for_scenario(C, X_dec, x_bar)
+        chk = weakly_efficient_for_scenario(np.hstack([C, tau_cols]), X_dec, xl)
         checks += 1
         if chk.efficient:
             continue
-        if exact or _true_membership(X, chk.witness):
-            return OracleVerdict("refuted",
-                                 Witness(rho, chk.witness, chk.gap), checks)
+        w = chk.witness[:p.n]
+        if exact or _true_membership(X, w):
+            return OracleVerdict("refuted", Witness(rho, w, chk.gap), checks)
         # sampled rows over-approximate the set, so walk the candidate
         # witness back toward x_bar until it is exactly feasible
-        t = _pull_witness_inside(X, x_bar, chk.witness)
+        t = _pull_witness_inside(X, x_bar, w)
         if t > 0.0 and np.all(t * chk.gap > 1e-9):
-            x_t = x_bar + t * (chk.witness - x_bar)
+            x_t = x_bar + t * (w - x_bar)
             return OracleVerdict("refuted",
                                  Witness(rho, x_t, C @ x_bar - C @ x_t), checks)
     return OracleVerdict("confirmed" if exact else "inconclusive", None, checks)

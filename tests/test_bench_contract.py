@@ -1,9 +1,10 @@
-"""The layer tracer in bench/layertrace.py wraps library functions by name.
+"""The layer tracer in bench/layertrace.py wraps library functions by name
+and reads fields of their results.
 
-A rename or deletion of a traced function would only show as a crash of
-``bench/run.py --trace 1``; this test fails first.  The tracer module
-imports the standard library only and is executed from its source, so no
-bytecode is written next to it.
+A rename or deletion of a traced function, or of a result field the tracer
+reads, would only show as a crash of ``bench/run.py --trace 1``; these
+tests fail first.  The tracer module imports the standard library only and
+is executed from its source, so no bytecode is written next to it.
 """
 
 import importlib
@@ -21,3 +22,50 @@ def test_every_traced_name_resolves():
                if not callable(getattr(importlib.import_module(f"robustmolp.{mod}"),
                                        fn, None))]
     assert not missing
+
+
+def _real_results():
+    """One real result of each traced function whose result the tracer reads."""
+    import numpy as np
+
+    from robustmolp import (ConeFeasibilitySystem, LinearProgram, NormBall,
+                            Singleton, UncertainMOLP, VarBlock,
+                            certify_weak_efficiency, min_norm_point,
+                            reduce_constraints, refute_robust_weak_efficiency,
+                            solve_cone_system, solve_lp, validate_problem,
+                            verify_certificate)
+
+    p = UncertainMOLP(1, 2, [[1.0, 1.0]], [1.0], [0.0, 1.0],
+                      (Singleton([1.0, 0.0], 0.0),
+                       NormBall([0.0, 1.0], np.eye(2), 0.5, 2, 0.0, 0.0)))
+    vp = validate_problem(p)
+    x = np.zeros(2)
+    outcome = certify_weak_efficiency(vp, x)
+    cone = ConeFeasibilitySystem.build(
+        [VarBlock("soc", 3)], [({0: np.array([[1.0, 0.0, 1.0]])}, [2.0])])
+    return {
+        "numerics.solve_lp": solve_lp(LinearProgram.build([1.0], [([1.0], 1.0, ">=")])),
+        "numerics.min_norm_point": min_norm_point([np.ones(2)], np.zeros(2)),
+        "numerics.solve_cone_system": solve_cone_system(cone),
+        "model.reduce_constraints": reduce_constraints(vp),
+        "efficiency.certify_weak_efficiency": outcome,
+        "oracle.refute_robust_weak_efficiency": refute_robust_weak_efficiency(p, x, k=3),
+        "oracle.verify_certificate": verify_certificate(vp, x, outcome.certificate),
+    }
+
+
+def test_tracer_reads_fields_that_real_results_have():
+    # a result field the tracer reads (ConeResult.exact, say) that the
+    # library drops would otherwise only crash `--trace 1`
+    trace = runpy.run_path(str(LAYERTRACE))
+    outcome, names = trace["_outcome"], trace["SPAN_NAMES"]
+    reads = []
+    for name in names:
+        try:
+            outcome(name, object())        # a result with no fields at all
+        except (AttributeError, TypeError):
+            reads.append(name)
+    results = _real_results()
+    assert reads and set(reads) <= set(results), set(reads) - set(results)
+    for name in reads:
+        outcome(name, results[name])

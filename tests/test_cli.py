@@ -189,6 +189,28 @@ def test_certify_overflowing_perturbed_objective_exit_3(tmp_path, capsys):
     assert "NonFinite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows, point, exit_code", [
+    # a.x overflows to inf - inf in floats; its true value 0 misses b = 1
+    ([[1e300, -1e300]], "1e300,1e300", 4),
+    # a.x = 1e600 is +inf: the point is feasible and x1 improves downward
+    ([[0.0, 1e300]], "0,1e300", 1),
+    # the same row, inactive beside x1 >= 0: its zero record stays finite
+    ([[0.0, 1e300], [1.0, 0.0]], "0,1e300", 0),
+])
+def test_certify_row_products_overflowing_the_float_range(tmp_path, capsys,
+                                                          rows, point, exit_code):
+    doc = {"m": 1, "n": 2, "C_bar": [[1.0, 0.0]], "u": [0.0], "v": [0.0, 0.0],
+           "constraints": [{"kind": "singleton", "a_bar": a, "b_bar": float(k == 0)}
+                           for k, a in enumerate(rows)]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["certify", _write(tmp_path, doc), f"--point={point}", "--json"])
+    out = capsys.readouterr().out
+    assert code == exit_code
+    if exit_code < 2:
+        assert json.loads(out)["verdict"] == ("certified", "refuted")[exit_code]
+
+
 def test_verify_round_trip_and_tamper(tmp_path, capsys):
     path = _write(tmp_path, EX2)
     code, out = _run(capsys, ["certify", path, "--point", "1,1,1.5", "--json"])

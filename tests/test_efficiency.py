@@ -10,7 +10,7 @@ from robustmolp.efficiency import (NotFeasiblePointError, SlaterViolatedError,
 from robustmolp.model import (Ball, Box, Ellipsoid, NormBall, Polytope,
                               Singleton, UncertainMOLP, box_vertices,
                               reduce_constraints, validate_problem)
-from robustmolp.oracle import verify_certificate
+from robustmolp.oracle import refute_robust_weak_efficiency, verify_certificate
 
 _INF = float("inf")
 
@@ -327,7 +327,8 @@ def test_norm_one_dimensional_hand_cases():
 
 
 def test_norm_one_and_inf_cone_paths_are_exact():
-    # 1-norm ball on the coefficients: slack x1 - 0.5 max(|x1|, |x2|)
+    # 1-norm ball on the coefficients: slack x1 - 0.5 max(|x1|, |x2|); both
+    # balls are lifted into linear rows and decided by the endpoint LP
     for s in (1, _INF):
         con = NormBall([1.0, 0.0], np.eye(2), 0.5, s, 0.0, 0.0)
         good = UncertainMOLP(1, 2, [[1.0, 0.0]], [0.0], [0.0, 0.0], (con,))
@@ -340,6 +341,101 @@ def test_norm_one_and_inf_cone_paths_are_exact():
         bad = UncertainMOLP(1, 2, [[-1.0, 0.0]], [0.0], [0.0, 0.0], (con,))
         out2 = certify_weak_efficiency(validate_problem(bad), np.array([0.0, 0.0]))
         assert out2.status == "refuted"
+
+
+def test_lifted_inf_ball_with_empty_interior_is_certified():
+    # {x : x - 0.5|x| >= 0, -x >= 0} = {0}: no point is strictly feasible,
+    # but lifted into linear rows the set needs no Slater point
+    p = UncertainMOLP(1, 1, [[1.0]], [1.0], [1.0],
+                      (NormBall([1.0], [[1.0]], 0.5, _INF, 0.0, 0.0),
+                       Singleton([-1.0], 0.0)))
+    vp = validate_problem(p)
+    assert not check_slater(reduce_constraints(vp)).ok
+    x = np.array([0.0])
+    out = certify_weak_efficiency(vp, x)
+    assert out.status == "certified"
+    assert verify_certificate(vp, x, out.certificate).ok
+    assert refute_robust_weak_efficiency(p, x).outcome == "confirmed"
+
+
+def _mixed_ball_problem(rng, kinds):
+    """Balls of the given norm indices (2 = ellipsoid-like 2-norm ball),
+    tight at an integer anchor, with an objective in the cone of their
+    supergradients there, so the anchor is certified."""
+    n = int(rng.integers(1, 4))
+    x = rng.integers(-2, 3, n).astype(float)
+    x[x == 0] = 1.0
+    cons, grads = [], []
+    for s in kinds:
+        a = rng.integers(-3, 4, n).astype(float)
+        a[0] = 4.0
+        row = reduce_constraints(validate_problem(UncertainMOLP(
+            1, n, np.zeros((1, n)), [0.0], np.zeros(n),
+            (NormBall(a, np.eye(n), 0.5, s, 0.0, 0.0),)))).rows[0]
+        b = float(row.slack(x))
+        cons.append(NormBall(a, np.eye(n), 0.5, s, b - 1.0, b))
+        grads.append(row.supergradient(x))
+    C = np.array([sum(grads), grads[0]])
+    return UncertainMOLP(2, n, C, [1.0, 0.0], grads[-1], tuple(cons)), x
+
+
+def test_polyhedral_balls_skip_slater_and_cone_solver(monkeypatch, rng):
+    import robustmolp.efficiency as eff
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("polyhedral sets need no Slater or cone solve")
+
+    monkeypatch.setattr(eff, "check_slater", forbidden)
+    monkeypatch.setattr(eff, "solve_cone_system", forbidden)
+    for kinds in ((1,), (_INF,), (1, _INF), (_INF, _INF)):
+        p, x = _mixed_ball_problem(rng, kinds)
+        vp = validate_problem(p)
+        out = certify_weak_efficiency(vp, x)
+        assert out.status == "certified"
+        assert verify_certificate(vp, x, out.certificate).ok
+        neg = UncertainMOLP(p.m, p.n, -p.C_bar, p.u, -p.v, p.constraints)
+        assert certify_weak_efficiency(validate_problem(neg), x).status == "refuted"
+
+
+def test_cone_solver_sees_only_two_norm_blocks(monkeypatch, rng):
+    import robustmolp.efficiency as eff
+    systems = []
+    solve = eff.solve_cone_system
+
+    def spy(sys, **kwargs):
+        systems.append(sys)
+        return solve(sys, **kwargs)
+
+    monkeypatch.setattr(eff, "solve_cone_system", spy)
+    for kinds in ((2,), (_INF, 2), (1, 2)):
+        p, x = _mixed_ball_problem(rng, kinds)
+        neg = UncertainMOLP(p.m, p.n, -p.C_bar, p.u, -p.v, p.constraints)
+        for q in (p, neg):
+            certify_weak_efficiency(validate_problem(q), x)
+    assert len(systems) >= 6
+    for sys in systems:
+        assert any(blk.kind == "soc" and blk.dim > 1 for blk in sys.blocks)
+
+
+def test_certify_never_issues_a_certificate_its_replay_rejects():
+    # two 2-norm balls: the perturbed endpoint system ends at its iteration
+    # budget with a row-scaled residual within tolerance, while the
+    # certificate's own equality and complementarity residuals are not
+    g = np.array([1.1753023673643446, -5.0652971905283293, 2.9347028094716703])
+    p = UncertainMOLP(
+        3, 3, np.outer([1.0, 2.0, 1.0], g), [1.0, 2.0, 0.0], g,
+        (NormBall([1, -5, 3], [[3, 1, 1], [1, 4, 2], [1, 2, 4]], 0.5, 2,
+                  -10.330039061580839, -9.3300390615808393),
+         NormBall([5, -5, 5], [[2, -1, -1], [-1, 3, 1], [-1, 1, 2]], 1.0, 2,
+                  -16.724744871391589, -15.724744871391589)))
+    vp = validate_problem(p)
+    x = np.array([-2.5, 3.0, 3.0])
+    out = certify_weak_efficiency(vp, x)
+    if out.status == "certified":
+        assert verify_certificate(vp, x, out.certificate).ok
+    else:
+        assert out.status == "unknown"
+        assert max(out.residuals.values()) > 1e-7
 
 
 def test_zero_delta_norm_matches_singleton_verdicts(rng):

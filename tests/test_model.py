@@ -243,6 +243,62 @@ def test_norm_ball_and_ellipsoid_share_one_row(rng):
             assert b_nb == b_el == 2.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_linear_row_slack_overflow_is_signed_never_nan():
+    # the float dot product of the first row is inf - inf; scaling the
+    # operands by a power of two would flush the 1 * 1 term to zero
+    assert LinearRow([1e300, -1e300, 1.0], 0.5, 0).slack(np.array([1e300, 1e300, 1.0])) == 0.5
+    assert LinearRow([1e300, -1e300], 1.0, 0).slack(np.array([1e300, 1e300])) == -1.0
+    assert LinearRow([0.0, 1e300], 1.0, 0).slack(np.array([0.0, 1e300])) == _INF
+    assert LinearRow([0.0, -1e300], 1.0, 0).slack(np.array([0.0, 1e300])) == -_INF
+    assert LinearRow([2.0, 3.0], 1.0, 0).slack(np.array([1.0, -1.0])) == -2.0
+
+
+@pytest.mark.parametrize("s", [1, _INF])
+def test_lift_rewrites_polyhedral_balls_as_linear_rows(rng, s):
+    n = 3
+    Z = np.diag([1.0, 2.0, 4.0])
+    p = UncertainMOLP(1, n, np.zeros((1, n)), [0.0], np.zeros(n), (
+        Singleton([1.0, 0.0, 0.0], -5.0),
+        NormBall([1.0, 1.0, 1.0], Z, 0.5, s, -2.0, -1.0),
+        NormBall([0.0, 1.0, 0.0], np.eye(n), 0.5, 2, -9.0, -9.0)))
+    X = reduce_constraints(validate_problem(p))
+    x = np.array([1.0, 0.0, -2.0])
+    XL, xl = X.lift(x)
+    k = 1 if s == 1 else n                    # taus: one for s = 1, q for s = inf
+    assert XL.n == n + k and xl.size == n + k
+    assert [type(r).__name__ for r in XL.rows] == (
+        ["LinearRow"] * (2 + 2 * n) + ["ConcaveRow"])
+    assert XL.lifted == ((1, X.rows[1]),)
+    assert xl[:n] == pytest.approx(x, abs=0)
+    ball = X.rows[1]
+    z = np.abs(ball.P.T @ x)
+    assert xl[n:] == pytest.approx(z if s == _INF else [z.max()], abs=0)
+    # at the smallest tau the main row's slack is the ball's worst case,
+    # every band row holds, and the other rows keep their slack
+    assert XL.rows[1].slack(xl) == pytest.approx(ball.slack(x), abs=1e-12)
+    assert min(r.slack(xl) for r in XL.rows[2:2 + 2 * n]) == pytest.approx(0.0, abs=1e-12)
+    assert XL.rows[0].slack(xl) == X.rows[0].slack(x)
+    assert XL.rows[-1].slack(xl) == pytest.approx(X.rows[-1].slack(x), abs=1e-12)
+    # the lift projects onto the set: any tau makes the main row no looser
+    for _ in range(20):
+        y = rng.normal(0, 2, n)
+        tau = np.abs(ball.P.T @ y) + rng.uniform(0, 1, n)
+        t = np.concatenate([y, tau if s == _INF else [tau.max()]])
+        if min(r.slack(t) for r in XL.rows[2:2 + 2 * n]) >= 0:
+            assert XL.rows[1].slack(t) <= ball.slack(y) + 1e-12
+
+
+def test_lift_leaves_sets_without_polyhedral_balls_alone():
+    p = UncertainMOLP(1, 2, [[1.0, 0.0]], [0.0], [0.0, 0.0], (
+        Singleton([1.0, 0.0], -5.0),
+        NormBall([0.0, 1.0], np.eye(2), 0.5, 2, -9.0, -9.0)))
+    X = reduce_constraints(validate_problem(p))
+    x = np.zeros(2)
+    XL, xl = X.lift(x)
+    assert XL is X and xl is x
+
+
 def test_zero_delta_norm_ball_reduces_to_linear():
     p = UncertainMOLP(1, 2, [[1.0, 0.0]], [0.0], [0.0, 0.0],
                       (NormBall([1.0, 2.0], np.eye(2), 0.0, 2, -1.0, 5.0),))

@@ -305,7 +305,8 @@ def test_cone_simplex_equality_feasible():
     sys = ConeFeasibilitySystem.build(
         [VarBlock("simplex", 2)], [({0: np.array([[1.0, -1.0]])}, [0.0])])
     res = solve_cone_system(sys)
-    assert res.feasible and res.exact
+    assert res.feasible and res.stop_reason == "converged"
+    assert not res.exact            # no verdict of this solver is exact
     assert res.x == pytest.approx([0.5, 0.5], abs=1e-9)
 
 
@@ -313,11 +314,11 @@ def test_cone_unreachable_equality_residual():
     sys = ConeFeasibilitySystem.build(
         [VarBlock("simplex", 1)], [({0: np.array([[1.0]])}, [2.0])])
     res = solve_cone_system(sys)
-    assert not res.feasible and res.exact
+    assert not res.feasible
     assert res.residual == pytest.approx(1.0, abs=1e-9)
     assert res.x == pytest.approx([1.0], abs=1e-9)
-    # the LP already said infeasible; the residual run stops at its first
-    # Farkas check instead of running to its iteration cap
+    # the first Farkas check proves the gap, so the run stops there
+    # instead of running to its iteration cap
     assert res.stop_reason == "farkas" and res.iterations == 1
 
 
@@ -330,7 +331,7 @@ def test_cone_known_multiplier_system():
         [VarBlock("simplex", 2), VarBlock("nonneg", 2)],
         [({0: C.T, 1: -gens.T}, np.zeros(3))])
     res = solve_cone_system(sys)
-    assert res.feasible and res.exact
+    assert res.feasible and res.stop_reason == "converged"
     lam, mu = res.x[:2], res.x[2:]
     assert lam == pytest.approx([2 / 3, 1 / 3], abs=1e-8)
     assert mu == pytest.approx([1.0, 0.0], abs=1e-8)
@@ -338,31 +339,13 @@ def test_cone_known_multiplier_system():
 
 def test_cone_soc_projection_path():
     sys = ConeFeasibilitySystem.build(
-        [VarBlock("soc", 3, 2)],
+        [VarBlock("soc", 3)],
         [({0: np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])}, [2.0, 0.5])])
     res = solve_cone_system(sys)
     assert res.feasible and not res.exact
     assert res.stop_reason == "converged"
     assert res.residual <= 1e-9
     assert np.linalg.norm(res.x[:2]) <= res.x[2] + 1e-10
-
-
-def test_cone_soc_one_and_inf_norm_lp_paths():
-    for s, t_needed in ((1, 3.0), (_INF, 2.0)):
-        # y = (2, -1) forced; smallest valid t is ||y||_s
-        sys = ConeFeasibilitySystem.build(
-            [VarBlock("soc", 3, s), VarBlock("free", 1)],
-            [({0: np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])}, [2.0, -1.0]),
-             ({0: np.array([[0.0, 0.0, 1.0]]), 1: np.array([[1.0]])}, [4.0])])
-        res = solve_cone_system(sys)
-        assert res.feasible and res.exact
-        y, t = res.x[:2], res.x[2]
-        assert y == pytest.approx([2.0, -1.0], abs=1e-9)
-        if s == 1:
-            assert np.abs(y).sum() <= t + 1e-9
-        else:
-            assert np.abs(y).max() <= t + 1e-9
-        assert t >= t_needed - 1e-9
 
 
 def _scaled(sys):
@@ -373,10 +356,45 @@ def _scaled(sys):
     return A * scale[:, None], b * scale
 
 
+def _lp_feasible(sys, soc_norm=None):
+    """Exact LP feasibility of a system of free/nonneg/simplex blocks, with
+    each soc block (y, t) taken as ||y||_1 <= t (soc_norm 1, inside the
+    2-norm cone) or ||y||_inf <= t (soc_norm inf, around it)."""
+    A, b = sys.stacked()
+    off, D = sys.offsets
+    socs = [(o, blk.dim - 1) for o, blk in zip(off, sys.blocks) if blk.kind == "soc"]
+    width = D + (sum(dy for _, dy in socs) if soc_norm == 1 else 0)
+    lb = np.full(width, -_INF)
+    rows = [(np.concatenate([A[i], np.zeros(width - D)]), b[i], "==")
+            for i in range(A.shape[0])]
+    aux = D
+    for o, blk in zip(off, sys.blocks):
+        if blk.kind in ("nonneg", "simplex"):
+            lb[o:o + blk.dim] = 0.0
+        if blk.kind == "simplex":
+            g = np.zeros(width)
+            g[o:o + blk.dim] = 1.0
+            rows.append((g, 1.0, "=="))
+        if blk.kind != "soc":
+            continue
+        t, dy = o + blk.dim - 1, blk.dim - 1
+        for i in range(dy):
+            for sign in (1.0, -1.0):       # |y_i| <= t, or <= u_i
+                g = np.zeros(width)
+                g[o + i] = sign
+                g[t if soc_norm == _INF else aux + i] = 1.0
+                rows.append((g, 0.0, ">="))
+        if soc_norm == 1:                  # sum of u <= t
+            g = np.zeros(width)
+            g[t], g[aux:aux + dy] = 1.0, -1.0
+            rows.append((g, 0.0, ">="))
+            aux += dy
+    return solve_lp(LinearProgram.build(np.zeros(width), rows, lb)).optimal
+
+
 def test_cone_polyhedral_paths_agree(rng):
-    # LP path and projected-gradient path must report the same feasibility
+    # projected gradient and an exact LP must report the same feasibility
     # verdict on all-polyhedral systems.
-    from robustmolp.numerics import _pgd_min_residual
     for _ in range(40):
         m = int(rng.integers(1, 4))
         k = int(rng.integers(1, 4))
@@ -386,22 +404,20 @@ def test_cone_polyhedral_paths_agree(rng):
         rhs = rng.integers(-2, 3, 2).astype(float)
         sys = ConeFeasibilitySystem.build(blocks, [({0: A0, 1: A1}, rhs)])
         res = solve_cone_system(sys)
-        A, b = _scaled(sys)
-        off, D = sys.offsets
-        _, r, _, _ = _pgd_min_residual(A, b, blocks, off, D, 1e-7, 60_000)
-        assert res.feasible == (r <= 1e-7), (res.residual, r)
+        assert res.feasible == _lp_feasible(sys), res
 
 
 def test_farkas_stops_only_on_lp_infeasible_systems(rng):
-    # every Farkas stop on an all-polyhedral system (soc blocks of index 1
-    # and inf included) must be one the exact LP calls infeasible
-    from robustmolp.numerics import _cone_lp_path, _pgd_min_residual
+    # over simplex, nonneg and 2-norm blocks: a Farkas stop must replay as
+    # a certificate, and it never happens where the LP with the 1-norm
+    # cone inside the 2-norm cone has a point; where the LP with the
+    # inf-norm cone around it has none, no point comes within tol
+    from robustmolp.numerics import _pgd_min_residual
     stops = 0
     for _ in range(60):
         blocks = [VarBlock("simplex", int(rng.integers(1, 3))),
                   VarBlock("nonneg", int(rng.integers(1, 3))),
-                  VarBlock("soc", int(rng.integers(1, 4)), 1),
-                  VarBlock("soc", int(rng.integers(1, 4)), _INF)]
+                  VarBlock("soc", int(rng.integers(2, 4)))]
         k = int(rng.integers(2, 5))
         coeffs = {i: rng.integers(-3, 4, (k, blk.dim)).astype(float)
                   for i, blk in enumerate(blocks)}
@@ -409,11 +425,18 @@ def test_farkas_stops_only_on_lp_infeasible_systems(rng):
             blocks, [(coeffs, rng.integers(-3, 4, k).astype(float))])
         A, b = _scaled(sys)
         off, D = sys.offsets
-        _, r, _, reason = _pgd_min_residual(A, b, blocks, off, D, 1e-7, 2000)
+        x, r, _, reason = _pgd_min_residual(A, b, blocks, off, D, 1e-7, 2000)
+        if not _lp_feasible(sys, soc_norm=_INF):
+            assert r > 1e-7
         if reason == "farkas":
             stops += 1
             assert r > 1e-7
-            assert _cone_lp_path(sys, A, b, off, D) is None
+            assert not _lp_feasible(sys, soc_norm=1)
+            z = A @ x - b
+            c = A.T @ z
+            s0, s1, s2 = (c[o:o + blk.dim] for o, blk in zip(off, blocks))
+            assert s1.min() >= 0.0 and np.linalg.norm(s2[:-1]) <= s2[-1]
+            assert (s0.min() - b @ z) / np.linalg.norm(z) > 1e-7
     assert stops >= 5
 
 
@@ -421,7 +444,7 @@ def test_infeasible_soc2_system_stops_at_farkas_certificate():
     # lambda on the simplex, (y, t) in the 2-norm cone with y1 = 2 + lambda1,
     # y2 = lambda2 and t = 1: ||y|| >= 2 > t, so no point fits
     sys = ConeFeasibilitySystem.build(
-        [VarBlock("simplex", 2), VarBlock("soc", 3, 2)],
+        [VarBlock("simplex", 2), VarBlock("soc", 3)],
         [({0: np.array([[-1.0, 0.0], [0.0, 0.0], [0.0, -1.0]]),
            1: np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])},
           [2.0, 1.0, 0.0])])

@@ -2,9 +2,12 @@
 
 `pinned_certificates.json` holds `certificate_to_dict` of each instance
 below as produced before norm balls and ellipsoids shared one
-affine-norm-ball row (a = a_bar + P w, ||w||_s <= 1).  Any change to the
-reduction, the endpoint systems or the certificate records that moves a
-multiplier, scenario row or witness shows here.
+affine-norm-ball row (a = a_bar + P w, ||w||_s <= 1).  The s = 1 and
+s = inf entries were re-recorded when those balls were lifted into linear
+rows and decided by the endpoint LP: the same multipliers and witnesses
+to rounding, now with the LP's active rows and row multipliers.  Any
+change to the reduction, the endpoint systems or the certificate records
+that moves a multiplier, scenario row or witness shows here.
 """
 
 import json
