@@ -5,9 +5,11 @@ scalarization weights exist for both endpoint objectives of the rank-1
 uncertainty segment, with the scalarized gradient lying in the cone
 spanned by active constraint data.  Polyhedral uncertainty classes,
 s = 1/inf norm balls included once lifted into linear rows, are decided
-exactly by LP; 2-norm balls and ellipsoids go through a conic multiplier
-system solved to a residual tolerance under a strict feasibility (Slater)
-condition.
+exactly by LP.  A 2-norm ball or ellipsoid row gets a multiplier only
+when it is active at the point (complementarity zeroes the others): an
+endpoint with an active one goes through a conic multiplier system solved
+to a residual tolerance under a strict feasibility (Slater) condition,
+and an endpoint with none is decided by the same exact LP.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .feasibility import SlackSearch, maximize_min_slack
-from .model import (Ball, LinearRow, RobustFeasibleSet, ValidatedProblem,
-                    endpoint_objectives, reduce_constraints)
+from .model import (Ball, ConcaveRow, LinearRow, RobustFeasibleSet,
+                    ValidatedProblem, endpoint_objectives, reduce_constraints)
 from .numerics import (ConeFeasibilitySystem, LinearProgram, VarBlock,
                        norm_value, slack_value, solve_cone_system, solve_lp)
 
@@ -171,7 +173,7 @@ def check_slater(X: RobustFeasibleSet) -> SlaterCheck:
 @dataclass(frozen=True)
 class EndpointSolve:
     feasible: bool
-    residual: float
+    residual: float | None                  # cone path only; an LP is exact
     lam: np.ndarray | None = None
     row_mu: np.ndarray | None = None        # LP path, per active row
     mu_of: dict | None = None               # active linear row -> multiplier
@@ -180,7 +182,7 @@ class EndpointSolve:
 
 def _solve_polyhedral_endpoint(C, geo: ActiveGeometry, X: RobustFeasibleSet):
     """Exact LP: scalarization weights on the simplex whose image lies in
-    the cone of active rows (complementarity is structural)."""
+    the cone of active linear rows (complementarity is structural)."""
     C = np.atleast_2d(np.asarray(C, float))
     m, n = C.shape
     k = len(geo.active_rows)
@@ -194,13 +196,11 @@ def _solve_polyhedral_endpoint(C, geo: ActiveGeometry, X: RobustFeasibleSet):
     lp_rows.append((g, 1.0, "=="))
     sol = solve_lp(LinearProgram.build(np.zeros(d), lp_rows, np.zeros(d)))
     if not sol.optimal:
-        return EndpointSolve(False, _INF)
+        return EndpointSolve(False, None)
     lam = np.maximum(sol.x[:m], 0.0)
     lam = lam / lam.sum()
     mu = np.maximum(sol.x[m:], 0.0)
-    A = np.array(act).T if k else np.zeros((n, 0))
-    resid = float(np.linalg.norm(C.T @ lam - (A @ mu if k else 0.0)))
-    return EndpointSolve(True, resid, lam, mu, dict(zip(geo.active_rows, mu)))
+    return EndpointSolve(True, None, lam, mu, dict(zip(geo.active_rows, mu)))
 
 
 def _endpoint_cone_system(C, vp, X, geo, x_bar):
@@ -208,11 +208,15 @@ def _endpoint_cone_system(C, vp, X, geo, x_bar):
 
     Variables: lambda on the simplex; per polyhedral constraint, one
     nonnegative multiplier per active row; per 2-norm ball or ellipsoid row
-    a_bar + P w, a cone block (y_j, mu_j) with ||y_j||_2 <= mu_j replacing
-    the bilinear product of the multiplier and its unit witness.
-    Equalities: C^T lambda equals the multiplier combination of realized
-    scenario vectors, and the scalarized value matches the multiplier
-    combination of right-hand sides (which encodes complementarity).
+    a_bar + P w active at x_bar, a cone block (y_j, mu_j) with
+    ||y_j||_2 <= mu_j replacing the bilinear product of the multiplier and
+    its unit witness.  Equalities: C^T lambda equals the multiplier
+    combination of realized scenario vectors, and the scalarized value
+    matches the multiplier combination of right-hand sides.  Together they
+    give sum_j mu_j [(a_bar_j - P_j w_j).x_bar - b_j] = 0 with every term at
+    least mu_j times the row's slack, so a row with slack above ACTIVE_TOL
+    has mu_j = 0 (scenario a_bar_j) and gets no block, as an inactive
+    linear row gets no multiplier.
     Returns the system and (constraint, block, active rows or row) per block.
     """
     p = vp.problem
@@ -236,6 +240,8 @@ def _endpoint_cone_system(C, vp, X, geo, x_bar):
             registry.append((j, bi, act))
         else:
             row = rows_j[0]      # a cone class reduces to one ConcaveRow
+            if row.slack(x_bar) > ACTIVE_TOL:
+                continue
             q = row.P.shape[1]
             blocks.append(VarBlock("soc", q + 1))
             vec[bi] = np.column_stack([row.P, -row.a_bar])
@@ -249,12 +255,15 @@ def _endpoint_cone_system(C, vp, X, geo, x_bar):
 
 def _solve_cone_endpoint(C, vp, X, geo, x_bar):
     sys, registry = _endpoint_cone_system(C, vp, X, geo, x_bar)
+    if not any(blk.kind == "soc" for blk in sys.blocks):
+        # no 2-norm row is active at x_bar: the endpoint is polyhedral
+        return _solve_polyhedral_endpoint(C, geo, X)
     res = solve_cone_system(sys)
     if not res.feasible:
         return EndpointSolve(False, res.residual)
     parts = sys.split(res.x)
-    lam = np.maximum(parts[0], 0.0)
-    lam = lam / lam.sum() if lam.sum() > 0 else np.full(len(parts[0]), 1.0 / len(parts[0]))
+    lam = np.maximum(parts[0], 0.0)       # projected onto the simplex
+    lam = lam / lam.sum()
     mu_of, cones = {}, {}
     for j, bi, rows in registry:
         if isinstance(rows, list):          # active linear rows
@@ -322,7 +331,8 @@ def _constraint_records(p, X, sol: EndpointSolve, x_bar, zero):
     """One record per constraint from an endpoint solution over X, the
     lifted set, cut back to R^n.
 
-    A cone block (y, mu) gives the multiplier and the witness w = y/mu.  A
+    A cone block (y, mu) gives the multiplier and the witness w = y/mu; a
+    2-norm row without one, inactive at x_bar, gets mu = 0 and w = 0.  A
     ball lifted at row k0 (RobustFeasibleSet.lift) gives them from its
     rows: mu on the main row, and mu w = nu(tau >= P^T x) - nu(tau >= -P^T x)
     on its band rows.  Any other constraint gets the multiplier-weighted
@@ -330,7 +340,9 @@ def _constraint_records(p, X, sol: EndpointSolve, x_bar, zero):
     a record that `zero` shares between the endpoints.
     """
     n = p.n
-    cones = sol.cones or {}
+    cones = {r.source: (r, np.zeros(r.P.shape[1] + 1))
+             for r in X.rows if isinstance(r, ConcaveRow)}
+    cones.update(sol.cones or {})
     balls = {row.source: (k0, row) for k0, row in X.lifted}
     terms = {}
     for i, mu in sol.mu_of.items():
@@ -438,8 +450,9 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
 
     The feasible set is lifted (RobustFeasibleSet.lift) so that s = 1/inf
     norm balls become linear rows.  An all-linear lifted set is decided
-    exactly by LP; once a 2-norm ball or an ellipsoid is present the joint
-    conic system is solved under a verified Slater condition, refutations
+    exactly by LP.  Once a 2-norm ball or an ellipsoid is present a Slater
+    point is verified, an endpoint with such a row active at the point is
+    a joint conic system and one with none is the exact LP, refutations
     require a dominating scenario witness, and an unresolved residual
     yields "unknown".  A certificate whose endpoint-equality or
     complementarity residual exceeds RESIDUAL_TOL is never issued.
@@ -475,17 +488,21 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
 
     e0 = solve(D0)
     e1 = e0 if same else solve(D1)
+
+    def residuals(prefix):
+        # an endpoint decided by LP is exact and has no residual entry
+        return {prefix + name: e.residual for name, e in (("nominal", e0), ("perturbed", e1))
+                if e.residual is not None}
+
     if e0.feasible and e1.feasible:
         zero = {}
         nominal = _constraint_records(p, XL, e0, x_bar, zero)
         perturbed = nominal if e1 is e0 else _constraint_records(p, XL, e1, x_bar, zero)
-        cert = EfficiencyCertificate(e0.lam, e1.lam, nominal, perturbed,
-                                     geo.active_rows if lp else (), e0.row_mu, e1.row_mu, {})
-        return _certified(p, x_bar, C0, C1, cert, {} if lp else {
-            "system_nominal": e0.residual, "system_perturbed": e1.residual})
+        rows = (geo.active_rows, e0.row_mu, e1.row_mu) if lp else ((), None, None)
+        cert = EfficiencyCertificate(e0.lam, e1.lam, nominal, perturbed, *rows, {})
+        return _certified(p, x_bar, C0, C1, cert, residuals("system_"))
     if not lp:
-        return _oracle_outcome(p, x_bar, {"nominal": e0.residual,
-                                          "perturbed": e1.residual})
+        return _oracle_outcome(p, x_bar, residuals(""))
     name, D_fail, rho = (("nominal", D0, 0.0) if not e0.feasible
                          else ("perturbed", D1, 1.0))
     chk = weakly_efficient_for_scenario(D_fail, XL, xl)

@@ -169,6 +169,22 @@ def test_certify_refuted_exit_1(tmp_path, capsys):
     assert rep["payload"]["refutation"]["x"] is not None
 
 
+def test_certify_refuted_with_every_two_norm_row_inactive_exit_1(tmp_path, capsys):
+    # both balls have slack at the origin, so both endpoints are decided by
+    # the exact LP; it leaves no residual, where an infinite one once broke
+    # the canonical JSON
+    ball = {"kind": "norm_ball", "Z": [[1.0, 0.0], [0.0, 1.0]], "delta": 0.5,
+            "s": 2, "b_lo": -6.0, "b_hi": -5.0}
+    doc = {"m": 2, "n": 2, "C_bar": [[1.0, 0.0], [0.0, 1.0]],
+           "u": [1.0, 0.0], "v": [0.0, 1.0],
+           "constraints": [dict(ball, a_bar=[1.0, 0.0]),
+                           dict(ball, a_bar=[0.0, 1.0])]}
+    code, rep = _run_json(capsys, ["certify", _write(tmp_path, doc), "--point=0,0"])
+    assert code == 1 and rep["verdict"] == "refuted"
+    assert rep["residuals"] == {}
+    assert rep["payload"]["refutation"]["x"] is not None
+
+
 def test_certify_slater_violated_exit_5(tmp_path, capsys):
     doc = {"m": 1, "n": 1, "C_bar": [[-1.0]], "u": [0.0], "v": [0.0],
            "constraints": [{"kind": "norm_ball", "a_bar": [1.0], "Z": [[1.0]],

@@ -417,10 +417,11 @@ def test_cone_solver_sees_only_two_norm_blocks(monkeypatch, rng):
         assert any(blk.kind == "soc" and blk.dim > 1 for blk in sys.blocks)
 
 
-def test_certify_never_issues_a_certificate_its_replay_rejects():
-    # two 2-norm balls: the perturbed endpoint system ends at its iteration
-    # budget with a row-scaled residual within tolerance, while the
-    # certificate's own equality and complementarity residuals are not
+def _two_ball_instance():
+    """Two 2-norm balls; the first is tight at x, the second has slack 2.
+    With a cone block for the second ball too, the perturbed endpoint system
+    ends at the FISTA budget with a row-scaled residual within tolerance
+    while the certificate's own residuals are not."""
     g = np.array([1.1753023673643446, -5.0652971905283293, 2.9347028094716703])
     p = UncertainMOLP(
         3, 3, np.outer([1.0, 2.0, 1.0], g), [1.0, 2.0, 0.0], g,
@@ -428,14 +429,136 @@ def test_certify_never_issues_a_certificate_its_replay_rejects():
                   -10.330039061580839, -9.3300390615808393),
          NormBall([5, -5, 5], [[2, -1, -1], [-1, 3, 1], [-1, 1, 2]], 1.0, 2,
                   -16.724744871391589, -15.724744871391589)))
-    vp = validate_problem(p)
-    x = np.array([-2.5, 3.0, 3.0])
+    return validate_problem(p), np.array([-2.5, 3.0, 3.0])
+
+
+def _budget_mixed_instance():
+    """A 2-norm ball beside an s = 1 ball (_mixed_ball_problem kinds (2, 1)),
+    both tight at x: both endpoint systems run FISTA to its iteration budget
+    within the system tolerance, and the perturbed certificate's
+    complementarity residual is above RESIDUAL_TOL."""
+    g1 = np.array([3.646446609406726, 2.646446609406726])
+    g2 = np.array([3.5, 1.0])
+    p = UncertainMOLP(
+        2, 2, np.array([g1 + g2, g1]), [1.0, 0.0], g2,
+        (NormBall([4.0, 3.0], np.eye(2), 0.5, 2, 5.292893218813452, 6.292893218813452),
+         NormBall([4.0, 1.0], np.eye(2), 0.5, 1, 3.5, 4.5)))
+    return validate_problem(p), np.array([1.0, 1.0])
+
+
+def _spy_cone_systems(monkeypatch):
+    import robustmolp.efficiency as eff
+    systems = []
+    solve = eff.solve_cone_system
+
+    def spy(sys, **kwargs):
+        systems.append(sys)
+        return solve(sys, **kwargs)
+
+    monkeypatch.setattr(eff, "solve_cone_system", spy)
+    return systems
+
+
+def _forbid_cone_solve(monkeypatch):
+    import robustmolp.efficiency as eff
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no 2-norm row is active: the endpoints are LPs")
+
+    monkeypatch.setattr(eff, "solve_cone_system", forbidden)
+
+
+def test_certify_never_issues_a_certificate_its_replay_rejects(monkeypatch):
+    systems = _spy_cone_systems(monkeypatch)
+    for vp, x in (_two_ball_instance(), _budget_mixed_instance()):
+        systems.clear()
+        out = certify_weak_efficiency(vp, x)
+        # the guard is only exercised where the cone solver runs
+        assert systems
+        if out.status == "certified":
+            assert verify_certificate(vp, x, out.certificate).ok
+        else:
+            assert out.status == "unknown"
+            assert max(out.residuals.values()) > 1e-7
+
+
+def test_inactive_second_ball_leaves_a_replaying_certificate():
+    vp, x = _two_ball_instance()
+    X = reduce_constraints(vp)
+    assert [round(r.slack(x), 9) for r in X.rows] == [0.0, 2.0]
     out = certify_weak_efficiency(vp, x)
-    if out.status == "certified":
-        assert verify_certificate(vp, x, out.certificate).ok
-    else:
-        assert out.status == "unknown"
-        assert max(out.residuals.values()) > 1e-7
+    assert out.status == "certified"
+    assert verify_certificate(vp, x, out.certificate).ok
+    # the inactive ball's record: no multiplier, witness w = 0, scenario a_bar
+    for recs in (out.certificate.nominal, out.certificate.perturbed):
+        rec = recs[1]
+        assert rec.mu == 0.0 and rec.witness_norm == 0.0
+        assert not rec.witness.any()
+        assert np.array_equal(rec.scenario_a, X.rows[1].a_bar)
+
+
+def _with_inactive_balls(p, x, count=1):
+    """p with `count` more 2-norm balls, each with slack 2 at x."""
+    cons = []
+    for k in range(count):
+        a = np.zeros(p.n)
+        a[k % p.n] = 1.0 + k
+        Z = np.eye(p.n) * (1.0 + k)
+        row = reduce_constraints(validate_problem(UncertainMOLP(
+            1, p.n, np.zeros((1, p.n)), [0.0], np.zeros(p.n),
+            (NormBall(a, Z, 0.5, 2, 0.0, 0.0),)))).rows[0]
+        b = float(row.slack(x)) - 2.0
+        cons.append(NormBall(a, Z, 0.5, 2, b - 1.0, b))
+    return UncertainMOLP(p.m, p.n, p.C_bar, p.u, p.v, tuple(p.constraints) + tuple(cons))
+
+
+def test_cone_system_has_one_block_per_active_two_norm_row(monkeypatch, rng):
+    systems = _spy_cone_systems(monkeypatch)
+    for kinds in ((2,), (_INF, 2), (1, 2)):
+        p, x = _mixed_ball_problem(rng, kinds)
+        q = _with_inactive_balls(p, x, count=2)
+        neg = UncertainMOLP(q.m, q.n, -q.C_bar, q.u, -q.v, q.constraints)
+        for prob in (q, neg):
+            systems.clear()
+            certify_weak_efficiency(validate_problem(prob), x)
+            assert systems
+            for sys in systems:
+                # the tight 2-norm ball only, never the two with slack 2
+                assert sum(blk.kind == "soc" for blk in sys.blocks) == 1
+
+
+def test_all_inactive_two_norm_rows_make_no_cone_solve(monkeypatch, rng):
+    _forbid_cone_solve(monkeypatch)
+    statuses = []
+    for _ in range(20):
+        prob = random_polyhedral_problem(rng, n_max=3)
+        x = vertex_candidate(rng, prob)
+        vq = validate_problem(_with_inactive_balls(prob, x, 2))
+        if not check_slater(reduce_constraints(vq)).ok:
+            continue
+        # rows slack at x do not move the normal cone there, so the verdict
+        # of the set without them stands
+        want = certify_weak_efficiency(validate_problem(prob), x).status
+        out = certify_weak_efficiency(vq, x)
+        assert out.status == want
+        # an LP decision is exact and leaves no system residual
+        assert not {"nominal", "perturbed", "system_nominal",
+                    "system_perturbed"} & set(out.residuals)
+        statuses.append(want)
+    assert {"certified", "refuted"} <= set(statuses)
+
+
+def test_inf_ball_beside_inactive_two_norm_ball_refuted_without_cone_solve(
+        monkeypatch, rng):
+    # an s = inf ball's lifted rows beside a 2-norm block once stalled the
+    # infeasible cone solve short of a Farkas certificate
+    _forbid_cone_solve(monkeypatch)
+    for _ in range(3):
+        p, x = _mixed_ball_problem(rng, (_INF,))
+        neg = UncertainMOLP(p.m, p.n, -p.C_bar, p.u, -p.v, p.constraints)
+        out = certify_weak_efficiency(validate_problem(_with_inactive_balls(neg, x)), x)
+        assert out.status == "refuted"
+        assert out.refutation.x is not None
 
 
 def test_zero_delta_norm_matches_singleton_verdicts(rng):
