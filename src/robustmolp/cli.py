@@ -4,11 +4,10 @@ Reports are JSON objects with sorted keys and 17-significant-digit float
 formatting so that reruns on identical inputs produce identical output
 (the wall_time_ms field is the one measured, hence non-reproducible,
 entry).  Exit codes: 0 success/positive verdict, 1 negative verdict,
-2 inconclusive/unknown (including a numerical failure or a box too large
-to enumerate), 3 parse or schema error, 4 infeasibility of the
-nominal system or candidate point, 5 precondition violation (wrong
-constraint class, negative u, Slater failure), 6 certifier/oracle
-disagreement.
+2 inconclusive/unknown (including a numerical failure), 3 parse or
+schema error, 4 infeasibility of the nominal system or candidate point,
+5 precondition violation (wrong constraint class, negative u, Slater
+failure), 6 certifier/oracle disagreement.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from .efficiency import (EfficiencyCertificate, ConstraintMultiplier,
                          UnsupportedClassError, certify_weak_efficiency)
 from .feasibility import (NominalInfeasibleError, NonCertifiedError,
                           ball_robust_feasible, radius_of_robust_feasibility)
-from .model import (BoxTooLargeError, ProblemFormatError, Singleton,
-                    ValidationError, load_problem, reject_nonfinite_constant,
+from .model import (ProblemFormatError, Singleton, ValidationError,
+                    load_problem, reject_nonfinite_constant,
                     validate_dimensions, validate_problem)
 from .numerics import NumericalBreakdown, SingularMatrixError
 
@@ -368,8 +367,7 @@ def main(argv=None) -> int:
     except (SlaterViolatedError, UnsupportedClassError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (NonCertifiedError, NumericalBreakdown, SingularMatrixError,
-            BoxTooLargeError) as exc:
+    except (NonCertifiedError, NumericalBreakdown, SingularMatrixError) as exc:
         # the library could not decide; exit 1 would read as a negative verdict
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE

@@ -4,12 +4,13 @@ A candidate point is robust weakly efficient exactly when suitable
 scalarization weights exist for both endpoint objectives of the rank-1
 uncertainty segment, with the scalarized gradient lying in the cone
 spanned by active constraint data.  Polyhedral uncertainty classes,
-s = 1/inf norm balls included once lifted into linear rows, are decided
-exactly by LP.  A 2-norm ball or ellipsoid row gets a multiplier only
-when it is active at the point (complementarity zeroes the others): an
-endpoint with an active one goes through a conic multiplier system solved
-to a residual tolerance under a strict feasibility (Slater) condition,
-and an endpoint with none is decided by the same exact LP.
+boxes and s = 1/inf norm balls included once lifted into linear rows, are
+decided exactly by LP.  A 2-norm ball or ellipsoid row gets a multiplier
+only when it is active at the point (complementarity zeroes the others):
+an endpoint with an active one goes through a conic multiplier system
+solved to a residual tolerance under a refined Slater condition (strict
+slack on the 2-norm rows only), and an endpoint with none is decided by
+the same exact LP.
 """
 
 from __future__ import annotations
@@ -63,17 +64,24 @@ class UnsupportedClassError(Exception):
 class ActiveGeometry:
     point: np.ndarray
     active_rows: tuple        # indices into X.rows (linear rows only)
-    generators: tuple         # normal-cone generators, -a per active row
+    generators: tuple         # normal-cone generators, -(sum of a) per group
+    groups: tuple             # active rows that share one multiplier
 
 
 def active_geometry(X: RobustFeasibleSet, x_bar) -> ActiveGeometry:
     """Active linear rows at x_bar and the normal-cone generators they span.
 
     Ties at exactly the tolerance count as active; any violation beyond it
-    raises NotFeasiblePointError.
+    raises NotFeasiblePointError.  Each active row is its own group, except
+    in a lifted ball (RobustFeasibleSet.lift).  There a tau column has a
+    zero objective, so its equality reads mu(main row) = the sum of the
+    multipliers of its active band rows: a band row alone on its column
+    joins the main row's group (together they are the worst scenario row
+    a_bar - P w), and the band rows of a ball whose main row is inactive
+    have zero multipliers and join no group.
     """
     x_bar = np.asarray(x_bar, float)
-    active, gens = [], []
+    groups = {}
     for idx, row in enumerate(X.rows):
         if not isinstance(row, LinearRow):
             continue
@@ -82,16 +90,33 @@ def active_geometry(X: RobustFeasibleSet, x_bar) -> ActiveGeometry:
             raise NotFeasiblePointError(
                 f"row {idx} violated by {-s:.3e} at the candidate point")
         if s <= ACTIVE_TOL:
-            active.append(idx)
-            gens.append(-row.a)
-    return ActiveGeometry(x_bar, tuple(active), tuple(gens))
+            groups[idx] = [idx]
+    active = tuple(groups)
+    for k0, row in X.lifted:
+        q = row.P.shape[1]
+        # s = inf: band rows i and q + i bound tau_i; s = 1: all bound one tau
+        columns = [(i, q + i) for i in range(q)] if row.s == _INF else [range(2 * q)]
+        for col in columns:
+            on = [k0 + 1 + j for j in col if k0 + 1 + j in groups]
+            if k0 not in groups or len(on) == 1:
+                for i in on:
+                    del groups[i]
+                    if k0 in groups:
+                        groups[k0].append(i)
+    gens = tuple(-X.rows[g[0]].a if len(g) == 1 else -sum(X.rows[i].a for i in g)
+                 for g in groups.values())
+    return ActiveGeometry(x_bar, active, gens, tuple(map(tuple, groups.values())))
 
 
 def _check_membership(X: RobustFeasibleSet, x_bar):
+    """Raise NotFeasiblePointError on a worst-case row violated at x_bar;
+    the linear rows are left to active_geometry, which meets every one
+    of them again in the lifted set."""
     for idx, row in enumerate(X.rows):
-        if row.slack(x_bar) < -ACTIVE_TOL:
-            raise NotFeasiblePointError(
-                f"row {idx} violated by {-row.slack(x_bar):.3e}")
+        if not isinstance(row, LinearRow):
+            s = row.slack(x_bar)
+            if s < -ACTIVE_TOL:
+                raise NotFeasiblePointError(f"row {idx} violated by {-s:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +179,18 @@ class SlaterCheck:
 
 
 def check_slater(X: RobustFeasibleSet) -> SlaterCheck:
-    """Decide whether some point has worst-case slack >= SLATER_MARGIN.
+    """Decide the refined Slater condition: some point satisfies every
+    polyhedral row (linear, s = 1/inf balls, boxes) and has worst-case
+    slack >= SLATER_MARGIN on every 2-norm ball and ellipsoid row.
 
-    An LP for linear and s = 1/inf rows; for s = 2 rows a 1-norm LP proves
-    it and an inf-norm LP with tangent cuts disproves it, with max_slack
-    the relaxation's bound (see maximize_min_slack).
+    An LP for the polyhedral rows; for s = 2 rows a 1-norm LP proves it
+    and an inf-norm LP with tangent cuts disproves it, with max_slack the
+    relaxation's bound (see maximize_min_slack).
     """
-    search: SlackSearch = maximize_min_slack(X.rows, X.n, target=SLATER_MARGIN)
+    strict = [r for r in X.rows if isinstance(r, ConcaveRow) and r.s == 2]
+    satisfied = [r for r in X.rows if not (isinstance(r, ConcaveRow) and r.s == 2)]
+    search: SlackSearch = maximize_min_slack(strict, X.n, target=SLATER_MARGIN,
+                                             satisfied=satisfied)
     if search.value >= SLATER_MARGIN:
         return SlaterCheck(True, search.x, search.value, _INF)
     return SlaterCheck(False, None, search.value, search.upper_bound)
@@ -180,27 +210,33 @@ class EndpointSolve:
     cones: dict | None = None               # constraint -> (row, its (y, mu) block)
 
 
-def _solve_polyhedral_endpoint(C, geo: ActiveGeometry, X: RobustFeasibleSet):
+def _solve_polyhedral_endpoint(C, geo: ActiveGeometry):
     """Exact LP: scalarization weights on the simplex whose image lies in
-    the cone of active linear rows (complementarity is structural)."""
+    the cone of the active generators (complementarity is structural), one
+    multiplier per group; an equality whose coefficients are all zero is
+    left out."""
     C = np.atleast_2d(np.asarray(C, float))
     m, n = C.shape
-    k = len(geo.active_rows)
-    act = [X.rows[i].a for i in geo.active_rows]
+    k = len(geo.groups)
     d = m + k
-    lp_rows = []
-    for c in range(n):
-        g = np.concatenate([C[:, c], [-a[c] for a in act]])
-        lp_rows.append((g, 0.0, "=="))
-    g = np.concatenate([np.ones(m), np.zeros(k)])
+    M = np.empty((n, d))            # one equality per column of C
+    M[:, :m] = C.T
+    M[:, m:] = np.reshape(geo.generators, (k, n)).T
+    lp_rows = [(g, 0.0, "==") for g in M[M.any(axis=1)]]
+    g = np.zeros(d)
+    g[:m] = 1.0
     lp_rows.append((g, 1.0, "=="))
     sol = solve_lp(LinearProgram.build(np.zeros(d), lp_rows, np.zeros(d)))
     if not sol.optimal:
         return EndpointSolve(False, None)
     lam = np.maximum(sol.x[:m], 0.0)
     lam = lam / lam.sum()
-    mu = np.maximum(sol.x[m:], 0.0)
-    return EndpointSolve(True, None, lam, mu, dict(zip(geo.active_rows, mu)))
+    mu_of = dict.fromkeys(geo.active_rows, 0.0)
+    for rows, mu in zip(geo.groups, np.maximum(sol.x[m:], 0.0).tolist()):
+        for i in rows:
+            mu_of[i] = mu
+    return EndpointSolve(True, None, lam, np.fromiter(mu_of.values(), float, len(mu_of)),
+                         mu_of)
 
 
 def _endpoint_cone_system(C, vp, X, geo, x_bar):
@@ -257,7 +293,7 @@ def _solve_cone_endpoint(C, vp, X, geo, x_bar):
     sys, registry = _endpoint_cone_system(C, vp, X, geo, x_bar)
     if not any(blk.kind == "soc" for blk in sys.blocks):
         # no 2-norm row is active at x_bar: the endpoint is polyhedral
-        return _solve_polyhedral_endpoint(C, geo, X)
+        return _solve_polyhedral_endpoint(C, geo)
     res = solve_cone_system(sys)
     if not res.feasible:
         return EndpointSolve(False, res.residual)
@@ -299,21 +335,10 @@ class EfficiencyCertificate:
     residuals: dict
 
 
-def _retainable(a):
-    """A reduced row's coefficients, fit to keep in a certificate.
-
-    The constraint's own array, or a slice of one of its polytope
-    vertices, is shared.  A row of a matrix is copied: a box vertex row
-    would keep the whole 2^n x n vertex matrix alive for as long as the
-    certificate lives.
-    """
-    return a if a.base is None or a.base.ndim == 1 else a.copy()
-
-
 def _in_rn(a, n):
-    """The first n entries of a: a itself unless the lift padded it, so a
-    record keeps no extra view object of an unlifted row."""
-    return a if a.size == n else a[:n]
+    """The first n entries of a: a itself unless the lift padded it, and
+    then a copy, so that a record keeps no padded array alive."""
+    return a if a.size == n else a[:n].copy()
 
 
 def _witness_record(row, n, mu_j, y, x_bar):
@@ -327,9 +352,9 @@ def _witness_record(row, n, mu_j, y, x_bar):
                                 mu_j * slack if mu_j else math.copysign(0.0, slack))
 
 
-def _constraint_records(p, X, sol: EndpointSolve, x_bar, zero):
-    """One record per constraint from an endpoint solution over X, the
-    lifted set, cut back to R^n.
+def _constraint_records(p, X, XL, sol: EndpointSolve, x_bar, zero):
+    """One record per constraint from an endpoint solution over XL, the
+    lift of the reduced set X, cut back to R^n.
 
     A cone block (y, mu) gives the multiplier and the witness w = y/mu; a
     2-norm row without one, inactive at x_bar, gets mu = 0 and w = 0.  A
@@ -337,16 +362,21 @@ def _constraint_records(p, X, sol: EndpointSolve, x_bar, zero):
     rows: mu on the main row, and mu w = nu(tau >= P^T x) - nu(tau >= -P^T x)
     on its band rows.  Any other constraint gets the multiplier-weighted
     mean of its active rows, and with no multiplier mass its first row,
-    a record that `zero` shares between the endpoints.
+    a record that `zero` shares between the endpoints.  A record's
+    scenario row is the constraint's own array of X wherever it equals
+    one bit for bit, so that it keeps no array of its own.
     """
     n = p.n
+    own = {}
+    for r in X.rows:
+        own.setdefault(r.source, []).append(r)
     cones = {r.source: (r, np.zeros(r.P.shape[1] + 1))
-             for r in X.rows if isinstance(r, ConcaveRow)}
+             for r in XL.rows if isinstance(r, ConcaveRow)}
     cones.update(sol.cones or {})
-    balls = {row.source: (k0, row) for k0, row in X.lifted}
+    balls = {row.source: (k0, row) for k0, row in XL.lifted}
     terms = {}
     for i, mu in sol.mu_of.items():
-        terms.setdefault(X.rows[i].source, []).append((X.rows[i], mu))
+        terms.setdefault(XL.rows[i].source, []).append((XL.rows[i], mu))
     recs = []
     for j in range(len(p.constraints)):
         if j in cones:
@@ -356,25 +386,24 @@ def _constraint_records(p, X, sol: EndpointSolve, x_bar, zero):
         if j in balls:
             k0, row = balls[j]
             q = row.P.shape[1]
-            nu = np.array([sol.mu_of.get(k0 + 1 + i, 0.0) for i in range(2 * q)])
+            nu = np.fromiter((sol.mu_of.get(i, 0.0) for i in range(k0 + 1, k0 + 1 + 2 * q)),
+                             float, 2 * q)
             recs.append(_witness_record(row, n, float(sol.mu_of.get(k0, 0.0)),
                                         nu[q:] - nu[:q], x_bar))
             continue
         act = terms.get(j, ())
         mu_j = float(sum(mu for _, mu in act))
         if mu_j > 1e-15:
-            a = sum(mu * _in_rn(r.a, n) for r, mu in act) / mu_j
+            a = sum(mu * r.a[:n] for r, mu in act) / mu_j
             b = float(sum(mu * r.b for r, mu in act) / mu_j)
-            # the mean of one row is nearly always that row bit for bit;
-            # then the record keeps the row's array instead of a new one
-            if len(act) == 1 and a.tobytes() == _in_rn(act[0][0].a, n).tobytes():
-                a = _retainable(_in_rn(act[0][0].a, n))
+            # the mean of one row is nearly always that row bit for bit
+            a = next((r.a for r in own[j] if r.a.tobytes() == a.tobytes()), a)
             recs.append(ConstraintMultiplier(mu_j, np.asarray(a, float), b, None, 0.0,
                                              mu_j * slack_value(a, x_bar, b)))
             continue
         if j not in zero:
-            row = next(r for r in X.rows if r.source == j)
-            a = _retainable(_in_rn(row.a if isinstance(row, LinearRow) else row.a_bar, n))
+            row = own[j][0]         # linear: concave rows have records above
+            a = row.a
             # mu times the slack: a zero whose sign shows in the canonical
             # JSON, and no NaN where the slack overflows
             zero[j] = ConstraintMultiplier(0.0, a, row.b, None, 0.0,
@@ -474,16 +503,16 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
     # the objectives do not see the lift's auxiliary columns
     D0, D1 = ((C0, C1) if XL is X else
               (np.hstack([C, np.zeros((p.m, XL.n - p.n))]) for C in (C0, C1)))
+    geo = active_geometry(XL, xl)
     lp = XL.all_linear
     if not lp:
         slater = check_slater(X)
         if not slater.ok:
             raise SlaterViolatedError(slater.max_slack)
-    geo = active_geometry(XL, xl)
 
     def solve(C):
         if lp:
-            return _solve_polyhedral_endpoint(C, geo, XL)
+            return _solve_polyhedral_endpoint(C, geo)
         return _solve_cone_endpoint(C, vp, XL, geo, xl)
 
     e0 = solve(D0)
@@ -496,8 +525,8 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
 
     if e0.feasible and e1.feasible:
         zero = {}
-        nominal = _constraint_records(p, XL, e0, x_bar, zero)
-        perturbed = nominal if e1 is e0 else _constraint_records(p, XL, e1, x_bar, zero)
+        nominal = _constraint_records(p, X, XL, e0, x_bar, zero)
+        perturbed = nominal if e1 is e0 else _constraint_records(p, X, XL, e1, x_bar, zero)
         rows = (geo.active_rows, e0.row_mu, e1.row_mu) if lp else ((), None, None)
         cert = EfficiencyCertificate(e0.lam, e1.lam, nominal, perturbed, *rows, {})
         return _certified(p, x_bar, C0, C1, cert, residuals("system_"))

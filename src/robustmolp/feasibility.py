@@ -147,37 +147,39 @@ def radius_of_robust_feasibility(nominal) -> RadiusResult:
 
 @dataclass(frozen=True)
 class SlackSearch:
-    x: np.ndarray
+    x: np.ndarray | None
     value: float          # min-slack achieved at x
     upper_bound: float    # LP bound on the supremum; inf if x decided it
 
 
-def _slack_lp(rows, n, cap, two_norm, cuts):
-    """max t <= cap s.t. slack_j(x) >= t and g.x - t >= b for each cut (g, b).
+def _slack_lp(rows, satisfied, n, cap, two_norm, cuts):
+    """max t <= cap s.t. slack_j(x) >= t for the rows, slack_j(x) >= 0 for
+    the satisfied rows, and g.x - t >= b for each cut (g, b).
 
     A ConcaveRow's dual norm ||P^T x|| becomes auxiliary columns tau >= 0
     (dual_norm_bands): one tau bounds the inf-norm (s = 1 rows), one tau
     per column of P the 1-norm (s = inf rows).  The 2-norm of an s = 2 row
-    is replaced by the `two_norm` (1 or inf).  Returns (x, t).
+    is replaced by the `two_norm` (1 or inf).  Returns (x, t), or
+    (None, -inf) when the satisfied rows have no common point.
     """
     main, bands, width = [], [], n + 1
-    for r in rows:
+    for r, t_coef in [(r, -1.0) for r in rows] + [(r, 0.0) for r in satisfied]:
         if isinstance(r, LinearRow):
-            main.append((r.a, r.b, 0, 0))
+            main.append((r.a, r.b, 0, 0, t_coef))
             continue
         if not isinstance(r, ConcaveRow):
             raise TypeError(f"no min-slack LP for {type(r).__name__}")
         s = r.s if r.s != 2 else (_INF if two_norm == 1 else 1)
         B = dual_norm_bands(r.P, s)
         k = B.shape[1] - n
-        main.append((r.a_bar, r.b, width, k))
+        main.append((r.a_bar, r.b, width, k, t_coef))
         bands.append((B, width, k))
         width += k
-    main += [(g, b, 0, 0) for g, b in cuts]
+    main += [(g, b, 0, 0, -1.0) for g, b in cuts]
     lp_rows = []
-    for g, b, c, k in main:
+    for g, b, c, k, t_coef in main:
         coef = np.zeros(width)
-        coef[:n], coef[n], coef[c:c + k] = g, -1.0, -1.0
+        coef[:n], coef[n], coef[c:c + k] = g, t_coef, -1.0
         lp_rows.append((coef, b, ">="))
     for B, c, k in bands:
         band = np.zeros((B.shape[0], width))
@@ -189,11 +191,14 @@ def _slack_lp(rows, n, cap, two_norm, cuts):
     lower = np.zeros(width)
     lower[:n + 1] = -_INF
     sol = solve_lp(LinearProgram.build(cap_row, lp_rows, lower))  # min -t
+    if not sol.optimal:
+        return None, -_INF
     return sol.x[:n], float(sol.x[n])
 
 
-def maximize_min_slack(rows, n, target: float = 0.0) -> SlackSearch:
-    """Maximize min_j slack_j(x) over R^n for linear and concave rows.
+def maximize_min_slack(rows, n, target: float = 0.0, satisfied=()) -> SlackSearch:
+    """Maximize min_j slack_j(x) over the x in R^n that satisfy every row
+    of `satisfied` (slack >= 0), for linear and concave rows.
 
     One LP in (x, t) maximizes t <= max(1, target) subject to
     slack_j(x) >= t, each dual norm written with auxiliary columns
@@ -205,14 +210,17 @@ def maximize_min_slack(rows, n, target: float = 0.0) -> SlackSearch:
     cuts yhat.P^T x <= ||P^T x||_2 at each round's point is a relaxation
     whose value bounds the supremum.  The cut rounds stop when a point
     reaches the target, when the bound falls below it, or after CUT_ROUNDS.
+    With no point satisfying `satisfied` the value and bound are -inf.
     """
-    rows = list(rows)
+    rows, satisfied = list(rows), list(satisfied)
     cap = max(1.0, target)
 
     def phi(pt):
-        return min(r.slack(pt) for r in rows)
+        return min((r.slack(pt) for r in rows), default=cap)
 
-    x, bound = _slack_lp(rows, n, cap, 1, ())
+    x, bound = _slack_lp(rows, satisfied, n, cap, 1, ())
+    if x is None:
+        return SlackSearch(None, -_INF, -_INF)
     best_x, best_v = x, phi(x)
     round_rows = [r for r in rows if isinstance(r, ConcaveRow) and r.s == 2]
     if not round_rows:
@@ -222,7 +230,7 @@ def maximize_min_slack(rows, n, target: float = 0.0) -> SlackSearch:
         if best_v >= target:
             break
         cuts += [(r.supergradient(x), r.b) for r in round_rows]
-        x, bound = _slack_lp(rows, n, cap, _INF, cuts)
+        x, bound = _slack_lp(rows, satisfied, n, cap, _INF, cuts)
         if bound < target:
             break
         v = phi(x)

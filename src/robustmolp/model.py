@@ -15,12 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (SingularMatrixError, dual_norm_value, invert_symmetric,
-                       norm_value, slack_value)
+from .numerics import (NumericalBreakdown, SingularMatrixError,
+                       invert_symmetric, norm_value, slack_value)
 
 _INF = float("inf")
-
-BOX_DIMENSION_CAP = 16   # vertex enumeration is 2**n rows
 
 
 class ValidationError(Exception):
@@ -33,11 +31,9 @@ class ValidationError(Exception):
         super().__init__(f"{kind}{where}: {message}")
 
 
-class BoxTooLargeError(Exception):
-    """Box vertex enumeration capped at 2**BOX_DIMENSION_CAP rows."""
-
-
 def _vec(x):
+    if type(x) is np.ndarray and x.ndim == 1 and x.dtype == float:
+        return x
     return np.atleast_1d(np.asarray(x, float))
 
 
@@ -293,6 +289,8 @@ class ConcaveRow:
     slack(x) = a_bar.x - b - ||P^T x||_{s*}, the s*-norm being the support
     function of the unit s-ball; scenario_row materializes one extreme
     realization a_bar + P w from a direction scaled to the unit s-sphere.
+    A box [a_lo, a_hi] is the s = inf class around its centre with P the
+    diagonal of its half widths.
     """
 
     a_bar: np.ndarray
@@ -305,12 +303,31 @@ class ConcaveRow:
         return self.P.shape[1]
 
     def slack(self, x):
+        """Never NaN.  For s = 1/inf this is the slack of the worst row
+        a_bar - P w* (supergradient), which slack_value sums exactly when
+        the float sum overflows; for s = 2 the closed form is kept while it
+        is finite.  A worst row that overflows itself reads as violated.
+        """
         x = np.asarray(x, float)
-        return float(self.a_bar @ x - self.b - dual_norm_value(self.P.T @ x, self.s))
+        if self.s == 2:
+            with np.errstate(over="ignore", invalid="ignore"):
+                v = float(self.a_bar @ x - self.b - np.linalg.norm(self.P.T @ x))
+            if math.isfinite(v):
+                return v
+        a = self.supergradient(x)
+        return slack_value(a, x, self.b) if np.isfinite(a).all() else -_INF
 
     def supergradient(self, x):
-        y = self.P.T @ np.asarray(x, float)
-        return self.a_bar - self.P @ _dual_norm_subgradient(y, self.s)
+        """The worst realization a_bar - P w* at x, w* a unit s-norm vector
+        with w*.P^T x = ||P^T x||_{s*}."""
+        x = np.asarray(x, float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = self.P.T @ x
+            if not np.isfinite(y).all():
+                # only the direction of P^T x matters: take it from copies
+                # scaled by powers of two, whose product cannot overflow
+                y = _unit_scaled(self.P).T @ _unit_scaled(x)
+            return self.a_bar - self.P @ _dual_norm_subgradient(y, self.s)
 
     def scenario_row(self, direction):
         """One realized (a, b) row from a direction in R^q."""
@@ -318,19 +335,27 @@ class ConcaveRow:
         return self.a_bar + self.P @ (d / max(1e-30, norm_value(d, self.s))), self.b
 
 
-def dual_norm_bands(P, s):
+def dual_norm_bands(P, s, width=None, col=None):
     """Band rows tau >= +-P^T x that bound the norm of P^T x conjugate to
     the s-norm by auxiliary columns tau: one tau bounds the inf-norm
     (s = 1), one tau per column of P the 1-norm (s = inf, the taus summed
-    by the caller).  Returns the 2q rows as a 2q x (n + k) array over
-    (x, tau) with k taus, each row >= 0; the rows tau >= -P^T x come first.
+    by the caller).  Returns the 2q rows, each >= 0, as a 2q x width array
+    with x in the first n columns and the k taus from column col (by
+    default width n + k and col n); the rows tau >= -P^T x come first.
     """
     n, q = P.shape
     k = 1 if s == 1 else q
-    bands = np.zeros((2 * q, n + k))
+    col = n if col is None else col
+    bands = np.zeros((2 * q, n + k if width is None else width))
     bands[:q, :n], bands[q:, :n] = P.T, -P.T
-    bands[:, n:] = 1.0 if k == 1 else np.vstack([np.eye(q)] * 2)
+    i = np.arange(2 * q)
+    bands[i, col + (0 if k == 1 else i % q)] = 1.0
     return bands
+
+
+def _unit_scaled(a):
+    """a times the power of two that brings its largest entry below 1."""
+    return np.ldexp(a, -math.frexp(float(np.abs(a).max(initial=0.0)))[1])
 
 
 def _dual_norm_subgradient(y, s):
@@ -381,7 +406,8 @@ class RobustFeasibleSet:
     lifted: tuple = ()    # (index of its main row, ConcaveRow) per lifted ball
 
     def lift(self, x_bar):
-        """Rewrite each s = 1/inf ConcaveRow as linear rows over (x, tau).
+        """Rewrite each s = 1/inf ConcaveRow, boxes included, as linear rows
+        over (x, tau).
 
         The worst case a_bar.x - ||P^T x||_{s*} >= b becomes the main row
         a_bar.x - sum(tau) >= b followed by its band rows tau >= +-P^T x
@@ -389,40 +415,48 @@ class RobustFeasibleSet:
         taus.  The lifted set projects onto this one, so a point is weakly
         efficient for C here exactly when its lift is for [C 0] there.
         Returns the lifted set and point (x_bar, tau) with the smallest tau:
-        |P^T x_bar| for s = inf, max |P^T x_bar| for s = 1.  A set with no
-        such row, or with a joint-ball row (no form over extra columns),
-        comes back unchanged with x_bar.
+        |P^T x_bar| for s = inf, max |P^T x_bar| for s = 1; a tau beyond the
+        float range raises NumericalBreakdown.  A set with no such row, or
+        with a joint-ball row (no form over extra columns), comes back
+        unchanged with x_bar.
         """
-        balls = [dual_norm_bands(r.P, r.s) for r in self.rows
-                 if isinstance(r, ConcaveRow) and r.s != 2]
+        balls = [r for r in self.rows if isinstance(r, ConcaveRow) and r.s != 2]
         if not balls or any(isinstance(r, BallRow) for r in self.rows):
             return self, x_bar
         x_bar = np.asarray(x_bar, float)
         n = self.n
-        pad = sum(B.shape[1] - n for B in balls)
-        rows, lifted, taus, col = [], [], [], n
-        bands = iter(balls)
+        pad = sum(1 if r.s == 1 else r.P.shape[1] for r in balls)
+        # the linear and main rows are views of one matrix, padded at once
+        heads = [r.a if isinstance(r, LinearRow) else r.a_bar for r in self.rows
+                 if isinstance(r, LinearRow) or r.s != 2]
+        A = np.zeros((len(heads), n + pad))
+        A[:, :n] = heads
+        padded = iter(A)
+        rows, lifted, col = [], [], n
         for r in self.rows:
             if isinstance(r, LinearRow):
-                rows.append(LinearRow(np.pad(r.a, (0, pad)), r.b, r.source))
+                rows.append(LinearRow(next(padded), r.b, r.source))
             elif r.s == 2:
-                rows.append(ConcaveRow(np.pad(r.a_bar, (0, pad)), r.b, r.source,
-                                       np.pad(r.P, ((0, pad), (0, 0))), 2))
+                P = np.concatenate([r.P, np.zeros((pad, r.P.shape[1]))])
+                rows.append(ConcaveRow(np.concatenate([r.a_bar, np.zeros(pad)]), r.b,
+                                       r.source, P, 2))
             else:
-                B = next(bands)
-                k = B.shape[1] - n
-                main = np.pad(r.a_bar, (0, pad))
+                k = 1 if r.s == 1 else r.P.shape[1]
+                main = next(padded)
                 main[col:col + k] = -1.0
                 lifted.append((len(rows), r))
                 rows.append(LinearRow(main, r.b, r.source))
-                g = np.zeros((B.shape[0], n + pad))
-                g[:, :n], g[:, col:col + k] = B[:, :n], B[:, n:]
-                rows += [LinearRow(gi, 0.0, r.source) for gi in g]
-                z = np.abs(r.P.T @ x_bar)
-                taus.append(z if k > 1 else z.max(keepdims=True))
+                rows += [LinearRow(g, 0.0, r.source)
+                         for g in dual_norm_bands(r.P, r.s, n + pad, col)]
                 col += k
-        return (RobustFeasibleSet(n + pad, tuple(rows), tuple(lifted)),
-                np.concatenate([x_bar, *taus]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            taus = [(r.s, np.abs(r.P.T @ x_bar)) for _, r in lifted]
+        xl = np.concatenate([x_bar] + [z.max(keepdims=True) if s == 1 else z
+                                       for s, z in taus])
+        if not np.isfinite(xl).all():
+            raise NumericalBreakdown("the lifted point's tau = |P^T x| overflows "
+                                     "the float range")
+        return RobustFeasibleSet(n + pad, tuple(rows), tuple(lifted)), xl
 
     @property
     def all_linear(self):
@@ -435,25 +469,16 @@ class RobustFeasibleSet:
         return [r for r in self.rows if not isinstance(r, LinearRow)]
 
 
-def box_vertices(a_lo, a_hi):
-    """All 2^n corner points, binary-counter order with bit 0 = coordinate 0."""
-    a_lo = _vec(a_lo)
-    a_hi = _vec(a_hi)
-    n = a_lo.size
-    if n > BOX_DIMENSION_CAP:
-        raise BoxTooLargeError(
-            f"box in R^{n} needs 2^{n} rows; cap is n <= {BOX_DIMENSION_CAP}")
-    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
-    return np.where(bits == 1, a_hi, a_lo)
-
-
 def reduce_constraints(vp: ValidatedProblem) -> RobustFeasibleSet:
     """Rewrite each uncertainty class as its worst case.
 
-    Singletons and polytope/box vertex enumerations become linear rows (the
-    right-hand side of interval classes collapses to its upper endpoint);
-    a norm ball becomes one ConcaveRow with P = delta Z^-1, an ellipsoid one
-    with P = spans^T and s = 2, and a joint ball one BallRow.
+    Singletons and polytope vertices become linear rows (the right-hand
+    side of interval classes collapses to its upper endpoint).  A box is
+    the s = inf ball around its centre with P = diag(half widths), the
+    columns of zero width dropped; a norm ball becomes one ConcaveRow with
+    P = delta Z^-1, an ellipsoid one with P = spans^T and s = 2, and a
+    joint ball one BallRow.  A class with no perturbation left (a flat box,
+    delta = 0, no spans) is one linear row.
     """
     p = vp.problem
     rows = []
@@ -464,8 +489,14 @@ def reduce_constraints(vp: ValidatedProblem) -> RobustFeasibleSet:
             for v in c.vertices:
                 rows.append(LinearRow(v[:p.n], float(v[p.n]), j))
         elif isinstance(c, Box):
-            for a in box_vertices(c.a_lo, c.a_hi):
-                rows.append(LinearRow(a, c.b_hi, j))
+            # halves first: a_lo + a_hi may overflow where each half does not
+            centre = 0.5 * c.a_lo + 0.5 * c.a_hi
+            half = 0.5 * c.a_hi - 0.5 * c.a_lo
+            wide = half > 0.0
+            if wide.any():
+                rows.append(ConcaveRow(centre, c.b_hi, j, np.diag(half)[:, wide], _INF))
+            else:
+                rows.append(LinearRow(centre, c.b_hi, j))
         elif isinstance(c, NormBall):
             if c.delta == 0.0:
                 # zero perturbation radius: the worst case is exactly linear

@@ -23,7 +23,8 @@ CONE_MAX_ITER = 30_000  # projected-gradient iterations per cone system
 
 
 class NumericalBreakdown(Exception):
-    """Simplex pivot budget exhausted (degenerate cycling in floats)."""
+    """Simplex pivot budget exhausted (degenerate cycling in floats), or a
+    quantity the method needs overflows the float range."""
 
 
 class SingularMatrixError(Exception):

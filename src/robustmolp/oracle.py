@@ -201,6 +201,8 @@ def _witness_norm_residual(con, rec):
         return 0.0
     if isinstance(con, NormBall):
         return max(0.0, norm_value(rec.witness, con.s) - 1.0)
+    if isinstance(con, Box):                # w scales the half widths
+        return max(0.0, float(np.abs(rec.witness).max()) - 1.0)
     return max(0.0, float(np.linalg.norm(rec.witness)) - 1.0)
 
 

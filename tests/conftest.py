@@ -62,12 +62,21 @@ def random_polyhedral_problem(rng, m_max=3, n_max=4, p_max=4, box=6.0):
     return UncertainMOLP(m, n, C, u, v, tuple(cons))
 
 
+def box_vertices(a_lo, a_hi):
+    """All 2^n corners of a box, binary-counter order with bit 0 =
+    coordinate 0: the polytope a box equals, for agreement tests."""
+    a_lo, a_hi = np.asarray(a_lo, float), np.asarray(a_hi, float)
+    bits = (np.arange(1 << a_lo.size)[:, None] >> np.arange(a_lo.size)) & 1
+    return np.where(bits == 1, a_hi, a_lo)
+
+
 def vertex_candidate(rng, problem):
-    """A vertex of the reduced feasible set (basic optimum of a random LP)."""
+    """A vertex of the linear rows of the reduced feasible set (basic
+    optimum of a random LP); rows of other kinds are left out."""
     X = reduce_constraints(validate_problem(problem))
     n = problem.n
     c = rng.integers(-5, 6, n).astype(float)
-    lp = LinearProgram.build(c, [(r.a, r.b, ">=") for r in X.rows],
+    lp = LinearProgram.build(c, [(r.a, r.b, ">=") for r in X.linear()],
                              np.full(n, -_INF))
     sol = solve_lp(lp)
     assert sol.optimal, "bounding box should keep the LP bounded"

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -383,15 +384,53 @@ def test_non_finite_options_exit_3(tmp_path, capsys):
     assert err.count("error:") == 3 and "must be finite" in err
 
 
-def test_box_too_large_exit_2(tmp_path, capsys):
-    n = 17
-    doc = {"m": 1, "n": n, "C_bar": [[1.0] * n], "u": [0.0], "v": [0.0] * n,
-           "constraints": [{"kind": "box", "a_lo": [-1.0] * n, "a_hi": [1.0] * n,
-                            "b_lo": -2.0, "b_hi": -1.0}]}
-    code = main(["certify", _write(tmp_path, doc), "--point", ",".join(["0"] * n)])
+def test_24_dimensional_box_certifies_replays_and_is_confirmed(tmp_path, capsys):
+    # one lifted row with 24 taus, where vertex rows would number 2^24
+    n = 24
+    rng = np.random.default_rng(24)
+    x = rng.choice([-2.0, -1.0, 1.0, 2.0], n)
+    lo = rng.integers(-3, 1, n).astype(float)
+    hi = lo + rng.integers(1, 3, n)
+    a_min = np.where(x >= 0, lo, hi)        # the worst vertex at x: tight
+    doc = {"m": 2, "n": n, "C_bar": [a_min.tolist(), (2 * a_min).tolist()],
+           "u": [1.0, 0.5], "v": a_min.tolist(),
+           "constraints": [{"kind": "box", "a_lo": lo.tolist(), "a_hi": hi.tolist(),
+                            "b_lo": -100.0, "b_hi": float(a_min @ x)},
+                           {"kind": "singleton", "a_bar": [1.0] * n, "b_bar": -100.0}]}
+    path, point = _write(tmp_path, doc), ",".join(map(str, x))
+    t0 = time.process_time()
+    code, out = _run(capsys, ["certify", path, f"--point={point}", "--oracle", "3", "--json"])
+    assert time.process_time() - t0 < 1.0
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["verdict"] == "certified"
+    assert rep["payload"]["oracle"]["outcome"] == "confirmed"
+    rec = rep["payload"]["certificate"]["nominal"][0]
+    assert rec["mu"] > 0 and rec["witness_norm"] == pytest.approx(1.0)
+    assert rec["scenario_a"] == pytest.approx(a_min.tolist(), abs=1e-12)
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(out, encoding="utf-8")
+    code, rep = _run_json(capsys, ["verify", path, f"--point={point}", "--cert", str(cert_file)])
+    assert code == 0 and rep["verdict"] == "valid"
+
+
+@pytest.mark.parametrize("a_lo, a_hi, point, exit_code", [
+    # every scenario product overflows; the worst row's true slack is -5e599
+    ([5e299, -1e300], [1e300, -5e299], "1e300,1e300", 4),
+    # feasible, but the lifted tau = |P^T x| = 2.5e599 has no float
+    ([0.0, 5e299], [0.0, 1e300], "0,1e300", 2),
+])
+def test_certify_box_products_overflowing_the_float_range(tmp_path, capsys, a_lo,
+                                                          a_hi, point, exit_code):
+    doc = {"m": 1, "n": 2, "C_bar": [[1.0, 0.0]], "u": [0.0], "v": [0.0, 0.0],
+           "constraints": [{"kind": "box", "a_lo": a_lo, "a_hi": a_hi,
+                            "b_lo": 0.0, "b_hi": 1.0}]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["certify", _write(tmp_path, doc), f"--point={point}", "--json"])
     err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error:") and "2^17" in err
+    assert code == exit_code
+    assert err.startswith("error:") and "nan" not in err
 
 
 @pytest.mark.parametrize("exc_name", ["NonCertifiedError", "NumericalBreakdown",

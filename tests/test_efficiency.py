@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import random_polyhedral_problem, vertex_candidate
+from conftest import box_vertices, random_polyhedral_problem, vertex_candidate
 from robustmolp import feasibility
 from robustmolp.efficiency import (NotFeasiblePointError, SlaterViolatedError,
                                    UnsupportedClassError, active_geometry,
                                    certify_weak_efficiency, check_slater,
                                    weakly_efficient_for_scenario)
 from robustmolp.model import (Ball, Box, Ellipsoid, NormBall, Polytope,
-                              Singleton, UncertainMOLP, box_vertices,
-                              reduce_constraints, validate_problem)
+                              Singleton, UncertainMOLP, reduce_constraints,
+                              validate_problem)
 from robustmolp.oracle import refute_robust_weak_efficiency, verify_certificate
 
 _INF = float("inf")
@@ -220,7 +220,8 @@ def test_box_vs_polytope_agreement(rng):
         v = rng.integers(-5, 6, n).astype(float)
         pb = UncertainMOLP(m, n, C, u, v, tuple(boxes))
         pp = UncertainMOLP(m, n, C, u, v, tuple(polys))
-        x = vertex_candidate(rng, pb)
+        # a vertex of the same set, taken from its vertex rows
+        x = vertex_candidate(rng, pp)
         ob = certify_weak_efficiency(validate_problem(pb), x)
         op = certify_weak_efficiency(validate_problem(pp), x)
         assert ob.status == op.status
@@ -275,10 +276,17 @@ def _slater_lps(monkeypatch, delta, s):
 @pytest.mark.parametrize("s, threshold", [(1, 2.0), (_INF, 1.0)])
 def test_slater_of_norm_one_and_inf_rows_is_one_lp(monkeypatch, s, threshold):
     # the supremum of the min-slack is 0 from delta = threshold on, else +inf
-    chk, lps = _slater_lps(monkeypatch, 0.9 * threshold, s)
-    assert chk.ok and chk.min_slack >= 1.0 - 1e-12 and lps == 1
-    chk, lps = _slater_lps(monkeypatch, 1.1 * threshold, s)
-    assert not chk.ok and chk.max_slack == 0.0 and lps == 1
+    for delta, sup in ((0.9 * threshold, 1.0), (1.1 * threshold, 0.0)):
+        p = UncertainMOLP(1, 2, [[1.0, 0.0]], [0.0], [0.0, 0.0],
+                          (NormBall([1.0, 1.0], np.eye(2), delta, s, 0.0, 0.0),))
+        X = reduce_constraints(validate_problem(p))
+        search = feasibility.maximize_min_slack(X.rows, X.n, target=1e-6)
+        assert search.value == pytest.approx(sup, abs=1e-12)
+        assert search.upper_bound == pytest.approx(sup, abs=1e-12)
+        # the refined Slater condition asks a polyhedral row only to be
+        # satisfied, so even the set {0} passes, in one LP
+        chk, lps = _slater_lps(monkeypatch, delta, s)
+        assert chk.ok and lps == 1
 
 
 def test_slater_of_two_norm_row_decided_by_tangent_cuts(monkeypatch):
@@ -350,12 +358,27 @@ def test_lifted_inf_ball_with_empty_interior_is_certified():
                       (NormBall([1.0], [[1.0]], 0.5, _INF, 0.0, 0.0),
                        Singleton([-1.0], 0.0)))
     vp = validate_problem(p)
-    assert not check_slater(reduce_constraints(vp)).ok
+    X = reduce_constraints(vp)
+    assert feasibility.maximize_min_slack(X.rows, X.n).value == 0.0
     x = np.array([0.0])
     out = certify_weak_efficiency(vp, x)
     assert out.status == "certified"
     assert verify_certificate(vp, x, out.certificate).ok
     assert refute_robust_weak_efficiency(p, x).outcome == "confirmed"
+
+
+def test_box_without_interior_beside_a_two_norm_ball_is_certified():
+    # a box row x >= 0 and -x >= 0 leave {0}; the refined Slater condition
+    # asks strict slack of the 2-norm ball only, which has slack 1 at 0
+    p = UncertainMOLP(1, 1, [[1.0]], [0.0], [0.0],
+                      (Box([1.0], [2.0], -1.0, 0.0), Singleton([-1.0], 0.0),
+                       NormBall([1.0], [[1.0]], 0.5, 2, -1.0, -1.0)))
+    vp = validate_problem(p)
+    assert check_slater(reduce_constraints(vp)).ok
+    x = np.array([0.0])
+    out = certify_weak_efficiency(vp, x)
+    assert out.status == "certified"
+    assert verify_certificate(vp, x, out.certificate).ok
 
 
 def _mixed_ball_problem(rng, kinds):
@@ -534,8 +557,6 @@ def test_all_inactive_two_norm_rows_make_no_cone_solve(monkeypatch, rng):
         prob = random_polyhedral_problem(rng, n_max=3)
         x = vertex_candidate(rng, prob)
         vq = validate_problem(_with_inactive_balls(prob, x, 2))
-        if not check_slater(reduce_constraints(vq)).ok:
-            continue
         # rows slack at x do not move the normal cone there, so the verdict
         # of the set without them stands
         want = certify_weak_efficiency(validate_problem(prob), x).status

@@ -5,10 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from robustmolp.model import (Ball, BallRow, Box, BoxTooLargeError,
-                              ConcaveRow, Ellipsoid, LinearRow, NormBall,
-                              Polytope, ProblemFormatError, Singleton,
-                              UncertainMOLP, ValidationError, box_vertices,
+from conftest import box_vertices
+from robustmolp.model import (Ball, BallRow, Box, ConcaveRow, Ellipsoid,
+                              LinearRow, NormBall, Polytope,
+                              ProblemFormatError, Singleton, UncertainMOLP,
+                              ValidationError,
                               endpoint_objectives, load_problem, parse_problem,
                               problem_to_dict, reduce_constraints,
                               validate_dimensions, validate_problem)
@@ -124,34 +125,35 @@ def test_reduction_of_two_polytopes_gives_five_rows():
 
 
 def test_box_reduction_one_dimensional():
+    # a in [1, 2] is the s = inf ball of radius 1/2 around 3/2
     p = UncertainMOLP(1, 1, [[1.0]], [0.0], [0.0],
                       (Box([1.0], [2.0], 0.0, 1.0),))
     X = reduce_constraints(validate_problem(p))
-    got = sorted((float(r.a[0]), r.b) for r in X.rows)
-    assert got == [(1.0, 1.0), (2.0, 1.0)]
+    (row,) = X.rows
+    assert isinstance(row, ConcaveRow) and row.s == _INF and row.b == 1.0
+    assert row.a_bar.tolist() == [1.5] and row.P.tolist() == [[0.5]]
+    # lifted: 1.5 x - tau >= 1 with bands tau >= -x/2 and tau >= x/2
+    XL, xl = X.lift(np.array([4.0]))
+    assert [r.a.tolist() for r in XL.rows] == [[1.5, -1.0], [0.5, 1.0], [-0.5, 1.0]]
+    assert xl.tolist() == [4.0, 2.0] and XL.lifted == ((0, row),)
 
 
 def test_box_vertex_enumeration_property(rng):
+    # the one reduced row has the worst case of the 2^n vertex rows
     for _ in range(25):
         n = int(rng.integers(1, 5))
         lo = rng.integers(-4, 1, n).astype(float)
         hi = lo + rng.integers(0, 4, n)
         p = UncertainMOLP(1, n, np.zeros((1, n)), [0.0], np.zeros(n),
                           (Box(lo, hi, 0.0, 1.0),))
-        X = reduce_constraints(validate_problem(p))
-        assert len(X.rows) == 2 ** n
-        for row in X.rows:
-            for i in range(n):
-                assert row.a[i] in (lo[i], hi[i])
-        # binary-counter order: bit 0 toggles coordinate 0 fastest
-        assert np.array_equal(np.asarray(X.rows[0].a), lo)
-        if n >= 1 and hi[0] != lo[0]:
-            assert X.rows[1].a[0] == hi[0]
-
-
-def test_box_dimension_cap():
-    with pytest.raises(BoxTooLargeError):
-        box_vertices(np.zeros(17), np.ones(17))
+        (row,) = reduce_constraints(validate_problem(p)).rows
+        if np.array_equal(lo, hi):
+            assert isinstance(row, LinearRow) and np.array_equal(row.a, lo)
+            continue
+        assert row.P.shape == (n, int(np.count_nonzero(hi > lo)))
+        for x in rng.normal(size=(5, n)):
+            want = min(float(a @ x) - 1.0 for a in box_vertices(lo, hi))
+            assert row.slack(x) == pytest.approx(want, abs=1e-12)
 
 
 def test_polytope_reduction_idempotent(rng):
@@ -368,20 +370,6 @@ def test_missing_keys_and_bad_norm_index_rejected():
     doc["constraints"][1]["s"] = 3
     with pytest.raises(ProblemFormatError):
         parse_problem(doc)
-
-
-def test_box_vertices_match_the_loop_reference():
-    rng = np.random.default_rng(7)
-    for n in range(9):
-        lo = rng.normal(size=n)
-        hi = lo + rng.random(n)
-        ref = np.empty((1 << n, n))
-        for l in range(1 << n):
-            for i in range(n):
-                ref[l, i] = hi[i] if (l >> i) & 1 else lo[i]
-        assert box_vertices(lo, hi).tobytes() == ref.tobytes()
-    assert box_vertices([0.0, 10.0], [1.0, 11.0]).tolist() == [
-        [0.0, 10.0], [1.0, 10.0], [0.0, 11.0], [1.0, 11.0]]
 
 
 def test_overflowing_perturbed_objective_rejected():

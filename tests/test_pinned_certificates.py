@@ -5,8 +5,11 @@ below as produced before norm balls and ellipsoids shared one
 affine-norm-ball row (a = a_bar + P w, ||w||_s <= 1).  The s = 1 and
 s = inf entries were re-recorded when those balls were lifted into linear
 rows and decided by the endpoint LP: the same multipliers and witnesses
-to rounding, now with the LP's active rows and row multipliers.  Any
-change to the reduction, the endpoint systems or the certificate records
+to rounding, now with the LP's active rows and row multipliers.  The box
+entry was re-recorded when boxes became one lifted s = inf row: the same
+multipliers and scenario rows, now with a witness w and the lifted rows;
+`box_vertex_rows` keeps its earlier record, whose scenario row is a
+vertex with no witness, and must still replay.  Any change to the reduction, the endpoint systems or the certificate records
 that moves a multiplier, scenario row or witness shows here.
 """
 
@@ -17,10 +20,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from robustmolp.cli import certificate_to_dict
+from robustmolp.cli import certificate_from_dict, certificate_to_dict
 from robustmolp.efficiency import certify_weak_efficiency
 from robustmolp.model import (Box, Ellipsoid, NormBall, Polytope, Singleton,
                               UncertainMOLP, validate_problem)
+from robustmolp.oracle import verify_certificate
 
 PINNED = Path(__file__).with_name("pinned_certificates.json")
 
@@ -101,3 +105,11 @@ def test_canonical_certificate_pinned(name):
     assert out.status == "certified"
     got = json.loads(json.dumps(certificate_to_dict(out.certificate)))
     _close(got, json.loads(PINNED.read_text())[name], name)
+
+
+def test_vertex_row_box_certificate_still_verifies():
+    # recorded while boxes were 2^n vertex rows: scenario_a a vertex, no witness
+    doc = json.loads(PINNED.read_text())["box_vertex_rows"]
+    assert all(r["witness"] is None for r in doc["nominal"] + doc["perturbed"])
+    vp = validate_problem(_instances()["box"])
+    assert verify_certificate(vp, X, certificate_from_dict(doc)).ok

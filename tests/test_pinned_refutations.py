@@ -5,7 +5,9 @@
 pivot count of every LP that `certify_weak_efficiency` solved, as produced
 by the row-by-row dense Bland simplex.  The simplex must keep Bland's rule
 and its tie-breaks exactly: a different pivot path moves a pivot count
-here, and usually the last bits of the witness too.
+here, and usually the last bits of the witness too.  The instances with a
+box (12, 14, 25, 28, 30) were re-recorded when boxes became one lifted
+s = inf row instead of their 2^n vertex rows.
 """
 
 import json
@@ -21,7 +23,7 @@ from robustmolp.model import Box, Polytope, Singleton, UncertainMOLP, validate_p
 PINNED = Path(__file__).with_name("pinned_refutations.json")
 
 # seeds 5 and 22 refute at the perturbed endpoint, 25 has u = 0, and 30
-# carries a 2^8-row box, so its scenario LP has 276 rows
+# carries an 8-dimensional box, lifted into 17 rows over 8 extra columns
 SEEDS = (0, 5, 12, 14, 22, 25, 28, 30)
 
 
