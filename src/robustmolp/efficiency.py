@@ -7,10 +7,10 @@ spanned by active constraint data.  Polyhedral uncertainty classes,
 boxes and s = 1/inf norm balls included once lifted into linear rows, are
 decided exactly by LP.  A 2-norm ball or ellipsoid row gets a multiplier
 only when it is active at the point (complementarity zeroes the others):
-an endpoint with an active one goes through a conic multiplier system
-solved to a residual tolerance under a refined Slater condition (strict
-slack on the 2-norm rows only), and an endpoint with none is decided by
-the same exact LP.
+with an active one both endpoints are conic multiplier systems solved to
+a residual tolerance under a refined Slater condition (strict slack on
+the 2-norm rows only), and with none they are the same exact LP, which
+needs no constraint qualification.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import numpy as np
 from .feasibility import SlackSearch, maximize_min_slack
 from .model import (Ball, ConcaveRow, LinearRow, RobustFeasibleSet,
                     ValidatedProblem, endpoint_objectives, reduce_constraints)
-from .numerics import (ConeFeasibilitySystem, LinearProgram, VarBlock,
-                       norm_value, slack_value, solve_cone_system, solve_lp)
+from .numerics import (LinearProgram, norm_value, slack_value, solve_cone_system,
+                       solve_lp)
 
 _INF = float("inf")
 
@@ -205,108 +205,64 @@ class EndpointSolve:
     feasible: bool
     residual: float | None                  # cone path only; an LP is exact
     lam: np.ndarray | None = None
-    row_mu: np.ndarray | None = None        # LP path, per active row
     mu_of: dict | None = None               # active linear row -> multiplier
     cones: dict | None = None               # constraint -> (row, its (y, mu) block)
 
 
-def _solve_polyhedral_endpoint(C, geo: ActiveGeometry):
-    """Exact LP: scalarization weights on the simplex whose image lies in
-    the cone of the active generators (complementarity is structural), one
-    multiplier per group; an equality whose coefficients are all zero is
-    left out."""
-    C = np.atleast_2d(np.asarray(C, float))
+def _solve_endpoint(C, XL, geo: ActiveGeometry, cones, xl):
+    """Scalarization weights lambda on the simplex whose image C^T lambda
+    lies in the cone of the constraint data active at xl.
+
+    Columns: lambda; one nonnegative multiplier per group of active linear
+    rows on its generator (complementarity is structural); and per 2-norm
+    ball or ellipsoid row a_bar + P w in `cones`, the ones active at xl, a
+    block (y, mu) with ||y||_2 <= mu on the columns (P, -a_bar), y standing
+    for the multiplier times its unit witness.  Rows: the n equalities and
+    the scalarized value [C xl | -sum(b) per group | 0, -b per block].
+    Together they give sum_j mu_j [(a_bar_j - P_j w_j).xl - b_j] = 0 with
+    every term at least mu_j times the row's slack, so an inactive row
+    would get mu_j = 0 and needs no block.  With no block the endpoint is
+    an exact LP over the n equalities, an all-zero one left out.
+    """
     m, n = C.shape
     k = len(geo.groups)
-    d = m + k
-    M = np.empty((n, d))            # one equality per column of C
-    M[:, :m] = C.T
-    M[:, m:] = np.reshape(geo.generators, (k, n)).T
-    lp_rows = [(g, 0.0, "==") for g in M[M.any(axis=1)]]
-    g = np.zeros(d)
-    g[:m] = 1.0
-    lp_rows.append((g, 1.0, "=="))
-    sol = solve_lp(LinearProgram.build(np.zeros(d), lp_rows, np.zeros(d)))
-    if not sol.optimal:
-        return EndpointSolve(False, None)
-    lam = np.maximum(sol.x[:m], 0.0)
+    dims = [r.P.shape[1] + 1 for r in cones]
+    A = np.zeros((n + 1, m + k + sum(dims)))
+    A[:n, :m] = C.T
+    A[:n, m:m + k] = np.reshape(geo.generators, (k, n)).T
+    A[n, :m] = C @ xl
+    A[n, m:m + k] = [-sum(XL.rows[i].b for i in g) for g in geo.groups]
+    o = m + k
+    for r, d in zip(cones, dims):
+        A[:n, o:o + d - 1] = r.P
+        A[:n, o + d - 1] = -r.a_bar
+        A[n, o + d - 1] = -r.b
+        o += d
+    if cones:
+        blocks = [("simplex", m)] + [("nonneg", k)] * (k > 0) + [("soc", d) for d in dims]
+        res = solve_cone_system(A, np.zeros(n + 1), blocks)
+        x, residual = res.x, res.residual
+        if not res.feasible:
+            return EndpointSolve(False, residual)
+    else:
+        M = A[:n]
+        lp_rows = [(g, 0.0, "==") for g in M[M.any(axis=1)]]
+        g = np.zeros(m + k)
+        g[:m] = 1.0
+        lp_rows.append((g, 1.0, "=="))
+        sol = solve_lp(LinearProgram.build(np.zeros(m + k), lp_rows, np.zeros(m + k)))
+        if not sol.optimal:
+            return EndpointSolve(False, None)
+        x, residual = sol.x, None
+    lam = np.maximum(x[:m], 0.0)
     lam = lam / lam.sum()
     mu_of = dict.fromkeys(geo.active_rows, 0.0)
-    for rows, mu in zip(geo.groups, np.maximum(sol.x[m:], 0.0).tolist()):
+    for rows, mu in zip(geo.groups, np.maximum(x[m:m + k], 0.0).tolist()):
         for i in rows:
             mu_of[i] = mu
-    return EndpointSolve(True, None, lam, np.fromiter(mu_of.values(), float, len(mu_of)),
-                         mu_of)
-
-
-def _endpoint_cone_system(C, vp, X, geo, x_bar):
-    """Joint multiplier system for one endpoint objective.
-
-    Variables: lambda on the simplex; per polyhedral constraint, one
-    nonnegative multiplier per active row; per 2-norm ball or ellipsoid row
-    a_bar + P w active at x_bar, a cone block (y_j, mu_j) with
-    ||y_j||_2 <= mu_j replacing the bilinear product of the multiplier and
-    its unit witness.  Equalities: C^T lambda equals the multiplier
-    combination of realized scenario vectors, and the scalarized value
-    matches the multiplier combination of right-hand sides.  Together they
-    give sum_j mu_j [(a_bar_j - P_j w_j).x_bar - b_j] = 0 with every term at
-    least mu_j times the row's slack, so a row with slack above ACTIVE_TOL
-    has mu_j = 0 (scenario a_bar_j) and gets no block, as an inactive
-    linear row gets no multiplier.
-    Returns the system and (constraint, block, active rows or row) per block.
-    """
-    p = vp.problem
-    C = np.atleast_2d(np.asarray(C, float))
-    m, n = C.shape
-    blocks = [VarBlock("simplex", m)]
-    registry = []
-    vec = {0: C.T}         # n x m
-    sca = {0: (C @ x_bar).reshape(1, m)}
-    for j in range(len(p.constraints)):
-        rows_j = [r for r in X.rows if r.source == j]
-        bi = len(blocks)
-        if all(isinstance(r, LinearRow) for r in rows_j):
-            # active-support restriction enforces complementarity structurally
-            act = [i for i in geo.active_rows if X.rows[i].source == j]
-            if not act:
-                continue
-            blocks.append(VarBlock("nonneg", len(act)))
-            vec[bi] = -np.column_stack([X.rows[i].a for i in act])
-            sca[bi] = -np.array([[X.rows[i].b for i in act]])
-            registry.append((j, bi, act))
-        else:
-            row = rows_j[0]      # a cone class reduces to one ConcaveRow
-            if row.slack(x_bar) > ACTIVE_TOL:
-                continue
-            q = row.P.shape[1]
-            blocks.append(VarBlock("soc", q + 1))
-            vec[bi] = np.column_stack([row.P, -row.a_bar])
-            sca[bi] = np.append(np.zeros(q), -row.b)
-            registry.append((j, bi, row))
-    sys = ConeFeasibilitySystem.build(
-        blocks,
-        [(vec, np.zeros(n)), (sca, np.zeros(1))])
-    return sys, registry
-
-
-def _solve_cone_endpoint(C, vp, X, geo, x_bar):
-    sys, registry = _endpoint_cone_system(C, vp, X, geo, x_bar)
-    if not any(blk.kind == "soc" for blk in sys.blocks):
-        # no 2-norm row is active at x_bar: the endpoint is polyhedral
-        return _solve_polyhedral_endpoint(C, geo)
-    res = solve_cone_system(sys)
-    if not res.feasible:
-        return EndpointSolve(False, res.residual)
-    parts = sys.split(res.x)
-    lam = np.maximum(parts[0], 0.0)       # projected onto the simplex
-    lam = lam / lam.sum()
-    mu_of, cones = {}, {}
-    for j, bi, rows in registry:
-        if isinstance(rows, list):          # active linear rows
-            mu_of.update(zip(rows, np.maximum(parts[bi], 0.0)))
-        else:                               # one ConcaveRow
-            cones[j] = (rows, parts[bi])
-    return EndpointSolve(True, res.residual, lam, mu_of=mu_of, cones=cones)
+    segs = np.split(x[m + k:], np.cumsum(dims)[:-1])
+    return EndpointSolve(True, residual, lam, mu_of,
+                         {r.source: (r, seg) for r, seg in zip(cones, segs)})
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +328,7 @@ def _constraint_records(p, X, XL, sol: EndpointSolve, x_bar, zero):
         own.setdefault(r.source, []).append(r)
     cones = {r.source: (r, np.zeros(r.P.shape[1] + 1))
              for r in XL.rows if isinstance(r, ConcaveRow)}
-    cones.update(sol.cones or {})
+    cones.update(sol.cones)
     balls = {row.source: (k0, row) for k0, row in XL.lifted}
     terms = {}
     for i, mu in sol.mu_of.items():
@@ -479,12 +435,13 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
 
     The feasible set is lifted (RobustFeasibleSet.lift) so that s = 1/inf
     norm balls become linear rows.  An all-linear lifted set is decided
-    exactly by LP.  Once a 2-norm ball or an ellipsoid is present a Slater
-    point is verified, an endpoint with such a row active at the point is
-    a joint conic system and one with none is the exact LP, refutations
-    require a dominating scenario witness, and an unresolved residual
-    yields "unknown".  A certificate whose endpoint-equality or
-    complementarity residual exceeds RESIDUAL_TOL is never issued.
+    exactly by LP.  Once a 2-norm ball or an ellipsoid is present, the
+    endpoints are the exact LP while no such row is active at the point;
+    with one active a Slater point is verified and both endpoints are
+    joint conic systems.  Refutations then require a dominating scenario
+    witness, and an unresolved residual yields "unknown".  A certificate
+    whose endpoint-equality or complementarity residual exceeds
+    RESIDUAL_TOL is never issued.
     """
     p = vp.problem
     x_bar = np.asarray(x_bar, float)
@@ -505,18 +462,14 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
               (np.hstack([C, np.zeros((p.m, XL.n - p.n))]) for C in (C0, C1)))
     geo = active_geometry(XL, xl)
     lp = XL.all_linear
-    if not lp:
+    # complementarity zeroes the multiplier of a 2-norm row slack at xl
+    cones = [r for r in XL.rows if isinstance(r, ConcaveRow) and r.slack(xl) <= ACTIVE_TOL]
+    if cones:
         slater = check_slater(X)
         if not slater.ok:
             raise SlaterViolatedError(slater.max_slack)
-
-    def solve(C):
-        if lp:
-            return _solve_polyhedral_endpoint(C, geo)
-        return _solve_cone_endpoint(C, vp, XL, geo, xl)
-
-    e0 = solve(D0)
-    e1 = e0 if same else solve(D1)
+    e0 = _solve_endpoint(D0, XL, geo, cones, xl)
+    e1 = e0 if same else _solve_endpoint(D1, XL, geo, cones, xl)
 
     def residuals(prefix):
         # an endpoint decided by LP is exact and has no residual entry
@@ -527,7 +480,8 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
         zero = {}
         nominal = _constraint_records(p, X, XL, e0, x_bar, zero)
         perturbed = nominal if e1 is e0 else _constraint_records(p, X, XL, e1, x_bar, zero)
-        rows = (geo.active_rows, e0.row_mu, e1.row_mu) if lp else ((), None, None)
+        row_mu = [np.fromiter(e.mu_of.values(), float, len(e.mu_of)) for e in (e0, e1)]
+        rows = (geo.active_rows, *row_mu) if lp else ((), None, None)
         cert = EfficiencyCertificate(e0.lam, e1.lam, nominal, perturbed, *rows, {})
         return _certified(p, x_bar, C0, C1, cert, residuals("system_"))
     if not lp:

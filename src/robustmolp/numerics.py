@@ -271,20 +271,6 @@ def project_simplex(y: np.ndarray) -> np.ndarray:
     return np.maximum(y - theta, 0.0)
 
 
-def dual_norm_value(x: np.ndarray, s) -> float:
-    """Value of the norm conjugate to the s-norm (1 <-> inf, 2 <-> 2)."""
-    x = np.asarray(x, float)
-    if x.size == 0:
-        return 0.0
-    if s == 1:
-        return float(np.abs(x).max())
-    if s == 2:
-        return float(np.linalg.norm(x))
-    if s == _INF or s == math.inf:
-        return float(np.abs(x).sum())
-    raise ValueError(f"norm index {s!r} not in {{1, 2, inf}}")
-
-
 def norm_value(x: np.ndarray, s) -> float:
     x = np.asarray(x, float)
     if x.size == 0:
@@ -492,81 +478,6 @@ def min_norm_point(points, ray) -> MinNormResult:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class VarBlock:
-    """A block of decision variables with its own feasible set.
-
-    kinds: "nonneg", "simplex", and "soc" where the block is (y, t) with
-    ||y||_2 <= t and dim = len(y) + 1.
-    """
-
-    kind: str
-    dim: int
-
-    def __post_init__(self):
-        if self.kind not in ("nonneg", "simplex", "soc"):
-            raise ValueError(f"unknown block kind {self.kind!r}")
-        if self.dim < 1:
-            raise ValueError("block dimension must be >= 1")
-
-
-@dataclass(frozen=True)
-class ConeFeasibilitySystem:
-    """Affine equalities over block-constrained variables.
-
-    Each equality is (coeffs, rhs) with coeffs a dict mapping block index
-    to a (k x block_dim) matrix.
-    """
-
-    blocks: tuple
-    equalities: tuple
-
-    @staticmethod
-    def build(blocks, equalities):
-        blocks = tuple(blocks)
-        eqs = []
-        for coeffs, rhs in equalities:
-            rhs = np.atleast_1d(np.asarray(rhs, float))
-            k = rhs.size
-            cmap = {}
-            for bi, Mb in coeffs.items():
-                Mb = np.asarray(Mb, float)
-                if Mb.ndim == 1:
-                    Mb = Mb.reshape(k, -1)
-                if Mb.shape != (k, blocks[bi].dim):
-                    raise ValueError("equality block shape mismatch")
-                cmap[int(bi)] = Mb
-            eqs.append((cmap, rhs))
-        return ConeFeasibilitySystem(blocks, tuple(eqs))
-
-    @property
-    def offsets(self):
-        off, cur = [], 0
-        for blk in self.blocks:
-            off.append(cur)
-            cur += blk.dim
-        return off, cur
-
-    def stacked(self):
-        off, D = self.offsets
-        K = sum(rhs.size for _, rhs in self.equalities)
-        A = np.zeros((K, D))
-        b = np.zeros(K)
-        r = 0
-        for cmap, rhs in self.equalities:
-            k = rhs.size
-            for bi, Mb in cmap.items():
-                A[r:r + k, off[bi]:off[bi] + self.blocks[bi].dim] = Mb
-            b[r:r + k] = rhs
-            r += k
-        return A, b
-
-    def split(self, x):
-        off, _ = self.offsets
-        return [np.asarray(x[o:o + blk.dim])
-                for o, blk in zip(off, self.blocks)]
-
-
-@dataclass(frozen=True)
 class ConeResult:
     feasible: bool
     exact: bool               # always False: the verdict is up to CONE_TOL
@@ -588,26 +499,26 @@ def _project_soc(y, t):
 
 def _project_blocks(x, blocks, offsets):
     out = x.copy()
-    for o, blk in zip(offsets, blocks):
-        seg = out[o:o + blk.dim]
-        if blk.kind == "nonneg":
-            out[o:o + blk.dim] = np.maximum(seg, 0.0)
-        elif blk.kind == "simplex":
-            out[o:o + blk.dim] = project_simplex(seg)
-        elif blk.kind == "soc":
+    for o, (kind, dim) in zip(offsets, blocks):
+        seg = out[o:o + dim]
+        if kind == "nonneg":
+            out[o:o + dim] = np.maximum(seg, 0.0)
+        elif kind == "simplex":
+            out[o:o + dim] = project_simplex(seg)
+        elif kind == "soc":
             y, t = _project_soc(seg[:-1], float(seg[-1]))
-            out[o:o + blk.dim - 1] = y
-            out[o + blk.dim - 1] = t
+            out[o:o + dim - 1] = y
+            out[o + dim - 1] = t
     return out
 
 
 def _initial_point(blocks, offsets, D):
     x = np.zeros(D)
-    for o, blk in zip(offsets, blocks):
-        if blk.kind == "simplex":
-            x[o:o + blk.dim] = 1.0 / blk.dim
-        elif blk.kind == "soc":
-            x[o + blk.dim - 1] = 1.0
+    for o, (kind, dim) in zip(offsets, blocks):
+        if kind == "simplex":
+            x[o:o + dim] = 1.0 / dim
+        elif kind == "soc":
+            x[o + dim - 1] = 1.0
     return x
 
 
@@ -616,32 +527,32 @@ def _polish_cone(A, b, x, blocks, offsets):
     D = A.shape[1]
     cols = []           # (vector in R^D, lower bound 0 or -inf)
     sum_rows = []       # simplex sum-to-one constraints over reduced vars
-    for o, blk in zip(offsets, blocks):
-        seg = x[o:o + blk.dim]
-        if blk.kind in ("nonneg", "simplex"):
-            idxs = [i for i in range(blk.dim) if seg[i] > 1e-9]
-            if blk.kind == "simplex" and not idxs:
+    for o, (kind, dim) in zip(offsets, blocks):
+        seg = x[o:o + dim]
+        if kind in ("nonneg", "simplex"):
+            idxs = [i for i in range(dim) if seg[i] > 1e-9]
+            if kind == "simplex" and not idxs:
                 idxs = [int(np.argmax(seg))]
             start = len(cols)
             for i in idxs:
                 e = np.zeros(D)
                 e[o + i] = 1.0
                 cols.append((e, True))
-            if blk.kind == "simplex":
+            if kind == "simplex":
                 sum_rows.append(list(range(start, len(cols))))
         else:  # soc
             y, t = seg[:-1], float(seg[-1])
             ny = float(np.linalg.norm(y))
             if ny < t - max(1e-9, 1e-7 * abs(t)):
-                for i in range(blk.dim):
+                for i in range(dim):
                     e = np.zeros(D)
                     e[o + i] = 1.0
                     cols.append((e, False))
             else:
                 e = np.zeros(D)
                 if ny > 1e-12:
-                    e[o:o + blk.dim - 1] = y / ny
-                e[o + blk.dim - 1] = 1.0
+                    e[o:o + dim - 1] = y / ny
+                e[o + dim - 1] = 1.0
                 cols.append((e, True))
     if not cols:
         return None
@@ -680,11 +591,11 @@ def _farkas_bound(A, b, z, blocks, offsets):
     """
     c = A.T @ z
     g = -float(b @ z)
-    for o, blk in zip(offsets, blocks):
-        seg = c[o:o + blk.dim]
-        if blk.kind == "simplex":
+    for o, (kind, dim) in zip(offsets, blocks):
+        seg = c[o:o + dim]
+        if kind == "simplex":
             g += float(seg.min())
-        elif blk.kind == "nonneg":
+        elif kind == "nonneg":
             if seg.min() < 0.0:
                 return -_INF
         elif np.linalg.norm(seg[:-1]) > seg[-1]:    # soc
@@ -692,7 +603,7 @@ def _farkas_bound(A, b, z, blocks, offsets):
     return g / float(np.linalg.norm(z))
 
 
-def _pgd_min_residual(A, b, blocks, offsets, D, tol, max_iter):
+def _pgd_min_residual(A, b, blocks, tol, max_iter):
     """FISTA on 0.5*||Ax - b||^2 with per-block projections.
 
     Returns (best point, its residual norm, iterations, stop reason).  The
@@ -703,9 +614,10 @@ def _pgd_min_residual(A, b, blocks, offsets, D, tol, max_iter):
     improvement between checkpoints has "stalled"; or at max_iter
     ("budget").
     """
+    offsets = np.cumsum([0] + [dim for _, dim in blocks])[:-1].tolist()
     sigma = np.linalg.norm(A, 2) if A.size else 0.0
     step = 1.0 / max(sigma * sigma, 1e-12)
-    x = _project_blocks(_initial_point(blocks, offsets, D), blocks, offsets)
+    x = _project_blocks(_initial_point(blocks, offsets, A.shape[1]), blocks, offsets)
     z = A @ x - b
     r_x = float(np.linalg.norm(z))
     best_x, best_z, best_r = x, z, r_x
@@ -754,19 +666,26 @@ def _pgd_min_residual(A, b, blocks, offsets, D, tol, max_iter):
     return best_x, best_r, done, reason
 
 
-def solve_cone_system(sys: ConeFeasibilitySystem) -> ConeResult:
-    """Find a block-feasible point satisfying the equalities.
+def solve_cone_system(A, b, blocks) -> ConeResult:
+    """Find x with A x = b whose consecutive segments lie in `blocks`, a
+    list of (kind, dim) in column order: "nonneg", "simplex", or "soc",
+    a segment (y, t) with ||y||_2 <= t and dim = len(y) + 1.
 
     The row-scaled residual norm is driven down by accelerated projected
     gradient (at most CONE_MAX_ITER iterations), and the verdict is
     feasible only when it lands within CONE_TOL.  Polyhedral systems
     belong to an LP; this solver is for systems with second-order cones.
     """
-    offsets, D = sys.offsets
-    A, b = sys.stacked()
+    A, b = np.asarray(A, float), np.asarray(b, float)
+    for kind, dim in blocks:
+        if kind not in ("nonneg", "simplex", "soc"):
+            raise ValueError(f"unknown block kind {kind!r}")
+        if dim < 1:
+            raise ValueError("block dimension must be >= 1")
+    if A.ndim != 2 or b.shape != A.shape[:1] or A.shape[1] != sum(d for _, d in blocks):
+        raise ValueError("A must be k x (sum of block dimensions), b of length k")
     mx = np.abs(A).max(axis=1, initial=0.0)
     scale = np.divide(1.0, mx, out=np.ones_like(mx), where=mx > 0)
     x_best, r_best, its, reason = _pgd_min_residual(
-        A * scale[:, None], b * scale, sys.blocks, offsets, D, CONE_TOL,
-        CONE_MAX_ITER)
+        A * scale[:, None], b * scale, blocks, CONE_TOL, CONE_MAX_ITER)
     return ConeResult(r_best <= CONE_TOL, False, r_best, x_best, its, reason)

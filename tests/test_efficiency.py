@@ -421,23 +421,38 @@ def test_polyhedral_balls_skip_slater_and_cone_solver(monkeypatch, rng):
 
 
 def test_cone_solver_sees_only_two_norm_blocks(monkeypatch, rng):
-    import robustmolp.efficiency as eff
-    systems = []
-    solve = eff.solve_cone_system
-
-    def spy(sys, **kwargs):
-        systems.append(sys)
-        return solve(sys, **kwargs)
-
-    monkeypatch.setattr(eff, "solve_cone_system", spy)
+    systems = _spy_cone_systems(monkeypatch)
     for kinds in ((2,), (_INF, 2), (1, 2)):
         p, x = _mixed_ball_problem(rng, kinds)
         neg = UncertainMOLP(p.m, p.n, -p.C_bar, p.u, -p.v, p.constraints)
         for q in (p, neg):
             certify_weak_efficiency(validate_problem(q), x)
     assert len(systems) >= 6
-    for sys in systems:
-        assert any(blk.kind == "soc" and blk.dim > 1 for blk in sys.blocks)
+    for _, _, blocks in systems:
+        assert any(kind == "soc" and dim > 1 for kind, dim in blocks)
+
+
+def test_lifted_ball_rows_share_group_multipliers_in_the_cone_system(monkeypatch, rng):
+    # an s = inf ball's band rows fold into its main row's group, as in the
+    # LP: one nonnegative column per group beside the 2-norm ball's block
+    import robustmolp.efficiency as eff
+    systems = _spy_cone_systems(monkeypatch)
+    for _ in range(4):
+        p, x = _mixed_ball_problem(rng, (_INF, 2))
+        vp = validate_problem(p)
+        XL, xl = reduce_constraints(vp).lift(x)
+        geo = eff.active_geometry(XL, xl)
+        assert len(geo.groups) < len(geo.active_rows)
+        cones = [r for r in XL.concave() if r.slack(xl) <= eff.ACTIVE_TOL]
+        width = p.m + len(geo.groups) + sum(r.P.shape[1] + 1 for r in cones)
+        systems.clear()
+        out = certify_weak_efficiency(vp, x)
+        assert out.status == "certified"
+        assert verify_certificate(vp, x, out.certificate).ok
+        assert len(cones) == 1 and len(systems) == 2
+        for A, _, blocks in systems:
+            assert A.shape[1] == width
+            assert blocks[1] == ("nonneg", len(geo.groups))
 
 
 def _two_ball_instance():
@@ -470,13 +485,14 @@ def _budget_mixed_instance():
 
 
 def _spy_cone_systems(monkeypatch):
+    """Record the (A, b, blocks) of every cone solve of efficiency."""
     import robustmolp.efficiency as eff
     systems = []
     solve = eff.solve_cone_system
 
-    def spy(sys, **kwargs):
-        systems.append(sys)
-        return solve(sys, **kwargs)
+    def spy(A, b, blocks):
+        systems.append((A, b, blocks))
+        return solve(A, b, blocks)
 
     monkeypatch.setattr(eff, "solve_cone_system", spy)
     return systems
@@ -545,9 +561,9 @@ def test_cone_system_has_one_block_per_active_two_norm_row(monkeypatch, rng):
             systems.clear()
             certify_weak_efficiency(validate_problem(prob), x)
             assert systems
-            for sys in systems:
+            for _, _, blocks in systems:
                 # the tight 2-norm ball only, never the two with slack 2
-                assert sum(blk.kind == "soc" for blk in sys.blocks) == 1
+                assert sum(kind == "soc" for kind, _ in blocks) == 1
 
 
 def test_all_inactive_two_norm_rows_make_no_cone_solve(monkeypatch, rng):
@@ -633,6 +649,22 @@ def test_certify_norm_wrapper_and_slater_error():
     assert out.status == "certified"        # both endpoint systems feasible
 
 
+def test_no_active_two_norm_row_needs_no_slater_point():
+    # the row's slack at 0 is 5e-7: above ACTIVE_TOL, so both endpoints are
+    # exact LPs, and below SLATER_MARGIN, so a Slater check would fail
+    ball = NormBall([0.0], [[1.0]], 0.5, 2, -1.0, -5e-7)    # |x| <= 1e-6
+    x = np.array([0.0])
+    vp = validate_problem(UncertainMOLP(2, 1, [[1.0], [-1.0]], [0.0, 0.0], [0.0], (ball,)))
+    assert not check_slater(reduce_constraints(vp)).ok
+    out = certify_weak_efficiency(vp, x)
+    assert out.status == "certified"
+    assert verify_certificate(vp, x, out.certificate).ok
+    vp = validate_problem(UncertainMOLP(2, 1, [[1.0], [1.0]], [0.0, 0.0], [0.0], (ball,)))
+    out = certify_weak_efficiency(vp, x)
+    assert out.status == "refuted"
+    assert out.refutation.x == pytest.approx([-1e-6], rel=1e-9)
+
+
 def test_certify_ellipsoid_no_spans_equals_singleton():
     pe = UncertainMOLP(1, 1, [[1.0]], [0.0], [0.0],
                        (Ellipsoid([1.0], (), 0.0, 0.0),))
@@ -653,15 +685,7 @@ def test_certify_ellipsoid_wrapper():
 
 def test_coinciding_endpoints_solve_one_cone_system(monkeypatch):
     # u = 0 makes both endpoint objectives C_bar: one solve serves both
-    import robustmolp.efficiency as eff
-    calls = []
-
-    def counting(sys, **kw):
-        calls.append(sys)
-        return solve(sys, **kw)
-
-    solve = eff.solve_cone_system
-    monkeypatch.setattr(eff, "solve_cone_system", counting)
+    calls = _spy_cone_systems(monkeypatch)
     p = UncertainMOLP(1, 1, [[1.0]], [0.0], [-2.0],
                       (NormBall([1.0], [[1.0]], 0.5, 2, 0.0, 0.0),))
     out = certify_weak_efficiency(validate_problem(p), np.array([0.0]))

@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from robustmolp.numerics import (ConeFeasibilitySystem, LinearProgram,
-                                 SingularMatrixError, VarBlock,
-                                 dual_norm_value, invert_symmetric,
-                                 min_norm_point, project_simplex,
-                                 solve_cone_system, solve_lp,
+from robustmolp.numerics import (LinearProgram, SingularMatrixError,
+                                 invert_symmetric, min_norm_point,
+                                 project_simplex, solve_cone_system, solve_lp,
                                  sphere_directions)
 
 _INF = float("inf")
@@ -184,12 +182,6 @@ def test_project_simplex_is_euclidean_projection(rng):
 # norms, inverse, directions
 # ---------------------------------------------------------------------------
 
-def test_dual_norm_values():
-    assert dual_norm_value([3, -4], 2) == pytest.approx(5.0)
-    assert dual_norm_value([3, -4], 1) == pytest.approx(4.0)
-    assert dual_norm_value([3, -4], _INF) == pytest.approx(7.0)
-
-
 def test_invert_symmetric():
     assert invert_symmetric(np.eye(3)) == pytest.approx(np.eye(3))
     assert invert_symmetric(np.diag([2.0, 4.0])) == pytest.approx(np.diag([0.5, 0.25]))
@@ -302,18 +294,14 @@ def test_min_norm_variational_inequality_property(rng):
 # ---------------------------------------------------------------------------
 
 def test_cone_simplex_equality_feasible():
-    sys = ConeFeasibilitySystem.build(
-        [VarBlock("simplex", 2)], [({0: np.array([[1.0, -1.0]])}, [0.0])])
-    res = solve_cone_system(sys)
+    res = solve_cone_system([[1.0, -1.0]], [0.0], [("simplex", 2)])
     assert res.feasible and res.stop_reason == "converged"
     assert not res.exact            # no verdict of this solver is exact
     assert res.x == pytest.approx([0.5, 0.5], abs=1e-9)
 
 
 def test_cone_unreachable_equality_residual():
-    sys = ConeFeasibilitySystem.build(
-        [VarBlock("simplex", 1)], [({0: np.array([[1.0]])}, [2.0])])
-    res = solve_cone_system(sys)
+    res = solve_cone_system([[1.0]], [2.0], [("simplex", 1)])
     assert not res.feasible
     assert res.residual == pytest.approx(1.0, abs=1e-9)
     assert res.x == pytest.approx([1.0], abs=1e-9)
@@ -327,57 +315,64 @@ def test_cone_known_multiplier_system():
     # objective must equal a nonnegative combination of them.
     C = np.array([[-3.0, -1.0, -2.0], [0.0, -1.0, -2.0]])
     gens = np.array([[-2.0, -1.0, -2.0], [-1.0, -2.0, -2.0]])
-    sys = ConeFeasibilitySystem.build(
-        [VarBlock("simplex", 2), VarBlock("nonneg", 2)],
-        [({0: C.T, 1: -gens.T}, np.zeros(3))])
-    res = solve_cone_system(sys)
+    res = solve_cone_system(np.hstack([C.T, -gens.T]), np.zeros(3),
+                            [("simplex", 2), ("nonneg", 2)])
     assert res.feasible and res.stop_reason == "converged"
     lam, mu = res.x[:2], res.x[2:]
     assert lam == pytest.approx([2 / 3, 1 / 3], abs=1e-8)
     assert mu == pytest.approx([1.0, 0.0], abs=1e-8)
 
 
+def test_cone_system_input_checks():
+    with pytest.raises(ValueError, match="unknown block kind"):
+        solve_cone_system([[1.0, 0.0]], [1.0], [("simplex", 1), ("free", 1)])
+    with pytest.raises(ValueError, match="dimension"):
+        solve_cone_system([[1.0]], [1.0], [("simplex", 1), ("nonneg", 0)])
+    for width in (2, 4):                   # blocks span 3 columns
+        with pytest.raises(ValueError, match="sum of block dimensions"):
+            solve_cone_system(np.ones((1, width)), [1.0], [("simplex", 1), ("soc", 2)])
+
+
 def test_cone_soc_projection_path():
-    sys = ConeFeasibilitySystem.build(
-        [VarBlock("soc", 3)],
-        [({0: np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])}, [2.0, 0.5])])
-    res = solve_cone_system(sys)
+    res = solve_cone_system([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]], [2.0, 0.5], [("soc", 3)])
     assert res.feasible and not res.exact
     assert res.stop_reason == "converged"
     assert res.residual <= 1e-9
     assert np.linalg.norm(res.x[:2]) <= res.x[2] + 1e-10
 
 
-def _scaled(sys):
+def _scaled(A, b):
     """The row-scaled (A, b) that solve_cone_system works on."""
-    A, b = sys.stacked()
     mx = np.abs(A).max(axis=1)
     scale = 1.0 / np.where(mx > 0, mx, 1.0)
     return A * scale[:, None], b * scale
 
 
-def _lp_feasible(sys, soc_norm=None):
+def _offsets(blocks):
+    return np.cumsum([0] + [dim for _, dim in blocks])[:-1].tolist()
+
+
+def _lp_feasible(A, b, blocks, soc_norm=None):
     """Exact LP feasibility of a system of free/nonneg/simplex blocks, with
     each soc block (y, t) taken as ||y||_1 <= t (soc_norm 1, inside the
     2-norm cone) or ||y||_inf <= t (soc_norm inf, around it)."""
-    A, b = sys.stacked()
-    off, D = sys.offsets
-    socs = [(o, blk.dim - 1) for o, blk in zip(off, sys.blocks) if blk.kind == "soc"]
+    off, D = _offsets(blocks), A.shape[1]
+    socs = [(o, dim - 1) for o, (kind, dim) in zip(off, blocks) if kind == "soc"]
     width = D + (sum(dy for _, dy in socs) if soc_norm == 1 else 0)
     lb = np.full(width, -_INF)
     rows = [(np.concatenate([A[i], np.zeros(width - D)]), b[i], "==")
             for i in range(A.shape[0])]
     aux = D
-    for o, blk in zip(off, sys.blocks):
-        if blk.kind in ("nonneg", "simplex"):
-            lb[o:o + blk.dim] = 0.0
-        if blk.kind == "simplex":
+    for o, (kind, dim) in zip(off, blocks):
+        if kind in ("nonneg", "simplex"):
+            lb[o:o + dim] = 0.0
+        if kind == "simplex":
             g = np.zeros(width)
-            g[o:o + blk.dim] = 1.0
+            g[o:o + dim] = 1.0
             rows.append((g, 1.0, "=="))
-        if blk.kind != "soc":
+        if kind != "soc":
             continue
-        t, dy = o + blk.dim - 1, blk.dim - 1
+        t, dy = o + dim - 1, dim - 1
         for i in range(dy):
             for sign in (1.0, -1.0):       # |y_i| <= t, or <= u_i
                 g = np.zeros(width)
@@ -398,13 +393,13 @@ def test_cone_polyhedral_paths_agree(rng):
     for _ in range(40):
         m = int(rng.integers(1, 4))
         k = int(rng.integers(1, 4))
-        blocks = [VarBlock("simplex", m), VarBlock("nonneg", k)]
+        blocks = [("simplex", m), ("nonneg", k)]
         A0 = rng.integers(-3, 4, (2, m)).astype(float)
         A1 = rng.integers(-3, 4, (2, k)).astype(float)
         rhs = rng.integers(-2, 3, 2).astype(float)
-        sys = ConeFeasibilitySystem.build(blocks, [({0: A0, 1: A1}, rhs)])
-        res = solve_cone_system(sys)
-        assert res.feasible == _lp_feasible(sys), res
+        A = np.hstack([A0, A1])
+        res = solve_cone_system(A, rhs, blocks)
+        assert res.feasible == _lp_feasible(A, rhs, blocks), res
 
 
 def test_farkas_stops_only_on_lp_infeasible_systems(rng):
@@ -415,26 +410,24 @@ def test_farkas_stops_only_on_lp_infeasible_systems(rng):
     from robustmolp.numerics import _pgd_min_residual
     stops = 0
     for _ in range(60):
-        blocks = [VarBlock("simplex", int(rng.integers(1, 3))),
-                  VarBlock("nonneg", int(rng.integers(1, 3))),
-                  VarBlock("soc", int(rng.integers(2, 4)))]
+        blocks = [("simplex", int(rng.integers(1, 3))),
+                  ("nonneg", int(rng.integers(1, 3))),
+                  ("soc", int(rng.integers(2, 4)))]
         k = int(rng.integers(2, 5))
-        coeffs = {i: rng.integers(-3, 4, (k, blk.dim)).astype(float)
-                  for i, blk in enumerate(blocks)}
-        sys = ConeFeasibilitySystem.build(
-            blocks, [(coeffs, rng.integers(-3, 4, k).astype(float))])
-        A, b = _scaled(sys)
-        off, D = sys.offsets
-        x, r, _, reason = _pgd_min_residual(A, b, blocks, off, D, 1e-7, 2000)
-        if not _lp_feasible(sys, soc_norm=_INF):
+        A_raw = np.hstack([rng.integers(-3, 4, (k, dim)).astype(float)
+                           for _, dim in blocks])
+        b_raw = rng.integers(-3, 4, k).astype(float)
+        A, b = _scaled(A_raw, b_raw)
+        x, r, _, reason = _pgd_min_residual(A, b, blocks, 1e-7, 2000)
+        if not _lp_feasible(A_raw, b_raw, blocks, soc_norm=_INF):
             assert r > 1e-7
         if reason == "farkas":
             stops += 1
             assert r > 1e-7
-            assert not _lp_feasible(sys, soc_norm=1)
+            assert not _lp_feasible(A_raw, b_raw, blocks, soc_norm=1)
             z = A @ x - b
             c = A.T @ z
-            s0, s1, s2 = (c[o:o + blk.dim] for o, blk in zip(off, blocks))
+            s0, s1, s2 = (c[o:o + dim] for o, (_, dim) in zip(_offsets(blocks), blocks))
             assert s1.min() >= 0.0 and np.linalg.norm(s2[:-1]) <= s2[-1]
             assert (s0.min() - b @ z) / np.linalg.norm(z) > 1e-7
     assert stops >= 5
@@ -443,17 +436,16 @@ def test_farkas_stops_only_on_lp_infeasible_systems(rng):
 def test_infeasible_soc2_system_stops_at_farkas_certificate():
     # lambda on the simplex, (y, t) in the 2-norm cone with y1 = 2 + lambda1,
     # y2 = lambda2 and t = 1: ||y|| >= 2 > t, so no point fits
-    sys = ConeFeasibilitySystem.build(
-        [VarBlock("simplex", 2), VarBlock("soc", 3)],
-        [({0: np.array([[-1.0, 0.0], [0.0, 0.0], [0.0, -1.0]]),
-           1: np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])},
-          [2.0, 1.0, 0.0])])
-    res = solve_cone_system(sys)
+    A_raw = np.array([[-1.0, 0.0, 1.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 0.0, 1.0],
+                      [0.0, -1.0, 0.0, 1.0, 0.0]])
+    b_raw = np.array([2.0, 1.0, 0.0])
+    res = solve_cone_system(A_raw, b_raw, [("simplex", 2), ("soc", 3)])
     assert not res.feasible and not res.exact
     assert res.stop_reason == "farkas"
     assert res.iterations <= 64
     # replay the certificate here: z = A x - b with A^T z in the dual cones
-    A, b = _scaled(sys)
+    A, b = _scaled(A_raw, b_raw)
     z = A @ res.x - b
     c = A.T @ z
     assert np.linalg.norm(c[2:4]) <= c[4]
