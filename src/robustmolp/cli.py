@@ -238,14 +238,11 @@ def cmd_certify(args) -> int:
         payload["certificate"] = certificate_to_dict(outcome.certificate)
     if outcome.refutation is not None:
         ref = outcome.refutation
-        payload["refutation"] = {
-            "reason": ref.reason,
-            "endpoint": ref.endpoint,
-            "rho": ref.rho,
-            "x": None if ref.x is None else np.asarray(ref.x).tolist(),
-            "gap": None if ref.gap is None else np.asarray(ref.gap).tolist(),
-        }
-    residuals = dict(outcome.residuals or {})
+        payload["refutation"] = {"reason": ref.reason, "endpoint": ref.endpoint, "rho": ref.rho,
+                                 "x": ref.x.tolist(), "gap": ref.gap.tolist()}
+    if outcome.status == "unknown":
+        payload["reason"] = outcome.reason
+    residuals = dict(outcome.residuals)
     verdict = outcome.status
 
     exit_code = {"certified": EXIT_OK, "refuted": EXIT_NEGATIVE,

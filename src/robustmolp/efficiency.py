@@ -9,8 +9,9 @@ decided exactly by LP.  A 2-norm ball or ellipsoid row gets a multiplier
 only when it is active at the point (complementarity zeroes the others):
 with an active one both endpoints are conic multiplier systems solved to
 a residual tolerance under a refined Slater condition (strict slack on
-the 2-norm rows only), and with none they are the same exact LP, which
-needs no constraint qualification.
+the 2-norm rows only), and with none they are the same exact LP.  A
+failing endpoint is refuted by one rule for every class: a replayed
+witness along a feasible direction that strictly improves its objectives.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ ACTIVE_TOL = 1e-8
 RESIDUAL_TOL = 1e-7     # certificate residuals, verify_certificate's default
 SLATER_MARGIN = 1e-6
 IMPROVEMENT_TOL = 1e-9  # smallest improvement t that refutes a scenario
-ORACLE_GRID = 5         # scenario grid of the oracle behind a refutation
 
 
 # one string per endpoint, shared by every refutation that names it
@@ -204,6 +204,7 @@ def check_slater(X: RobustFeasibleSet) -> SlaterCheck:
 class EndpointSolve:
     feasible: bool
     residual: float | None                  # cone path only; an LP is exact
+    stop_reason: str                        # the cone solver's, or the LP status
     lam: np.ndarray | None = None
     mu_of: dict | None = None               # active linear row -> multiplier
     cones: dict | None = None               # constraint -> (row, its (y, mu) block)
@@ -241,9 +242,7 @@ def _solve_endpoint(C, XL, geo: ActiveGeometry, cones, xl):
     if cones:
         blocks = [("simplex", m)] + [("nonneg", k)] * (k > 0) + [("soc", d) for d in dims]
         res = solve_cone_system(A, np.zeros(n + 1), blocks)
-        x, residual = res.x, res.residual
-        if not res.feasible:
-            return EndpointSolve(False, residual)
+        feasible, x, residual, stop = res.feasible, res.x, res.residual, res.stop_reason
     else:
         M = A[:n]
         lp_rows = [(g, 0.0, "==") for g in M[M.any(axis=1)]]
@@ -251,9 +250,9 @@ def _solve_endpoint(C, XL, geo: ActiveGeometry, cones, xl):
         g[:m] = 1.0
         lp_rows.append((g, 1.0, "=="))
         sol = solve_lp(LinearProgram.build(np.zeros(m + k), lp_rows, np.zeros(m + k)))
-        if not sol.optimal:
-            return EndpointSolve(False, None)
-        x, residual = sol.x, None
+        feasible, x, residual, stop = sol.optimal, sol.x, None, sol.status
+    if not feasible:
+        return EndpointSolve(False, residual, stop)
     lam = np.maximum(x[:m], 0.0)
     lam = lam / lam.sum()
     mu_of = dict.fromkeys(geo.active_rows, 0.0)
@@ -261,7 +260,7 @@ def _solve_endpoint(C, XL, geo: ActiveGeometry, cones, xl):
         for i in rows:
             mu_of[i] = mu
     segs = np.split(x[m + k:], np.cumsum(dims)[:-1])
-    return EndpointSolve(True, residual, lam, mu_of,
+    return EndpointSolve(True, residual, stop, lam, mu_of,
                          {r.source: (r, seg) for r, seg in zip(cones, segs)})
 
 
@@ -390,10 +389,10 @@ def _certificate_residuals(C0, C1, cert):
 @dataclass(frozen=True, slots=True)
 class RefutationInfo:
     reason: str
-    endpoint: str | None = None
-    rho: float | None = None
-    x: np.ndarray | None = None
-    gap: np.ndarray | None = None
+    endpoint: str
+    rho: float
+    x: np.ndarray
+    gap: np.ndarray
 
 
 @dataclass(frozen=True, slots=True)
@@ -402,46 +401,71 @@ class CertifyOutcome:
     certificate: EfficiencyCertificate | None = None
     refutation: RefutationInfo | None = None
     residuals: dict | None = None
+    reason: str | None = None         # why an outcome is "unknown"
 
 
-def _oracle_outcome(p, x_bar, residuals):
-    """Refuted when the oracle finds a dominating scenario witness, else
-    unknown with the residuals that left the question open."""
-    from . import oracle as _oracle
-    verdict = _oracle.refute_robust_weak_efficiency(p, x_bar, k=ORACLE_GRID)
-    if verdict.outcome == "refuted":
-        w = verdict.witness
-        return CertifyOutcome("refuted", refutation=RefutationInfo(
-            "dominating scenario witness found", None, w.rho, w.x, w.gap),
-            residuals=residuals)
-    return CertifyOutcome("unknown", residuals=residuals)
+def _refute(X, XL, xl, D, C, x0):
+    """(x, gap) for a feasible x strictly dominating x_bar under the
+    objective C of a failing endpoint (D: C padded to the lift), or None.
+
+    One scenario LP seeks a strictly improving direction over the lifted
+    linear rows and the tangent halfspace g.x >= g.xl (g the supergradient)
+    of each 2-norm row active at xl.  With one active, the LP point is
+    tilted toward the Slater point x0 (eps <= 1, spending <= half the least
+    gap) so that the direction enters those rows strictly; bisection pulls
+    it back until each 2-norm row's slack is >= min(0, its slack at x_bar).
+    """
+    rows = [r if isinstance(r, LinearRow) else
+            LinearRow(g := r.supergradient(xl), float(g @ xl), r.source)
+            for r in XL.rows if isinstance(r, LinearRow) or r.slack(xl) <= ACTIVE_TOL]
+    chk = weakly_efficient_for_scenario(D, rows, xl)
+    if chk.efficient:
+        return None
+    x_bar = xl[:X.n]
+    x = w = _in_rn(chk.witness, X.n)
+    if x0 is not None:
+        top = float(np.max(C @ (x0 - x_bar)))
+        eps = min(1.0, 0.5 * float(chk.gap.min()) / top) if top > 0.0 else 1.0
+        x = (x + eps * x0) / (1.0 + eps)
+    floors = [(r, min(0.0, r.slack(x_bar))) for r in X.rows
+              if isinstance(r, ConcaveRow) and r.s == 2]
+
+    def inside(t):
+        return all(r.slack(x_bar + t * (x - x_bar)) >= f for r, f in floors)
+
+    if not inside(1.0):
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+        x = x_bar + lo * (x - x_bar)
+    gap = chk.gap if x is w else C @ x_bar - C @ x     # the LP's own gap when unmoved
+    return (x, gap) if np.all(gap > 0.0) else None
 
 
-def _certified(p, x_bar, C0, C1, cert, extra):
-    """The certified outcome, unless a residual that verify_certificate
-    replays exceeds RESIDUAL_TOL: then the replay would reject the
-    certificate, and the outcome is the oracle's."""
+def _certified(C0, C1, cert, extra):
+    """The certified outcome, or "unknown" when a residual that
+    verify_certificate replays exceeds RESIDUAL_TOL."""
     resid = _certificate_residuals(C0, C1, cert)
-    ok = all(v <= RESIDUAL_TOL for v in resid.values())      # False on NaN
+    bad = [k for k, v in resid.items() if not v <= RESIDUAL_TOL]     # NaN too
     resid.update(extra)
-    if not ok:
-        return _oracle_outcome(p, x_bar, resid)
-    cert = replace(cert, residuals=resid)
-    return CertifyOutcome("certified", certificate=cert, residuals=resid)
+    if bad:
+        return CertifyOutcome("unknown", residuals=resid, reason=(
+            f"certificate residual above RESIDUAL_TOL ({bad[0]} = {resid[bad[0]]:.3e})"))
+    return CertifyOutcome("certified", certificate=replace(cert, residuals=resid), residuals=resid)
 
 
 def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
     """Certify or refute robust weak efficiency of a robust-feasible point.
 
     The feasible set is lifted (RobustFeasibleSet.lift) so that s = 1/inf
-    norm balls become linear rows.  An all-linear lifted set is decided
-    exactly by LP.  Once a 2-norm ball or an ellipsoid is present, the
-    endpoints are the exact LP while no such row is active at the point;
-    with one active a Slater point is verified and both endpoints are
-    joint conic systems.  Refutations then require a dominating scenario
-    witness, and an unresolved residual yields "unknown".  A certificate
-    whose endpoint-equality or complementarity residual exceeds
-    RESIDUAL_TOL is never issued.
+    norm balls become linear rows.  The endpoints are exact LPs while no
+    2-norm ball or ellipsoid row is active at the point; with one active a
+    Slater point is verified and both endpoints are joint conic systems.
+    A failing endpoint is refuted by _refute, exactly on an all-linear
+    lifted set; when no witness replays, or a certificate's equality or
+    complementarity residual exceeds RESIDUAL_TOL, the outcome is
+    "unknown" with its reason.
     """
     p = vp.problem
     x_bar = np.asarray(x_bar, float)
@@ -461,13 +485,14 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
     D0, D1 = ((C0, C1) if XL is X else
               (np.hstack([C, np.zeros((p.m, XL.n - p.n))]) for C in (C0, C1)))
     geo = active_geometry(XL, xl)
-    lp = XL.all_linear
     # complementarity zeroes the multiplier of a 2-norm row slack at xl
     cones = [r for r in XL.rows if isinstance(r, ConcaveRow) and r.slack(xl) <= ACTIVE_TOL]
+    x0 = None
     if cones:
         slater = check_slater(X)
         if not slater.ok:
             raise SlaterViolatedError(slater.max_slack)
+        x0 = slater.x0
     e0 = _solve_endpoint(D0, XL, geo, cones, xl)
     e1 = e0 if same else _solve_endpoint(D1, XL, geo, cones, xl)
 
@@ -481,16 +506,16 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
         nominal = _constraint_records(p, X, XL, e0, x_bar, zero)
         perturbed = nominal if e1 is e0 else _constraint_records(p, X, XL, e1, x_bar, zero)
         row_mu = [np.fromiter(e.mu_of.values(), float, len(e.mu_of)) for e in (e0, e1)]
-        rows = (geo.active_rows, *row_mu) if lp else ((), None, None)
+        rows = (geo.active_rows, *row_mu) if XL.all_linear else ((), None, None)
         cert = EfficiencyCertificate(e0.lam, e1.lam, nominal, perturbed, *rows, {})
-        return _certified(p, x_bar, C0, C1, cert, residuals("system_"))
-    if not lp:
-        return _oracle_outcome(p, x_bar, residuals(""))
-    name, D_fail, rho = (("nominal", D0, 0.0) if not e0.feasible
-                         else ("perturbed", D1, 1.0))
-    chk = weakly_efficient_for_scenario(D_fail, XL, xl)
-    info = RefutationInfo(
-        _INFEASIBLE_ENDPOINT[name], name,
-        rho if not chk.efficient else None,
-        None if chk.witness is None else _in_rn(chk.witness, p.n), chk.gap)
-    return CertifyOutcome("refuted", refutation=info)
+        return _certified(C0, C1, cert, residuals("system_"))
+    name, e, D, C, rho = (("nominal", e0, D0, C0, 0.0) if not e0.feasible
+                          else ("perturbed", e1, D1, C1, 1.0))
+    found = _refute(X, XL, xl, D, C, x0)
+    if found is None:
+        res = "exact" if e.residual is None else f"{e.residual:.3e}"
+        return CertifyOutcome("unknown", residuals=residuals(""), reason=(
+            f"{name} endpoint infeasible (residual {res}, stop {e.stop_reason}) "
+            "but no strictly dominating witness replays"))
+    info = RefutationInfo(_INFEASIBLE_ENDPOINT[name], name, rho, *found)
+    return CertifyOutcome("refuted", refutation=info, residuals=residuals(""))

@@ -1,12 +1,12 @@
 """Independent verification: scenario grids, brute-force refutation search,
 and certificate replay.
 
-This layer is the trust anchor for the certifiers, so it only claims a
-confirmation when the decision was exact (a feasible set that is all-linear
-once its s = 1/inf norm balls are lifted, endpoint scenario LPs); anything
-that needed sampling caps at inconclusive.  It deliberately skips the
-u >= 0 validation gate so that instances with sign-violating rank-1
-factors can still be analysed.
+This layer only cross-checks the certifiers, which never call it.  It
+claims a confirmation only when the decision was exact (a feasible set
+that is all-linear once its s = 1/inf norm balls are lifted, endpoint
+scenario LPs); anything that needed sampling caps at inconclusive.  It
+deliberately skips the u >= 0 validation gate so that instances with
+sign-violating rank-1 factors can still be analysed.
 """
 
 from __future__ import annotations

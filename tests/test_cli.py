@@ -186,6 +186,40 @@ def test_certify_refuted_with_every_two_norm_row_inactive_exit_1(tmp_path, capsy
     assert rep["payload"]["refutation"]["x"] is not None
 
 
+def test_certify_reports_a_reason_for_unknown_only(tmp_path, capsys, monkeypatch):
+    from robustmolp import efficiency
+    from robustmolp.numerics import ConeResult
+    doc = {"m": 1, "n": 1, "C_bar": [[1.0]], "u": [0.0], "v": [0.0],
+           "constraints": [{"kind": "norm_ball", "a_bar": [1.0], "Z": [[1.0]],
+                            "delta": 0.5, "s": 2, "b_lo": 0.0, "b_hi": 0.0}]}
+    path = _write(tmp_path, doc)
+    code, rep = _run_json(capsys, ["certify", path, "--point=0"])
+    assert code == 0 and "reason" not in rep["payload"]
+    # a cone solve that gives up leaves the certified point undecided
+    monkeypatch.setattr(efficiency, "solve_cone_system", lambda A, b, blocks: ConeResult(
+        False, False, 0.25, np.zeros(A.shape[1]), 7, "budget"))
+    code, rep = _run_json(capsys, ["certify", path, "--point=0"])
+    assert code == 2 and rep["verdict"] == "unknown"
+    assert "refutation" not in rep["payload"] and "certificate" not in rep["payload"]
+    assert rep["payload"]["reason"] == (
+        "nominal endpoint infeasible (residual 2.500e-01, stop budget) "
+        "but no strictly dominating witness replays")
+
+
+def test_certify_cone_refutation_names_its_endpoint(tmp_path, capsys):
+    # the unit disc tight at (1, 0), minimizing x2
+    doc = {"m": 1, "n": 2, "C_bar": [[0.0, 1.0]], "u": [0.0], "v": [0.0, 0.0],
+           "constraints": [{"kind": "norm_ball", "a_bar": [0.0, 0.0],
+                            "Z": [[1.0, 0.0], [0.0, 1.0]], "delta": 1.0, "s": 2,
+                            "b_lo": -2.0, "b_hi": -1.0}]}
+    code, rep = _run_json(capsys, ["certify", _write(tmp_path, doc), "--point=1,0"])
+    assert code == 1 and rep["verdict"] == "refuted"
+    ref = rep["payload"]["refutation"]
+    assert (ref["endpoint"], ref["rho"]) == ("nominal", 0.0)
+    assert math.hypot(*ref["x"]) <= 1.0 and ref["gap"][0] > 0.0
+    assert "reason" not in rep["payload"]
+
+
 def test_certify_slater_violated_exit_5(tmp_path, capsys):
     doc = {"m": 1, "n": 1, "C_bar": [[-1.0]], "u": [0.0], "v": [0.0],
            "constraints": [{"kind": "norm_ball", "a_bar": [1.0], "Z": [[1.0]],

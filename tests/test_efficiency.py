@@ -7,9 +7,9 @@ from robustmolp.efficiency import (NotFeasiblePointError, SlaterViolatedError,
                                    UnsupportedClassError, active_geometry,
                                    certify_weak_efficiency, check_slater,
                                    weakly_efficient_for_scenario)
-from robustmolp.model import (Ball, Box, Ellipsoid, NormBall, Polytope,
-                              Singleton, UncertainMOLP, reduce_constraints,
-                              validate_problem)
+from robustmolp.model import (Ball, Box, Ellipsoid, LinearRow, NormBall,
+                              Polytope, Singleton, UncertainMOLP,
+                              reduce_constraints, validate_problem)
 from robustmolp.oracle import refute_robust_weak_efficiency, verify_certificate
 
 _INF = float("inf")
@@ -596,6 +596,76 @@ def test_inf_ball_beside_inactive_two_norm_ball_refuted_without_cone_solve(
         out = certify_weak_efficiency(validate_problem(_with_inactive_balls(neg, x)), x)
         assert out.status == "refuted"
         assert out.refutation.x is not None
+
+
+def _worst_slack(c, x):
+    """Worst-case slack of a norm-ball class over its own data: a_bar.x -
+    b_hi - delta ||Z^-1 x|| in the norm conjugate to s (Z is symmetric)."""
+    conjugate = {1: _INF, 2: 2, _INF: 1}[c.s]
+    return float(c.a_bar @ x - c.b_hi
+                 - c.delta * np.linalg.norm(np.linalg.solve(c.Z, x), conjugate))
+
+
+def _assert_replaying_refutation(p, x, out):
+    assert out.status == "refuted"
+    r = out.refutation
+    assert r.rho == {"nominal": 0.0, "perturbed": 1.0}[r.endpoint]
+    assert min(_worst_slack(c, r.x) for c in p.constraints) >= -1e-9
+    C = p.C_bar + r.rho * np.outer(p.u, p.v)
+    assert np.all(C @ x - C @ r.x > 0.0)
+
+
+def test_certify_never_consults_the_oracle(monkeypatch, rng):
+    import robustmolp.oracle as oracle
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("certify must refute without the oracle")
+
+    monkeypatch.setattr(oracle, "refute_robust_weak_efficiency", forbidden)
+    for kinds in ((2,), (_INF, 2), (1, 2)):
+        p, x = _mixed_ball_problem(rng, kinds)
+        for q in (p, _with_inactive_balls(p, x)):
+            neg = UncertainMOLP(q.m, q.n, -q.C_bar, q.u, -q.v, q.constraints)
+            _assert_replaying_refutation(neg, x, certify_weak_efficiency(validate_problem(neg), x))
+
+
+def test_tangent_lp_point_outside_the_ball_is_tilted_toward_the_slater_point():
+    # the unit disc, tight at (1, 0), under the objective x2: the LP over
+    # its tangent halfspace x1 <= 1 returns (1, -1), a tangent direction
+    # that leaves the disc at once; along it only a round-off step of about
+    # 1e-8 replays.  Tilted toward the Slater point, the direction enters
+    # the disc and the witness lies well inside it.
+    disc = NormBall([0.0, 0.0], np.eye(2), 1.0, 2, -2.0, -1.0)
+    x = np.array([1.0, 0.0])
+    p = UncertainMOLP(1, 2, [[0.0, 1.0]], [0.0], [0.0, 0.0], (disc,))
+    chk = weakly_efficient_for_scenario(p.C_bar, [LinearRow([-1.0, 0.0], -1.0, 0)], x)
+    assert not chk.efficient and _worst_slack(disc, chk.witness) < -0.1
+    out = certify_weak_efficiency(validate_problem(p), x)
+    _assert_replaying_refutation(p, x, out)
+    assert _worst_slack(disc, out.refutation.x) > 1e-3
+    assert out.refutation.gap[0] > 1e-3
+
+
+def test_unknown_names_the_endpoint_residual_and_stop_reason(monkeypatch):
+    import robustmolp.efficiency as eff
+    from robustmolp.numerics import ConeResult
+    # a certified point: a failing endpoint leaves no direction to refute with
+    p = UncertainMOLP(1, 1, [[1.0]], [0.0], [0.0],
+                      (NormBall([1.0], [[1.0]], 0.5, 2, 0.0, 0.0),))
+    vp, x = validate_problem(p), np.array([0.0])
+    with monkeypatch.context() as m:
+        m.setattr(eff, "RESIDUAL_TOL", -1.0)
+        out = certify_weak_efficiency(vp, x)
+    assert out.status == "unknown" and out.certificate is None
+    assert out.reason.startswith("certificate residual above RESIDUAL_TOL (")
+    # every cone solve ends infeasible at the iteration budget
+    monkeypatch.setattr(eff, "solve_cone_system", lambda A, b, blocks: ConeResult(
+        False, False, 0.25, np.zeros(A.shape[1]), 7, "budget"))
+    out = certify_weak_efficiency(vp, x)
+    assert out.status == "unknown" and out.refutation is None
+    assert out.reason == ("nominal endpoint infeasible (residual 2.500e-01, stop budget) "
+                          "but no strictly dominating witness replays")
+    assert out.residuals == {"nominal": 0.25, "perturbed": 0.25}
 
 
 def test_zero_delta_norm_matches_singleton_verdicts(rng):
