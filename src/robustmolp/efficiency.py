@@ -10,8 +10,10 @@ only when it is active at the point (complementarity zeroes the others):
 with an active one both endpoints are conic multiplier systems solved to
 a residual tolerance under a refined Slater condition (strict slack on
 the 2-norm rows only), and with none they are the same exact LP.  A
-failing endpoint is refuted by one rule for every class: a replayed
-witness along a feasible direction that strictly improves its objectives.
+failing endpoint is refuted by one rule for every class: Farkas' lemma
+turns the infeasible endpoint LP (with a tangent column for each active
+2-norm row) into a direction that strictly improves its objectives, and
+a step along it is replayed as the witness; no second LP is solved.
 """
 
 from __future__ import annotations
@@ -208,6 +210,7 @@ class EndpointSolve:
     lam: np.ndarray | None = None
     mu_of: dict | None = None               # active linear row -> multiplier
     cones: dict | None = None               # constraint -> (row, its (y, mu) block)
+    direction: np.ndarray | None = None     # infeasible: the Farkas direction d
 
 
 def _solve_endpoint(C, XL, geo: ActiveGeometry, cones, xl):
@@ -224,6 +227,12 @@ def _solve_endpoint(C, XL, geo: ActiveGeometry, cones, xl):
     every term at least mu_j times the row's slack, so an inactive row
     would get mu_j = 0 and needs no block.  With no block the endpoint is
     an exact LP over the n equalities, an all-zero one left out.
+
+    An infeasible endpoint carries the direction d of the LP's Farkas ray
+    (zero on the left-out equalities): C d < 0, and d.(-generator) >= 0 for
+    every group.  A cone system that fails gets it from the same LP with
+    each block replaced by its tangent column -g, g the row's supergradient
+    at xl; when that LP is feasible there is no direction.
     """
     m, n = C.shape
     k = len(geo.groups)
@@ -239,20 +248,34 @@ def _solve_endpoint(C, XL, geo: ActiveGeometry, cones, xl):
         A[:n, o + d - 1] = -r.a_bar
         A[n, o + d - 1] = -r.b
         o += d
+    residual, x = None, None
     if cones:
         blocks = [("simplex", m)] + [("nonneg", k)] * (k > 0) + [("soc", d) for d in dims]
         res = solve_cone_system(A, np.zeros(n + 1), blocks)
-        feasible, x, residual, stop = res.feasible, res.x, res.residual, res.stop_reason
-    else:
+        residual, stop = res.residual, res.stop_reason
+        if res.feasible:
+            x = res.x
+        else:
+            # the direction's LP: each block's columns give way to its tangent column
+            A = A[:, :m + k + len(cones)]
+            A[:n, m + k:] = np.transpose([-r.supergradient(xl) for r in cones])
+    if x is None:
         M = A[:n]
-        lp_rows = [(g, 0.0, "==") for g in M[M.any(axis=1)]]
-        g = np.zeros(m + k)
+        live = M.any(axis=1)
+        lp_rows = [(g, 0.0, "==") for g in M[live]]
+        g = np.zeros(M.shape[1])
         g[:m] = 1.0
         lp_rows.append((g, 1.0, "=="))
-        sol = solve_lp(LinearProgram.build(np.zeros(m + k), lp_rows, np.zeros(m + k)))
-        feasible, x, residual, stop = sol.optimal, sol.x, None, sol.status
-    if not feasible:
-        return EndpointSolve(False, residual, stop)
+        sol = solve_lp(LinearProgram.build(np.zeros(g.size), lp_rows, np.zeros(g.size)))
+        if not cones:
+            stop = sol.status
+            x = sol.x
+    if x is None:
+        d = None
+        if sol.ray is not None:
+            d = np.zeros(n)
+            d[live] = sol.ray[:-1]
+        return EndpointSolve(False, residual, stop, direction=d)
     lam = np.maximum(x[:m], 0.0)
     lam = lam / lam.sum()
     mu_of = dict.fromkeys(geo.active_rows, 0.0)
@@ -404,43 +427,56 @@ class CertifyOutcome:
     reason: str | None = None         # why an outcome is "unknown"
 
 
-def _refute(X, XL, xl, D, C, x0):
-    """(x, gap) for a feasible x strictly dominating x_bar under the
-    objective C of a failing endpoint (D: C padded to the lift), or None.
+def _refute(XL, xl, d, C, x0):
+    """(x, gap) for a robust-feasible x strictly dominating x_bar = xl[:n]
+    under the objective C of a failing endpoint, or None; d in R^n is that
+    endpoint's Farkas direction (EndpointSolve.direction, cut back).
 
-    One scenario LP seeks a strictly improving direction over the lifted
-    linear rows and the tangent halfspace g.x >= g.xl (g the supergradient)
-    of each 2-norm row active at xl.  With one active, the LP point is
-    tilted toward the Slater point x0 (eps <= 1, spending <= half the least
-    gap) so that the direction enters those rows strictly; bisection pulls
-    it back until each 2-norm row's slack is >= min(0, its slack at x_bar).
+    d is scaled to a least improvement -C d of 1.  With a 2-norm row active
+    it is tilted toward the Slater point x0 (eps <= 1, spending at most half
+    of that improvement) so that it enters those rows strictly.  Each tau of
+    the lift then moves as its steepest active band row, so that the ray's
+    group sums become one nonnegative rate per active linear row of XL.
+    The step t <= 1 is the ratio test on the inactive linear rows of XL,
+    halved until each 2-norm row's exact slack at x_bar + t d is
+    >= min(0, its slack at x_bar).
     """
-    rows = [r if isinstance(r, LinearRow) else
-            LinearRow(g := r.supergradient(xl), float(g @ xl), r.source)
-            for r in XL.rows if isinstance(r, LinearRow) or r.slack(xl) <= ACTIVE_TOL]
-    chk = weakly_efficient_for_scenario(D, rows, xl)
-    if chk.efficient:
-        return None
-    x_bar = xl[:X.n]
-    x = w = _in_rn(chk.witness, X.n)
-    if x0 is not None:
-        top = float(np.max(C @ (x0 - x_bar)))
-        eps = min(1.0, 0.5 * float(chk.gap.min()) / top) if top > 0.0 else 1.0
-        x = (x + eps * x0) / (1.0 + eps)
-    floors = [(r, min(0.0, r.slack(x_bar))) for r in X.rows
-              if isinstance(r, ConcaveRow) and r.s == 2]
-
-    def inside(t):
-        return all(r.slack(x_bar + t * (x - x_bar)) >= f for r, f in floors)
-
-    if not inside(1.0):
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if inside(mid) else (lo, mid)
-        x = x_bar + lo * (x - x_bar)
-    gap = chk.gap if x is w else C @ x_bar - C @ x     # the LP's own gap when unmoved
-    return (x, gap) if np.all(gap > 0.0) else None
+    n = C.shape[1]
+    x_bar = xl[:n]
+    with np.errstate(over="ignore", invalid="ignore"):
+        drop = -float(np.max(C @ d))
+        if not drop > 0.0:          # NaN too
+            return None
+        d = d / drop
+        if x0 is not None:
+            top = float(np.max(C @ (x0 - x_bar)))
+            eps = min(1.0, 0.5 / top) if top > 0.0 else 1.0
+            d = (d + eps * (x0 - x_bar)) / (1.0 + eps)
+        slacks = [r.slack(xl) for r in XL.rows]
+        dl = np.zeros(XL.n)
+        dl[:n] = d
+        for k0, row in XL.lifted:
+            cols = n + np.flatnonzero(XL.rows[k0].a[n:])   # one for s = 1, q for s = inf
+            rate = {}
+            for j in range(2 * row.P.shape[1]):
+                if slacks[k0 + 1 + j] <= ACTIVE_TOL:
+                    a, c = XL.rows[k0 + 1 + j].a, cols[j % cols.size]
+                    rate[c] = max(rate.get(c, -_INF), -float(a[:n] @ d) / a[c])
+            dl[list(rate)] = list(rate.values())
+        t, floors = 1.0, []
+        for r, s in zip(XL.rows, slacks):
+            if isinstance(r, ConcaveRow):
+                floors.append((r, min(0.0, s)))
+            elif s > ACTIVE_TOL and (ad := float(r.a @ dl)) < 0.0:
+                t = min(t, s / -ad)
+        for _ in range(64):
+            x = xl + t * dl
+            if all(r.slack(x) >= f for r, f in floors):
+                x = _in_rn(x, n)
+                gap = C @ x_bar - C @ x
+                return (x, gap) if np.all(gap > 0.0) else None
+            t *= 0.5
+    return None
 
 
 def _certified(C0, C1, cert, extra):
@@ -462,10 +498,10 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
     norm balls become linear rows.  The endpoints are exact LPs while no
     2-norm ball or ellipsoid row is active at the point; with one active a
     Slater point is verified and both endpoints are joint conic systems.
-    A failing endpoint is refuted by _refute, exactly on an all-linear
-    lifted set; when no witness replays, or a certificate's equality or
-    complementarity residual exceeds RESIDUAL_TOL, the outcome is
-    "unknown" with its reason.
+    A failing endpoint is refuted by _refute along the Farkas direction of
+    its endpoint LP; when there is no direction, no step along it replays,
+    or a certificate's equality or complementarity residual exceeds
+    RESIDUAL_TOL, the outcome is "unknown" with its reason.
     """
     p = vp.problem
     x_bar = np.asarray(x_bar, float)
@@ -509,13 +545,15 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
         rows = (geo.active_rows, *row_mu) if XL.all_linear else ((), None, None)
         cert = EfficiencyCertificate(e0.lam, e1.lam, nominal, perturbed, *rows, {})
         return _certified(C0, C1, cert, residuals("system_"))
-    name, e, D, C, rho = (("nominal", e0, D0, C0, 0.0) if not e0.feasible
-                          else ("perturbed", e1, D1, C1, 1.0))
-    found = _refute(X, XL, xl, D, C, x0)
+    name, e, C, rho = (("nominal", e0, C0, 0.0) if not e0.feasible
+                       else ("perturbed", e1, C1, 1.0))
+    found = None if e.direction is None else _refute(XL, xl, e.direction[:p.n], C, x0)
     if found is None:
         res = "exact" if e.residual is None else f"{e.residual:.3e}"
+        why = ("its tangent endpoint LP is feasible, so there is no direction to refute along"
+               if e.direction is None else
+               "no step along its Farkas direction replays as a strictly dominating witness")
         return CertifyOutcome("unknown", residuals=residuals(""), reason=(
-            f"{name} endpoint infeasible (residual {res}, stop {e.stop_reason}) "
-            "but no strictly dominating witness replays"))
+            f"{name} endpoint infeasible (residual {res}, stop {e.stop_reason}) but {why}"))
     info = RefutationInfo(_INFEASIBLE_ENDPOINT[name], name, rho, *found)
     return CertifyOutcome("refuted", refutation=info, residuals=residuals(""))

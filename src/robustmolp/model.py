@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -353,6 +354,33 @@ def dual_norm_bands(P, s, width=None, col=None):
     return bands
 
 
+def _carried_tau(row, x):
+    """(tau, 2^e): the smallest tau of an s = 1/inf row at x, divided by 2^e.
+
+    e = 0 while |P^T x| is finite.  Beyond the float range e brings the
+    largest tau to about 2^1000, and tau is |P^T x| / 2^e summed in exact
+    rationals and rounded up, so that every band row holds exactly; a 2^e
+    that itself overflows raises NumericalBreakdown.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.abs(row.P.T @ x)
+    if not np.isfinite(z).all():
+        z = [abs(sum(Fraction(p) * Fraction(v) for p, v in zip(col, x.tolist())))
+             for col in row.P.T.tolist()]
+        top = max(z)
+        e = max(0, top.numerator.bit_length() - top.denominator.bit_length() - 1000)
+        if e > 1023:
+            raise NumericalBreakdown("the lifted point's tau = |P^T x| overflows "
+                                     "the float range even scaled by 2^1023")
+        # the least float >= each scaled tau
+        z = np.array([f if Fraction(f := float(q)) >= q else math.nextafter(f, _INF)
+                      for q in (q / (1 << e) for q in z)])
+        unit = math.ldexp(1.0, e)
+    else:
+        unit = 1.0
+    return (z.max(keepdims=True) if row.s == 1 else z), unit
+
+
 def _unit_scaled(a):
     """a times the power of two that brings its largest entry below 1."""
     return np.ldexp(a, -math.frexp(float(np.abs(a).max(initial=0.0)))[1])
@@ -415,10 +443,12 @@ class RobustFeasibleSet:
         taus.  The lifted set projects onto this one, so a point is weakly
         efficient for C here exactly when its lift is for [C 0] there.
         Returns the lifted set and point (x_bar, tau) with the smallest tau:
-        |P^T x_bar| for s = inf, max |P^T x_bar| for s = 1; a tau beyond the
-        float range raises NumericalBreakdown.  A set with no such row, or
-        with a joint-ball row (no form over extra columns), comes back
-        unchanged with x_bar.
+        |P^T x_bar| for s = inf, max |P^T x_bar| for s = 1.  A ball whose tau
+        overflows carries its tau columns at one power of two 2^e
+        (_carried_tau): -2^e on its main row and 2^e on its band rows, with
+        e = 0 whenever tau is finite.  A set with no such row, or with a
+        joint-ball row (no form over extra columns), comes back unchanged
+        with x_bar.
         """
         balls = [r for r in self.rows if isinstance(r, ConcaveRow) and r.s != 2]
         if not balls or any(isinstance(r, BallRow) for r in self.rows):
@@ -432,7 +462,7 @@ class RobustFeasibleSet:
         A = np.zeros((len(heads), n + pad))
         A[:, :n] = heads
         padded = iter(A)
-        rows, lifted, col = [], [], n
+        rows, lifted, taus, col = [], [], [x_bar], n
         for r in self.rows:
             if isinstance(r, LinearRow):
                 rows.append(LinearRow(next(padded), r.b, r.source))
@@ -442,21 +472,17 @@ class RobustFeasibleSet:
                                        r.source, P, 2))
             else:
                 k = 1 if r.s == 1 else r.P.shape[1]
+                tau, unit = _carried_tau(r, x_bar)
                 main = next(padded)
-                main[col:col + k] = -1.0
+                main[col:col + k] = -unit
                 lifted.append((len(rows), r))
                 rows.append(LinearRow(main, r.b, r.source))
-                rows += [LinearRow(g, 0.0, r.source)
-                         for g in dual_norm_bands(r.P, r.s, n + pad, col)]
+                bands = dual_norm_bands(r.P, r.s, n + pad, col)
+                bands[:, col:col + k] *= unit
+                rows += [LinearRow(g, 0.0, r.source) for g in bands]
+                taus.append(tau)
                 col += k
-        with np.errstate(over="ignore", invalid="ignore"):
-            taus = [(r.s, np.abs(r.P.T @ x_bar)) for _, r in lifted]
-        xl = np.concatenate([x_bar] + [z.max(keepdims=True) if s == 1 else z
-                                       for s, z in taus])
-        if not np.isfinite(xl).all():
-            raise NumericalBreakdown("the lifted point's tau = |P^T x| overflows "
-                                     "the float range")
-        return RobustFeasibleSet(n + pad, tuple(rows), tuple(lifted)), xl
+        return RobustFeasibleSet(n + pad, tuple(rows), tuple(lifted)), np.concatenate(taus)
 
     @property
     def all_linear(self):

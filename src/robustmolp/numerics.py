@@ -1,9 +1,10 @@
 """Self-contained dense numerical kernel.
 
 Provides the primitives everything else is built on: a two-phase simplex
-LP solver with dual certificates, Euclidean projection onto the unit
-simplex, the minimum-norm point of a polytope-plus-ray set, and a
-block-structured second-order-cone feasibility solver.
+LP solver with dual certificates (an optimal LP's dual, an infeasible
+LP's Farkas ray, both read off the final basis), Euclidean projection
+onto the unit simplex, the minimum-norm point of a polytope-plus-ray set,
+and a block-structured second-order-cone feasibility solver.
 """
 
 from __future__ import annotations
@@ -73,6 +74,11 @@ class LpSolution:
     dual: np.ndarray | None = None        # one multiplier per input row
     dual_value: float | None = None
     pivots: int = 0                       # Bland pivots, phases 1 and 2
+    # infeasible only: a Farkas ray y, one entry per input row, with
+    # G^T y <= 0 on bounded columns, G^T y = 0 on free ones, y >= 0 on
+    # ">=" rows and (h - G lb).y > 0 (each to the phase-1 tolerances on the
+    # row-scaled data), so that no x >= lb has G x (>=, ==) h
+    ray: np.ndarray | None = None
 
     @property
     def optimal(self):
@@ -88,9 +94,10 @@ def solve_lp(lp: LinearProgram, max_pivots: int = 100_000) -> LpSolution:
 
     Infeasible/unbounded verdicts are exact (up to the scaled phase-1
     threshold); optimal solutions come with a dual vector per input row,
-    recovered from the final basis.  `max_pivots` bounds the pivots of
-    phases 1 and 2; the drive-out of artificial variables between them is
-    not counted.
+    recovered from the final basis, and infeasible ones with a Farkas ray,
+    the phase-1 dual that the tableau already holds.  `max_pivots` bounds
+    the pivots of phases 1 and 2; the drive-out of artificial variables
+    between them is not counted.
 
     The tableau is stored transposed, one array row per column, so that a
     pivot is a single rank-1 update of the columns where the pivot row is
@@ -196,7 +203,12 @@ def solve_lp(lp: LinearProgram, max_pivots: int = 100_000) -> LpSolution:
     if run_simplex(N + m) == "unbounded":  # cannot happen: bounded below
         raise NumericalBreakdown("phase-1 unbounded")
     if -T[-1, -1] > 1e-9:
-        return LpSolution("infeasible", pivots=pivots)
+        # The phase-1 dual pi has reduced cost 1 - pi_i on artificial i,
+        # and pi.b > 0 is the optimal sum of the artificials; unscaled and
+        # unflipped it is the ray (a slack's reduced cost pi_i flips_i >= 0
+        # gives y >= 0 on ">=" rows).
+        ray = signed_scales * (1.0 - T[N:N + m, m])
+        return LpSolution("infeasible", pivots=pivots, ray=ray)
 
     # Drive remaining artificials out of the basis; move the rows where
     # none can leave behind the live ones, and drop them.

@@ -1,4 +1,5 @@
-"""Shared random-instance generators for the property suites.
+"""Shared random-instance generators for the property suites, and the
+replay of a refutation witness.
 
 Instances are integer-ish (coefficients in [-5, 5]) and anchored at an
 integer point so feasibility, strict feasibility, and boundedness are
@@ -8,8 +9,8 @@ guaranteed by construction.
 import numpy as np
 import pytest
 
-from robustmolp.model import (Polytope, Singleton, UncertainMOLP,
-                              reduce_constraints, validate_problem)
+from robustmolp.model import (Box, Ellipsoid, NormBall, Polytope, Singleton,
+                              UncertainMOLP, reduce_constraints, validate_problem)
 from robustmolp.numerics import LinearProgram, solve_lp
 
 _INF = float("inf")
@@ -81,6 +82,43 @@ def vertex_candidate(rng, problem):
     sol = solve_lp(lp)
     assert sol.optimal, "bounding box should keep the LP bounded"
     return sol.x
+
+
+def worst_slack(c, x):
+    """Worst-case slack at x of one uncertainty class, from the class's own
+    data and numpy alone: the least a.x - b over its realizations."""
+    x = np.asarray(x, float)
+    if isinstance(c, Singleton):
+        return float(c.a_bar @ x - c.b_bar)
+    if isinstance(c, Polytope):
+        return min(float(v[:-1] @ x - v[-1]) for v in c.vertices)
+    if isinstance(c, Box):
+        return float(np.minimum(c.a_lo * x, c.a_hi * x).sum() - c.b_hi)
+    if isinstance(c, NormBall):
+        # delta ||Z^-1 x|| in the norm conjugate to s (Z is symmetric)
+        conjugate = {1: _INF, 2: 2, _INF: 1}[c.s]
+        return float(c.a_bar @ x - c.b_hi
+                     - c.delta * np.linalg.norm(np.linalg.solve(c.Z, x), conjugate))
+    if isinstance(c, Ellipsoid):
+        pen = float(np.linalg.norm(np.array(c.spans) @ x)) if c.spans else 0.0
+        return float(c.a0 @ x - c.b_hi - pen)
+    raise TypeError(f"no worst-case slack for {type(c).__name__}")
+
+
+def assert_replaying_witness(p, x_bar, rho, x):
+    """x lies in every class of p (to 1e-9) and strictly improves every
+    objective of the scenario C_bar + rho u v^T on x_bar."""
+    assert min(worst_slack(c, x) for c in p.constraints) >= -1e-9
+    C = p.C_bar + rho * np.outer(p.u, p.v)
+    assert np.all(C @ x_bar - C @ x > 0.0)
+
+
+def assert_replaying_refutation(p, x_bar, out):
+    """out refutes x_bar at the rho of its endpoint with a replaying witness."""
+    assert out.status == "refuted"
+    r = out.refutation
+    assert r.rho == {"nominal": 0.0, "perturbed": 1.0}[r.endpoint]
+    assert_replaying_witness(p, x_bar, r.rho, r.x)
 
 
 @pytest.fixture

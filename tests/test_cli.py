@@ -203,7 +203,7 @@ def test_certify_reports_a_reason_for_unknown_only(tmp_path, capsys, monkeypatch
     assert "refutation" not in rep["payload"] and "certificate" not in rep["payload"]
     assert rep["payload"]["reason"] == (
         "nominal endpoint infeasible (residual 2.500e-01, stop budget) "
-        "but no strictly dominating witness replays")
+        "but its tangent endpoint LP is feasible, so there is no direction to refute along")
 
 
 def test_certify_cone_refutation_names_its_endpoint(tmp_path, capsys):
@@ -451,8 +451,9 @@ def test_24_dimensional_box_certifies_replays_and_is_confirmed(tmp_path, capsys)
 @pytest.mark.parametrize("a_lo, a_hi, point, exit_code", [
     # every scenario product overflows; the worst row's true slack is -5e599
     ([5e299, -1e300], [1e300, -5e299], "1e300,1e300", 4),
-    # feasible, but the lifted tau = |P^T x| = 2.5e599 has no float
-    ([0.0, 5e299], [0.0, 1e300], "0,1e300", 2),
+    # feasible, and x1 improves downward: the lifted tau = |P^T x| = 2.5e599
+    # has no float and is carried at a power of two
+    ([0.0, 5e299], [0.0, 1e300], "0,1e300", 1),
 ])
 def test_certify_box_products_overflowing_the_float_range(tmp_path, capsys, a_lo,
                                                           a_hi, point, exit_code):
@@ -461,10 +462,29 @@ def test_certify_box_products_overflowing_the_float_range(tmp_path, capsys, a_lo
                             "b_lo": 0.0, "b_hi": 1.0}]}
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        code = main(["certify", _write(tmp_path, doc), f"--point={point}", "--json"])
-    err = capsys.readouterr().err
+        code = main(["certify", _write(tmp_path, doc), f"--point={point}", "--json",
+                     "--oracle", "3"])
+    out, err = capsys.readouterr()
     assert code == exit_code
-    assert err.startswith("error:") and "nan" not in err
+    if exit_code == 1:
+        rep = json.loads(out)
+        assert rep["verdict"] == rep["payload"]["oracle"]["outcome"] == "refuted"
+    else:
+        assert err.startswith("error:") and "nan" not in err
+
+
+def test_certify_overflowing_box_beside_a_tight_row_exit_0(tmp_path, capsys):
+    # the overflowing box above beside x1 >= 0, tight at the point
+    doc = {"m": 1, "n": 2, "C_bar": [[1.0, 0.0]], "u": [0.0], "v": [0.0, 0.0],
+           "constraints": [{"kind": "box", "a_lo": [0.0, 5e299], "a_hi": [0.0, 1e300],
+                            "b_lo": 0.0, "b_hi": 1.0},
+                           {"kind": "singleton", "a_bar": [1.0, 0.0], "b_bar": 0.0}]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, rep = _run_json(capsys, ["certify", _write(tmp_path, doc), "--point=0,1e300",
+                                       "--oracle", "3"])
+    assert code == 0 and rep["verdict"] == "certified"
+    assert rep["payload"]["oracle"]["outcome"] == "confirmed"
 
 
 @pytest.mark.parametrize("exc_name", ["NonCertifiedError", "NumericalBreakdown",

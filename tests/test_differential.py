@@ -158,3 +158,36 @@ def test_solve_lp_matches_highs_on_large_degenerate_lps_with_duplicate_rows():
         free = ~np.isfinite(lp.lower_bounds)
         assert np.all(np.abs(reduced[free]) <= 1e-9) and np.all(reduced[~free] >= -1e-9)
     assert all(count >= 4 for count in seen.values()), seen
+
+
+def _assert_farkas_ray(lp, y):
+    """y certifies that no x >= lb meets the rows: on the rows scaled to
+    unit max-norm, G^T y <= 0 on bounded columns and = 0 on free ones,
+    y >= 0 on ">=" rows, and (h - G lb).y > 0, each to 1e-9."""
+    G = np.array([g for g, _, _ in lp.rows])
+    h = np.array([h for _, h, _ in lp.rows])
+    ge = np.array([s == ">=" for _, _, s in lp.rows])
+    mx = np.abs(G).max(axis=1)
+    scale = np.where(mx > 0, 1.0 / np.where(mx > 0, mx, 1.0), 1.0)
+    ys = y / scale                              # the ray of the scaled rows
+    free = ~np.isfinite(lp.lower_bounds)
+    lb = np.where(free, 0.0, lp.lower_bounds)
+    reduced = (G * scale[:, None]).T @ ys
+    assert np.all(reduced[~free] <= 1e-9) and np.all(np.abs(reduced[free]) <= 1e-9)
+    assert np.all(ys[ge] >= -1e-9)
+    assert float(((h - G @ lb) * scale) @ ys) > 1e-9
+
+
+def test_infeasible_lps_carry_a_farkas_ray_that_highs_agrees_with():
+    rng = np.random.default_rng(20261021)
+    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for k in range(360):
+        lp = _random_lp(rng) if k % 12 else _large_lp(rng)
+        sol = solve_lp(lp)
+        assert sol.status == _highs(lp)[0]
+        seen[sol.status] += 1
+        if sol.status == "infeasible":
+            _assert_farkas_ray(lp, sol.ray)
+        else:
+            assert sol.ray is None
+    assert all(count >= 10 for count in seen.values()), seen

@@ -1,7 +1,11 @@
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import box_vertices, random_polyhedral_problem, vertex_candidate
+from conftest import (assert_replaying_refutation, box_vertices, random_polyhedral_problem,
+                      vertex_candidate, worst_slack)
 from robustmolp import feasibility
 from robustmolp.efficiency import (NotFeasiblePointError, SlaterViolatedError,
                                    UnsupportedClassError, active_geometry,
@@ -598,23 +602,6 @@ def test_inf_ball_beside_inactive_two_norm_ball_refuted_without_cone_solve(
         assert out.refutation.x is not None
 
 
-def _worst_slack(c, x):
-    """Worst-case slack of a norm-ball class over its own data: a_bar.x -
-    b_hi - delta ||Z^-1 x|| in the norm conjugate to s (Z is symmetric)."""
-    conjugate = {1: _INF, 2: 2, _INF: 1}[c.s]
-    return float(c.a_bar @ x - c.b_hi
-                 - c.delta * np.linalg.norm(np.linalg.solve(c.Z, x), conjugate))
-
-
-def _assert_replaying_refutation(p, x, out):
-    assert out.status == "refuted"
-    r = out.refutation
-    assert r.rho == {"nominal": 0.0, "perturbed": 1.0}[r.endpoint]
-    assert min(_worst_slack(c, r.x) for c in p.constraints) >= -1e-9
-    C = p.C_bar + r.rho * np.outer(p.u, p.v)
-    assert np.all(C @ x - C @ r.x > 0.0)
-
-
 def test_certify_never_consults_the_oracle(monkeypatch, rng):
     import robustmolp.oracle as oracle
 
@@ -626,23 +613,53 @@ def test_certify_never_consults_the_oracle(monkeypatch, rng):
         p, x = _mixed_ball_problem(rng, kinds)
         for q in (p, _with_inactive_balls(p, x)):
             neg = UncertainMOLP(q.m, q.n, -q.C_bar, q.u, -q.v, q.constraints)
-            _assert_replaying_refutation(neg, x, certify_weak_efficiency(validate_problem(neg), x))
+            assert_replaying_refutation(neg, x, certify_weak_efficiency(validate_problem(neg), x))
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+@pytest.mark.parametrize("workload, certified, refuted", [
+    ("CertifyPolyWorkload", 43, 37), ("CertifyConeWorkload", 25, 23)])
+def test_catalogues_refute_without_the_scenario_lp(monkeypatch, workload, certified, refuted):
+    # the benchmark's seed-0 catalogue, built by bench/workloads.py from
+    # its source (read only; no library call builds an instance)
+    import robustmolp
+    import robustmolp.efficiency as eff
+    import robustmolp.oracle as oracle
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("certify refutes along the endpoint's Farkas direction")
+
+    monkeypatch.setattr(eff, "weakly_efficient_for_scenario", forbidden)
+    monkeypatch.setattr(oracle, "refute_robust_weak_efficiency", forbidden)
+    catalogue = runpy.run_path(str(WORKLOADS))[workload]().make_inputs(robustmolp, None, 0)
+    statuses = []
+    for inst in catalogue:
+        out = certify_weak_efficiency(validate_problem(inst.problem), inst.x_bar)
+        statuses.append(out.status)
+        if out.status == "refuted":
+            assert_replaying_refutation(inst.problem, inst.x_bar, out)
+    assert [statuses.count(s) for s in ("certified", "refuted", "unknown")] == [
+        certified, refuted, 0]
 
 
 def test_tangent_lp_point_outside_the_ball_is_tilted_toward_the_slater_point():
-    # the unit disc, tight at (1, 0), under the objective x2: the LP over
-    # its tangent halfspace x1 <= 1 returns (1, -1), a tangent direction
-    # that leaves the disc at once; along it only a round-off step of about
+    # the unit disc, tight at (1, 0), under the objective x2: its tangent
+    # halfspace x1 <= 1 keeps improving directions such as (0, -1), the
+    # Farkas direction of the endpoint LP with the disc's tangent column,
+    # or (1, -1) - (1, 0) from the scenario LP over that halfspace; each
+    # leaves the disc at once, and along it only a round-off step of about
     # 1e-8 replays.  Tilted toward the Slater point, the direction enters
     # the disc and the witness lies well inside it.
     disc = NormBall([0.0, 0.0], np.eye(2), 1.0, 2, -2.0, -1.0)
     x = np.array([1.0, 0.0])
     p = UncertainMOLP(1, 2, [[0.0, 1.0]], [0.0], [0.0, 0.0], (disc,))
     chk = weakly_efficient_for_scenario(p.C_bar, [LinearRow([-1.0, 0.0], -1.0, 0)], x)
-    assert not chk.efficient and _worst_slack(disc, chk.witness) < -0.1
+    assert not chk.efficient and worst_slack(disc, chk.witness) < -0.1
     out = certify_weak_efficiency(validate_problem(p), x)
-    _assert_replaying_refutation(p, x, out)
-    assert _worst_slack(disc, out.refutation.x) > 1e-3
+    assert_replaying_refutation(p, x, out)
+    assert worst_slack(disc, out.refutation.x) > 1e-3
     assert out.refutation.gap[0] > 1e-3
 
 
@@ -664,8 +681,28 @@ def test_unknown_names_the_endpoint_residual_and_stop_reason(monkeypatch):
     out = certify_weak_efficiency(vp, x)
     assert out.status == "unknown" and out.refutation is None
     assert out.reason == ("nominal endpoint infeasible (residual 2.500e-01, stop budget) "
-                          "but no strictly dominating witness replays")
+                          "but its tangent endpoint LP is feasible, so there is no "
+                          "direction to refute along")
     assert out.residuals == {"nominal": 0.25, "perturbed": 0.25}
+
+
+def test_unknown_tells_a_direction_without_a_replaying_witness(monkeypatch):
+    import robustmolp.efficiency as eff
+    from robustmolp.numerics import ConeResult
+    # the cone x1 >= |x|/2 with its apex at the point, where P^T x = 0: the
+    # tangent column is a_bar alone, so the tangent endpoint LP is
+    # infeasible although the point minimizes x1 + x2/2 over the set
+    p = UncertainMOLP(1, 2, [[1.0, 0.5]], [0.0], [0.0, 0.0],
+                      (NormBall([1.0, 0.0], np.eye(2), 0.5, 2, -1.0, 0.0),))
+    vp, x = validate_problem(p), np.zeros(2)
+    assert certify_weak_efficiency(vp, x).status == "certified"
+    monkeypatch.setattr(eff, "solve_cone_system", lambda A, b, blocks: ConeResult(
+        False, False, 0.25, np.zeros(A.shape[1]), 7, "budget"))
+    out = certify_weak_efficiency(vp, x)
+    assert out.status == "unknown" and out.refutation is None
+    assert out.reason == ("nominal endpoint infeasible (residual 2.500e-01, stop budget) "
+                          "but no step along its Farkas direction replays as a strictly "
+                          "dominating witness")
 
 
 def test_zero_delta_norm_matches_singleton_verdicts(rng):
@@ -732,7 +769,8 @@ def test_no_active_two_norm_row_needs_no_slater_point():
     vp = validate_problem(UncertainMOLP(2, 1, [[1.0], [1.0]], [0.0, 0.0], [0.0], (ball,)))
     out = certify_weak_efficiency(vp, x)
     assert out.status == "refuted"
-    assert out.refutation.x == pytest.approx([-1e-6], rel=1e-9)
+    # the step along the direction -1 halves from 1 until |x| <= 1e-6
+    assert out.refutation.x.tolist() == [-2.0 ** -20]
 
 
 def test_certify_ellipsoid_no_spans_equals_singleton():

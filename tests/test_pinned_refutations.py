@@ -7,7 +7,11 @@ by the row-by-row dense Bland simplex.  The simplex must keep Bland's rule
 and its tie-breaks exactly: a different pivot path moves a pivot count
 here, and usually the last bits of the witness too.  The instances with a
 box (12, 14, 25, 28, 30) were re-recorded when boxes became one lifted
-s = inf row instead of their 2^n vertex rows.
+s = inf row instead of their 2^n vertex rows, and every x and gap when the
+witness came to be stepped along the failing endpoint's Farkas ray, which
+left only the endpoint LPs in each pivot list.  Every pinned witness must
+replay against the classes' own data, so no re-recording can pin one
+that does not.
 """
 
 import json
@@ -16,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import assert_replaying_witness
 from robustmolp import efficiency
 from robustmolp.efficiency import certify_weak_efficiency
 from robustmolp.model import Box, Polytope, Singleton, UncertainMOLP, validate_problem
@@ -85,4 +90,7 @@ def refutation_record(seed, monkeypatch):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_refutation_pinned(seed, monkeypatch):
     want = json.loads(PINNED.read_text())[str(seed)]
+    p, x = _instance(seed)
+    assert_replaying_witness(p, x, float.fromhex(want["rho"]),
+                             np.array([float.fromhex(t) for t in want["x"]]))
     assert refutation_record(seed, monkeypatch) == want
