@@ -437,9 +437,11 @@ def _refute(XL, xl, d, C, x0):
     of that improvement) so that it enters those rows strictly.  Each tau of
     the lift then moves as its steepest active band row, so that the ray's
     group sums become one nonnegative rate per active linear row of XL.
-    The step t <= 1 is the ratio test on the inactive linear rows of XL,
-    halved until each 2-norm row's exact slack at x_bar + t d is
-    >= min(0, its slack at x_bar).
+    The step is the ratio test on the inactive linear rows of XL, capped at
+    t = 1, or at 2^-26 |C| |x_bar| where that is larger so that the step
+    shows above the rounding of C x_bar, and halved until x_bar + t d is
+    finite and each 2-norm row's exact slack there is >= min(0, its slack
+    at x_bar).
     """
     n = C.shape[1]
     x_bar = xl[:n]
@@ -463,7 +465,9 @@ def _refute(XL, xl, d, C, x0):
                     a, c = XL.rows[k0 + 1 + j].a, cols[j % cols.size]
                     rate[c] = max(rate.get(c, -_INF), -float(a[:n] @ d) / a[c])
             dl[list(rate)] = list(rate.values())
-        t, floors = 1.0, []
+        scale = float(np.max(np.abs(C) @ np.abs(x_bar)))
+        t = max(1.0, math.ldexp(scale, -26)) if math.isfinite(scale) else 1.0
+        floors = []
         for r, s in zip(XL.rows, slacks):
             if isinstance(r, ConcaveRow):
                 floors.append((r, min(0.0, s)))
@@ -471,7 +475,7 @@ def _refute(XL, xl, d, C, x0):
                 t = min(t, s / -ad)
         for _ in range(64):
             x = xl + t * dl
-            if all(r.slack(x) >= f for r, f in floors):
+            if np.isfinite(x).all() and all(r.slack(x) >= f for r, f in floors):
                 x = _in_rn(x, n)
                 gap = C @ x_bar - C @ x
                 return (x, gap) if np.all(gap > 0.0) else None
@@ -498,6 +502,7 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
     norm balls become linear rows.  The endpoints are exact LPs while no
     2-norm ball or ellipsoid row is active at the point; with one active a
     Slater point is verified and both endpoints are joint conic systems.
+    The perturbed endpoint is solved only when the nominal one is feasible.
     A failing endpoint is refuted by _refute along the Farkas direction of
     its endpoint LP; when there is no direction, no step along it replays,
     or a certificate's equality or complementarity residual exceeds
@@ -530,14 +535,18 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
             raise SlaterViolatedError(slater.max_slack)
         x0 = slater.x0
     e0 = _solve_endpoint(D0, XL, geo, cones, xl)
-    e1 = e0 if same else _solve_endpoint(D1, XL, geo, cones, xl)
+    # a failing nominal endpoint decides the outcome alone
+    ends = {"nominal": e0}
+    if e0.feasible:
+        ends["perturbed"] = e0 if same else _solve_endpoint(D1, XL, geo, cones, xl)
+    name, e = list(ends.items())[-1]        # the failing endpoint, if any
 
     def residuals(prefix):
         # an endpoint decided by LP is exact and has no residual entry
-        return {prefix + name: e.residual for name, e in (("nominal", e0), ("perturbed", e1))
-                if e.residual is not None}
+        return {prefix + k: v.residual for k, v in ends.items() if v.residual is not None}
 
-    if e0.feasible and e1.feasible:
+    if e.feasible:
+        e1 = e                              # both endpoints are feasible
         zero = {}
         nominal = _constraint_records(p, X, XL, e0, x_bar, zero)
         perturbed = nominal if e1 is e0 else _constraint_records(p, X, XL, e1, x_bar, zero)
@@ -545,8 +554,7 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
         rows = (geo.active_rows, *row_mu) if XL.all_linear else ((), None, None)
         cert = EfficiencyCertificate(e0.lam, e1.lam, nominal, perturbed, *rows, {})
         return _certified(C0, C1, cert, residuals("system_"))
-    name, e, C, rho = (("nominal", e0, C0, 0.0) if not e0.feasible
-                       else ("perturbed", e1, C1, 1.0))
+    C, rho = (C0, 0.0) if name == "nominal" else (C1, 1.0)
     found = None if e.direction is None else _refute(XL, xl, e.direction[:p.n], C, x0)
     if found is None:
         res = "exact" if e.residual is None else f"{e.residual:.3e}"

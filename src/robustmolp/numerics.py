@@ -95,9 +95,11 @@ def solve_lp(lp: LinearProgram, max_pivots: int = 100_000) -> LpSolution:
     Infeasible/unbounded verdicts are exact (up to the scaled phase-1
     threshold); optimal solutions come with a dual vector per input row,
     recovered from the final basis, and infeasible ones with a Farkas ray,
-    the phase-1 dual that the tableau already holds.  `max_pivots` bounds
-    the pivots of phases 1 and 2; the drive-out of artificial variables
-    between them is not counted.
+    the phase-1 dual that the tableau already holds.  An all-zero
+    objective (a feasibility LP) stops after phase 1, with the phase-1
+    point and a zero dual.  `max_pivots` bounds the pivots of phases 1
+    and 2; the drive-out of artificial variables between them is not
+    counted.
 
     The tableau is stored transposed, one array row per column, so that a
     pivot is a single rank-1 update of the columns where the pivot row is
@@ -210,6 +212,21 @@ def solve_lp(lp: LinearProgram, max_pivots: int = 100_000) -> LpSolution:
         ray = signed_scales * (1.0 - T[N:N + m, m])
         return LpSolution("infeasible", pivots=pivots, ray=ray)
 
+    def unshift(basis, values):
+        """x of the input variables from the basic values; an artificial
+        still basic (at zero) lands past the standard-form columns."""
+        x_std = np.zeros(N + m)
+        x_std[basis] = values
+        x = offsets + x_std[first]
+        x[free] -= x_std[neg]
+        return x
+
+    if not c.any():
+        # A feasibility LP is solved by the phase-1 point, and its dual is
+        # zero: no drive-out, no phase 2, no dual solve.
+        x = unshift(basis, T[-1, :m])
+        return LpSolution("optimal", x, 0.0, np.zeros(m), 0.0, pivots)
+
     # Drive remaining artificials out of the basis; move the rows where
     # none can leave behind the live ones, and drop them.
     keep = list(range(m))
@@ -243,11 +260,8 @@ def solve_lp(lp: LinearProgram, max_pivots: int = 100_000) -> LpSolution:
         return LpSolution("unbounded", pivots=pivots)
 
     basis = np.array(basis, dtype=int)
-    x_std = np.zeros(N)
-    x_std[basis] = T[-1, :-1]
+    x = unshift(basis, T[-1, :-1])
     del T                        # free the largest array before the dual solve
-    x = offsets + x_std[first]
-    x[free] -= x_std[neg]
     value = float(c @ x)
 
     # Dual recovery: solve B^T y = c_B on the kept standard-form rows.

@@ -155,7 +155,11 @@ def _simplex_violation(lam):
 
 
 def _polytope_distance(vertices, a, b):
+    """Distance from (a, b) to the convex hull of the vertices: exactly 0
+    for a vertex itself, bit for bit, and otherwise by min_norm_point."""
     target = np.concatenate([np.asarray(a, float), [float(b)]])
+    if any(np.asarray(v, float).tobytes() == target.tobytes() for v in vertices):
+        return 0.0
     pts = [np.asarray(v, float) - target for v in vertices]
     res = min_norm_point(pts, np.zeros(target.size))
     return float(np.linalg.norm(res.p_star))

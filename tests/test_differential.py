@@ -191,3 +191,31 @@ def test_infeasible_lps_carry_a_farkas_ray_that_highs_agrees_with():
         else:
             assert sol.ray is None
     assert all(count >= 10 for count in seen.values()), seen
+
+
+def test_zero_objective_lps_stop_at_phase_one_with_a_zero_dual():
+    # feasibility LPs from both generators, and a hand case whose duplicate
+    # equality rows leave an artificial basic at zero after phase 1
+    rng = np.random.default_rng(20261022)
+    dup = LinearProgram.build(np.zeros(2), [([1.0, 1.0], 2.0, "==")] * 2
+                              + [([1.0, -1.0], 0.0, ">=")])
+    lps = [dup] + [_random_lp(rng) if k % 12 else _large_lp(rng) for k in range(240)]
+    seen = {"optimal": 0, "infeasible": 0}
+    for lp in lps:
+        lp = LinearProgram(np.zeros(lp.objective.size), lp.rows, lp.lower_bounds)
+        sol = solve_lp(lp)
+        assert sol.status == _highs(lp)[0]
+        seen[sol.status] += 1
+        if not sol.optimal:
+            continue
+        assert sol.value == 0.0 and sol.dual_value == 0.0
+        assert sol.dual.shape == (len(lp.rows),) and not sol.dual.any()
+        G = np.array([g for g, _, _ in lp.rows])
+        h = np.array([h for _, h, _ in lp.rows])
+        ge = np.array([s == ">=" for _, _, s in lp.rows])
+        mx = np.abs(G).max(axis=1)
+        slack = (G @ sol.x - h) / np.where(mx > 0, mx, 1.0)
+        assert np.all(slack[ge] >= -1e-9) and np.all(np.abs(slack[~ge]) <= 1e-9)
+        bounded = np.isfinite(lp.lower_bounds)
+        assert np.all(sol.x[bounded] >= lp.lower_bounds[bounded] - 1e-9)
+    assert all(count >= 20 for count in seen.values()), seen

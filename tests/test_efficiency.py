@@ -644,6 +644,88 @@ def test_catalogues_refute_without_the_scenario_lp(monkeypatch, workload, certif
         certified, refuted, 0]
 
 
+def _spy_endpoint_lps(monkeypatch):
+    """Every LP certify solves; with the scenario LP off its path these are
+    the endpoint LPs and the tangent LPs of failing cone endpoints."""
+    import robustmolp.efficiency as eff
+    lps = []
+    solve = eff.solve_lp
+
+    def spy(lp):
+        lps.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(eff, "solve_lp", spy)
+    return lps
+
+
+def test_failing_nominal_endpoint_is_the_only_lp_solved(monkeypatch):
+    # the endpoints differ (u v^T = e1 e1^T), and the nominal one fails:
+    # no row is active, so C^T lambda = 0 has no solution on the simplex
+    p = UncertainMOLP(2, 2, np.eye(2), [1.0, 0.0], [1.0, 0.0],
+                      (Singleton([1.0, 0.0], -5.0), Singleton([0.0, 1.0], -5.0)))
+    x = np.zeros(2)
+    lps = _spy_endpoint_lps(monkeypatch)
+    out = certify_weak_efficiency(validate_problem(p), x)
+    assert_replaying_refutation(p, x, out)
+    assert out.refutation.endpoint == "nominal" and len(lps) == 1
+
+
+@pytest.mark.parametrize("workload, count", [
+    ("CertifyPolyWorkload", 118), ("CertifyConeWorkload", 31)])
+def test_catalogue_endpoint_lp_count_is_pinned(monkeypatch, workload, count):
+    # 153 and 54 while a failing nominal endpoint was followed by the
+    # perturbed one: 35 + 23 nominal refutations with distinct endpoints
+    # each spent one more
+    import robustmolp
+    catalogue = runpy.run_path(str(WORKLOADS))[workload]().make_inputs(robustmolp, None, 0)
+    lps = _spy_endpoint_lps(monkeypatch)
+    for inst in catalogue:
+        certify_weak_efficiency(validate_problem(inst.problem), inst.x_bar)
+    assert len(lps) == count
+
+
+def test_failing_nominal_cone_endpoint_reports_only_its_residual(monkeypatch, rng):
+    systems = _spy_cone_systems(monkeypatch)
+    for kinds in ((2,), (_INF, 2), (1, 2)):
+        p, x = _mixed_ball_problem(rng, kinds)
+        neg = UncertainMOLP(p.m, p.n, -p.C_bar, p.u, -p.v, p.constraints)
+        systems.clear()
+        out = certify_weak_efficiency(validate_problem(neg), x)
+        assert_replaying_refutation(neg, x, out)
+        assert out.refutation.endpoint == "nominal"
+        assert len(systems) == 1 and set(out.residuals) == {"nominal"}
+
+
+def _exact_ball_slack(ball, x):
+    """Worst-case slack of a 2 x 2 norm ball at x in exact rationals, for
+    data whose products overflow floats: a_bar.x - b_hi - delta ||Z^-1 x||
+    in the norm conjugate to s."""
+    from fractions import Fraction as F
+    (z11, z12), (z21, z22) = (map(F, r) for r in ball.Z.tolist())
+    det = z11 * z22 - z12 * z21
+    x1, x2 = map(F, x.tolist())
+    y = ((z22 * x1 - z12 * x2) / det, (z11 * x2 - z21 * x1) / det)
+    dual = max(map(abs, y)) if ball.s == 1 else sum(map(abs, y))
+    return (sum(F(a) * F(t) for a, t in zip(ball.a_bar.tolist(), x.tolist()))
+            - F(ball.b_hi) - F(ball.delta) * dual)
+
+
+@pytest.mark.parametrize("s", [1, _INF])
+def test_refutation_step_shows_above_the_rounding_of_huge_coordinates(s):
+    # no row is active at x, so x is not weakly efficient; a unit step along
+    # the Farkas direction is lost in the rounding of coordinates near 1e300
+    ball = NormBall([1e300, 0.0], [[2.0, 1.0], [1.0, 2.0]], 1e299, s, -1.0, 0.0)
+    p = UncertainMOLP(1, 2, [[1.0, 1.0]], [0.0], [0.0, 0.0],
+                      (ball, Singleton([1.0, 0.0], 0.0)))
+    x = np.array([1e300, 3e299])
+    out = certify_weak_efficiency(validate_problem(p), x)
+    assert out.status == "refuted" and out.refutation.endpoint == "nominal"
+    w = out.refutation.x
+    assert np.all(np.isfinite(w)) and w[0] >= 0.0 and _exact_ball_slack(ball, w) >= 0
+    assert out.refutation.gap[0] > 0.0 and float(p.C_bar[0] @ x - p.C_bar[0] @ w) > 0.0
+
+
 def test_tangent_lp_point_outside_the_ball_is_tilted_toward_the_slater_point():
     # the unit disc, tight at (1, 0), under the objective x2: its tangent
     # halfspace x1 <= 1 keeps improving directions such as (0, -1), the
@@ -683,7 +765,8 @@ def test_unknown_names_the_endpoint_residual_and_stop_reason(monkeypatch):
     assert out.reason == ("nominal endpoint infeasible (residual 2.500e-01, stop budget) "
                           "but its tangent endpoint LP is feasible, so there is no "
                           "direction to refute along")
-    assert out.residuals == {"nominal": 0.25, "perturbed": 0.25}
+    # the failing nominal endpoint ends the run: no perturbed entry
+    assert out.residuals == {"nominal": 0.25}
 
 
 def test_unknown_tells_a_direction_without_a_replaying_witness(monkeypatch):

@@ -170,3 +170,59 @@ def test_verify_certificate_rejects_scenario_outside_class():
     rep = verify_certificate(vp, XBAR, bad, 1e-7)
     assert not rep.ok
     assert rep.first_failing == "scenario_membership"
+
+
+# ---------------------------------------------------------------------------
+# polytope membership
+# ---------------------------------------------------------------------------
+
+def _spy_min_norm(monkeypatch):
+    import robustmolp.oracle as oracle
+    calls = []
+    solve = oracle.min_norm_point
+
+    def spy(points, ray):
+        calls.append(len(points))
+        return solve(points, ray)
+
+    monkeypatch.setattr(oracle, "min_norm_point", spy)
+    return calls
+
+
+def _with_nominal_scenario(cert, a, b):
+    from dataclasses import replace
+    rec = replace(cert.nominal[0], scenario_a=np.asarray(a, float), scenario_b=float(b))
+    return replace(cert, nominal=(rec,) + cert.nominal[1:])
+
+
+def _membership(rep):
+    return next(c.residual for c in rep.checks if c.name == "scenario_membership")
+
+
+def test_scenario_row_equal_to_a_vertex_is_a_member_without_nnls(monkeypatch):
+    vp, cert = _derived_certificate()
+    calls = _spy_min_norm(monkeypatch)
+    rep = verify_certificate(vp, XBAR, cert, 1e-7)
+    assert rep.ok and _membership(rep) == 0.0 and calls == []
+    for v in V1.vertices:
+        rep = verify_certificate(vp, XBAR, _with_nominal_scenario(cert, v[:-1], v[-1]))
+        assert _membership(rep) == 0.0
+    assert calls == []
+
+
+def test_strict_convex_combination_goes_through_nnls(monkeypatch):
+    vp, cert = _derived_certificate()
+    calls = _spy_min_norm(monkeypatch)
+    mid = 0.25 * V1.vertices[0] + 0.75 * V1.vertices[1]
+    rep = verify_certificate(vp, XBAR, _with_nominal_scenario(cert, mid[:-1], mid[-1]))
+    assert _membership(rep) <= 1e-12 and calls == [2]
+
+
+def test_row_just_off_a_vertex_fails_scenario_membership():
+    # V1 is a segment: a step of 1e-6 past its first vertex leaves it
+    vp, cert = _derived_certificate()
+    v0, v1 = V1.vertices
+    off = v0 + 1e-6 * (v0 - v1) / np.linalg.norm(v0 - v1)
+    rep = verify_certificate(vp, XBAR, _with_nominal_scenario(cert, off[:-1], off[-1]))
+    assert rep.first_failing == "scenario_membership"
+    assert _membership(rep) == pytest.approx(1e-6, rel=1e-6)

@@ -9,7 +9,8 @@ here, and usually the last bits of the witness too.  The instances with a
 box (12, 14, 25, 28, 30) were re-recorded when boxes became one lifted
 s = inf row instead of their 2^n vertex rows, and every x and gap when the
 witness came to be stepped along the failing endpoint's Farkas ray, which
-left only the endpoint LPs in each pivot list.  Every pinned witness must
+left only the endpoint LPs in each pivot list; a failing nominal endpoint
+is the last LP solved, so its list holds one entry.  Every pinned witness must
 replay against the classes' own data, so no re-recording can pin one
 that does not.
 """
