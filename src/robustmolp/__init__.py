@@ -8,7 +8,7 @@ from .model import (Ball, BallRow, Box, ConcaveRow, Ellipsoid, LinearRow,
                     ValidatedProblem, ValidationError, endpoint_objectives,
                     load_problem, parse_problem, problem_to_dict,
                     reduce_constraints, validate_dimensions, validate_problem)
-from .numerics import (LinearProgram, NumericalBreakdown, SingularMatrixError,
+from .numerics import (NumericalBreakdown, SingularMatrixError,
                        invert_symmetric, min_norm_point, project_simplex,
                        solve_cone_system, solve_lp)
 from .feasibility import (BallFeasibility, FeasibilityResult, HypographicalSet,

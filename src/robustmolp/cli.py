@@ -195,6 +195,8 @@ def certificate_to_dict(cert: EfficiencyCertificate) -> dict:
 
 
 def _multiplier_from_dict(d) -> ConstraintMultiplier:
+    if not isinstance(d, dict):
+        raise TypeError("a certificate record is not an object")
     wit = d.get("witness")
     return ConstraintMultiplier(
         float(d["mu"]), np.asarray(d["scenario_a"], float),
@@ -280,7 +282,8 @@ def cmd_verify(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise ProblemFormatError(f"bad certificate file: {exc}") from exc
     if isinstance(doc, dict) and "payload" in doc:
-        doc = doc.get("payload", {}).get("certificate")
+        payload = doc["payload"]
+        doc = payload.get("certificate") if isinstance(payload, dict) else None
     if not isinstance(doc, dict):
         raise ProblemFormatError("certificate payload missing")
     try:

@@ -26,8 +26,7 @@ import numpy as np
 from .feasibility import SlackSearch, maximize_min_slack
 from .model import (Ball, ConcaveRow, LinearRow, RobustFeasibleSet,
                     ValidatedProblem, endpoint_objectives, reduce_constraints)
-from .numerics import (LinearProgram, norm_value, slack_value, solve_cone_system,
-                       solve_lp)
+from .numerics import norm_value, slack_value, solve_cone_system, solve_lp
 
 _INF = float("inf")
 
@@ -146,17 +145,14 @@ def weakly_efficient_for_scenario(C, X, x_bar) -> ScenarioCheck:
     m, n = C.shape
     x_bar = np.asarray(x_bar, float)
     base = C @ x_bar
-    lp_rows = []
-    for r in rows:
-        lp_rows.append((np.concatenate([r.a, [0.0]]), r.b, ">="))
-    for i in range(m):
-        lp_rows.append((np.concatenate([-C[i], [-1.0]]), -float(base[i]), ">="))
-    cap = np.zeros(n + 1)
-    cap[-1] = -1.0
-    lp_rows.append((cap, -1.0, ">="))          # t <= 1
-    obj = np.zeros(n + 1)
-    obj[-1] = -1.0
-    sol = solve_lp(LinearProgram.build(obj, lp_rows, np.full(n + 1, -_INF)))
+    k = len(rows)
+    # rows over (x, t): a.x >= b, C_i x + t <= C_i x_bar, and t <= 1
+    G = np.zeros((k + m + 1, n + 1))
+    G[:k, :n] = np.reshape([r.a for r in rows], (k, n))
+    G[k:k + m, :n] = -C
+    G[k:, n] = -1.0
+    h = np.concatenate([[r.b for r in rows], -base, [-1.0]])
+    sol = solve_lp(G[-1], G, h, -_INF)         # min -t
     if sol.status == "infeasible":
         raise NotFeasiblePointError("candidate point is not in the set")
     if sol.status == "unbounded":  # pragma: no cover - cap prevents this
@@ -260,13 +256,12 @@ def _solve_endpoint(C, XL, geo: ActiveGeometry, cones, xl):
             A = A[:, :m + k + len(cones)]
             A[:n, m + k:] = np.transpose([-r.supergradient(xl) for r in cones])
     if x is None:
-        M = A[:n]
-        live = M.any(axis=1)
-        lp_rows = [(g, 0.0, "==") for g in M[live]]
-        g = np.zeros(M.shape[1])
-        g[:m] = 1.0
-        lp_rows.append((g, 1.0, "=="))
-        sol = solve_lp(LinearProgram.build(np.zeros(g.size), lp_rows, np.zeros(g.size)))
+        live = A[:n].any(axis=1)
+        G = np.vstack([A[:n][live], np.zeros(A.shape[1])])
+        G[-1, :m] = 1.0                         # the simplex row
+        h = np.zeros(len(G))
+        h[-1] = 1.0
+        sol = solve_lp(np.zeros(A.shape[1]), G, h, 0.0, eq=True)
         if not cones:
             stop = sol.status
             x = sol.x

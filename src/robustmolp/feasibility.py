@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import BallRow, ConcaveRow, LinearRow, dual_norm_bands
-from .numerics import LinearProgram, MinNormResult, min_norm_point, solve_lp
+from .numerics import MinNormResult, min_norm_point, solve_lp
 
 _INF = float("inf")
 
@@ -55,12 +55,8 @@ def is_feasible(rows) -> FeasibilityResult:
     rows = _as_rows(rows)
     if not rows:
         raise ValueError("rows must be nonempty")
-    n = rows[0][0].size
-    lp = LinearProgram.build(
-        np.zeros(n),
-        [(a, b, ">=") for a, b in rows],
-        np.full(n, -_INF))
-    sol = solve_lp(lp)
+    G = np.array([a for a, _ in rows])
+    sol = solve_lp(np.zeros(G.shape[1]), G, [b for _, b in rows], -_INF)
     if sol.optimal:
         return FeasibilityResult(True, sol.x)
     return FeasibilityResult(False)
@@ -82,13 +78,8 @@ def cone_contains(generators, target) -> ConeMembership:
     if not gens:
         raise ValueError("generators must be nonempty")
     t = np.asarray(target, float)
-    k = t.size
     G = np.column_stack(gens)
-    lp = LinearProgram.build(
-        np.zeros(len(gens)),
-        [(G[i], float(t[i]), "==") for i in range(k)],
-        np.zeros(len(gens)))
-    sol = solve_lp(lp)
+    sol = solve_lp(np.zeros(len(gens)), G, t, 0.0, eq=True)
     if not sol.optimal:
         return ConeMembership(False)
     w = np.maximum(sol.x, 0.0)
@@ -176,21 +167,18 @@ def _slack_lp(rows, satisfied, n, cap, two_norm, cuts):
         bands.append((B, width, k))
         width += k
     main += [(g, b, 0, 0, -1.0) for g, b in cuts]
-    lp_rows = []
-    for g, b, c, k, t_coef in main:
-        coef = np.zeros(width)
-        coef[:n], coef[n], coef[c:c + k] = g, t_coef, -1.0
-        lp_rows.append((coef, b, ">="))
-    for B, c, k in bands:
-        band = np.zeros((B.shape[0], width))
-        band[:, :n], band[:, c:c + k] = B[:, :n], B[:, n:]
-        lp_rows += [(g, 0.0, ">=") for g in band]
-    cap_row = np.zeros(width)
-    cap_row[n] = -1.0
-    lp_rows.append((cap_row, -cap, ">="))
+    G = np.zeros((len(main) + sum(len(B) for B, _, _ in bands) + 1, width))
+    h = np.zeros(len(G))
+    for i, (g, b, c, k, t_coef) in enumerate(main):
+        G[i, :n], G[i, n], G[i, c:c + k], h[i] = g, t_coef, -1.0, b
+    i = len(main)
+    for B, c, k in bands:                       # band rows: right-hand side 0
+        G[i:i + len(B), :n], G[i:i + len(B), c:c + k] = B[:, :n], B[:, n:]
+        i += len(B)
+    G[-1, n], h[-1] = -1.0, -cap                # t <= cap
     lower = np.zeros(width)
     lower[:n + 1] = -_INF
-    sol = solve_lp(LinearProgram.build(cap_row, lp_rows, lower))  # min -t
+    sol = solve_lp(G[-1], G, h, lower)          # min -t
     if not sol.optimal:
         return None, -_INF
     return sol.x[:n], float(sol.x[n])

@@ -1,10 +1,10 @@
 """Self-contained dense numerical kernel.
 
 Provides the primitives everything else is built on: a two-phase simplex
-LP solver with dual certificates (an optimal LP's dual, an infeasible
-LP's Farkas ray, both read off the final basis), Euclidean projection
-onto the unit simplex, the minimum-norm point of a polytope-plus-ray set,
-and a block-structured second-order-cone feasibility solver.
+LP solver (an infeasible LP's Farkas ray read off the final basis),
+Euclidean projection onto the unit simplex, the minimum-norm point of a
+polytope-plus-ray set, and a block-structured second-order-cone
+feasibility solver.
 """
 
 from __future__ import annotations
@@ -36,45 +36,15 @@ class SingularMatrixError(Exception):
 # Linear programming
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LinearProgram:
-    """min c.x  subject to  rows (g.x >= h or g.x == h)  and  x >= lower.
-
-    Lower bounds may be -inf for free variables.
-    """
-
-    objective: np.ndarray
-    rows: tuple  # of (g: array, h: float, sense: ">=" | "==")
-    lower_bounds: np.ndarray
-
-    @staticmethod
-    def build(objective, rows, lower_bounds=None):
-        c = np.asarray(objective, float)
-        if lower_bounds is None:
-            lower_bounds = np.zeros(c.size)
-        lb = np.asarray(lower_bounds, float)
-        if lb.size != c.size:
-            raise ValueError("lower_bounds length mismatch")
-        norm_rows = []
-        for g, h, sense in rows:
-            g = np.asarray(g, float)
-            if g.size != c.size:
-                raise ValueError("row dimension mismatch")
-            if sense not in (">=", "=="):
-                raise ValueError(f"unknown sense {sense!r}")
-            norm_rows.append((g, float(h), sense))
-        return LinearProgram(c, tuple(norm_rows), lb)
+MAX_PIVOTS = 100_000    # Bland pivots per LP, phases 1 and 2
 
 
 @dataclass(frozen=True)
 class LpSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None = None
-    value: float | None = None
-    dual: np.ndarray | None = None        # one multiplier per input row
-    dual_value: float | None = None
     pivots: int = 0                       # Bland pivots, phases 1 and 2
-    # infeasible only: a Farkas ray y, one entry per input row, with
+    # infeasible only: a Farkas ray y, one entry per row of G, with
     # G^T y <= 0 on bounded columns, G^T y = 0 on free ones, y >= 0 on
     # ">=" rows and (h - G lb).y > 0 (each to the phase-1 tolerances on the
     # row-scaled data), so that no x >= lb has G x (>=, ==) h
@@ -89,17 +59,18 @@ _PIV_EPS = 1e-10
 _RC_EPS = 1e-9
 
 
-def solve_lp(lp: LinearProgram, max_pivots: int = 100_000) -> LpSolution:
-    """Two-phase dense simplex with Bland's anti-cycling rule.
+def solve_lp(c, G, h, lower, eq=False) -> LpSolution:
+    """min c.x  subject to  G x >= h, with equality on the rows where `eq`
+    is set (one bool, or one per row), and x >= lower (-inf: a free
+    variable).
 
-    Infeasible/unbounded verdicts are exact (up to the scaled phase-1
-    threshold); optimal solutions come with a dual vector per input row,
-    recovered from the final basis, and infeasible ones with a Farkas ray,
-    the phase-1 dual that the tableau already holds.  An all-zero
-    objective (a feasibility LP) stops after phase 1, with the phase-1
-    point and a zero dual.  `max_pivots` bounds the pivots of phases 1
-    and 2; the drive-out of artificial variables between them is not
-    counted.
+    Two-phase dense simplex with Bland's anti-cycling rule.  Infeasible and
+    unbounded verdicts are exact (up to the scaled phase-1 threshold), and
+    an infeasible LP comes with a Farkas ray, the phase-1 dual that the
+    tableau already holds.  An all-zero objective (a feasibility LP) stops
+    after phase 1, with the phase-1 point.  More than MAX_PIVOTS pivots in
+    phases 1 and 2 raise NumericalBreakdown; the drive-out of artificial
+    variables between them is not counted.
 
     The tableau is stored transposed, one array row per column, so that a
     pivot is a single rank-1 update of the columns where the pivot row is
@@ -108,9 +79,9 @@ def solve_lp(lp: LinearProgram, max_pivots: int = 100_000) -> LpSolution:
     zero reduced cost (a pivot never touches it), so Bland's scan for the
     entering column needs no test of basis membership.
     """
-    c = np.asarray(lp.objective, float)
-    lb = np.asarray(lp.lower_bounds, float)
+    c = np.asarray(c, float)
     d = c.size
+    lb = np.broadcast_to(np.asarray(lower, float), (d,))
     finite = np.isfinite(lb)
 
     # Shift finitely-bounded variables to >= 0; a free variable gets a
@@ -121,17 +92,14 @@ def solve_lp(lp: LinearProgram, max_pivots: int = 100_000) -> LpSolution:
     neg = first[free] + 1
     n_var = d + len(neg)
 
-    m = len(lp.rows)
+    G = np.asarray(G, float)
+    m = len(G)
     if m == 0:
         if np.any(c < -1e-12) or np.any(c[free] > 1e-12):
             return LpSolution("unbounded")
-        x = offsets.copy()
-        return LpSolution("optimal", x, float(c @ x),
-                          np.zeros(0), float(c @ x))
-    gs, heights, senses = zip(*lp.rows)
-    G = np.array(gs)
-    heights = np.array(heights)
-    slack_rows = np.flatnonzero(np.array(senses) == ">=")
+        return LpSolution("optimal", offsets)
+    h = np.asarray(h, float)
+    slack_rows = np.flatnonzero(~np.broadcast_to(eq, (m,)))
     n_slack = len(slack_rows)
     N = n_var + n_slack
     c_std = np.zeros(N)
@@ -142,21 +110,16 @@ def solve_lp(lp: LinearProgram, max_pivots: int = 100_000) -> LpSolution:
     mx = np.abs(G).max(axis=1, initial=0.0)
     scales = np.ones(m)
     np.divide(1.0, mx, out=scales, where=mx > 0)
-    rhs = (heights - G @ offsets) * scales
+    rhs = (h - G @ offsets) * scales
     flips = np.where(rhs < 0, -1.0, 1.0)
     signed_scales = scales * flips
     rows = G * signed_scales[:, None]
 
-    def standard_form(out):
-        """Write the standard-form matrix [A | slacks], transposed, to out."""
-        out[first] = rows.T
-        out[neg] = -rows[:, free].T
-        out[n_var + np.arange(n_slack), slack_rows] = -flips[slack_rows]
-        return out
-
     # Phase 1: [A | slacks | artificials | b]^T, reduced costs last.
     T = np.zeros((N + m + 1, m + 1))
-    standard_form(T[:N, :m])
+    T[first, :m] = rows.T
+    T[neg, :m] = -rows[:, free].T
+    T[n_var + np.arange(n_slack), slack_rows] = -flips[slack_rows]
     np.fill_diagonal(T[N:N + m], 1.0)
     T[-1, :m] = rhs * flips
     # Phase-1 reduced costs: minus the sum of the rows, added in row order
@@ -199,8 +162,8 @@ def solve_lp(lp: LinearProgram, max_pivots: int = 100_000) -> LpSolution:
                     best, leave = ratio, i
             pivot(leave, enter)
             pivots += 1
-            if pivots > max_pivots:
-                raise NumericalBreakdown(f"pivot budget {max_pivots} exhausted")
+            if pivots > MAX_PIVOTS:
+                raise NumericalBreakdown(f"pivot budget {MAX_PIVOTS} exhausted")
 
     if run_simplex(N + m) == "unbounded":  # cannot happen: bounded below
         raise NumericalBreakdown("phase-1 unbounded")
@@ -212,7 +175,7 @@ def solve_lp(lp: LinearProgram, max_pivots: int = 100_000) -> LpSolution:
         ray = signed_scales * (1.0 - T[N:N + m, m])
         return LpSolution("infeasible", pivots=pivots, ray=ray)
 
-    def unshift(basis, values):
+    def unshift(values):
         """x of the input variables from the basic values; an artificial
         still basic (at zero) lands past the standard-form columns."""
         x_std = np.zeros(N + m)
@@ -222,14 +185,11 @@ def solve_lp(lp: LinearProgram, max_pivots: int = 100_000) -> LpSolution:
         return x
 
     if not c.any():
-        # A feasibility LP is solved by the phase-1 point, and its dual is
-        # zero: no drive-out, no phase 2, no dual solve.
-        x = unshift(basis, T[-1, :m])
-        return LpSolution("optimal", x, 0.0, np.zeros(m), 0.0, pivots)
+        # a feasibility LP is solved by the phase-1 point
+        return LpSolution("optimal", unshift(T[-1, :m]), pivots)
 
     # Drive remaining artificials out of the basis; move the rows where
     # none can leave behind the live ones, and drop them.
-    keep = list(range(m))
     mk = m
     r = 0
     while r < mk:
@@ -239,12 +199,10 @@ def solve_lp(lp: LinearProgram, max_pivots: int = 100_000) -> LpSolution:
                 last = mk - 1
                 T[:, [r, last]] = T[:, [last, r]]
                 basis[r], basis[last] = basis[last], basis[r]
-                keep[r], keep[last] = keep[last], keep[r]
                 mk -= 1
                 continue
             pivot(r, int(cand[0]))
         r += 1
-    kept_rows = keep[:mk]
     del basis[mk:]
 
     # Phase 2 over the kept rows, without the artificial columns: the
@@ -258,25 +216,7 @@ def solve_lp(lp: LinearProgram, max_pivots: int = 100_000) -> LpSolution:
         T[:, -1] -= c_std[basis[i]] * T[:, i]
     if run_simplex(N) == "unbounded":
         return LpSolution("unbounded", pivots=pivots)
-
-    basis = np.array(basis, dtype=int)
-    x = unshift(basis, T[-1, :-1])
-    del T                        # free the largest array before the dual solve
-    value = float(c @ x)
-
-    # Dual recovery: solve B^T y = c_B on the kept standard-form rows.
-    dual = np.zeros(m)
-    if mk:
-        Bt = standard_form(np.zeros((N, m)))[basis[:, None], kept_rows]
-        try:
-            y_hat = np.linalg.solve(Bt, c_std[basis])
-        except np.linalg.LinAlgError:
-            y_hat = np.linalg.lstsq(Bt, c_std[basis], rcond=None)[0]
-        dual[kept_rows] = signed_scales[kept_rows] * y_hat
-
-    w = c - G.T @ dual
-    dual_value = float(dual @ heights + w[finite] @ lb[finite])
-    return LpSolution("optimal", x, value, dual, dual_value, pivots)
+    return LpSolution("optimal", unshift(T[-1, :-1]), pivots)
 
 
 # ---------------------------------------------------------------------------

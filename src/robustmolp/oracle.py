@@ -149,9 +149,24 @@ class VerificationReport:
 
 def _simplex_violation(lam):
     lam = np.asarray(lam, float)
-    if lam.size == 0:
-        return _INF
     return max(float(-lam.min()), abs(float(lam.sum()) - 1.0))
+
+
+def _check_shape(p, cert):
+    """Raise ValueError unless cert has m weights per endpoint and, per
+    endpoint, one record per constraint with an n-vector scenario_a: the
+    checks below pair records with constraints, and a record past the
+    last constraint would enter the sums unchecked."""
+    for name, lam in (("lambda", cert.lambda_nominal),
+                      ("lambda_tilde", cert.lambda_perturbed)):
+        if np.shape(lam) != (p.m,):
+            raise ValueError(f"{name} has shape {np.shape(lam)}, expected ({p.m},)")
+    for name, recs in (("nominal", cert.nominal), ("perturbed", cert.perturbed)):
+        if len(recs) != len(p.constraints):
+            raise ValueError(f"{len(recs)} {name} records for "
+                             f"{len(p.constraints)} constraints")
+        if any(np.shape(r.scenario_a) != (p.n,) for r in recs):
+            raise ValueError(f"a {name} scenario_a is not a vector of length {p.n}")
 
 
 def _polytope_distance(vertices, a, b):
@@ -217,9 +232,11 @@ def verify_certificate(vp, x_bar, cert, tol: float = 1e-7) -> VerificationReport
     witness-norm bounds, scenario membership per uncertainty class, the
     two endpoint equalities in realized-scenario form, and complementary
     slackness.  The report lists each check's residual; verification
-    passes only if all of them are within tol.
+    passes only if all of them are within tol.  A certificate whose shape
+    does not match the problem raises ValueError.
     """
     p = _as_problem(vp)
+    _check_shape(p, cert)
     x_bar = np.asarray(x_bar, float)
     U = np.outer(p.u, p.v)
     C0 = p.C_bar

@@ -1,5 +1,5 @@
-"""Shared random-instance generators for the property suites, and the
-replay of a refutation witness.
+"""Shared random-instance generators for the property suites, the replay
+of a refutation witness, and the HiGHS reference for LP optima.
 
 Instances are integer-ish (coefficients in [-5, 5]) and anchored at an
 integer point so feasibility, strict feasibility, and boundedness are
@@ -11,9 +11,26 @@ import pytest
 
 from robustmolp.model import (Box, Ellipsoid, NormBall, Polytope, Singleton,
                               UncertainMOLP, reduce_constraints, validate_problem)
-from robustmolp.numerics import LinearProgram, solve_lp
+from robustmolp.numerics import solve_lp
 
 _INF = float("inf")
+_HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+
+def highs(c, G, h, lower, eq=False):
+    """(status, optimal value) of min c.x s.t. G x >= h (== where eq),
+    x >= lower, from scipy's HiGHS: a test-only reference, skipped where
+    scipy is not installed."""
+    optimize = pytest.importorskip("scipy.optimize")
+    G, h = np.asarray(G, float), np.asarray(h, float)
+    d = G.shape[1]
+    eq = np.broadcast_to(eq, (len(G),))
+    lb = np.broadcast_to(np.asarray(lower, float), (d,))
+    res = optimize.linprog(
+        c, A_ub=-G[~eq] if (~eq).any() else None, b_ub=-h[~eq] if (~eq).any() else None,
+        A_eq=G[eq] if eq.any() else None, b_eq=h[eq] if eq.any() else None,
+        bounds=[(t if np.isfinite(t) else None, None) for t in lb], method="highs")
+    return _HIGHS_STATUS.get(res.status, "other"), res.fun
 
 
 def random_feasible_rows(rng, n=None, p=None, min_slack=0):
@@ -77,9 +94,8 @@ def vertex_candidate(rng, problem):
     X = reduce_constraints(validate_problem(problem))
     n = problem.n
     c = rng.integers(-5, 6, n).astype(float)
-    lp = LinearProgram.build(c, [(r.a, r.b, ">=") for r in X.linear()],
-                             np.full(n, -_INF))
-    sol = solve_lp(lp)
+    rows = list(X.linear())
+    sol = solve_lp(c, [r.a for r in rows], [r.b for r in rows], -_INF)
     assert sol.optimal, "bounding box should keep the LP bounded"
     return sol.x
 

@@ -6,6 +6,7 @@ an independent oracle (grid search, scenario-LP replay, brute-force
 dominance check) and frozen here.
 """
 
+import itertools
 import math
 import time
 
@@ -21,8 +22,7 @@ from robustmolp.feasibility import (ball_robust_feasible, cone_contains,
 from robustmolp.model import (Box, Ellipsoid, NormBall, Polytope, Singleton,
                               UncertainMOLP, ValidationError,
                               reduce_constraints, validate_problem)
-from robustmolp.numerics import (LinearProgram, min_norm_point, project_simplex,
-                                 solve_lp)
+from robustmolp.numerics import min_norm_point, project_simplex, solve_lp
 from robustmolp.oracle import refute_robust_weak_efficiency, verify_certificate
 
 HYPO = [(np.array([-2.0, -1, -2]), -6.0), (np.array([-1.0, -2, -2]), -6.0),
@@ -229,18 +229,31 @@ def test_criterion_7_numerical_kernel_suite():
         n = int(rng.integers(1, 5))
         c = rng.integers(-5, 6, n).astype(float)
         x0 = rng.integers(0, 4, n).astype(float)
-        rows = []
+        G, h = [], []
         for _ in range(int(rng.integers(0, 4))):
             g = rng.integers(-5, 6, n).astype(float)
-            rows.append((g, float(g @ x0 - rng.integers(0, 5)), ">="))
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = -1.0
-            rows.append((e, -10.0, ">="))
-        sol = solve_lp(LinearProgram.build(c, rows, np.zeros(n)))
-        lp_ok &= sol.optimal and abs(sol.value - sol.dual_value) <= 1e-7
+            G.append(g)
+            h.append(float(g @ x0 - rng.integers(0, 5)))
+        G, h = np.vstack(G + [-np.eye(n)]), np.array(h + [-10.0] * n)   # x_i <= 10
+        sol = solve_lp(c, G, h, 0.0)
+        lp_ok &= sol.optimal and abs(c @ sol.x - _vertex_min(c, G, h)) <= 1e-7
     _line("criterion 7: kernel suite (min-norm VI, simplex projection, "
-          "LP duality; 100 each)", vi_ok and proj_ok and lp_ok)
+          "LP optimum; 100 each)", vi_ok and proj_ok and lp_ok)
+
+
+def _vertex_min(c, G, h):
+    """min c.x over the bounded set {G x >= h, x >= 0}, by brute force
+    over its vertices: every n of its rows, x >= 0 included, held tight."""
+    n = len(c)
+    A, b = np.vstack([G, np.eye(n)]), np.concatenate([h, np.zeros(n)])
+    best = math.inf
+    for tight in map(list, itertools.combinations(range(len(A)), n)):
+        if abs(np.linalg.det(A[tight])) < 1e-9:
+            continue
+        x = np.linalg.solve(A[tight], b[tight])
+        if np.all(A @ x >= b - 1e-9):
+            best = min(best, float(c @ x))
+    return best
 
 
 def test_criterion_8_infeasibility_cone_equivalence():

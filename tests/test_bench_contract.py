@@ -28,7 +28,7 @@ def _real_results():
     """One real result of each traced function whose result the tracer reads."""
     import numpy as np
 
-    from robustmolp import (LinearProgram, NormBall, Singleton, UncertainMOLP,
+    from robustmolp import (NormBall, Singleton, UncertainMOLP,
                             certify_weak_efficiency, min_norm_point,
                             reduce_constraints, refute_robust_weak_efficiency,
                             solve_cone_system, solve_lp, validate_problem,
@@ -41,7 +41,7 @@ def _real_results():
     x = np.zeros(2)
     outcome = certify_weak_efficiency(vp, x)
     return {
-        "numerics.solve_lp": solve_lp(LinearProgram.build([1.0], [([1.0], 1.0, ">=")])),
+        "numerics.solve_lp": solve_lp([1.0], [[1.0]], [1.0], 0.0),
         "numerics.min_norm_point": min_norm_point([np.ones(2)], np.zeros(2)),
         "numerics.solve_cone_system": solve_cone_system([[1.0, 0.0, 1.0]], [2.0], [("soc", 3)]),
         "model.reduce_constraints": reduce_constraints(vp),

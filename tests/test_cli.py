@@ -326,6 +326,64 @@ def test_verify_parse_error_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+# x1 >= 0, x2 >= 0 with C_bar = I and u = v = 0: certify refutes (1, 1)
+ORTHANT = {"m": 2, "n": 2, "C_bar": [[1.0, 0.0], [0.0, 1.0]], "u": [0.0, 0.0],
+           "v": [0.0, 0.0],
+           "constraints": [{"kind": "singleton", "a_bar": [1.0, 0.0], "b_bar": 0.0},
+                           {"kind": "singleton", "a_bar": [0.0, 1.0], "b_bar": 0.0}]}
+
+
+def _orthant_certificate(records):
+    """A forged certificate of (1, 1): two mu = 0 records per constraint,
+    then `records`, in both lists."""
+    recs = [{"mu": 0.0, "scenario_a": [1.0, 0.0], "scenario_b": 0.0},
+            {"mu": 0.0, "scenario_a": [0.0, 1.0], "scenario_b": 0.0}] + records
+    return {"lambda": [0.5, 0.5], "lambda_tilde": [0.5, 0.5],
+            "nominal": recs, "perturbed": recs}
+
+
+def test_verify_rejects_a_forged_record_past_the_last_constraint(tmp_path, capsys):
+    # the third record carries the whole endpoint equality, and pairing
+    # records with constraints used to leave it out of every membership check
+    path = _write(tmp_path, ORTHANT)
+    assert main(["certify", path, "--point=1,1"]) == 1
+    forged = _orthant_certificate([{"mu": 1.0, "scenario_a": [0.5, 0.5], "scenario_b": 1.0}])
+    cert = _write(tmp_path, forged, "forged.json")
+    capsys.readouterr()
+    for fmt in ("--json", "--text"):
+        assert main(["verify", path, "--point=1,1", "--cert", cert, fmt]) == 3
+        assert "3 nominal records for 2 constraints" in capsys.readouterr().err
+    # the same certificate less its third record is checked, and fails
+    code, rep = _run_json(capsys, ["verify", path, "--point=1,1", "--cert",
+                                   _write(tmp_path, _orthant_certificate([]), "c.json")])
+    assert code == 1 and rep["payload"]["first_failing"] == "endpoint_equality_nominal"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(nominal=d["nominal"][:1]),           # too few records
+    lambda d: d.update(perturbed=d["perturbed"] * 2),       # too many
+    lambda d: d.update(nominal=[1, 2]),                     # not objects
+    lambda d: d["perturbed"].__setitem__(0, [0.0]),
+    lambda d: d.update({"lambda": []}),                     # wrong lengths
+    lambda d: d.update(lambda_tilde=[1.0]),
+    lambda d: d["nominal"][1].update(scenario_a=[0.0, 1.0, 0.0]),
+    lambda d: d["nominal"][1].update(scenario_a=[[0.0, 1.0]]),
+    lambda d: d.clear() or d.update(payload=[1]),          # payload not an object
+    lambda d: d.clear() or d.update(payload={"certificate": 5}),
+], ids=["few-records", "many-records", "int-records", "list-record", "empty-lambda",
+        "short-lambda-tilde", "long-scenario-a", "matrix-scenario-a", "list-payload",
+        "int-certificate"])
+def test_verify_exits_3_on_a_certificate_shaped_unlike_the_problem(tmp_path, capsys, edit):
+    doc = _orthant_certificate([])
+    doc["perturbed"] = [dict(r) for r in doc["perturbed"]]
+    edit(doc)
+    path, cert = _write(tmp_path, ORTHANT), _write(tmp_path, doc, "c.json")
+    for fmt in ("--json", "--text"):
+        assert main(["verify", path, "--point=1,1", "--cert", cert, fmt]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------

@@ -267,9 +267,9 @@ def _slater_lps(monkeypatch, delta, s):
     calls = []
     solve = feasibility.solve_lp
 
-    def counted(lp, *args, **kwargs):
-        calls.append(lp)
-        return solve(lp, *args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
 
     monkeypatch.setattr(feasibility, "solve_lp", counted)
     p = UncertainMOLP(1, 2, [[1.0, 0.0]], [0.0], [0.0, 0.0],
@@ -651,9 +651,9 @@ def _spy_endpoint_lps(monkeypatch):
     lps = []
     solve = eff.solve_lp
 
-    def spy(lp):
-        lps.append(lp)
-        return solve(lp)
+    def spy(*args, **kwargs):
+        lps.append(args)
+        return solve(*args, **kwargs)
 
     monkeypatch.setattr(eff, "solve_lp", spy)
     return lps

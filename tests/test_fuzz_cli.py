@@ -3,7 +3,10 @@
 Documents follow the JSON schema's shape but draw wrong-length vectors,
 huge and tiny magnitudes and an unsupported norm index (s = 3).  Every run
 of `radius`, `feasible` and `certify` must end in a documented exit code
-(0-6) instead of raising.
+(0-6) instead of raising.  So must `verify` on certificate documents with
+record lists cut or padded, records that are not objects, wrong-length
+vectors and payload wrappers of the wrong type, and it must never accept
+a certificate whose record count differs from the constraint count.
 """
 
 import contextlib
@@ -81,3 +84,92 @@ def test_cli_exit_codes_on_fuzzed_documents(tmp_path, case):
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
         assert code in range(7), (argv, doc)
+
+
+# ---------------------------------------------------------------------------
+# verify
+# ---------------------------------------------------------------------------
+
+SMALL = st.integers(-3, 3).map(float)
+
+
+def records(n):
+    """A certificate record: schema-shaped with a vector of length n most
+    of the time, or a number or list where an object belongs."""
+    rec = st.fixed_dictionaries(
+        {"mu": NUMBERS, "scenario_a": vectors(n), "scenario_b": NUMBERS},
+        optional={"witness": st.one_of(st.none(), vectors(n)), "witness_norm": NUMBERS})
+    return st.one_of(rec, rec, rec, st.integers(-1, 1), st.lists(NUMBERS, max_size=2))
+
+
+@st.composite
+def verify_problems(draw):
+    """A valid problem of k singleton rows a.x >= 0 under a fixed objective,
+    and a point: the origin, on every row, most of the time."""
+    n, m, k = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    exact = st.lists(SMALL, min_size=n, max_size=n)
+    problem = {"m": m, "n": n, "C_bar": draw(st.lists(exact, min_size=m, max_size=m)),
+               "u": [0.0] * m, "v": [0.0] * n,
+               "constraints": [{"kind": "singleton", "a_bar": a, "b_bar": 0.0}
+                               for a in draw(st.lists(exact, min_size=k, max_size=k))]}
+    point = draw(st.sampled_from([0.0] * 3 + [1.0]))
+    return problem, ",".join([repr(point)] * n)
+
+
+def record_lists(draw, n, k):
+    """A list of drawn records, one per constraint most of the time."""
+    size = draw(st.sampled_from([k] * 3 + [0, k - 1, k + 1]))
+    return [draw(records(n)) for _ in range(size)]
+
+
+def mutated(draw, cert, n, k):
+    """cert with each record list kept, cut, padded with a drawn record or
+    drawn anew, and now and then a lambda of the wrong length."""
+    for key in ("nominal", "perturbed"):
+        recs = list(cert[key])
+        action = draw(st.sampled_from(["keep"] * 3 + ["cut", "pad", "redraw"]))
+        if action == "cut" and recs:
+            del recs[draw(st.integers(0, len(recs) - 1))]
+        elif action == "pad":
+            recs.insert(draw(st.integers(0, len(recs))), draw(records(n)))
+        elif action == "redraw":
+            recs = record_lists(draw, n, k)
+        cert[key] = recs
+    if draw(st.integers(0, 4)) == 0:
+        key = draw(st.sampled_from(["lambda", "lambda_tilde"]))
+        cert[key] = [0.5] * draw(st.integers(0, 3))
+    return cert
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(verify_problems(), st.data())
+def test_verify_exit_codes_on_fuzzed_certificates(tmp_path, case, data):
+    # the certificate certify issues, when it issues one, or one drawn
+    # whole, then mutated; never valid with a record count that differs
+    # from the constraint count
+    (problem, point), draw = case, data.draw
+    n, m, k = problem["n"], problem["m"], len(problem["constraints"])
+    path, cert_path = tmp_path / "problem.json", tmp_path / "cert.json"
+    path.write_text(json.dumps(problem), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        issued = main(["certify", str(path), f"--point={point}", "--json"]) == 0
+    if issued:
+        cert = json.loads(out.getvalue())["payload"]["certificate"]
+    else:
+        cert = {"lambda": draw(vectors(m)), "lambda_tilde": draw(vectors(m)),
+                "nominal": record_lists(draw, n, k), "perturbed": record_lists(draw, n, k)}
+    cert = mutated(draw, cert, n, k)
+    doc = draw(st.sampled_from([cert, {"payload": {"certificate": cert}},
+                                {"payload": [cert]}, {"payload": 5}]))
+    cert_path.write_text(json.dumps(doc), encoding="utf-8")
+    for fmt in ("--json", "--text"):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["verify", str(path), f"--point={point}",
+                         "--cert", str(cert_path), fmt])
+        assert code in range(7), (problem, doc)
+        if len(cert["nominal"]) != k or len(cert["perturbed"]) != k:
+            assert code != 0, (problem, doc)

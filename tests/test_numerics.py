@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from robustmolp.numerics import (LinearProgram, SingularMatrixError,
+from conftest import highs
+from robustmolp.numerics import (SingularMatrixError,
                                  invert_symmetric, min_norm_point,
                                  project_simplex, solve_cone_system, solve_lp,
                                  sphere_directions)
@@ -21,22 +22,17 @@ HYPO_POINTS = [(-2, -1, -2, -6), (-1, -2, -2, -6),
 # ---------------------------------------------------------------------------
 
 def test_lp_simple_bounded():
-    lp = LinearProgram.build([-1.0], [([-1.0], -1.0, ">=")], [0.0])
-    sol = solve_lp(lp)
+    sol = solve_lp([-1.0], [[-1.0]], [-1.0], 0.0)
     assert sol.optimal
     assert sol.x == pytest.approx([1.0], abs=1e-9)
-    assert sol.value == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_lp_infeasible():
-    lp = LinearProgram.build([0.0], [([1.0], 0.0, ">="), ([-1.0], 1.0, ">=")],
-                             [-_INF])
-    assert solve_lp(lp).status == "infeasible"
+    assert solve_lp([0.0], [[1.0], [-1.0]], [0.0, 1.0], -_INF).status == "infeasible"
 
 
 def test_lp_unbounded():
-    lp = LinearProgram.build([-1.0], [([1.0], 0.0, ">=")], [0.0])
-    assert solve_lp(lp).status == "unbounded"
+    assert solve_lp([-1.0], [[1.0]], [0.0], 0.0).status == "unbounded"
 
 
 def _grid_min_over_box(c, rows, lo, hi, step):
@@ -70,91 +66,83 @@ def test_lp_grid_oracle_on_five_row_system():
         val = float(vals.min())
     assert val == pytest.approx(-20.0, abs=1e-3)   # frozen oracle value
 
-    rows = [(a, b, ">=") for a, b in HYPO_ROWS]
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = 1.0
-        rows.append((e.copy(), -10.0, ">="))
-        rows.append((-e, -10.0, ">="))
-    sol = solve_lp(LinearProgram.build(c, rows, np.full(3, -_INF)))
+    # the five rows, then -10 <= x_i <= 10
+    G = np.vstack([[a for a, _ in HYPO_ROWS],
+                   np.stack([np.eye(3), -np.eye(3)], 1).reshape(-1, 3)])
+    h = [b for _, b in HYPO_ROWS] + [-10.0] * 6
+    sol = solve_lp(c, G, h, -_INF)
     assert sol.optimal
-    assert sol.value == pytest.approx(val, abs=1e-3)
-    assert sol.value == pytest.approx(-20.0, abs=1e-9)
+    assert c @ sol.x == pytest.approx(val, abs=1e-3)
+    assert c @ sol.x == pytest.approx(-20.0, abs=1e-9)
 
 
 def _random_solvable_lp(rng):
+    """(c, G, h): up to 3 rows with slack at an integer anchor, then
+    x_i <= 10, over x >= 0."""
     n = int(rng.integers(1, 5))
     k = int(rng.integers(0, 4))
     c = rng.integers(-5, 6, n).astype(float)
     x0 = rng.integers(0, 4, n).astype(float)
-    rows = []
+    G, h = [], []
     for _ in range(k):
         g = rng.integers(-5, 6, n).astype(float)
-        rows.append((g, float(g @ x0 - rng.integers(0, 5)), ">="))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = -1.0
-        rows.append((e, -10.0, ">="))          # x_i <= 10
-    return LinearProgram.build(c, rows, np.zeros(n))
+        G.append(g)
+        h.append(float(g @ x0 - rng.integers(0, 5)))
+    return c, np.vstack(G + [-np.eye(n)]), np.array(h + [-10.0] * n)
 
 
-def test_lp_duality_on_random_solvable_instances(rng):
+def test_lp_optimum_on_random_solvable_instances(rng):
     for _ in range(100):
-        lp = _random_solvable_lp(rng)
-        sol = solve_lp(lp)
+        c, G, h = _random_solvable_lp(rng)
+        sol = solve_lp(c, G, h, 0.0)
         assert sol.optimal
-        assert abs(sol.value - sol.dual_value) <= 1e-7
-        # multiplier signs and stationarity of the Lagrangian
-        G = np.array([g for g, _, _ in lp.rows])
-        w = lp.objective - G.T @ sol.dual
-        assert np.all(sol.dual >= -1e-7)
-        assert np.all(w >= -1e-7)
+        assert c @ sol.x == pytest.approx(highs(c, G, h, 0.0)[1], abs=1e-7)
         # primal feasibility of the reported point
-        for g, h, _ in lp.rows:
-            assert g @ sol.x >= h - 1e-9
+        assert np.all(G @ sol.x >= h - 1e-9) and np.all(sol.x >= -1e-9)
 
 
-def test_lp_pivot_budget_breakdown():
-    from robustmolp.numerics import NumericalBreakdown
-    lp = LinearProgram.build([1.0, 1.0],
-                             [([1.0, 1.0], 1.0, ">="), ([1.0, -1.0], 0.0, ">=")],
-                             [0.0, 0.0])
-    with pytest.raises(NumericalBreakdown):
-        solve_lp(lp, max_pivots=1)
-    sol = solve_lp(lp)
+def test_lp_pivot_budget_breakdown(monkeypatch):
+    from robustmolp import numerics
+    c, G, h = [1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], [1.0, 0.0]
+    monkeypatch.setattr(numerics, "MAX_PIVOTS", 1)
+    with pytest.raises(numerics.NumericalBreakdown):
+        solve_lp(c, G, h, 0.0)
+    monkeypatch.undo()
+    sol = solve_lp(c, G, h, 0.0)
     assert sol.optimal
     # the count is the one the budget bounds
     assert sol.pivots == 2
-    assert solve_lp(lp, max_pivots=sol.pivots).pivots == sol.pivots
+    monkeypatch.setattr(numerics, "MAX_PIVOTS", sol.pivots)
+    assert solve_lp(c, G, h, 0.0).pivots == sol.pivots
 
 
 def test_lp_without_variables():
     # every row is redundant or contradictory: the drive-out drops them all
     empty = np.zeros(0)
-    sol = solve_lp(LinearProgram.build(empty, [(empty, 0.0, "=="), (empty, 0.0, "==")], empty))
-    assert sol.optimal and sol.x.size == 0 and np.all(sol.dual == 0.0)
-    assert solve_lp(LinearProgram.build(empty, [(empty, 1.0, ">=")], empty)).status == "infeasible"
+    sol = solve_lp(empty, np.zeros((2, 0)), [0.0, 0.0], empty, eq=True)
+    assert sol.optimal and sol.x.size == 0
+    assert solve_lp(empty, np.zeros((1, 0)), [1.0], empty).status == "infeasible"
 
 
 def test_lp_equality_rows_and_free_vars(rng):
     for _ in range(40):
         n = int(rng.integers(2, 5))
         x0 = rng.integers(-3, 4, n).astype(float)
-        g_eq = rng.integers(-3, 4, n).astype(float)
-        rows = [(g_eq, float(g_eq @ x0), "==")]
+        # one equality row tight at x0, three rows with slack, |x_i| <= 8
+        G = [rng.integers(-3, 4, n).astype(float)]
+        h = [float(G[0] @ x0)]
         for _ in range(3):
             g = rng.integers(-4, 5, n).astype(float)
-            rows.append((g, float(g @ x0 - rng.integers(0, 3)), ">="))
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = 1.0
-            rows.append((e.copy(), -8.0, ">="))
-            rows.append((-e, -8.0, ">="))
+            G.append(g)
+            h.append(float(g @ x0 - rng.integers(0, 3)))
+        G = np.vstack(G + [np.stack([np.eye(n), -np.eye(n)], 1).reshape(-1, n)])
+        h = np.array(h + [-8.0] * 2 * n)
+        eq = np.arange(len(G)) == 0
         c = rng.integers(-3, 4, n).astype(float)
-        sol = solve_lp(LinearProgram.build(c, rows, np.full(n, -_INF)))
+        sol = solve_lp(c, G, h, -_INF, eq)
         assert sol.optimal
-        assert abs(g_eq @ sol.x - g_eq @ x0) <= 1e-8
-        assert abs(sol.value - sol.dual_value) <= 1e-7
+        assert abs(G[0] @ sol.x - G[0] @ x0) <= 1e-8
+        assert c @ sol.x == pytest.approx(highs(c, G, h, -_INF, eq)[1], abs=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +372,8 @@ def _lp_feasible(A, b, blocks, soc_norm=None):
             g[t], g[aux:aux + dy] = 1.0, -1.0
             rows.append((g, 0.0, ">="))
             aux += dy
-    return solve_lp(LinearProgram.build(np.zeros(width), rows, lb)).optimal
+    G, h, senses = zip(*rows)
+    return solve_lp(np.zeros(width), G, h, lb, np.array(senses) == "==").optimal
 
 
 def test_cone_polyhedral_paths_agree(rng):

@@ -73,8 +73,8 @@ def refutation_record(seed, monkeypatch):
     pivots = []
     solve = efficiency.solve_lp
 
-    def counting(lp):
-        sol = solve(lp)
+    def counting(*args, **kwargs):
+        sol = solve(*args, **kwargs)
         pivots.append(sol.pivots)
         return sol
 
