@@ -23,13 +23,11 @@ def highs(c, G, h, lower, eq=False):
     scipy is not installed."""
     optimize = pytest.importorskip("scipy.optimize")
     G, h = np.asarray(G, float), np.asarray(h, float)
-    d = G.shape[1]
     eq = np.broadcast_to(eq, (len(G),))
-    lb = np.broadcast_to(np.asarray(lower, float), (d,))
-    res = optimize.linprog(
-        c, A_ub=-G[~eq] if (~eq).any() else None, b_ub=-h[~eq] if (~eq).any() else None,
-        A_eq=G[eq] if eq.any() else None, b_eq=h[eq] if eq.any() else None,
-        bounds=[(t if np.isfinite(t) else None, None) for t in lb], method="highs")
+    lb = np.broadcast_to(np.asarray(lower, float), (G.shape[1],))
+    res = optimize.linprog(c, A_ub=-G[~eq], b_ub=-h[~eq], A_eq=G[eq], b_eq=h[eq],
+                           bounds=[(t if np.isfinite(t) else None, None) for t in lb],
+                           method="highs")
     return _HIGHS_STATUS.get(res.status, "other"), res.fun
 
 
