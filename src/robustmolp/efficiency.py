@@ -509,7 +509,7 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
         raise ValueError(f"point has dimension {x_bar.size}, expected {p.n}")
     if any(isinstance(c, Ball) for c in p.constraints):
         raise UnsupportedClassError(
-            "joint-ball classes are radius-analysis only; not certifiable")
+            "joint-ball classes are not certifiable; only verify replays them")
     X = reduce_constraints(vp)
     _check_membership(X, x_bar)
     C0, C1 = endpoint_objectives(vp)

@@ -42,98 +42,123 @@ def _mat(x):
     return np.atleast_2d(np.asarray(x, float))
 
 
-@dataclass(frozen=True)
-class Singleton:
-    a_bar: np.ndarray
-    b_bar: float
-
-    kind = "singleton"
-
-    def __post_init__(self):
-        object.__setattr__(self, "a_bar", _vec(self.a_bar))
-        object.__setattr__(self, "b_bar", float(self.b_bar))
+def _vecs(x):
+    return tuple(map(_vec, x))
 
 
-@dataclass(frozen=True)
-class Polytope:
-    vertices: tuple  # points in R^{n+1}, each a coefficient-rhs pair
+# Field types of the uncertainty classes.  Each class annotates its fields
+# with these names, which stay strings (postponed annotations, see the
+# __future__ import); _FIELD_TYPES gives each name its coercion and the
+# shape in a problem over R^n of its value, or of each entry of a tuple.
+# A norm index (no coercion) is kept as given and checked by its class.
+Vector = Matrix = np.ndarray    # in R^n; n x n
+Vectors = Points = tuple        # vectors in R^n; points in R^{n+1}
+Scalar = NormIndex = float      # a number; 1, 2 or inf
 
-    kind = "polytope"
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices",
-                           tuple(_vec(v) for v in self.vertices))
-
-
-@dataclass(frozen=True)
-class Box:
-    a_lo: np.ndarray
-    a_hi: np.ndarray
-    b_lo: float
-    b_hi: float
-
-    kind = "box"
-
-    def __post_init__(self):
-        object.__setattr__(self, "a_lo", _vec(self.a_lo))
-        object.__setattr__(self, "a_hi", _vec(self.a_hi))
-        object.__setattr__(self, "b_lo", float(self.b_lo))
-        object.__setattr__(self, "b_hi", float(self.b_hi))
+_FIELD_TYPES = {
+    "Vector": (_vec, lambda n: (n,)),
+    "Matrix": (_mat, lambda n: (n, n)),
+    "Vectors": (_vecs, lambda n: (n,)),
+    "Points": (_vecs, lambda n: (n + 1,)),
+    "Scalar": (float, None),
+    "NormIndex": (None, None),
+}
+_KINDS = {}                     # JSON kind -> uncertainty class
 
 
-@dataclass(frozen=True)
-class NormBall:
-    a_bar: np.ndarray
-    Z: np.ndarray
-    delta: float
-    s: float              # norm index: 1, 2, or inf
-    b_lo: float
-    b_hi: float
+class _UncertaintySet:
+    """Base of the uncertainty classes: a subclass's (name, coerce, shape)
+    fields are read once, when it is defined, and coerced on construction."""
 
-    kind = "norm_ball"
+    def __init_subclass__(cls, kind):
+        cls.kind = kind
+        _KINDS[kind] = cls
+        cls._fields = tuple((name, *_FIELD_TYPES[ann])
+                            for name, ann in cls.__annotations__.items())
 
     def __post_init__(self):
-        object.__setattr__(self, "a_bar", _vec(self.a_bar))
-        object.__setattr__(self, "Z", _mat(self.Z))
-        object.__setattr__(self, "delta", float(self.delta))
-        object.__setattr__(self, "b_lo", float(self.b_lo))
-        object.__setattr__(self, "b_hi", float(self.b_hi))
+        for name, coerce, _ in self._fields:
+            if coerce is not None:
+                object.__setattr__(self, name, coerce(getattr(self, name)))
+
+    def check_rules(self, j):
+        """The class's own invariants, on finite fields of their shapes."""
 
 
 @dataclass(frozen=True)
-class Ellipsoid:
-    a0: np.ndarray
-    spans: tuple          # q vectors in R^n (may be empty)
-    b_lo: float
-    b_hi: float
-
-    kind = "ellipsoid"
-
-    def __post_init__(self):
-        object.__setattr__(self, "a0", _vec(self.a0))
-        object.__setattr__(self, "spans", tuple(_vec(s) for s in self.spans))
-        object.__setattr__(self, "b_lo", float(self.b_lo))
-        object.__setattr__(self, "b_hi", float(self.b_hi))
+class Singleton(_UncertaintySet, kind="singleton"):
+    a_bar: Vector
+    b_bar: Scalar
 
 
 @dataclass(frozen=True)
-class Ball:
+class Polytope(_UncertaintySet, kind="polytope"):
+    vertices: Points      # each a coefficient-rhs pair
+
+    def check_rules(self, j):
+        if not self.vertices:
+            raise ValidationError("EmptyVertexList", "polytope needs vertices", j)
+
+
+@dataclass(frozen=True)
+class Box(_UncertaintySet, kind="box"):
+    a_lo: Vector
+    a_hi: Vector
+    b_lo: Scalar
+    b_hi: Scalar
+
+    def check_rules(self, j):
+        if np.any(self.a_lo > self.a_hi) or self.b_lo > self.b_hi:
+            raise ValidationError("BadInterval", "lower bound exceeds upper bound", j)
+
+
+@dataclass(frozen=True)
+class NormBall(_UncertaintySet, kind="norm_ball"):
+    a_bar: Vector
+    Z: Matrix
+    delta: Scalar
+    s: NormIndex
+    b_lo: Scalar
+    b_hi: Scalar
+
+    def check_rules(self, j):
+        if np.abs(self.Z - self.Z.T).max() > 1e-9 * max(1.0, np.abs(self.Z).max()):
+            raise ValidationError("AsymmetricZ", "Z must be symmetric", j)
+        try:
+            invert_symmetric(self.Z)
+        except SingularMatrixError:
+            raise ValidationError("SingularZ", "Z is numerically singular", j)
+        if self.delta < 0:
+            raise ValidationError("NegativeRadius", "delta must be >= 0", j)
+        if self.s not in (1, 2, _INF):
+            raise ValidationError("BadInterval", f"norm index {self.s!r} not in {{1,2,inf}}", j)
+        if self.b_lo > self.b_hi:
+            raise ValidationError("BadInterval", "b_lo exceeds b_hi", j)
+
+
+@dataclass(frozen=True)
+class Ellipsoid(_UncertaintySet, kind="ellipsoid"):
+    a0: Vector
+    spans: Vectors        # q of them, possibly none
+    b_lo: Scalar
+    b_hi: Scalar
+
+    def check_rules(self, j):
+        if self.b_lo > self.b_hi:
+            raise ValidationError("BadInterval", "b_lo exceeds b_hi", j)
+
+
+@dataclass(frozen=True)
+class Ball(_UncertaintySet, kind="ball"):
     """Joint Euclidean ball of radius alpha around (a_bar, b_bar)."""
 
-    a_bar: np.ndarray
-    b_bar: float
-    alpha: float
+    a_bar: Vector
+    b_bar: Scalar
+    alpha: Scalar
 
-    kind = "ball"
-
-    def __post_init__(self):
-        object.__setattr__(self, "a_bar", _vec(self.a_bar))
-        object.__setattr__(self, "b_bar", float(self.b_bar))
-        object.__setattr__(self, "alpha", float(self.alpha))
-
-
-UNCERTAINTY_KINDS = ("singleton", "polytope", "box", "norm_ball",
-                     "ellipsoid", "ball")
+    def check_rules(self, j):
+        if self.alpha < 0:
+            raise ValidationError("NegativeRadius", "alpha must be >= 0", j)
 
 
 @dataclass(frozen=True)
@@ -161,66 +186,8 @@ class ValidatedProblem:
 # Validation
 # ---------------------------------------------------------------------------
 
-def _check_constraint_dims(c, n, j):
-    if isinstance(c, Singleton):
-        if c.a_bar.size != n:
-            raise ValidationError("DimensionMismatch",
-                                  f"a_bar has length {c.a_bar.size}, expected {n}", j)
-    elif isinstance(c, Polytope):
-        if len(c.vertices) == 0:
-            raise ValidationError("EmptyVertexList", "polytope needs vertices", j)
-        for v in c.vertices:
-            if v.size != n + 1:
-                raise ValidationError("DimensionMismatch",
-                                      f"vertex has length {v.size}, expected {n + 1}", j)
-    elif isinstance(c, Box):
-        if c.a_lo.size != n or c.a_hi.size != n:
-            raise ValidationError("DimensionMismatch", "box bounds must be in R^n", j)
-        if np.any(c.a_lo > c.a_hi) or c.b_lo > c.b_hi:
-            raise ValidationError("BadInterval", "lower bound exceeds upper bound", j)
-    elif isinstance(c, NormBall):
-        if c.a_bar.size != n:
-            raise ValidationError("DimensionMismatch", "a_bar must be in R^n", j)
-        if c.Z.shape != (n, n):
-            raise ValidationError("DimensionMismatch", f"Z must be {n}x{n}", j)
-        if np.abs(c.Z - c.Z.T).max() > 1e-9 * max(1.0, np.abs(c.Z).max()):
-            raise ValidationError("AsymmetricZ", "Z must be symmetric", j)
-        try:
-            invert_symmetric(c.Z)
-        except SingularMatrixError:
-            raise ValidationError("SingularZ", "Z is numerically singular", j)
-        if c.delta < 0:
-            raise ValidationError("NegativeRadius", "delta must be >= 0", j)
-        if c.s not in (1, 2, _INF):
-            raise ValidationError("BadInterval", f"norm index {c.s!r} not in {{1,2,inf}}", j)
-        if c.b_lo > c.b_hi:
-            raise ValidationError("BadInterval", "b_lo exceeds b_hi", j)
-    elif isinstance(c, Ellipsoid):
-        if c.a0.size != n:
-            raise ValidationError("DimensionMismatch", "a0 must be in R^n", j)
-        for s in c.spans:
-            if s.size != n:
-                raise ValidationError("DimensionMismatch", "span vectors must be in R^n", j)
-        if c.b_lo > c.b_hi:
-            raise ValidationError("BadInterval", "b_lo exceeds b_hi", j)
-    elif isinstance(c, Ball):
-        if c.a_bar.size != n:
-            raise ValidationError("DimensionMismatch", "a_bar must be in R^n", j)
-        if c.alpha < 0:
-            raise ValidationError("NegativeRadius", "alpha must be >= 0", j)
-    else:
-        raise ValidationError("DimensionMismatch",
-                              f"unknown constraint type {type(c).__name__}", j)
-
-
 def _check_finite(name, value, j=None):
-    if isinstance(value, float):
-        ok = math.isfinite(value)
-    elif isinstance(value, tuple):      # polytope vertices, ellipsoid spans
-        ok = all(np.isfinite(v).all() for v in value)
-    else:
-        ok = bool(np.isfinite(value).all())
-    if not ok:
+    if not (math.isfinite(value) if type(value) is float else np.isfinite(value).all()):
         raise ValidationError("NonFinite", f"{name} has a NaN or infinite entry", j)
 
 
@@ -232,22 +199,34 @@ def validate_dimensions(p: UncertainMOLP) -> None:
     """
     if p.m < 1 or p.n < 1:
         raise ValidationError("DimensionMismatch", "m and n must be positive")
-    if p.C_bar.shape != (p.m, p.n):
-        raise ValidationError("DimensionMismatch",
-                              f"C_bar is {p.C_bar.shape}, expected {(p.m, p.n)}")
-    if p.u.size != p.m:
-        raise ValidationError("DimensionMismatch", f"u has length {p.u.size}, expected {p.m}")
-    if p.v.size != p.n:
-        raise ValidationError("DimensionMismatch", f"v has length {p.v.size}, expected {p.n}")
+    for name, want in (("C_bar", (p.m, p.n)), ("u", (p.m,)), ("v", (p.n,))):
+        if getattr(p, name).shape != want:
+            raise ValidationError("DimensionMismatch",
+                                  f"{name} has shape {getattr(p, name).shape}, expected {want}")
     if len(p.constraints) < 1:
         raise ValidationError("DimensionMismatch", "at least one constraint required")
-    for name in ("C_bar", "u", "v"):
-        _check_finite(name, getattr(p, name))
+    # (j, name, array) of the data: one isfinite call checks all of them
+    arrays = [(None, name, getattr(p, name)) for name in ("C_bar", "u", "v")]
     for j, c in enumerate(p.constraints):
-        for name, value in vars(c).items():
-            if name != "s":         # the norm index may be inf
-                _check_finite(name, value, j)
-        _check_constraint_dims(c, p.n, j)
+        if not isinstance(c, _UncertaintySet):
+            raise ValidationError("DimensionMismatch",
+                                  f"unknown constraint type {type(c).__name__}", j)
+        for name, coerce, shape in c._fields:
+            value = getattr(c, name)
+            if shape is None:
+                if coerce is not None:      # the norm index is a class rule
+                    _check_finite(name, value, j)
+                continue
+            for a in value if type(value) is tuple else (value,):
+                if a.shape != shape(p.n):
+                    raise ValidationError("DimensionMismatch",
+                                          f"{name} has shape {a.shape}, expected {shape(p.n)}", j)
+                arrays.append((j, name, a))
+    if not np.isfinite(np.concatenate([a for *_, a in arrays], axis=None)).all():
+        for j, name, a in arrays:
+            _check_finite(name, a, j)
+    for j, c in enumerate(p.constraints):
+        c.check_rules(j)
 
 
 def validate_problem(p: UncertainMOLP) -> ValidatedProblem:
@@ -557,50 +536,41 @@ class ProblemFormatError(Exception):
     """Problem file violates the documented JSON schema."""
 
 
-_KIND_KEYS = {
-    "singleton": {"kind", "a_bar", "b_bar"},
-    "polytope": {"kind", "vertices"},
-    "box": {"kind", "a_lo", "a_hi", "b_lo", "b_hi"},
-    "norm_ball": {"kind", "a_bar", "Z", "delta", "s", "b_lo", "b_hi"},
-    "ellipsoid": {"kind", "a0", "spans", "b_lo", "b_hi"},
-    "ball": {"kind", "a_bar", "b_bar", "alpha"},
-}
+def _json_numbers(raw):
+    """True for a JSON number or nested arrays of them (a bool is not one)."""
+    if type(raw) is list:
+        return all(map(_json_numbers, raw))
+    return type(raw) in (int, float)
 
 
-def _parse_norm_index(raw):
-    if raw == "inf":
+def _json_value(name, raw, norm_index=False):
+    """raw, which must be JSON numbers; a norm index 1, 2 or "inf" (inf)."""
+    if norm_index and raw == "inf":
         return _INF
-    if raw in (1, 2):
-        return raw
-    raise ProblemFormatError(f"norm index must be 1, 2 or \"inf\", got {raw!r}")
+    if not _json_numbers(raw) or norm_index and raw not in (1, 2):
+        raise ValueError(f"norm index must be 1, 2 or \"inf\", got {raw!r}" if norm_index
+                         else f"{name} must hold JSON numbers only")
+    return raw
+
+
+def _check_keys(obj, keys, where):
+    for what, bad in (("unknown", set(obj) - keys), ("missing", keys - set(obj))):
+        if bad:
+            raise ProblemFormatError(f"{where}{what} keys {sorted(bad)}")
 
 
 def _parse_constraint(obj, j):
     if not isinstance(obj, dict):
         raise ProblemFormatError(f"constraint {j} must be an object")
     kind = obj.get("kind")
-    if kind not in _KIND_KEYS:
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise ProblemFormatError(f"constraint {j}: unknown kind {kind!r}")
-    extra = set(obj) - _KIND_KEYS[kind]
-    missing = _KIND_KEYS[kind] - set(obj)
-    if extra:
-        raise ProblemFormatError(f"constraint {j}: unknown keys {sorted(extra)}")
-    if missing:
-        raise ProblemFormatError(f"constraint {j}: missing keys {sorted(missing)}")
+    _check_keys(obj, {"kind", *(f[0] for f in cls._fields)}, f"constraint {j}: ")
     try:
-        if kind == "singleton":
-            return Singleton(obj["a_bar"], obj["b_bar"])
-        if kind == "polytope":
-            return Polytope(tuple(obj["vertices"]))
-        if kind == "box":
-            return Box(obj["a_lo"], obj["a_hi"], obj["b_lo"], obj["b_hi"])
-        if kind == "norm_ball":
-            return NormBall(obj["a_bar"], obj["Z"], obj["delta"],
-                            _parse_norm_index(obj["s"]), obj["b_lo"], obj["b_hi"])
-        if kind == "ellipsoid":
-            return Ellipsoid(obj["a0"], tuple(obj["spans"]), obj["b_lo"], obj["b_hi"])
-        return Ball(obj["a_bar"], obj["b_bar"], obj["alpha"])
-    except (TypeError, ValueError) as exc:
+        return cls(*(_json_value(name, obj[name], norm_index=coerce is None)
+                     for name, coerce, _ in cls._fields))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemFormatError(f"constraint {j}: {exc}") from exc
 
 
@@ -610,21 +580,16 @@ _TOP_KEYS = {"m", "n", "C_bar", "u", "v", "constraints"}
 def parse_problem(doc) -> UncertainMOLP:
     if not isinstance(doc, dict):
         raise ProblemFormatError("top-level value must be an object")
-    extra = set(doc) - _TOP_KEYS
-    missing = _TOP_KEYS - set(doc)
-    if extra:
-        raise ProblemFormatError(f"unknown top-level keys {sorted(extra)}")
-    if missing:
-        raise ProblemFormatError(f"missing top-level keys {sorted(missing)}")
+    _check_keys(doc, _TOP_KEYS, "top level: ")
     m, n = doc["m"], doc["n"]
-    if not isinstance(m, int) or not isinstance(n, int) or m < 1 or n < 1:
+    if type(m) is not int or type(n) is not int or m < 1 or n < 1:
         raise ProblemFormatError("m and n must be positive integers")
     if not isinstance(doc["constraints"], list):
         raise ProblemFormatError("constraints must be an array")
     cons = tuple(_parse_constraint(c, j) for j, c in enumerate(doc["constraints"]))
     try:
-        return UncertainMOLP(m, n, doc["C_bar"], doc["u"], doc["v"], cons)
-    except (TypeError, ValueError) as exc:
+        return UncertainMOLP(m, n, *(_json_value(k, doc[k]) for k in ("C_bar", "u", "v")), cons)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemFormatError(str(exc)) from exc
 
 
@@ -644,29 +609,15 @@ def load_problem(path) -> UncertainMOLP:
     return parse_problem(doc)
 
 
+def _field_to_json(value, coerce, shape):
+    if shape is not None:
+        return [a.tolist() for a in value] if type(value) is tuple else value.tolist()
+    return "inf" if coerce is None and value == _INF else value
+
+
 def problem_to_dict(p: UncertainMOLP) -> dict:
-    cons = []
-    for c in p.constraints:
-        if isinstance(c, Singleton):
-            cons.append({"kind": "singleton", "a_bar": c.a_bar.tolist(),
-                         "b_bar": c.b_bar})
-        elif isinstance(c, Polytope):
-            cons.append({"kind": "polytope",
-                         "vertices": [v.tolist() for v in c.vertices]})
-        elif isinstance(c, Box):
-            cons.append({"kind": "box", "a_lo": c.a_lo.tolist(),
-                         "a_hi": c.a_hi.tolist(), "b_lo": c.b_lo, "b_hi": c.b_hi})
-        elif isinstance(c, NormBall):
-            cons.append({"kind": "norm_ball", "a_bar": c.a_bar.tolist(),
-                         "Z": c.Z.tolist(), "delta": c.delta,
-                         "s": "inf" if c.s == _INF else c.s,
-                         "b_lo": c.b_lo, "b_hi": c.b_hi})
-        elif isinstance(c, Ellipsoid):
-            cons.append({"kind": "ellipsoid", "a0": c.a0.tolist(),
-                         "spans": [s.tolist() for s in c.spans],
-                         "b_lo": c.b_lo, "b_hi": c.b_hi})
-        else:
-            cons.append({"kind": "ball", "a_bar": c.a_bar.tolist(),
-                         "b_bar": c.b_bar, "alpha": c.alpha})
+    cons = [{"kind": c.kind, **{name: _field_to_json(getattr(c, name), *spec)
+                                for name, *spec in c._fields}}
+            for c in p.constraints]
     return {"m": p.m, "n": p.n, "C_bar": p.C_bar.tolist(),
             "u": p.u.tolist(), "v": p.v.tolist(), "constraints": cons}

@@ -11,7 +11,10 @@ sign-violating rank-1 factors can still be analysed.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -24,6 +27,7 @@ from .numerics import min_norm_point, norm_value, sphere_directions
 _INF = float("inf")
 
 SUPPORT_SAMPLES = 32      # scenario rows sampled per concave constraint
+_FLOAT_MAX = sys.float_info.max
 
 
 def _as_problem(p) -> UncertainMOLP:
@@ -225,6 +229,23 @@ def _witness_norm_residual(con, rec):
     return max(0.0, float(np.linalg.norm(rec.witness)) - 1.0)
 
 
+def _exact_norm(rows, w, scale=1.0):
+    """The Euclidean norm of scale * (row . w for each row) from exact
+    rational sums, in which products of 1e300 entries cancel exactly; the
+    largest float when it is beyond the float range or the data hold an
+    inf or a NaN."""
+    try:
+        r = [Fraction(scale) * sum(Fraction(p) * Fraction(q) for p, q in zip(row, w))
+             for row in rows]
+        top = max(map(abs, r))
+        if top == 0:
+            return 0.0
+        e = top.numerator.bit_length() - top.denominator.bit_length()
+        return math.ldexp(math.hypot(*(float(q / Fraction(2) ** e) for q in r)), e)
+    except (OverflowError, ValueError):
+        return _FLOAT_MAX
+
+
 def verify_certificate(vp, x_bar, cert, tol: float = 1e-7) -> VerificationReport:
     """Replay every certificate condition at the given tolerance.
 
@@ -263,20 +284,31 @@ def verify_certificate(vp, x_bar, cert, tol: float = 1e-7) -> VerificationReport
             sm = max(sm, _scenario_membership_residual(con, rec.scenario_a,
                                                        rec.scenario_b))
     add("scenario_membership", sm)
-    for name, C, lam, recs in (
-            ("endpoint_equality_nominal", C0, cert.lambda_nominal, cert.nominal),
-            ("endpoint_equality_perturbed", C1, cert.lambda_perturbed, cert.perturbed)):
-        lam = np.asarray(lam, float)
-        lhs = C.T @ lam
-        rhs = np.zeros(p.n)
-        for rec in recs:
-            rhs = rhs + rec.mu * np.asarray(rec.scenario_a, float)
-        add(name, np.linalg.norm(lhs - rhs))
-    comp = 0.0
-    for recs in (cert.nominal, cert.perturbed):
-        for rec in recs:
-            comp = max(comp, abs(rec.mu * (float(np.asarray(rec.scenario_a) @ x_bar)
-                                           - float(rec.scenario_b))))
+    # a float sum that overflows is redone exactly, so its warning is noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, C, lam, recs in (
+                ("endpoint_equality_nominal", C0, cert.lambda_nominal, cert.nominal),
+                ("endpoint_equality_perturbed", C1, cert.lambda_perturbed, cert.perturbed)):
+            lam = np.asarray(lam, float)
+            lhs = C.T @ lam
+            rhs = np.zeros(p.n)
+            for rec in recs:
+                rhs = rhs + rec.mu * np.asarray(rec.scenario_a, float)
+            res = float(np.linalg.norm(lhs - rhs))
+            if not math.isfinite(res):      # C^T lam - sum mu_j a_j, exactly
+                A = np.reshape([rec.scenario_a for rec in recs], (-1, p.n))
+                res = _exact_norm(np.vstack([C, A]).T.tolist(),
+                                  [*lam, *(-rec.mu for rec in recs)])
+            add(name, res)
+        comp = 0.0
+        for recs in (cert.nominal, cert.perturbed):
+            for rec in recs:
+                res = abs(rec.mu * (float(np.asarray(rec.scenario_a) @ x_bar)
+                                    - float(rec.scenario_b)))
+                if not math.isfinite(res):
+                    res = _exact_norm([[*rec.scenario_a, rec.scenario_b]], [*x_bar, -1.0],
+                                      rec.mu)
+                comp = max(comp, res)
     add("complementarity", comp)
 
     failing = [c.name for c in checks if not c.passed]

@@ -384,6 +384,62 @@ def test_verify_exits_3_on_a_certificate_shaped_unlike_the_problem(tmp_path, cap
         assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_verify_overflowing_certificate_sums_answer_invalid(tmp_path, capsys):
+    # mu * scenario_a = 1e600 overflowed the endpoint sum: --text printed
+    # inf with a RuntimeWarning and --json exited 3 on a non-finite report
+    path = _write(tmp_path, ORTHANT)
+    huge = [{"mu": 1e300, "scenario_a": [1e300, 0.0], "scenario_b": 0.0},
+            {"mu": 0.0, "scenario_a": [0.0, 1.0], "scenario_b": 0.0}]
+    cert = _write(tmp_path, {"lambda": [0.5, 0.5], "lambda_tilde": [0.5, 0.5],
+                             "nominal": huge, "perturbed": huge}, "c.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep = _run_json(capsys, ["verify", path, "--point=0,0", "--cert", cert])
+        assert code == 1 and rep["verdict"] == "invalid"
+        res = rep["residuals"]
+        assert res["endpoint_equality_nominal"] == res["endpoint_equality_perturbed"] \
+            == np.finfo(float).max
+        assert res["complementarity"] == 0.0
+        code, out = _run(capsys, ["verify", path, "--point=0,0", "--cert", cert, "--text"])
+        assert code == 1 and "verdict:  invalid" in out and "inf" not in out
+
+
+def test_verify_endpoint_sum_cancelling_beyond_the_float_range(tmp_path, capsys):
+    # mu_j a_j = +-1e600 cancel exactly: the residual is |C^T lambda| alone
+    path = _write(tmp_path, ORTHANT)
+    recs = [{"mu": 1e300, "scenario_a": [1e300, 0.0], "scenario_b": 0.0},
+            {"mu": 1e300, "scenario_a": [-1e300, 0.0], "scenario_b": 0.0}]
+    cert = _write(tmp_path, {"lambda": [0.5, 0.5], "lambda_tilde": [0.5, 0.5],
+                             "nominal": recs, "perturbed": recs}, "c.json")
+    code, rep = _run_json(capsys, ["verify", path, "--point=1,1", "--cert", cert])
+    assert code == 1
+    assert rep["residuals"]["endpoint_equality_nominal"] == pytest.approx(math.sqrt(0.5))
+    assert rep["residuals"]["complementarity"] == np.finfo(float).max
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(m=True),
+    lambda d: d["constraints"][0].update(b_bar=" 2 "),
+    lambda d: d["constraints"][0].update(a_bar=["1e0", 0.0]),
+    lambda d: d.update(C_bar=[[True, 0.0], [0.0, 1.0]]),
+    lambda d: d["constraints"][0].update(a_bar=[10 ** 400, 0.0]),
+], ids=["m-true", "b_bar-string", "a_bar-string", "C_bar-true", "a_bar-huge-int"])
+def test_values_that_are_not_json_numbers_exit_3(tmp_path, capsys, edit):
+    doc = json.loads(json.dumps(ORTHANT))
+    edit(doc)
+    path = _write(tmp_path, doc)
+    for argv in (["radius", path], ["certify", path, "--point=1,1"]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+    doc = json.loads(json.dumps(ORTHANT))
+    doc["constraints"] = [{"kind": "norm_ball", "a_bar": [1.0, 0.0],
+                           "Z": [[1.0, 0.0], [0.0, 1.0]], "delta": 0.5, "s": True,
+                           "b_lo": -1.0, "b_hi": -1.0}]
+    assert main(["certify", _write(tmp_path, doc, "s.json"), "--point=1,1"]) == 3
+    assert "norm index" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------

@@ -337,17 +337,38 @@ GOOD_DOC = {
         {"kind": "norm_ball", "a_bar": [0.0, 1.0], "Z": [[1.0, 0.0], [0.0, 1.0]],
          "delta": 0.5, "s": "inf", "b_lo": -1.0, "b_hi": 0.0},
         {"kind": "ball", "a_bar": [1.0, 1.0], "b_bar": 0.0, "alpha": 0.25},
+        {"kind": "polytope", "vertices": [[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]]},
+        {"kind": "box", "a_lo": [0.0, -1.0], "a_hi": [1.0, 1.0], "b_lo": -3.0, "b_hi": -2.0},
+        {"kind": "ellipsoid", "a0": [1.0, 2.0], "spans": [], "b_lo": -1.0, "b_hi": 0.0},
+        {"kind": "ellipsoid", "a0": [0.0, 1.0], "spans": [[0.5, 0.0], [0.0, 0.25]],
+         "b_lo": -2.0, "b_hi": -1.0},
+        {"kind": "norm_ball", "a_bar": [2.0, 0.0], "Z": [[2.0, 1.0], [1.0, 2.0]],
+         "delta": 0.5, "s": 2, "b_lo": -4.0, "b_hi": -4.0},
+        {"kind": "norm_ball", "a_bar": [0.0, 2.0], "Z": [[1.0, 0.0], [0.0, 4.0]],
+         "delta": 1.0, "s": 1, "b_lo": -5.0, "b_hi": -5.0},
     ],
 }
+KINDS = sorted({c["kind"] for c in GOOD_DOC["constraints"]})
 
 
 def test_parse_and_roundtrip(tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(GOOD_DOC), encoding="utf-8")
     p = load_problem(path)
-    assert p.constraints[1].s == _INF
-    doc2 = problem_to_dict(p)
-    assert parse_problem(doc2).constraints[2].alpha == 0.25
+    assert [c.kind for c in p.constraints] == [c["kind"] for c in GOOD_DOC["constraints"]]
+    assert p.constraints[1].s == _INF and p.constraints[7].s == 2
+    assert p.constraints[5].spans == ()
+    validate_problem(p)
+    assert problem_to_dict(p) == GOOD_DOC
+    # the norm index is written as given: 2 stays an integer, inf a string
+    text = json.dumps(problem_to_dict(p))
+    assert '"s": 2,' in text and '"s": "inf",' in text
+    assert problem_to_dict(parse_problem(json.loads(text))) == GOOD_DOC
+
+
+def _first_of(kind):
+    doc = json.loads(json.dumps(GOOD_DOC))
+    return doc, next(c for c in doc["constraints"] if c["kind"] == kind)
 
 
 def test_unknown_keys_rejected():
@@ -355,10 +376,11 @@ def test_unknown_keys_rejected():
     doc["extra"] = 1
     with pytest.raises(ProblemFormatError):
         parse_problem(doc)
-    doc = json.loads(json.dumps(GOOD_DOC))
-    doc["constraints"][0]["bogus"] = 2
-    with pytest.raises(ProblemFormatError):
-        parse_problem(doc)
+    for kind in KINDS:
+        doc, con = _first_of(kind)
+        con["bogus"] = 2
+        with pytest.raises(ProblemFormatError, match="unknown keys"):
+            parse_problem(doc)
 
 
 def test_missing_keys_and_bad_norm_index_rejected():
@@ -366,8 +388,44 @@ def test_missing_keys_and_bad_norm_index_rejected():
     del doc["u"]
     with pytest.raises(ProblemFormatError):
         parse_problem(doc)
+    for kind in KINDS:
+        for key in list(_first_of(kind)[1]):
+            doc, con = _first_of(kind)
+            del con[key]
+            # without its kind a constraint is of no known kind
+            with pytest.raises(ProblemFormatError,
+                               match="unknown kind" if key == "kind" else "missing keys"):
+                parse_problem(doc)
     doc = json.loads(json.dumps(GOOD_DOC))
     doc["constraints"][1]["s"] = 3
+    with pytest.raises(ProblemFormatError):
+        parse_problem(doc)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(m=True),
+    lambda d: d.update(n=True),
+    lambda d: d["constraints"][1].update(s=True),
+    lambda d: d["constraints"][1].update(s="2"),
+    lambda d: d["constraints"][0].update(b_bar=" 2 "),
+    lambda d: d["constraints"][0].update(a_bar=["1e0", 0.0]),
+    lambda d: d["constraints"][0].update(a_bar=[1.0, None]),
+    lambda d: d["constraints"][4].update(b_hi=False),
+    lambda d: d["constraints"][3].update(vertices=[[1.0, "0", -1.0]]),
+    lambda d: d["constraints"][6].update(spans=[[0.5, {}]]),
+    lambda d: d.update(C_bar=[[True, 0.0]]),
+    lambda d: d.update(u=["0"]),
+    lambda d: d.update(v="00"),
+    lambda d: d["constraints"][0].update(a_bar=[10 ** 400, 0.0]),
+    lambda d: d["constraints"][0].update(kind=["singleton"]),
+], ids=["m-true", "n-true", "s-true", "s-string", "b_bar-string", "a_bar-string",
+        "a_bar-null", "b_hi-false", "vertex-string", "span-object", "C_bar-true",
+        "u-string", "v-string", "a_bar-huge-int", "kind-list"])
+def test_values_that_are_not_json_numbers_rejected(edit):
+    # bools and numeric strings used to be read as numbers, and "m": true
+    # was written back as true
+    doc = json.loads(json.dumps(GOOD_DOC))
+    edit(doc)
     with pytest.raises(ProblemFormatError):
         parse_problem(doc)
 
