@@ -2,8 +2,8 @@
 radius of robust feasibility for ball-perturbed constraints and certification
 of robust weak efficiency under rank-1 objective uncertainty."""
 
-from .model import (Ball, BallRow, Box, ConcaveRow, Ellipsoid, LinearRow,
-                    NormBall, Polytope, ProblemFormatError,
+from .model import (Ball, BallRow, Box, ConcaveRow, Ellipsoid, NormBall,
+                    Polytope, ProblemFormatError,
                     RobustFeasibleSet, Singleton, UncertainMOLP,
                     ValidatedProblem, ValidationError, endpoint_objectives,
                     load_problem, parse_problem, problem_to_dict,

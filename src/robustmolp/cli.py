@@ -206,6 +206,10 @@ def _multiplier_from_dict(d) -> ConstraintMultiplier:
 
 
 def certificate_from_dict(d) -> EfficiencyCertificate:
+    try:        # json.load reads a number beyond the float range, 1e999, as inf
+        json.dumps(d, allow_nan=False)
+    except ValueError:
+        raise ProblemFormatError("certificate numbers must be finite") from None
     return EfficiencyCertificate(
         np.asarray(d["lambda"], float),
         np.asarray(d["lambda_tilde"], float),
@@ -288,7 +292,7 @@ def cmd_verify(args) -> int:
         raise ProblemFormatError("certificate payload missing")
     try:
         cert = certificate_from_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProblemFormatError(f"bad certificate: {exc}") from exc
     report = oracle.verify_certificate(vp, x_bar, cert, tol=args.tol)
     payload = {

@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .feasibility import SlackSearch, maximize_min_slack
-from .model import (Ball, ConcaveRow, LinearRow, RobustFeasibleSet,
-                    ValidatedProblem, endpoint_objectives, reduce_constraints)
+from .model import (Ball, ConcaveRow, RobustFeasibleSet, ValidatedProblem,
+                    endpoint_objectives, own_row, reduce_constraints)
 from .numerics import norm_value, slack_value, solve_cone_system, solve_lp
 
 _INF = float("inf")
@@ -63,9 +63,8 @@ class UnsupportedClassError(Exception):
 
 @dataclass(frozen=True)
 class ActiveGeometry:
-    point: np.ndarray
-    active_rows: tuple        # indices into X.rows (linear rows only)
-    generators: tuple         # normal-cone generators, -(sum of a) per group
+    active_rows: tuple        # indices into the linear rows X.rows
+    generators: np.ndarray    # normal-cone generators, -(sum of a) per group
     groups: tuple             # active rows that share one multiplier
 
 
@@ -82,16 +81,11 @@ def active_geometry(X: RobustFeasibleSet, x_bar) -> ActiveGeometry:
     have zero multipliers and join no group.
     """
     x_bar = np.asarray(x_bar, float)
-    groups = {}
-    for idx, row in enumerate(X.rows):
-        if not isinstance(row, LinearRow):
-            continue
-        s = row.slack(x_bar)
-        if s < -ACTIVE_TOL:
-            raise NotFeasiblePointError(
-                f"row {idx} violated by {-s:.3e} at the candidate point")
-        if s <= ACTIVE_TOL:
-            groups[idx] = [idx]
+    s = X.slack(x_bar)
+    if s.size and (worst := s.min()) < -ACTIVE_TOL:
+        raise NotFeasiblePointError(f"row {np.argmin(s)} violated by {-worst:.3e} "
+                                    "at the candidate point")
+    groups = {i: [i] for i in np.flatnonzero(s <= ACTIVE_TOL).tolist()}
     active = tuple(groups)
     for k0, row in X.lifted:
         q = row.P.shape[1]
@@ -104,20 +98,10 @@ def active_geometry(X: RobustFeasibleSet, x_bar) -> ActiveGeometry:
                     del groups[i]
                     if k0 in groups:
                         groups[k0].append(i)
-    gens = tuple(-X.rows[g[0]].a if len(g) == 1 else -sum(X.rows[i].a for i in g)
-                 for g in groups.values())
-    return ActiveGeometry(x_bar, active, gens, tuple(map(tuple, groups.values())))
-
-
-def _check_membership(X: RobustFeasibleSet, x_bar):
-    """Raise NotFeasiblePointError on a worst-case row violated at x_bar;
-    the linear rows are left to active_geometry, which meets every one
-    of them again in the lifted set."""
-    for idx, row in enumerate(X.rows):
-        if not isinstance(row, LinearRow):
-            s = row.slack(x_bar)
-            if s < -ACTIVE_TOL:
-                raise NotFeasiblePointError(f"row {idx} violated by {-s:.3e}")
+    A = X.A
+    gens = np.reshape([-A[g[0]] if len(g) == 1 else -sum(A[i] for i in g)
+                       for g in groups.values()], (-1, X.n))
+    return ActiveGeometry(active, gens, tuple(map(tuple, groups.values())))
 
 
 # ---------------------------------------------------------------------------
@@ -131,27 +115,25 @@ class ScenarioCheck:
     gap: np.ndarray | None = None
 
 
-def weakly_efficient_for_scenario(C, X, x_bar) -> ScenarioCheck:
-    """Is x_bar weakly efficient for objective C over a polyhedral X?
+def weakly_efficient_for_scenario(C, rows, x_bar) -> ScenarioCheck:
+    """Is x_bar weakly efficient for objective C over {x : A x >= b}, rows = [A | b]?
 
-    Maximizes the smallest componentwise improvement t over X (capped at 1
-    so the LP always has an optimum); no point improves every objective
+    Maximizes the smallest componentwise improvement t over it (capped at
+    1 so the LP always has an optimum); no point improves every objective
     strictly exactly when the optimal t is <= IMPROVEMENT_TOL.
     """
     C = np.atleast_2d(np.asarray(C, float))
-    rows = X.rows if isinstance(X, RobustFeasibleSet) else tuple(X)
-    if not all(isinstance(r, LinearRow) for r in rows):
-        raise UnsupportedClassError("scenario decision needs an all-linear set")
     m, n = C.shape
+    rows = np.reshape(np.asarray(rows, float), (-1, n + 1))
     x_bar = np.asarray(x_bar, float)
     base = C @ x_bar
     k = len(rows)
     # rows over (x, t): a.x >= b, C_i x + t <= C_i x_bar, and t <= 1
     G = np.zeros((k + m + 1, n + 1))
-    G[:k, :n] = np.reshape([r.a for r in rows], (k, n))
+    G[:k, :n] = rows[:, :n]
     G[k:k + m, :n] = -C
     G[k:, n] = -1.0
-    h = np.concatenate([[r.b for r in rows], -base, [-1.0]])
+    h = np.concatenate([rows[:, n], -base, [-1.0]])
     sol = solve_lp(G[-1], G, h, -_INF)         # min -t
     if sol.status == "infeasible":
         raise NotFeasiblePointError("candidate point is not in the set")
@@ -185,10 +167,11 @@ def check_slater(X: RobustFeasibleSet) -> SlaterCheck:
     and an inf-norm LP with tangent cuts disproves it, with max_slack the
     relaxation's bound (see maximize_min_slack).
     """
-    strict = [r for r in X.rows if isinstance(r, ConcaveRow) and r.s == 2]
-    satisfied = [r for r in X.rows if not (isinstance(r, ConcaveRow) and r.s == 2)]
-    search: SlackSearch = maximize_min_slack(strict, X.n, target=SLATER_MARGIN,
-                                             satisfied=satisfied)
+    two = [isinstance(r, ConcaveRow) and r.s == 2 for r in X.concave]
+    strict = replace(X, rows=X.rows[:0], source=X.source[:0],
+                     concave=tuple(r for r, t in zip(X.concave, two) if t))
+    satisfied = replace(X, concave=tuple(r for r, t in zip(X.concave, two) if not t))
+    search: SlackSearch = maximize_min_slack(strict, SLATER_MARGIN, satisfied)
     if search.value >= SLATER_MARGIN:
         return SlaterCheck(True, search.x, search.value, _INF)
     return SlaterCheck(False, None, search.value, search.upper_bound)
@@ -235,9 +218,9 @@ def _solve_endpoint(C, XL, geo: ActiveGeometry, cones, xl):
     dims = [r.P.shape[1] + 1 for r in cones]
     A = np.zeros((n + 1, m + k + sum(dims)))
     A[:n, :m] = C.T
-    A[:n, m:m + k] = np.reshape(geo.generators, (k, n)).T
+    A[:n, m:m + k] = geo.generators.T
     A[n, :m] = C @ xl
-    A[n, m:m + k] = [-sum(XL.rows[i].b for i in g) for g in geo.groups]
+    A[n, m:m + k] = [-sum(XL.b[i] for i in g) for g in geo.groups]
     o = m + k
     for r, d in zip(cones, dims):
         A[:n, o:o + d - 1] = r.P
@@ -336,22 +319,20 @@ def _constraint_records(p, X, XL, sol: EndpointSolve, x_bar, zero):
     on its band rows.  Any other constraint gets the multiplier-weighted
     mean of its active rows, and with no multiplier mass its first row,
     a record that `zero` shares between the endpoints.  A record's
-    scenario row is the constraint's own array of X wherever it equals
-    one bit for bit, so that it keeps no array of its own.
+    scenario row is the constraint's own array (own_row) wherever it equals
+    one of its rows of X bit for bit, so that it keeps no array of its own.
     """
-    n = p.n
-    own = {}
-    for r in X.rows:
-        own.setdefault(r.source, []).append(r)
-    cones = {r.source: (r, np.zeros(r.P.shape[1] + 1))
-             for r in XL.rows if isinstance(r, ConcaveRow)}
+    n, A = p.n, X.A
+    # the rows of constraint j in X are first[j]:first[j + 1]
+    first = np.searchsorted(X.source, np.arange(len(p.constraints) + 1))
+    cones = {r.source: (r, np.zeros(r.P.shape[1] + 1)) for r in XL.concave}
     cones.update(sol.cones)
     balls = {row.source: (k0, row) for k0, row in XL.lifted}
     terms = {}
     for i, mu in sol.mu_of.items():
-        terms.setdefault(XL.rows[i].source, []).append((XL.rows[i], mu))
+        terms.setdefault(int(XL.source[i]), []).append((i, mu))
     recs = []
-    for j in range(len(p.constraints)):
+    for j, c in enumerate(p.constraints):
         if j in cones:
             row, seg = cones[j]
             recs.append(_witness_record(row, n, max(0.0, float(seg[-1])), seg[:-1], x_bar))
@@ -367,20 +348,21 @@ def _constraint_records(p, X, XL, sol: EndpointSolve, x_bar, zero):
         act = terms.get(j, ())
         mu_j = float(sum(mu for _, mu in act))
         if mu_j > 1e-15:
-            a = sum(mu * r.a[:n] for r, mu in act) / mu_j
-            b = float(sum(mu * r.b for r, mu in act) / mu_j)
+            a = sum(mu * XL.rows[i, :n] for i, mu in act) / mu_j
+            b = float(sum(mu * XL.rows[i, -1] for i, mu in act) / mu_j)
             # the mean of one row is nearly always that row bit for bit
-            a = next((r.a for r in own[j] if r.a.tobytes() == a.tobytes()), a)
+            a = next((own_row(c, i - first[j], n) for i in range(first[j], first[j + 1])
+                      if A[i].tobytes() == a.tobytes()), a)
             recs.append(ConstraintMultiplier(mu_j, np.asarray(a, float), b, None, 0.0,
                                              mu_j * slack_value(a, x_bar, b)))
             continue
         if j not in zero:
-            row = own[j][0]         # linear: concave rows have records above
-            a = row.a
+            # linear: concave rows have records above
+            a, b = own_row(c, 0, n), float(X.rows[first[j], -1])
             # mu times the slack: a zero whose sign shows in the canonical
             # JSON, and no NaN where the slack overflows
-            zero[j] = ConstraintMultiplier(0.0, a, row.b, None, 0.0,
-                                           math.copysign(0.0, slack_value(a, x_bar, row.b)))
+            zero[j] = ConstraintMultiplier(0.0, a, b, None, 0.0,
+                                           math.copysign(0.0, slack_value(a, x_bar, b)))
         recs.append(zero[j])
     return tuple(recs)
 
@@ -449,25 +431,25 @@ def _refute(XL, xl, d, C, x0):
             top = float(np.max(C @ (x0 - x_bar)))
             eps = min(1.0, 0.5 / top) if top > 0.0 else 1.0
             d = (d + eps * (x0 - x_bar)) / (1.0 + eps)
-        slacks = [r.slack(xl) for r in XL.rows]
+        A, b = XL.A, XL.b
+        slacks = XL.slack(xl)
         dl = np.zeros(XL.n)
         dl[:n] = d
         for k0, row in XL.lifted:
-            cols = n + np.flatnonzero(XL.rows[k0].a[n:])   # one for s = 1, q for s = inf
+            cols = n + np.flatnonzero(A[k0, n:])    # one for s = 1, q for s = inf
             rate = {}
             for j in range(2 * row.P.shape[1]):
                 if slacks[k0 + 1 + j] <= ACTIVE_TOL:
-                    a, c = XL.rows[k0 + 1 + j].a, cols[j % cols.size]
+                    a, c = A[k0 + 1 + j], cols[j % cols.size]
                     rate[c] = max(rate.get(c, -_INF), -float(a[:n] @ d) / a[c])
             dl[list(rate)] = list(rate.values())
         scale = float(np.max(np.abs(C) @ np.abs(x_bar)))
         t = max(1.0, math.ldexp(scale, -26)) if math.isfinite(scale) else 1.0
-        floors = []
-        for r, s in zip(XL.rows, slacks):
-            if isinstance(r, ConcaveRow):
-                floors.append((r, min(0.0, s)))
-            elif s > ACTIVE_TOL and (ad := float(r.a @ dl)) < 0.0:
-                t = min(t, s / -ad)
+        # the ratio test, each ratio from its row's dot products: A @ dl may round otherwise
+        for i in np.flatnonzero((slacks > ACTIVE_TOL) & (A @ dl < 0.0)):
+            if (ad := float(A[i] @ dl)) < 0.0:
+                t = min(t, slack_value(A[i], xl, b[i]) / -ad)
+        floors = [(r, min(0.0, r.slack(xl))) for r in XL.concave]
         for _ in range(64):
             x = xl + t * dl
             if np.isfinite(x).all() and all(r.slack(x) >= f for r, f in floors):
@@ -511,7 +493,10 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
         raise UnsupportedClassError(
             "joint-ball classes are not certifiable; only verify replays them")
     X = reduce_constraints(vp)
-    _check_membership(X, x_bar)
+    # a violated linear row is left to active_geometry, which meets it in the lift
+    for r in X.concave:
+        if (s := r.slack(x_bar)) < -ACTIVE_TOL:
+            raise NotFeasiblePointError(f"constraint {r.source} violated by {-s:.3e}")
     C0, C1 = endpoint_objectives(vp)
     # u = 0 or v = 0 makes the endpoints coincide; compare bits, since a
     # -0.0 against a 0.0 can flip the sign of a zero in the certificate
@@ -522,7 +507,7 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
               (np.hstack([C, np.zeros((p.m, XL.n - p.n))]) for C in (C0, C1)))
     geo = active_geometry(XL, xl)
     # complementarity zeroes the multiplier of a 2-norm row slack at xl
-    cones = [r for r in XL.rows if isinstance(r, ConcaveRow) and r.slack(xl) <= ACTIVE_TOL]
+    cones = [r for r in XL.concave if r.slack(xl) <= ACTIVE_TOL]
     x0 = None
     if cones:
         slater = check_slater(X)
@@ -546,7 +531,7 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
         nominal = _constraint_records(p, X, XL, e0, x_bar, zero)
         perturbed = nominal if e1 is e0 else _constraint_records(p, X, XL, e1, x_bar, zero)
         row_mu = [np.fromiter(e.mu_of.values(), float, len(e.mu_of)) for e in (e0, e1)]
-        rows = (geo.active_rows, *row_mu) if XL.all_linear else ((), None, None)
+        rows = ((), None, None) if XL.concave else (geo.active_rows, *row_mu)
         cert = EfficiencyCertificate(e0.lam, e1.lam, nominal, perturbed, *rows, {})
         return _certified(C0, C1, cert, residuals("system_"))
     C, rho = (C0, 0.0) if name == "nominal" else (C1, 1.0)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BallRow, ConcaveRow, LinearRow, dual_norm_bands
+from .model import BallRow, ConcaveRow, RobustFeasibleSet, dual_norm_bands
 from .numerics import MinNormResult, min_norm_point, solve_lp
 
 _INF = float("inf")
@@ -30,14 +30,7 @@ class NonCertifiedError(Exception):
 
 
 def _as_rows(rows):
-    out = []
-    for r in rows:
-        if isinstance(r, LinearRow):
-            out.append((r.a, r.b))
-        else:
-            a, b = r
-            out.append((np.asarray(a, float), float(b)))
-    return out
+    return [(np.asarray(a, float), float(b)) for a, b in rows]
 
 
 @dataclass(frozen=True)
@@ -143,40 +136,46 @@ class SlackSearch:
     upper_bound: float    # LP bound on the supremum; inf if x decided it
 
 
-def _slack_lp(rows, satisfied, n, cap, two_norm, cuts):
-    """max t <= cap s.t. slack_j(x) >= t for the rows, slack_j(x) >= 0 for
-    the satisfied rows, and g.x - t >= b for each cut (g, b).
+def _slack_lp(X, satisfied, cap, two_norm, cuts):
+    """max t <= cap s.t. slack_j(x) >= t for the rows of the set X,
+    slack_j(x) >= 0 for those of the set `satisfied`, if any, and g.x - t >= b
+    for each cut (g, b).
 
-    A ConcaveRow's dual norm ||P^T x|| becomes auxiliary columns tau >= 0
+    The main rows come first, X's and then satisfied's, each set's in
+    constraint order; then the cuts, the band rows and t <= cap.  A
+    ConcaveRow's dual norm ||P^T x|| becomes auxiliary columns tau >= 0
     (dual_norm_bands): one tau bounds the inf-norm (s = 1 rows), one tau
     per column of P the 1-norm (s = inf rows).  The 2-norm of an s = 2 row
     is replaced by the `two_norm` (1 or inf).  Returns (x, t), or
     (None, -inf) when the satisfied rows have no common point.
     """
-    main, bands, width = [], [], n + 1
-    for r, t_coef in [(r, -1.0) for r in rows] + [(r, 0.0) for r in satisfied]:
-        if isinstance(r, LinearRow):
-            main.append((r.a, r.b, 0, 0, t_coef))
-            continue
+    n = X.n
+    sets = ((X, -1.0), (satisfied, 0.0)) if satisfied else ((X, -1.0),)
+    bands = []
+    for r in (r for S, _ in sets for r in S.concave):
         if not isinstance(r, ConcaveRow):
             raise TypeError(f"no min-slack LP for {type(r).__name__}")
-        s = r.s if r.s != 2 else (_INF if two_norm == 1 else 1)
-        B = dual_norm_bands(r.P, s)
-        k = B.shape[1] - n
-        main.append((r.a_bar, r.b, width, k, t_coef))
-        bands.append((B, width, k))
-        width += k
-    main += [(g, b, 0, 0, -1.0) for g, b in cuts]
-    G = np.zeros((len(main) + sum(len(B) for B, _, _ in bands) + 1, width))
+        bands.append(dual_norm_bands(r.P, r.s if r.s != 2 else (_INF if two_norm == 1 else 1)))
+    widths = [B.shape[1] - n for B in bands]
+    cols = n + 1 + np.cumsum([0, *widths])      # first tau column of each ConcaveRow
+    mains = sum(len(S.rows) + len(S.concave) for S, _ in sets)
+    G = np.zeros((mains + len(cuts) + sum(map(len, bands)) + 1, cols[-1]))
     h = np.zeros(len(G))
-    for i, (g, b, c, k, t_coef) in enumerate(main):
-        G[i, :n], G[i, n], G[i, c:c + k], h[i] = g, t_coef, -1.0, b
-    i = len(main)
-    for B, c, k in bands:                       # band rows: right-hand side 0
-        G[i:i + len(B), :n], G[i:i + len(B), c:c + k] = B[:, :n], B[:, n:]
+    i, c = 0, iter(zip(cols, widths))          # the sets' ConcaveRows take them in turn
+    for S, t_coef in sets:
+        lin, at = S.positions([1] * len(S.concave))
+        G[i + lin, :n], G[i + lin, n], h[i + lin] = S.A, t_coef, S.b
+        for r, k0, (col, k) in zip(S.concave, i + at, c):
+            G[k0, :n], G[k0, n], G[k0, col:col + k], h[k0] = r.a_bar, t_coef, -1.0, r.b
+        i += len(S.rows) + len(S.concave)
+    for g, b in cuts:
+        G[i, :n], G[i, n], h[i] = g, -1.0, b
+        i += 1
+    for B, col, k in zip(bands, cols, widths):  # band rows: right-hand side 0
+        G[i:i + len(B), :n], G[i:i + len(B), col:col + k] = B[:, :n], B[:, n:]
         i += len(B)
     G[-1, n], h[-1] = -1.0, -cap                # t <= cap
-    lower = np.zeros(width)
+    lower = np.zeros(G.shape[1])
     lower[:n + 1] = -_INF
     sol = solve_lp(G[-1], G, h, lower)          # min -t
     if not sol.optimal:
@@ -184,9 +183,11 @@ def _slack_lp(rows, satisfied, n, cap, two_norm, cuts):
     return sol.x[:n], float(sol.x[n])
 
 
-def maximize_min_slack(rows, n, target: float = 0.0, satisfied=()) -> SlackSearch:
-    """Maximize min_j slack_j(x) over the x in R^n that satisfy every row
-    of `satisfied` (slack >= 0), for linear and concave rows.
+def maximize_min_slack(X: RobustFeasibleSet, target: float = 0.0,
+                       satisfied: RobustFeasibleSet | None = None) -> SlackSearch:
+    """Maximize min_j slack_j(x) over the rows of the reduced set X, linear
+    and concave, over the x in R^n that satisfy every row of the set
+    `satisfied` (slack >= 0).
 
     One LP in (x, t) maximizes t <= max(1, target) subject to
     slack_j(x) >= t, each dual norm written with auxiliary columns
@@ -200,17 +201,16 @@ def maximize_min_slack(rows, n, target: float = 0.0, satisfied=()) -> SlackSearc
     reaches the target, when the bound falls below it, or after CUT_ROUNDS.
     With no point satisfying `satisfied` the value and bound are -inf.
     """
-    rows, satisfied = list(rows), list(satisfied)
     cap = max(1.0, target)
 
     def phi(pt):
-        return min((r.slack(pt) for r in rows), default=cap)
+        return min([*X.slack(pt), *(r.slack(pt) for r in X.concave)], default=cap)
 
-    x, bound = _slack_lp(rows, satisfied, n, cap, 1, ())
+    x, bound = _slack_lp(X, satisfied, cap, 1, ())
     if x is None:
         return SlackSearch(None, -_INF, -_INF)
     best_x, best_v = x, phi(x)
-    round_rows = [r for r in rows if isinstance(r, ConcaveRow) and r.s == 2]
+    round_rows = [r for r in X.concave if r.s == 2]
     if not round_rows:
         return SlackSearch(best_x, best_v, bound)
     bound, cuts = _INF, []
@@ -218,7 +218,7 @@ def maximize_min_slack(rows, n, target: float = 0.0, satisfied=()) -> SlackSearc
         if best_v >= target:
             break
         cuts += [(r.supergradient(x), r.b) for r in round_rows]
-        x, bound = _slack_lp(rows, satisfied, n, cap, _INF, cuts)
+        x, bound = _slack_lp(X, satisfied, cap, _INF, cuts)
         if bound < target:
             break
         v = phi(x)

@@ -4,14 +4,16 @@ uncertainty sets, validation, and worst-case constraint reduction.
 A problem instance pairs a nominal objective matrix with a rank-1
 perturbation segment {C_bar + rho * u v^T : rho in [0, 1]}, u >= 0, and one
 uncertainty set per constraint row.  Reduction rewrites every constraint as
-either finitely many linear rows or a single concave worst-case row.
+either finitely many linear rows or a single concave worst-case row; the
+linear rows of all constraints are one array [A | b], each row tagged with
+its constraint.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -249,20 +251,6 @@ def validate_problem(p: UncertainMOLP) -> ValidatedProblem:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LinearRow:
-    a: np.ndarray
-    b: float
-    source: int           # originating constraint index
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _vec(self.a))
-        object.__setattr__(self, "b", float(self.b))
-
-    def slack(self, x):
-        return slack_value(self.a, x, self.b)
-
-
-@dataclass(frozen=True)
 class ConcaveRow:
     """Worst case of an affine norm-ball class {a_bar + P w : ||w||_s <= 1}.
 
@@ -406,11 +394,46 @@ class BallRow:
 
 @dataclass(frozen=True)
 class RobustFeasibleSet:
-    """Reduced representation of the robust feasible region."""
+    """Reduced representation of the robust feasible region.
+
+    The linear rows a.x >= b are one k x (n + 1) array [A | b], the layout
+    of the hypographical set, with the constraint each row comes from;
+    the concave worst-case rows are a tuple.  Both are in constraint
+    order, and a constraint has linear rows or one concave row.
+    """
 
     n: int
-    rows: tuple           # LinearRow / ConcaveRow / BallRow, constraint order
+    rows: np.ndarray      # k x (n + 1): [A | b]
+    source: np.ndarray    # k constraint indices, nondecreasing
+    concave: tuple = ()   # ConcaveRow / BallRow
     lifted: tuple = ()    # (index of its main row, ConcaveRow) per lifted ball
+
+    @property
+    def A(self):
+        return self.rows[:, :-1]
+
+    @property
+    def b(self):
+        return self.rows[:, -1]
+
+    def slack(self, x):
+        """A x - b, never NaN: an entry that is not finite is redone by
+        slack_value, so that an overflow keeps its sign."""
+        x = np.asarray(x, float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = self.A @ x - self.b
+        for i in np.flatnonzero(~np.isfinite(s)):
+            s[i] = slack_value(self.A[i], x, self.b[i])
+        return s
+
+    def positions(self, sizes):
+        """Row positions in constraint order when concave row i becomes
+        sizes[i] rows among the linear rows: those of the linear rows, and
+        the first of each concave row's."""
+        src = [r.source for r in self.concave]
+        ends = np.cumsum([0, *sizes])
+        return (np.arange(len(self.rows)) + ends[np.searchsorted(src, self.source)],
+                np.searchsorted(self.source, src) + ends[:-1])
 
     def lift(self, x_bar):
         """Rewrite each s = 1/inf ConcaveRow, boxes included, as linear rows
@@ -429,49 +452,38 @@ class RobustFeasibleSet:
         joint-ball row (no form over extra columns), comes back unchanged
         with x_bar.
         """
-        balls = [r for r in self.rows if isinstance(r, ConcaveRow) and r.s != 2]
-        if not balls or any(isinstance(r, BallRow) for r in self.rows):
+        balls = [isinstance(r, ConcaveRow) and r.s != 2 for r in self.concave]
+        if not any(balls) or any(isinstance(r, BallRow) for r in self.concave):
             return self, x_bar
         x_bar = np.asarray(x_bar, float)
         n = self.n
-        pad = sum(1 if r.s == 1 else r.P.shape[1] for r in balls)
-        # the linear and main rows are views of one matrix, padded at once
-        heads = [r.a if isinstance(r, LinearRow) else r.a_bar for r in self.rows
-                 if isinstance(r, LinearRow) or r.s != 2]
-        A = np.zeros((len(heads), n + pad))
-        A[:, :n] = heads
-        padded = iter(A)
-        rows, lifted, taus, col = [], [], [x_bar], n
-        for r in self.rows:
-            if isinstance(r, LinearRow):
-                rows.append(LinearRow(next(padded), r.b, r.source))
-            elif r.s == 2:
-                P = np.concatenate([r.P, np.zeros((pad, r.P.shape[1]))])
-                rows.append(ConcaveRow(np.concatenate([r.a_bar, np.zeros(pad)]), r.b,
-                                       r.source, P, 2))
-            else:
-                k = 1 if r.s == 1 else r.P.shape[1]
-                tau, unit = _carried_tau(r, x_bar)
-                main = next(padded)
-                main[col:col + k] = -unit
-                lifted.append((len(rows), r))
-                rows.append(LinearRow(main, r.b, r.source))
-                bands = dual_norm_bands(r.P, r.s, n + pad, col)
-                bands[:, col:col + k] *= unit
-                rows += [LinearRow(g, 0.0, r.source) for g in bands]
-                taus.append(tau)
-                col += k
-        return RobustFeasibleSet(n + pad, tuple(rows), tuple(lifted)), np.concatenate(taus)
-
-    @property
-    def all_linear(self):
-        return all(isinstance(r, LinearRow) for r in self.rows)
-
-    def linear(self):
-        return [r for r in self.rows if isinstance(r, LinearRow)]
-
-    def concave(self):
-        return [r for r in self.rows if not isinstance(r, LinearRow)]
+        # tau columns and lifted rows (main and bands) of each concave row
+        widths = [(1 if r.s == 1 else r.P.shape[1]) * ball
+                  for r, ball in zip(self.concave, balls)]
+        sizes = [(1 + 2 * r.P.shape[1]) * ball for r, ball in zip(self.concave, balls)]
+        pad = sum(widths)
+        lin, starts = self.positions(sizes)
+        M = np.zeros((len(self.rows) + sum(sizes), n + pad + 1))
+        M[lin, :n], M[lin, -1] = self.A, self.b
+        source = np.empty(len(M), int)
+        source[lin] = self.source
+        concave, lifted, taus, col = [], [], [x_bar], n
+        for r, w, i, size in zip(self.concave, widths, starts, sizes):
+            if not size:
+                concave.append(replace(r, a_bar=np.concatenate([r.a_bar, np.zeros(pad)]),
+                                       P=np.concatenate([r.P, np.zeros((pad, r.P.shape[1]))])))
+                continue
+            tau, unit = _carried_tau(r, x_bar)
+            end = i + size
+            M[i, :n], M[i, col:col + w], M[i, -1] = r.a_bar, -unit, r.b
+            M[i + 1:end, :-1] = dual_norm_bands(r.P, r.s, n + pad, col)
+            M[i + 1:end, col:col + w] *= unit
+            source[i:end] = r.source
+            lifted.append((int(i), r))
+            taus.append(tau)
+            col += w
+        return (RobustFeasibleSet(n + pad, M, source, tuple(concave), tuple(lifted)),
+                np.concatenate(taus))
 
 
 def reduce_constraints(vp: ValidatedProblem) -> RobustFeasibleSet:
@@ -486,39 +498,41 @@ def reduce_constraints(vp: ValidatedProblem) -> RobustFeasibleSet:
     delta = 0, no spans) is one linear row.
     """
     p = vp.problem
-    rows = []
+    rows, source, concave = [], [], []
     for j, c in enumerate(p.constraints):
-        if isinstance(c, Singleton):
-            rows.append(LinearRow(c.a_bar, c.b_bar, j))
-        elif isinstance(c, Polytope):
-            for v in c.vertices:
-                rows.append(LinearRow(v[:p.n], float(v[p.n]), j))
-        elif isinstance(c, Box):
-            # halves first: a_lo + a_hi may overflow where each half does not
-            centre = 0.5 * c.a_lo + 0.5 * c.a_hi
+        if isinstance(c, Polytope):
+            rows += c.vertices
+            source += [j] * len(c.vertices)
+            continue
+        if isinstance(c, Ball):
+            concave.append(BallRow(c.a_bar, c.b_bar, j, c.alpha))
+            continue
+        a, P, s = own_row(c, 0, p.n), None, 2
+        if isinstance(c, Box):
             half = 0.5 * c.a_hi - 0.5 * c.a_lo
-            wide = half > 0.0
-            if wide.any():
-                rows.append(ConcaveRow(centre, c.b_hi, j, np.diag(half)[:, wide], _INF))
-            else:
-                rows.append(LinearRow(centre, c.b_hi, j))
-        elif isinstance(c, NormBall):
-            if c.delta == 0.0:
-                # zero perturbation radius: the worst case is exactly linear
-                rows.append(LinearRow(c.a_bar, c.b_hi, j))
-            else:
-                rows.append(ConcaveRow(c.a_bar, c.b_hi, j,
-                                       c.delta * invert_symmetric(c.Z), c.s))
-        elif isinstance(c, Ellipsoid):
-            if not c.spans:
-                rows.append(LinearRow(c.a0, c.b_hi, j))
-            else:
-                rows.append(ConcaveRow(c.a0, c.b_hi, j, np.array(c.spans).T, 2))
-        elif isinstance(c, Ball):
-            rows.append(BallRow(c.a_bar, c.b_bar, j, c.alpha))
-        else:  # pragma: no cover - validation rejects unknown classes
-            raise ValidationError("DimensionMismatch", "unknown class", j)
-    return RobustFeasibleSet(p.n, tuple(rows))
+            P, s = np.diag(half)[:, half > 0.0], _INF
+        elif isinstance(c, NormBall) and c.delta != 0.0:
+            P, s = c.delta * invert_symmetric(c.Z), c.s
+        elif isinstance(c, Ellipsoid) and c.spans:
+            P = np.array(c.spans).T
+        if P is None or not P.size:
+            rows.append([*a.tolist(), c.b_bar if isinstance(c, Singleton) else c.b_hi])
+            source.append(j)
+        else:
+            concave.append(ConcaveRow(a, c.b_hi, j, P, s))
+    return RobustFeasibleSet(p.n, np.reshape(rows, (-1, p.n + 1)), np.array(source, int),
+                             tuple(concave))
+
+
+def own_row(c, i, n):
+    """Row i's coefficients, or a concave row's a_bar, as constraint c's own
+    array (a view of a polytope vertex), which a certificate record can hold
+    without keeping the reduced set alive; a box's centre is computed."""
+    if isinstance(c, Polytope):
+        return c.vertices[i][:n]
+    if isinstance(c, Box):      # halves first: a_lo + a_hi may overflow where they do not
+        return 0.5 * c.a_lo + 0.5 * c.a_hi
+    return c.a0 if isinstance(c, Ellipsoid) else c.a_bar
 
 
 def endpoint_objectives(vp: ValidatedProblem):

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .efficiency import NotFeasiblePointError, weakly_efficient_for_scenario
-from .model import (Ball, Box, Ellipsoid, LinearRow, NormBall, Polytope,
+from .model import (Ball, Box, Ellipsoid, NormBall, Polytope,
                     RobustFeasibleSet, Singleton, UncertainMOLP,
                     ValidatedProblem, reduce_constraints, validate_dimensions)
 from .numerics import min_norm_point, norm_value, sphere_directions
@@ -59,8 +59,9 @@ class OracleVerdict:
     checks_run: int
 
 
-def _true_membership(X: RobustFeasibleSet, x, tol=1e-9):
-    return all(row.slack(x) >= -tol for row in X.rows)
+def _min_slack(X: RobustFeasibleSet, x):
+    """The least slack at x of the exact rows of X, linear and concave."""
+    return min([*X.slack(x), *(r.slack(x) for r in X.concave)])
 
 
 def _pull_witness_inside(X, x_bar, w):
@@ -70,7 +71,7 @@ def _pull_witness_inside(X, x_bar, w):
     interval; dominance gaps scale linearly in t and stay strict.
     """
     def feasible(t):
-        return _true_membership(X, x_bar + t * (w - x_bar), tol=1e-12)
+        return _min_slack(X, x_bar + t * (w - x_bar)) >= -1e-12
 
     if feasible(1.0):
         return 1.0
@@ -99,18 +100,13 @@ def refute_robust_weak_efficiency(p, x_bar, k: int = 11) -> OracleVerdict:
     validate_dimensions(p)
     x_bar = np.asarray(x_bar, float)
     X = reduce_constraints(ValidatedProblem(p))
-    for idx, row in enumerate(X.rows):
-        if row.slack(x_bar) < -1e-8:
-            raise NotFeasiblePointError(
-                f"row {idx} violated by {-row.slack(x_bar):.3e}")
+    if (worst := _min_slack(X, x_bar)) < -1e-8:
+        raise NotFeasiblePointError(f"a row is violated by {-worst:.3e}")
     XL, xl = X.lift(x_bar)
-    exact = XL.all_linear
-    rows = list(XL.linear())
-    for cr in XL.concave():
-        for d in sphere_directions(cr.direction_dim(), SUPPORT_SAMPLES):
-            a, b = cr.scenario_row(d)
-            rows.append(LinearRow(a, b, cr.source))
-    X_dec = RobustFeasibleSet(XL.n, tuple(rows))
+    exact = not XL.concave
+    X_dec = np.vstack([XL.rows, *(np.append(*cr.scenario_row(d)) for cr in XL.concave
+                                  for d in sphere_directions(cr.direction_dim(),
+                                                             SUPPORT_SAMPLES))])
     tau_cols = np.zeros((p.m, XL.n - p.n))
 
     checks = 0
@@ -121,7 +117,7 @@ def refute_robust_weak_efficiency(p, x_bar, k: int = 11) -> OracleVerdict:
         if chk.efficient:
             continue
         w = chk.witness[:p.n]
-        if exact or _true_membership(X, w):
+        if exact or _min_slack(X, w) >= -1e-9:
             return OracleVerdict("refuted", Witness(rho, w, chk.gap), checks)
         # sampled rows over-approximate the set, so walk the candidate
         # witness back toward x_bar until it is exactly feasible

@@ -92,8 +92,7 @@ def vertex_candidate(rng, problem):
     X = reduce_constraints(validate_problem(problem))
     n = problem.n
     c = rng.integers(-5, 6, n).astype(float)
-    rows = list(X.linear())
-    sol = solve_lp(c, [r.a for r in rows], [r.b for r in rows], -_INF)
+    sol = solve_lp(c, X.A, X.b, -_INF)
     assert sol.optimal, "bounding box should keep the LP bounded"
     return sol.x
 

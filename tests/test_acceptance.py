@@ -113,8 +113,8 @@ def test_criterion_5_endpoint_equivalence_suite():
         out = certify_weak_efficiency(vp, x)
         X = reduce_constraints(vp)
         C1 = prob.C_bar + np.outer(prob.u, prob.v)
-        both = (weakly_efficient_for_scenario(prob.C_bar, X, x).efficient
-                and weakly_efficient_for_scenario(C1, X, x).efficient)
+        both = (weakly_efficient_for_scenario(prob.C_bar, X.rows, x).efficient
+                and weakly_efficient_for_scenario(C1, X.rows, x).efficient)
         disagreements += (out.status == "certified") != both
     elapsed = time.monotonic() - t0
     _line(f"criterion 5: endpoint equivalence on 200 instances "

@@ -404,6 +404,20 @@ def test_verify_overflowing_certificate_sums_answer_invalid(tmp_path, capsys):
         assert code == 1 and "verdict:  invalid" in out and "inf" not in out
 
 
+@pytest.mark.parametrize("fmt", ["--text", "--json"])
+@pytest.mark.parametrize("literal", ["1e999", "1" + "0" * 400], ids=["1e999", "10^400"])
+def test_verify_number_beyond_the_float_range_exits_3(tmp_path, capsys, fmt, literal):
+    # json.load reads 1e999 as inf: --text answered invalid (exit 1) and
+    # --json exited 3 on a non-finite report; 10^400 raised a traceback
+    path = _write(tmp_path, ORTHANT)
+    text = json.dumps(_orthant_certificate([])).replace("[1.0, 0.0]", f"[{literal}, 0.0]")
+    cert = tmp_path / "c.json"
+    cert.write_text(text, encoding="utf-8")
+    assert main(["verify", path, "--point=0,0", "--cert", str(cert), fmt]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_verify_endpoint_sum_cancelling_beyond_the_float_range(tmp_path, capsys):
     # mu_j a_j = +-1e600 cancel exactly: the residual is |C^T lambda| alone
     path = _write(tmp_path, ORTHANT)

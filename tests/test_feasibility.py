@@ -9,7 +9,7 @@ from robustmolp.feasibility import (NominalInfeasibleError, ball_robust_feasible
                                     cone_contains, hypographical_set,
                                     is_feasible, maximize_min_slack,
                                     radius_of_robust_feasibility)
-from robustmolp.model import BallRow, LinearRow
+from robustmolp.model import BallRow, RobustFeasibleSet
 
 HYPO = [(np.array([-2.0, -1, -2]), -6.0), (np.array([-1.0, -2, -2]), -6.0),
         (np.array([-1.0, 0, 0]), -3.0), (np.array([0.0, -1, 0]), -3.0),
@@ -228,14 +228,14 @@ def _counting(monkeypatch, name):
 
 def test_min_slack_of_linear_rows_is_one_lp(monkeypatch):
     lps = _counting(monkeypatch, "solve_lp")
-    rows = [LinearRow([1.0, 0.0], -1.0, 0), LinearRow([0.0, 1.0], -2.0, 1),
-            LinearRow([-1.0, -1.0], -3.0, 2)]
-    search = maximize_min_slack(rows, 2, target=0.0)
+    X = RobustFeasibleSet(2, np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -2.0], [-1.0, -1.0, -3.0]]),
+                          np.arange(3))
+    search = maximize_min_slack(X, target=0.0)
     # the supremum is 2, so the LP stops at its cap of 1
     assert len(lps) == 1
     assert search.upper_bound == 1.0
     assert search.value >= 1.0 - 1e-12
-    assert min(r.slack(search.x) for r in rows) == search.value
+    assert min(X.slack(search.x)) == search.value
 
 
 def _witness_systems(rng):

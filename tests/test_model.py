@@ -7,8 +7,8 @@ import pytest
 
 from conftest import box_vertices
 from robustmolp.model import (Ball, BallRow, Box, ConcaveRow, Ellipsoid,
-                              LinearRow, NormBall, Polytope,
-                              ProblemFormatError, Singleton, UncertainMOLP,
+                              NormBall, Polytope, ProblemFormatError,
+                              RobustFeasibleSet, Singleton, UncertainMOLP,
                               ValidationError,
                               endpoint_objectives, load_problem, parse_problem,
                               problem_to_dict, reduce_constraints,
@@ -115,13 +115,12 @@ def test_non_finite_json_constants_rejected(tmp_path):
 def test_reduction_of_two_polytopes_gives_five_rows():
     vp = validate_problem(example2_problem(u=(1, 0)))
     X = reduce_constraints(vp)
-    assert X.all_linear and len(X.rows) == 5
-    expected = [((-2, -1, -2), -6), ((-1, -2, -2), -6),
-                ((-1, 0, 0), -3), ((0, -1, 0), -3), ((0, 0, -1), -3)]
-    for row, (a, b), src in zip(X.rows, expected, (0, 0, 1, 1, 1)):
-        assert row.a == pytest.approx(np.asarray(a, float))
-        assert row.b == b
-        assert row.source == src
+    assert not X.concave and len(X.rows) == 5
+    # [A | b], the hypographical layout, with each row's constraint
+    assert X.rows.tolist() == [[-2, -1, -2, -6], [-1, -2, -2, -6],
+                               [-1, 0, 0, -3], [0, -1, 0, -3], [0, 0, -1, -3]]
+    assert X.A.tolist() == X.rows[:, :3].tolist() and X.b.tolist() == [-6, -6, -3, -3, -3]
+    assert X.source.tolist() == [0, 0, 1, 1, 1]
 
 
 def test_box_reduction_one_dimensional():
@@ -129,12 +128,14 @@ def test_box_reduction_one_dimensional():
     p = UncertainMOLP(1, 1, [[1.0]], [0.0], [0.0],
                       (Box([1.0], [2.0], 0.0, 1.0),))
     X = reduce_constraints(validate_problem(p))
-    (row,) = X.rows
+    (row,) = X.concave
+    assert len(X.rows) == 0
     assert isinstance(row, ConcaveRow) and row.s == _INF and row.b == 1.0
     assert row.a_bar.tolist() == [1.5] and row.P.tolist() == [[0.5]]
     # lifted: 1.5 x - tau >= 1 with bands tau >= -x/2 and tau >= x/2
     XL, xl = X.lift(np.array([4.0]))
-    assert [r.a.tolist() for r in XL.rows] == [[1.5, -1.0], [0.5, 1.0], [-0.5, 1.0]]
+    assert XL.rows.tolist() == [[1.5, -1.0, 1.0], [0.5, 1.0, 0.0], [-0.5, 1.0, 0.0]]
+    assert XL.source.tolist() == [0, 0, 0] and not XL.concave
     assert xl.tolist() == [4.0, 2.0] and XL.lifted == ((0, row),)
 
 
@@ -146,10 +147,11 @@ def test_box_vertex_enumeration_property(rng):
         hi = lo + rng.integers(0, 4, n)
         p = UncertainMOLP(1, n, np.zeros((1, n)), [0.0], np.zeros(n),
                           (Box(lo, hi, 0.0, 1.0),))
-        (row,) = reduce_constraints(validate_problem(p)).rows
+        X = reduce_constraints(validate_problem(p))
         if np.array_equal(lo, hi):
-            assert isinstance(row, LinearRow) and np.array_equal(row.a, lo)
+            assert not X.concave and np.array_equal(X.A, [lo])
             continue
+        (row,) = X.concave
         assert row.P.shape == (n, int(np.count_nonzero(hi > lo)))
         for x in rng.normal(size=(5, n)):
             want = min(float(a @ x) - 1.0 for a in box_vertices(lo, hi))
@@ -164,19 +166,18 @@ def test_polytope_reduction_idempotent(rng):
         p = UncertainMOLP(1, n, np.zeros((1, n)), [0.0], np.zeros(n),
                           (Polytope(verts),))
         X1 = reduce_constraints(validate_problem(p))
-        singles = tuple(Singleton(r.a, r.b) for r in X1.rows)
+        singles = tuple(Singleton(a, b) for a, b in zip(X1.A, X1.b))
         p2 = UncertainMOLP(1, n, np.zeros((1, n)), [0.0], np.zeros(n), singles)
         X2 = reduce_constraints(validate_problem(p2))
-        rows1 = sorted((tuple(r.a), r.b) for r in X1.rows)
-        rows2 = sorted((tuple(r.a), r.b) for r in X2.rows)
-        assert rows1 == rows2
+        assert sorted(X1.rows.tolist()) == sorted(X2.rows.tolist())
+        assert X2.source.tolist() == list(range(len(verts)))
 
 
 def test_zero_radius_ball_matches_linear_row():
     p = UncertainMOLP(1, 1, [[1.0]], [0.0], [0.0], (Ball([1.0], 0.0, 0.0),))
     X = reduce_constraints(validate_problem(p))
-    row = X.rows[0]
-    assert isinstance(row, BallRow)
+    (row,) = X.concave
+    assert isinstance(row, BallRow) and len(X.rows) == 0
     for x in (-2.0, 0.0, 0.5, 3.0):
         assert row.slack(np.array([x])) == pytest.approx(x, abs=1e-15)
 
@@ -189,7 +190,7 @@ def test_ball_concave_value_lower_bounds_sampled_scenarios(rng):
         alpha = float(rng.uniform(0.1, 2.0))
         p = UncertainMOLP(1, n, np.zeros((1, n)), [0.0], np.zeros(n),
                           (Ball(a, b, alpha),))
-        row = reduce_constraints(validate_problem(p)).rows[0]
+        row = reduce_constraints(validate_problem(p)).concave[0]
         x = rng.normal(0, 2, n)
         val = row.slack(x)
         sampled = []
@@ -209,7 +210,7 @@ def test_norm_ball_concave_row_lower_bounds_scenarios(rng):
         delta = 0.7
         p = UncertainMOLP(1, n, np.zeros((1, n)), [0.0], np.zeros(n),
                           (NormBall(a, Z, delta, s, -1.0, 2.0),))
-        row = reduce_constraints(validate_problem(p)).rows[0]
+        row = reduce_constraints(validate_problem(p)).concave[0]
         x = rng.normal(0, 2, n)
         val = row.slack(x)
         for d in sphere_directions(n, 64):
@@ -231,8 +232,8 @@ def test_norm_ball_and_ellipsoid_share_one_row(rng):
                              (NormBall(a, Z, delta, 2, -1.0, 2.0),))
         p_el = UncertainMOLP(1, n, np.zeros((1, n)), [0.0], np.zeros(n),
                              (Ellipsoid(a, tuple(delta * np.linalg.inv(Z)), -1.0, 2.0),))
-        nb = reduce_constraints(validate_problem(p_nb)).rows[0]
-        el = reduce_constraints(validate_problem(p_el)).rows[0]
+        nb = reduce_constraints(validate_problem(p_nb)).concave[0]
+        el = reduce_constraints(validate_problem(p_el)).concave[0]
         assert isinstance(nb, ConcaveRow) and isinstance(el, ConcaveRow)
         assert nb.s == el.s == 2 and nb.direction_dim() == el.direction_dim() == n
         for _ in range(5):
@@ -245,15 +246,21 @@ def test_norm_ball_and_ellipsoid_share_one_row(rng):
             assert b_nb == b_el == 2.0
 
 
+def linear_set(rows):
+    """The reduced set of the linear rows [a | b]."""
+    rows = np.array(rows, float)
+    return RobustFeasibleSet(rows.shape[1] - 1, rows, np.arange(len(rows)))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_linear_row_slack_overflow_is_signed_never_nan():
     # the float dot product of the first row is inf - inf; scaling the
     # operands by a power of two would flush the 1 * 1 term to zero
-    assert LinearRow([1e300, -1e300, 1.0], 0.5, 0).slack(np.array([1e300, 1e300, 1.0])) == 0.5
-    assert LinearRow([1e300, -1e300], 1.0, 0).slack(np.array([1e300, 1e300])) == -1.0
-    assert LinearRow([0.0, 1e300], 1.0, 0).slack(np.array([0.0, 1e300])) == _INF
-    assert LinearRow([0.0, -1e300], 1.0, 0).slack(np.array([0.0, 1e300])) == -_INF
-    assert LinearRow([2.0, 3.0], 1.0, 0).slack(np.array([1.0, -1.0])) == -2.0
+    assert linear_set([[1e300, -1e300, 1.0, 0.5]]).slack([1e300, 1e300, 1.0]).tolist() == [0.5]
+    # one slack vector: its non-finite entries are redone, the others kept
+    rows = [[1e300, -1e300, 1.0], [0.0, 1e300, 1.0], [0.0, -1e300, 1.0], [1.0, 0.0, 1.0]]
+    assert linear_set(rows).slack([1e300, 1e300]).tolist() == [-1.0, _INF, -_INF, 1e300]
+    assert linear_set([[2.0, 3.0, 1.0]]).slack(np.array([1.0, -1.0])).tolist() == [-2.0]
 
 
 @pytest.mark.parametrize("s", [1, _INF])
@@ -269,26 +276,27 @@ def test_lift_rewrites_polyhedral_balls_as_linear_rows(rng, s):
     XL, xl = X.lift(x)
     k = 1 if s == 1 else n                    # taus: one for s = 1, q for s = inf
     assert XL.n == n + k and xl.size == n + k
-    assert [type(r).__name__ for r in XL.rows] == (
-        ["LinearRow"] * (2 + 2 * n) + ["ConcaveRow"])
-    assert XL.lifted == ((1, X.rows[1]),)
+    # the singleton, then the ball's main and band rows, in constraint order
+    assert len(XL.rows) == 2 + 2 * n and XL.source.tolist() == [0] + [1] * (1 + 2 * n)
+    ball = X.concave[0]
+    assert XL.lifted == ((1, ball),) and len(XL.concave) == 1
     assert xl[:n] == pytest.approx(x, abs=0)
-    ball = X.rows[1]
     z = np.abs(ball.P.T @ x)
     assert xl[n:] == pytest.approx(z if s == _INF else [z.max()], abs=0)
     # at the smallest tau the main row's slack is the ball's worst case,
     # every band row holds, and the other rows keep their slack
-    assert XL.rows[1].slack(xl) == pytest.approx(ball.slack(x), abs=1e-12)
-    assert min(r.slack(xl) for r in XL.rows[2:2 + 2 * n]) == pytest.approx(0.0, abs=1e-12)
-    assert XL.rows[0].slack(xl) == X.rows[0].slack(x)
-    assert XL.rows[-1].slack(xl) == pytest.approx(X.rows[-1].slack(x), abs=1e-12)
+    slack = XL.slack(xl)
+    assert slack[1] == pytest.approx(ball.slack(x), abs=1e-12)
+    assert min(slack[2:]) == pytest.approx(0.0, abs=1e-12)
+    assert slack[0] == X.slack(x)[0]
+    assert XL.concave[0].slack(xl) == pytest.approx(X.concave[1].slack(x), abs=1e-12)
     # the lift projects onto the set: any tau makes the main row no looser
     for _ in range(20):
         y = rng.normal(0, 2, n)
         tau = np.abs(ball.P.T @ y) + rng.uniform(0, 1, n)
         t = np.concatenate([y, tau if s == _INF else [tau.max()]])
-        if min(r.slack(t) for r in XL.rows[2:2 + 2 * n]) >= 0:
-            assert XL.rows[1].slack(t) <= ball.slack(y) + 1e-12
+        if min(XL.slack(t)[2:]) >= 0:
+            assert XL.slack(t)[1] <= ball.slack(y) + 1e-12
 
 
 def test_lift_leaves_sets_without_polyhedral_balls_alone():
@@ -305,17 +313,14 @@ def test_zero_delta_norm_ball_reduces_to_linear():
     p = UncertainMOLP(1, 2, [[1.0, 0.0]], [0.0], [0.0, 0.0],
                       (NormBall([1.0, 2.0], np.eye(2), 0.0, 2, -1.0, 5.0),))
     X = reduce_constraints(validate_problem(p))
-    assert X.all_linear and isinstance(X.rows[0], LinearRow)
-    assert X.rows[0].a == pytest.approx([1.0, 2.0])
-    assert X.rows[0].b == 5.0
+    assert not X.concave and X.rows.tolist() == [[1.0, 2.0, 5.0]]
 
 
 def test_zero_span_ellipsoid_reduces_to_linear():
     p = UncertainMOLP(1, 2, [[1.0, 0.0]], [0.0], [0.0, 0.0],
                       (Ellipsoid([1.0, 2.0], (), -1.0, 5.0),))
     X = reduce_constraints(validate_problem(p))
-    assert isinstance(X.rows[0], LinearRow)
-    assert X.rows[0].b == 5.0
+    assert not X.concave and X.rows.tolist() == [[1.0, 2.0, 5.0]]
 
 
 def test_endpoint_objectives_outer_product():
