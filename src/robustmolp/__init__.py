@@ -18,8 +18,8 @@ from .feasibility import (BallFeasibility, FeasibilityResult, HypographicalSet,
                           radius_of_robust_feasibility)
 from .efficiency import (ActiveGeometry, CertifyOutcome, ConstraintMultiplier,
                          EfficiencyCertificate, NotFeasiblePointError,
-                         SlaterViolatedError, UnsupportedClassError,
-                         active_geometry, certify_weak_efficiency, check_slater,
+                         UnsupportedClassError, active_geometry,
+                         certify_weak_efficiency, check_slater,
                          weakly_efficient_for_scenario)
 from .oracle import (OracleVerdict, VerificationReport, Witness,
                      refute_robust_weak_efficiency, scenario_grid,

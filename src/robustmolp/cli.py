@@ -6,8 +6,8 @@ formatting so that reruns on identical inputs produce identical output
 entry).  Exit codes: 0 success/positive verdict, 1 negative verdict,
 2 inconclusive/unknown (including a numerical failure), 3 parse or
 schema error, 4 infeasibility of the nominal system or candidate point,
-5 precondition violation (wrong constraint class, negative u, Slater
-failure), 6 certifier/oracle disagreement.
+5 precondition violation (wrong constraint class, negative u),
+6 certifier/oracle disagreement.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import numpy as np
 
 from . import oracle
 from .efficiency import (EfficiencyCertificate, ConstraintMultiplier,
-                         NotFeasiblePointError, SlaterViolatedError,
-                         UnsupportedClassError, certify_weak_efficiency)
+                         NotFeasiblePointError, UnsupportedClassError,
+                         certify_weak_efficiency)
 from .feasibility import (NominalInfeasibleError, NonCertifiedError,
                           ball_robust_feasible, radius_of_robust_feasibility)
 from .model import (ProblemFormatError, Singleton, ValidationError,
@@ -114,12 +114,6 @@ def _report(command, digest, verdict, payload, residuals, t0):
     }
 
 
-def _load(path):
-    problem = load_problem(path)
-    validate_dimensions(problem)
-    return problem
-
-
 def _nominal_rows(problem):
     if not all(isinstance(c, Singleton) for c in problem.constraints):
         raise UnsupportedClassError(
@@ -129,7 +123,8 @@ def _nominal_rows(problem):
 
 def cmd_radius(args) -> int:
     t0 = time.monotonic()
-    problem = _load(args.problem_file)
+    problem = load_problem(args.problem_file)
+    validate_dimensions(problem)
     rows = _nominal_rows(problem)
     res = radius_of_robust_feasibility(rows)
     payload = {
@@ -155,7 +150,8 @@ def _finite_option(name, value):
 def cmd_feasible(args) -> int:
     t0 = time.monotonic()
     _finite_option("--alpha", args.alpha)
-    problem = _load(args.problem_file)
+    problem = load_problem(args.problem_file)
+    validate_dimensions(problem)
     rows = _nominal_rows(problem)
     res = ball_robust_feasible(rows, args.alpha)
     payload = {"alpha": args.alpha, "radius": res.rho}
@@ -235,7 +231,7 @@ def _parse_point(text, n):
 
 def cmd_certify(args) -> int:
     t0 = time.monotonic()
-    problem = _load(args.problem_file)
+    problem = load_problem(args.problem_file)
     vp = validate_problem(problem)
     x_bar = _parse_point(args.point, problem.n)
     outcome = certify_weak_efficiency(vp, x_bar)
@@ -277,7 +273,7 @@ def cmd_certify(args) -> int:
 def cmd_verify(args) -> int:
     t0 = time.monotonic()
     _finite_option("--tol", args.tol)
-    problem = _load(args.problem_file)
+    problem = load_problem(args.problem_file)
     vp = validate_problem(problem)
     x_bar = _parse_point(args.point, problem.n)
     try:
@@ -368,7 +364,7 @@ def main(argv=None) -> int:
     except (NominalInfeasibleError, NotFeasiblePointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (SlaterViolatedError, UnsupportedClassError) as exc:
+    except UnsupportedClassError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (NonCertifiedError, NumericalBreakdown, SingularMatrixError) as exc:

@@ -8,12 +8,14 @@ boxes and s = 1/inf norm balls included once lifted into linear rows, are
 decided exactly by LP.  A 2-norm ball or ellipsoid row gets a multiplier
 only when it is active at the point (complementarity zeroes the others):
 with an active one both endpoints are conic multiplier systems solved to
-a residual tolerance under a refined Slater condition (strict slack on
-the 2-norm rows only), and with none they are the same exact LP.  A
+a residual tolerance, and with none they are the same exact LP.  A
 failing endpoint is refuted by one rule for every class: Farkas' lemma
 turns the infeasible endpoint LP (with a tangent column for each active
 2-norm row) into a direction that strictly improves its objectives, and
-a step along it is replayed as the witness; no second LP is solved.
+a step along it is replayed as the witness; no second LP is solved.  Only
+a step across an active 2-norm row needs the refined Slater condition
+(strict slack on the 2-norm rows only), to tilt toward its point; with
+no such point the outcome is "unknown".
 """
 
 from __future__ import annotations
@@ -43,14 +45,6 @@ _INFEASIBLE_ENDPOINT = {e: f"{e} endpoint multiplier system is infeasible"
 
 class NotFeasiblePointError(Exception):
     """Candidate point violates the robust feasible set beyond tolerance."""
-
-
-class SlaterViolatedError(Exception):
-    """No strictly feasible point found for a 2-norm ball or ellipsoid set."""
-
-    def __init__(self, max_slack):
-        self.max_slack = max_slack
-        super().__init__(f"strict feasibility not verified (max slack {max_slack:.3e})")
 
 
 class UnsupportedClassError(Exception):
@@ -477,13 +471,14 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
 
     The feasible set is lifted (RobustFeasibleSet.lift) so that s = 1/inf
     norm balls become linear rows.  The endpoints are exact LPs while no
-    2-norm ball or ellipsoid row is active at the point; with one active a
-    Slater point is verified and both endpoints are joint conic systems.
-    The perturbed endpoint is solved only when the nominal one is feasible.
-    A failing endpoint is refuted by _refute along the Farkas direction of
-    its endpoint LP; when there is no direction, no step along it replays,
-    or a certificate's equality or complementarity residual exceeds
-    RESIDUAL_TOL, the outcome is "unknown" with its reason.
+    2-norm ball or ellipsoid row is active at the point; with one active
+    both endpoints are joint conic systems.  The perturbed endpoint is
+    solved only when the nominal one is feasible.  A failing endpoint is
+    refuted by _refute along the Farkas direction of its endpoint LP,
+    tilted toward the point of check_slater when a 2-norm row is active.
+    When there is no direction, no Slater point for that tilt, no step
+    along it that replays, or a certificate's equality or complementarity
+    residual above RESIDUAL_TOL, the outcome is "unknown" with its reason.
     """
     p = vp.problem
     x_bar = np.asarray(x_bar, float)
@@ -508,12 +503,6 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
     geo = active_geometry(XL, xl)
     # complementarity zeroes the multiplier of a 2-norm row slack at xl
     cones = [r for r in XL.concave if r.slack(xl) <= ACTIVE_TOL]
-    x0 = None
-    if cones:
-        slater = check_slater(X)
-        if not slater.ok:
-            raise SlaterViolatedError(slater.max_slack)
-        x0 = slater.x0
     e0 = _solve_endpoint(D0, XL, geo, cones, xl)
     # a failing nominal endpoint decides the outcome alone
     ends = {"nominal": e0}
@@ -535,12 +524,19 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
         cert = EfficiencyCertificate(e0.lam, e1.lam, nominal, perturbed, *rows, {})
         return _certified(C0, C1, cert, residuals("system_"))
     C, rho = (C0, 0.0) if name == "nominal" else (C1, 1.0)
-    found = None if e.direction is None else _refute(XL, xl, e.direction[:p.n], C, x0)
+    found = None
+    if e.direction is None:
+        why = "its tangent endpoint LP is feasible, so there is no direction to refute along"
+    # untilted, the direction is tangent to the active 2-norm rows, and only
+    # a step whose curvature rounds away would replay along it
+    elif cones and not (slater := check_slater(X)).ok:
+        why = ("no Slater point exists to tilt its Farkas direction into the active "
+               f"2-norm rows (max_slack {slater.max_slack:.3e})")
+    else:
+        found = _refute(XL, xl, e.direction[:p.n], C, slater.x0 if cones else None)
+        why = "no step along its Farkas direction replays as a strictly dominating witness"
     if found is None:
         res = "exact" if e.residual is None else f"{e.residual:.3e}"
-        why = ("its tangent endpoint LP is feasible, so there is no direction to refute along"
-               if e.direction is None else
-               "no step along its Farkas direction replays as a strictly dominating witness")
         return CertifyOutcome("unknown", residuals=residuals(""), reason=(
             f"{name} endpoint infeasible (residual {res}, stop {e.stop_reason}) but {why}"))
     info = RefutationInfo(_INFEASIBLE_ENDPOINT[name], name, rho, *found)

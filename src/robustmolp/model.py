@@ -18,8 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import (NumericalBreakdown, SingularMatrixError,
-                       invert_symmetric, norm_value, slack_value)
+from .numerics import (NumericalBreakdown, SingularMatrixError, invert_symmetric,
+                       norm_value, require_nonsingular, slack_value)
 
 _INF = float("inf")
 
@@ -127,7 +127,7 @@ class NormBall(_UncertaintySet, kind="norm_ball"):
         if np.abs(self.Z - self.Z.T).max() > 1e-9 * max(1.0, np.abs(self.Z).max()):
             raise ValidationError("AsymmetricZ", "Z must be symmetric", j)
         try:
-            invert_symmetric(self.Z)
+            require_nonsingular(self.Z)     # reduce_constraints inverts it
         except SingularMatrixError:
             raise ValidationError("SingularZ", "Z is numerically singular", j)
         if self.delta < 0:

@@ -269,16 +269,21 @@ def slack_value(a, x, b) -> float:
         return _INF if exact > 0 else -_INF
 
 
-def invert_symmetric(Z: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric matrix; raises SingularMatrixError when the
-    determinant of the max-abs-scaled matrix falls below DET_TOL."""
+def require_nonsingular(Z: np.ndarray) -> np.ndarray:
+    """Z as a float array; raises SingularMatrixError when the determinant
+    of the max-abs-scaled matrix falls below DET_TOL."""
     Z = np.asarray(Z, float)
     if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
         raise ValueError("expected a square matrix")
     scale = np.abs(Z).max()
     if scale == 0 or abs(np.linalg.det(Z / scale)) <= DET_TOL:
         raise SingularMatrixError("matrix is numerically singular")
-    return np.linalg.inv(Z)
+    return Z
+
+
+def invert_symmetric(Z: np.ndarray) -> np.ndarray:
+    """Inverse of a symmetric matrix that passes require_nonsingular."""
+    return np.linalg.inv(require_nonsingular(Z))
 
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))

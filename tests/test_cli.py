@@ -220,11 +220,45 @@ def test_certify_cone_refutation_names_its_endpoint(tmp_path, capsys):
     assert "reason" not in rep["payload"]
 
 
-def test_certify_slater_violated_exit_5(tmp_path, capsys):
+def test_certify_without_slater_point_exit_0(tmp_path, capsys):
+    # x - 2|x| >= 0 leaves X = {0}, which has no Slater point; its one
+    # point is weakly efficient, and the certificate replays without one
     doc = {"m": 1, "n": 1, "C_bar": [[-1.0]], "u": [0.0], "v": [0.0],
            "constraints": [{"kind": "norm_ball", "a_bar": [1.0], "Z": [[1.0]],
                             "delta": 2.0, "s": 2, "b_lo": 0.0, "b_hi": 0.0}]}
-    assert main(["certify", _write(tmp_path, doc), "--point", "0"]) == 5
+    path = _write(tmp_path, doc)
+    code, out = _run(capsys, ["certify", path, "--point", "0", "--json"])
+    assert code == 0 and json.loads(out)["verdict"] == "certified"
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(out, encoding="utf-8")
+    code, rep = _run_json(capsys, ["verify", path, "--point", "0", "--cert", str(cert_file)])
+    assert code == 0 and rep["verdict"] == "valid"
+
+
+def test_each_command_validates_its_problem_once(tmp_path, capsys, monkeypatch):
+    import robustmolp.cli as cli
+    import robustmolp.model as model
+
+    calls = []
+    check = model.validate_dimensions
+
+    def counted(p):
+        calls.append(p)
+        return check(p)
+
+    # validate_problem reaches it through model's globals, the CLI through its own
+    monkeypatch.setattr(model, "validate_dimensions", counted)
+    monkeypatch.setattr(cli, "validate_dimensions", counted)
+    path = _write(tmp_path, EX1)
+    code, out = _run(capsys, ["certify", path, "--point", "0,0,0", "--json"])
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(out, encoding="utf-8")
+    for argv in (["radius", path], ["feasible", path, "--alpha", "0.1"],
+                 ["certify", path, "--point", "0,0,0"],
+                 ["verify", path, "--point", "0,0,0", "--cert", str(cert_file)]):
+        calls.clear()
+        assert main(argv) == 0, argv
+        assert len(calls) == 1, argv
     capsys.readouterr()
 
 

@@ -7,7 +7,7 @@ import pytest
 from conftest import (assert_replaying_refutation, box_vertices, random_polyhedral_problem,
                       vertex_candidate, worst_slack)
 from robustmolp import feasibility
-from robustmolp.efficiency import (NotFeasiblePointError, SlaterViolatedError,
+from robustmolp.efficiency import (NotFeasiblePointError,
                                    UnsupportedClassError, active_geometry,
                                    certify_weak_efficiency, check_slater,
                                    weakly_efficient_for_scenario)
@@ -252,14 +252,92 @@ def test_slater_zero_delta_strictly_feasible():
 
 
 def test_slater_violated_when_delta_too_large():
+    # x - 2|x| >= 0 leaves X = {0}: no Slater point, yet its one point is
+    # weakly efficient, and the certificate replays without one
     p = UncertainMOLP(1, 1, [[-1.0]], [0.0], [0.0],
                       (NormBall([1.0], [[1.0]], 2.0, 2, 0.0, 0.0),))
-    X = reduce_constraints(validate_problem(p))
-    chk = check_slater(X)
+    vp = validate_problem(p)
+    chk = check_slater(reduce_constraints(vp))
     assert not chk.ok
     assert chk.max_slack <= 0.0 + 1e-9
-    with pytest.raises(SlaterViolatedError):
-        certify_weak_efficiency(validate_problem(p), np.array([0.0]))
+    x = np.array([0.0])
+    out = certify_weak_efficiency(vp, x)
+    assert out.status == "certified"
+    assert verify_certificate(vp, x, out.certificate).ok
+
+
+# The line x2 = 0: an ellipsoid (0, 0) + w (0, 1), |w| <= 1, with b = 0
+LINE = Ellipsoid([0.0, 0.0], ((0.0, 1.0),), -1.0, 0.0)
+# two tangent unit disks centred at (+-1, 0), homogenized over (x, t) with
+# t fixed at 1 by two singletons; the set is their one common point
+TANGENT_DISKS = (Singleton([0.0, 0.0, 1.0], 1.0), Singleton([0.0, 0.0, -1.0], -1.0),
+                 Ellipsoid([0.0, 0.0, 1.0], ((1.0, 0.0, -1.0), (0.0, 1.0, 0.0)), -1.0, 0.0),
+                 Ellipsoid([0.0, 0.0, 1.0], ((1.0, 0.0, 1.0), (0.0, 1.0, 0.0)), -1.0, 0.0))
+
+
+@pytest.mark.parametrize("cons, C, x", [((LINE,), [[0.0, 1.0]], [0.0, 0.0]),
+                                        (TANGENT_DISKS, [[1.0, 0.0, 0.0]], [0.0, 0.0, 1.0])])
+def test_certify_needs_no_slater_point(cons, C, x):
+    # the objective is normal to the set at its point: weakly efficient
+    x = np.array(x)
+    vp = validate_problem(UncertainMOLP(1, x.size, C, [0.0], np.zeros(x.size), cons))
+    assert not check_slater(reduce_constraints(vp)).ok
+    out = certify_weak_efficiency(vp, x)
+    assert out.status == "certified"
+    assert verify_certificate(vp, x, out.certificate).ok
+
+
+@pytest.mark.parametrize("cons, C, x", [((LINE,), [[1.0, 0.0]], [0.0, 0.0]),
+                                        (TANGENT_DISKS, [[0.0, 1.0, 0.0]], [0.0, 0.0, 1.0])])
+def test_no_slater_point_no_refutation_across_an_active_two_norm_row(cons, C, x):
+    # the objective runs along the set's tangent, so the endpoint fails; an
+    # untilted step along its direction leaves the active rows, and the
+    # one it would replay (0, -2^-26, 1) for the disks is infeasible by
+    # about 1e-16, "inside" only because sqrt(1 + 2^-52) rounds to 1
+    x = np.array(x)
+    vp = validate_problem(UncertainMOLP(1, x.size, C, [0.0], np.zeros(x.size), cons))
+    chk = check_slater(reduce_constraints(vp))
+    assert not chk.ok
+    out = certify_weak_efficiency(vp, x)
+    assert out.status == "unknown" and out.refutation is None
+    assert out.reason.startswith("nominal endpoint infeasible (residual ")
+    assert ", stop " in out.reason
+    assert out.reason.endswith("but no Slater point exists to tilt its Farkas direction "
+                               f"into the active 2-norm rows (max_slack {chk.max_slack:.3e})")
+
+
+def test_certified_active_two_norm_row_runs_no_slater_search(monkeypatch):
+    import robustmolp.efficiency as eff
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a certificate needs no Slater point")
+
+    monkeypatch.setattr(eff, "check_slater", forbidden)
+    systems = _spy_cone_systems(monkeypatch)
+    # the unit disc tight at (1, 0), minimizing -x1
+    disc = NormBall([0.0, 0.0], np.eye(2), 1.0, 2, -2.0, -1.0)
+    vp = validate_problem(UncertainMOLP(1, 2, [[-1.0, 0.0]], [0.0], [0.0, 0.0], (disc,)))
+    x = np.array([1.0, 0.0])
+    out = certify_weak_efficiency(vp, x)
+    assert out.status == "certified" and systems
+    assert verify_certificate(vp, x, out.certificate).ok
+
+
+def test_each_norm_ball_is_inverted_once_per_certify(monkeypatch):
+    import robustmolp.model as model
+    calls = []
+    invert = model.invert_symmetric
+
+    def counted(Z):
+        calls.append(Z)
+        return invert(Z)
+
+    monkeypatch.setattr(model, "invert_symmetric", counted)
+    balls = tuple(NormBall([1.0, float(k)], [[2.0, 1.0], [1.0, 2.0]], 0.5, s, -1.0, 0.0)
+                  for k, s in enumerate((1, 2, _INF)))
+    p = UncertainMOLP(1, 2, [[1.0, 0.0]], [0.0], [0.0, 0.0], balls)
+    certify_weak_efficiency(validate_problem(p), np.array([10.0, 10.0]))
+    assert len(calls) == len(balls)
 
 
 def _slater_lps(monkeypatch, delta, s):
@@ -721,7 +799,9 @@ def test_certificate_records_hold_no_view_of_the_reduced_set():
 
 @pytest.mark.xfail(strict=True, raises=NumericalBreakdown, reason=(
     "known defect: solve_lp raises 'phase-1 unbounded' inside the Kelley-cut "
-    "Slater LP of _slack_lp on this valid problem, and certify exits 2"))
+    "Slater LP of _slack_lp, which check_slater runs for the tilt of a "
+    "refutation across an active 2-norm row, on this valid problem, and "
+    "certify exits 2"))
 def test_slater_lp_phase_one_breakdown_on_homogenized_joint_balls():
     # joint balls of radius 0.2 around (A_j, b_j), homogenized over (x, t)
     # with t fixed at 1; the system's radius is 0.2013 > 0.2, so a Slater

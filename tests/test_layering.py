@@ -3,7 +3,8 @@
 The certifiers must not reach the layers that check or present them: the
 oracle is a cross-check of certify, so certify never calls it, and no
 module may import one that imports it back, at module level or inside a
-function.
+function.  No module imports a name it never uses, so a name the library
+drops cannot linger in an import.
 """
 
 import ast
@@ -59,3 +60,28 @@ def test_import_graph_is_acyclic():
 
     for name in sorted(GRAPH):
         visit(name)
+
+
+def _unused_imports(source):
+    """The names an import binds that the module never reads, __future__
+    features aside."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    return bound - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def test_unused_import_check_sees_an_unused_name():
+    source = "from .efficiency import Gone, kept\nimport numpy as np\nkept(np.zeros(1))\n"
+    assert _unused_imports(source) == {"Gone"}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # the package's __init__ imports to re-export
+    unused = {name: _unused_imports((PKG / f"{name}.py").read_text(encoding="utf-8"))
+              for name in MODULES - {"__init__"}}
+    assert not {k: v for k, v in unused.items() if v}
