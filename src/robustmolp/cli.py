@@ -22,12 +22,12 @@ import time
 import numpy as np
 
 from . import oracle
-from .efficiency import (EfficiencyCertificate, ConstraintMultiplier,
+from .efficiency import (RESIDUAL_TOL, EfficiencyCertificate, ConstraintMultiplier,
                          NotFeasiblePointError, UnsupportedClassError,
                          certify_weak_efficiency)
 from .feasibility import (NominalInfeasibleError, NonCertifiedError,
                           ball_robust_feasible, radius_of_robust_feasibility)
-from .model import (ProblemFormatError, Singleton, ValidationError,
+from .model import (ProblemFormatError, Singleton, ValidationError, _json_numbers,
                     load_problem, reject_nonfinite_constant,
                     validate_dimensions, validate_problem)
 from .numerics import NumericalBreakdown, SingularMatrixError
@@ -172,8 +172,6 @@ def _multiplier_to_dict(rec: ConstraintMultiplier):
         "scenario_a": np.asarray(rec.scenario_a).tolist(),
         "scenario_b": rec.scenario_b,
         "witness": None if rec.witness is None else np.asarray(rec.witness).tolist(),
-        "witness_norm": rec.witness_norm,
-        "complementarity": rec.complementarity,
     }
 
 
@@ -183,11 +181,15 @@ def certificate_to_dict(cert: EfficiencyCertificate) -> dict:
         "lambda_tilde": cert.lambda_perturbed.tolist(),
         "nominal": [_multiplier_to_dict(r) for r in cert.nominal],
         "perturbed": [_multiplier_to_dict(r) for r in cert.perturbed],
-        "active_rows": list(cert.active_rows),
-        "row_mu": None if cert.row_mu_nominal is None else cert.row_mu_nominal.tolist(),
-        "row_mu_tilde": None if cert.row_mu_perturbed is None else cert.row_mu_perturbed.tolist(),
-        "residuals": dict(cert.residuals),
     }
+
+
+def _numbers(d, key):
+    """d[key], which must hold JSON numbers as the problem schema's do: a
+    string or a bool is not one."""
+    if not _json_numbers(d[key]):
+        raise ProblemFormatError(f"certificate {key} must hold JSON numbers only")
+    return d[key]
 
 
 def _multiplier_from_dict(d) -> ConstraintMultiplier:
@@ -195,26 +197,24 @@ def _multiplier_from_dict(d) -> ConstraintMultiplier:
         raise TypeError("a certificate record is not an object")
     wit = d.get("witness")
     return ConstraintMultiplier(
-        float(d["mu"]), np.asarray(d["scenario_a"], float),
-        float(d["scenario_b"]),
-        None if wit is None else np.asarray(wit, float),
-        float(d.get("witness_norm", 0.0)), float(d.get("complementarity", 0.0)))
+        float(_numbers(d, "mu")), np.asarray(_numbers(d, "scenario_a"), float),
+        float(_numbers(d, "scenario_b")),
+        None if wit is None else np.asarray(_numbers(d, "witness"), float))
 
 
 def certificate_from_dict(d) -> EfficiencyCertificate:
+    """The certificate of certificate_to_dict's form.  Keys it does not
+    read are ignored, so a certificate that still carries the derived
+    fields of the earlier form replays with the same report."""
     try:        # json.load reads a number beyond the float range, 1e999, as inf
         json.dumps(d, allow_nan=False)
     except ValueError:
         raise ProblemFormatError("certificate numbers must be finite") from None
     return EfficiencyCertificate(
-        np.asarray(d["lambda"], float),
-        np.asarray(d["lambda_tilde"], float),
+        np.asarray(_numbers(d, "lambda"), float),
+        np.asarray(_numbers(d, "lambda_tilde"), float),
         tuple(_multiplier_from_dict(r) for r in d["nominal"]),
-        tuple(_multiplier_from_dict(r) for r in d["perturbed"]),
-        tuple(d.get("active_rows", ())),
-        None if d.get("row_mu") is None else np.asarray(d["row_mu"], float),
-        None if d.get("row_mu_tilde") is None else np.asarray(d["row_mu_tilde"], float),
-        dict(d.get("residuals", {})))
+        tuple(_multiplier_from_dict(r) for r in d["perturbed"]))
 
 
 def _parse_point(text, n):
@@ -250,7 +250,7 @@ def cmd_certify(args) -> int:
     exit_code = {"certified": EXIT_OK, "refuted": EXIT_NEGATIVE,
                  "unknown": EXIT_INCONCLUSIVE}[outcome.status]
     if args.oracle:
-        ov = oracle.refute_robust_weak_efficiency(problem, x_bar, k=args.oracle)
+        ov = oracle.refute_robust_weak_efficiency(vp, x_bar, k=args.oracle)
         payload["oracle"] = {
             "outcome": ov.outcome,
             "checks_run": ov.checks_run,
@@ -339,7 +339,7 @@ def _build_parser():
     common(sp)
     sp.add_argument("--point", required=True)
     sp.add_argument("--cert", required=True, help="certificate (or certify report) file")
-    sp.add_argument("--tol", type=float, default=1e-7)
+    sp.add_argument("--tol", type=float, default=RESIDUAL_TOL)
     sp.set_defaults(func=cmd_verify)
     return ap
 

@@ -269,8 +269,6 @@ class ConstraintMultiplier:
     scenario_a: np.ndarray
     scenario_b: float
     witness: np.ndarray | None      # unit-ball witness for cone classes
-    witness_norm: float
-    complementarity: float          # mu * (scenario_a . x_bar - scenario_b)
 
 
 @dataclass(frozen=True, slots=True)
@@ -279,10 +277,6 @@ class EfficiencyCertificate:
     lambda_perturbed: np.ndarray
     nominal: tuple                  # ConstraintMultiplier per constraint
     perturbed: tuple
-    active_rows: tuple              # LP path only (rows of the lifted set), else ()
-    row_mu_nominal: np.ndarray | None
-    row_mu_perturbed: np.ndarray | None
-    residuals: dict
 
 
 def _in_rn(a, n):
@@ -291,18 +285,15 @@ def _in_rn(a, n):
     return a if a.size == n else a[:n].copy()
 
 
-def _witness_record(row, n, mu_j, y, x_bar):
+def _witness_record(row, n, mu_j, y):
     """Record of an affine norm-ball row a_bar + P w whose multiplier mu_j
     carries y = mu_j w; w is scaled back into the unit s-ball."""
     w = y / mu_j if mu_j > 1e-10 else np.zeros_like(y)
     w = w / max(1.0, norm_value(w, row.s))
-    a = _in_rn(row.a_bar - row.P @ w, n)
-    slack = slack_value(a, x_bar, row.b)
-    return ConstraintMultiplier(mu_j, a, row.b, w, norm_value(w, row.s),
-                                mu_j * slack if mu_j else math.copysign(0.0, slack))
+    return ConstraintMultiplier(mu_j, _in_rn(row.a_bar - row.P @ w, n), row.b, w)
 
 
-def _constraint_records(p, X, XL, sol: EndpointSolve, x_bar, zero):
+def _constraint_records(p, X, XL, sol: EndpointSolve, zero):
     """One record per constraint from an endpoint solution over XL, the
     lift of the reduced set X, cut back to R^n.
 
@@ -329,15 +320,14 @@ def _constraint_records(p, X, XL, sol: EndpointSolve, x_bar, zero):
     for j, c in enumerate(p.constraints):
         if j in cones:
             row, seg = cones[j]
-            recs.append(_witness_record(row, n, max(0.0, float(seg[-1])), seg[:-1], x_bar))
+            recs.append(_witness_record(row, n, max(0.0, float(seg[-1])), seg[:-1]))
             continue
         if j in balls:
             k0, row = balls[j]
             q = row.P.shape[1]
             nu = np.fromiter((sol.mu_of.get(i, 0.0) for i in range(k0 + 1, k0 + 1 + 2 * q)),
                              float, 2 * q)
-            recs.append(_witness_record(row, n, float(sol.mu_of.get(k0, 0.0)),
-                                        nu[q:] - nu[:q], x_bar))
+            recs.append(_witness_record(row, n, float(sol.mu_of.get(k0, 0.0)), nu[q:] - nu[:q]))
             continue
         act = terms.get(j, ())
         mu_j = float(sum(mu for _, mu in act))
@@ -347,21 +337,20 @@ def _constraint_records(p, X, XL, sol: EndpointSolve, x_bar, zero):
             # the mean of one row is nearly always that row bit for bit
             a = next((own_row(c, i - first[j], n) for i in range(first[j], first[j + 1])
                       if A[i].tobytes() == a.tobytes()), a)
-            recs.append(ConstraintMultiplier(mu_j, np.asarray(a, float), b, None, 0.0,
-                                             mu_j * slack_value(a, x_bar, b)))
+            recs.append(ConstraintMultiplier(mu_j, np.asarray(a, float), b, None))
             continue
         if j not in zero:
             # linear: concave rows have records above
-            a, b = own_row(c, 0, n), float(X.rows[first[j], -1])
-            # mu times the slack: a zero whose sign shows in the canonical
-            # JSON, and no NaN where the slack overflows
-            zero[j] = ConstraintMultiplier(0.0, a, b, None, 0.0,
-                                           math.copysign(0.0, slack_value(a, x_bar, b)))
+            zero[j] = ConstraintMultiplier(0.0, own_row(c, 0, n),
+                                           float(X.rows[first[j], -1]), None)
         recs.append(zero[j])
     return tuple(recs)
 
 
-def _certificate_residuals(C0, C1, cert):
+def _certificate_residuals(C0, C1, cert, x_bar):
+    """The residuals verify_certificate replays: each endpoint equality,
+    and complementarity, the largest |mu (a.x_bar - b)| of a record with
+    mu != 0."""
     out = {}
     for eq_key, comp_key, C, lam, recs in (
             ("endpoint_equality_nominal", "complementarity_nominal",
@@ -371,8 +360,8 @@ def _certificate_residuals(C0, C1, cert):
         lhs = C.T @ lam
         rhs = sum(r.mu * r.scenario_a for r in recs)
         out[eq_key] = float(np.linalg.norm(lhs - rhs))
-        out[comp_key] = float(max((abs(r.complementarity) for r in recs),
-                                  default=0.0))
+        out[comp_key] = float(max((abs(r.mu * slack_value(r.scenario_a, x_bar, r.scenario_b))
+                                   for r in recs if r.mu), default=0.0))
     return out
 
 
@@ -454,16 +443,16 @@ def _refute(XL, xl, d, C, x0):
     return None
 
 
-def _certified(C0, C1, cert, extra):
+def _certified(C0, C1, cert, x_bar, extra):
     """The certified outcome, or "unknown" when a residual that
     verify_certificate replays exceeds RESIDUAL_TOL."""
-    resid = _certificate_residuals(C0, C1, cert)
+    resid = _certificate_residuals(C0, C1, cert, x_bar)
     bad = [k for k, v in resid.items() if not v <= RESIDUAL_TOL]     # NaN too
     resid.update(extra)
     if bad:
         return CertifyOutcome("unknown", residuals=resid, reason=(
             f"certificate residual above RESIDUAL_TOL ({bad[0]} = {resid[bad[0]]:.3e})"))
-    return CertifyOutcome("certified", certificate=replace(cert, residuals=resid), residuals=resid)
+    return CertifyOutcome("certified", certificate=cert, residuals=resid)
 
 
 def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
@@ -517,12 +506,10 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
     if e.feasible:
         e1 = e                              # both endpoints are feasible
         zero = {}
-        nominal = _constraint_records(p, X, XL, e0, x_bar, zero)
-        perturbed = nominal if e1 is e0 else _constraint_records(p, X, XL, e1, x_bar, zero)
-        row_mu = [np.fromiter(e.mu_of.values(), float, len(e.mu_of)) for e in (e0, e1)]
-        rows = ((), None, None) if XL.concave else (geo.active_rows, *row_mu)
-        cert = EfficiencyCertificate(e0.lam, e1.lam, nominal, perturbed, *rows, {})
-        return _certified(C0, C1, cert, residuals("system_"))
+        nominal = _constraint_records(p, X, XL, e0, zero)
+        perturbed = nominal if e1 is e0 else _constraint_records(p, X, XL, e1, zero)
+        cert = EfficiencyCertificate(e0.lam, e1.lam, nominal, perturbed)
+        return _certified(C0, C1, cert, x_bar, residuals("system_"))
     C, rho = (C0, 0.0) if name == "nominal" else (C1, 1.0)
     found = None
     if e.direction is None:

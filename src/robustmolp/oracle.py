@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .efficiency import NotFeasiblePointError, weakly_efficient_for_scenario
+from .efficiency import RESIDUAL_TOL, NotFeasiblePointError, weakly_efficient_for_scenario
 from .model import (Ball, Box, Ellipsoid, NormBall, Polytope,
                     RobustFeasibleSet, Singleton, UncertainMOLP,
                     ValidatedProblem, reduce_constraints, validate_dimensions)
@@ -94,12 +94,16 @@ def refute_robust_weak_efficiency(p, x_bar, k: int = 11) -> OracleVerdict:
     boundary-scenario rows (a superset of the true set), so every candidate
     witness is replayed against the exact rows before a refutation is
     claimed; with sampling in play and no refutation found the verdict
-    stays inconclusive.
+    stays inconclusive.  A ValidatedProblem is taken as validated; a raw
+    problem is checked by validate_dimensions.
     """
-    p = _as_problem(p)
-    validate_dimensions(p)
+    if isinstance(p, ValidatedProblem):
+        vp, p = p, p.problem
+    else:
+        validate_dimensions(p)
+        vp = ValidatedProblem(p)
     x_bar = np.asarray(x_bar, float)
-    X = reduce_constraints(ValidatedProblem(p))
+    X = reduce_constraints(vp)
     if (worst := _min_slack(X, x_bar)) < -1e-8:
         raise NotFeasiblePointError(f"a row is violated by {-worst:.3e}")
     XL, xl = X.lift(x_bar)
@@ -242,7 +246,7 @@ def _exact_norm(rows, w, scale=1.0):
         return _FLOAT_MAX
 
 
-def verify_certificate(vp, x_bar, cert, tol: float = 1e-7) -> VerificationReport:
+def verify_certificate(vp, x_bar, cert, tol: float = RESIDUAL_TOL) -> VerificationReport:
     """Replay every certificate condition at the given tolerance.
 
     Checks simplex membership of both weight vectors, multiplier signs,

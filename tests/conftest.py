@@ -86,6 +86,13 @@ def box_vertices(a_lo, a_hi):
     return np.where(bits == 1, a_hi, a_lo)
 
 
+def vertex_multipliers(rec, vertices):
+    """The multiplier a certificate record puts on each vertex of a
+    polytope: all of it on the vertex its scenario row equals."""
+    row = np.append(rec.scenario_a, rec.scenario_b)
+    return [rec.mu if np.array_equal(row, v) else 0.0 for v in vertices]
+
+
 def vertex_candidate(rng, problem):
     """A vertex of the linear rows of the reduced feasible set (basic
     optimum of a random LP); rows of other kinds are left out."""

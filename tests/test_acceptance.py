@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from conftest import (box_vertices, random_feasible_rows,
-                      random_polyhedral_problem, vertex_candidate)
+                      random_polyhedral_problem, vertex_candidate,
+                      vertex_multipliers)
 from robustmolp.efficiency import (certify_weak_efficiency,
                                    weakly_efficient_for_scenario)
 from robustmolp.feasibility import (ball_robust_feasible, cone_contains,
@@ -96,8 +97,10 @@ def test_criterion_4_derived_positive_instance():
     ok = (out.status == "certified"
           and np.allclose(cert.lambda_nominal, [2 / 3, 1 / 3], atol=1e-9)
           and np.allclose(cert.lambda_perturbed, [1 / 3, 2 / 3], atol=1e-9)
-          and np.allclose(cert.row_mu_nominal, [1.0, 0.0], atol=1e-9)
-          and np.allclose(cert.row_mu_perturbed, [0.0, 1.0], atol=1e-9)
+          and np.allclose(vertex_multipliers(cert.nominal[0], V1.vertices), [1.0, 0.0],
+                          atol=1e-9)
+          and np.allclose(vertex_multipliers(cert.perturbed[0], V1.vertices), [0.0, 1.0],
+                          atol=1e-9)
           and verify_certificate(vp, XBAR, cert, 1e-7).ok)
     _line("criterion 4: derived positive instance multipliers + replay", ok)
 

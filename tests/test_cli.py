@@ -132,7 +132,13 @@ def test_certify_derived_instance(tmp_path, capsys):
     assert rep["verdict"] == "certified"
     cert = rep["payload"]["certificate"]
     assert cert["lambda"] == pytest.approx([2 / 3, 1 / 3], abs=1e-9)
-    assert cert["row_mu"] == pytest.approx([1.0, 0.0], abs=1e-9)
+    # the active rows are the first polytope's vertices: its record's mu
+    # sits on the first of them at the nominal endpoint, the second at the perturbed
+    vertices = EX2["constraints"][0]["vertices"]
+    for key, vertex in (("nominal", 0), ("perturbed", 1)):
+        assert [r["mu"] for r in cert[key]] == pytest.approx([1.0, 0.0], abs=1e-9)
+        rec = cert[key][0]
+        assert rec["scenario_a"] + [rec["scenario_b"]] == vertices[vertex]
 
 
 def test_certify_with_oracle_cross_check(tmp_path, capsys):
@@ -238,6 +244,7 @@ def test_certify_without_slater_point_exit_0(tmp_path, capsys):
 def test_each_command_validates_its_problem_once(tmp_path, capsys, monkeypatch):
     import robustmolp.cli as cli
     import robustmolp.model as model
+    import robustmolp.oracle as oracle
 
     calls = []
     check = model.validate_dimensions
@@ -246,15 +253,17 @@ def test_each_command_validates_its_problem_once(tmp_path, capsys, monkeypatch):
         calls.append(p)
         return check(p)
 
-    # validate_problem reaches it through model's globals, the CLI through its own
-    monkeypatch.setattr(model, "validate_dimensions", counted)
-    monkeypatch.setattr(cli, "validate_dimensions", counted)
+    # validate_problem reaches it through model's globals, the CLI and the
+    # oracle through their own
+    for module in (model, cli, oracle):
+        monkeypatch.setattr(module, "validate_dimensions", counted)
     path = _write(tmp_path, EX1)
     code, out = _run(capsys, ["certify", path, "--point", "0,0,0", "--json"])
     cert_file = tmp_path / "cert.json"
     cert_file.write_text(out, encoding="utf-8")
     for argv in (["radius", path], ["feasible", path, "--alpha", "0.1"],
                  ["certify", path, "--point", "0,0,0"],
+                 ["certify", path, "--point", "0,0,0", "--oracle=3"],
                  ["verify", path, "--point", "0,0,0", "--cert", str(cert_file)]):
         calls.clear()
         assert main(argv) == 0, argv
@@ -452,6 +461,88 @@ def test_verify_number_beyond_the_float_range_exits_3(tmp_path, capsys, fmt, lit
     assert err.startswith("error:") and "Traceback" not in err
 
 
+# a 2-norm ball tight at the origin beside x2 >= 0, certified at (0, 0)
+TIGHT_BALL = {"m": 2, "n": 2, "C_bar": [[1.0, 0.0], [0.0, 1.0]], "u": [1.0, 0.0],
+              "v": [0.0, 1.0],
+              "constraints": [{"kind": "norm_ball", "a_bar": [1.0, 0.0],
+                               "Z": [[1.0, 0.0], [0.0, 1.0]], "delta": 0.5, "s": 2,
+                               "b_lo": -1.0, "b_hi": 0.0},
+                              {"kind": "singleton", "a_bar": [0.0, 1.0], "b_bar": 0.0}]}
+
+# certify's certificate of TIGHT_BALL at (0, 0) as written before it was cut
+# to what verify replays: it also carried the lifted set's active rows and
+# row multipliers, a copy of the report residuals, and per record the
+# witness norm and mu times the slack
+DERIVED_KEYS_CERTIFICATE = json.loads("""{
+ "active_rows": [], "lambda": [0.72222222222222221, 0.27777777777777779],
+ "lambda_tilde": [0.64285714285714235, 0.35714285714285771],
+ "nominal": [
+  {"complementarity": 0, "mu": 0.77777777777777779,
+   "scenario_a": [0.9285714285714286, 0.071428571428571425], "scenario_b": 0,
+   "witness": [0.14285714285714285, -0.14285714285714285], "witness_norm": 0.20203050891044214},
+  {"complementarity": 0, "mu": 0.22222222222222221, "scenario_a": [0, 1], "scenario_b": 0,
+   "witness": null, "witness_norm": 0}],
+ "perturbed": [
+  {"complementarity": 0, "mu": 0.71428571428571441,
+   "scenario_a": [0.90000000000000002, 0.28000000000025105], "scenario_b": 0,
+   "witness": [0.19999999999999987, -0.5600000000005021], "witness_norm": 0.59464274989321297},
+  {"complementarity": 0, "mu": 0.80000000000071747, "scenario_a": [0, 1], "scenario_b": 0,
+   "witness": null, "witness_norm": 0}],
+ "residuals": {"complementarity_nominal": 0, "complementarity_perturbed": 0,
+               "endpoint_equality_nominal": 0,
+               "endpoint_equality_perturbed": 8.9683840668031348e-13,
+               "system_nominal": 2.7755575615628914e-17,
+               "system_perturbed": 8.969495182756765e-13},
+ "row_mu": null, "row_mu_tilde": null}""")
+
+
+def test_certificate_with_the_derived_keys_verifies_with_the_same_report(tmp_path, capsys):
+    path = _write(tmp_path, TIGHT_BALL)
+    code, rep = _run_json(capsys, ["certify", path, "--point=0,0"])
+    assert code == 0
+    kept = rep["payload"]["certificate"]
+    # the kept fields are the earlier certificate's, bit for bit
+    old = DERIVED_KEYS_CERTIFICATE
+    want = {k: old[k] for k in ("lambda", "lambda_tilde")}
+    for k in ("nominal", "perturbed"):
+        want[k] = [{f: v for f, v in r.items() if f not in ("complementarity", "witness_norm")}
+                   for r in old[k]]
+    assert kept == want
+    assert rep["residuals"] == old["residuals"]
+    reports = []
+    for doc in (old, kept):
+        code, rep = _run_json(capsys, ["verify", path, "--point=0,0", "--cert",
+                                       _write(tmp_path, doc, "c.json")])
+        assert code == 0 and rep["verdict"] == "valid"
+        del rep["wall_time_ms"]
+        reports.append(rep)
+    assert reports[0] == reports[1]
+    assert reports[0]["residuals"]["endpoint_equality_perturbed"] == 8.9683840668031348e-13
+
+
+@pytest.mark.parametrize("edit", [
+    lambda c: c["nominal"][0].update(scenario_a=["inf", 0.0]),
+    lambda c: c["nominal"][0].update(mu="inf"),
+    lambda c: c.update({"lambda": ["1", 0]}),
+    lambda c: c["nominal"][0].update(mu=True),
+    lambda c: c["perturbed"][1].update(witness=[False, 0.0]),
+], ids=["scenario_a-string", "mu-string", "lambda-string", "mu-true", "witness-false"])
+def test_verify_certificate_values_that_are_not_json_numbers_exit_3(tmp_path, capsys, edit):
+    # as in the problem schema, a string or a bool is not a number: "inf"
+    # in scenario_a exited 3 under --json only, on a non-finite report, and
+    # 1 under --text; "mu": "inf" answered invalid; a string lambda entry
+    # and "mu": true answered valid
+    path = _write(tmp_path, ORTHANT)
+    code, rep = _run_json(capsys, ["certify", path, "--point=0,0"])
+    assert code == 0
+    edit(rep["payload"]["certificate"])
+    cert = _write(tmp_path, rep, "c.json")
+    for fmt in ("--json", "--text"):
+        assert main(["verify", path, "--point=0,0", "--cert", cert, fmt]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "JSON numbers" in err
+
+
 def test_verify_endpoint_sum_cancelling_beyond_the_float_range(tmp_path, capsys):
     # mu_j a_j = +-1e600 cancel exactly: the residual is |C^T lambda| alone
     path = _write(tmp_path, ORTHANT)
@@ -514,10 +605,10 @@ def test_oracle_disagreement_exit_6(tmp_path, capsys, monkeypatch):
     import robustmolp.cli as cli_mod
     from robustmolp.oracle import OracleVerdict, Witness
 
-    def fake_refute(problem, x_bar, k):
+    def fake_refute(vp, x_bar, k):
         return OracleVerdict("refuted",
-                             Witness(0.5, np.zeros(problem.n),
-                                     np.ones(problem.m)), k)
+                             Witness(0.5, np.zeros(vp.problem.n),
+                                     np.ones(vp.problem.m)), k)
 
     monkeypatch.setattr(cli_mod.oracle, "refute_robust_weak_efficiency",
                         fake_refute)
@@ -602,7 +693,8 @@ def test_24_dimensional_box_certifies_replays_and_is_confirmed(tmp_path, capsys)
     assert rep["verdict"] == "certified"
     assert rep["payload"]["oracle"]["outcome"] == "confirmed"
     rec = rep["payload"]["certificate"]["nominal"][0]
-    assert rec["mu"] > 0 and rec["witness_norm"] == pytest.approx(1.0)
+    # the witness scales the box's half widths: a vertex has |w_i| = 1
+    assert rec["mu"] > 0 and max(map(abs, rec["witness"])) == pytest.approx(1.0)
     assert rec["scenario_a"] == pytest.approx(a_min.tolist(), abs=1e-12)
     cert_file = tmp_path / "cert.json"
     cert_file.write_text(out, encoding="utf-8")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (assert_replaying_refutation, box_vertices, random_polyhedral_problem,
-                      vertex_candidate, worst_slack)
+                      vertex_candidate, vertex_multipliers, worst_slack)
 from robustmolp import feasibility
 from robustmolp.efficiency import (NotFeasiblePointError,
                                    UnsupportedClassError, active_geometry,
@@ -14,7 +14,7 @@ from robustmolp.efficiency import (NotFeasiblePointError,
 from robustmolp.model import (Ball, Box, Ellipsoid, NormBall,
                               Polytope, Singleton, UncertainMOLP,
                               reduce_constraints, validate_problem)
-from robustmolp.numerics import NumericalBreakdown
+from robustmolp.numerics import NumericalBreakdown, norm_value
 from robustmolp.oracle import refute_robust_weak_efficiency, verify_certificate
 
 _INF = float("inf")
@@ -92,9 +92,9 @@ def test_certify_derived_instance_multipliers():
     c = out.certificate
     assert c.lambda_nominal == pytest.approx([2 / 3, 1 / 3], abs=1e-9)
     assert c.lambda_perturbed == pytest.approx([1 / 3, 2 / 3], abs=1e-9)
-    assert c.active_rows == (0, 1)
-    assert c.row_mu_nominal == pytest.approx([1.0, 0.0], abs=1e-9)
-    assert c.row_mu_perturbed == pytest.approx([0.0, 1.0], abs=1e-9)
+    # the active rows are V1's two vertices: each endpoint puts its mass on one
+    assert vertex_multipliers(c.nominal[0], V1.vertices) == pytest.approx([1.0, 0.0], abs=1e-9)
+    assert vertex_multipliers(c.perturbed[0], V1.vertices) == pytest.approx([0.0, 1.0], abs=1e-9)
     # per-constraint aggregation: all the mass sits on the first polytope
     assert [r.mu for r in c.nominal] == pytest.approx([1.0, 0.0], abs=1e-9)
     assert verify_certificate(derived_instance(), XBAR, c, 1e-7).ok
@@ -151,7 +151,9 @@ def test_certify_polytope_wrapper_endpoint_verdicts():
     # both endpoint systems feasible, on the exact per-row (LP) path
     assert out.status == "certified"
     cert = out.certificate
-    assert cert.row_mu_nominal is not None and cert.row_mu_perturbed is not None
+    # an exact LP leaves no cone-system residual, and a polytope no witness
+    assert not {"system_nominal", "system_perturbed"} & set(out.residuals)
+    assert all(r.witness is None for r in cert.nominal + cert.perturbed)
     assert cert.lambda_nominal == pytest.approx([2 / 3, 1 / 3], abs=1e-9)
     assert cert.lambda_perturbed == pytest.approx([1 / 3, 2 / 3], abs=1e-9)
 
@@ -426,7 +428,7 @@ def test_norm_one_and_inf_cone_paths_are_exact():
         out = certify_weak_efficiency(validate_problem(good), np.array([0.0, 0.0]))
         assert out.status == "certified"
         rec = out.certificate.nominal[0]
-        assert rec.witness_norm <= 1.0 + 1e-10
+        assert norm_value(rec.witness, s) <= 1.0 + 1e-10
         assert verify_certificate(validate_problem(good), np.zeros(2),
                                   out.certificate, 1e-7).ok
         bad = UncertainMOLP(1, 2, [[-1.0, 0.0]], [0.0], [0.0, 0.0], (con,))
@@ -614,7 +616,7 @@ def test_inactive_second_ball_leaves_a_replaying_certificate():
     # the inactive ball's record: no multiplier, witness w = 0, scenario a_bar
     for recs in (out.certificate.nominal, out.certificate.perturbed):
         rec = recs[1]
-        assert rec.mu == 0.0 and rec.witness_norm == 0.0
+        assert rec.mu == 0.0 and norm_value(rec.witness, 2) == 0.0
         assert not rec.witness.any()
         assert np.array_equal(rec.scenario_a, X.concave[1].a_bar)
 
@@ -1085,7 +1087,7 @@ def test_certificate_closure_and_complementarity(rng):
         assert verify_certificate(vp, x, cert, 1e-7).ok
         for recs in (cert.nominal, cert.perturbed):
             for rec in recs:
-                assert abs(rec.complementarity) <= 1e-7
+                assert abs(rec.mu * (rec.scenario_a @ x - rec.scenario_b)) <= 1e-7
 
 
 def test_positive_scaling_invariance(rng):

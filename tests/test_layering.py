@@ -4,7 +4,9 @@ The certifiers must not reach the layers that check or present them: the
 oracle is a cross-check of certify, so certify never calls it, and no
 module may import one that imports it back, at module level or inside a
 function.  No module imports a name it never uses, so a name the library
-drops cannot linger in an import.
+drops cannot linger in an import.  Every field of a certificate is read
+by the oracle, which replays it, so a certificate carries no derived
+data.
 """
 
 import ast
@@ -85,3 +87,26 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {name: _unused_imports((PKG / f"{name}.py").read_text(encoding="utf-8"))
               for name in MODULES - {"__init__"}}
     assert not {k: v for k, v in unused.items() if v}
+
+
+def _class_fields(source, names):
+    """The annotated fields of the named classes of a module."""
+    return {node.name: [s.target.id for s in node.body if isinstance(s, ast.AnnAssign)]
+            for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef) and node.name in names}
+
+
+def _attributes_read(source):
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_a_certificate_holds_only_what_verify_replays():
+    # a field the oracle never reads is derived data: the canonical JSON
+    # would carry it, and a change to what it derives from would re-record it
+    names = {"EfficiencyCertificate", "ConstraintMultiplier"}
+    fields = _class_fields((PKG / "efficiency.py").read_text(encoding="utf-8"), names)
+    read = _attributes_read((PKG / "oracle.py").read_text(encoding="utf-8"))
+    assert set(fields) == names and all(fields.values())
+    assert {c: [f for f in fs if f not in read] for c, fs in fields.items()} \
+        == dict.fromkeys(names, [])

@@ -59,6 +59,32 @@ def test_dimension_mismatch_rejected():
     assert exc.value.kind == "DimensionMismatch"
 
 
+def _problem(m, n, *constraints):
+    return UncertainMOLP(m, n, np.zeros((m, n)), np.zeros(m), np.zeros(n), constraints)
+
+
+def _ball(**fields):
+    return NormBall(**{"a_bar": [1.0], "Z": [[1.0]], "delta": 0.5, "s": 2, "b_lo": 0.0,
+                       "b_hi": 0.0, **fields})
+
+
+@pytest.mark.parametrize("p, kind, where", [
+    (_problem(1, 2, _ball(a_bar=[1.0, 0.0], Z=[[1.0, 2.0], [0.0, 1.0]])), "AsymmetricZ", 0),
+    (_problem(1, 1, _ball(delta=-0.5)), "NegativeRadius", 0),
+    (_problem(1, 1, _ball(s=3)), "BadInterval", 0),
+    (_problem(1, 1, Singleton([1.0], 0.0), _ball(b_lo=1.0)), "BadInterval", 1),
+    (_problem(0, 1, Singleton([1.0], 0.0)), "DimensionMismatch", None),
+    (_problem(1, 0, Singleton([], 0.0)), "DimensionMismatch", None),
+    (_problem(1, 1), "DimensionMismatch", None),
+    (_problem(1, 1, Singleton([1.0], 0.0), ([1.0], 0.0)), "DimensionMismatch", 1),
+], ids=["asymmetric-Z", "negative-delta", "norm-index-3", "b_lo-above-b_hi", "m-0", "n-0",
+        "no-constraints", "not-an-uncertainty-class"])
+def test_validation_names_the_failed_check(p, kind, where):
+    with pytest.raises(ValidationError) as exc:
+        validate_problem(p)
+    assert (exc.value.kind, exc.value.constraint) == (kind, where)
+
+
 def test_singular_z_rejected():
     p = UncertainMOLP(1, 2, [[1.0, 0.0]], [0.0], [0.0, 0.0],
                       (NormBall([1.0, 0.0], [[1.0, 1.0], [1.0, 1.0]],

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import random_polyhedral_problem, vertex_candidate
+from conftest import assert_replaying_witness, random_polyhedral_problem, vertex_candidate
 from robustmolp.efficiency import certify_weak_efficiency
-from robustmolp.model import (NormBall, Polytope, Singleton, UncertainMOLP,
+from robustmolp.model import (Ball, Ellipsoid, NormBall, Polytope, Singleton, UncertainMOLP,
                               reduce_constraints, validate_problem)
 from robustmolp.oracle import (refute_robust_weak_efficiency, scenario_grid,
                                verify_certificate)
@@ -82,6 +82,31 @@ def test_inconclusive_with_concave_rows_when_no_witness():
     assert v.outcome == "inconclusive"
 
 
+def test_sampled_witness_outside_the_set_is_pulled_back_inside(monkeypatch):
+    # x3 = 1 and a disk of radius 0.01 in (x1, x2), an ellipsoid homogenized
+    # over (x, t): the scenario LP over its sampled rows, a superset of the
+    # disk, finds a witness just outside it, which is walked back toward
+    # x_bar until it is exactly feasible
+    import robustmolp.oracle as oracle
+    e3 = np.array([0.0, 0.0, 1.0])
+    p = UncertainMOLP(1, 3, [[0.0, 1.0, 0.0]], [0.0], np.zeros(3), (
+        Singleton(e3, 1.0), Singleton(-e3, -1.0),
+        Ellipsoid([0.0, 0.0, 0.01], ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), -1.0, 0.0)))
+    x_bar = np.array([-0.01, 0.0, 1.0])
+    pulled = []
+    pull = oracle._pull_witness_inside
+
+    def spy(X, x_bar, w):
+        pulled.append(pull(X, x_bar, w))
+        return pulled[-1]
+
+    monkeypatch.setattr(oracle, "_pull_witness_inside", spy)
+    v = refute_robust_weak_efficiency(p, x_bar, k=3)
+    assert v.outcome == "refuted"
+    assert len(pulled) == 1 and 0.9 < pulled[0] < 1.0
+    assert_replaying_witness(p, x_bar, v.witness.rho, v.witness.x)
+
+
 def test_no_false_refutations_property(rng):
     refs = 0
     for _ in range(40):
@@ -156,10 +181,23 @@ def test_verify_certificate_zero_mu_opposing_rows():
     p = UncertainMOLP(2, 1, [[1.0], [-1.0]], [0.0, 0.0], [0.0],
                       (Singleton([1.0], -5.0),))
     vp = validate_problem(p)
-    rec = ConstraintMultiplier(0.0, np.array([1.0]), -5.0, None, 0.0, 0.0)
-    cert = EfficiencyCertificate(np.array([0.5, 0.5]), np.array([0.5, 0.5]),
-                                 (rec,), (rec,), (), None, None, {})
+    rec = ConstraintMultiplier(0.0, np.array([1.0]), -5.0, None)
+    cert = EfficiencyCertificate(np.array([0.5, 0.5]), np.array([0.5, 0.5]), (rec,), (rec,))
     assert verify_certificate(vp, np.array([0.0]), cert, 1e-7).ok
+
+
+@pytest.mark.parametrize("a, membership", [(1.2, 0.0), (1.6, 0.1)],
+                         ids=["inside", "0.1-outside"])
+def test_verify_measures_a_scenario_row_against_the_joint_ball(a, membership):
+    # (a, 0) at distance a - 1 from the centre (1, 0) of a ball of radius 0.5;
+    # mu = 1/a closes the endpoint equality, and complementarity holds at 0
+    from robustmolp.efficiency import ConstraintMultiplier, EfficiencyCertificate
+    vp = validate_problem(UncertainMOLP(1, 1, [[1.0]], [0.0], [0.0], (Ball([1.0], 0.0, 0.5),)))
+    rec = (ConstraintMultiplier(1.0 / a, np.array([a]), 0.0, None),)
+    cert = EfficiencyCertificate(np.array([1.0]), np.array([1.0]), rec, rec)
+    rep = verify_certificate(vp, np.zeros(1), cert)
+    assert rep.first_failing == (None if membership == 0.0 else "scenario_membership")
+    assert _membership(rep) == pytest.approx(membership, abs=1e-15)
 
 
 def test_verify_certificate_rejects_scenario_outside_class():

@@ -5,12 +5,17 @@ below as produced before norm balls and ellipsoids shared one
 affine-norm-ball row (a = a_bar + P w, ||w||_s <= 1).  The s = 1 and
 s = inf entries were re-recorded when those balls were lifted into linear
 rows and decided by the endpoint LP: the same multipliers and witnesses
-to rounding, now with the LP's active rows and row multipliers.  The box
-entry was re-recorded when boxes became one lifted s = inf row: the same
-multipliers and scenario rows, now with a witness w and the lifted rows;
-`box_vertex_rows` keeps its earlier record, whose scenario row is a
-vertex with no witness, and must still replay.  Any change to the reduction, the endpoint systems or the certificate records
-that moves a multiplier, scenario row or witness shows here.
+to rounding.  The box entry was re-recorded when boxes became one lifted
+s = inf row: the same multipliers and scenario rows, now with a witness
+w; `box_vertex_rows` keeps its earlier record, whose scenario row is a
+vertex with no witness, and must still replay.  A certificate now holds
+only what verify replays (lambda, lambda_tilde and per constraint mu,
+scenario_a, scenario_b and witness), so the lifted set's active rows and
+row multipliers, the residuals and each record's witness_norm and
+complementarity were deleted from every entry, with no other value
+re-recorded; a change to the lift alone no longer shows here.  Any change
+to the reduction, the endpoint systems or the certificate records that
+moves a multiplier, scenario row or witness does.
 """
 
 import json
