@@ -185,10 +185,13 @@ def certificate_to_dict(cert: EfficiencyCertificate) -> dict:
 
 
 def _numbers(d, key):
-    """d[key], which must hold JSON numbers as the problem schema's do: a
-    string or a bool is not one."""
+    """d[key], which must hold finite JSON numbers as the problem schema's
+    do: a string or a bool is not one, nor 1e999, which json.load reads as
+    inf."""
     if not _json_numbers(d[key]):
         raise ProblemFormatError(f"certificate {key} must hold JSON numbers only")
+    if not np.isfinite(d[key]).all():
+        raise ProblemFormatError(f"certificate {key} must be finite")
     return d[key]
 
 
@@ -206,10 +209,6 @@ def certificate_from_dict(d) -> EfficiencyCertificate:
     """The certificate of certificate_to_dict's form.  Keys it does not
     read are ignored, so a certificate that still carries the derived
     fields of the earlier form replays with the same report."""
-    try:        # json.load reads a number beyond the float range, 1e999, as inf
-        json.dumps(d, allow_nan=False)
-    except ValueError:
-        raise ProblemFormatError("certificate numbers must be finite") from None
     return EfficiencyCertificate(
         np.asarray(_numbers(d, "lambda"), float),
         np.asarray(_numbers(d, "lambda_tilde"), float),

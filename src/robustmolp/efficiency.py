@@ -21,7 +21,7 @@ no such point the outcome is "unknown".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -161,11 +161,8 @@ def check_slater(X: RobustFeasibleSet) -> SlaterCheck:
     and an inf-norm LP with tangent cuts disproves it, with max_slack the
     relaxation's bound (see maximize_min_slack).
     """
-    two = [isinstance(r, ConcaveRow) and r.s == 2 for r in X.concave]
-    strict = replace(X, rows=X.rows[:0], source=X.source[:0],
-                     concave=tuple(r for r, t in zip(X.concave, two) if t))
-    satisfied = replace(X, concave=tuple(r for r, t in zip(X.concave, two) if not t))
-    search: SlackSearch = maximize_min_slack(strict, SLATER_MARGIN, satisfied)
+    two = [r.source for r in X.concave if isinstance(r, ConcaveRow) and r.s == 2]
+    search: SlackSearch = maximize_min_slack(X, SLATER_MARGIN, two)
     if search.value >= SLATER_MARGIN:
         return SlaterCheck(True, search.x, search.value, _INF)
     return SlaterCheck(False, None, search.value, search.upper_bound)

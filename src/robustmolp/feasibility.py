@@ -8,11 +8,11 @@ ball perturbations, and feasibility probing at a given perturbation size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import BallRow, ConcaveRow, RobustFeasibleSet, dual_norm_bands
+from .model import BallRow, ConcaveRow, RobustFeasibleSet
 from .numerics import MinNormResult, min_norm_point, solve_lp
 
 _INF = float("inf")
@@ -136,61 +136,50 @@ class SlackSearch:
     upper_bound: float    # LP bound on the supremum; inf if x decided it
 
 
-def _slack_lp(X, satisfied, cap, two_norm, cuts):
-    """max t <= cap s.t. slack_j(x) >= t for the rows of the set X,
-    slack_j(x) >= 0 for those of the set `satisfied`, if any, and g.x - t >= b
-    for each cut (g, b).
+def _slack_lp(X, strict, cap, s, cuts):
+    """max t <= cap s.t. slack_j(x) >= t on the rows of the strict
+    constraints, slack_j(x) >= 0 on the others, and g.x - t >= b for each
+    cut (g, b).
 
-    The main rows come first, X's and then satisfied's, each set's in
-    constraint order; then the cuts, the band rows and t <= cap.  A
-    ConcaveRow's dual norm ||P^T x|| becomes auxiliary columns tau >= 0
-    (dual_norm_bands): one tau bounds the inf-norm (s = 1 rows), one tau
-    per column of P the 1-norm (s = inf rows).  The 2-norm of an s = 2 row
-    is replaced by the `two_norm` (1 or inf).  Returns (x, t), or
-    (None, -inf) when the satisfied rows have no common point.
+    The LP is X's lift (RobustFeasibleSet.lift) with the 2-norm of each
+    s = 2 row replaced by the dual norm of s (the 1-norm for s = inf, the
+    inf-norm for s = 1), plus a column t: -1 on the main rows of the strict
+    constraints, 0 on the other main rows and on the band rows.  The cuts
+    and t <= cap follow the lifted rows.  Returns (x, t), or (None, -inf)
+    when no x satisfies the rows of the other constraints.
     """
     n = X.n
-    sets = ((X, -1.0), (satisfied, 0.0)) if satisfied else ((X, -1.0),)
-    bands = []
-    for r in (r for S, _ in sets for r in S.concave):
-        if not isinstance(r, ConcaveRow):
-            raise TypeError(f"no min-slack LP for {type(r).__name__}")
-        bands.append(dual_norm_bands(r.P, r.s if r.s != 2 else (_INF if two_norm == 1 else 1)))
-    widths = [B.shape[1] - n for B in bands]
-    cols = n + 1 + np.cumsum([0, *widths])      # first tau column of each ConcaveRow
-    mains = sum(len(S.rows) + len(S.concave) for S, _ in sets)
-    G = np.zeros((mains + len(cuts) + sum(map(len, bands)) + 1, cols[-1]))
-    h = np.zeros(len(G))
-    i, c = 0, iter(zip(cols, widths))          # the sets' ConcaveRows take them in turn
-    for S, t_coef in sets:
-        lin, at = S.positions([1] * len(S.concave))
-        G[i + lin, :n], G[i + lin, n], h[i + lin] = S.A, t_coef, S.b
-        for r, k0, (col, k) in zip(S.concave, i + at, c):
-            G[k0, :n], G[k0, n], G[k0, col:col + k], h[k0] = r.a_bar, t_coef, -1.0, r.b
-        i += len(S.rows) + len(S.concave)
-    for g, b in cuts:
-        G[i, :n], G[i, n], h[i] = g, -1.0, b
-        i += 1
-    for B, col, k in zip(bands, cols, widths):  # band rows: right-hand side 0
-        G[i:i + len(B), :n], G[i:i + len(B), col:col + k] = B[:, :n], B[:, n:]
-        i += len(B)
-    G[-1, n], h[-1] = -1.0, -cap                # t <= cap
-    lower = np.zeros(G.shape[1])
-    lower[:n + 1] = -_INF
+    rows = tuple(replace(r, s=s) if isinstance(r, ConcaveRow) and r.s == 2 else r
+                 for r in X.concave)
+    XL, _ = replace(X, concave=rows).lift(np.zeros(n))
+    if XL.concave:              # lift leaves a joint-ball row concave
+        raise TypeError("no min-slack LP for a joint-ball row")
+    t_col = np.where(np.isin(XL.source, strict), -1.0, 0.0)
+    for i, r in XL.lifted:
+        t_col[i + 1:i + 1 + 2 * r.P.shape[1]] = 0.0
+    k = len(t_col)
+    G = np.zeros((k + len(cuts) + 1, XL.n + 1))
+    G[:k, :-1], G[:k, -1], G[k:, -1] = XL.A, t_col, -1.0
+    for row, (g, _) in zip(G[k:], cuts):
+        row[:n] = g
+    h = np.concatenate([XL.b, [b for _, b in cuts], [-cap]])
+    lower = np.zeros(XL.n + 1)
+    lower[:n] = lower[-1] = -_INF
     sol = solve_lp(G[-1], G, h, lower)          # min -t
     if not sol.optimal:
         return None, -_INF
-    return sol.x[:n], float(sol.x[n])
+    return sol.x[:n], float(sol.x[-1])
 
 
 def maximize_min_slack(X: RobustFeasibleSet, target: float = 0.0,
-                       satisfied: RobustFeasibleSet | None = None) -> SlackSearch:
+                       strict=None) -> SlackSearch:
     """Maximize min_j slack_j(x) over the rows of the reduced set X, linear
-    and concave, over the x in R^n that satisfy every row of the set
-    `satisfied` (slack >= 0).
+    and concave, of the constraints in `strict` (default: all of them),
+    over the x in R^n where the rows of the other constraints have
+    slack >= 0.  Every 2-norm (s = 2) row must be strict.
 
     One LP in (x, t) maximizes t <= max(1, target) subject to
-    slack_j(x) >= t, each dual norm written with auxiliary columns
+    slack_j(x) >= t, each dual norm written with the band rows of the lift
     (Ben-Tal, El Ghaoui & Nemirovski, Robust Optimization, 2009).  With
     linear, s = 1 and s = inf rows only, the LP is exact and its value is
     the supremum (or the cap).  The 2-norm of an s = 2 row lies between the
@@ -199,18 +188,25 @@ def maximize_min_slack(X: RobustFeasibleSet, target: float = 0.0,
     cuts yhat.P^T x <= ||P^T x||_2 at each round's point is a relaxation
     whose value bounds the supremum.  The cut rounds stop when a point
     reaches the target, when the bound falls below it, or after CUT_ROUNDS.
-    With no point satisfying `satisfied` the value and bound are -inf.
+    With no point satisfying the other constraints the value and bound are
+    -inf.
     """
     cap = max(1.0, target)
+    if strict is None:
+        strict = [*X.source.tolist(), *(r.source for r in X.concave)]
+    lin = np.isin(X.source, strict)
+    rows = [r for r in X.concave if r.source in strict]
+    round_rows = [r for r in X.concave if isinstance(r, ConcaveRow) and r.s == 2]
+    if any(r.source not in strict for r in round_rows):
+        raise ValueError("every 2-norm row must be strict")
 
     def phi(pt):
-        return min([*X.slack(pt), *(r.slack(pt) for r in X.concave)], default=cap)
+        return min([*X.slack(pt)[lin], *(r.slack(pt) for r in rows)], default=cap)
 
-    x, bound = _slack_lp(X, satisfied, cap, 1, ())
+    x, bound = _slack_lp(X, strict, cap, _INF, ())
     if x is None:
         return SlackSearch(None, -_INF, -_INF)
     best_x, best_v = x, phi(x)
-    round_rows = [r for r in X.concave if r.s == 2]
     if not round_rows:
         return SlackSearch(best_x, best_v, bound)
     bound, cuts = _INF, []
@@ -218,7 +214,7 @@ def maximize_min_slack(X: RobustFeasibleSet, target: float = 0.0,
         if best_v >= target:
             break
         cuts += [(r.supergradient(x), r.b) for r in round_rows]
-        x, bound = _slack_lp(X, satisfied, cap, _INF, cuts)
+        x, bound = _slack_lp(X, strict, cap, 1, cuts)
         if bound < target:
             break
         v = phi(x)

@@ -303,21 +303,19 @@ class ConcaveRow:
         return self.a_bar + self.P @ (d / max(1e-30, norm_value(d, self.s))), self.b
 
 
-def dual_norm_bands(P, s, width=None, col=None):
+def dual_norm_bands(P, s, width, col):
     """Band rows tau >= +-P^T x that bound the norm of P^T x conjugate to
     the s-norm by auxiliary columns tau: one tau bounds the inf-norm
     (s = 1), one tau per column of P the 1-norm (s = inf, the taus summed
-    by the caller).  Returns the 2q rows, each >= 0, as a 2q x width array
-    with x in the first n columns and the k taus from column col (by
-    default width n + k and col n); the rows tau >= -P^T x come first.
+    on the main row).  Returns the 2q rows, each >= 0, as a 2q x width
+    array with x in the first n columns and the taus from column col; the
+    rows tau >= -P^T x come first.
     """
     n, q = P.shape
-    k = 1 if s == 1 else q
-    col = n if col is None else col
-    bands = np.zeros((2 * q, n + k if width is None else width))
+    bands = np.zeros((2 * q, width))
     bands[:q, :n], bands[q:, :n] = P.T, -P.T
     i = np.arange(2 * q)
-    bands[i, col + (0 if k == 1 else i % q)] = 1.0
+    bands[i, col + (0 if s == 1 else i % q)] = 1.0
     return bands
 
 

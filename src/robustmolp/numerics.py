@@ -55,7 +55,7 @@ class LpSolution:
         return self.status == "optimal"
 
 
-_PIV_EPS = 1e-10
+_PIV_EPS = 1e-9         # pivots on entries near 1e-10 let phase 1 drift
 _RC_EPS = 1e-9
 
 
@@ -165,7 +165,10 @@ def solve_lp(c, G, h, lower, eq=False) -> LpSolution:
             if pivots > MAX_PIVOTS:
                 raise NumericalBreakdown(f"pivot budget {MAX_PIVOTS} exhausted")
 
-    if run_simplex(N + m) == "unbounded":  # cannot happen: bounded below
+    # phase 1 is bounded below by 0: "unbounded" means the tableau drifted,
+    # after pivots on entries barely above _PIV_EPS, until a column with a
+    # negative reduced cost kept no entry above it
+    if run_simplex(N + m) == "unbounded":
         raise NumericalBreakdown("phase-1 unbounded")
     if -T[-1, -1] > 1e-9:
         # The phase-1 dual pi has reduced cost 1 - pi_i on artificial i,

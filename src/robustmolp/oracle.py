@@ -153,7 +153,8 @@ class VerificationReport:
 
 def _simplex_violation(lam):
     lam = np.asarray(lam, float)
-    return max(float(-lam.min()), abs(float(lam.sum()) - 1.0))
+    # 0.0 first, for -0.0 (a least entry 0.0) would print as -0 in the JSON
+    return max(0.0, float(-lam.min()), abs(float(lam.sum()) - 1.0))
 
 
 def _check_shape(p, cert):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 import warnings
 
@@ -460,6 +461,37 @@ def test_verify_number_beyond_the_float_range_exits_3(tmp_path, capsys, fmt, lit
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
 
+
+
+def test_verify_ignores_a_number_beyond_the_float_range_in_a_key_it_does_not_read(
+        tmp_path, capsys):
+    # the finiteness check ran over the whole document: an ignored key
+    # holding 1e999 exited 3
+    path = _write(tmp_path, ORTHANT)
+    code, rep = _run_json(capsys, ["certify", path, "--point=0,0"])
+    certificate = json.dumps(rep["payload"]["certificate"])
+    reports = []
+    for text in (certificate, certificate[:-1] + ', "residuals": {"x": 1e999}}'):
+        cert = tmp_path / "c.json"
+        cert.write_text(text, encoding="utf-8")
+        code, rep = _run_json(capsys, ["verify", path, "--point=0,0", "--cert", str(cert)])
+        del rep["wall_time_ms"]
+        reports.append((code, rep))
+    assert reports[0] == reports[1] and reports[0][0] == 0
+
+
+def test_verify_residuals_hold_no_negative_zero(tmp_path, capsys):
+    # lambda = (1, 0) has least weight 0.0, whose negation -0.0 printed as
+    # "-0" for lambda_simplex and lambda_tilde_simplex, in the checks and in
+    # the residuals
+    path = _write(tmp_path, ORTHANT)
+    code, rep = _run_json(capsys, ["certify", path, "--point=0,0"])
+    assert code == 0 and rep["payload"]["certificate"]["lambda"] == [1, 0]
+    code, out = _run(capsys, ["verify", path, "--point=0,0", "--cert",
+                              _write(tmp_path, rep, "c.json"), "--json"])
+    assert code == 0 and '"lambda_simplex":0,' in out
+    # json.loads would read -0 as the integer 0: look at the text
+    assert not re.findall(r"[:,\[]-0(?![\d.eE])", out)
 
 # a 2-norm ball tight at the origin beside x2 >= 0, certified at (0, 0)
 TIGHT_BALL = {"m": 2, "n": 2, "C_bar": [[1.0, 0.0], [0.0, 1.0]], "u": [1.0, 0.0],

@@ -14,7 +14,7 @@ from robustmolp.efficiency import (NotFeasiblePointError,
 from robustmolp.model import (Ball, Box, Ellipsoid, NormBall,
                               Polytope, Singleton, UncertainMOLP,
                               reduce_constraints, validate_problem)
-from robustmolp.numerics import NumericalBreakdown, norm_value
+from robustmolp.numerics import norm_value
 from robustmolp.oracle import refute_robust_weak_efficiency, verify_certificate
 
 _INF = float("inf")
@@ -799,11 +799,6 @@ def test_certificate_records_hold_no_view_of_the_reduced_set():
     assert certified > 60
 
 
-@pytest.mark.xfail(strict=True, raises=NumericalBreakdown, reason=(
-    "known defect: solve_lp raises 'phase-1 unbounded' inside the Kelley-cut "
-    "Slater LP of _slack_lp, which check_slater runs for the tilt of a "
-    "refutation across an active 2-norm row, on this valid problem, and "
-    "certify exits 2"))
 def test_slater_lp_phase_one_breakdown_on_homogenized_joint_balls():
     # joint balls of radius 0.2 around (A_j, b_j), homogenized over (x, t)
     # with t fixed at 1; the system's radius is 0.2013 > 0.2, so a Slater
@@ -815,8 +810,10 @@ def test_slater_lp_phase_one_breakdown_on_homogenized_joint_balls():
         cons.append(Ellipsoid(np.append(a, -b), tuple(0.2 * np.eye(3)), -1.0, 0.0))
     p = UncertainMOLP(2, 3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [0.0, 0.0], np.zeros(3),
                       tuple(cons))
-    out = certify_weak_efficiency(validate_problem(p), np.array([-1.0, 2.0, 1.0]))
-    assert out.status in ("certified", "refuted", "unknown")
+    x = np.array([-1.0, 2.0, 1.0])
+    # the Slater LP that tilts the refutation once met Bland pivots of 1.2e-10
+    # and 1.9e-10 and raised "phase-1 unbounded" (tests/slater_lp_phase_one.json)
+    assert_replaying_refutation(p, x, certify_weak_efficiency(validate_problem(p), x))
 
 
 def test_failing_nominal_cone_endpoint_reports_only_its_residual(monkeypatch, rng):

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_feasible_rows
+from conftest import highs, random_feasible_rows
 from robustmolp import feasibility
 from robustmolp.feasibility import (NominalInfeasibleError, ball_robust_feasible,
                                     cone_contains, hypographical_set,
                                     is_feasible, maximize_min_slack,
                                     radius_of_robust_feasibility)
-from robustmolp.model import BallRow, RobustFeasibleSet
+from robustmolp.model import BallRow, ConcaveRow, RobustFeasibleSet
+
+_INF = float("inf")
 
 HYPO = [(np.array([-2.0, -1, -2]), -6.0), (np.array([-1.0, -2, -2]), -6.0),
         (np.array([-1.0, 0, 0]), -3.0), (np.array([0.0, -1, 0]), -3.0),
@@ -237,6 +239,64 @@ def test_min_slack_of_linear_rows_is_one_lp(monkeypatch):
     assert search.value >= 1.0 - 1e-12
     assert min(X.slack(search.x)) == search.value
 
+
+
+def _random_slack_set(rng):
+    """A reduced set of linear, s = 1 and s = inf rows over R^n (q <= 3),
+    and the same set written without the lift: each s = inf row as its 2^q
+    rows a_bar - P sigma, sigma in {-1, 1}^q, each s = 1 row as its 2q rows
+    a_bar -+ P e_i, as [a | b | constraint] rows."""
+    n = int(rng.integers(1, 4))
+    rows, source, concave, flat = [], [], [], []
+    for j in range(int(rng.integers(1, 6))):
+        kind = ("linear", 1.0, _INF)[int(rng.integers(0, 3))]
+        a, b = rng.integers(-5, 6, n).astype(float), float(rng.integers(-5, 3))
+        if kind == "linear":
+            rows.append([*a, b])
+            source.append(j)
+            flat.append([*a, b, j])
+            continue
+        q = int(rng.integers(1, 4))
+        P = rng.integers(-2, 3, (n, q)).astype(float)
+        concave.append(ConcaveRow(a, b, j, P, kind))
+        signs = (np.vstack([np.eye(q), -np.eye(q)]) if kind == 1 else
+                 1.0 - 2.0 * ((np.arange(1 << q)[:, None] >> np.arange(q)) & 1))
+        flat += [[*(a - P @ w), b, j] for w in signs]
+    X = RobustFeasibleSet(n, np.reshape(rows, (-1, n + 1)), np.array(source, int),
+                          tuple(concave))
+    return X, np.array(flat), j + 1
+
+
+def test_min_slack_matches_the_lp_written_without_the_lift(rng):
+    # max t <= 1 s.t. a.x - b >= t on strict rows and >= 0 on the others
+    for _ in range(60):
+        X, flat, k = _random_slack_set(rng)
+        n = X.n
+        for strict in (None, [j for j in range(k) if rng.integers(0, 2)]):
+            on = np.isin(flat[:, -1], range(k) if strict is None else strict)
+            G = np.vstack([np.column_stack([flat[:, :n], -on.astype(float)]),
+                           [*np.zeros(n), -1.0]])
+            h = np.append(flat[:, n], -1.0)
+            status, value = highs(G[-1], G, h, -_INF)
+            search = maximize_min_slack(X, strict=strict)
+            if status == "infeasible":
+                assert search.x is None and search.value == search.upper_bound == -_INF
+                continue
+            assert status == "optimal"
+            assert search.upper_bound == pytest.approx(-value, abs=1e-7)
+            # the min-slack at the point may pass the cap; up to it, it is the value
+            assert min(search.value, 1.0) == pytest.approx(-value, abs=1e-7)
+
+
+def test_min_slack_needs_a_lift_and_strict_two_norm_rows():
+    ball = BallRow(np.array([1.0]), 0.0, 0, 0.5)
+    with pytest.raises(TypeError):
+        maximize_min_slack(RobustFeasibleSet(1, np.zeros((0, 2)), np.zeros(0, int), (ball,)))
+    two = ConcaveRow(np.array([1.0]), 0.0, 1, np.array([[0.5]]), 2.0)
+    X = RobustFeasibleSet(1, np.array([[1.0, 0.0]]), np.array([0]), (two,))
+    with pytest.raises(ValueError):
+        maximize_min_slack(X, strict=[0])
+    assert maximize_min_slack(X, strict=[1]).value == 1.0
 
 def _witness_systems(rng):
     """Random nominal systems, some homogeneous (b* = 0), plus hand cases:

@@ -6,7 +6,7 @@ module may import one that imports it back, at module level or inside a
 function.  No module imports a name it never uses, so a name the library
 drops cannot linger in an import.  Every field of a certificate is read
 by the oracle, which replays it, so a certificate carries no derived
-data.
+data.  The band rows of a dual norm are assembled in one place, the lift.
 """
 
 import ast
@@ -110,3 +110,18 @@ def test_a_certificate_holds_only_what_verify_replays():
     assert set(fields) == names and all(fields.values())
     assert {c: [f for f in fs if f not in read] for c, fs in fields.items()} \
         == dict.fromkeys(names, [])
+
+
+def _calls(source):
+    """The names of the functions and methods a module calls."""
+    return {f.id if isinstance(f, ast.Name) else f.attr
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+            for f in (node.func,) if isinstance(f, (ast.Name, ast.Attribute))}
+
+
+def test_only_the_lift_assembles_band_rows():
+    # the Slater LP and the endpoint systems read the lifted set instead
+    assert {"dual_norm_bands", "positions"} <= _calls((PKG / "model.py").read_text(encoding="utf-8"))
+    for name in MODULES - {"model"}:
+        calls = _calls((PKG / f"{name}.py").read_text(encoding="utf-8"))
+        assert not calls & {"dual_norm_bands", "positions"}, name

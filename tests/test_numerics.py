@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +145,20 @@ def test_lp_equality_rows_and_free_vars(rng):
         assert sol.optimal
         assert abs(G[0] @ sol.x - G[0] @ x0) <= 1e-8
         assert c @ sol.x == pytest.approx(highs(c, G, h, -_INF, eq)[1], abs=1e-7)
+
+
+def test_lp_whose_bland_pivots_sit_just_above_a_tiny_threshold():
+    # a Kelley-cut Slater LP (43 x 9, four free columns) recorded from a
+    # check_slater run: with a pivot threshold of 1e-10 its phase 1 took
+    # pivots of 1.16e-10 and 1.94e-10, drifted, and declared itself unbounded
+    d = json.loads(Path(__file__).with_name("slater_lp_phase_one.json").read_text())
+    c, G, h = (np.array(d[k]) for k in ("c", "G", "h"))
+    lower = np.zeros(len(c))
+    lower[d["free"]] = -_INF
+    sol = solve_lp(c, G, h, lower)
+    assert sol.optimal and np.all(G @ sol.x >= h - 1e-9)
+    status, value = highs(c, G, h, lower)
+    assert status == "optimal" and c @ sol.x == pytest.approx(value, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
