@@ -2,7 +2,7 @@
 radius of robust feasibility for ball-perturbed constraints and certification
 of robust weak efficiency under rank-1 objective uncertainty."""
 
-from .model import (Ball, BallRow, Box, ConcaveRow, Ellipsoid, NormBall,
+from .model import (Ball, Box, ConcaveRow, Ellipsoid, NormBall,
                     Polytope, ProblemFormatError,
                     RobustFeasibleSet, Singleton, UncertainMOLP,
                     ValidatedProblem, ValidationError, endpoint_objectives,

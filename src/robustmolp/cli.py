@@ -6,8 +6,9 @@ formatting so that reruns on identical inputs produce identical output
 entry).  Exit codes: 0 success/positive verdict, 1 negative verdict,
 2 inconclusive/unknown (including a numerical failure), 3 parse or
 schema error, 4 infeasibility of the nominal system or candidate point,
-5 precondition violation (wrong constraint class, negative u),
-6 certifier/oracle disagreement.
+5 precondition violation (radius or feasible on a constraint that is not
+a singleton, negative u), 6 certifier/oracle disagreement.  certify and
+verify take every uncertainty class, the joint ball included.
 """
 
 from __future__ import annotations

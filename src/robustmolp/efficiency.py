@@ -5,8 +5,9 @@ scalarization weights exist for both endpoint objectives of the rank-1
 uncertainty segment, with the scalarized gradient lying in the cone
 spanned by active constraint data.  Polyhedral uncertainty classes,
 boxes and s = 1/inf norm balls included once lifted into linear rows, are
-decided exactly by LP.  A 2-norm ball or ellipsoid row gets a multiplier
-only when it is active at the point (complementarity zeroes the others):
+decided exactly by LP.  A 2-norm row (a norm ball, an ellipsoid, or the
+joint (a, b) ball, whose P moves b too) gets a multiplier only when it
+is active at the point (complementarity zeroes the others):
 with an active one both endpoints are conic multiplier systems solved to
 a residual tolerance, and with none they are the same exact LP.  A
 failing endpoint is refuted by one rule for every class: Farkas' lemma
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feasibility import SlackSearch, maximize_min_slack
-from .model import (Ball, ConcaveRow, RobustFeasibleSet, ValidatedProblem,
-                    endpoint_objectives, own_row, reduce_constraints)
+from .model import (RobustFeasibleSet, ValidatedProblem, endpoint_objectives, own_row,
+                    reduce_constraints)
 from .numerics import norm_value, slack_value, solve_cone_system, solve_lp
 
 _INF = float("inf")
@@ -48,7 +49,8 @@ class NotFeasiblePointError(Exception):
 
 
 class UnsupportedClassError(Exception):
-    """Constraint class outside the certification dispatch."""
+    """radius or feasible met a constraint that is not a singleton: both
+    need the nominal system of an all-singleton problem."""
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +73,8 @@ def active_geometry(X: RobustFeasibleSet, x_bar) -> ActiveGeometry:
     zero objective, so its equality reads mu(main row) = the sum of the
     multipliers of its active band rows: a band row alone on its column
     joins the main row's group (together they are the worst scenario row
-    a_bar - P w), and the band rows of a ball whose main row is inactive
-    have zero multipliers and join no group.
+    [a_bar | b] - P w), and the band rows of a ball whose main row is
+    inactive have zero multipliers and join no group.
     """
     x_bar = np.asarray(x_bar, float)
     s = X.slack(x_bar)
@@ -155,13 +157,14 @@ class SlaterCheck:
 def check_slater(X: RobustFeasibleSet) -> SlaterCheck:
     """Decide the refined Slater condition: some point satisfies every
     polyhedral row (linear, s = 1/inf balls, boxes) and has worst-case
-    slack >= SLATER_MARGIN on every 2-norm ball and ellipsoid row.
+    slack >= SLATER_MARGIN on every 2-norm row (norm ball, ellipsoid or
+    joint ball).
 
     An LP for the polyhedral rows; for s = 2 rows a 1-norm LP proves it
     and an inf-norm LP with tangent cuts disproves it, with max_slack the
     relaxation's bound (see maximize_min_slack).
     """
-    two = [r.source for r in X.concave if isinstance(r, ConcaveRow) and r.s == 2]
+    two = [r.source for r in X.concave if r.s == 2]
     search: SlackSearch = maximize_min_slack(X, SLATER_MARGIN, two)
     if search.value >= SLATER_MARGIN:
         return SlaterCheck(True, search.x, search.value, _INF)
@@ -189,20 +192,23 @@ def _solve_endpoint(C, XL, geo: ActiveGeometry, cones, xl):
 
     Columns: lambda; one nonnegative multiplier per group of active linear
     rows on its generator (complementarity is structural); and per 2-norm
-    ball or ellipsoid row a_bar + P w in `cones`, the ones active at xl, a
-    block (y, mu) with ||y||_2 <= mu on the columns (P, -a_bar), y standing
-    for the multiplier times its unit witness.  Rows: the n equalities and
-    the scalarized value [C xl | -sum(b) per group | 0, -b per block].
-    Together they give sum_j mu_j [(a_bar_j - P_j w_j).xl - b_j] = 0 with
-    every term at least mu_j times the row's slack, so an inactive row
-    would get mu_j = 0 and needs no block.  With no block the endpoint is
-    an exact LP over the n equalities, an all-zero one left out.
+    row [a_bar | b] + P w in `cones`, the ones active at xl, a block
+    (y, mu) with ||y||_2 <= mu on the columns (P, -[a_bar | b]) in the
+    [A | b] layout, y standing for the multiplier times its unit witness.
+    Rows: the n equalities and the scalarized value
+    [C xl | -sum(b) per group | P[n], -b per block].  Together they give
+    sum_j mu_j [a_j.xl - b_j] = 0 for the realized rows
+    [a_j | b_j] = [a_bar_j | b_j] - P_j w_j, with every term at least mu_j
+    times the row's slack, so an inactive row would get mu_j = 0 and needs
+    no block.  With no block the endpoint is an exact LP over the n
+    equalities, an all-zero one left out.
 
     An infeasible endpoint carries the direction d of the LP's Farkas ray
     (zero on the left-out equalities): C d < 0, and d.(-generator) >= 0 for
     every group.  A cone system that fails gets it from the same LP with
-    each block replaced by its tangent column -g, g the row's supergradient
-    at xl; when that LP is feasible there is no direction.
+    each block replaced by its tangent column -g, g the first n entries of
+    the row's supergradient at xl; when that LP is feasible there is no
+    direction.
     """
     m, n = C.shape
     k = len(geo.groups)
@@ -214,9 +220,8 @@ def _solve_endpoint(C, XL, geo: ActiveGeometry, cones, xl):
     A[n, m:m + k] = [-sum(XL.b[i] for i in g) for g in geo.groups]
     o = m + k
     for r, d in zip(cones, dims):
-        A[:n, o:o + d - 1] = r.P
-        A[:n, o + d - 1] = -r.a_bar
-        A[n, o + d - 1] = -r.b
+        A[:, o:o + d - 1] = r.P
+        A[:, o + d - 1] = -np.append(r.a_bar, r.b)
         o += d
     residual, x = None, None
     if cones:
@@ -228,7 +233,7 @@ def _solve_endpoint(C, XL, geo: ActiveGeometry, cones, xl):
         else:
             # the direction's LP: each block's columns give way to its tangent column
             A = A[:, :m + k + len(cones)]
-            A[:n, m + k:] = np.transpose([-r.supergradient(xl) for r in cones])
+            A[:n, m + k:] = np.transpose([-r.supergradient(xl)[:-1] for r in cones])
     if x is None:
         live = A[:n].any(axis=1)
         G = np.vstack([A[:n][live], np.zeros(A.shape[1])])
@@ -283,11 +288,12 @@ def _in_rn(a, n):
 
 
 def _witness_record(row, n, mu_j, y):
-    """Record of an affine norm-ball row a_bar + P w whose multiplier mu_j
-    carries y = mu_j w; w is scaled back into the unit s-ball."""
+    """Record of a concave row whose multiplier mu_j carries y = mu_j w: its
+    realized row [a_bar | b] - P w, w scaled back into the unit s-ball."""
     w = y / mu_j if mu_j > 1e-10 else np.zeros_like(y)
     w = w / max(1.0, norm_value(w, row.s))
-    return ConstraintMultiplier(mu_j, _in_rn(row.a_bar - row.P @ w, n), row.b, w)
+    r = row.realize(w)
+    return ConstraintMultiplier(mu_j, r[:n].copy(), float(r[-1]), w)
 
 
 def _constraint_records(p, X, XL, sol: EndpointSolve, zero):
@@ -297,8 +303,8 @@ def _constraint_records(p, X, XL, sol: EndpointSolve, zero):
     A cone block (y, mu) gives the multiplier and the witness w = y/mu; a
     2-norm row without one, inactive at x_bar, gets mu = 0 and w = 0.  A
     ball lifted at row k0 (RobustFeasibleSet.lift) gives them from its
-    rows: mu on the main row, and mu w = nu(tau >= P^T x) - nu(tau >= -P^T x)
-    on its band rows.  Any other constraint gets the multiplier-weighted
+    rows: mu on the main row, and mu w = nu(tau >= z) - nu(tau >= -z) on
+    its band rows, z = P^T (x, -1).  Any other constraint gets the multiplier-weighted
     mean of its active rows, and with no multiplier mass its first row,
     a record that `zero` shares between the endpoints.  A record's
     scenario row is the constraint's own array (own_row) wherever it equals
@@ -455,9 +461,10 @@ def _certified(C0, C1, cert, x_bar, extra):
 def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
     """Certify or refute robust weak efficiency of a robust-feasible point.
 
-    The feasible set is lifted (RobustFeasibleSet.lift) so that s = 1/inf
-    norm balls become linear rows.  The endpoints are exact LPs while no
-    2-norm ball or ellipsoid row is active at the point; with one active
+    Every class is decided, the joint ball included.  The feasible set is
+    lifted (RobustFeasibleSet.lift) so that s = 1/inf norm balls become
+    linear rows.  The endpoints are exact LPs while no 2-norm row is
+    active at the point; with one active
     both endpoints are joint conic systems.  The perturbed endpoint is
     solved only when the nominal one is feasible.  A failing endpoint is
     refuted by _refute along the Farkas direction of its endpoint LP,
@@ -470,9 +477,6 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
     x_bar = np.asarray(x_bar, float)
     if x_bar.size != p.n:
         raise ValueError(f"point has dimension {x_bar.size}, expected {p.n}")
-    if any(isinstance(c, Ball) for c in p.constraints):
-        raise UnsupportedClassError(
-            "joint-ball classes are not certifiable; only verify replays them")
     X = reduce_constraints(vp)
     # a violated linear row is left to active_geometry, which meets it in the lift
     for r in X.concave:

@@ -12,13 +12,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import BallRow, ConcaveRow, RobustFeasibleSet
+from .model import RobustFeasibleSet
 from .numerics import MinNormResult, min_norm_point, solve_lp
 
 _INF = float("inf")
 
 CUT_ROUNDS = 40         # tangent-cut LPs for s = 2 rows in the Slater check
 MEMBER_TOL = 1e-9       # relative equality residual of a cone combination
+BOUNDARY_TOL = 1e-6     # |alpha - rho| at which ball_robust_feasible is inconclusive
 
 
 class NominalInfeasibleError(Exception):
@@ -139,7 +140,7 @@ class SlackSearch:
 def _slack_lp(X, strict, cap, s, cuts):
     """max t <= cap s.t. slack_j(x) >= t on the rows of the strict
     constraints, slack_j(x) >= 0 on the others, and g.x - t >= b for each
-    cut (g, b).
+    cut [g | b].
 
     The LP is X's lift (RobustFeasibleSet.lift) with the 2-norm of each
     s = 2 row replaced by the dual norm of s (the 1-norm for s = inf, the
@@ -149,20 +150,17 @@ def _slack_lp(X, strict, cap, s, cuts):
     when no x satisfies the rows of the other constraints.
     """
     n = X.n
-    rows = tuple(replace(r, s=s) if isinstance(r, ConcaveRow) and r.s == 2 else r
-                 for r in X.concave)
+    rows = tuple(replace(r, s=s) if r.s == 2 else r for r in X.concave)
     XL, _ = replace(X, concave=rows).lift(np.zeros(n))
-    if XL.concave:              # lift leaves a joint-ball row concave
-        raise TypeError("no min-slack LP for a joint-ball row")
     t_col = np.where(np.isin(XL.source, strict), -1.0, 0.0)
     for i, r in XL.lifted:
         t_col[i + 1:i + 1 + 2 * r.P.shape[1]] = 0.0
     k = len(t_col)
     G = np.zeros((k + len(cuts) + 1, XL.n + 1))
     G[:k, :-1], G[:k, -1], G[k:, -1] = XL.A, t_col, -1.0
-    for row, (g, _) in zip(G[k:], cuts):
-        row[:n] = g
-    h = np.concatenate([XL.b, [b for _, b in cuts], [-cap]])
+    for row, cut in zip(G[k:], cuts):
+        row[:n] = cut[:-1]
+    h = np.concatenate([XL.b, [cut[-1] for cut in cuts], [-cap]])
     lower = np.zeros(XL.n + 1)
     lower[:n] = lower[-1] = -_INF
     sol = solve_lp(G[-1], G, h, lower)          # min -t
@@ -185,8 +183,9 @@ def maximize_min_slack(X: RobustFeasibleSet, target: float = 0.0,
     the supremum (or the cap).  The 2-norm of an s = 2 row lies between the
     inf-norm and the 1-norm: the LP with the 1-norm is a restriction whose
     point is a witness, and the LP with the inf-norm plus Kelley's tangent
-    cuts yhat.P^T x <= ||P^T x||_2 at each round's point is a relaxation
-    whose value bounds the supremum.  The cut rounds stop when a point
+    cuts yhat.P^T (x, -1) <= ||P^T (x, -1)||_2 at each round's point (its
+    worst row there, supergradient) is a relaxation whose value bounds the
+    supremum.  The cut rounds stop when a point
     reaches the target, when the bound falls below it, or after CUT_ROUNDS.
     With no point satisfying the other constraints the value and bound are
     -inf.
@@ -196,7 +195,7 @@ def maximize_min_slack(X: RobustFeasibleSet, target: float = 0.0,
         strict = [*X.source.tolist(), *(r.source for r in X.concave)]
     lin = np.isin(X.source, strict)
     rows = [r for r in X.concave if r.source in strict]
-    round_rows = [r for r in X.concave if isinstance(r, ConcaveRow) and r.s == 2]
+    round_rows = [r for r in X.concave if r.s == 2]
     if any(r.source not in strict for r in round_rows):
         raise ValueError("every 2-norm row must be strict")
 
@@ -213,7 +212,7 @@ def maximize_min_slack(X: RobustFeasibleSet, target: float = 0.0,
     for _ in range(CUT_ROUNDS):
         if best_v >= target:
             break
-        cuts += [(r.supergradient(x), r.b) for r in round_rows]
+        cuts += [r.supergradient(x) for r in round_rows]
         x, bound = _slack_lp(X, strict, cap, 1, cuts)
         if bound < target:
             break
@@ -230,14 +229,13 @@ class BallFeasibility:
     rho: float | None = None
 
 
-def ball_robust_feasible(nominal, alpha: float,
-                         boundary_tol: float = 1e-6) -> BallFeasibility:
+def ball_robust_feasible(nominal, alpha: float) -> BallFeasibility:
     """Probe feasibility when every row's (a, b) may move in an alpha-ball.
 
     The sign decision near the boundary is delegated to the radius value;
     strictly inside, the witness comes in closed form from the radius's
     nearest point and is checked to have worst-case slack >= -1e-8.
-    Exactly at the radius (within boundary_tol) the answer is inconclusive
+    Exactly at the radius (within BOUNDARY_TOL) the answer is inconclusive
     because attainment of the supremum is not guaranteed.
     """
     if alpha < 0:
@@ -249,9 +247,9 @@ def ball_robust_feasible(nominal, alpha: float,
             raise NominalInfeasibleError("nominal system is infeasible")
         return BallFeasibility("feasible", nom.x, None)
     rr = radius_of_robust_feasibility(rows)   # raises on infeasible nominal
-    if alpha > rr.rho + boundary_tol:
+    if alpha > rr.rho + BOUNDARY_TOL:
         return BallFeasibility("infeasible", None, rr.rho)
-    if abs(alpha - rr.rho) <= boundary_tol:
+    if abs(alpha - rr.rho) <= BOUNDARY_TOL:
         return BallFeasibility("inconclusive", None, rr.rho)
     # Witness from p* = (a*, b*): its VI gives a_j.a* + b_j b* >= rho^2 for
     # every row, and b* <= 0.  For b* < 0, x = a*/|b*| has
@@ -265,7 +263,8 @@ def ball_robust_feasible(nominal, alpha: float,
     else:
         t = max(0.0, (max(b for _, b in rows) + alpha) / (rr.rho * (rr.rho - alpha)))
         x = t * a_star
-    worst = min(BallRow(a, b, j, alpha).slack(x) for j, (a, b) in enumerate(rows))
+    A = np.array([a for a, _ in rows])
+    worst = (A @ x - [b for _, b in rows]).min() - alpha * np.sqrt(x @ x + 1.0)
     if worst < -1e-8:  # pragma: no cover - the closed form guarantees >= 0
         return BallFeasibility("inconclusive", None, rr.rho)
     return BallFeasibility("feasible", x, rr.rho)

@@ -252,68 +252,83 @@ def validate_problem(p: UncertainMOLP) -> ValidatedProblem:
 
 @dataclass(frozen=True)
 class ConcaveRow:
-    """Worst case of an affine norm-ball class {a_bar + P w : ||w||_s <= 1}.
+    """Worst case of an affine class {[a_bar | b] + P w : ||w||_s <= 1} of
+    rows [a | b], in the [A | b] layout of RobustFeasibleSet.rows.
 
-    slack(x) = a_bar.x - b - ||P^T x||_{s*}, the s*-norm being the support
-    function of the unit s-ball; scenario_row materializes one extreme
-    realization a_bar + P w from a direction scaled to the unit s-sphere.
-    A box [a_lo, a_hi] is the s = inf class around its centre with P the
-    diagonal of its half widths.
+    P has n + 1 rows; its last moves b.  That row is zero for a norm ball,
+    a box or an ellipsoid, and a joint ball of radius alpha has
+    P = alpha I.  On the homogeneous point (x, -1),
+    slack(x) = [a_bar | b].(x, -1) - ||P^T (x, -1)||_{s*}, the s*-norm
+    being the support function of the unit s-ball.  A box [a_lo, a_hi] is
+    the s = inf class around its centre with P the diagonal of its half
+    widths.
     """
 
     a_bar: np.ndarray
     b: float
     source: int
-    P: np.ndarray         # n x q
+    P: np.ndarray         # (n + 1) x q, over (a, b)
     s: float              # norm index of w: 1, 2, or inf
 
-    def direction_dim(self):
-        return self.P.shape[1]
+    def image(self, x):
+        """P^T (x, -1); a zero last row of P leaves P[:n]^T x bit for bit."""
+        return self.P[:-1].T @ x - self.P[-1]
 
     def slack(self, x):
         """Never NaN.  For s = 1/inf this is the slack of the worst row
-        a_bar - P w* (supergradient), which slack_value sums exactly when
-        the float sum overflows; for s = 2 the closed form is kept while it
-        is finite.  A worst row that overflows itself reads as violated.
+        (supergradient), which slack_value sums exactly when the float sum
+        overflows; for s = 2 the closed form is kept while it is finite.
+        A worst row that overflows itself reads as violated.
         """
         x = np.asarray(x, float)
         if self.s == 2:
             with np.errstate(over="ignore", invalid="ignore"):
-                v = float(self.a_bar @ x - self.b - np.linalg.norm(self.P.T @ x))
+                v = float(self.a_bar @ x - self.b - np.linalg.norm(self.image(x)))
             if math.isfinite(v):
                 return v
-        a = self.supergradient(x)
-        return slack_value(a, x, self.b) if np.isfinite(a).all() else -_INF
+        r = self.supergradient(x)
+        return slack_value(r[:-1], x, float(r[-1])) if np.isfinite(r).all() else -_INF
 
     def supergradient(self, x):
-        """The worst realization a_bar - P w* at x, w* a unit s-norm vector
-        with w*.P^T x = ||P^T x||_{s*}."""
+        """The worst realization [a | b] = realize(w*) at x, w* a unit
+        s-norm vector with w*.P^T (x, -1) = ||P^T (x, -1)||_{s*}."""
         x = np.asarray(x, float)
         with np.errstate(over="ignore", invalid="ignore"):
-            y = self.P.T @ x
+            y = self.image(x)
             if not np.isfinite(y).all():
-                # only the direction of P^T x matters: take it from copies
+                # only the direction of y matters: take it from copies
                 # scaled by powers of two, whose product cannot overflow
-                y = _unit_scaled(self.P).T @ _unit_scaled(x)
-            return self.a_bar - self.P @ _dual_norm_subgradient(y, self.s)
+                y = _unit_scaled(self.P).T @ _unit_scaled(np.append(x, -1.0))
+            return self.realize(_dual_norm_subgradient(y, self.s))
+
+    def realize(self, w):
+        """The row [a | b] = [a_bar | b] - P w, one (n + 1)-array."""
+        r = np.empty(len(self.P))
+        r[:-1] = self.a_bar - self.P[:-1] @ w
+        # 0.0 + turns a -0.0 into 0.0: a zero last row leaves b bit for bit
+        r[-1] = self.b - (0.0 + self.P[-1] @ w)
+        return r
 
     def scenario_row(self, direction):
-        """One realized (a, b) row from a direction in R^q."""
+        """One realized row [a | b] from a direction in R^q."""
         d = np.asarray(direction, float)
-        return self.a_bar + self.P @ (d / max(1e-30, norm_value(d, self.s))), self.b
+        return self.realize(d / -max(1e-30, norm_value(d, self.s)))
 
 
 def dual_norm_bands(P, s, width, col):
-    """Band rows tau >= +-P^T x that bound the norm of P^T x conjugate to
-    the s-norm by auxiliary columns tau: one tau bounds the inf-norm
-    (s = 1), one tau per column of P the 1-norm (s = inf, the taus summed
-    on the main row).  Returns the 2q rows, each >= 0, as a 2q x width
-    array with x in the first n columns and the taus from column col; the
-    rows tau >= -P^T x come first.
+    """Band rows tau >= +-P^T (x, -1) that bound the norm of P^T (x, -1)
+    conjugate to the s-norm by auxiliary columns tau: one tau bounds the
+    inf-norm (s = 1), one tau per column of P the 1-norm (s = inf, the
+    taus summed on the main row).  Returns the 2q rows as a 2q x width
+    array in the [A | b] layout, x in the first n columns, the taus from
+    column col and the right-hand side +-P[n] last; the rows
+    tau >= -P^T (x, -1) come first.
     """
-    n, q = P.shape
+    n, q = len(P) - 1, P.shape[1]
     bands = np.zeros((2 * q, width))
-    bands[:q, :n], bands[q:, :n] = P.T, -P.T
+    bands[:q, :n], bands[q:, :n] = P[:-1].T, -P[:-1].T
+    # 0.0 - keeps the right-hand side of a zero last row +0.0
+    bands[:q, -1], bands[q:, -1] = P[-1], 0.0 - P[-1]
     i = np.arange(2 * q)
     bands[i, col + (0 if s == 1 else i % q)] = 1.0
     return bands
@@ -322,20 +337,21 @@ def dual_norm_bands(P, s, width, col):
 def _carried_tau(row, x):
     """(tau, 2^e): the smallest tau of an s = 1/inf row at x, divided by 2^e.
 
-    e = 0 while |P^T x| is finite.  Beyond the float range e brings the
-    largest tau to about 2^1000, and tau is |P^T x| / 2^e summed in exact
-    rationals and rounded up, so that every band row holds exactly; a 2^e
-    that itself overflows raises NumericalBreakdown.
+    e = 0 while z = |P^T (x, -1)| is finite.  Beyond the float range e
+    brings the largest tau to about 2^1000, and tau is z / 2^e summed in
+    exact rationals and rounded up, so that every band row holds exactly; a
+    2^e that itself overflows raises NumericalBreakdown.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        z = np.abs(row.P.T @ x)
+        z = np.abs(row.image(x))
     if not np.isfinite(z).all():
-        z = [abs(sum(Fraction(p) * Fraction(v) for p, v in zip(col, x.tolist())))
+        xh = [*x.tolist(), -1.0]
+        z = [abs(sum(Fraction(p) * Fraction(v) for p, v in zip(col, xh)))
              for col in row.P.T.tolist()]
         top = max(z)
         e = max(0, top.numerator.bit_length() - top.denominator.bit_length() - 1000)
         if e > 1023:
-            raise NumericalBreakdown("the lifted point's tau = |P^T x| overflows "
+            raise NumericalBreakdown("the lifted point's tau = |P^T (x, -1)| overflows "
                                      "the float range even scaled by 2^1023")
         # the least float >= each scaled tau
         z = np.array([f if Fraction(f := float(q)) >= q else math.nextafter(f, _INF)
@@ -366,31 +382,6 @@ def _dual_norm_subgradient(y, s):
 
 
 @dataclass(frozen=True)
-class BallRow:
-    """Worst case of a joint Euclidean ball of radius alpha around (a_bar, b):
-    slack(x) = a_bar.x - b - alpha * sqrt(x.x + 1)."""
-
-    a_bar: np.ndarray
-    b: float
-    source: int
-    alpha: float
-
-    def direction_dim(self):
-        return self.a_bar.size + 1
-
-    def slack(self, x):
-        x = np.asarray(x, float)
-        return float(self.a_bar @ x - self.b - self.alpha * math.sqrt(float(x @ x) + 1.0))
-
-    def scenario_row(self, direction):
-        """One realized (a, b) row from a direction in R^{n+1}."""
-        d = np.asarray(direction, float)
-        u = d / max(1e-30, np.linalg.norm(d))
-        n = self.a_bar.size
-        return self.a_bar + self.alpha * u[:n], self.b + self.alpha * float(u[n])
-
-
-@dataclass(frozen=True)
 class RobustFeasibleSet:
     """Reduced representation of the robust feasible region.
 
@@ -403,7 +394,7 @@ class RobustFeasibleSet:
     n: int
     rows: np.ndarray      # k x (n + 1): [A | b]
     source: np.ndarray    # k constraint indices, nondecreasing
-    concave: tuple = ()   # ConcaveRow / BallRow
+    concave: tuple = ()   # ConcaveRow
     lifted: tuple = ()    # (index of its main row, ConcaveRow) per lifted ball
 
     @property
@@ -437,21 +428,21 @@ class RobustFeasibleSet:
         """Rewrite each s = 1/inf ConcaveRow, boxes included, as linear rows
         over (x, tau).
 
-        The worst case a_bar.x - ||P^T x||_{s*} >= b becomes the main row
-        a_bar.x - sum(tau) >= b followed by its band rows tau >= +-P^T x
-        (dual_norm_bands); every other row gets zero coefficients on the
-        taus.  The lifted set projects onto this one, so a point is weakly
+        The worst case a_bar.x - b - ||P^T (x, -1)||_{s*} >= 0 becomes the
+        main row a_bar.x - sum(tau) >= b followed by its band rows
+        tau >= +-P^T (x, -1) (dual_norm_bands); every other row gets zero
+        coefficients on the taus, and a 2-norm row zero rows of P on them.
+        The lifted set projects onto this one, so a point is weakly
         efficient for C here exactly when its lift is for [C 0] there.
         Returns the lifted set and point (x_bar, tau) with the smallest tau:
-        |P^T x_bar| for s = inf, max |P^T x_bar| for s = 1.  A ball whose tau
-        overflows carries its tau columns at one power of two 2^e
+        |P^T (x_bar, -1)| for s = inf, its largest entry for s = 1.  A ball
+        whose tau overflows carries its tau columns at one power of two 2^e
         (_carried_tau): -2^e on its main row and 2^e on its band rows, with
-        e = 0 whenever tau is finite.  A set with no such row, or with a
-        joint-ball row (no form over extra columns), comes back unchanged
-        with x_bar.
+        e = 0 whenever tau is finite.  A set with no such row comes back
+        unchanged with x_bar.
         """
-        balls = [isinstance(r, ConcaveRow) and r.s != 2 for r in self.concave]
-        if not any(balls) or any(isinstance(r, BallRow) for r in self.concave):
+        balls = [r.s != 2 for r in self.concave]
+        if not any(balls):
             return self, x_bar
         x_bar = np.asarray(x_bar, float)
         n = self.n
@@ -468,13 +459,14 @@ class RobustFeasibleSet:
         concave, lifted, taus, col = [], [], [x_bar], n
         for r, w, i, size in zip(self.concave, widths, starts, sizes):
             if not size:
-                concave.append(replace(r, a_bar=np.concatenate([r.a_bar, np.zeros(pad)]),
-                                       P=np.concatenate([r.P, np.zeros((pad, r.P.shape[1]))])))
+                # zero rows on the taus; b's row stays last
+                P = np.concatenate([r.P[:-1], np.zeros((pad, r.P.shape[1])), r.P[-1:]])
+                concave.append(replace(r, a_bar=np.concatenate([r.a_bar, np.zeros(pad)]), P=P))
                 continue
             tau, unit = _carried_tau(r, x_bar)
             end = i + size
             M[i, :n], M[i, col:col + w], M[i, -1] = r.a_bar, -unit, r.b
-            M[i + 1:end, :-1] = dual_norm_bands(r.P, r.s, n + pad, col)
+            M[i + 1:end] = dual_norm_bands(r.P, r.s, n + pad + 1, col)
             M[i + 1:end, col:col + w] *= unit
             source[i:end] = r.source
             lifted.append((int(i), r))
@@ -491,9 +483,10 @@ def reduce_constraints(vp: ValidatedProblem) -> RobustFeasibleSet:
     side of interval classes collapses to its upper endpoint).  A box is
     the s = inf ball around its centre with P = diag(half widths), the
     columns of zero width dropped; a norm ball becomes one ConcaveRow with
-    P = delta Z^-1, an ellipsoid one with P = spans^T and s = 2, and a
-    joint ball one BallRow.  A class with no perturbation left (a flat box,
-    delta = 0, no spans) is one linear row.
+    P = delta Z^-1, an ellipsoid one with P = spans^T and s = 2, each P
+    with a zero row below for b, and a joint ball one with P = alpha I over
+    (a, b) and s = 2.  A class with no perturbation left (a flat box,
+    delta = 0, no spans, alpha = 0) is one linear row.
     """
     p = vp.problem
     rows, source, concave = [], [], []
@@ -502,10 +495,8 @@ def reduce_constraints(vp: ValidatedProblem) -> RobustFeasibleSet:
             rows += c.vertices
             source += [j] * len(c.vertices)
             continue
-        if isinstance(c, Ball):
-            concave.append(BallRow(c.a_bar, c.b_bar, j, c.alpha))
-            continue
         a, P, s = own_row(c, 0, p.n), None, 2
+        b = c.b_bar if isinstance(c, (Singleton, Ball)) else c.b_hi
         if isinstance(c, Box):
             half = 0.5 * c.a_hi - 0.5 * c.a_lo
             P, s = np.diag(half)[:, half > 0.0], _INF
@@ -513,11 +504,15 @@ def reduce_constraints(vp: ValidatedProblem) -> RobustFeasibleSet:
             P, s = c.delta * invert_symmetric(c.Z), c.s
         elif isinstance(c, Ellipsoid) and c.spans:
             P = np.array(c.spans).T
+        if P is not None:
+            P = np.vstack([P, np.zeros(P.shape[1])])
+        elif isinstance(c, Ball) and c.alpha != 0.0:
+            P = c.alpha * np.eye(p.n + 1)
         if P is None or not P.size:
-            rows.append([*a.tolist(), c.b_bar if isinstance(c, Singleton) else c.b_hi])
+            rows.append([*a.tolist(), b])
             source.append(j)
         else:
-            concave.append(ConcaveRow(a, c.b_hi, j, P, s))
+            concave.append(ConcaveRow(a, b, j, P, s))
     return RobustFeasibleSet(p.n, np.reshape(rows, (-1, p.n + 1)), np.array(source, int),
                              tuple(concave))
 

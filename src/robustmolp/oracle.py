@@ -90,8 +90,8 @@ def refute_robust_weak_efficiency(p, x_bar, k: int = 11) -> OracleVerdict:
 
     The scenario LPs run over the lifted set (RobustFeasibleSet.lift), so
     singleton, polytope, box and s = 1/inf norm-ball classes are exact.
-    Any other concave worst-case row is replaced by SUPPORT_SAMPLES
-    boundary-scenario rows (a superset of the true set), so every candidate
+    Each 2-norm row, the joint ball included, is replaced by
+    SUPPORT_SAMPLES boundary-scenario rows (a superset of the true set), so every candidate
     witness is replayed against the exact rows before a refutation is
     claimed; with sampling in play and no refutation found the verdict
     stays inconclusive.  A ValidatedProblem is taken as validated; a raw
@@ -108,9 +108,8 @@ def refute_robust_weak_efficiency(p, x_bar, k: int = 11) -> OracleVerdict:
         raise NotFeasiblePointError(f"a row is violated by {-worst:.3e}")
     XL, xl = X.lift(x_bar)
     exact = not XL.concave
-    X_dec = np.vstack([XL.rows, *(np.append(*cr.scenario_row(d)) for cr in XL.concave
-                                  for d in sphere_directions(cr.direction_dim(),
-                                                             SUPPORT_SAMPLES))])
+    X_dec = np.vstack([XL.rows, *(cr.scenario_row(d) for cr in XL.concave
+                                  for d in sphere_directions(cr.P.shape[1], SUPPORT_SAMPLES))])
     tau_cols = np.zeros((p.m, XL.n - p.n))
 
     checks = 0

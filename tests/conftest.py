@@ -9,7 +9,7 @@ guaranteed by construction.
 import numpy as np
 import pytest
 
-from robustmolp.model import (Box, Ellipsoid, NormBall, Polytope, Singleton,
+from robustmolp.model import (Ball, Box, Ellipsoid, NormBall, Polytope, Singleton,
                               UncertainMOLP, reduce_constraints, validate_problem)
 from robustmolp.numerics import solve_lp
 
@@ -122,6 +122,8 @@ def worst_slack(c, x):
     if isinstance(c, Ellipsoid):
         pen = float(np.linalg.norm(np.array(c.spans) @ x)) if c.spans else 0.0
         return float(c.a0 @ x - c.b_hi - pen)
+    if isinstance(c, Ball):
+        return float(c.a_bar @ x - c.b_bar - c.alpha * np.sqrt(x @ x + 1.0))
     raise TypeError(f"no worst-case slack for {type(c).__name__}")
 
 

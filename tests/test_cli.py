@@ -3,6 +3,7 @@ import math
 import re
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,6 +240,26 @@ def test_certify_without_slater_point_exit_0(tmp_path, capsys):
     cert_file = tmp_path / "cert.json"
     cert_file.write_text(out, encoding="utf-8")
     code, rep = _run_json(capsys, ["verify", path, "--point", "0", "--cert", str(cert_file)])
+    assert code == 0 and rep["verdict"] == "valid"
+
+
+# two joint balls x_i - 0.1 sqrt(x.x + 1) >= -0.1, both tight at (0, 0), with
+# C = I, u = e_1 and v = e_2; the CI workflow runs the installed script on it
+JOINT_BALL_PROBLEM = str(Path(__file__).with_name("joint_ball_problem.json"))
+
+
+def test_certify_joint_balls_and_verify_round_trip_exit_0(tmp_path, capsys):
+    # the oracle samples each ball's boundary, so it cannot confirm, and
+    # it must not refute what certify certified
+    code, out = _run(capsys, ["certify", JOINT_BALL_PROBLEM, "--point=0,0", "--oracle", "3",
+                              "--json"])
+    rep = json.loads(out)
+    assert code == 0 and rep["verdict"] == "certified"
+    assert rep["payload"]["oracle"]["outcome"] == "inconclusive"
+    cert = tmp_path / "cert.json"
+    cert.write_text(out, encoding="utf-8")
+    code, rep = _run_json(capsys, ["verify", JOINT_BALL_PROBLEM, "--point=0,0",
+                                   "--cert", str(cert)])
     assert code == 0 and rep["verdict"] == "valid"
 
 

@@ -4,13 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (assert_replaying_refutation, box_vertices, random_polyhedral_problem,
-                      vertex_candidate, vertex_multipliers, worst_slack)
+from conftest import (assert_replaying_refutation, box_vertices, random_feasible_rows,
+                      random_polyhedral_problem, vertex_candidate, vertex_multipliers,
+                      worst_slack)
 from robustmolp import feasibility
-from robustmolp.efficiency import (NotFeasiblePointError,
-                                   UnsupportedClassError, active_geometry,
+from robustmolp.efficiency import (SLATER_MARGIN, NotFeasiblePointError, active_geometry,
                                    certify_weak_efficiency, check_slater,
                                    weakly_efficient_for_scenario)
+from robustmolp.feasibility import radius_of_robust_feasibility
 from robustmolp.model import (Ball, Box, Ellipsoid, NormBall,
                               Polytope, Singleton, UncertainMOLP,
                               reduce_constraints, validate_problem)
@@ -123,10 +124,67 @@ def test_certify_rejects_infeasible_point():
         certify_weak_efficiency(derived_instance(), np.array([10.0, 10.0, -50.0]))
 
 
-def test_certify_rejects_ball_class():
-    p = UncertainMOLP(1, 1, [[1.0]], [0.0], [0.0], (Ball([1.0], 0.0, 0.5),))
-    with pytest.raises(UnsupportedClassError):
-        certify_weak_efficiency(validate_problem(p), np.array([1.0]))
+def test_certify_decides_a_ball_inactive_at_the_point_by_exact_lp(monkeypatch):
+    # x - sqrt(x^2 + 1) / 2 >= 0 has slack at x = 1, so complementarity
+    # gives the joint ball no cone block: both endpoints are exact LPs
+    import robustmolp.efficiency as eff
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a ball with slack at the point needs no cone solve")
+
+    monkeypatch.setattr(eff, "solve_cone_system", forbidden)
+    x = np.array([1.0])
+    ball = Ball([1.0], 0.0, 0.5)
+    p = UncertainMOLP(1, 1, [[1.0]], [0.0], [0.0], (ball,))
+    out = certify_weak_efficiency(validate_problem(p), x)
+    assert out.residuals == {}
+    assert_replaying_refutation(p, x, out)
+    # two opposed objectives: no point improves both
+    q = UncertainMOLP(2, 1, [[1.0], [-1.0]], [0.0, 0.0], [0.0], (ball,))
+    out = certify_weak_efficiency(validate_problem(q), x)
+    assert out.status == "certified"
+    assert not [k for k in out.residuals if k.startswith("system_")]
+    # the inactive ball's record: no multiplier, witness w = 0, its own row
+    rec = out.certificate.nominal[0]
+    assert rec.mu == 0.0 and not rec.witness.any()
+    assert rec.scenario_a.tolist() == [1.0] and rec.scenario_b == 0.0
+    assert verify_certificate(q, x, out.certificate).ok
+
+
+# x_i - sqrt(x.x + 1) / 10 >= -1/10, i = 1, 2: joint balls of radius 0.1
+# around (e_i, -0.1), both tight at the origin
+JOINT_BALLS = (Ball([1.0, 0.0], -0.1, 0.1), Ball([0.0, 1.0], -0.1, 0.1))
+
+
+def test_active_joint_balls_are_refuted_by_a_replaying_witness():
+    p = UncertainMOLP(2, 2, -np.eye(2), [0.0, 0.0], [0.0, 0.0], JOINT_BALLS)
+    out = certify_weak_efficiency(validate_problem(p), np.zeros(2))
+    assert_replaying_refutation(p, np.zeros(2), out)
+
+
+def test_slater_on_joint_balls_holds_exactly_inside_the_radius(rng):
+    # the paper's two questions on one problem: the refined Slater point of
+    # the joint alpha-balls around a nominal system exists below its radius
+    # of robust feasibility rho and not above it
+    done = 0
+    while done < 50:
+        rows, _ = random_feasible_rows(rng, n=int(rng.integers(1, 4)),
+                                       p=int(rng.integers(1, 6)))
+        rho = radius_of_robust_feasibility(rows).rho
+        if rho < 1e-3:
+            continue
+        n = rows[0][0].size
+        for frac, ok in ((0.5, True), (1.5, False)):
+            balls = tuple(Ball(a, b, frac * rho) for a, b in rows)
+            p = UncertainMOLP(1, n, np.zeros((1, n)), [0.0], np.zeros(n), balls)
+            X = reduce_constraints(validate_problem(p))
+            assert [r.s for r in X.concave] == [2] * len(rows) and not len(X.rows)
+            slater = check_slater(X)
+            assert slater.ok == ok, (rows, frac, slater)
+            if ok:
+                # to rounding: worst_slack sums as the class reads
+                assert min(worst_slack(c, slater.x0) for c in balls) >= SLATER_MARGIN - 1e-12
+        done += 1
 
 
 def test_certify_singletons_equals_endpointwise_efficiency(rng):
@@ -482,7 +540,7 @@ def _mixed_ball_problem(rng, kinds):
             (NormBall(a, np.eye(n), 0.5, s, 0.0, 0.0),)))).concave[0]
         b = float(row.slack(x))
         cons.append(NormBall(a, np.eye(n), 0.5, s, b - 1.0, b))
-        grads.append(row.supergradient(x))
+        grads.append(row.supergradient(x)[:-1])
     C = np.array([sum(grads), grads[0]])
     return UncertainMOLP(2, n, C, [1.0, 0.0], grads[-1], tuple(cons)), x
 

@@ -9,7 +9,8 @@ from robustmolp.feasibility import (NominalInfeasibleError, ball_robust_feasible
                                     cone_contains, hypographical_set,
                                     is_feasible, maximize_min_slack,
                                     radius_of_robust_feasibility)
-from robustmolp.model import BallRow, ConcaveRow, RobustFeasibleSet
+from robustmolp.model import (Ball, ConcaveRow, RobustFeasibleSet, UncertainMOLP,
+                              reduce_constraints, validate_problem)
 
 _INF = float("inf")
 
@@ -258,7 +259,7 @@ def _random_slack_set(rng):
             continue
         q = int(rng.integers(1, 4))
         P = rng.integers(-2, 3, (n, q)).astype(float)
-        concave.append(ConcaveRow(a, b, j, P, kind))
+        concave.append(ConcaveRow(a, b, j, np.vstack([P, np.zeros(q)]), kind))
         signs = (np.vstack([np.eye(q), -np.eye(q)]) if kind == 1 else
                  1.0 - 2.0 * ((np.arange(1 << q)[:, None] >> np.arange(q)) & 1))
         flat += [[*(a - P @ w), b, j] for w in signs]
@@ -289,10 +290,15 @@ def test_min_slack_matches_the_lp_written_without_the_lift(rng):
 
 
 def test_min_slack_needs_a_lift_and_strict_two_norm_rows():
-    ball = BallRow(np.array([1.0]), 0.0, 0, 0.5)
-    with pytest.raises(TypeError):
-        maximize_min_slack(RobustFeasibleSet(1, np.zeros((0, 2)), np.zeros(0, int), (ball,)))
-    two = ConcaveRow(np.array([1.0]), 0.0, 1, np.array([[0.5]]), 2.0)
+    # the joint ball 1 - sqrt(x^2 + 1) / 2 >= 0 around (0, -1): its 1-norm
+    # restriction 1 - (|x| + 1) / 2 and its inf-norm relaxation
+    # 1 - max(|x|, 1) / 2 both peak at x = 0 with the ball's value 1/2
+    p = UncertainMOLP(1, 1, [[1.0]], [0.0], [0.0], (Ball([0.0], -1.0, 0.5),))
+    X = reduce_constraints(validate_problem(p))
+    search = maximize_min_slack(X)
+    assert search.x.tolist() == [0.0] and search.value == 0.5
+    assert maximize_min_slack(X, 0.6).upper_bound == 0.5
+    two = ConcaveRow(np.array([1.0]), 0.0, 1, np.array([[0.5], [0.0]]), 2.0)
     X = RobustFeasibleSet(1, np.array([[1.0, 0.0]]), np.array([0]), (two,))
     with pytest.raises(ValueError):
         maximize_min_slack(X, strict=[0])
@@ -328,11 +334,13 @@ def test_ball_witness_is_closed_form_and_robust_feasible(monkeypatch, rng):
                     feas = _counting(m, "is_feasible")
                     lps = _counting(m, "solve_lp")
                     mnp = _counting(m, "min_norm_point")
-                    out = ball_robust_feasible(scaled, alpha, boundary_tol=0.0)
+                    m.setattr(feasibility, "BOUNDARY_TOL", 0.0)
+                    out = ball_robust_feasible(scaled, alpha)
                 assert out.status == "feasible"
                 assert (len(feas), len(lps), len(mnp)) == (1, 1, 1)
-                worst = min(BallRow(a, b, j, alpha).slack(out.x)
-                            for j, (a, b) in enumerate(scaled))
+                x = out.x
+                worst = (min(float(a @ x - b) for a, b in scaled)
+                         - alpha * math.sqrt(float(x @ x) + 1.0))
                 assert worst >= 0.0, (scaled, alpha, worst)
     assert zero_b >= 6 and tiny_b >= 6
 

@@ -7,6 +7,8 @@ function.  No module imports a name it never uses, so a name the library
 drops cannot linger in an import.  Every field of a certificate is read
 by the oracle, which replays it, so a certificate carries no derived
 data.  The band rows of a dual norm are assembled in one place, the lift.
+One concave row class carries every class with a perturbation, the joint
+ball included, so no module dispatches on the kind of a concave row.
 """
 
 import ast
@@ -125,3 +127,35 @@ def test_only_the_lift_assembles_band_rows():
     for name in MODULES - {"model"}:
         calls = _calls((PKG / f"{name}.py").read_text(encoding="utf-8"))
         assert not calls & {"dual_norm_bands", "positions"}, name
+
+
+def _second_concave_class(source):
+    """What in a module would make a second concave row class: a name
+    BallRow, an isinstance(..., ConcaveRow) test, a direction_dim method."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        named = {getattr(node, key, None) for key in ("id", "attr", "name")}
+        if "BallRow" in named:
+            out.add("BallRow")
+        if isinstance(node, ast.FunctionDef) and node.name == "direction_dim":
+            out.add("direction_dim")
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                and "ConcaveRow" in {getattr(n, "id", None) for n in ast.walk(node.args[1])}):
+            out.add("isinstance ConcaveRow")
+    return out
+
+
+def test_second_concave_class_check_sees_each_form():
+    source = ("from .model import BallRow\n"
+              "class Row:\n    def direction_dim(self): pass\n"
+              "ok = isinstance(r, (Ball, ConcaveRow))\n")
+    assert _second_concave_class(source) == {"BallRow", "direction_dim",
+                                              "isinstance ConcaveRow"}
+
+
+def test_one_concave_row_class():
+    # the joint ball is [a_bar | b] + alpha w over (a, b): a ConcaveRow
+    found = {name: _second_concave_class((PKG / f"{name}.py").read_text(encoding="utf-8"))
+             for name in MODULES}
+    assert not {k: v for k, v in found.items() if v}

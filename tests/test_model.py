@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import box_vertices
-from robustmolp.model import (Ball, BallRow, Box, ConcaveRow, Ellipsoid,
+from robustmolp.model import (Ball, Box, ConcaveRow, Ellipsoid,
                               NormBall, Polytope, ProblemFormatError,
                               RobustFeasibleSet, Singleton, UncertainMOLP,
                               ValidationError,
@@ -157,7 +157,8 @@ def test_box_reduction_one_dimensional():
     (row,) = X.concave
     assert len(X.rows) == 0
     assert isinstance(row, ConcaveRow) and row.s == _INF and row.b == 1.0
-    assert row.a_bar.tolist() == [1.5] and row.P.tolist() == [[0.5]]
+    # P over (a, b): a box moves a only
+    assert row.a_bar.tolist() == [1.5] and row.P.tolist() == [[0.5], [0.0]]
     # lifted: 1.5 x - tau >= 1 with bands tau >= -x/2 and tau >= x/2
     XL, xl = X.lift(np.array([4.0]))
     assert XL.rows.tolist() == [[1.5, -1.0, 1.0], [0.5, 1.0, 0.0], [-0.5, 1.0, 0.0]]
@@ -178,7 +179,7 @@ def test_box_vertex_enumeration_property(rng):
             assert not X.concave and np.array_equal(X.A, [lo])
             continue
         (row,) = X.concave
-        assert row.P.shape == (n, int(np.count_nonzero(hi > lo)))
+        assert row.P.shape == (n + 1, int(np.count_nonzero(hi > lo)))
         for x in rng.normal(size=(5, n)):
             want = min(float(a @ x) - 1.0 for a in box_vertices(lo, hi))
             assert row.slack(x) == pytest.approx(want, abs=1e-12)
@@ -200,12 +201,10 @@ def test_polytope_reduction_idempotent(rng):
 
 
 def test_zero_radius_ball_matches_linear_row():
-    p = UncertainMOLP(1, 1, [[1.0]], [0.0], [0.0], (Ball([1.0], 0.0, 0.0),))
+    # alpha = 0 leaves no perturbation: one linear row, as delta = 0 does
+    p = UncertainMOLP(1, 1, [[1.0]], [0.0], [0.0], (Ball([1.0], 0.5, 0.0),))
     X = reduce_constraints(validate_problem(p))
-    (row,) = X.concave
-    assert isinstance(row, BallRow) and len(X.rows) == 0
-    for x in (-2.0, 0.0, 0.5, 3.0):
-        assert row.slack(np.array([x])) == pytest.approx(x, abs=1e-15)
+    assert not X.concave and X.rows.tolist() == [[1.0, 0.5]] and X.source.tolist() == [0]
 
 
 def test_ball_concave_value_lower_bounds_sampled_scenarios(rng):
@@ -217,15 +216,22 @@ def test_ball_concave_value_lower_bounds_sampled_scenarios(rng):
         p = UncertainMOLP(1, n, np.zeros((1, n)), [0.0], np.zeros(n),
                           (Ball(a, b, alpha),))
         row = reduce_constraints(validate_problem(p)).concave[0]
+        # one 2-norm row over (a, b), P = alpha I
+        assert row.s == 2 and np.array_equal(row.P, alpha * np.eye(n + 1))
         x = rng.normal(0, 2, n)
         val = row.slack(x)
         sampled = []
         for d in sphere_directions(n + 1, 64):
-            ar, br = row.scenario_row(d)
-            sampled.append(float(ar @ x - br))
+            r = row.scenario_row(d)
+            assert np.linalg.norm(r - [*a, b]) == pytest.approx(alpha)
+            sampled.append(float(r[:-1] @ x - r[-1]))
         # one-sided bound: the worst case is below every sampled scenario
         assert val <= min(sampled) + 1e-12
         assert val == pytest.approx(a @ x - b - alpha * math.sqrt(x @ x + 1.0))
+        # and the supergradient is the scenario that attains it
+        g = row.supergradient(x)
+        assert np.linalg.norm(g - [*a, b]) == pytest.approx(alpha)
+        assert float(g[:-1] @ x - g[-1]) == pytest.approx(val)
 
 
 def test_norm_ball_concave_row_lower_bounds_scenarios(rng):
@@ -240,9 +246,9 @@ def test_norm_ball_concave_row_lower_bounds_scenarios(rng):
         x = rng.normal(0, 2, n)
         val = row.slack(x)
         for d in sphere_directions(n, 64):
-            ar, br = row.scenario_row(d)
-            assert val <= float(ar @ x - br) + 1e-12
-        assert br == 2.0          # worst case uses the upper b endpoint
+            r = row.scenario_row(d)
+            assert val <= float(r[:-1] @ x - r[-1]) + 1e-12
+        assert r[-1] == 2.0       # worst case uses the upper b endpoint
 
 
 def test_norm_ball_and_ellipsoid_share_one_row(rng):
@@ -261,15 +267,15 @@ def test_norm_ball_and_ellipsoid_share_one_row(rng):
         nb = reduce_constraints(validate_problem(p_nb)).concave[0]
         el = reduce_constraints(validate_problem(p_el)).concave[0]
         assert isinstance(nb, ConcaveRow) and isinstance(el, ConcaveRow)
-        assert nb.s == el.s == 2 and nb.direction_dim() == el.direction_dim() == n
+        assert nb.s == el.s == 2 and nb.P.shape == el.P.shape == (n + 1, n)
         for _ in range(5):
             x = rng.normal(0, 2, n)
             d = rng.normal(0, 1, n)
             assert nb.slack(x) == pytest.approx(el.slack(x), rel=0, abs=1e-12)
             assert nb.supergradient(x) == pytest.approx(el.supergradient(x), rel=0, abs=1e-12)
-            (a_nb, b_nb), (a_el, b_el) = nb.scenario_row(d), el.scenario_row(d)
-            assert a_nb == pytest.approx(a_el, rel=0, abs=1e-12)
-            assert b_nb == b_el == 2.0
+            r_nb, r_el = nb.scenario_row(d), el.scenario_row(d)
+            assert r_nb[:-1] == pytest.approx(r_el[:-1], rel=0, abs=1e-12)
+            assert r_nb[-1] == r_el[-1] == 2.0
 
 
 def linear_set(rows):
@@ -307,7 +313,7 @@ def test_lift_rewrites_polyhedral_balls_as_linear_rows(rng, s):
     ball = X.concave[0]
     assert XL.lifted == ((1, ball),) and len(XL.concave) == 1
     assert xl[:n] == pytest.approx(x, abs=0)
-    z = np.abs(ball.P.T @ x)
+    z = np.abs(ball.P[:n].T @ x)
     assert xl[n:] == pytest.approx(z if s == _INF else [z.max()], abs=0)
     # at the smallest tau the main row's slack is the ball's worst case,
     # every band row holds, and the other rows keep their slack
@@ -319,7 +325,7 @@ def test_lift_rewrites_polyhedral_balls_as_linear_rows(rng, s):
     # the lift projects onto the set: any tau makes the main row no looser
     for _ in range(20):
         y = rng.normal(0, 2, n)
-        tau = np.abs(ball.P.T @ y) + rng.uniform(0, 1, n)
+        tau = np.abs(ball.P[:n].T @ y) + rng.uniform(0, 1, n)
         t = np.concatenate([y, tau if s == _INF else [tau.max()]])
         if min(XL.slack(t)[2:]) >= 0:
             assert XL.slack(t)[1] <= ball.slack(y) + 1e-12
