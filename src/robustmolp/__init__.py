@@ -13,13 +13,13 @@ from .numerics import (NumericalBreakdown, SingularMatrixError,
                        solve_cone_system, solve_lp)
 from .feasibility import (BallFeasibility, FeasibilityResult, HypographicalSet,
                           NominalInfeasibleError, NonCertifiedError,
-                          RadiusResult, ball_robust_feasible, cone_contains,
+                          RadiusResult, UnsupportedClassError,
+                          ball_robust_feasible, cone_contains,
                           hypographical_set, is_feasible,
                           radius_of_robust_feasibility)
 from .efficiency import (ActiveGeometry, CertifyOutcome, ConstraintMultiplier,
                          EfficiencyCertificate, NotFeasiblePointError,
-                         UnsupportedClassError, active_geometry,
-                         certify_weak_efficiency, check_slater,
+                         active_geometry, certify_weak_efficiency, check_slater,
                          weakly_efficient_for_scenario)
 from .oracle import (OracleVerdict, VerificationReport, Witness,
                      refute_robust_weak_efficiency, scenario_grid,

@@ -24,10 +24,10 @@ import numpy as np
 
 from . import oracle
 from .efficiency import (RESIDUAL_TOL, EfficiencyCertificate, ConstraintMultiplier,
-                         NotFeasiblePointError, UnsupportedClassError,
-                         certify_weak_efficiency)
+                         NotFeasiblePointError, certify_weak_efficiency)
 from .feasibility import (NominalInfeasibleError, NonCertifiedError,
-                          ball_robust_feasible, radius_of_robust_feasibility)
+                          UnsupportedClassError, ball_robust_feasible,
+                          radius_of_robust_feasibility)
 from .model import (ProblemFormatError, Singleton, ValidationError, _json_numbers,
                     load_problem, reject_nonfinite_constant,
                     validate_dimensions, validate_problem)

@@ -48,11 +48,6 @@ class NotFeasiblePointError(Exception):
     """Candidate point violates the robust feasible set beyond tolerance."""
 
 
-class UnsupportedClassError(Exception):
-    """radius or feasible met a constraint that is not a singleton: both
-    need the nominal system of an all-singleton problem."""
-
-
 # ---------------------------------------------------------------------------
 # Active geometry
 # ---------------------------------------------------------------------------

@@ -4,10 +4,13 @@ Finite-system feasibility checks, conic membership of the marker vector
 (0,...,0,1) that characterizes inconsistency, the hypographical set of a
 nominal system, the radius of robust feasibility under joint coefficient
 ball perturbations, and feasibility probing at a given perturbation size.
+A radius rho > 0 proves the nominal system feasible by a closed-form point,
+so the Phase-I LP runs only when rho = 0 or that point fails its check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +31,11 @@ class NominalInfeasibleError(Exception):
 
 class NonCertifiedError(Exception):
     """Minimum-norm point failed its variational-inequality check."""
+
+
+class UnsupportedClassError(Exception):
+    """radius or feasible met a constraint that is not a singleton: both
+    need the nominal system of an all-singleton problem."""
 
 
 def _as_rows(rows):
@@ -110,19 +118,48 @@ class RadiusResult:
     certified: bool
 
 
+def _ball_witness(points, p_star, rho, alpha):
+    """Closed-form point x of the alpha-ball probe, 0 <= alpha < rho, from
+    the radius's nearest point p* = (a*, b*), and min_j a_j.x - b_j over
+    the rows [a_j | b_j] of points; (None, -inf) when x overflows.
+
+    The VI of p* gives a_j.a* + b_j b* >= rho^2 for every row, and
+    b* <= 0.  For b* < 0, x = a*/|b*| has sqrt(x.x + 1) = rho/|b*|, so
+    every worst-case slack is at least rho(rho - alpha)/|b*|.  For b* = 0,
+    x = t a* with sqrt(t^2 rho^2 + 1) <= t rho + 1 has slack_j >=
+    t rho(rho - alpha) - b_j - alpha, which t below makes nonnegative.
+    Either way every nominal slack is at least alpha.
+    """
+    a_star, b_star = p_star[:-1], float(p_star[-1])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if b_star < 0:
+            x = a_star / -b_star
+        else:
+            t = max(0.0, (points[:, -1].max() + alpha) / (rho * (rho - alpha)))
+            x = t * a_star
+    if not np.isfinite(x).all():
+        return None, -_INF
+    return x, float(RobustFeasibleSet(x.size, points, np.arange(len(points))).slack(x).min())
+
+
 def radius_of_robust_feasibility(nominal) -> RadiusResult:
     """Largest coefficient-ball radius keeping the system feasible.
 
     Equals the distance from the origin to the hypographical set of the
-    nominal rows, computed as a minimum-norm point.
+    nominal rows, computed as a minimum-norm point.  A certified rho > 0
+    proves the nominal system feasible by the point of the rho/2-ball probe,
+    whose slacks are >= rho/2 (alpha = 0's are tight), checked >= 0 in
+    floats; otherwise the Phase-I LP decides, before NonCertifiedError.
     """
     rows = _as_rows(nominal)
-    if not is_feasible(rows).feasible:
-        raise NominalInfeasibleError("nominal system is infeasible")
     H = hypographical_set(rows)
     res: MinNormResult = min_norm_point(list(H.points), H.ray)
-    if not res.certified:
-        raise NonCertifiedError("minimum-norm solve did not certify optimality")
+    if not (res.certified and res.distance > 0 and
+            _ball_witness(H.points, res.p_star, res.distance, res.distance / 2)[1] >= 0):
+        if not is_feasible(rows).feasible:
+            raise NominalInfeasibleError("nominal system is infeasible")
+        if not res.certified:
+            raise NonCertifiedError("minimum-norm solve did not certify optimality")
     return RadiusResult(res.distance, res.p_star, res.weights, res.mu, True)
 
 
@@ -234,7 +271,8 @@ def ball_robust_feasible(nominal, alpha: float) -> BallFeasibility:
 
     The sign decision near the boundary is delegated to the radius value;
     strictly inside, the witness comes in closed form from the radius's
-    nearest point and is checked to have worst-case slack >= -1e-8.
+    nearest point and is checked to have worst-case slack >= -1e-8 (a
+    check that overflow leaves undecided reads as inconclusive).
     Exactly at the radius (within BOUNDARY_TOL) the answer is inconclusive
     because attainment of the supremum is not guaranteed.
     """
@@ -251,20 +289,7 @@ def ball_robust_feasible(nominal, alpha: float) -> BallFeasibility:
         return BallFeasibility("infeasible", None, rr.rho)
     if abs(alpha - rr.rho) <= BOUNDARY_TOL:
         return BallFeasibility("inconclusive", None, rr.rho)
-    # Witness from p* = (a*, b*): its VI gives a_j.a* + b_j b* >= rho^2 for
-    # every row, and b* <= 0.  For b* < 0, x = a*/|b*| has
-    # sqrt(x.x + 1) = rho/|b*|, so every worst-case slack is at least
-    # rho(rho - alpha)/|b*|.  For b* = 0, x = t a* with
-    # sqrt(t^2 rho^2 + 1) <= t rho + 1 has slack_j >= t rho(rho - alpha)
-    # - b_j - alpha, which t below makes nonnegative.
-    a_star, b_star = rr.p_star[:-1], float(rr.p_star[-1])
-    if b_star < 0:
-        x = a_star / -b_star
-    else:
-        t = max(0.0, (max(b for _, b in rows) + alpha) / (rr.rho * (rr.rho - alpha)))
-        x = t * a_star
-    A = np.array([a for a, _ in rows])
-    worst = (A @ x - [b for _, b in rows]).min() - alpha * np.sqrt(x @ x + 1.0)
-    if worst < -1e-8:  # pragma: no cover - the closed form guarantees >= 0
+    x, slack = _ball_witness(hypographical_set(rows).points, rr.p_star, rr.rho, alpha)
+    if x is None or not slack - alpha * math.hypot(*x, 1.0) >= -1e-8:
         return BallFeasibility("inconclusive", None, rr.rho)
     return BallFeasibility("feasible", x, rr.rho)

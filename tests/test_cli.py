@@ -91,6 +91,12 @@ def test_radius_of_rows_near_the_float_limit(tmp_path, capsys):
                                                      rel=1e-12)
 
 
+# rho = 0 and an infeasible nominal system: radius runs that need the
+# nominal LP; the CI workflow runs the installed script on both
+ZERO_RADIUS_PROBLEM = str(Path(__file__).with_name("zero_radius_problem.json"))
+INFEASIBLE_NOMINAL_PROBLEM = str(Path(__file__).with_name("infeasible_nominal_problem.json"))
+
+
 def test_radius_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
@@ -101,11 +107,28 @@ def test_radius_exit_codes(tmp_path, capsys):
                       {"kind": "singleton", "a_bar": [1.0], "b_bar": 0.0},
                       {"kind": "singleton", "a_bar": [-1.0], "b_bar": 1.0}]}
     assert main(["radius", _write(tmp_path, infeasible, "i.json")]) == 4
+    assert main(["radius", INFEASIBLE_NOMINAL_PROBLEM]) == 4
     capsys.readouterr()
+    code, rep = _run_json(capsys, ["radius", ZERO_RADIUS_PROBLEM])
+    assert code == 0 and rep["payload"]["radius"] == 0
     wrong_class = {"m": 1, "n": 1, "C_bar": [[0.0]], "u": [0.0], "v": [0.0],
                    "constraints": [{"kind": "ball", "a_bar": [1.0],
                                     "b_bar": 0.0, "alpha": 0.1}]}
     assert main(["radius", _write(tmp_path, wrong_class, "w.json")]) == 5
+    capsys.readouterr()
+
+
+def test_unsupported_class_error_is_the_feasibility_precondition(tmp_path, capsys):
+    import robustmolp
+    import robustmolp.cli as cli
+    import robustmolp.efficiency as efficiency
+    from robustmolp.model import load_problem
+
+    assert not hasattr(efficiency, "UnsupportedClassError")
+    path = _write(tmp_path, EX2)       # polytope constraints
+    with pytest.raises(robustmolp.UnsupportedClassError):
+        cli._nominal_rows(load_problem(path))
+    assert main(["radius", path]) == 5
     capsys.readouterr()
 
 

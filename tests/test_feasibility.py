@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,13 +11,19 @@ from robustmolp.feasibility import (NominalInfeasibleError, ball_robust_feasible
                                     is_feasible, maximize_min_slack,
                                     radius_of_robust_feasibility)
 from robustmolp.model import (Ball, ConcaveRow, RobustFeasibleSet, UncertainMOLP,
-                              reduce_constraints, validate_problem)
+                              load_problem, reduce_constraints, validate_problem)
 
 _INF = float("inf")
 
 HYPO = [(np.array([-2.0, -1, -2]), -6.0), (np.array([-1.0, -2, -2]), -6.0),
         (np.array([-1.0, 0, 0]), -3.0), (np.array([0.0, -1, 0]), -3.0),
         (np.array([0.0, 0, -1]), -3.0)]
+
+
+def _nominal(name):
+    """The nominal rows of an all-singleton problem file beside this one."""
+    problem = load_problem(str(Path(__file__).with_name(name)))
+    return [(c.a_bar, c.b_bar) for c in problem.constraints]
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +132,11 @@ def test_radius_infeasible_nominal_raises():
     with pytest.raises(NominalInfeasibleError):
         radius_of_robust_feasibility([(np.array([1.0]), 0.0),
                                       (np.array([-1.0]), 1.0)])
+    rows = _nominal("infeasible_nominal_problem.json")     # x1 >= 1, -x1 >= 0
+    with pytest.raises(NominalInfeasibleError):
+        radius_of_robust_feasibility(rows)
+    with pytest.raises(NominalInfeasibleError):
+        ball_robust_feasible(rows, 0.5)
 
 
 def _grid_distance_two_rows(points, lam_step=1e-4):
@@ -202,7 +214,7 @@ def test_ball_probe_infeasible_nominal_raises():
         ball_robust_feasible([(np.array([1.0]), 0.0), (np.array([-1.0]), 1.0)], 0.5)
 
 
-def test_ball_probe_solves_nominal_lp_once(monkeypatch):
+def test_ball_probe_solves_no_nominal_lp_when_rho_is_positive(monkeypatch):
     calls = []
 
     def counting(rows):
@@ -211,7 +223,15 @@ def test_ball_probe_solves_nominal_lp_once(monkeypatch):
 
     monkeypatch.setattr(feasibility, "is_feasible", counting)
     assert ball_robust_feasible(HYPO, 2.9).status == "feasible"
-    assert calls == [len(HYPO)]
+    # rho > 0 and the closed-form point prove the nominal system feasible
+    assert calls == []
+    # rounding gives this system b* = 1.3e-15 for 0: the point of alpha = 0
+    # misses its first row by 7e-15, that of rho/2 has slack >= rho/2
+    tight = [(np.array([1.0, 3, 2, 1]), 7.0), (np.array([5.0, 2, 1, -5]), 0.0),
+             (np.array([0.0, -3, 4, 3]), -2.0), (np.array([1.0, 1, 4, -3]), -11.0),
+             (np.array([2.0, -3, -2, -1]), -4.0)]
+    assert radius_of_robust_feasibility(tight).rho > 1.0
+    assert calls == []
     with pytest.raises(NominalInfeasibleError):
         ball_robust_feasible([(np.array([1.0]), 0.0), (np.array([-1.0]), 1.0)], 0.0)
 
@@ -227,6 +247,60 @@ def _counting(monkeypatch, name):
 
     monkeypatch.setattr(feasibility, name, counted)
     return calls
+
+
+# ---------------------------------------------------------------------------
+# nominal feasibility from the radius: the closed-form point, else the LP
+# ---------------------------------------------------------------------------
+
+def test_zero_radius_decides_nominal_feasibility_by_one_lp(monkeypatch):
+    # 0.x >= 0, x1 >= 0 and -x1 >= 0 in R^2: the zero row puts the origin
+    # in the hypographical set, so rho is 0 exactly and cannot prove
+    # feasibility
+    with monkeypatch.context() as m:
+        feas = _counting(m, "is_feasible")
+        lps = _counting(m, "solve_lp")
+        assert radius_of_robust_feasibility(_nominal("zero_radius_problem.json")).rho == 0.0
+    assert (len(feas), len(lps)) == (1, 1)
+    # without the zero row rho is 0 up to the rounding of the min-norm solve
+    pair = [(np.array([1.0, 0.0]), 0.0), (np.array([-1.0, 0.0]), 0.0)]
+    assert radius_of_robust_feasibility(pair).rho <= 1e-15
+
+
+def test_radius_raises_nominal_infeasible_exactly_when_the_lp_does(rng):
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        n, p = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        rows = [(rng.integers(-3, 4, n).astype(float), float(rng.integers(-3, 4)))
+                for _ in range(p)]
+        feasible = is_feasible(rows).feasible
+        try:
+            radius_of_robust_feasibility(rows)
+        except NominalInfeasibleError:
+            assert not feasible, rows
+        else:
+            assert feasible, rows
+        seen[feasible] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_witness_check_of_rows_near_the_float_limit(monkeypatch):
+    # the closed-form point of each system proves it feasible with no LP; at
+    # that point the float product A x of the second overflows, and its
+    # slack is redone exactly (a RuntimeWarning is an error in this suite)
+    unit = [(np.array([1e300, 0.0]), -1e300), (np.array([0.0, 1e300]), -1e300),
+            (np.array([-1e300, -1e300]), -3e300)]
+    wide = [(np.array([2.0, 3e300, 1.0]), -1.0)]
+    with monkeypatch.context() as m:
+        feas = _counting(m, "is_feasible")
+        rr = radius_of_robust_feasibility(unit)
+        out = ball_robust_feasible(unit, 0.5 * rr.rho)
+        assert out.status == "feasible" and out.x == pytest.approx([0.5, 0.5])
+        rr = radius_of_robust_feasibility(wide)
+        # x = (2, 3e300, 1): the slack and alpha ||(x, 1)|| both pass the
+        # float range, which leaves the ball's check undecided
+        assert ball_robust_feasible(wide, 0.5 * rr.rho).status == "inconclusive"
+    assert feas == []
 
 
 def test_min_slack_of_linear_rows_is_one_lp(monkeypatch):
@@ -337,7 +411,7 @@ def test_ball_witness_is_closed_form_and_robust_feasible(monkeypatch, rng):
                     m.setattr(feasibility, "BOUNDARY_TOL", 0.0)
                     out = ball_robust_feasible(scaled, alpha)
                 assert out.status == "feasible"
-                assert (len(feas), len(lps), len(mnp)) == (1, 1, 1)
+                assert (len(feas), len(lps), len(mnp)) == (0, 0, 1)
                 x = out.x
                 worst = (min(float(a @ x - b) for a, b in scaled)
                          - alpha * math.sqrt(float(x @ x) + 1.0))
