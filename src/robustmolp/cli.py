@@ -14,7 +14,6 @@ verify take every uncertainty class, the joint ball included.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -87,6 +86,8 @@ def canonical_json(obj) -> str:
 
 
 def _digest(path) -> str:
+    # imported here: hashlib loads OpenSSL's libcrypto into the process
+    import hashlib
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 

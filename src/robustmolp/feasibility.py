@@ -135,7 +135,8 @@ def _ball_witness(points, p_star, rho, alpha):
         if b_star < 0:
             x = a_star / -b_star
         else:
-            t = max(0.0, (points[:, -1].max() + alpha) / (rho * (rho - alpha)))
+            # divided step by step: rho * (rho - alpha) overflows from 1e154
+            t = max(0.0, (points[:, -1].max() + alpha) / rho / (rho - alpha))
             x = t * a_star
     if not np.isfinite(x).all():
         return None, -_INF

@@ -12,10 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
 _INF = float("inf")
+_TINY = float(np.finfo(float).tiny)
 
 DET_TOL = 1e-12         # scaled determinant below which a matrix is singular
 VI_TOL = 1e-8           # minimum-norm variational inequality, on scaled data
@@ -345,7 +347,7 @@ class MinNormResult:
     mu: float             # nonnegative ray coefficient
     certified: bool       # variational inequality verified
     iterations: int       # passive-set least-squares solves
-    distance: float       # ||p_star||, free of overflow
+    distance: float       # ||p_star||, free of overflow and underflow
 
 
 def _vi_margin(M, q, p):
@@ -355,52 +357,105 @@ def _vi_margin(M, q, p):
     return min(worst, float(M[:, p] @ q))
 
 
+_CANCELLED = 1e-6       # pivot share of G_jj below which it is recomputed
+
+
 def _nnls(E, f):
-    """Lawson-Hanson active-set solve of min ||E u - f|| over u >= 0.
+    """Lawson-Hanson active-set solve of min ||E u - f|| over u >= 0, on
+    the cross products G = E^T E and h = E^T f (Bro & De Jong's FNNLS).
 
     Each outer step frees the bound column with the largest positive
-    gradient entry; the inner loop solves least squares on the free set
-    and steps back to the boundary while a free coefficient would turn
-    nonpositive.  The least-squares value strictly decreases between outer
-    steps, so no free set repeats and the loop is finite; a step that
-    fails to decrease it (a gradient entry at rounding level) ends the
-    solve.  Returns (u, number of least-squares solves).
+    gradient entry h - G u; the inner loop solves G_FF z = h_F on the free
+    set F and steps back to the boundary while a free coefficient would
+    turn nonpositive.  The least-squares value strictly decreases between
+    outer steps, so no free set repeats and the loop is finite; a step
+    that fails to decrease it (a gradient entry at rounding level) ends the
+    solve.  G_FF is held as a Cholesky factor in Python floats, extended
+    when a column enters and rebuilt after a step back.  A pivot
+    G_jj - y.y that cancels below _CANCELLED * G_jj is recomputed from the
+    part of column j off the free columns, so that a near-dependent column
+    keeps an accurate pivot.  A column whose pivot is not positive to
+    working precision lies in the span of the free columns, where its
+    gradient entry can only be rounding: it does not enter, and the solve
+    ends.  One corrected semi-normal step, G_FF d = E_F^T (f - E u),
+    refines the final u, an entry it would make negative set to 0.
+    Returns (u, number of active-set least-squares solves).
     """
     n = E.shape[1]
     tol = 10.0 * np.finfo(float).eps * sum(E.shape)
-    u = np.zeros(n)
-    free = np.zeros(n, bool)
-    resid, value, solves = f.copy(), float(f @ f), 0
+    G, h = E.T @ E, E.T @ f
+    Gl, hl = G.tolist(), h.tolist()
+    u, grad, resid = [0.0] * n, hl, f
+    free, L = [], []       # free columns in order, rows of the factor of G_FF
+    value, solves = float(f @ f), 0
+
+    def enter(j):
+        """Extend the factor by column j; False if its pivot is not positive."""
+        y = _forward(L, [Gl[j][i] for i in free])
+        pivot = Gl[j][j] - sum(map(mul, y, y))
+        if pivot < _CANCELLED * Gl[j][j]:
+            # G_jj - y.y lost most of its digits: take the pivot from the
+            # part of column j off the free columns, E_j - E_F G_FF^-1 G_Fj
+            v = E[:, j] - E[:, free] @ np.array(_backward(L, y))
+            pivot = float(v @ v)
+        if not pivot > tol * tol * Gl[j][j]:
+            return False
+        L.append(y + [math.sqrt(pivot)])
+        free.append(j)
+        return True
+
     while True:
-        grad = E.T @ resid
-        grad[free] = -_INF
-        j = int(np.argmax(grad))
-        if grad[j] <= tol:
+        bound = [j for j in range(n) if j not in free]
+        j = max(bound, key=grad.__getitem__, default=None)
+        if j is None or grad[j] <= tol or not enter(j):
             break
-        free[j] = True
         while True:
             solves += 1
-            z = np.zeros(n)
-            z[free] = np.linalg.lstsq(E[:, free], f, rcond=None)[0]
-            blocked = free & (z <= 0.0)
-            if not blocked.any():
-                u = z
+            z = _backward(L, _forward(L, [hl[i] for i in free]))
+            if all(zi > 0.0 for zi in z):
+                for i, zi in zip(free, z):
+                    u[i] = zi
                 break
             # u >= 0 >= z on the blocked set; both zero means ratio 0
-            ratios = np.full(n, _INF)
-            ratios[blocked] = u[blocked] / np.maximum(u[blocked] - z[blocked],
-                                                      np.finfo(float).tiny)
-            i = int(np.argmin(ratios))
-            u = u + ratios[i] * (z - u)
+            step, i = min((u[i] / max(u[i] - zi, _TINY), i)
+                          for i, zi in zip(free, z) if zi <= 0.0)
+            for k, zk in zip(free, z):
+                u[k] += step * (zk - u[k])
             u[i] = 0.0
-            free &= u > 0.0
-            u[~free] = 0.0
-        resid = f - E @ u
+            kept = free[:]
+            del free[:], L[:]
+            for k in kept:
+                if not (u[k] > 0.0 and enter(k)):
+                    u[k] = 0.0
+        ua = np.array(u)
+        resid = f - E @ ua
         new_value = float(resid @ resid)
         if not new_value < value:
             break
-        value = new_value
-    return u, solves
+        value, grad = new_value, (h - G @ ua).tolist()
+    if free:
+        # one corrected semi-normal step: G_FF d = E_F^T (f - E u)
+        g = (E.T @ resid).tolist()
+        d = _backward(L, _forward(L, [g[i] for i in free]))
+        for i, di in zip(free, d):
+            u[i] = max(u[i] + di, 0.0)
+    return np.array(u), solves
+
+
+def _forward(L, b):
+    """y with L y = b, for L given by the rows of a lower triangle."""
+    y = []
+    for row, bi in zip(L, b):
+        y.append((bi - sum(map(mul, row, y))) / row[-1])
+    return y
+
+
+def _backward(L, y):
+    """z with L^T z = y, for L given by the rows of a lower triangle."""
+    z = y[:]
+    for r in range(len(z) - 1, -1, -1):
+        z[r] = (z[r] - sum(L[c][r] * z[c] for c in range(r + 1, len(z)))) / L[r][r]
+    return z
 
 
 def min_norm_point(points, ray) -> MinNormResult:
@@ -437,14 +492,12 @@ def min_norm_point(points, ray) -> MinNormResult:
     t = u[:p].sum()
     w = np.append(u[:p] / t, c * u[p] / (s * t))
     q = M @ w
-    # Check and measure at entries below 1: a power of two scales exactly,
-    # so data up to the float range cannot overflow q.q, and the norm is
-    # that of q bit for bit.
+    # Check at entries below 1: a power of two scales exactly, so data up
+    # to the float range cannot overflow q.q.  hypot neither overflows nor
+    # underflows, so a q of unit size beside 1e300 points keeps its norm.
     sigma = math.ldexp(1.0, -max(0, math.frexp(max(big, r_len))[1]))
-    qs = sigma * q
-    cert = _vi_margin(sigma * M, qs, p) >= -VI_TOL
-    return MinNormResult(q, w[:p], float(w[p]), cert, solves,
-                         float(np.linalg.norm(qs)) / sigma)
+    cert = _vi_margin(sigma * M, sigma * q, p) >= -VI_TOL
+    return MinNormResult(q, w[:p], float(w[p]), cert, solves, math.hypot(*q))
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,16 @@ def test_radius_of_rows_near_the_float_limit(tmp_path, capsys):
                                                      rel=1e-12)
 
 
+def test_radius_of_a_unit_row_beside_a_row_near_the_float_limit(capsys):
+    # the nearest point is the unit row's (1, 0, 0, -5); its norm, taken at
+    # the scale of the 1e300 row, once underflowed to a radius of 0; the CI
+    # workflow runs the installed script on the same file
+    path = str(Path(__file__).with_name("float_limit_radius_problem.json"))
+    code, rep = _run_json(capsys, ["radius", path])
+    assert code == 0
+    assert rep["payload"]["radius"] == pytest.approx(math.sqrt(26.0), abs=1e-12)
+
+
 # rho = 0 and an infeasible nominal system: radius runs that need the
 # nominal LP; the CI workflow runs the installed script on both
 ZERO_RADIUS_PROBLEM = str(Path(__file__).with_name("zero_radius_problem.json"))

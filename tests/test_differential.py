@@ -82,19 +82,38 @@ def _nnls_distance(points, ray):
     return float(np.linalg.norm(P @ u / t))
 
 
+def _point_set(rng, kind, k, p):
+    """p integer points in R^k, then made wide-scale (each point times
+    10^U(-3, 3)), near-duplicate (each point may get a copy moved by up to
+    10^U(-12, -6)) or repeated (each point may come twice)."""
+    pts = [rng.integers(-5, 6, k).astype(float) for _ in range(p)]
+    if kind == "wide":
+        return [q * 10.0 ** rng.uniform(-3, 3) for q in pts]
+    if kind == "near":
+        return pts + [q + 10.0 ** rng.uniform(-12, -6) * rng.uniform(-1, 1, k)
+                      for q in pts if rng.integers(0, 2)]
+    if kind == "repeated":
+        return pts + [q.copy() for q in pts if rng.integers(0, 2)]
+    return pts
+
+
 def test_min_norm_point_matches_scipy_nnls():
     rng = np.random.default_rng(20261019)
-    for trial in range(300):
-        k = int(rng.integers(1, 7))
-        p = int(rng.integers(1, 3 * k + 3))
-        pts = [rng.integers(-5, 6, k).astype(float) for _ in range(p)]
-        ray = np.zeros(k)
-        if trial % 3:
-            ray[-1] = -1.0
-        res = min_norm_point(pts, ray)
-        assert res.certified
-        assert np.linalg.norm(res.p_star) == pytest.approx(
-            _nnls_distance(pts, ray), abs=1e-9)
+    for kind in ("integer", "wide", "near", "repeated"):
+        for trial in range(300):
+            k = int(rng.integers(1, 7))
+            pts = _point_set(rng, kind, k, int(rng.integers(1, 3 * k + 3)))
+            ray = np.zeros(k)
+            if trial % 3:
+                ray[-1] = -1.0
+            res = min_norm_point(pts, ray)
+            assert res.certified, (kind, pts, ray)
+            assert res.iterations <= 3 * (len(pts) + 1), (kind, pts, ray)
+            # near-duplicate points make both solves ill-conditioned
+            scale = max(float(np.abs(pts).max()), float(np.abs(ray).max()))
+            tol = 1e-9 if kind == "near" else 1e-12
+            assert res.distance == pytest.approx(
+                _nnls_distance(pts, ray), abs=tol * scale), (kind, pts, ray)
 
 
 def _large_lp(rng):

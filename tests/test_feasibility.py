@@ -303,6 +303,34 @@ def test_witness_check_of_rows_near_the_float_limit(monkeypatch):
     assert feas == []
 
 
+def test_radius_of_a_unit_row_beside_a_row_near_1e300():
+    # the nearest point is the unit row's (1, 0, 0, -5): its norm was taken
+    # at the scale of the 1e300 row, where its square underflows to 0
+    rows = [(np.array([2.0, 3e300, 1.0]), -1.0), (np.array([1.0, 0.0, 0.0]), -5.0)]
+    assert radius_of_robust_feasibility(rows).rho == pytest.approx(math.sqrt(26.0),
+                                                                   abs=1e-12)
+
+
+@pytest.mark.xfail(reason="at the scale of the 1e300 row the VI check cannot "
+                          "tell the segment's nearest point from its unit end")
+def test_radius_of_a_segment_from_a_unit_row_to_a_row_near_1e300():
+    # the segment from (-1, 0, -1) to (3e300, 1, -1) passes within 1 + 1e-600
+    # of the origin; the solve stops at its end (-1, 0, -1), at sqrt(2)
+    rows = [(np.array([3e300, 1.0]), -1.0), (np.array([-1.0, 0.0]), -1.0)]
+    assert radius_of_robust_feasibility(rows).rho == pytest.approx(1.0, rel=1e-9)
+
+
+def test_ball_witness_of_a_radius_past_1e154():
+    # t = (max b + alpha) / (rho (rho - alpha)) with the product formed
+    # first overflows from rho near 1e154: t became 0, x = 0 missed the row
+    rows = [(np.array([1e300]), 1.0)]
+    rho = radius_of_robust_feasibility(rows).rho
+    out = ball_robust_feasible(rows, 0.5 * rho)
+    assert out.status == "feasible" and out.x.tolist() == [1.0]
+    worst = 1e300 * out.x[0] - 1.0 - 0.5 * rho * math.hypot(out.x[0], 1.0)
+    assert worst == pytest.approx(2.9289321881345e299, rel=1e-12)
+
+
 def test_min_slack_of_linear_rows_is_one_lp(monkeypatch):
     lps = _counting(monkeypatch, "solve_lp")
     X = RobustFeasibleSet(2, np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -2.0], [-1.0, -1.0, -3.0]]),

@@ -9,9 +9,14 @@ by the oracle, which replays it, so a certificate carries no derived
 data.  The band rows of a dual norm are assembled in one place, the lift.
 One concave row class carries every class with a perturbation, the joint
 ball included, so no module dispatches on the kind of a concave row.
+Importing the library or its CLI loads no OpenSSL: hashlib is imported
+only where an input is hashed.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PKG = Path(__file__).resolve().parents[1] / "src" / "robustmolp"
@@ -159,3 +164,12 @@ def test_one_concave_row_class():
     found = {name: _second_concave_class((PKG / f"{name}.py").read_text(encoding="utf-8"))
              for name in MODULES}
     assert not {k: v for k, v in found.items() if v}
+
+
+def test_importing_the_library_and_its_cli_loads_no_openssl():
+    # hashlib's _hashlib maps OpenSSL's libcrypto into the process; in a
+    # fresh interpreter neither import may reach it
+    code = "import sys, robustmolp, robustmolp.cli; sys.exit('_hashlib' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(PKG.parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path))
+    assert run.returncode == 0

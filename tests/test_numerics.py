@@ -268,6 +268,19 @@ def test_min_norm_distance_zero_inside_polytope():
     assert np.linalg.norm(recon) <= 1e-12
 
 
+def test_min_norm_point_on_the_line_of_two_free_points_does_not_enter():
+    # p3 = 1349 p1 - 1348 p2 lies on the line through p1 and p2: once both
+    # are free, its pivot is zero to working precision and it stays out
+    p1, p2 = np.array([0.0, -4.0, 5.0]), np.array([-3.0, -3.0, -1.0])
+    p3 = 1349.0 * p1 - 1348.0 * p2
+    res = min_norm_point([p1, p2, p3], np.zeros(3))
+    assert res.certified and res.weights[2] == 0.0
+    # the nearest point of the segment from p2 to p3, which holds p1
+    d = p3 - p2
+    s = min(max(-(p2 @ d) / (d @ d), 0.0), 1.0)
+    assert res.distance == pytest.approx(np.linalg.norm(p2 + s * d), rel=1e-12)
+
+
 def test_min_norm_variational_inequality_property(rng):
     for _ in range(100):
         k = int(rng.integers(1, 5))
