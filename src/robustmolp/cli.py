@@ -26,7 +26,7 @@ from .efficiency import (RESIDUAL_TOL, EfficiencyCertificate, ConstraintMultipli
                          NotFeasiblePointError, certify_weak_efficiency)
 from .feasibility import (NominalInfeasibleError, NonCertifiedError,
                           UnsupportedClassError, ball_robust_feasible,
-                          radius_of_robust_feasibility)
+                          hypographical_set, radius_of_robust_feasibility)
 from .model import (ProblemFormatError, Singleton, ValidationError, _json_numbers,
                     load_problem, reject_nonfinite_constant,
                     validate_dimensions, validate_problem)
@@ -136,9 +136,10 @@ def cmd_radius(args) -> int:
         "ray_coefficient": res.mu,
         "certified": res.certified,
     }
-    recon = res.weights @ np.array([np.concatenate([a, [b]]) for a, b in rows])
+    recon = res.weights @ hypographical_set(rows).points
     recon[-1] -= res.mu
-    residuals = {"reconstruction": float(np.linalg.norm(recon - res.p_star))}
+    # hypot: the norm's sum of squares overflows past entries of 1e154
+    residuals = {"reconstruction": math.hypot(*(recon - res.p_star))}
     _emit(_report("radius", _digest(args.problem_file), "ok",
                   payload, residuals, t0), args.json)
     return EXIT_OK

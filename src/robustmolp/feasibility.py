@@ -6,6 +6,8 @@ nominal system, the radius of robust feasibility under joint coefficient
 ball perturbations, and feasibility probing at a given perturbation size.
 A radius rho > 0 proves the nominal system feasible by a closed-form point,
 so the Phase-I LP runs only when rho = 0 or that point fails its check.
+A probe is one radius pass: one hypographical set and one minimum-norm
+point, whose rho/2 point it reuses.
 """
 
 from __future__ import annotations
@@ -99,12 +101,10 @@ class HypographicalSet:
 
 
 def hypographical_set(nominal) -> HypographicalSet:
-    rows = _as_rows(nominal)
-    if not rows:
+    pts = np.array([[*np.asarray(a, float).tolist(), b] for a, b in nominal], float)
+    if not len(pts):
         raise ValueError("nominal system must be nonempty")
-    n = rows[0][0].size
-    pts = np.array([np.concatenate([a, [b]]) for a, b in rows])
-    ray = np.zeros(n + 1)
+    ray = np.zeros(pts.shape[1])
     ray[-1] = -1.0
     return HypographicalSet(pts, ray)
 
@@ -138,9 +138,35 @@ def _ball_witness(points, p_star, rho, alpha):
             # divided step by step: rho * (rho - alpha) overflows from 1e154
             t = max(0.0, (points[:, -1].max() + alpha) / rho / (rho - alpha))
             x = t * a_star
+        slack = points[:, :-1] @ x - points[:, -1]
     if not np.isfinite(x).all():
         return None, -_INF
-    return x, float(RobustFeasibleSet(x.size, points, np.arange(len(points))).slack(x).min())
+    if not np.isfinite(slack).all():
+        # the overflow-safe slack, which keeps the sign of an overflow
+        slack = RobustFeasibleSet(x.size, points, np.arange(len(points))).slack(x)
+    return x, float(slack.min())
+
+
+def _radius(nominal):
+    """The radius computed once for radius_of_robust_feasibility and each
+    ball probe: its RadiusResult, certified False where the public function
+    raises NonCertifiedError; the points [a_j | b_j] of the hypographical
+    set; the rho/2 probe's (x, min_j a_j.x - b_j), (None, -inf) unless
+    rho > 0 is certified; and the Phase-I point, None unless that x fails
+    its check and the LP ran.  Raises NominalInfeasibleError.
+    """
+    H = hypographical_set(nominal)
+    res: MinNormResult = min_norm_point(H.points, H.ray)
+    half, nominal_x = (None, -_INF), None
+    if res.certified and res.distance > 0:
+        half = _ball_witness(H.points, res.p_star, res.distance, res.distance / 2)
+    if not half[1] >= 0:
+        nom = is_feasible(list(zip(H.points[:, :-1], H.points[:, -1])))
+        if not nom.feasible:
+            raise NominalInfeasibleError("nominal system is infeasible")
+        nominal_x = nom.x
+    rr = RadiusResult(res.distance, res.p_star, res.weights, res.mu, res.certified)
+    return rr, H.points, half, nominal_x
 
 
 def radius_of_robust_feasibility(nominal) -> RadiusResult:
@@ -152,16 +178,10 @@ def radius_of_robust_feasibility(nominal) -> RadiusResult:
     whose slacks are >= rho/2 (alpha = 0's are tight), checked >= 0 in
     floats; otherwise the Phase-I LP decides, before NonCertifiedError.
     """
-    rows = _as_rows(nominal)
-    H = hypographical_set(rows)
-    res: MinNormResult = min_norm_point(list(H.points), H.ray)
-    if not (res.certified and res.distance > 0 and
-            _ball_witness(H.points, res.p_star, res.distance, res.distance / 2)[1] >= 0):
-        if not is_feasible(rows).feasible:
-            raise NominalInfeasibleError("nominal system is infeasible")
-        if not res.certified:
-            raise NonCertifiedError("minimum-norm solve did not certify optimality")
-    return RadiusResult(res.distance, res.p_star, res.weights, res.mu, True)
+    rr = _radius(nominal)[0]
+    if not rr.certified:
+        raise NonCertifiedError("minimum-norm solve did not certify optimality")
+    return rr
 
 
 # ---------------------------------------------------------------------------
@@ -273,24 +293,28 @@ def ball_robust_feasible(nominal, alpha: float) -> BallFeasibility:
     The sign decision near the boundary is delegated to the radius value;
     strictly inside, the witness comes in closed form from the radius's
     nearest point and is checked to have worst-case slack >= -1e-8 (a
-    check that overflow leaves undecided reads as inconclusive).
+    check that overflow leaves undecided reads as inconclusive).  For
+    b* < 0 it is the radius's rho/2 point, reused.
     Exactly at the radius (within BOUNDARY_TOL) the answer is inconclusive
-    because attainment of the supremum is not guaranteed.
+    because attainment of the supremum is not guaranteed.  At alpha = 0
+    the rho/2 point is the witness when rho > 0 is certified and its
+    slacks are >= 0; otherwise the Phase-I LP decides, and alpha = 0
+    never raises NonCertifiedError.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    rows = _as_rows(nominal)
+    rr, points, (x, slack), nominal_x = _radius(nominal)   # raises on infeasible nominal
     if alpha == 0.0:
-        nom = is_feasible(rows)
-        if not nom.feasible:
-            raise NominalInfeasibleError("nominal system is infeasible")
-        return BallFeasibility("feasible", nom.x, None)
-    rr = radius_of_robust_feasibility(rows)   # raises on infeasible nominal
+        return BallFeasibility("feasible", x if nominal_x is None else nominal_x, None)
+    if not rr.certified:
+        raise NonCertifiedError("minimum-norm solve did not certify optimality")
     if alpha > rr.rho + BOUNDARY_TOL:
         return BallFeasibility("infeasible", None, rr.rho)
     if abs(alpha - rr.rho) <= BOUNDARY_TOL:
         return BallFeasibility("inconclusive", None, rr.rho)
-    x, slack = _ball_witness(hypographical_set(rows).points, rr.p_star, rr.rho, alpha)
+    if not rr.p_star[-1] < 0:
+        # t a* depends on alpha; for b* < 0, x = a*/|b*| is rho/2's point
+        x, slack = _ball_witness(points, rr.p_star, rr.rho, alpha)
     if x is None or not slack - alpha * math.hypot(*x, 1.0) >= -1e-8:
         return BallFeasibility("inconclusive", None, rr.rho)
     return BallFeasibility("feasible", x, rr.rho)

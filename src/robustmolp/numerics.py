@@ -352,9 +352,8 @@ class MinNormResult:
 
 def _vi_margin(M, q, p):
     """Worst violation of <h - q, q> >= 0 over generators and the ray."""
-    nn = float(q @ q)
-    worst = min(float(M[:, j] @ q) - nn for j in range(p))
-    return min(worst, float(M[:, p] @ q))
+    hq = q @ M
+    return min(float(hq[:p].min()) - float(q @ q), float(hq[p]))
 
 
 _CANCELLED = 1e-6       # pivot share of G_jj below which it is recomputed
@@ -459,7 +458,8 @@ def _backward(L, y):
 
 
 def min_norm_point(points, ray) -> MinNormResult:
-    """Minimize ||q||^2 over q in conv(points) + R+ * ray.
+    """Minimize ||q||^2 over q in conv(points) + R+ * ray, the points given
+    as the rows of a p x k array or as a sequence of p k-vectors.
 
     One nonnegative least-squares solve (Lawson & Hanson) of
     E u ~ e_{k+1} with E = [[P, r], [1^T, 0]]: at its optimum u_P sums to
@@ -471,13 +471,13 @@ def min_norm_point(points, ray) -> MinNormResult:
     variational inequality on the generators, with VI_TOL applied to the
     data scaled down by a power of two to entries below 1.
     """
-    pts = [np.asarray(q, float) for q in points]
-    if not pts:
+    pts = np.asarray(points, float)
+    if not pts.size:
         raise ValueError("points must be nonempty")
     r = np.asarray(ray, float)
-    p = len(pts)
-    M = np.column_stack(pts + [r])
-    k = M.shape[0]
+    p, k = pts.shape
+    M = np.empty((k, p + 1))
+    M[:, :p], M[:, p] = pts.T, r
     big = float(np.abs(M[:, :p]).max())
     s = 1.0 / big if big > 0 else 1.0
     r_len = float(np.linalg.norm(r))

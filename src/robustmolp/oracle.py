@@ -179,8 +179,7 @@ def _polytope_distance(vertices, a, b):
     target = np.concatenate([np.asarray(a, float), [float(b)]])
     if any(np.asarray(v, float).tobytes() == target.tobytes() for v in vertices):
         return 0.0
-    pts = [np.asarray(v, float) - target for v in vertices]
-    res = min_norm_point(pts, np.zeros(target.size))
+    res = min_norm_point(np.asarray(vertices, float) - target, np.zeros(target.size))
     return float(np.linalg.norm(res.p_star))
 
 

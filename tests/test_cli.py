@@ -101,6 +101,21 @@ def test_radius_of_a_unit_row_beside_a_row_near_the_float_limit(capsys):
     assert rep["payload"]["radius"] == pytest.approx(math.sqrt(26.0), abs=1e-12)
 
 
+def test_radius_and_alpha_zero_of_a_feasible_system_near_the_float_limit(capsys):
+    # the radius report's residual, a norm whose sum of squares overflowed,
+    # once exited 3; feasible --alpha 0 once took the Phase-I LP's wrong
+    # "infeasible" (exit 4); the CI workflow runs the installed script on it
+    path = str(Path(__file__).with_name("float_limit_feasible_problem.json"))
+    code, rep = _run_json(capsys, ["radius", path])
+    assert code == 0
+    rho = rep["payload"]["radius"]
+    assert rho == pytest.approx(4.4232586846e299, rel=1e-9)
+    assert 0.0 <= rep["residuals"]["reconstruction"] <= 1e-15 * rho
+    code, rep = _run_json(capsys, ["feasible", path, "--alpha", "0"])
+    assert (code, rep["verdict"], rep["payload"]["radius"]) == (0, "feasible", None)
+    assert rep["residuals"]["nominal_min_slack"] >= 0.0
+
+
 # rho = 0 and an infeasible nominal system: radius runs that need the
 # nominal LP; the CI workflow runs the installed script on both
 ZERO_RADIUS_PROBLEM = str(Path(__file__).with_name("zero_radius_problem.json"))

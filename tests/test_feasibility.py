@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +8,8 @@ import pytest
 
 from conftest import highs, random_feasible_rows
 from robustmolp import feasibility
-from robustmolp.feasibility import (NominalInfeasibleError, ball_robust_feasible,
+from robustmolp.feasibility import (NominalInfeasibleError, NonCertifiedError,
+                                    ball_robust_feasible,
                                     cone_contains, hypographical_set,
                                     is_feasible, maximize_min_slack,
                                     radius_of_robust_feasibility)
@@ -331,6 +334,35 @@ def test_ball_witness_of_a_radius_past_1e154():
     assert worst == pytest.approx(2.9289321881345e299, rel=1e-12)
 
 
+def test_alpha_zero_probe_of_rows_near_1e300_is_the_rho_half_point():
+    # the Phase-I LP calls these rows infeasible, and the probe at alpha = 0
+    # once took its word; x = (-6, 3, 5.7e-300) satisfies every row, and
+    # the radius's rho/2 point does too, exactly
+    rows = _nominal("float_limit_feasible_problem.json")
+    assert radius_of_robust_feasibility(rows).rho == pytest.approx(4.4232586846e299,
+                                                                   rel=1e-9)
+    out = ball_robust_feasible(rows, 0.0)
+    assert out.status == "feasible" and out.rho is None
+    x = [Fraction(v) for v in out.x.tolist()]
+    for a, b in rows:
+        assert sum(Fraction(ai) * xi for ai, xi in zip(a.tolist(), x)) >= Fraction(b)
+
+
+def test_alpha_zero_probe_never_raises_non_certified(monkeypatch):
+    # an uncertified solve proves nothing: the LP decides alpha = 0 and
+    # gives its point, while a probe at alpha > 0 still raises
+    real = feasibility.min_norm_point
+    monkeypatch.setattr(feasibility, "min_norm_point",
+                        lambda *args: replace(real(*args), certified=False))
+    with pytest.raises(NonCertifiedError):
+        ball_robust_feasible(HYPO, 1.0)
+    out = ball_robust_feasible(HYPO, 0.0)
+    assert out.status == "feasible"
+    assert out.x.tolist() == is_feasible(HYPO).x.tolist()
+    with pytest.raises(NominalInfeasibleError):
+        ball_robust_feasible([(np.array([1.0]), 0.0), (np.array([-1.0]), 1.0)], 0.0)
+
+
 def test_min_slack_of_linear_rows_is_one_lp(monkeypatch):
     lps = _counting(monkeypatch, "solve_lp")
     X = RobustFeasibleSet(2, np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -2.0], [-1.0, -1.0, -3.0]]),
@@ -483,3 +515,64 @@ def test_ball_monotonicity(rng):
             else:
                 assert not seen_nonfeasible
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# a probe is one radius pass
+# ---------------------------------------------------------------------------
+
+def _two_solve_probe(rows, alpha):
+    """The probe composed of a radius solve and a witness taken from a
+    second hypographical set, as (status, x, rho)."""
+    rr = radius_of_robust_feasibility(rows)
+    if alpha > rr.rho + feasibility.BOUNDARY_TOL:
+        return "infeasible", None, rr.rho
+    if abs(alpha - rr.rho) <= feasibility.BOUNDARY_TOL:
+        return "inconclusive", None, rr.rho
+    points = hypographical_set(rows).points
+    x, slack = feasibility._ball_witness(points, rr.p_star, rr.rho, alpha)
+    if x is None or not slack - alpha * math.hypot(*x, 1.0) >= -1e-8:
+        return "inconclusive", None, rr.rho
+    return "feasible", x, rr.rho
+
+
+def _bits(status, x, rho):
+    return status, None if x is None else x.tobytes(), rho.hex()
+
+
+def test_one_pass_probe_matches_the_two_solve_composition(rng):
+    zero_b = done = 0
+    while done < 300:
+        rows, x0 = random_feasible_rows(rng, n=int(rng.integers(1, 5)),
+                                        p=int(rng.integers(1, 7)))
+        if done % 4 == 0:      # homogeneous rows a.x >= 0, strict at x0: b* = 0
+            rows = [(a, 0.0) for a, _ in rows if a @ x0 > 0] or rows
+        rr = radius_of_robust_feasibility(rows)
+        if rr.rho == 0.0:      # every alpha would be 0, which has its own rule
+            continue
+        zero_b += rr.p_star[-1] == 0.0
+        for frac in (0.3, 0.5, 0.9, 0.999, 1.1):
+            out = ball_robust_feasible(rows, frac * rr.rho)
+            assert (_bits(out.status, out.x, out.rho)
+                    == _bits(*_two_solve_probe(rows, frac * rr.rho))), (rows, frac)
+        done += 1
+    assert zero_b >= 30
+
+
+def test_a_probe_is_one_radius_pass(monkeypatch):
+    # HYPO has b* = -3, so the rho/2 point is the witness at every alpha;
+    # x >= 0 has b* = 0, and its witness at alpha is a second closed form
+    single = [(np.array([1.0]), 0.0)]
+    assert radius_of_robust_feasibility(HYPO).p_star[-1] < 0.0
+    assert radius_of_robust_feasibility(single).p_star[-1] == 0.0
+    names = ("min_norm_point", "hypographical_set", "_ball_witness",
+             "radius_of_robust_feasibility", "is_feasible")
+    for rows, alpha, witnesses in ((HYPO, 1.0, 1), (HYPO, 0.0, 1), (single, 0.3, 2)):
+        with monkeypatch.context() as m:
+            calls = {name: _counting(m, name) for name in names}
+            out = ball_robust_feasible(rows, alpha)
+        assert out.status == "feasible"
+        assert [len(calls[name]) for name in names] == [1, 1, witnesses, 0, 0]
+    # alpha = 0 takes the rho/2 point, every alpha's point on HYPO
+    assert (ball_robust_feasible(HYPO, 0.0).x.tobytes()
+            == ball_robust_feasible(HYPO, 1.0).x.tobytes())

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import highs
+from robustmolp import numerics
 from robustmolp.numerics import (SingularMatrixError,
                                  invert_symmetric, min_norm_point,
                                  project_simplex, solve_cone_system, solve_lp,
                                  sphere_directions)
 
 _INF = float("inf")
+_EPS = float(np.finfo(float).eps)
 
 HYPO_ROWS = [([-2, -1, -2], -6.0), ([-1, -2, -2], -6.0),
              ([-1, 0, 0], -3.0), ([0, -1, 0], -3.0), ([0, 0, -1], -3.0)]
@@ -279,6 +281,34 @@ def test_min_norm_point_on_the_line_of_two_free_points_does_not_enter():
     d = p3 - p2
     s = min(max(-(p2 @ d) / (d @ d), 0.0), 1.0)
     assert res.distance == pytest.approx(np.linalg.norm(p2 + s * d), rel=1e-12)
+
+
+def test_min_norm_point_takes_an_array_or_a_sequence_of_points(rng):
+    # the same solve, bit for bit, from a p x k array, the list of its rows
+    # and a list of tuples
+    for _ in range(100):
+        k, p = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+        pts = rng.integers(-5, 6, (p, k)).astype(float)
+        ray = rng.normal(0, 1, k) if rng.integers(0, 2) else np.append(np.zeros(k - 1), -1.0)
+        results = [min_norm_point(form, ray)
+                   for form in (pts, list(pts), [tuple(q) for q in pts.tolist()])]
+        for res in results[1:]:
+            assert res.p_star.tobytes() == results[0].p_star.tobytes()
+            assert res.weights.tobytes() == results[0].weights.tobytes()
+            assert (res.mu.hex(), res.certified, res.iterations, res.distance.hex()) == (
+                results[0].mu.hex(), results[0].certified, results[0].iterations,
+                results[0].distance.hex())
+
+
+def test_vi_margin_matches_the_loop_over_columns(rng):
+    # one product q.M in place of a dot per column: the sums may round in
+    # another order, so the loop's margin is matched to a few ulps of 1
+    for _ in range(200):
+        k, p = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+        M, q = rng.uniform(-1, 1, (k, p + 1)), rng.uniform(-1, 1, k)
+        loop = min(min(float(M[:, j] @ q) - float(q @ q) for j in range(p)),
+                   float(M[:, p] @ q))
+        assert numerics._vi_margin(M, q, p) == pytest.approx(loop, abs=16 * _EPS)
 
 
 def test_min_norm_variational_inequality_property(rng):
