@@ -11,11 +11,10 @@ from .model import (Ball, Box, ConcaveRow, Ellipsoid, NormBall,
 from .numerics import (NumericalBreakdown, SingularMatrixError,
                        invert_symmetric, min_norm_point, project_simplex,
                        solve_cone_system, solve_lp)
-from .feasibility import (BallFeasibility, FeasibilityResult, HypographicalSet,
+from .feasibility import (BallFeasibility, FeasibilityResult,
                           NominalInfeasibleError, NonCertifiedError,
                           RadiusResult, UnsupportedClassError,
-                          ball_robust_feasible, cone_contains,
-                          hypographical_set, is_feasible,
+                          ball_robust_feasible, cone_contains, is_feasible,
                           radius_of_robust_feasibility)
 from .efficiency import (ActiveGeometry, CertifyOutcome, ConstraintMultiplier,
                          EfficiencyCertificate, NotFeasiblePointError,

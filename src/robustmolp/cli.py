@@ -25,8 +25,8 @@ from . import oracle
 from .efficiency import (RESIDUAL_TOL, EfficiencyCertificate, ConstraintMultiplier,
                          NotFeasiblePointError, certify_weak_efficiency)
 from .feasibility import (NominalInfeasibleError, NonCertifiedError,
-                          UnsupportedClassError, ball_robust_feasible,
-                          hypographical_set, radius_of_robust_feasibility)
+                          UnsupportedClassError, _system, ball_robust_feasible,
+                          radius_of_robust_feasibility)
 from .model import (ProblemFormatError, Singleton, ValidationError, _json_numbers,
                     load_problem, reject_nonfinite_constant,
                     validate_dimensions, validate_problem)
@@ -136,7 +136,7 @@ def cmd_radius(args) -> int:
         "ray_coefficient": res.mu,
         "certified": res.certified,
     }
-    recon = res.weights @ hypographical_set(rows).points
+    recon = res.weights @ _system(rows)
     recon[-1] -= res.mu
     # hypot: the norm's sum of squares overflows past entries of 1e154
     residuals = {"reconstruction": math.hypot(*(recon - res.p_star))}
@@ -161,8 +161,8 @@ def cmd_feasible(args) -> int:
     residuals = {}
     if res.x is not None:
         payload["witness"] = res.x.tolist()
-        slacks = [float(a @ res.x - b) for a, b in rows]
-        residuals["nominal_min_slack"] = min(slacks)
+        S = _system(rows)
+        residuals["nominal_min_slack"] = float((S[:, :-1] @ res.x - S[:, -1]).min())
     _emit(_report("feasible", _digest(args.problem_file), res.status,
                   payload, residuals, t0), args.json)
     return {"feasible": EXIT_OK, "infeasible": EXIT_NEGATIVE,

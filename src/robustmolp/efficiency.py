@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feasibility import SlackSearch, maximize_min_slack
+from .feasibility import SLATER_MARGIN, SlackSearch, maximize_min_slack
 from .model import (RobustFeasibleSet, ValidatedProblem, endpoint_objectives, own_row,
                     reduce_constraints)
 from .numerics import norm_value, slack_value, solve_cone_system, solve_lp
@@ -35,7 +35,6 @@ _INF = float("inf")
 
 ACTIVE_TOL = 1e-8
 RESIDUAL_TOL = 1e-7     # certificate residuals, verify_certificate's default
-SLATER_MARGIN = 1e-6
 IMPROVEMENT_TOL = 1e-9  # smallest improvement t that refutes a scenario
 
 
@@ -159,8 +158,7 @@ def check_slater(X: RobustFeasibleSet) -> SlaterCheck:
     and an inf-norm LP with tangent cuts disproves it, with max_slack the
     relaxation's bound (see maximize_min_slack).
     """
-    two = [r.source for r in X.concave if r.s == 2]
-    search: SlackSearch = maximize_min_slack(X, SLATER_MARGIN, two)
+    search: SlackSearch = maximize_min_slack(X)
     if search.value >= SLATER_MARGIN:
         return SlaterCheck(True, search.x, search.value, _INF)
     return SlaterCheck(False, None, search.value, search.upper_bound)

@@ -1,13 +1,16 @@
 """Robust feasibility analysis.
 
 Finite-system feasibility checks, conic membership of the marker vector
-(0,...,0,1) that characterizes inconsistency, the hypographical set of a
-nominal system, the radius of robust feasibility under joint coefficient
-ball perturbations, and feasibility probing at a given perturbation size.
-A radius rho > 0 proves the nominal system feasible by a closed-form point,
-so the Phase-I LP runs only when rho = 0 or that point fails its check.
-A probe is one radius pass: one hypographical set and one minimum-norm
-point, whose rho/2 point it reuses.
+(0,...,0,1) that characterizes inconsistency, the radius of robust
+feasibility under joint coefficient ball perturbations, feasibility
+probing at a given perturbation size, and the refined Slater search.
+Each public call on a nominal system turns its rows (a_j, b_j) into one
+array [A | b] once, which is also where an empty or non-finite system is
+rejected; its rows are the points of the hypographical set.  A radius
+rho > 0 proves the nominal system feasible by a closed-form point, so the
+Phase-I LP runs only when rho = 0 or that point fails its check.  A probe
+is one radius pass, one minimum-norm point whose rho/2 point it reuses,
+and its boundary band scales with the largest entry of [A | b].
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ _INF = float("inf")
 
 CUT_ROUNDS = 40         # tangent-cut LPs for s = 2 rows in the Slater check
 MEMBER_TOL = 1e-9       # relative equality residual of a cone combination
-BOUNDARY_TOL = 1e-6     # |alpha - rho| at which ball_robust_feasible is inconclusive
+BOUNDARY_TOL = 1e-6     # |alpha - rho| / max|[A | b]| at which a probe is inconclusive
+SLATER_MARGIN = 1e-6    # 2-norm row slack at which the Slater search stops
 
 
 class NominalInfeasibleError(Exception):
@@ -40,8 +44,15 @@ class UnsupportedClassError(Exception):
     need the nominal system of an all-singleton problem."""
 
 
-def _as_rows(rows):
-    return [(np.asarray(a, float), float(b)) for a, b in rows]
+def _system(nominal):
+    """The nominal rows (a_j, b_j) as one p x (n+1) array [A | b]; raises
+    ValueError when there is no row or an entry is not finite."""
+    S = np.array([[*np.asarray(a, float).tolist(), b] for a, b in nominal], float)
+    if not len(S):
+        raise ValueError("nominal system must be nonempty")
+    if not np.isfinite(S).all():
+        raise ValueError("nominal system must be finite")
+    return S
 
 
 @dataclass(frozen=True)
@@ -56,11 +67,8 @@ def is_feasible(rows) -> FeasibilityResult:
     Feasible results carry a witness; infeasibility is the exact simplex
     verdict.
     """
-    rows = _as_rows(rows)
-    if not rows:
-        raise ValueError("rows must be nonempty")
-    G = np.array([a for a, _ in rows])
-    sol = solve_lp(np.zeros(G.shape[1]), G, [b for _, b in rows], -_INF)
+    S = _system(rows)
+    sol = solve_lp(np.zeros(S.shape[1] - 1), S[:, :-1], S[:, -1], -_INF)
     if sol.optimal:
         return FeasibilityResult(True, sol.x)
     return FeasibilityResult(False)
@@ -90,23 +98,6 @@ def cone_contains(generators, target) -> ConeMembership:
     if np.linalg.norm(G @ w - t) > MEMBER_TOL * max(1.0, np.linalg.norm(t)):
         return ConeMembership(False)
     return ConeMembership(True, w)
-
-
-@dataclass(frozen=True)
-class HypographicalSet:
-    """conv{(a_j, b_j)} + R+ * (0,...,0,-1) for a nominal system."""
-
-    points: np.ndarray    # p x (n+1)
-    ray: np.ndarray       # fixed (0,...,0,-1)
-
-
-def hypographical_set(nominal) -> HypographicalSet:
-    pts = np.array([[*np.asarray(a, float).tolist(), b] for a, b in nominal], float)
-    if not len(pts):
-        raise ValueError("nominal system must be nonempty")
-    ray = np.zeros(pts.shape[1])
-    ray[-1] = -1.0
-    return HypographicalSet(pts, ray)
 
 
 @dataclass(frozen=True)
@@ -150,23 +141,27 @@ def _ball_witness(points, p_star, rho, alpha):
 def _radius(nominal):
     """The radius computed once for radius_of_robust_feasibility and each
     ball probe: its RadiusResult, certified False where the public function
-    raises NonCertifiedError; the points [a_j | b_j] of the hypographical
-    set; the rho/2 probe's (x, min_j a_j.x - b_j), (None, -inf) unless
-    rho > 0 is certified; and the Phase-I point, None unless that x fails
-    its check and the LP ran.  Raises NominalInfeasibleError.
+    raises NonCertifiedError; the array [A | b], whose rows are the points
+    of the hypographical set; the rho/2 probe's (x, min_j a_j.x - b_j),
+    (None, -inf) unless rho > 0 is certified; and the Phase-I point, None
+    unless that x fails its check and the LP ran.  Raises
+    NominalInfeasibleError.
     """
-    H = hypographical_set(nominal)
-    res: MinNormResult = min_norm_point(H.points, H.ray)
+    nominal = list(nominal)     # the Phase-I LP reads the rows again
+    S = _system(nominal)
+    ray = np.zeros(S.shape[1])
+    ray[-1] = -1.0
+    res: MinNormResult = min_norm_point(S, ray)
     half, nominal_x = (None, -_INF), None
     if res.certified and res.distance > 0:
-        half = _ball_witness(H.points, res.p_star, res.distance, res.distance / 2)
+        half = _ball_witness(S, res.p_star, res.distance, res.distance / 2)
     if not half[1] >= 0:
-        nom = is_feasible(list(zip(H.points[:, :-1], H.points[:, -1])))
+        nom = is_feasible(nominal)
         if not nom.feasible:
             raise NominalInfeasibleError("nominal system is infeasible")
         nominal_x = nom.x
     rr = RadiusResult(res.distance, res.p_star, res.weights, res.mu, res.certified)
-    return rr, H.points, half, nominal_x
+    return rr, S, half, nominal_x
 
 
 def radius_of_robust_feasibility(nominal) -> RadiusResult:
@@ -195,30 +190,28 @@ class SlackSearch:
     upper_bound: float    # LP bound on the supremum; inf if x decided it
 
 
-def _slack_lp(X, strict, cap, s, cuts):
-    """max t <= cap s.t. slack_j(x) >= t on the rows of the strict
-    constraints, slack_j(x) >= 0 on the others, and g.x - t >= b for each
-    cut [g | b].
+def _slack_lp(X, s, cuts):
+    """max t <= 1 s.t. slack_j(x) >= t on the 2-norm rows, slack_j(x) >= 0
+    on the others, and g.x - t >= b for each cut [g | b].
 
     The LP is X's lift (RobustFeasibleSet.lift) with the 2-norm of each
     s = 2 row replaced by the dual norm of s (the 1-norm for s = inf, the
-    inf-norm for s = 1), plus a column t: -1 on the main rows of the strict
-    constraints, 0 on the other main rows and on the band rows.  The cuts
-    and t <= cap follow the lifted rows.  Returns (x, t), or (None, -inf)
-    when no x satisfies the rows of the other constraints.
+    inf-norm for s = 1), plus a column t: -1 on the main rows of those
+    rows, 0 on every other row.  The cuts and t <= 1 follow the lifted
+    rows.  Returns (x, t), or (None, -inf) when no x satisfies the other
+    rows.
     """
     n = X.n
+    two = [r.source for r in X.concave if r.s == 2]
     rows = tuple(replace(r, s=s) if r.s == 2 else r for r in X.concave)
     XL, _ = replace(X, concave=rows).lift(np.zeros(n))
-    t_col = np.where(np.isin(XL.source, strict), -1.0, 0.0)
-    for i, r in XL.lifted:
-        t_col[i + 1:i + 1 + 2 * r.P.shape[1]] = 0.0
-    k = len(t_col)
+    k = len(XL.rows)
     G = np.zeros((k + len(cuts) + 1, XL.n + 1))
-    G[:k, :-1], G[:k, -1], G[k:, -1] = XL.A, t_col, -1.0
+    G[:k, :-1], G[k:, -1] = XL.A, -1.0
+    G[[i for i, r in XL.lifted if r.source in two], -1] = -1.0
     for row, cut in zip(G[k:], cuts):
         row[:n] = cut[:-1]
-    h = np.concatenate([XL.b, [cut[-1] for cut in cuts], [-cap]])
+    h = np.concatenate([XL.b, [cut[-1] for cut in cuts], [-1.0]])
     lower = np.zeros(XL.n + 1)
     lower[:n] = lower[-1] = -_INF
     sol = solve_lp(G[-1], G, h, lower)          # min -t
@@ -227,40 +220,30 @@ def _slack_lp(X, strict, cap, s, cuts):
     return sol.x[:n], float(sol.x[-1])
 
 
-def maximize_min_slack(X: RobustFeasibleSet, target: float = 0.0,
-                       strict=None) -> SlackSearch:
-    """Maximize min_j slack_j(x) over the rows of the reduced set X, linear
-    and concave, of the constraints in `strict` (default: all of them),
-    over the x in R^n where the rows of the other constraints have
-    slack >= 0.  Every 2-norm (s = 2) row must be strict.
+def maximize_min_slack(X: RobustFeasibleSet) -> SlackSearch:
+    """The refined Slater search: maximize the least worst-case slack of
+    the 2-norm (s = 2) rows of the reduced set X over the x in R^n where
+    every other row, linear or concave, has slack >= 0.
 
-    One LP in (x, t) maximizes t <= max(1, target) subject to
-    slack_j(x) >= t, each dual norm written with the band rows of the lift
-    (Ben-Tal, El Ghaoui & Nemirovski, Robust Optimization, 2009).  With
-    linear, s = 1 and s = inf rows only, the LP is exact and its value is
-    the supremum (or the cap).  The 2-norm of an s = 2 row lies between the
-    inf-norm and the 1-norm: the LP with the 1-norm is a restriction whose
-    point is a witness, and the LP with the inf-norm plus Kelley's tangent
-    cuts yhat.P^T (x, -1) <= ||P^T (x, -1)||_2 at each round's point (its
-    worst row there, supergradient) is a relaxation whose value bounds the
-    supremum.  The cut rounds stop when a point
-    reaches the target, when the bound falls below it, or after CUT_ROUNDS.
-    With no point satisfying the other constraints the value and bound are
-    -inf.
+    One LP in (x, t) maximizes t <= 1 subject to slack_j(x) >= t, each
+    dual norm written with the band rows of the lift (Ben-Tal, El Ghaoui &
+    Nemirovski, Robust Optimization, 2009).  With no 2-norm row it is one
+    feasibility LP of the other rows, whose value is 1.  The 2-norm of an
+    s = 2 row lies between the inf-norm and the 1-norm: the LP with the
+    1-norm is a restriction whose point is a witness, and the LP with the
+    inf-norm plus Kelley's tangent cuts yhat.P^T (x, -1) <=
+    ||P^T (x, -1)||_2 at each round's point (its worst row there,
+    supergradient) is a relaxation whose value bounds the supremum.  The
+    cut rounds stop when a point reaches SLATER_MARGIN, when the bound
+    falls below it, or after CUT_ROUNDS.  With no point satisfying the
+    other rows the value and bound are -inf.
     """
-    cap = max(1.0, target)
-    if strict is None:
-        strict = [*X.source.tolist(), *(r.source for r in X.concave)]
-    lin = np.isin(X.source, strict)
-    rows = [r for r in X.concave if r.source in strict]
     round_rows = [r for r in X.concave if r.s == 2]
-    if any(r.source not in strict for r in round_rows):
-        raise ValueError("every 2-norm row must be strict")
 
     def phi(pt):
-        return min([*X.slack(pt)[lin], *(r.slack(pt) for r in rows)], default=cap)
+        return min([r.slack(pt) for r in round_rows], default=1.0)
 
-    x, bound = _slack_lp(X, strict, cap, _INF, ())
+    x, bound = _slack_lp(X, _INF, ())
     if x is None:
         return SlackSearch(None, -_INF, -_INF)
     best_x, best_v = x, phi(x)
@@ -268,11 +251,11 @@ def maximize_min_slack(X: RobustFeasibleSet, target: float = 0.0,
         return SlackSearch(best_x, best_v, bound)
     bound, cuts = _INF, []
     for _ in range(CUT_ROUNDS):
-        if best_v >= target:
+        if best_v >= SLATER_MARGIN:
             break
         cuts += [r.supergradient(x) for r in round_rows]
-        x, bound = _slack_lp(X, strict, cap, 1, cuts)
-        if bound < target:
+        x, bound = _slack_lp(X, 1, cuts)
+        if bound < SLATER_MARGIN:
             break
         v = phi(x)
         if v > best_v:
@@ -292,29 +275,31 @@ def ball_robust_feasible(nominal, alpha: float) -> BallFeasibility:
 
     The sign decision near the boundary is delegated to the radius value;
     strictly inside, the witness comes in closed form from the radius's
-    nearest point and is checked to have worst-case slack >= -1e-8 (a
-    check that overflow leaves undecided reads as inconclusive).  For
-    b* < 0 it is the radius's rho/2 point, reused.
-    Exactly at the radius (within BOUNDARY_TOL) the answer is inconclusive
-    because attainment of the supremum is not guaranteed.  At alpha = 0
-    the rho/2 point is the witness when rho > 0 is certified and its
-    slacks are >= 0; otherwise the Phase-I LP decides, and alpha = 0
-    never raises NonCertifiedError.
+    nearest point and is checked to have worst-case slack >= -1e-8 times
+    min(1, m), where m is the largest |entry| of [A | b] (a check that
+    overflow leaves undecided reads as inconclusive).  For b* < 0 it is
+    the radius's rho/2 point, reused.  Exactly at the radius (within
+    BOUNDARY_TOL * m) the answer is inconclusive because attainment of the
+    supremum is not guaranteed.  At alpha = 0 the rho/2 point is the
+    witness when rho > 0 is certified and its slacks are >= 0; otherwise
+    the Phase-I LP decides, and alpha = 0 never raises NonCertifiedError.
     """
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError("alpha must be >= 0")
-    rr, points, (x, slack), nominal_x = _radius(nominal)   # raises on infeasible nominal
+    rr, S, (x, slack), nominal_x = _radius(nominal)   # raises on infeasible nominal
     if alpha == 0.0:
         return BallFeasibility("feasible", x if nominal_x is None else nominal_x, None)
     if not rr.certified:
         raise NonCertifiedError("minimum-norm solve did not certify optimality")
-    if alpha > rr.rho + BOUNDARY_TOL:
+    scale = float(np.abs(S).max())
+    band = BOUNDARY_TOL * scale
+    if alpha > rr.rho + band:
         return BallFeasibility("infeasible", None, rr.rho)
-    if abs(alpha - rr.rho) <= BOUNDARY_TOL:
+    if abs(alpha - rr.rho) <= band:
         return BallFeasibility("inconclusive", None, rr.rho)
     if not rr.p_star[-1] < 0:
         # t a* depends on alpha; for b* < 0, x = a*/|b*| is rho/2's point
-        x, slack = _ball_witness(points, rr.p_star, rr.rho, alpha)
-    if x is None or not slack - alpha * math.hypot(*x, 1.0) >= -1e-8:
+        x, slack = _ball_witness(S, rr.p_star, rr.rho, alpha)
+    if x is None or not slack - alpha * math.hypot(*x, 1.0) >= -1e-8 * min(1.0, scale):
         return BallFeasibility("inconclusive", None, rr.rho)
     return BallFeasibility("feasible", x, rr.rho)

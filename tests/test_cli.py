@@ -116,6 +116,20 @@ def test_radius_and_alpha_zero_of_a_feasible_system_near_the_float_limit(capsys)
     assert rep["residuals"]["nominal_min_slack"] >= 0.0
 
 
+def test_feasible_on_the_golden_system_in_tiny_units(capsys):
+    # the golden system scaled by 1e-8: an absolute band of 1e-6 once held
+    # every alpha near its radius inside it (exit 2); the CI workflow runs
+    # the installed script on it
+    path = str(Path(__file__).with_name("tiny_scale_problem.json"))
+    code, rep = _run_json(capsys, ["radius", path])
+    rho = rep["payload"]["radius"]
+    assert code == 0 and rho == pytest.approx(1e-8 * math.sqrt(28 / 3), rel=1e-12)
+    for frac, expected in ((0.5, (0, "feasible")), (0.9, (0, "feasible")),
+                           (1.1, (1, "infeasible"))):
+        code, rep = _run_json(capsys, ["feasible", path, "--alpha", repr(frac * rho)])
+        assert (code, rep["verdict"]) == expected, frac
+
+
 # rho = 0 and an infeasible nominal system: radius runs that need the
 # nominal LP; the CI workflow runs the installed script on both
 ZERO_RADIUS_PROBLEM = str(Path(__file__).with_name("zero_radius_problem.json"))

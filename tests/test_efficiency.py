@@ -418,18 +418,21 @@ def _slater_lps(monkeypatch, delta, s):
 
 @pytest.mark.parametrize("s, threshold", [(1, 2.0), (_INF, 1.0)])
 def test_slater_of_norm_one_and_inf_rows_is_one_lp(monkeypatch, s, threshold):
-    # the supremum of the min-slack is 0 from delta = threshold on, else +inf
-    for delta, sup in ((0.9 * threshold, 1.0), (1.1 * threshold, 0.0)):
+    # the row's min-slack has supremum +inf below delta = threshold and is
+    # 0 only at x = 0 above it; the refined Slater condition asks a
+    # polyhedral row only to be satisfied, so even the set {0} passes, in
+    # one feasibility LP whose value is 1
+    for delta in (0.9 * threshold, 1.1 * threshold):
         p = UncertainMOLP(1, 2, [[1.0, 0.0]], [0.0], [0.0, 0.0],
                           (NormBall([1.0, 1.0], np.eye(2), delta, s, 0.0, 0.0),))
         X = reduce_constraints(validate_problem(p))
-        search = feasibility.maximize_min_slack(X, target=1e-6)
-        assert search.value == pytest.approx(sup, abs=1e-12)
-        assert search.upper_bound == pytest.approx(sup, abs=1e-12)
-        # the refined Slater condition asks a polyhedral row only to be
-        # satisfied, so even the set {0} passes, in one LP
+        search = feasibility.maximize_min_slack(X)
+        assert search.value == search.upper_bound == 1.0
+        row = X.concave[0]
+        assert row.slack(search.x) >= -1e-12
         chk, lps = _slater_lps(monkeypatch, delta, s)
         assert chk.ok and lps == 1
+        assert chk.x0.tolist() == search.x.tolist()
 
 
 def test_slater_of_two_norm_row_decided_by_tangent_cuts(monkeypatch):
@@ -502,7 +505,8 @@ def test_lifted_inf_ball_with_empty_interior_is_certified():
                        Singleton([-1.0], 0.0)))
     vp = validate_problem(p)
     X = reduce_constraints(vp)
-    assert feasibility.maximize_min_slack(X).value == 0.0
+    search = feasibility.maximize_min_slack(X)
+    assert search.value == 1.0 and search.x.tolist() == [0.0]
     x = np.array([0.0])
     out = certify_weak_efficiency(vp, x)
     assert out.status == "certified"

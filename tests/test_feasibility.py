@@ -10,13 +10,14 @@ from conftest import highs, random_feasible_rows
 from robustmolp import feasibility
 from robustmolp.feasibility import (NominalInfeasibleError, NonCertifiedError,
                                     ball_robust_feasible,
-                                    cone_contains, hypographical_set,
-                                    is_feasible, maximize_min_slack,
+                                    cone_contains, is_feasible,
+                                    maximize_min_slack,
                                     radius_of_robust_feasibility)
 from robustmolp.model import (Ball, ConcaveRow, RobustFeasibleSet, UncertainMOLP,
                               load_problem, reduce_constraints, validate_problem)
 
 _INF = float("inf")
+_NAN = float("nan")
 
 HYPO = [(np.array([-2.0, -1, -2]), -6.0), (np.array([-1.0, -2, -2]), -6.0),
         (np.array([-1.0, 0, 0]), -3.0), (np.array([0.0, -1, 0]), -3.0),
@@ -90,15 +91,20 @@ def test_infeasibility_equals_marker_membership(rng):
 # ---------------------------------------------------------------------------
 
 def test_hypographical_set_shape():
-    H = hypographical_set([(np.array([1.0]), 0.0)])
-    assert H.points.shape == (1, 2)
-    assert np.array_equal(H.points[0], [1.0, 0.0])
-    assert np.array_equal(H.ray, [0.0, -1.0])
-    H5 = hypographical_set(HYPO)
-    assert H5.points.shape == (5, 4)
-    assert np.array_equal(H5.points[2], [-1.0, 0.0, 0.0, -3.0])
-    with pytest.raises(ValueError):
-        hypographical_set([])
+    # the points of the hypographical set are the rows of one array [A | b]
+    S = feasibility._system([(np.array([1.0]), 0.0)])
+    assert S.shape == (1, 2) and S.dtype == float
+    assert np.array_equal(S[0], [1.0, 0.0])
+    S5 = feasibility._system(HYPO)
+    assert S5.shape == (5, 4)
+    assert np.array_equal(S5[2], [-1.0, 0.0, 0.0, -3.0])
+    with pytest.raises(ValueError, match="nonempty"):
+        feasibility._system([])
+    for bad in (_NAN, _INF, -_INF):
+        with pytest.raises(ValueError, match="finite"):
+            feasibility._system([(np.array([1.0, 0.0]), 0.0), (np.array([bad, 1.0]), 0.0)])
+        with pytest.raises(ValueError, match="finite"):
+            feasibility._system([(np.array([1.0, 0.0]), bad)])
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +271,9 @@ def test_zero_radius_decides_nominal_feasibility_by_one_lp(monkeypatch):
         lps = _counting(m, "solve_lp")
         assert radius_of_robust_feasibility(_nominal("zero_radius_problem.json")).rho == 0.0
     assert (len(feas), len(lps)) == (1, 1)
+    # the LP reads the rows a second time, which an iterator of them allows
+    rows = _nominal("zero_radius_problem.json")
+    assert radius_of_robust_feasibility(iter(rows)).rho == 0.0
     # without the zero row rho is 0 up to the rounding of the min-norm solve
     pair = [(np.array([1.0, 0.0]), 0.0), (np.array([-1.0, 0.0]), 0.0)]
     assert radius_of_robust_feasibility(pair).rho <= 1e-15
@@ -367,60 +376,89 @@ def test_min_slack_of_linear_rows_is_one_lp(monkeypatch):
     lps = _counting(monkeypatch, "solve_lp")
     X = RobustFeasibleSet(2, np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -2.0], [-1.0, -1.0, -3.0]]),
                           np.arange(3))
-    search = maximize_min_slack(X, target=0.0)
-    # the supremum is 2, so the LP stops at its cap of 1
+    search = maximize_min_slack(X)
+    # with no 2-norm row the rows need only be satisfied: one feasibility
+    # LP, whose value is 1
     assert len(lps) == 1
-    assert search.upper_bound == 1.0
-    assert search.value >= 1.0 - 1e-12
-    assert min(X.slack(search.x)) == search.value
-
+    assert search.value == search.upper_bound == 1.0
+    assert min(X.slack(search.x)) >= 0.0
+    # x1 >= 1 and -x1 >= 0 leave no point
+    X = RobustFeasibleSet(1, np.array([[1.0, 1.0], [-1.0, 0.0]]), np.arange(2))
+    search = maximize_min_slack(X)
+    assert search.x is None and search.value == search.upper_bound == -_INF
+    assert len(lps) == 2
 
 
 def _random_slack_set(rng):
-    """A reduced set of linear, s = 1 and s = inf rows over R^n (q <= 3),
-    and the same set written without the lift: each s = inf row as its 2^q
-    rows a_bar - P sigma, sigma in {-1, 1}^q, each s = 1 row as its 2q rows
-    a_bar -+ P e_i, as [a | b | constraint] rows."""
+    """A reduced set over R^n of linear, s = 1 and s = inf rows and one
+    2-norm row, each with q <= 3 columns of P, and the rows of that set
+    written without the lift as [a | b | on] rows, on = 1 for the 2-norm
+    row's: each s = inf row as its 2^q rows a_bar - P sigma,
+    sigma in {-1, 1}^q, each s = 1 row as its 2q rows a_bar -+ P e_i.  The
+    2-norm row is written both ways, as an s = inf row (the restriction)
+    and as an s = 1 row (the relaxation); returns (X, restriction,
+    relaxation)."""
     n = int(rng.integers(1, 4))
-    rows, source, concave, flat = [], [], [], []
-    for j in range(int(rng.integers(1, 6))):
-        kind = ("linear", 1.0, _INF)[int(rng.integers(0, 3))]
+    rows, source, concave, flat = [], [], [], {1.0: [], _INF: []}
+    kinds = [("linear", 1.0, _INF)[int(rng.integers(0, 3))]
+             for _ in range(int(rng.integers(0, 5)))]
+    kinds.insert(int(rng.integers(0, len(kinds) + 1)), 2.0)
+    for j, kind in enumerate(kinds):
         a, b = rng.integers(-5, 6, n).astype(float), float(rng.integers(-5, 3))
+        P = rng.integers(-2, 3, (n, int(rng.integers(1, 4)))).astype(float)
+        if kind == 2.0:     # 1/8 keeps its slack below the cap of 1 more often
+            a, b, P = a / 8, b / 8, P / 8
         if kind == "linear":
             rows.append([*a, b])
             source.append(j)
-            flat.append([*a, b, j])
+            for out in flat.values():
+                out.append([*a, b, 0.0])
             continue
-        q = int(rng.integers(1, 4))
-        P = rng.integers(-2, 3, (n, q)).astype(float)
+        q = P.shape[1]
         concave.append(ConcaveRow(a, b, j, np.vstack([P, np.zeros(q)]), kind))
-        signs = (np.vstack([np.eye(q), -np.eye(q)]) if kind == 1 else
-                 1.0 - 2.0 * ((np.arange(1 << q)[:, None] >> np.arange(q)) & 1))
-        flat += [[*(a - P @ w), b, j] for w in signs]
+        for s, out in flat.items():
+            s = s if kind == 2.0 else kind
+            signs = (np.vstack([np.eye(q), -np.eye(q)]) if s == 1 else
+                     1.0 - 2.0 * ((np.arange(1 << q)[:, None] >> np.arange(q)) & 1))
+            out += [[*(a - P @ w), b, float(kind == 2.0)] for w in signs]
     X = RobustFeasibleSet(n, np.reshape(rows, (-1, n + 1)), np.array(source, int),
                           tuple(concave))
-    return X, np.array(flat), j + 1
+    return X, np.array(flat[_INF]), np.array(flat[1.0])
 
 
 def test_min_slack_matches_the_lp_written_without_the_lift(rng):
-    # max t <= 1 s.t. a.x - b >= t on strict rows and >= 0 on the others
+    # max t <= 1 s.t. a.x - b >= t on the 2-norm row's rows and >= 0 on the
+    # others: its restriction's value bounds the search's from below, its
+    # relaxation's bounds it and the search's bound from above, and the two
+    # coincide when the 2-norm row's P has one column
+    seen = {"infeasible": 0, "optimal": 0}
     for _ in range(60):
-        X, flat, k = _random_slack_set(rng)
+        X, inner, outer = _random_slack_set(rng)
         n = X.n
-        for strict in (None, [j for j in range(k) if rng.integers(0, 2)]):
-            on = np.isin(flat[:, -1], range(k) if strict is None else strict)
-            G = np.vstack([np.column_stack([flat[:, :n], -on.astype(float)]),
+        solved = []
+        for flat in (inner, outer):
+            G = np.vstack([np.column_stack([flat[:, :n], -flat[:, -1]]),
                            [*np.zeros(n), -1.0]])
             h = np.append(flat[:, n], -1.0)
-            status, value = highs(G[-1], G, h, -_INF)
-            search = maximize_min_slack(X, strict=strict)
-            if status == "infeasible":
-                assert search.x is None and search.value == search.upper_bound == -_INF
-                continue
-            assert status == "optimal"
-            assert search.upper_bound == pytest.approx(-value, abs=1e-7)
-            # the min-slack at the point may pass the cap; up to it, it is the value
-            assert min(search.value, 1.0) == pytest.approx(-value, abs=1e-7)
+            solved.append(highs(G[-1], G, h, -_INF))
+        (status, low), (status_out, high) = solved
+        # t is free, so both LPs are feasible exactly when the other rows are
+        assert status == status_out
+        search = maximize_min_slack(X)
+        seen[status] += 1
+        if status == "infeasible":
+            assert search.x is None and search.value == search.upper_bound == -_INF
+            continue
+        assert status == "optimal"
+        low, high = -low, -high
+        # the min-slack at the point may pass the cap; up to it, it is bracketed
+        assert low - 1e-7 <= min(search.value, 1.0) <= high + 1e-7
+        assert search.value <= search.upper_bound + 1e-7
+        if search.upper_bound < _INF:
+            assert search.upper_bound <= high + 1e-7
+        assert min(X.slack(search.x), default=0.0) >= -1e-9
+        assert all(r.slack(search.x) >= -1e-9 for r in X.concave if r.s != 2)
+    assert min(seen.values()) >= 5, seen
 
 
 def test_min_slack_needs_a_lift_and_strict_two_norm_rows():
@@ -431,12 +469,12 @@ def test_min_slack_needs_a_lift_and_strict_two_norm_rows():
     X = reduce_constraints(validate_problem(p))
     search = maximize_min_slack(X)
     assert search.x.tolist() == [0.0] and search.value == 0.5
-    assert maximize_min_slack(X, 0.6).upper_bound == 0.5
+    # strict slack is asked of the 2-norm row x - |x| / 2 >= 0 only: beside
+    # x >= 0, whose slack is not maximized, it reaches the cap at a large x
     two = ConcaveRow(np.array([1.0]), 0.0, 1, np.array([[0.5], [0.0]]), 2.0)
     X = RobustFeasibleSet(1, np.array([[1.0, 0.0]]), np.array([0]), (two,))
-    with pytest.raises(ValueError):
-        maximize_min_slack(X, strict=[0])
-    assert maximize_min_slack(X, strict=[1]).value == 1.0
+    assert maximize_min_slack(X).value == 1.0
+
 
 def _witness_systems(rng):
     """Random nominal systems, some homogeneous (b* = 0), plus hand cases:
@@ -518,20 +556,70 @@ def test_ball_monotonicity(rng):
 
 
 # ---------------------------------------------------------------------------
+# the band and the witness floor scale with the data
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-8, 1e-6, 1.0, 1e8, 1e150])
+def test_probe_verdicts_do_not_depend_on_the_data_scale(scale):
+    # the golden system in other units: an absolute band of 1e-6 once held
+    # the 0.9 rho and 1.1 rho probes of its 1e-6 copy, and every probe of
+    # its 1e-8 copy, inside it (inconclusive)
+    rows = [(scale * a, scale * b) for a, b in HYPO]
+    rho = radius_of_robust_feasibility(rows).rho
+    assert rho == pytest.approx(scale * math.sqrt(28 / 3), rel=1e-12)
+    verdicts = [ball_robust_feasible(rows, frac * rho).status for frac in (0.5, 0.9, 1.1, 2.0)]
+    assert verdicts == ["feasible", "feasible", "infeasible", "infeasible"]
+
+
+def test_nan_alpha_raises():
+    with pytest.raises(ValueError):
+        ball_robust_feasible(HYPO, float("nan"))
+    with pytest.raises(ValueError):
+        ball_robust_feasible(HYPO, -1.0)
+
+
+# x1 >= -1 beside a row with a NaN coefficient: the Phase-I LP once
+# answered feasible with x = (0, nan)
+NAN_ROWS = [(np.array([_NAN, 1.0]), 0.0), (np.array([1.0, 0.0]), -1.0)]
+
+
+@pytest.mark.parametrize("rows", [NAN_ROWS, [(np.array([1.0, 0.0]), _INF)],
+                                  [(np.array([-_INF, 1.0]), 0.0)]])
+def test_is_feasible_rejects_non_finite_rows(rows):
+    with pytest.raises(ValueError):
+        is_feasible(rows)
+
+
+@pytest.mark.parametrize("rows", [NAN_ROWS, [(np.array([1.0, 0.0]), _INF)]])
+def test_radius_rejects_non_finite_rows(rows):
+    # the NaN row once warned in a division and raised NonCertifiedError
+    with pytest.raises(ValueError):
+        radius_of_robust_feasibility(rows)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_ball_probe_rejects_non_finite_rows(alpha):
+    with pytest.raises(ValueError):
+        ball_robust_feasible(NAN_ROWS, alpha)
+
+
+# ---------------------------------------------------------------------------
 # a probe is one radius pass
 # ---------------------------------------------------------------------------
 
 def _two_solve_probe(rows, alpha):
     """The probe composed of a radius solve and a witness taken from a
-    second hypographical set, as (status, x, rho)."""
+    second array [A | b], as (status, x, rho)."""
     rr = radius_of_robust_feasibility(rows)
-    if alpha > rr.rho + feasibility.BOUNDARY_TOL:
+    S = feasibility._system(rows)
+    scale = float(np.abs(S).max())
+    band = feasibility.BOUNDARY_TOL * scale
+    if alpha > rr.rho + band:
         return "infeasible", None, rr.rho
-    if abs(alpha - rr.rho) <= feasibility.BOUNDARY_TOL:
+    if abs(alpha - rr.rho) <= band:
         return "inconclusive", None, rr.rho
-    points = hypographical_set(rows).points
-    x, slack = feasibility._ball_witness(points, rr.p_star, rr.rho, alpha)
-    if x is None or not slack - alpha * math.hypot(*x, 1.0) >= -1e-8:
+    x, slack = feasibility._ball_witness(S, rr.p_star, rr.rho, alpha)
+    if x is None or not slack - alpha * math.hypot(*x, 1.0) >= -1e-8 * min(1.0, scale):
         return "inconclusive", None, rr.rho
     return "feasible", x, rr.rho
 
@@ -565,7 +653,7 @@ def test_a_probe_is_one_radius_pass(monkeypatch):
     single = [(np.array([1.0]), 0.0)]
     assert radius_of_robust_feasibility(HYPO).p_star[-1] < 0.0
     assert radius_of_robust_feasibility(single).p_star[-1] == 0.0
-    names = ("min_norm_point", "hypographical_set", "_ball_witness",
+    names = ("min_norm_point", "_system", "_ball_witness",
              "radius_of_robust_feasibility", "is_feasible")
     for rows, alpha, witnesses in ((HYPO, 1.0, 1), (HYPO, 0.0, 1), (single, 0.3, 2)):
         with monkeypatch.context() as m:
