@@ -179,61 +179,67 @@ class EndpointSolve:
     direction: np.ndarray | None = None     # infeasible: the Farkas direction d
 
 
-def _solve_endpoint(C, XL, geo: ActiveGeometry, cones, xl):
-    """Scalarization weights lambda on the simplex whose image C^T lambda
-    lies in the cone of the constraint data active at xl.
+def _endpoint_rows(XL, geo: ActiveGeometry, cones, m):
+    """The [G | h] array both endpoint systems share, lambda left blank.
 
     Columns: lambda; one nonnegative multiplier per group of active linear
-    rows on its generator (complementarity is structural); and per 2-norm
-    row [a_bar | b] + P w in `cones`, the ones active at xl, a block
-    (y, mu) with ||y||_2 <= mu on the columns (P, -[a_bar | b]) in the
-    [A | b] layout, y standing for the multiplier times its unit witness.
-    Rows: the n equalities and the scalarized value
-    [C xl | -sum(b) per group | P[n], -b per block].  Together they give
-    sum_j mu_j [a_j.xl - b_j] = 0 for the realized rows
+    rows on its generator (complementarity is structural); per 2-norm row
+    [a_bar | b] + P w in `cones`, the ones active at xl, a block (y, mu)
+    with ||y||_2 <= mu on the columns (P, -[a_bar | b]) in the [A | b]
+    layout, y standing for the multiplier times its unit witness; and h.
+    Rows: the n equalities, the scalarized value
+    [C xl | -sum(b) per group | P[n], -b per block] and the simplex row.
+    The first two give sum_j mu_j [a_j.xl - b_j] = 0 for the realized rows
     [a_j | b_j] = [a_bar_j | b_j] - P_j w_j, with every term at least mu_j
-    times the row's slack, so an inactive row would get mu_j = 0 and needs
-    no block.  With no block the endpoint is an exact LP over the n
-    equalities, an all-zero one left out.
-
-    An infeasible endpoint carries the direction d of the LP's Farkas ray
-    (zero on the left-out equalities): C d < 0, and d.(-generator) >= 0 for
-    every group.  A cone system that fails gets it from the same LP with
-    each block replaced by its tangent column -g, g the first n entries of
-    the row's supergradient at xl; when that LP is feasible there is no
-    direction.
+    times the row's slack: an inactive row would get mu_j = 0, and no block.
     """
-    m, n = C.shape
-    k = len(geo.groups)
+    n, k = XL.n, len(geo.groups)
     dims = [r.P.shape[1] + 1 for r in cones]
-    A = np.zeros((n + 1, m + k + sum(dims)))
-    A[:n, :m] = C.T
-    A[:n, m:m + k] = geo.generators.T
-    A[n, :m] = C @ xl
-    A[n, m:m + k] = [-sum(XL.b[i] for i in g) for g in geo.groups]
+    S = np.zeros((n + 2, m + k + sum(dims) + 1))
+    S[:n, m:m + k] = geo.generators.T
+    S[n, m:m + k] = [-sum(XL.b[i] for i in g) for g in geo.groups]
     o = m + k
     for r, d in zip(cones, dims):
-        A[:, o:o + d - 1] = r.P
-        A[:, o + d - 1] = -np.append(r.a_bar, r.b)
+        S[:n + 1, o:o + d - 1] = r.P
+        S[:n + 1, o + d - 1] = -np.append(r.a_bar, r.b)
         o += d
+    S[-1, :m] = S[-1, -1] = 1.0
+    return S
+
+
+def _solve_endpoint(C, S, geo: ActiveGeometry, cones, xl):
+    """Scalarization weights lambda on the simplex whose image C^T lambda
+    lies in the cone of the constraint data active at xl, with C written
+    into the lambda columns of S (_endpoint_rows).
+
+    With no block the endpoint is an exact LP over the simplex row and the
+    n equalities, those all zero under this C left out.  An infeasible
+    endpoint carries the direction d of the LP's Farkas ray (zero on the
+    left-out equalities): C d < 0, and d.(-generator) >= 0 for every group.
+    A cone system that fails gets it from the same LP with each block
+    replaced by its tangent column -g, g the first n entries of the row's
+    supergradient at xl; when that LP is feasible there is no direction.
+    """
+    (m, n), k = C.shape, len(geo.groups)
+    S[:n, :m] = C.T
     residual, x = None, None
+    dims = [r.P.shape[1] + 1 for r in cones]
     if cones:
+        S[n, :m] = C @ xl
         blocks = [("simplex", m)] + [("nonneg", k)] * (k > 0) + [("soc", d) for d in dims]
-        res = solve_cone_system(A, np.zeros(n + 1), blocks)
+        res = solve_cone_system(S[:n + 1, :-1].copy(), np.zeros(n + 1), blocks)
         residual, stop = res.residual, res.stop_reason
         if res.feasible:
             x = res.x
         else:
             # the direction's LP: each block's columns give way to its tangent column
-            A = A[:, :m + k + len(cones)]
-            A[:n, m + k:] = np.transpose([-r.supergradient(xl)[:-1] for r in cones])
+            S = np.delete(S, np.s_[m + k + len(cones):-1], axis=1)
+            S[:n, m + k:-1] = np.transpose([-r.supergradient(xl)[:-1] for r in cones])
     if x is None:
-        live = A[:n].any(axis=1)
-        G = np.vstack([A[:n][live], np.zeros(A.shape[1])])
-        G[-1, :m] = 1.0                         # the simplex row
-        h = np.zeros(len(G))
-        h[-1] = 1.0
-        sol = solve_lp(np.zeros(A.shape[1]), G, h, 0.0, eq=True)
+        live = S[:, :-1].any(axis=1)
+        live[n] = False                         # the value row is for the cone only
+        Gh = S[live]
+        sol = solve_lp(np.zeros(S.shape[1] - 1), Gh[:, :-1], Gh[:, -1], 0.0, eq=True)
         if not cones:
             stop = sol.status
             x = sol.x
@@ -241,7 +247,7 @@ def _solve_endpoint(C, XL, geo: ActiveGeometry, cones, xl):
         d = None
         if sol.ray is not None:
             d = np.zeros(n)
-            d[live] = sol.ray[:-1]
+            d[live[:n]] = sol.ray[:-1]
         return EndpointSolve(False, residual, stop, direction=d)
     lam = np.maximum(x[:m], 0.0)
     lam = lam / lam.sum()
@@ -249,7 +255,7 @@ def _solve_endpoint(C, XL, geo: ActiveGeometry, cones, xl):
     for rows, mu in zip(geo.groups, np.maximum(x[m:m + k], 0.0).tolist()):
         for i in rows:
             mu_of[i] = mu
-    segs = np.split(x[m + k:], np.cumsum(dims)[:-1])
+    segs = np.split(x[m + k:], np.cumsum(dims)[:-1]) if cones else ()
     return EndpointSolve(True, residual, stop, lam, mu_of,
                          {r.source: (r, seg) for r, seg in zip(cones, segs)})
 
@@ -289,76 +295,81 @@ def _witness_record(row, n, mu_j, y):
     return ConstraintMultiplier(mu_j, r[:n].copy(), float(r[-1]), w)
 
 
-def _constraint_records(p, X, XL, sol: EndpointSolve, zero):
-    """One record per constraint from an endpoint solution over XL, the
-    lift of the reduced set X, cut back to R^n.
+def _constraint_records(p, X, XL, e0, e1):
+    """One record per constraint from each endpoint solution over XL, the
+    lift of the reduced set X, cut back to R^n (one tuple if e1 is e0).
 
     A cone block (y, mu) gives the multiplier and the witness w = y/mu; a
     2-norm row without one, inactive at x_bar, gets mu = 0 and w = 0.  A
     ball lifted at row k0 (RobustFeasibleSet.lift) gives them from its
     rows: mu on the main row, and mu w = nu(tau >= z) - nu(tau >= -z) on
-    its band rows, z = P^T (x, -1).  Any other constraint gets the multiplier-weighted
-    mean of its active rows, and with no multiplier mass its first row,
-    a record that `zero` shares between the endpoints.  A record's
-    scenario row is the constraint's own array (own_row) wherever it equals
-    one of its rows of X bit for bit, so that it keeps no array of its own.
+    its band rows, z = P^T (x, -1).  A linear constraint gets the
+    multiplier-weighted mean of its active rows, summed in row order from
+    one product of the multipliers with the active rows of XL, and with no
+    multiplier mass its first row, a record the endpoints share.  A scenario
+    row is the constraint's own array (own_row) wherever it equals one of
+    its rows of X bit for bit, so that a record keeps no array of its own.
     """
     n, A = p.n, X.A
-    # the rows of constraint j in X are first[j]:first[j + 1]
-    first = np.searchsorted(X.source, np.arange(len(p.constraints) + 1))
-    cones = {r.source: (r, np.zeros(r.P.shape[1] + 1)) for r in XL.concave}
-    cones.update(sol.cones)
-    balls = {row.source: (k0, row) for k0, row in XL.lifted}
-    terms = {}
-    for i, mu in sol.mu_of.items():
-        terms.setdefault(int(XL.source[i]), []).append((i, mu))
-    recs = []
-    for j, c in enumerate(p.constraints):
-        if j in cones:
-            row, seg = cones[j]
-            recs.append(_witness_record(row, n, max(0.0, float(seg[-1])), seg[:-1]))
-            continue
-        if j in balls:
-            k0, row = balls[j]
+    # the rows of constraint j are first[j]:first[j + 1] in X
+    ends = np.arange(len(p.constraints) + 1)
+    first = np.searchsorted(X.source, ends).tolist()
+    b = X.b.tolist()
+    zero = [ConstraintMultiplier(0.0, own_row(c, 0, n), b[first[j]], None)
+            if first[j] < first[j + 1] else None for j, c in enumerate(p.constraints)]
+
+    def records(sol):
+        recs = list(zero)
+        for r in XL.concave:
+            row, seg = sol.cones.get(r.source, (r, np.zeros(r.P.shape[1] + 1)))
+            recs[r.source] = _witness_record(row, n, max(0.0, float(seg[-1])), seg[:-1])
+        for k0, row in XL.lifted:
             q = row.P.shape[1]
             nu = np.fromiter((sol.mu_of.get(i, 0.0) for i in range(k0 + 1, k0 + 1 + 2 * q)),
                              float, 2 * q)
-            recs.append(_witness_record(row, n, float(sol.mu_of.get(k0, 0.0)), nu[q:] - nu[:q]))
-            continue
-        act = terms.get(j, ())
-        mu_j = float(sum(mu for _, mu in act))
-        if mu_j > 1e-15:
-            a = sum(mu * XL.rows[i, :n] for i, mu in act) / mu_j
-            b = float(sum(mu * XL.rows[i, -1] for i, mu in act) / mu_j)
+            recs[row.source] = _witness_record(row, n, float(sol.mu_of.get(k0, 0.0)),
+                                               nu[q:] - nu[:q])
+        # the active rows of constraint j in XL are act[bounds[j]:bounds[j + 1]]
+        act, mus = list(sol.mu_of), list(sol.mu_of.values())
+        src = XL.source[act]
+        bounds = np.searchsorted(src, ends).tolist()
+        weighted = np.array(mus)[:, None] * XL.rows[act]
+        for j in dict.fromkeys(src.tolist()):
+            s, e = bounds[j], bounds[j + 1]
+            mu_j = float(sum(mus[s:e]))
+            if zero[j] is None or not mu_j > 1e-15:     # a lifted ball's rows, or no mass
+                continue
+            total = sum(weighted[s:e])
+            a = total[:n] / mu_j
             # the mean of one row is nearly always that row bit for bit
-            a = next((own_row(c, i - first[j], n) for i in range(first[j], first[j + 1])
-                      if A[i].tobytes() == a.tobytes()), a)
-            recs.append(ConstraintMultiplier(mu_j, np.asarray(a, float), b, None))
-            continue
-        if j not in zero:
-            # linear: concave rows have records above
-            zero[j] = ConstraintMultiplier(0.0, own_row(c, 0, n),
-                                           float(X.rows[first[j], -1]), None)
-        recs.append(zero[j])
-    return tuple(recs)
+            a = next((own_row(p.constraints[j], i - first[j], n) for i in
+                      range(first[j], first[j + 1]) if A[i].tobytes() == a.tobytes()), a)
+            recs[j] = ConstraintMultiplier(mu_j, a, float(total[-1] / mu_j), None)
+        return tuple(recs)
+
+    nominal = records(e0)
+    return nominal, nominal if e1 is e0 else records(e1)
 
 
 def _certificate_residuals(C0, C1, cert, x_bar):
-    """The residuals verify_certificate replays: each endpoint equality,
-    and complementarity, the largest |mu (a.x_bar - b)| of a record with
-    mu != 0."""
-    out = {}
-    for eq_key, comp_key, C, lam, recs in (
-            ("endpoint_equality_nominal", "complementarity_nominal",
-             C0, cert.lambda_nominal, cert.nominal),
-            ("endpoint_equality_perturbed", "complementarity_perturbed",
-             C1, cert.lambda_perturbed, cert.perturbed)):
-        lhs = C.T @ lam
-        rhs = sum(r.mu * r.scenario_a for r in recs)
-        out[eq_key] = float(np.linalg.norm(lhs - rhs))
-        out[comp_key] = float(max((abs(r.mu * slack_value(r.scenario_a, x_bar, r.scenario_b))
-                                   for r in recs if r.mu), default=0.0))
-    return out
+    """The residuals verify_certificate replays, from the records of both
+    endpoints stacked once: each endpoint equality, sum_j mu_j a_j added in
+    record order, and complementarity, the largest |mu (a.x_bar - b)| of a
+    record with mu != 0 (a slack that is not finite redone by slack_value)."""
+    recs = cert.nominal + cert.perturbed
+    mu = np.array([r.mu for r in recs]).reshape(2, -1)
+    A = np.array([r.scenario_a for r in recs]).reshape(2, mu.shape[1], -1)
+    b = np.array([r.scenario_b for r in recs]).reshape(2, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = np.cumsum(mu[:, :, None] * A, axis=1)[:, -1]
+        s = A @ x_bar - b
+        for e, j in zip(*np.nonzero(~np.isfinite(s))):
+            s[e, j] = slack_value(A[e, j], x_bar, b[e, j])
+        comp = np.where(mu != 0, np.abs(mu * s), 0.0).max(axis=1)
+    eq = [float(np.linalg.norm(C.T @ lam - r)) for C, lam, r in
+          ((C0, cert.lambda_nominal, rhs[0]), (C1, cert.lambda_perturbed, rhs[1]))]
+    return {"endpoint_equality_nominal": eq[0], "complementarity_nominal": float(comp[0]),
+            "endpoint_equality_perturbed": eq[1], "complementarity_perturbed": float(comp[1])}
 
 
 # ---------------------------------------------------------------------------
@@ -486,23 +497,20 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
     geo = active_geometry(XL, xl)
     # complementarity zeroes the multiplier of a 2-norm row slack at xl
     cones = [r for r in XL.concave if r.slack(xl) <= ACTIVE_TOL]
-    e0 = _solve_endpoint(D0, XL, geo, cones, xl)
+    S = _endpoint_rows(XL, geo, cones, p.m)
+    e0 = _solve_endpoint(D0, S, geo, cones, xl)
     # a failing nominal endpoint decides the outcome alone
     ends = {"nominal": e0}
     if e0.feasible:
-        ends["perturbed"] = e0 if same else _solve_endpoint(D1, XL, geo, cones, xl)
+        ends["perturbed"] = e0 if same else _solve_endpoint(D1, S, geo, cones, xl)
     name, e = list(ends.items())[-1]        # the failing endpoint, if any
 
     def residuals(prefix):
         # an endpoint decided by LP is exact and has no residual entry
         return {prefix + k: v.residual for k, v in ends.items() if v.residual is not None}
 
-    if e.feasible:
-        e1 = e                              # both endpoints are feasible
-        zero = {}
-        nominal = _constraint_records(p, X, XL, e0, zero)
-        perturbed = nominal if e1 is e0 else _constraint_records(p, X, XL, e1, zero)
-        cert = EfficiencyCertificate(e0.lam, e1.lam, nominal, perturbed)
+    if e.feasible:                          # so both endpoints are
+        cert = EfficiencyCertificate(e0.lam, e.lam, *_constraint_records(p, X, XL, e0, e))
         return _certified(C0, C1, cert, x_bar, residuals("system_"))
     C, rho = (C0, 0.0) if name == "nominal" else (C1, 1.0)
     found = None

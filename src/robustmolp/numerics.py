@@ -72,7 +72,8 @@ def solve_lp(c, G, h, lower, eq=False) -> LpSolution:
     tableau already holds.  An all-zero objective (a feasibility LP) stops
     after phase 1, with the phase-1 point.  More than MAX_PIVOTS pivots in
     phases 1 and 2 raise NumericalBreakdown; the drive-out of artificial
-    variables between them is not counted.
+    variables between them is not counted.  Row-scaled data or an optimal
+    point that is not finite raise it too.
 
     The tableau is stored transposed, one array row per column, so that a
     pivot is a single rank-1 update of the columns where the pivot row is
@@ -83,16 +84,19 @@ def solve_lp(c, G, h, lower, eq=False) -> LpSolution:
     """
     c = np.asarray(c, float)
     d = c.size
-    lb = np.broadcast_to(np.asarray(lower, float), (d,))
-    finite = np.isfinite(lb)
+    lb = np.empty(d)
+    lb[:] = lower
+    free = ~np.isfinite(lb)
+    n_free = int(np.count_nonzero(free))
 
     # Shift finitely-bounded variables to >= 0; a free variable gets a
     # negated copy in the column right after its own.
-    offsets = np.where(finite, lb, 0.0)
-    free = ~finite
-    first = np.arange(d) + np.cumsum(free) - free
-    neg = first[free] + 1
-    n_var = d + len(neg)
+    offsets, first = lb, slice(d)
+    if n_free:
+        offsets = np.where(free, 0.0, lb)
+        first = np.arange(d) + np.cumsum(free) - free
+        neg = first[free] + 1
+    n_var = d + n_free
 
     G = np.asarray(G, float)
     m = len(G)
@@ -101,37 +105,40 @@ def solve_lp(c, G, h, lower, eq=False) -> LpSolution:
             return LpSolution("unbounded")
         return LpSolution("optimal", offsets)
     h = np.asarray(h, float)
-    slack_rows = np.flatnonzero(~np.broadcast_to(eq, (m,)))
-    n_slack = len(slack_rows)
-    N = n_var + n_slack
+    slack_rows = np.flatnonzero(~np.asarray(eq)) if np.ndim(eq) else np.arange(0 if eq else m)
+    N = n_var + len(slack_rows)
     c_std = np.zeros(N)
     c_std[first] = c
-    c_std[neg] = -c[free]
 
     # Rows scaled to unit max-norm, then flipped to make b >= 0.
     mx = np.abs(G).max(axis=1, initial=0.0)
-    scales = np.ones(m)
-    np.divide(1.0, mx, out=scales, where=mx > 0)
-    rhs = (h - G @ offsets) * scales
-    flips = np.where(rhs < 0, -1.0, 1.0)
-    signed_scales = scales * flips
-    rows = G * signed_scales[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        scales = 1.0 / np.where(mx > 0, mx, 1.0)
+        rhs = (h - G @ offsets if offsets.any() else h) * scales
+        flips = np.where(rhs < 0, -1.0, 1.0)
+        signed_scales = scales * flips
+        rows = G * signed_scales[:, None]
+    if not (np.isfinite(rhs).all() and np.isfinite(rows).all()):
+        raise NumericalBreakdown("row-scaled LP data is not finite")
 
     # Phase 1: [A | slacks | artificials | b]^T, reduced costs last.
-    T = np.zeros((N + m + 1, m + 1))
-    T[first, :m] = rows.T
-    T[neg, :m] = -rows[:, free].T
-    T[n_var + np.arange(n_slack), slack_rows] = -flips[slack_rows]
-    np.fill_diagonal(T[N:N + m], 1.0)
-    T[-1, :m] = rhs * flips
     # Phase-1 reduced costs: minus the sum of the rows, added in row order
     # (a cumulative sum is sequential, where sum may pair terms up).  A
     # slack column holds one entry, an artificial one cancels its cost.
-    total = np.cumsum(rows, axis=0)[-1]
+    T = np.zeros((N + m + 1, m + 1))
+    total = rows.cumsum(axis=0)[-1]
+    T[first, :m] = rows.T
     T[first, m] = -total
-    T[neg, m] = total[free]
-    T[n_var + np.arange(n_slack), m] = flips[slack_rows]
-    T[-1, m] = -np.cumsum(T[-1, :m])[-1]
+    if n_free:
+        c_std[neg] = -c[free]
+        T[neg, :m] = -rows[:, free].T
+        T[neg, m] = total[free]
+    if slack_rows.size:
+        T[np.arange(n_var, N), slack_rows] = -flips[slack_rows]
+        T[n_var:N, m] = flips[slack_rows]
+    np.fill_diagonal(T[N:N + m], 1.0)
+    T[-1, :m] = rhs * flips
+    T[-1, m] = -T[-1, :m].cumsum()[-1]
     basis = list(range(N, N + m))
     pivots = 0
 
@@ -180,18 +187,22 @@ def solve_lp(c, G, h, lower, eq=False) -> LpSolution:
         ray = signed_scales * (1.0 - T[N:N + m, m])
         return LpSolution("infeasible", pivots=pivots, ray=ray)
 
-    def unshift(values):
-        """x of the input variables from the basic values; an artificial
-        still basic (at zero) lands past the standard-form columns."""
+    def optimal(values):
+        """The optimum x from the basic values, unless it is not finite; an
+        artificial still basic (at zero) lands past the standard columns."""
         x_std = np.zeros(N + m)
         x_std[basis] = values
-        x = offsets + x_std[first]
-        x[free] -= x_std[neg]
-        return x
+        with np.errstate(over="ignore"):
+            x = offsets + x_std[first]
+        if n_free:
+            x[free] -= x_std[neg]
+        if not np.isfinite(x).all():
+            raise NumericalBreakdown("the optimal point is not finite")
+        return LpSolution("optimal", x, pivots)
 
     if not c.any():
         # a feasibility LP is solved by the phase-1 point
-        return LpSolution("optimal", unshift(T[-1, :m]), pivots)
+        return optimal(T[-1, :m])
 
     # Drive remaining artificials out of the basis; move the rows where
     # none can leave behind the live ones, and drop them.
@@ -221,7 +232,7 @@ def solve_lp(c, G, h, lower, eq=False) -> LpSolution:
         T[:, -1] -= c_std[basis[i]] * T[:, i]
     if run_simplex(N) == "unbounded":
         return LpSolution("unbounded", pivots=pivots)
-    return LpSolution("optimal", unshift(T[-1, :-1]), pivots)
+    return optimal(T[-1, :-1])
 
 
 # ---------------------------------------------------------------------------

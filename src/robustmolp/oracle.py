@@ -186,8 +186,6 @@ def _polytope_distance(vertices, a, b):
 def _scenario_membership_residual(con, a, b):
     a = np.asarray(a, float)
     b = float(b)
-    if isinstance(con, Singleton):
-        return max(float(np.abs(a - con.a_bar).max()), abs(b - con.b_bar))
     if isinstance(con, Polytope):
         return _polytope_distance(con.vertices, a, b)
     if isinstance(con, Box):
@@ -261,6 +259,13 @@ def verify_certificate(vp, x_bar, cert, tol: float = RESIDUAL_TOL) -> Verificati
     U = np.outer(p.u, p.v)
     C0 = p.C_bar
     C1 = p.C_bar + U
+    # the records stacked once, endpoint e = 0 nominal or 1 perturbed first:
+    # mu[e, 0, j], b[e, j], and record j's scenario row as column j of A[e]
+    k, n = len(p.constraints), p.n
+    recs = cert.nominal + cert.perturbed
+    mu = np.array([r.mu for r in recs], float).reshape(2, 1, k)
+    A = np.array([r.scenario_a for r in recs], float).reshape(2, k, n).transpose(0, 2, 1).copy()
+    b = np.array([r.scenario_b for r in recs], float).reshape(2, k)
 
     checks = []
 
@@ -269,46 +274,42 @@ def verify_certificate(vp, x_bar, cert, tol: float = RESIDUAL_TOL) -> Verificati
 
     add("lambda_simplex", _simplex_violation(cert.lambda_nominal))
     add("lambda_tilde_simplex", _simplex_violation(cert.lambda_perturbed))
-    mu_min = min(min((r.mu for r in cert.nominal), default=0.0),
-                 min((r.mu for r in cert.perturbed), default=0.0))
-    add("mu_nonneg", max(0.0, -mu_min))
-    wn = 0.0
-    for recs in (cert.nominal, cert.perturbed):
-        for con, rec in zip(p.constraints, recs):
-            wn = max(wn, _witness_norm_residual(con, rec))
-    add("witness_norm", wn)
+    add("mu_nonneg", max(0.0, -float(mu.min(initial=0.0))))
+    add("witness_norm", max((_witness_norm_residual(con, rec)
+                             for recs_e in (cert.nominal, cert.perturbed)
+                             for con, rec in zip(p.constraints, recs_e)
+                             if rec.witness is not None), default=0.0))
+    # singletons by one comparison with their data, other classes per record
+    single = [j for j, con in enumerate(p.constraints) if isinstance(con, Singleton)]
     sm = 0.0
-    for recs in (cert.nominal, cert.perturbed):
-        for con, rec in zip(p.constraints, recs):
-            sm = max(sm, _scenario_membership_residual(con, rec.scenario_a,
-                                                       rec.scenario_b))
+    if single:
+        a_bar = np.array([p.constraints[j].a_bar for j in single], float).T
+        b_bar = np.array([p.constraints[j].b_bar for j in single], float)
+        with np.errstate(over="ignore"):            # an overflow is an inf residual
+            sm = max(float(np.abs(A[:, :, single] - a_bar).max()),
+                     float(np.abs(b[:, single] - b_bar).max()))
+    for j, con in enumerate(p.constraints):
+        if not isinstance(con, Singleton):
+            for rec in (cert.nominal[j], cert.perturbed[j]):
+                sm = max(sm, _scenario_membership_residual(con, rec.scenario_a,
+                                                           rec.scenario_b))
     add("scenario_membership", sm)
     # a float sum that overflows is redone exactly, so its warning is noise
     with np.errstate(over="ignore", invalid="ignore"):
-        for name, C, lam, recs in (
-                ("endpoint_equality_nominal", C0, cert.lambda_nominal, cert.nominal),
-                ("endpoint_equality_perturbed", C1, cert.lambda_perturbed, cert.perturbed)):
+        # sum_j mu_j a_j in record order (a cumulative sum is sequential)
+        rhs = np.cumsum(mu * A, axis=2)[:, :, -1] if k else np.zeros((2, n))
+        for e, (name, C, lam) in enumerate((
+                ("endpoint_equality_nominal", C0, cert.lambda_nominal),
+                ("endpoint_equality_perturbed", C1, cert.lambda_perturbed))):
             lam = np.asarray(lam, float)
-            lhs = C.T @ lam
-            rhs = np.zeros(p.n)
-            for rec in recs:
-                rhs = rhs + rec.mu * np.asarray(rec.scenario_a, float)
-            res = float(np.linalg.norm(lhs - rhs))
+            res = float(np.linalg.norm(C.T @ lam - rhs[e]))
             if not math.isfinite(res):      # C^T lam - sum mu_j a_j, exactly
-                A = np.reshape([rec.scenario_a for rec in recs], (-1, p.n))
-                res = _exact_norm(np.vstack([C, A]).T.tolist(),
-                                  [*lam, *(-rec.mu for rec in recs)])
+                res = _exact_norm(np.hstack([C.T, A[e]]).tolist(), [*lam, *(-mu[e, 0])])
             add(name, res)
-        comp = 0.0
-        for recs in (cert.nominal, cert.perturbed):
-            for rec in recs:
-                res = abs(rec.mu * (float(np.asarray(rec.scenario_a) @ x_bar)
-                                    - float(rec.scenario_b)))
-                if not math.isfinite(res):
-                    res = _exact_norm([[*rec.scenario_a, rec.scenario_b]], [*x_bar, -1.0],
-                                      rec.mu)
-                comp = max(comp, res)
-    add("complementarity", comp)
+        comp = np.abs(mu[:, 0] * (x_bar @ A - b))
+        for e, j in zip(*np.nonzero(~np.isfinite(comp))):
+            comp[e, j] = _exact_norm([[*A[e, :, j], b[e, j]]], [*x_bar, -1.0], mu[e, 0, j])
+    add("complementarity", comp.max(initial=0.0))
 
     failing = [c.name for c in checks if not c.passed]
     return VerificationReport(not failing, tuple(checks),

@@ -101,6 +101,19 @@ def test_radius_of_a_unit_row_beside_a_row_near_the_float_limit(capsys):
     assert rep["payload"]["radius"] == pytest.approx(math.sqrt(26.0), abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_feasible_alpha_zero_on_a_row_beyond_the_float_range_exit_2(tmp_path, capsys):
+    # 1e-300 x >= 3e300 needs x >= 3e600: the Phase-I LP's scaled
+    # right-hand side overflowed, it answered feasible at x = [inf], and
+    # the report refused the inf (exit 3) after two RuntimeWarnings
+    doc = {"m": 1, "n": 1, "C_bar": [[1.0]], "u": [0.0], "v": [0.0],
+           "constraints": [{"kind": "singleton", "a_bar": [1e-300], "b_bar": 3e300}]}
+    path = _write(tmp_path, doc)
+    for argv in (["feasible", path, "--alpha", "0"], ["radius", path]):
+        code, rep = _run_json(capsys, argv)
+        assert (code, rep) == (2, None), argv
+
+
 def test_radius_and_alpha_zero_of_a_feasible_system_near_the_float_limit(capsys):
     # the radius report's residual, a norm whose sum of squares overflowed,
     # once exited 3; feasible --alpha 0 once took the Phase-I LP's wrong
@@ -323,6 +336,26 @@ def test_certify_joint_balls_and_verify_round_trip_exit_0(tmp_path, capsys):
     code, rep = _run_json(capsys, ["verify", JOINT_BALL_PROBLEM, "--point=0,0",
                                    "--cert", str(cert)])
     assert code == 0 and rep["verdict"] == "valid"
+
+
+POLYTOPE_BOX_PROBLEM = str(Path(__file__).with_name("polytope_box_problem.json"))
+
+
+def test_certify_polytope_box_and_verify_round_trip_exit_0(tmp_path, capsys):
+    # a singleton, a polytope and a box, all tight at (1, 1), the box's
+    # worst row carrying the multiplier mass; the certificate is parsed
+    # back from its JSON, so verify's stacked checks run on parsed numbers
+    # (the CI workflow runs the installed script on the same file)
+    code, out = _run(capsys, ["certify", POLYTOPE_BOX_PROBLEM, "--point=1,1", "--json"])
+    rep = json.loads(out)
+    assert code == 0 and rep["verdict"] == "certified"
+    assert [r["mu"] for r in rep["payload"]["certificate"]["perturbed"]] == [1, 0, 2]
+    cert = tmp_path / "cert.json"
+    cert.write_text(out, encoding="utf-8")
+    code, rep = _run_json(capsys, ["verify", POLYTOPE_BOX_PROBLEM, "--point=1,1",
+                                   "--cert", str(cert)])
+    assert code == 0 and rep["verdict"] == "valid"
+    assert all(c["residual"] == 0 for c in rep["payload"]["checks"])
 
 
 def test_each_command_validates_its_problem_once(tmp_path, capsys, monkeypatch):

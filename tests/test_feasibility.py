@@ -343,6 +343,23 @@ def test_ball_witness_of_a_radius_past_1e154():
     assert worst == pytest.approx(2.9289321881345e299, rel=1e-12)
 
 
+@pytest.mark.xfail(strict=True, reason="the Phase-I LP calls these rows near 1e300 "
+                                       "infeasible")
+def test_phase_one_lp_finds_rows_near_1e300_feasible():
+    # x = (-6, 3, 5.7e-300) satisfies every row of the file in exact
+    # rationals, but is_feasible answers infeasible; the radius and the
+    # probe at alpha = 0 decide these rows without it
+    rows = _nominal("float_limit_feasible_problem.json")
+    x = [Fraction(v) for v in (-6.0, 3.0, 5.7e-300)]
+    assert all(sum(Fraction(ai) * xi for ai, xi in zip(a.tolist(), x)) >= Fraction(b)
+               for a, b in rows)
+    res = is_feasible(rows)
+    assert res.feasible
+    x = [Fraction(v) for v in res.x.tolist()]
+    for a, b in rows:
+        assert sum(Fraction(ai) * xi for ai, xi in zip(a.tolist(), x)) >= Fraction(b)
+
+
 def test_alpha_zero_probe_of_rows_near_1e300_is_the_rho_half_point():
     # the Phase-I LP calls these rows infeasible, and the probe at alpha = 0
     # once took its word; x = (-6, 3, 5.7e-300) satisfies every row, and

@@ -163,6 +163,44 @@ def test_lp_whose_bland_pivots_sit_just_above_a_tiny_threshold():
     assert status == "optimal" and c @ sol.x == pytest.approx(value, abs=1e-9)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lp_whose_scaled_data_or_optimum_is_not_finite_breaks_down():
+    from robustmolp.feasibility import is_feasible
+    from robustmolp.numerics import NumericalBreakdown
+    # 1e-300 x >= 3e300 needs x >= 3e600: the row's scaled right-hand side
+    # overflowed, a pivot subtracted inf from inf, and the LP was "optimal"
+    # at x = [inf], with a RuntimeWarning at each of the two steps
+    for lower in (-_INF, 0.0):
+        with pytest.raises(NumericalBreakdown, match="not finite"):
+            solve_lp(np.zeros(1), [[1e-300]], [3e300], lower)
+    with pytest.raises(NumericalBreakdown, match="not finite"):
+        is_feasible([(np.array([1e-300]), 3e300)])
+    # an infinite coefficient scales its row to NaN
+    with pytest.raises(NumericalBreakdown, match="not finite"):
+        solve_lp(np.zeros(2), [[_INF, 1.0]], [1.0], 0.0)
+    # finite scaled data whose optimum overflows once shifted back by its
+    # bound: x >= 2e308; the bound 1e300 leaves x = 2e300 in range
+    with pytest.raises(NumericalBreakdown, match="not finite"):
+        solve_lp(np.zeros(1), [[0.5]], [1e308], [1e308])
+    sol = solve_lp(np.zeros(1), [[0.5]], [1e300], [1e300])
+    assert sol.optimal and sol.x.tolist() == [2e300]
+
+
+def test_lp_bounds_and_equality_flags_broadcast_alike(rng):
+    # a scalar bound or flag and its per-entry array give the same bits:
+    # the set-up builds free and slack columns only where they are needed
+    for _ in range(30):
+        c, G, h = _random_solvable_lp(rng)
+        n, k = G.shape[1], len(G)
+        for lower in (0.0, -_INF, -2.0):
+            for eq in (False, True):
+                one = solve_lp(c, G, h, lower, eq)
+                per = solve_lp(c, G, h, np.full(n, lower), np.full(k, eq))
+                assert (one.status, one.pivots) == (per.status, per.pivots)
+                for a, b in ((one.x, per.x), (one.ray, per.ray)):
+                    assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # project_simplex
 # ---------------------------------------------------------------------------

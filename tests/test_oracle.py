@@ -264,3 +264,121 @@ def test_row_just_off_a_vertex_fails_scenario_membership():
     rep = verify_certificate(vp, XBAR, _with_nominal_scenario(cert, off[:-1], off[-1]))
     assert rep.first_failing == "scenario_membership"
     assert _membership(rep) == pytest.approx(1e-6, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# stacked replay against the record-by-record replay
+# ---------------------------------------------------------------------------
+
+def _verify_record_by_record(p, x_bar, cert, tol=1e-7):
+    """verify_certificate as it replayed a certificate one record at a time
+    before the records were stacked: the reference for the stacked replay.
+    Returns (ok, first_failing, [(name, residual)], the complementarity
+    terms' scale)."""
+    import math
+    from robustmolp import oracle as o
+    o._check_shape(p, cert)
+    x_bar = np.asarray(x_bar, float)
+    C0, C1 = p.C_bar, p.C_bar + np.outer(p.u, p.v)
+    checks = [("lambda_simplex", o._simplex_violation(cert.lambda_nominal)),
+              ("lambda_tilde_simplex", o._simplex_violation(cert.lambda_perturbed))]
+    mu_min = min(min((r.mu for r in cert.nominal), default=0.0),
+                 min((r.mu for r in cert.perturbed), default=0.0))
+    checks.append(("mu_nonneg", max(0.0, -mu_min)))
+    wn = sm = 0.0
+    for recs in (cert.nominal, cert.perturbed):
+        for con, rec in zip(p.constraints, recs):
+            wn = max(wn, o._witness_norm_residual(con, rec))
+            if isinstance(con, Singleton):
+                res = max(float(np.abs(rec.scenario_a - con.a_bar).max()),
+                          abs(rec.scenario_b - con.b_bar))
+            else:
+                res = o._scenario_membership_residual(con, rec.scenario_a, rec.scenario_b)
+            sm = max(sm, res)
+    checks += [("witness_norm", wn), ("scenario_membership", sm)]
+    comp = scale = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, C, lam, recs in (
+                ("endpoint_equality_nominal", C0, cert.lambda_nominal, cert.nominal),
+                ("endpoint_equality_perturbed", C1, cert.lambda_perturbed, cert.perturbed)):
+            rhs = np.zeros(p.n)
+            for rec in recs:
+                rhs = rhs + rec.mu * rec.scenario_a
+            res = float(np.linalg.norm(C.T @ lam - rhs))
+            if not math.isfinite(res):
+                A = np.reshape([rec.scenario_a for rec in recs], (-1, p.n))
+                res = o._exact_norm(np.vstack([C, A]).T.tolist(),
+                                    [*lam, *(-rec.mu for rec in recs)])
+            checks.append((name, res))
+        for recs in (cert.nominal, cert.perturbed):
+            for rec in recs:
+                res = abs(rec.mu * (float(rec.scenario_a @ x_bar) - rec.scenario_b))
+                if not math.isfinite(res):
+                    res = o._exact_norm([[*rec.scenario_a, rec.scenario_b]],
+                                        [*x_bar, -1.0], rec.mu)
+                comp = max(comp, res)
+                scale = max(scale, abs(rec.mu) * (np.abs(rec.scenario_a) @ np.abs(x_bar)
+                                                  + abs(rec.scenario_b)))
+    checks.append(("complementarity", comp))
+    failing = [name for name, res in checks if not res <= tol]
+    return not failing, (failing[0] if failing else None), checks, scale
+
+
+def _tampered(p, cert):
+    """The certificate with one mu negated, one singleton scenario row moved
+    by 1e-6, one lambda entry moved, and one singleton's scenario_a entry
+    set to 1e300 (with mu > 0 its equality residual overflows and is redone
+    in exact rationals)."""
+    from dataclasses import replace
+    nom = list(cert.nominal)
+
+    def with_record(i, **kw):
+        recs = list(nom)
+        recs[i] = replace(recs[i], **kw)
+        return replace(cert, nominal=tuple(recs))
+
+    lam = cert.lambda_perturbed.copy()
+    lam[0] += 1e-3
+    j = max(range(len(nom)), key=lambda i: nom[i].mu)
+    out = [with_record(j, mu=-nom[j].mu), replace(cert, lambda_perturbed=lam)]
+    singles = [i for i, c in enumerate(p.constraints) if isinstance(c, Singleton)]
+    if singles:
+        i = max(singles, key=lambda i: nom[i].mu)       # the most multiplier mass
+        huge = nom[i].scenario_a.copy()
+        huge[0] = 1e300
+        out += [with_record(i, scenario_a=nom[i].scenario_a + 1e-6),
+                with_record(i, scenario_a=huge)]
+    return out
+
+
+@pytest.mark.parametrize("workload", ["CertifyPolyWorkload", "CertifyConeWorkload"])
+def test_stacked_replay_matches_the_record_by_record_replay(workload):
+    # the stacked equality sums the records in their order, as the loop
+    # did, so its residual agrees to the last bits; a pairwise sum (np.sum)
+    # moves it by more than 1e-14 of itself.  A x_bar rounds each record's
+    # dot product on its own path, so complementarity agrees to 1e-14 of
+    # the scale of its terms, |mu| (|a|.|x_bar| + |b|)
+    import runpy
+    from pathlib import Path
+    import robustmolp
+    bench = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    catalogue = runpy.run_path(str(bench))[workload]().make_inputs(robustmolp, None, 0)
+    certified = tampered = 0
+    for inst in catalogue:
+        p, x = inst.problem, inst.x_bar
+        out = certify_weak_efficiency(validate_problem(p), x)
+        if out.status != "certified":
+            continue
+        certified += 1
+        variants = _tampered(p, out.certificate)
+        tampered += len(variants)
+        for cert in [out.certificate] + variants:
+            ok, first, ref, scale = _verify_record_by_record(p, x, cert)
+            rep = verify_certificate(p, x, cert)
+            assert (rep.ok, rep.first_failing) == (ok, first)
+            assert [c.name for c in rep.checks] == [name for name, _ in ref]
+            for c, (name, res) in zip(rep.checks, ref):
+                bound = 1e-14 * (scale if name == "complementarity" else abs(res))
+                assert abs(c.residual - res) <= bound, (name, c.residual, res)
+    assert certified == {"CertifyPolyWorkload": 43, "CertifyConeWorkload": 25}[workload]
+    assert tampered >= 2 * certified
