@@ -3,20 +3,22 @@
 A candidate point is robust weakly efficient exactly when suitable
 scalarization weights exist for both endpoint objectives of the rank-1
 uncertainty segment, with the scalarized gradient lying in the cone
-spanned by active constraint data.  Polyhedral uncertainty classes,
-boxes and s = 1/inf norm balls included once lifted into linear rows, are
-decided exactly by LP.  A 2-norm row (a norm ball, an ellipsoid, or the
-joint (a, b) ball, whose P moves b too) gets a multiplier only when it
-is active at the point (complementarity zeroes the others):
-with an active one both endpoints are conic multiplier systems solved to
-a residual tolerance, and with none they are the same exact LP.  A
-failing endpoint is refuted by one rule for every class: Farkas' lemma
-turns the infeasible endpoint LP (with a tangent column for each active
-2-norm row) into a direction that strictly improves its objectives, and
-a step along it is replayed as the witness; no second LP is solved.  Only
-a step across an active 2-norm row needs the refined Slater condition
-(strict slack on the 2-norm rows only), to tilt toward its point; with
-no such point the outcome is "unknown".
+spanned by active constraint data: 0 in conv{rows of C} + cone{active
+generators}.  Polyhedral uncertainty classes, boxes and s = 1/inf norm
+balls included once lifted into linear rows, are decided by the
+minimum-norm point of that set, the radius's own kernel with several
+rays.  A 2-norm row (a norm ball, an ellipsoid, or the joint (a, b)
+ball, whose P moves b too) gets a multiplier only when it is active at
+the point (complementarity zeroes the others): with an active one both
+endpoints are conic multiplier systems solved to a residual tolerance,
+and with none they are the same minimum-norm point.  A failing endpoint
+is refuted by one rule for every class: its nearest point q (with a
+tangent column for each active 2-norm row as one more ray) separates 0
+from the set, so d = -q strictly improves its objectives (Farkas'
+lemma), and a step along d that every row replays is the witness; no
+LP is solved.  Only a step across an active 2-norm row needs the refined
+Slater condition (strict slack on the 2-norm rows only), to tilt toward
+its point; with no such point the outcome is "unknown".
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ import numpy as np
 from .feasibility import SLATER_MARGIN, SlackSearch, maximize_min_slack
 from .model import (RobustFeasibleSet, ValidatedProblem, endpoint_objectives, own_row,
                     reduce_constraints)
-from .numerics import norm_value, slack_value, solve_cone_system, solve_lp
+from .numerics import (VI_TOL, min_norm_point, norm_value, slack_value,
+                       solve_cone_system, solve_lp)
 
 _INF = float("inf")
 
@@ -171,84 +174,78 @@ def check_slater(X: RobustFeasibleSet) -> SlaterCheck:
 @dataclass(frozen=True)
 class EndpointSolve:
     feasible: bool
-    residual: float | None                  # cone path only; an LP is exact
-    stop_reason: str                        # the cone solver's, or the LP status
+    residual: float | None                  # cone path only
+    stop_reason: str                        # the cone solver's, or "feasible" | "infeasible"
     lam: np.ndarray | None = None
     mu_of: dict | None = None               # active linear row -> multiplier
     cones: dict | None = None               # constraint -> (row, its (y, mu) block)
-    direction: np.ndarray | None = None     # infeasible: the Farkas direction d
+    direction: np.ndarray | None = None     # infeasible: d = -(nearest point)
 
 
 def _endpoint_rows(XL, geo: ActiveGeometry, cones, m):
-    """The [G | h] array both endpoint systems share, lambda left blank.
+    """The cone system both endpoints share when a 2-norm row is active,
+    lambda left blank.
 
     Columns: lambda; one nonnegative multiplier per group of active linear
     rows on its generator (complementarity is structural); per 2-norm row
     [a_bar | b] + P w in `cones`, the ones active at xl, a block (y, mu)
     with ||y||_2 <= mu on the columns (P, -[a_bar | b]) in the [A | b]
-    layout, y standing for the multiplier times its unit witness; and h.
-    Rows: the n equalities, the scalarized value
-    [C xl | -sum(b) per group | P[n], -b per block] and the simplex row.
-    The first two give sum_j mu_j [a_j.xl - b_j] = 0 for the realized rows
+    layout, y standing for the multiplier times its unit witness.
+    Rows: the n equalities, all = 0, and the scalarized value
+    [C xl | -sum(b) per group | P[n], -b per block], = 0 too; the cone
+    solver's simplex block holds sum(lambda) = 1.  The two give
+    sum_j mu_j [a_j.xl - b_j] = 0 for the realized rows
     [a_j | b_j] = [a_bar_j | b_j] - P_j w_j, with every term at least mu_j
     times the row's slack: an inactive row would get mu_j = 0, and no block.
     """
     n, k = XL.n, len(geo.groups)
     dims = [r.P.shape[1] + 1 for r in cones]
-    S = np.zeros((n + 2, m + k + sum(dims) + 1))
+    S = np.zeros((n + 1, m + k + sum(dims)))
     S[:n, m:m + k] = geo.generators.T
     S[n, m:m + k] = [-sum(XL.b[i] for i in g) for g in geo.groups]
     o = m + k
     for r, d in zip(cones, dims):
-        S[:n + 1, o:o + d - 1] = r.P
-        S[:n + 1, o + d - 1] = -np.append(r.a_bar, r.b)
+        S[:, o:o + d - 1] = r.P
+        S[:, o + d - 1] = -np.append(r.a_bar, r.b)
         o += d
-    S[-1, :m] = S[-1, -1] = 1.0
     return S
 
 
 def _solve_endpoint(C, S, geo: ActiveGeometry, cones, xl):
     """Scalarization weights lambda on the simplex whose image C^T lambda
-    lies in the cone of the constraint data active at xl, with C written
-    into the lambda columns of S (_endpoint_rows).
+    lies in the cone of the constraint data active at xl.
 
-    With no block the endpoint is an exact LP over the simplex row and the
-    n equalities, those all zero under this C left out.  An infeasible
-    endpoint carries the direction d of the LP's Farkas ray (zero on the
-    left-out equalities): C d < 0, and d.(-generator) >= 0 for every group.
-    A cone system that fails gets it from the same LP with each block
-    replaced by its tangent column -g, g the first n entries of the row's
-    supergradient at xl; when that LP is feasible there is no direction.
+    With no block the endpoint is one minimum-norm point of conv(rows of
+    C) + cone(generators): a distance within VI_TOL * max|C| certifies it,
+    lambda the weights and the group multipliers the ray coefficients.
+    Otherwise its nearest point q gives the direction d = -q of a failing
+    endpoint, since its variational inequality reads C d <= -||q||^2 and
+    d.(-generator) >= 0 for every group.  With blocks, C is written into
+    the lambda columns of S (_endpoint_rows) for the cone solver; a cone
+    system that fails gets its direction from the same minimum-norm point
+    with each block's tangent column -g, g the first n entries of the row's
+    supergradient at xl, as one more ray, and no direction when that point
+    is within the tolerance.
     """
     (m, n), k = C.shape, len(geo.groups)
-    S[:n, :m] = C.T
-    residual, x = None, None
+    residual, stop, rays, x = None, "infeasible", geo.generators, None
     dims = [r.P.shape[1] + 1 for r in cones]
     if cones:
-        S[n, :m] = C @ xl
+        S[:n, :m], S[n, :m] = C.T, C @ xl
         blocks = [("simplex", m)] + [("nonneg", k)] * (k > 0) + [("soc", d) for d in dims]
-        res = solve_cone_system(S[:n + 1, :-1].copy(), np.zeros(n + 1), blocks)
+        res = solve_cone_system(S.copy(), np.zeros(n + 1), blocks)
         residual, stop = res.residual, res.stop_reason
         if res.feasible:
             x = res.x
         else:
-            # the direction's LP: each block's columns give way to its tangent column
-            S = np.delete(S, np.s_[m + k + len(cones):-1], axis=1)
-            S[:n, m + k:-1] = np.transpose([-r.supergradient(xl)[:-1] for r in cones])
+            rays = np.vstack([rays, [-r.supergradient(xl)[:-1] for r in cones]])
     if x is None:
-        live = S[:, :-1].any(axis=1)
-        live[n] = False                         # the value row is for the cone only
-        Gh = S[live]
-        sol = solve_lp(np.zeros(S.shape[1] - 1), Gh[:, :-1], Gh[:, -1], 0.0, eq=True)
-        if not cones:
-            stop = sol.status
-            x = sol.x
-    if x is None:
-        d = None
-        if sol.ray is not None:
-            d = np.zeros(n)
-            d[live[:n]] = sol.ray[:-1]
-        return EndpointSolve(False, residual, stop, direction=d)
+        near = min_norm_point(C, rays)
+        if near.distance > VI_TOL * float(np.abs(C).max()):
+            return EndpointSolve(False, residual, stop, direction=-near.p_star)
+        if cones:                           # the tangent system holds 0
+            return EndpointSolve(False, residual, stop)
+        stop, x = "feasible", np.concatenate([near.weights, near.mu])
     lam = np.maximum(x[:m], 0.0)
     lam = lam / lam.sum()
     mu_of = dict.fromkeys(geo.active_rows, 0.0)
@@ -397,7 +394,7 @@ class CertifyOutcome:
 def _refute(XL, xl, d, C, x0):
     """(x, gap) for a robust-feasible x strictly dominating x_bar = xl[:n]
     under the objective C of a failing endpoint, or None; d in R^n is that
-    endpoint's Farkas direction (EndpointSolve.direction, cut back).
+    endpoint's direction (EndpointSolve.direction, cut back).
 
     d is scaled to a least improvement -C d of 1.  With a 2-norm row active
     it is tilted toward the Slater point x0 (eps <= 1, spending at most half
@@ -407,8 +404,10 @@ def _refute(XL, xl, d, C, x0):
     The step is the ratio test on the inactive linear rows of XL, capped at
     t = 1, or at 2^-26 |C| |x_bar| where that is larger so that the step
     shows above the rounding of C x_bar, and halved until x_bar + t d is
-    finite and each 2-norm row's exact slack there is >= min(0, its slack
-    at x_bar).
+    finite and replays: the slack there of each linear row of XL, each
+    lifted ball (its worst case, whatever its tau) and each 2-norm row is
+    >= min(0, its slack at x_bar).  The replay does not trust d: an active
+    row that d would leave refuses every step.
     """
     n = C.shape[1]
     x_bar = xl[:n]
@@ -439,10 +438,18 @@ def _refute(XL, xl, d, C, x0):
         for i in np.flatnonzero((slacks > ACTIVE_TOL) & (A @ dl < 0.0)):
             if (ad := float(A[i] @ dl)) < 0.0:
                 t = min(t, slack_value(A[i], xl, b[i]) / -ad)
-        floors = [(r, min(0.0, r.slack(xl))) for r in XL.concave]
+        # the replay: every linear row of XL, a lifted ball as its own worst
+        # case in R^n (its tau may lag), and each 2-norm row
+        floor = np.minimum(slacks, 0.0)
+        curved = [(r, XL.n) for r in XL.concave]
+        for k0, row in XL.lifted:
+            floor[k0:k0 + 1 + 2 * row.P.shape[1]] = -_INF
+            curved.append((row, n))
+        floors = [(r, k, min(0.0, r.slack(xl[:k]))) for r, k in curved]
         for _ in range(64):
             x = xl + t * dl
-            if np.isfinite(x).all() and all(r.slack(x) >= f for r, f in floors):
+            if (np.isfinite(x).all() and np.all(XL.slack(x) >= floor)
+                    and all(r.slack(x[:k]) >= f for r, k, f in floors)):
                 x = _in_rn(x, n)
                 gap = C @ x_bar - C @ x
                 return (x, gap) if np.all(gap > 0.0) else None
@@ -467,12 +474,12 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
 
     Every class is decided, the joint ball included.  The feasible set is
     lifted (RobustFeasibleSet.lift) so that s = 1/inf norm balls become
-    linear rows.  The endpoints are exact LPs while no 2-norm row is
-    active at the point; with one active
-    both endpoints are joint conic systems.  The perturbed endpoint is
-    solved only when the nominal one is feasible.  A failing endpoint is
-    refuted by _refute along the Farkas direction of its endpoint LP,
-    tilted toward the point of check_slater when a 2-norm row is active.
+    linear rows.  The endpoints are minimum-norm points while no 2-norm
+    row is active at the point; with one active both endpoints are joint
+    conic systems.  The perturbed endpoint is solved only when the nominal
+    one is feasible.  A failing endpoint is refuted by _refute along the
+    direction of its nearest point, tilted toward the point of
+    check_slater when a 2-norm row is active.
     When there is no direction, no Slater point for that tilt, no step
     along it that replays, or a certificate's equality or complementarity
     residual above RESIDUAL_TOL, the outcome is "unknown" with its reason.
@@ -497,7 +504,7 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
     geo = active_geometry(XL, xl)
     # complementarity zeroes the multiplier of a 2-norm row slack at xl
     cones = [r for r in XL.concave if r.slack(xl) <= ACTIVE_TOL]
-    S = _endpoint_rows(XL, geo, cones, p.m)
+    S = _endpoint_rows(XL, geo, cones, p.m) if cones else None
     e0 = _solve_endpoint(D0, S, geo, cones, xl)
     # a failing nominal endpoint decides the outcome alone
     ends = {"nominal": e0}
@@ -506,7 +513,7 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
     name, e = list(ends.items())[-1]        # the failing endpoint, if any
 
     def residuals(prefix):
-        # an endpoint decided by LP is exact and has no residual entry
+        # an endpoint decided by its minimum-norm point has no residual entry
         return {prefix + k: v.residual for k, v in ends.items() if v.residual is not None}
 
     if e.feasible:                          # so both endpoints are
@@ -515,7 +522,7 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
     C, rho = (C0, 0.0) if name == "nominal" else (C1, 1.0)
     found = None
     if e.direction is None:
-        why = "its tangent endpoint LP is feasible, so there is no direction to refute along"
+        why = "its tangent endpoint system is feasible, so there is no direction to refute along"
     # untilted, the direction is tangent to the active 2-norm rows, and only
     # a step whose curvature rounds away would replay along it
     elif cones and not (slater := check_slater(X)).ok:

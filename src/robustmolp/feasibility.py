@@ -4,6 +4,7 @@ Finite-system feasibility checks, conic membership of the marker vector
 (0,...,0,1) that characterizes inconsistency, the radius of robust
 feasibility under joint coefficient ball perturbations, feasibility
 probing at a given perturbation size, and the refined Slater search.
+Cone membership and the radius are each one minimum-norm point.
 Each public call on a nominal system turns its rows (a_j, b_j) into one
 array [A | b] once, which is also where an empty or non-finite system is
 rejected; its rows are the points of the hypographical set.  A radius
@@ -81,23 +82,20 @@ class ConeMembership:
 
 
 def cone_contains(generators, target) -> ConeMembership:
-    """Exact membership of target in cone(generators).
+    """Membership of target in cone(generators).
 
-    Finitely generated cones are closed, so this is a single feasibility
-    LP in the nonnegative combination weights.
+    Finitely generated cones are closed, so target is a member exactly
+    when the distance from 0 to -target + cone(generators) is 0: one
+    minimum-norm point, whose ray coefficients are the weights.
     """
-    gens = [np.asarray(g, float) for g in generators]
-    if not gens:
+    gens = np.array([np.asarray(g, float) for g in generators])
+    if not len(gens):
         raise ValueError("generators must be nonempty")
     t = np.asarray(target, float)
-    G = np.column_stack(gens)
-    sol = solve_lp(np.zeros(len(gens)), G, t, 0.0, eq=True)
-    if not sol.optimal:
+    res = min_norm_point([-t], gens)
+    if res.distance > MEMBER_TOL * max(1.0, float(np.linalg.norm(t))):
         return ConeMembership(False)
-    w = np.maximum(sol.x, 0.0)
-    if np.linalg.norm(G @ w - t) > MEMBER_TOL * max(1.0, np.linalg.norm(t)):
-        return ConeMembership(False)
-    return ConeMembership(True, w)
+    return ConeMembership(True, res.mu)
 
 
 @dataclass(frozen=True)
@@ -149,8 +147,8 @@ def _radius(nominal):
     """
     nominal = list(nominal)     # the Phase-I LP reads the rows again
     S = _system(nominal)
-    ray = np.zeros(S.shape[1])
-    ray[-1] = -1.0
+    ray = np.zeros((1, S.shape[1]))
+    ray[0, -1] = -1.0
     res: MinNormResult = min_norm_point(S, ray)
     half, nominal_x = (None, -_INF), None
     if res.certified and res.distance > 0:
@@ -160,7 +158,7 @@ def _radius(nominal):
         if not nom.feasible:
             raise NominalInfeasibleError("nominal system is infeasible")
         nominal_x = nom.x
-    rr = RadiusResult(res.distance, res.p_star, res.weights, res.mu, res.certified)
+    rr = RadiusResult(res.distance, res.p_star, res.weights, float(res.mu[0]), res.certified)
     return rr, S, half, nominal_x
 
 

@@ -1,10 +1,13 @@
 """Self-contained dense numerical kernel.
 
 Provides the primitives everything else is built on: a two-phase simplex
-LP solver (an infeasible LP's Farkas ray read off the final basis),
-Euclidean projection onto the unit simplex, the minimum-norm point of a
-polytope-plus-ray set, and a block-structured second-order-cone
-feasibility solver.
+LP solver, Euclidean projection onto the unit simplex, the minimum-norm
+point of a polytope-plus-cone set conv(points) + cone(rays), and a
+block-structured second-order-cone feasibility solver.  The minimum-norm
+point decides both of the paper's questions: the radius is its distance
+with the single ray (0, ..., 0, -1), and an endpoint multiplier system is
+feasible exactly when the distance from the objective rows with the
+active generators as rays is 0, its nearest point otherwise separating.
 """
 
 from __future__ import annotations
@@ -46,11 +49,6 @@ class LpSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None = None
     pivots: int = 0                       # Bland pivots, phases 1 and 2
-    # infeasible only: a Farkas ray y, one entry per row of G, with
-    # G^T y <= 0 on bounded columns, G^T y = 0 on free ones, y >= 0 on
-    # ">=" rows and (h - G lb).y > 0 (each to the phase-1 tolerances on the
-    # row-scaled data), so that no x >= lb has G x (>=, ==) h
-    ray: np.ndarray | None = None
 
     @property
     def optimal(self):
@@ -61,19 +59,17 @@ _PIV_EPS = 1e-9         # pivots on entries near 1e-10 let phase 1 drift
 _RC_EPS = 1e-9
 
 
-def solve_lp(c, G, h, lower, eq=False) -> LpSolution:
-    """min c.x  subject to  G x >= h, with equality on the rows where `eq`
-    is set (one bool, or one per row), and x >= lower (-inf: a free
+def solve_lp(c, G, h, lower) -> LpSolution:
+    """min c.x  subject to  G x >= h and x >= lower (-inf: a free
     variable).
 
     Two-phase dense simplex with Bland's anti-cycling rule.  Infeasible and
-    unbounded verdicts are exact (up to the scaled phase-1 threshold), and
-    an infeasible LP comes with a Farkas ray, the phase-1 dual that the
-    tableau already holds.  An all-zero objective (a feasibility LP) stops
-    after phase 1, with the phase-1 point.  More than MAX_PIVOTS pivots in
-    phases 1 and 2 raise NumericalBreakdown; the drive-out of artificial
-    variables between them is not counted.  Row-scaled data or an optimal
-    point that is not finite raise it too.
+    unbounded verdicts are exact (up to the scaled phase-1 threshold).  An
+    all-zero objective (a feasibility LP) stops after phase 1, with the
+    phase-1 point.  More than MAX_PIVOTS pivots in phases 1 and 2 raise
+    NumericalBreakdown; the drive-out of artificial variables between them
+    is not counted.  Row-scaled data or an optimal point that is not finite
+    raise it too.
 
     The tableau is stored transposed, one array row per column, so that a
     pivot is a single rank-1 update of the columns where the pivot row is
@@ -105,8 +101,7 @@ def solve_lp(c, G, h, lower, eq=False) -> LpSolution:
             return LpSolution("unbounded")
         return LpSolution("optimal", offsets)
     h = np.asarray(h, float)
-    slack_rows = np.flatnonzero(~np.asarray(eq)) if np.ndim(eq) else np.arange(0 if eq else m)
-    N = n_var + len(slack_rows)
+    N = n_var + m
     c_std = np.zeros(N)
     c_std[first] = c
 
@@ -116,8 +111,7 @@ def solve_lp(c, G, h, lower, eq=False) -> LpSolution:
         scales = 1.0 / np.where(mx > 0, mx, 1.0)
         rhs = (h - G @ offsets if offsets.any() else h) * scales
         flips = np.where(rhs < 0, -1.0, 1.0)
-        signed_scales = scales * flips
-        rows = G * signed_scales[:, None]
+        rows = G * (scales * flips)[:, None]
     if not (np.isfinite(rhs).all() and np.isfinite(rows).all()):
         raise NumericalBreakdown("row-scaled LP data is not finite")
 
@@ -133,9 +127,8 @@ def solve_lp(c, G, h, lower, eq=False) -> LpSolution:
         c_std[neg] = -c[free]
         T[neg, :m] = -rows[:, free].T
         T[neg, m] = total[free]
-    if slack_rows.size:
-        T[np.arange(n_var, N), slack_rows] = -flips[slack_rows]
-        T[n_var:N, m] = flips[slack_rows]
+    T[np.arange(n_var, N), np.arange(m)] = -flips
+    T[n_var:N, m] = flips
     np.fill_diagonal(T[N:N + m], 1.0)
     T[-1, :m] = rhs * flips
     T[-1, m] = -T[-1, :m].cumsum()[-1]
@@ -180,12 +173,7 @@ def solve_lp(c, G, h, lower, eq=False) -> LpSolution:
     if run_simplex(N + m) == "unbounded":
         raise NumericalBreakdown("phase-1 unbounded")
     if -T[-1, -1] > 1e-9:
-        # The phase-1 dual pi has reduced cost 1 - pi_i on artificial i,
-        # and pi.b > 0 is the optimal sum of the artificials; unscaled and
-        # unflipped it is the ray (a slack's reduced cost pi_i flips_i >= 0
-        # gives y >= 0 on ">=" rows).
-        ray = signed_scales * (1.0 - T[N:N + m, m])
-        return LpSolution("infeasible", pivots=pivots, ray=ray)
+        return LpSolution("infeasible", pivots=pivots)
 
     def optimal(values):
         """The optimum x from the basic values, unless it is not finite; an
@@ -348,23 +336,25 @@ def sphere_directions(k: int, count: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Minimum-norm point over conv(points) + R+ * ray
+# Minimum-norm point over conv(points) + cone(rays)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class MinNormResult:
     p_star: np.ndarray
     weights: np.ndarray   # simplex weights over the input points
-    mu: float             # nonnegative ray coefficient
+    mu: np.ndarray        # nonnegative coefficient per ray
     certified: bool       # variational inequality verified
     iterations: int       # passive-set least-squares solves
     distance: float       # ||p_star||, free of overflow and underflow
 
 
 def _vi_margin(M, q, p):
-    """Worst violation of <h - q, q> >= 0 over generators and the ray."""
+    """Worst violation of <h - q, q> >= 0 over the p points (the first p
+    columns of M) and of <r, q> >= 0 over the rays (the others)."""
     hq = q @ M
-    return min(float(hq[:p].min()) - float(q @ q), float(hq[p]))
+    hq[:p] -= q @ q
+    return float(hq.min())
 
 
 _CANCELLED = 1e-6       # pivot share of G_jj below which it is recomputed
@@ -468,47 +458,44 @@ def _backward(L, y):
     return z
 
 
-def min_norm_point(points, ray) -> MinNormResult:
-    """Minimize ||q||^2 over q in conv(points) + R+ * ray, the points given
-    as the rows of a p x k array or as a sequence of p k-vectors.
+def min_norm_point(points, rays) -> MinNormResult:
+    """Minimize ||q||^2 over q in conv(points) + cone(rays), the points
+    given as the rows of a p x k array or as a sequence of p k-vectors, and
+    the rays likewise as the rows of an r x k array (r = 0 for none; one
+    k-vector is one ray).
 
     One nonnegative least-squares solve (Lawson & Hanson) of
-    E u ~ e_{k+1} with E = [[P, r], [1^T, 0]]: at its optimum u_P sums to
+    E u ~ e_{k+1} with E = [[P, R], [1^T, 0]]: at its optimum u_P sums to
     t = 1/(1 + d^2), where d is the distance sought, and dividing by t
-    gives the simplex weights and the ray coefficient.  A target inside
-    the set (d = 0) needs no special case.  The points are scaled to unit
-    size and the ray to unit length first, which leaves the weights
-    unchanged.  Optimality is certified independently through the
-    variational inequality on the generators, with VI_TOL applied to the
-    data scaled down by a power of two to entries below 1.
+    gives the simplex weights and the ray coefficients.  A target inside
+    the set (d = 0) needs no special case.  The points are divided by their
+    largest |entry| and each ray by its length first (a zero ray stays
+    zero), which leaves the weights unchanged; dividing keeps subnormal
+    data in range where multiplying by the reciprocal would overflow.
+    Optimality is certified independently through the variational
+    inequality on the columns of that scaled E, with VI_TOL.
     """
     pts = np.asarray(points, float)
     if not pts.size:
         raise ValueError("points must be nonempty")
-    r = np.asarray(ray, float)
     p, k = pts.shape
-    M = np.empty((k, p + 1))
-    M[:, :p], M[:, p] = pts.T, r
-    big = float(np.abs(M[:, :p]).max())
-    s = 1.0 / big if big > 0 else 1.0
-    r_len = float(np.linalg.norm(r))
-    c = 1.0 / r_len if r_len > 0 else 0.0
-    E = np.zeros((k + 1, p + 1))
-    E[:k, :p] = s * M[:, :p]
-    E[:k, p] = c * r
+    R = np.asarray(rays, float).reshape(-1, k)
+    lens = np.hypot.reduce(R, axis=1)
+    lens[lens == 0.0] = 1.0                 # a zero ray stays zero
+    big = float(np.abs(pts).max()) or 1.0
+    E = np.zeros((k + 1, p + len(R)))
+    np.divide(pts.T, big, out=E[:k, :p])
+    np.divide(R.T, lens, out=E[:k, p:])
     E[k, :p] = 1.0
     f = np.zeros(k + 1)
     f[k] = 1.0
     u, solves = _nnls(E, f)
     t = u[:p].sum()
-    w = np.append(u[:p] / t, c * u[p] / (s * t))
-    q = M @ w
-    # Check at entries below 1: a power of two scales exactly, so data up
-    # to the float range cannot overflow q.q.  hypot neither overflows nor
-    # underflows, so a q of unit size beside 1e300 points keeps its norm.
-    sigma = math.ldexp(1.0, -max(0, math.frexp(max(big, r_len))[1]))
-    cert = _vi_margin(sigma * M, sigma * q, p) >= -VI_TOL
-    return MinNormResult(q, w[:p], float(w[p]), cert, solves, math.hypot(*q))
+    # the nearest point of the scaled set, then of the given one
+    qs = E[:k] @ u / t
+    cert = _vi_margin(E[:k], qs, p) >= -VI_TOL
+    q = qs * big
+    return MinNormResult(q, u[:p] / t, u[p:] / lens * (big / t), cert, solves, math.hypot(*q))
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,15 @@ def highs(c, G, h, lower, eq=False):
     return _HIGHS_STATUS.get(res.status, "other"), res.fun
 
 
+def as_geq(G, h, eq):
+    """The rows G x >= h, with equality where eq is set, as ">=" rows
+    alone, the form solve_lp takes: each equality row again, negated,
+    after all of them."""
+    G, h = np.asarray(G, float), np.asarray(h, float)
+    eq = np.broadcast_to(eq, (len(G),))
+    return np.vstack([G, -G[eq]]), np.concatenate([h, -h[eq]])
+
+
 def random_feasible_rows(rng, n=None, p=None, min_slack=0):
     """Nominal rows {a.x >= b} guaranteed feasible at an integer anchor."""
     n = n if n is not None else int(rng.integers(1, 4))

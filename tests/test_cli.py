@@ -286,7 +286,7 @@ def test_certify_reports_a_reason_for_unknown_only(tmp_path, capsys, monkeypatch
     assert "refutation" not in rep["payload"] and "certificate" not in rep["payload"]
     assert rep["payload"]["reason"] == (
         "nominal endpoint infeasible (residual 2.500e-01, stop budget) "
-        "but its tangent endpoint LP is feasible, so there is no direction to refute along")
+        "but its tangent endpoint system is feasible, so there is no direction to refute along")
 
 
 def test_certify_cone_refutation_names_its_endpoint(tmp_path, capsys):
@@ -341,6 +341,24 @@ def test_certify_joint_balls_and_verify_round_trip_exit_0(tmp_path, capsys):
 POLYTOPE_BOX_PROBLEM = str(Path(__file__).with_name("polytope_box_problem.json"))
 
 
+def test_certify_on_objectives_scaled_by_1e8_is_not_refuted(capsys):
+    # a point certified at scale 1 once came back refuted (exit 1), with a
+    # witness that left an active row by 0.033 (the CI workflow runs the
+    # installed script on the same file)
+    path = str(Path(__file__).with_name("scaled_objective_problem.json"))
+    code, rep = _run_json(capsys, ["certify", path, "--point=0,-1,-3,1,-1"])
+    assert code in (0, 2) and rep["verdict"] in ("certified", "unknown")
+
+
+def test_radius_of_a_subnormal_row_exit_0(capsys):
+    path = str(Path(__file__).with_name("subnormal_radius_problem.json"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, rep = _run_json(capsys, ["radius", path])
+    assert code == 0 and rep["payload"]["certified"] is True
+    assert math.isclose(rep["payload"]["radius"], math.sqrt(2) * 1e-310, rel_tol=1e-12)
+
+
 def test_certify_polytope_box_and_verify_round_trip_exit_0(tmp_path, capsys):
     # a singleton, a polytope and a box, all tight at (1, 1), the box's
     # worst row carrying the multiplier mass; the certificate is parsed
@@ -349,7 +367,7 @@ def test_certify_polytope_box_and_verify_round_trip_exit_0(tmp_path, capsys):
     code, out = _run(capsys, ["certify", POLYTOPE_BOX_PROBLEM, "--point=1,1", "--json"])
     rep = json.loads(out)
     assert code == 0 and rep["verdict"] == "certified"
-    assert [r["mu"] for r in rep["payload"]["certificate"]["perturbed"]] == [1, 0, 2]
+    assert [r["mu"] for r in rep["payload"]["certificate"]["perturbed"]] == [0, 0, 3]
     cert = tmp_path / "cert.json"
     cert.write_text(out, encoding="utf-8")
     code, rep = _run_json(capsys, ["verify", POLYTOPE_BOX_PROBLEM, "--point=1,1",
@@ -597,12 +615,12 @@ def test_verify_ignores_a_number_beyond_the_float_range_in_a_key_it_does_not_rea
 
 
 def test_verify_residuals_hold_no_negative_zero(tmp_path, capsys):
-    # lambda = (1, 0) has least weight 0.0, whose negation -0.0 printed as
+    # lambda = (0, 1) has least weight 0.0, whose negation -0.0 printed as
     # "-0" for lambda_simplex and lambda_tilde_simplex, in the checks and in
     # the residuals
     path = _write(tmp_path, ORTHANT)
     code, rep = _run_json(capsys, ["certify", path, "--point=0,0"])
-    assert code == 0 and rep["payload"]["certificate"]["lambda"] == [1, 0]
+    assert code == 0 and rep["payload"]["certificate"]["lambda"] == [0, 1]
     code, out = _run(capsys, ["verify", path, "--point=0,0", "--cert",
                               _write(tmp_path, rep, "c.json"), "--json"])
     assert code == 0 and '"lambda_simplex":0,' in out

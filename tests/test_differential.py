@@ -7,7 +7,7 @@ module is skipped where scipy is not installed.
 import numpy as np
 import pytest
 
-from conftest import highs
+from conftest import as_geq, highs
 from robustmolp.numerics import min_norm_point, solve_lp
 
 optimize = pytest.importorskip("scipy.optimize")
@@ -16,9 +16,15 @@ _INF = float("inf")
 
 
 def _lp(c, rows, lb):
-    """The arguments (c, G, h, lower, eq) of solve_lp for (g, h, sense) rows."""
+    """The arguments (c, G, h, lower, eq) of conftest.highs for (g, h,
+    sense) rows; _solve hands them to solve_lp."""
     G, h, senses = zip(*rows)
     return c, np.array(G), np.array(h), lb, np.array(senses) == "=="
+
+
+def _solve(c, G, h, lb, eq):
+    """solve_lp on the LP with each equality row written as two ">=" rows."""
+    return solve_lp(c, *as_geq(G, h, eq), lb)
 
 
 def _random_lp(rng):
@@ -59,7 +65,7 @@ def test_solve_lp_matches_highs_on_random_degenerate_free_lps():
         lp = c, G, h, lb, eq = _random_lp(rng)
         ref_status, ref_value = highs(*lp)
         assert ref_status != "other"
-        sol = solve_lp(*lp)
+        sol = _solve(*lp)
         assert sol.status == ref_status
         seen[sol.status] += 1
         if sol.optimal:
@@ -70,15 +76,15 @@ def test_solve_lp_matches_highs_on_random_degenerate_free_lps():
     assert all(count >= 10 for count in seen.values()), seen
 
 
-def _nnls_distance(points, ray):
-    """Distance from the origin to conv(points) + R+ * ray through scipy's
-    NNLS on [[P, r], [1, 0]] u ~ e: the optimal residual is d^2 / (1 + d^2)."""
-    P = np.column_stack([np.asarray(q, float) for q in points] + [ray])
-    E = np.vstack([P, np.append(np.ones(len(points)), 0.0)])
+def _nnls_distance(points, rays):
+    """Distance from the origin to conv(points) + cone(rays) through scipy's
+    NNLS on [[P, R], [1, 0]] u ~ e: the optimal residual is d^2 / (1 + d^2)."""
+    P = np.column_stack([np.asarray(q, float) for q in points] + list(rays))
+    E = np.vstack([P, np.append(np.ones(len(points)), np.zeros(len(rays)))])
     f = np.zeros(E.shape[0])
     f[-1] = 1.0
     u, _ = optimize.nnls(E, f)
-    t = u[:-1].sum()
+    t = u[:len(points)].sum()
     return float(np.linalg.norm(P @ u / t))
 
 
@@ -97,23 +103,45 @@ def _point_set(rng, kind, k, p):
     return pts
 
 
+def _ray_set(rng, trial, k):
+    """A ray matrix by trial % 5: no ray, the radius ray (0, ..., 0, -1),
+    two to four integer rays, the same with a zero ray among them, or rays
+    in near-parallel pairs (each moved by up to 10^U(-12, -6))."""
+    kind = trial % 5
+    if kind == 0:
+        return np.zeros((0, k))
+    if kind == 1:
+        return -np.eye(k)[-1:]
+    rays = rng.integers(-3, 4, (int(rng.integers(2, 5)), k)).astype(float)
+    if kind == 3:
+        rays[int(rng.integers(0, len(rays)))] = 0.0
+    if kind == 4:
+        rays = np.vstack([rays, rays + 10.0 ** rng.uniform(-12, -6) * rng.uniform(-1, 1, rays.shape)])
+    return rays
+
+
 def test_min_norm_point_matches_scipy_nnls():
     rng = np.random.default_rng(20261019)
     for kind in ("integer", "wide", "near", "repeated"):
         for trial in range(300):
             k = int(rng.integers(1, 7))
             pts = _point_set(rng, kind, k, int(rng.integers(1, 3 * k + 3)))
-            ray = np.zeros(k)
-            if trial % 3:
-                ray[-1] = -1.0
-            res = min_norm_point(pts, ray)
-            assert res.certified, (kind, pts, ray)
-            assert res.iterations <= 3 * (len(pts) + 1), (kind, pts, ray)
-            # near-duplicate points make both solves ill-conditioned
-            scale = max(float(np.abs(pts).max()), float(np.abs(ray).max()))
-            tol = 1e-9 if kind == "near" else 1e-12
+            rays = _ray_set(rng, trial, k)
+            res = min_norm_point(pts, rays)
+            case = (kind, pts, rays)
+            assert res.certified, case
+            assert res.iterations <= 3 * (len(pts) + len(rays) + 1), case
+            assert res.mu.shape == (len(rays),) and np.all(res.mu >= 0.0), case
+            assert not res.mu[~rays.any(axis=1)].any(), case     # a zero ray stays unused
+            # near-duplicate points and near-parallel rays make both solves
+            # ill-conditioned
+            scale = float(np.abs(pts).max())
+            tol = 1e-9 if kind == "near" or trial % 5 == 4 else 1e-12
             assert res.distance == pytest.approx(
-                _nnls_distance(pts, ray), abs=tol * scale), (kind, pts, ray)
+                _nnls_distance(pts, rays), abs=tol * scale), case
+            # the point is the weighted points plus the weighted rays
+            q = res.weights @ np.asarray(pts) + res.mu @ rays
+            assert np.linalg.norm(q - res.p_star) <= 1e-9 * max(1.0, scale), case
 
 
 def _large_lp(rng):
@@ -150,7 +178,7 @@ def test_solve_lp_matches_highs_on_large_degenerate_lps_with_duplicate_rows():
     for _ in range(24):
         lp = c, G, h, lb, eq = _large_lp(rng)
         ref_status, ref_value = highs(*lp)
-        sol = solve_lp(*lp)
+        sol = _solve(*lp)
         assert sol.status == ref_status
         seen[sol.status] += 1
         if not sol.optimal:
@@ -160,37 +188,6 @@ def test_solve_lp_matches_highs_on_large_degenerate_lps_with_duplicate_rows():
         assert np.all(slack[~eq] >= -1e-7) and np.all(np.abs(slack[eq]) <= 1e-7)
         assert np.all(sol.x >= lb - 1e-9)
     assert all(count >= 4 for count in seen.values()), seen
-
-
-def _assert_farkas_ray(lp, y):
-    """y certifies that no x >= lb meets the rows: on the rows scaled to
-    unit max-norm, G^T y <= 0 on bounded columns and = 0 on free ones,
-    y >= 0 on ">=" rows, and (h - G lb).y > 0, each to 1e-9."""
-    _, G, h, lb, eq = lp
-    mx = np.abs(G).max(axis=1)
-    scale = np.where(mx > 0, 1.0 / np.where(mx > 0, mx, 1.0), 1.0)
-    ys = y / scale                              # the ray of the scaled rows
-    free = ~np.isfinite(lb)
-    lb = np.where(free, 0.0, lb)
-    reduced = (G * scale[:, None]).T @ ys
-    assert np.all(reduced[~free] <= 1e-9) and np.all(np.abs(reduced[free]) <= 1e-9)
-    assert np.all(ys[~eq] >= -1e-9)
-    assert float(((h - G @ lb) * scale) @ ys) > 1e-9
-
-
-def test_infeasible_lps_carry_a_farkas_ray_that_highs_agrees_with():
-    rng = np.random.default_rng(20261021)
-    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
-    for k in range(360):
-        lp = _random_lp(rng) if k % 12 else _large_lp(rng)
-        sol = solve_lp(*lp)
-        assert sol.status == highs(*lp)[0]
-        seen[sol.status] += 1
-        if sol.status == "infeasible":
-            _assert_farkas_ray(lp, sol.ray)
-        else:
-            assert sol.ray is None
-    assert all(count >= 10 for count in seen.values()), seen
 
 
 def test_zero_objective_lps_stop_at_phase_one():
@@ -203,7 +200,7 @@ def test_zero_objective_lps_stop_at_phase_one():
     seen = {"optimal": 0, "infeasible": 0}
     for _, G, h, lb, eq in lps:
         lp = np.zeros(G.shape[1]), G, h, lb, eq
-        sol = solve_lp(*lp)
+        sol = _solve(*lp)
         assert sol.status == highs(*lp)[0]
         seen[sol.status] += 1
         if not sol.optimal:
@@ -214,3 +211,46 @@ def test_zero_objective_lps_stop_at_phase_one():
         bounded = np.isfinite(lb)
         assert np.all(sol.x[bounded] >= lb[bounded] - 1e-9)
     assert all(count >= 20 for count in seen.values()), seen
+
+
+def _endpoint_system(rng):
+    """A polyhedral endpoint system: objective rows C (m x n) and the
+    generators of k active rows, integers in [-3, 3]; every third instance
+    takes C's first row from -cone(generators), so that both verdicts come
+    up often."""
+    n, m, k = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(0, 5))
+    C = rng.integers(-3, 4, (m, n)).astype(float)
+    gens = rng.integers(-3, 4, (k, n)).astype(float)
+    if k and rng.integers(0, 3) == 0:
+        C[0] = -rng.integers(0, 3, k) @ gens
+    return C, gens
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8])
+def test_endpoint_verdicts_match_highs_on_random_polyhedral_systems(scale):
+    # HiGHS decides the equality LP C^T lam + gens^T mu = 0, sum(lam) = 1,
+    # lam, mu >= 0 on the unscaled data; scaling C scales mu and leaves the
+    # verdict alone.  A feasible endpoint's weights must nearly solve it,
+    # and a failing one's direction d must have C d < 0 and gens d <= 0.
+    from robustmolp.efficiency import ActiveGeometry, _solve_endpoint
+    rng = np.random.default_rng(20261023)
+    seen = {"optimal": 0, "infeasible": 0}
+    for _ in range(400):
+        C, gens = _endpoint_system(rng)
+        (m, n), k = C.shape, len(gens)
+        G = np.zeros((n + 1, m + k))
+        G[:n, :m], G[:n, m:], G[n, :m] = C.T, gens.T, 1.0
+        status = highs(np.zeros(m + k), G, np.append(np.zeros(n), 1.0), 0.0, True)[0]
+        seen[status] += 1
+        geo = ActiveGeometry(tuple(range(k)), gens, tuple((i,) for i in range(k)))
+        e = _solve_endpoint(scale * C, None, geo, [], np.zeros(n))
+        assert e.feasible == (status == "optimal"), (C, gens)
+        if e.feasible:
+            mu = np.array([e.mu_of[i] for i in range(k)])
+            assert np.all(e.lam >= 0.0) and e.lam.sum() == pytest.approx(1.0, abs=1e-12)
+            # the kernel's tolerance, VI_TOL x max|C| with |C| <= 3
+            assert np.linalg.norm(scale * C.T @ e.lam + gens.T @ mu) <= 3e-8 * scale
+        else:
+            d = e.direction
+            assert np.all(C @ d < 0.0) and np.all(gens @ d <= 1e-9 * np.linalg.norm(d))
+    assert all(count >= 50 for count in seen.values()), seen

@@ -775,6 +775,7 @@ def test_catalogues_refute_without_the_scenario_lp(monkeypatch, workload, certif
         raise AssertionError("certify refutes along the endpoint's Farkas direction")
 
     monkeypatch.setattr(eff, "weakly_efficient_for_scenario", forbidden)
+    monkeypatch.setattr(eff, "solve_lp", forbidden)         # nor an endpoint LP
     monkeypatch.setattr(oracle, "refute_robust_weak_efficiency", forbidden)
     catalogue = runpy.run_path(str(WORKLOADS))[workload]().make_inputs(robustmolp, None, 0)
     statuses = []
@@ -787,19 +788,53 @@ def test_catalogues_refute_without_the_scenario_lp(monkeypatch, workload, certif
         certified, refuted, 0]
 
 
-def _spy_endpoint_lps(monkeypatch):
-    """Every LP certify solves; with the scenario LP off its path these are
-    the endpoint LPs and the tangent LPs of failing cone endpoints."""
+@pytest.mark.parametrize("workload", ["CertifyPolyWorkload", "CertifyConeWorkload"])
+def test_scaled_objectives_never_refute_a_certified_point(workload):
+    # C_bar and u times 1e8 or 1e10 leave weak efficiency as it is; the
+    # endpoint LP's Farkas ray once refuted certified points there with
+    # witnesses that left an active row, and phase 1 raised "unbounded".
+    # Certified (and verified) or unknown are the answers scaling can leave.
+    import robustmolp
+    catalogue = runpy.run_path(str(WORKLOADS))[workload]().make_inputs(robustmolp, None, 0)
+    for inst in catalogue:
+        p, x = inst.problem, inst.x_bar
+        base = certify_weak_efficiency(validate_problem(p), x).status
+        for scale in (1e8, 1e10):
+            q = UncertainMOLP(p.m, p.n, scale * p.C_bar, scale * p.u, p.v, p.constraints)
+            out = certify_weak_efficiency(validate_problem(q), x)
+            if out.status == "refuted":
+                assert base != "certified"
+                assert_replaying_refutation(q, x, out)
+            elif out.status == "certified":
+                assert verify_certificate(q, x, out.certificate).ok
+
+
+def test_refute_replays_the_active_rows_its_direction_would_leave():
+    # x2 >= -5 is the only row the ratio test looks at; (-1, -1) improves
+    # the objective x2 but leaves the active row x1 >= 0, whose witness
+    # (-1, -1) was returned as a refutation
     import robustmolp.efficiency as eff
-    lps = []
-    solve = eff.solve_lp
+    p = UncertainMOLP(1, 2, [[0.0, 1.0]], [0.0], [0.0, 0.0],
+                      (Singleton([1.0, 0.0], 0.0), Singleton([0.0, 1.0], -5.0)))
+    X, x = reduce_constraints(validate_problem(p)), np.zeros(2)
+    assert eff._refute(X, x, np.array([-1.0, -1.0]), p.C_bar, None) is None
+    w, gap = eff._refute(X, x, np.array([0.0, -1.0]), p.C_bar, None)
+    assert w.tolist() == [0.0, -1.0] and gap.tolist() == [1.0]
+
+
+def _spy_endpoint_solves(monkeypatch):
+    """Every minimum-norm point certify solves: the polyhedral endpoint
+    systems, once LPs, and the tangent systems of failing cone endpoints."""
+    import robustmolp.efficiency as eff
+    solves = []
+    solve = eff.min_norm_point
 
     def spy(*args, **kwargs):
-        lps.append(args)
+        solves.append(args)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(eff, "solve_lp", spy)
-    return lps
+    monkeypatch.setattr(eff, "min_norm_point", spy)
+    return solves
 
 
 def test_failing_nominal_endpoint_is_the_only_lp_solved(monkeypatch):
@@ -808,10 +843,10 @@ def test_failing_nominal_endpoint_is_the_only_lp_solved(monkeypatch):
     p = UncertainMOLP(2, 2, np.eye(2), [1.0, 0.0], [1.0, 0.0],
                       (Singleton([1.0, 0.0], -5.0), Singleton([0.0, 1.0], -5.0)))
     x = np.zeros(2)
-    lps = _spy_endpoint_lps(monkeypatch)
+    solves = _spy_endpoint_solves(monkeypatch)
     out = certify_weak_efficiency(validate_problem(p), x)
     assert_replaying_refutation(p, x, out)
-    assert out.refutation.endpoint == "nominal" and len(lps) == 1
+    assert out.refutation.endpoint == "nominal" and len(solves) == 1
 
 
 @pytest.mark.parametrize("workload, count", [
@@ -819,13 +854,14 @@ def test_failing_nominal_endpoint_is_the_only_lp_solved(monkeypatch):
 def test_catalogue_endpoint_lp_count_is_pinned(monkeypatch, workload, count):
     # 153 and 54 while a failing nominal endpoint was followed by the
     # perturbed one: 35 + 23 nominal refutations with distinct endpoints
-    # each spent one more
+    # each spent one more; the counts held when the endpoint LPs became
+    # minimum-norm points
     import robustmolp
     catalogue = runpy.run_path(str(WORKLOADS))[workload]().make_inputs(robustmolp, None, 0)
-    lps = _spy_endpoint_lps(monkeypatch)
+    solves = _spy_endpoint_solves(monkeypatch)
     for inst in catalogue:
         certify_weak_efficiency(validate_problem(inst.problem), inst.x_bar)
-    assert len(lps) == count
+    assert len(solves) == count
 
 
 def _flat_classes_problem():
@@ -956,7 +992,7 @@ def test_unknown_names_the_endpoint_residual_and_stop_reason(monkeypatch):
     out = certify_weak_efficiency(vp, x)
     assert out.status == "unknown" and out.refutation is None
     assert out.reason == ("nominal endpoint infeasible (residual 2.500e-01, stop budget) "
-                          "but its tangent endpoint LP is feasible, so there is no "
+                          "but its tangent endpoint system is feasible, so there is no "
                           "direction to refute along")
     # the failing nominal endpoint ends the run: no perturbed entry
     assert out.residuals == {"nominal": 0.25}
@@ -966,7 +1002,7 @@ def test_unknown_tells_a_direction_without_a_replaying_witness(monkeypatch):
     import robustmolp.efficiency as eff
     from robustmolp.numerics import ConeResult
     # the cone x1 >= |x|/2 with its apex at the point, where P^T x = 0: the
-    # tangent column is a_bar alone, so the tangent endpoint LP is
+    # tangent column is a_bar alone, so the tangent endpoint system is
     # infeasible although the point minimizes x1 + x2/2 over the set
     p = UncertainMOLP(1, 2, [[1.0, 0.5]], [0.0], [0.0, 0.0],
                       (NormBall([1.0, 0.0], np.eye(2), 0.5, 2, -1.0, 0.0),))

@@ -57,6 +57,20 @@ def test_cone_contains_hand_cases():
     assert not cone_contains([(1.0, 0.0)], (0.0, 1.0)).contains
 
 
+def test_cone_membership_is_one_min_norm_point(monkeypatch):
+    # the distance from 0 to -target + cone(generators), no LP
+    def forbidden(*args, **kwargs):
+        raise AssertionError("cone membership needs no LP")
+
+    monkeypatch.setattr(feasibility, "solve_lp", forbidden)
+    solves = _counting(monkeypatch, "min_norm_point")
+    res = cone_contains([(1.0, 0.0), (-1.0, 1.0), (0.0, 0.0)], (0.0, 1.0))
+    assert res.contains and res.weights == pytest.approx([1.0, 1.0, 0.0], abs=1e-9)
+    assert not cone_contains([(1.0, 0.0)], (0.0, 1.0)).contains
+    assert cone_contains([(1.0, 0.0)], (0.0, 0.0)).contains
+    assert len(solves) == 3
+
+
 def test_cone_membership_marker_on_five_row_system():
     gens = [np.concatenate([a, [b]]) for a, b in HYPO]
     # feasible system: the inconsistency marker is outside the data cone
@@ -330,6 +344,16 @@ def test_radius_of_a_segment_from_a_unit_row_to_a_row_near_1e300():
     # of the origin; the solve stops at its end (-1, 0, -1), at sqrt(2)
     rows = [(np.array([3e300, 1.0]), -1.0), (np.array([-1.0, 0.0]), -1.0)]
     assert radius_of_robust_feasibility(rows).rho == pytest.approx(1.0, rel=1e-9)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_radius_of_a_subnormal_row():
+    # [1e-310 | -1e-310]: the reciprocal of the largest entry overflowed and
+    # inf * 0 made the scaled data NaN (exit 2 from the CLI); dividing by
+    # the entry keeps it in range
+    rr = radius_of_robust_feasibility(_nominal("subnormal_radius_problem.json"))
+    assert rr.certified and rr.mu == 0.0 and rr.weights.tolist() == [1.0]
+    assert rr.rho == pytest.approx(math.sqrt(2) * 1e-310, rel=1e-12)
 
 
 def test_ball_witness_of_a_radius_past_1e154():

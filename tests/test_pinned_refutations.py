@@ -2,17 +2,19 @@
 
 `pinned_refutations.json` holds, for each instance below, the refutation
 (reason, endpoint, rho, and the witness x and gap as `float.hex`) and the
-pivot count of every LP that `certify_weak_efficiency` solved, as produced
-by the row-by-row dense Bland simplex.  The simplex must keep Bland's rule
-and its tie-breaks exactly: a different pivot path moves a pivot count
-here, and usually the last bits of the witness too.  The instances with a
-box (12, 14, 25, 28, 30) were re-recorded when boxes became one lifted
-s = inf row instead of their 2^n vertex rows, and every x and gap when the
-witness came to be stepped along the failing endpoint's Farkas ray, which
-left only the endpoint LPs in each pivot list; a failing nominal endpoint
-is the last LP solved, so its list holds one entry.  Every pinned witness must
-replay against the classes' own data, so no re-recording can pin one
-that does not.
+iteration count of every minimum-norm point that
+`certify_weak_efficiency` solved, one per endpoint system.  The
+Lawson-Hanson solve must keep its entering rule and tie-breaks exactly: a
+different active-set path moves an iteration count here, and usually the
+last bits of the witness too.  The instances with a box (12, 14, 25, 28,
+30) were re-recorded when boxes became one lifted s = inf row instead of
+their 2^n vertex rows; every x and gap when the witness came to be stepped
+along the failing endpoint's Farkas ray; and every record when the
+endpoint LPs became minimum-norm points, the step following the nearest
+point's direction -q and the Bland pivot counts giving way to iteration
+counts.  A failing nominal endpoint is the last system solved, so its list
+holds one entry.  Every pinned witness must replay against the classes'
+own data, so no re-recording can pin one that does not.
 """
 
 import json
@@ -70,22 +72,22 @@ def _hex(a):
 
 def refutation_record(seed, monkeypatch):
     """The pinned fields of one instance's refutation."""
-    pivots = []
-    solve = efficiency.solve_lp
+    iterations = []
+    solve = efficiency.min_norm_point
 
     def counting(*args, **kwargs):
-        sol = solve(*args, **kwargs)
-        pivots.append(sol.pivots)
-        return sol
+        res = solve(*args, **kwargs)
+        iterations.append(res.iterations)
+        return res
 
-    monkeypatch.setattr(efficiency, "solve_lp", counting)
+    monkeypatch.setattr(efficiency, "min_norm_point", counting)
     p, x = _instance(seed)
     out = certify_weak_efficiency(validate_problem(p), x)
     assert out.status == "refuted"
     r = out.refutation
     return {"reason": r.reason, "endpoint": r.endpoint,
             "rho": None if r.rho is None else float(r.rho).hex(),
-            "x": _hex(r.x), "gap": _hex(r.gap), "pivots": pivots}
+            "x": _hex(r.x), "gap": _hex(r.gap), "iterations": iterations}
 
 
 @pytest.mark.parametrize("seed", SEEDS)
