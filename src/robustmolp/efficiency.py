@@ -174,7 +174,7 @@ def check_slater(X: RobustFeasibleSet) -> SlaterCheck:
 @dataclass(frozen=True)
 class EndpointSolve:
     feasible: bool
-    residual: float | None                  # cone path only
+    residual: float | None                  # a cone solve's, unless a minimum-norm point decided
     stop_reason: str                        # the cone solver's, or "feasible" | "infeasible"
     lam: np.ndarray | None = None
     mu_of: dict | None = None               # active linear row -> multiplier
@@ -221,11 +221,12 @@ def _solve_endpoint(C, S, geo: ActiveGeometry, cones, xl):
     Otherwise its nearest point q gives the direction d = -q of a failing
     endpoint, since its variational inequality reads C d <= -||q||^2 and
     d.(-generator) >= 0 for every group.  With blocks, C is written into
-    the lambda columns of S (_endpoint_rows) for the cone solver; a cone
-    system that fails gets its direction from the same minimum-norm point
-    with each block's tangent column -g, g the first n entries of the row's
-    supergradient at xl, as one more ray, and no direction when that point
-    is within the tolerance.
+    the lambda columns of S (_endpoint_rows) for the cone solver.  A cone
+    system that fails is decided by the same minimum-norm point with each
+    block's tangent column -g as one more ray, g the first n entries of
+    the row's supergradient at xl, the realized row of w* = worst_case(xl),
+    which is tight there: a distance within the tolerance gives that block
+    (mu w*, mu) from the tangent column's coefficient mu.
     """
     (m, n), k = C.shape, len(geo.groups)
     residual, stop, rays, x = None, "infeasible", geo.generators, None
@@ -243,9 +244,9 @@ def _solve_endpoint(C, S, geo: ActiveGeometry, cones, xl):
         near = min_norm_point(C, rays)
         if near.distance > VI_TOL * float(np.abs(C).max()):
             return EndpointSolve(False, residual, stop, direction=-near.p_star)
-        if cones:                           # the tangent system holds 0
-            return EndpointSolve(False, residual, stop)
-        stop, x = "feasible", np.concatenate([near.weights, near.mu])
+        tangent = [np.append(mu * r.worst_case(xl), mu) for r, mu in zip(cones, near.mu[k:])]
+        residual, stop = None, "feasible"
+        x = np.concatenate([near.weights, near.mu[:k], *tangent])
     lam = np.maximum(x[:m], 0.0)
     lam = lam / lam.sum()
     mu_of = dict.fromkeys(geo.active_rows, 0.0)
@@ -480,8 +481,8 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
     one is feasible.  A failing endpoint is refuted by _refute along the
     direction of its nearest point, tilted toward the point of
     check_slater when a 2-norm row is active.
-    When there is no direction, no Slater point for that tilt, no step
-    along it that replays, or a certificate's equality or complementarity
+    When there is no Slater point for that tilt, no step along the
+    direction that replays, or a certificate's equality or complementarity
     residual above RESIDUAL_TOL, the outcome is "unknown" with its reason.
     """
     p = vp.problem
@@ -521,11 +522,9 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
         return _certified(C0, C1, cert, x_bar, residuals("system_"))
     C, rho = (C0, 0.0) if name == "nominal" else (C1, 1.0)
     found = None
-    if e.direction is None:
-        why = "its tangent endpoint system is feasible, so there is no direction to refute along"
     # untilted, the direction is tangent to the active 2-norm rows, and only
     # a step whose curvature rounds away would replay along it
-    elif cones and not (slater := check_slater(X)).ok:
+    if cones and not (slater := check_slater(X)).ok:
         why = ("no Slater point exists to tilt its Farkas direction into the active "
                f"2-norm rows (max_slack {slater.max_slack:.3e})")
     else:

@@ -4,14 +4,14 @@ Finite-system feasibility checks, conic membership of the marker vector
 (0,...,0,1) that characterizes inconsistency, the radius of robust
 feasibility under joint coefficient ball perturbations, feasibility
 probing at a given perturbation size, and the refined Slater search.
-Cone membership and the radius are each one minimum-norm point.
-Each public call on a nominal system turns its rows (a_j, b_j) into one
-array [A | b] once, which is also where an empty or non-finite system is
-rejected; its rows are the points of the hypographical set.  A radius
-rho > 0 proves the nominal system feasible by a closed-form point, so the
-Phase-I LP runs only when rho = 0 or that point fails its check.  A probe
-is one radius pass, one minimum-norm point whose rho/2 point it reuses,
-and its boundary band scales with the largest entry of [A | b].
+Nominal feasibility, cone membership and the radius are each one
+minimum-norm point.  Each public call on a nominal system turns its rows
+(a_j, b_j) into one array [A | b] once, which is also where an empty or
+non-finite system is rejected; its rows are the points of the
+hypographical set.  A radius rho > 0 proves the nominal system feasible
+by a closed-form point, so is_feasible runs only when rho = 0 or that
+point fails its check.  A probe is one radius pass whose rho/2 point it
+reuses, and its band scales with the largest entry of [A | b].
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import RobustFeasibleSet
-from .numerics import MinNormResult, min_norm_point, solve_lp
+from .numerics import VI_TOL, NumericalBreakdown, min_norm_point, solve_lp, unit_rows
 
 _INF = float("inf")
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 CUT_ROUNDS = 40         # tangent-cut LPs for s = 2 rows in the Slater check
-MEMBER_TOL = 1e-9       # relative equality residual of a cone combination
 BOUNDARY_TOL = 1e-6     # |alpha - rho| / max|[A | b]| at which a probe is inconclusive
 SLATER_MARGIN = 1e-6    # 2-norm row slack at which the Slater search stops
 
@@ -63,16 +64,51 @@ class FeasibilityResult:
 
 
 def is_feasible(rows) -> FeasibilityResult:
-    """Phase-I decision for {a.x >= b} over free variables.
+    """Decide {a.x >= b} over free variables, with a witness when feasible.
 
-    Feasible results carry a witness; infeasibility is the exact simplex
-    verdict.
+    One minimum-norm point q of -e + cone(rows), e = (0,...,0,1), on
+    unit_rows with b divided by s = max(1, max_j b_j).  Infeasible when q
+    is within VI_TOL of 0 and its ray coefficients replay as a Farkas
+    certificate (_farkas); a small distance may be a far-out x.  Otherwise
+    the witness is x = -s q[:n]/q[n], or x moved by least squares onto the
+    rows with a positive coefficient or that x misses, whichever first
+    meets every row to -VI_TOL max(1, |a_j|.|x|).  Failing both, those rows
+    and the ones the moved x misses, each of length 1, give a certificate
+    by least squares; if it does not replay, NumericalBreakdown is raised.
     """
-    S = _system(rows)
-    sol = solve_lp(np.zeros(S.shape[1] - 1), S[:, :-1], S[:, -1], -_INF)
-    if sol.optimal:
-        return FeasibilityResult(True, sol.x)
-    return FeasibilityResult(False)
+    x = _nominal_point(_system(rows))
+    return FeasibilityResult(x is not None, x)
+
+
+def _nominal_point(S):
+    """is_feasible's witness for the rows of S = [A | b], None if there is none."""
+    U = unit_rows(S[:, :-1], S[:, -1])
+    A, b, k = U[:, :-1], U[:, -1], U.shape[1]
+    s = float(b.max(initial=1.0))
+    res = min_norm_point(-np.eye(1, k, k - 1), np.column_stack([A, b / s]))
+    if res.distance <= VI_TOL and _farkas(U, res.mu):
+        return None
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = s * (res.p_star[:-1] / -res.p_star[-1])
+        T = (res.mu > 0) | (A @ x <= b)
+        for x in (x, x + np.linalg.lstsq(A[T], b[T] - A[T] @ x, rcond=None)[0]):
+            if np.isfinite(x).all() and (A @ x - b >= -VI_TOL * np.maximum(
+                    1.0, np.abs(A) @ np.abs(x))).all():
+                return x
+        T |= A @ x <= b
+        V = U[T] / np.maximum(np.hypot.reduce(U[T], axis=1), _TINY)[:, None]
+        if _farkas(V, np.linalg.lstsq(V.T, np.eye(k)[-1], rcond=None)[0]):
+            return None
+    raise NumericalBreakdown("no point of the marker projection meets every row")
+
+
+def _farkas(U, y):
+    """Whether y replays as a Farkas certificate of the rows U = [A | b]:
+    y >= 0, b.y > 0 and |A^T y| <= VI_TOL |A|^T y, up to the rounding of
+    the largest entry of |A|^T y."""
+    A, w = U[:, :-1], np.abs(U[:, :-1]).T @ y
+    return bool((y >= 0).all() and U[:, -1] @ y > 0
+                and (np.abs(A.T @ y) <= VI_TOL * w + _EPS * w.max(initial=0.0)).all())
 
 
 @dataclass(frozen=True)
@@ -85,15 +121,15 @@ def cone_contains(generators, target) -> ConeMembership:
     """Membership of target in cone(generators).
 
     Finitely generated cones are closed, so target is a member exactly
-    when the distance from 0 to -target + cone(generators) is 0: one
-    minimum-norm point, whose ray coefficients are the weights.
+    when -target + cone(generators) comes within VI_TOL * max|target| of 0
+    (one minimum-norm point, whose ray coefficients are the weights).
     """
     gens = np.array([np.asarray(g, float) for g in generators])
     if not len(gens):
         raise ValueError("generators must be nonempty")
     t = np.asarray(target, float)
     res = min_norm_point([-t], gens)
-    if res.distance > MEMBER_TOL * max(1.0, float(np.linalg.norm(t))):
+    if res.distance > VI_TOL * float(np.abs(t).max(initial=0.0)):
         return ConeMembership(False)
     return ConeMembership(True, res.mu)
 
@@ -139,25 +175,19 @@ def _ball_witness(points, p_star, rho, alpha):
 def _radius(nominal):
     """The radius computed once for radius_of_robust_feasibility and each
     ball probe: its RadiusResult, certified False where the public function
-    raises NonCertifiedError; the array [A | b], whose rows are the points
-    of the hypographical set; the rho/2 probe's (x, min_j a_j.x - b_j),
-    (None, -inf) unless rho > 0 is certified; and the Phase-I point, None
-    unless that x fails its check and the LP ran.  Raises
+    raises NonCertifiedError; the array [A | b]; the rho/2 probe's
+    (x, min_j a_j.x - b_j), (None, -inf) unless rho > 0 is certified; and
+    is_feasible's point, None unless that x fails its check.  Raises
     NominalInfeasibleError.
     """
-    nominal = list(nominal)     # the Phase-I LP reads the rows again
     S = _system(nominal)
-    ray = np.zeros((1, S.shape[1]))
-    ray[0, -1] = -1.0
-    res: MinNormResult = min_norm_point(S, ray)
+    k = S.shape[1]
+    res = min_norm_point(S, -np.eye(1, k, k - 1))           # the ray (0, ..., 0, -1)
     half, nominal_x = (None, -_INF), None
     if res.certified and res.distance > 0:
         half = _ball_witness(S, res.p_star, res.distance, res.distance / 2)
-    if not half[1] >= 0:
-        nom = is_feasible(nominal)
-        if not nom.feasible:
-            raise NominalInfeasibleError("nominal system is infeasible")
-        nominal_x = nom.x
+    if not half[1] >= 0 and (nominal_x := _nominal_point(S)) is None:
+        raise NominalInfeasibleError("nominal system is infeasible")
     rr = RadiusResult(res.distance, res.p_star, res.weights, float(res.mu[0]), res.certified)
     return rr, S, half, nominal_x
 
@@ -169,7 +199,7 @@ def radius_of_robust_feasibility(nominal) -> RadiusResult:
     nominal rows, computed as a minimum-norm point.  A certified rho > 0
     proves the nominal system feasible by the point of the rho/2-ball probe,
     whose slacks are >= rho/2 (alpha = 0's are tight), checked >= 0 in
-    floats; otherwise the Phase-I LP decides, before NonCertifiedError.
+    floats; otherwise is_feasible decides, before NonCertifiedError.
     """
     rr = _radius(nominal)[0]
     if not rr.certified:
@@ -280,7 +310,7 @@ def ball_robust_feasible(nominal, alpha: float) -> BallFeasibility:
     BOUNDARY_TOL * m) the answer is inconclusive because attainment of the
     supremum is not guaranteed.  At alpha = 0 the rho/2 point is the
     witness when rho > 0 is certified and its slacks are >= 0; otherwise
-    the Phase-I LP decides, and alpha = 0 never raises NonCertifiedError.
+    is_feasible decides, and alpha = 0 never raises NonCertifiedError.
     """
     if not alpha >= 0:
         raise ValueError("alpha must be >= 0")

@@ -289,9 +289,8 @@ class ConcaveRow:
         r = self.supergradient(x)
         return slack_value(r[:-1], x, float(r[-1])) if np.isfinite(r).all() else -_INF
 
-    def supergradient(self, x):
-        """The worst realization [a | b] = realize(w*) at x, w* a unit
-        s-norm vector with w*.P^T (x, -1) = ||P^T (x, -1)||_{s*}."""
+    def worst_case(self, x):
+        """w*, a unit s-norm vector with w*.P^T (x, -1) = ||P^T (x, -1)||_{s*}."""
         x = np.asarray(x, float)
         with np.errstate(over="ignore", invalid="ignore"):
             y = self.image(x)
@@ -299,7 +298,12 @@ class ConcaveRow:
                 # only the direction of y matters: take it from copies
                 # scaled by powers of two, whose product cannot overflow
                 y = _unit_scaled(self.P).T @ _unit_scaled(np.append(x, -1.0))
-            return self.realize(_dual_norm_subgradient(y, self.s))
+            return _dual_norm_subgradient(y, self.s)
+
+    def supergradient(self, x):
+        """The worst realization [a | b] = realize(worst_case(x)) at x."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.realize(self.worst_case(x))
 
     def realize(self, w):
         """The row [a | b] = [a_bar | b] - P w, one (n + 1)-array."""

@@ -4,10 +4,10 @@ Provides the primitives everything else is built on: a two-phase simplex
 LP solver, Euclidean projection onto the unit simplex, the minimum-norm
 point of a polytope-plus-cone set conv(points) + cone(rays), and a
 block-structured second-order-cone feasibility solver.  The minimum-norm
-point decides both of the paper's questions: the radius is its distance
-with the single ray (0, ..., 0, -1), and an endpoint multiplier system is
-feasible exactly when the distance from the objective rows with the
-active generators as rays is 0, its nearest point otherwise separating.
+point decides every feasibility question at distance 0: the radius is its
+distance with the single ray (0, ..., 0, -1); nominal rows are infeasible
+when (0, ..., 0, 1) is in their cone; an endpoint multiplier system is
+feasible when 0 is in conv(objective rows) + cone(active generators).
 """
 
 from __future__ import annotations
@@ -59,17 +59,30 @@ _PIV_EPS = 1e-9         # pivots on entries near 1e-10 let phase 1 drift
 _RC_EPS = 1e-9
 
 
+def unit_rows(G, h):
+    """[G | h], each row of G x >= h divided by its largest |coefficient| (a
+    zero row kept), less the rows this gives a right-hand side of -inf, which
+    every finite x meets; other non-finite data raises NumericalBreakdown."""
+    mx = np.abs(G).max(axis=1, initial=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # dividing keeps subnormal rows in range, where the reciprocal overflows
+        U = np.column_stack([G, h]) / np.where(mx > 0, mx, 1.0)[:, None]
+    U = U[U[:, -1] != -_INF]
+    if not np.isfinite(U).all():
+        raise NumericalBreakdown("row-scaled LP data is not finite")
+    return U
+
+
 def solve_lp(c, G, h, lower) -> LpSolution:
     """min c.x  subject to  G x >= h and x >= lower (-inf: a free
-    variable).
+    variable): the Slater LP and the scenario LP; feasibility alone is a
+    minimum-norm point (feasibility.is_feasible).
 
-    Two-phase dense simplex with Bland's anti-cycling rule.  Infeasible and
-    unbounded verdicts are exact (up to the scaled phase-1 threshold).  An
-    all-zero objective (a feasibility LP) stops after phase 1, with the
-    phase-1 point.  More than MAX_PIVOTS pivots in phases 1 and 2 raise
+    Two-phase dense simplex with Bland's anti-cycling rule on unit_rows.
+    Infeasible and unbounded verdicts are exact (up to the scaled phase-1
+    threshold).  More than MAX_PIVOTS pivots in phases 1 and 2 raise
     NumericalBreakdown; the drive-out of artificial variables between them
-    is not counted.  Row-scaled data or an optimal point that is not finite
-    raise it too.
+    is not counted.  An optimal point that is not finite raises it too.
 
     The tableau is stored transposed, one array row per column, so that a
     pivot is a single rank-1 update of the columns where the pivot row is
@@ -95,25 +108,20 @@ def solve_lp(c, G, h, lower) -> LpSolution:
     n_var = d + n_free
 
     G = np.asarray(G, float)
-    m = len(G)
+    with np.errstate(over="ignore", invalid="ignore"):
+        U = unit_rows(G, h - G @ offsets if offsets.any() else h)
+    m = len(U)
     if m == 0:
         if np.any(c < -1e-12) or np.any(c[free] > 1e-12):
             return LpSolution("unbounded")
         return LpSolution("optimal", offsets)
-    h = np.asarray(h, float)
     N = n_var + m
     c_std = np.zeros(N)
     c_std[first] = c
 
-    # Rows scaled to unit max-norm, then flipped to make b >= 0.
-    mx = np.abs(G).max(axis=1, initial=0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scales = 1.0 / np.where(mx > 0, mx, 1.0)
-        rhs = (h - G @ offsets if offsets.any() else h) * scales
-        flips = np.where(rhs < 0, -1.0, 1.0)
-        rows = G * (scales * flips)[:, None]
-    if not (np.isfinite(rhs).all() and np.isfinite(rows).all()):
-        raise NumericalBreakdown("row-scaled LP data is not finite")
+    rhs = U[:, -1]
+    flips = np.where(rhs < 0, -1.0, 1.0)        # unit rows flipped to make b >= 0
+    rows = U[:, :-1] * flips[:, None]
 
     # Phase 1: [A | slacks | artificials | b]^T, reduced costs last.
     # Phase-1 reduced costs: minus the sum of the rows, added in row order
@@ -175,23 +183,6 @@ def solve_lp(c, G, h, lower) -> LpSolution:
     if -T[-1, -1] > 1e-9:
         return LpSolution("infeasible", pivots=pivots)
 
-    def optimal(values):
-        """The optimum x from the basic values, unless it is not finite; an
-        artificial still basic (at zero) lands past the standard columns."""
-        x_std = np.zeros(N + m)
-        x_std[basis] = values
-        with np.errstate(over="ignore"):
-            x = offsets + x_std[first]
-        if n_free:
-            x[free] -= x_std[neg]
-        if not np.isfinite(x).all():
-            raise NumericalBreakdown("the optimal point is not finite")
-        return LpSolution("optimal", x, pivots)
-
-    if not c.any():
-        # a feasibility LP is solved by the phase-1 point
-        return optimal(T[-1, :m])
-
     # Drive remaining artificials out of the basis; move the rows where
     # none can leave behind the live ones, and drop them.
     mk = m
@@ -220,7 +211,15 @@ def solve_lp(c, G, h, lower) -> LpSolution:
         T[:, -1] -= c_std[basis[i]] * T[:, i]
     if run_simplex(N) == "unbounded":
         return LpSolution("unbounded", pivots=pivots)
-    return optimal(T[-1, :-1])
+    x_std = np.zeros(N)
+    x_std[basis] = T[-1, :-1]
+    with np.errstate(over="ignore"):
+        x = offsets + x_std[first]
+    if n_free:
+        x[free] -= x_std[neg]
+    if not np.isfinite(x).all():
+        raise NumericalBreakdown("the optimal point is not finite")
+    return LpSolution("optimal", x, pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -370,15 +369,16 @@ def _nnls(E, f):
     turn nonpositive.  The least-squares value strictly decreases between
     outer steps, so no free set repeats and the loop is finite; a step
     that fails to decrease it (a gradient entry at rounding level) ends the
-    solve.  G_FF is held as a Cholesky factor in Python floats, extended
-    when a column enters and rebuilt after a step back.  A pivot
-    G_jj - y.y that cancels below _CANCELLED * G_jj is recomputed from the
-    part of column j off the free columns, so that a near-dependent column
-    keeps an accurate pivot.  A column whose pivot is not positive to
-    working precision lies in the span of the free columns, where its
-    gradient entry can only be rounding: it does not enter, and the solve
-    ends.  One corrected semi-normal step, G_FF d = E_F^T (f - E u),
-    refines the final u, an entry it would make negative set to 0.
+    solve at the last iterate that did, with its free set and factor.  G_FF
+    is held as a Cholesky factor in Python floats, extended when a column
+    enters and rebuilt after a step back.  A pivot G_jj - y.y that cancels
+    below _CANCELLED * G_jj is recomputed from the part of column j off the
+    free columns, so that a near-dependent column keeps an accurate pivot.
+    A column whose pivot is not positive to working precision lies in the
+    span of the free columns, where its gradient entry can only be
+    rounding: it does not enter, and the solve ends.  One corrected
+    semi-normal step, G_FF d = E_F^T (f - E u), refines the final u, an
+    entry it would make negative set to 0.
     Returns (u, number of active-set least-squares solves).
     """
     n = E.shape[1]
@@ -388,6 +388,7 @@ def _nnls(E, f):
     u, grad, resid = [0.0] * n, hl, f
     free, L = [], []       # free columns in order, rows of the factor of G_FF
     value, solves = float(f @ f), 0
+    accepted = (u[:], [], [], resid)      # the last iterate that lowered the value
 
     def enter(j):
         """Extend the factor by column j; False if its pivot is not positive."""
@@ -428,11 +429,13 @@ def _nnls(E, f):
                 if not (u[k] > 0.0 and enter(k)):
                     u[k] = 0.0
         ua = np.array(u)
-        resid = f - E @ ua
-        new_value = float(resid @ resid)
+        new_resid = f - E @ ua
+        new_value = float(new_resid @ new_resid)
         if not new_value < value:
+            u, free, L, resid = accepted
             break
-        value, grad = new_value, (h - G @ ua).tolist()
+        value, grad, resid = new_value, (h - G @ ua).tolist(), new_resid
+        accepted = (u[:], free[:], L[:], resid)
     if free:
         # one corrected semi-normal step: G_FF d = E_F^T (f - E u)
         g = (E.T @ resid).tolist()

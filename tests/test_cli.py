@@ -103,9 +103,10 @@ def test_radius_of_a_unit_row_beside_a_row_near_the_float_limit(capsys):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_feasible_alpha_zero_on_a_row_beyond_the_float_range_exit_2(tmp_path, capsys):
-    # 1e-300 x >= 3e300 needs x >= 3e600: the Phase-I LP's scaled
-    # right-hand side overflowed, it answered feasible at x = [inf], and
-    # the report refused the inf (exit 3) after two RuntimeWarnings
+    # 1e-300 x >= 3e300 needs x >= 3e600: the row's scaled right-hand side
+    # overflows, which breaks the check down (exit 2); a Phase-I LP once
+    # answered feasible at x = [inf], and the report refused the inf
+    # (exit 3) after two RuntimeWarnings
     doc = {"m": 1, "n": 1, "C_bar": [[1.0]], "u": [0.0], "v": [0.0],
            "constraints": [{"kind": "singleton", "a_bar": [1e-300], "b_bar": 3e300}]}
     path = _write(tmp_path, doc)
@@ -114,9 +115,29 @@ def test_feasible_alpha_zero_on_a_row_beyond_the_float_range_exit_2(tmp_path, ca
         assert (code, rep) == (2, None), argv
 
 
+def test_radius_and_alpha_zero_of_a_boundary_pair_exit_0(capsys, monkeypatch):
+    # x >= 1/3 and -x >= -1/3: the radius is 0, so the marker projection
+    # decides, with no LP; the CI workflow runs the installed script on the
+    # same file.  The min-norm solve reports 1.1e-16 for that 0, a known
+    # rounding defect on ROADMAP.md, hence the bound of 1e-15
+    from robustmolp import feasibility
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("nominal feasibility needs no LP")
+
+    monkeypatch.setattr(feasibility, "solve_lp", forbidden)
+    path = str(Path(__file__).with_name("boundary_third_problem.json"))
+    code, rep = _run_json(capsys, ["radius", path])
+    assert code == 0 and 0.0 <= rep["payload"]["radius"] <= 1e-15
+    code, rep = _run_json(capsys, ["feasible", path, "--alpha", "0"])
+    assert (code, rep["verdict"]) == (0, "feasible")
+    assert rep["payload"]["witness"] == pytest.approx([1 / 3], rel=1e-15)
+    assert rep["residuals"]["nominal_min_slack"] >= -1e-16
+
+
 def test_radius_and_alpha_zero_of_a_feasible_system_near_the_float_limit(capsys):
     # the radius report's residual, a norm whose sum of squares overflowed,
-    # once exited 3; feasible --alpha 0 once took the Phase-I LP's wrong
+    # once exited 3; feasible --alpha 0 once took a Phase-I LP's wrong
     # "infeasible" (exit 4); the CI workflow runs the installed script on it
     path = str(Path(__file__).with_name("float_limit_feasible_problem.json"))
     code, rep = _run_json(capsys, ["radius", path])
@@ -278,15 +299,17 @@ def test_certify_reports_a_reason_for_unknown_only(tmp_path, capsys, monkeypatch
     path = _write(tmp_path, doc)
     code, rep = _run_json(capsys, ["certify", path, "--point=0"])
     assert code == 0 and "reason" not in rep["payload"]
-    # a cone solve that gives up leaves the certified point undecided
+    # a cone solve that gives up is decided by its tangent column, which
+    # certifies the point; the reason belongs to an unknown alone
     monkeypatch.setattr(efficiency, "solve_cone_system", lambda A, b, blocks: ConeResult(
         False, False, 0.25, np.zeros(A.shape[1]), 7, "budget"))
     code, rep = _run_json(capsys, ["certify", path, "--point=0"])
+    assert code == 0 and rep["verdict"] == "certified" and "reason" not in rep["payload"]
+    monkeypatch.setattr(efficiency, "RESIDUAL_TOL", -1.0)
+    code, rep = _run_json(capsys, ["certify", path, "--point=0"])
     assert code == 2 and rep["verdict"] == "unknown"
     assert "refutation" not in rep["payload"] and "certificate" not in rep["payload"]
-    assert rep["payload"]["reason"] == (
-        "nominal endpoint infeasible (residual 2.500e-01, stop budget) "
-        "but its tangent endpoint system is feasible, so there is no direction to refute along")
+    assert rep["payload"]["reason"].startswith("certificate residual above RESIDUAL_TOL (")
 
 
 def test_certify_cone_refutation_names_its_endpoint(tmp_path, capsys):

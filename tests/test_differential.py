@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import as_geq, highs
+from robustmolp.feasibility import is_feasible
 from robustmolp.numerics import min_norm_point, solve_lp
 
 optimize = pytest.importorskip("scipy.optimize")
@@ -190,9 +191,11 @@ def test_solve_lp_matches_highs_on_large_degenerate_lps_with_duplicate_rows():
     assert all(count >= 4 for count in seen.values()), seen
 
 
-def test_zero_objective_lps_stop_at_phase_one():
+def test_zero_objective_lps_match_highs():
     # feasibility LPs from both generators, and a hand case whose duplicate
-    # equality rows leave an artificial basic at zero after phase 1
+    # equality rows leave an artificial basic at zero after phase 1; with
+    # no early exit for a zero objective, they run the drive-out and a
+    # phase 2 that finds every reduced cost zero
     rng = np.random.default_rng(20261022)
     dup = _lp(np.zeros(2), [([1.0, 1.0], 2.0, "==")] * 2 + [([1.0, -1.0], 0.0, ">=")],
               np.zeros(2))
@@ -253,4 +256,68 @@ def test_endpoint_verdicts_match_highs_on_random_polyhedral_systems(scale):
         else:
             d = e.direction
             assert np.all(C @ d < 0.0) and np.all(gens @ d <= 1e-9 * np.linalg.norm(d))
+    assert all(count >= 50 for count in seen.values()), seen
+
+
+def _nominal_system(rng, kind):
+    """Rows (A, b) of a.x >= b, integers in [-4, 4]: "plain" random rows;
+    "boundary" with one row beside its negation, so that the radius is 0
+    and only the marker projection can decide; "scaled", a plain or
+    boundary system with each row times 10^k, k in -6..6 (one k for both
+    rows of a pair); "far", whose points lie 10^k from the origin, k in
+    3..9: the plain system with b times 10^k, or rows anchored at an
+    integer point times 10^k; "chain", x_1 >= b_1 in 1..4 and
+    x_{i+1} >= 10^k x_i, k in 1..5, whose least-norm point reaches 4e10
+    while every |b_j| <= 4, left alone or capped by -x_n >= -c x_n at
+    that point, c = 2 (feasible) or 1/2 (infeasible)."""
+    if kind == "chain":
+        n = int(rng.integers(2, 4))
+        A = np.eye(n)
+        A[np.arange(1, n), np.arange(n - 1)] = -10.0 ** rng.integers(1, 6, n - 1)
+        b = np.zeros(n)
+        b[0] = rng.integers(1, 5)
+        c = rng.choice([0.0, 0.5, 2.0])
+        if c:
+            A, b = np.vstack([A, -np.eye(n)[-1:]]), np.append(b, -c * np.linalg.solve(A, b)[-1])
+        return A, b
+    n, p = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+    A = rng.integers(-4, 5, (p, n)).astype(float)
+    b = rng.integers(-4, 5, p).astype(float)
+    if kind == "far":
+        k = int(rng.integers(3, 10))
+        if rng.integers(0, 2):
+            return A, b * 10.0 ** k
+        return A, A @ (rng.integers(-3, 4, n) * 10.0 ** k) - rng.integers(0, 3, p)
+    pair = kind == "boundary" or (kind == "scaled" and rng.integers(0, 2))
+    if pair:
+        A, b = np.vstack([A, -A[:1]]), np.append(b, -b[0])
+    if kind == "scaled":
+        k = rng.integers(-6, 7, len(A))
+        if pair:
+            k[-1] = k[0]
+        A, b = A * 10.0 ** k[:, None], b * 10.0 ** k
+    return A, b
+
+
+@pytest.mark.parametrize("kind", ["plain", "boundary", "scaled", "far", "chain"])
+def test_is_feasible_matches_highs(kind):
+    # the marker projection against HiGHS on the same rows; a witness
+    # meets every row up to VI_TOL = 1e-8 of its largest |coefficient|
+    # times max(1, |x|), the size of the terms of a.x.  The projection's
+    # distance is 1/sqrt(1 + |x/s|^2) at the least-norm point x: about
+    # 1e-10 on a chain to 1e10, so that only the Farkas replay of its ray
+    # coefficients tells a chain from an infeasible system
+    rng = np.random.default_rng({"plain": 20261101, "boundary": 20261102, "scaled": 20261103,
+                                 "far": 20261104, "chain": 20261105}[kind])
+    seen = {"optimal": 0, "infeasible": 0}
+    for _ in range(500):
+        A, b = _nominal_system(rng, kind)
+        status = highs(np.zeros(A.shape[1]), A, b, -_INF)[0]
+        seen[status] += 1
+        res = is_feasible(list(zip(A, b)))
+        assert res.feasible == (status == "optimal"), (A, b)
+        if res.feasible:
+            mx = np.abs(A).max(axis=1)
+            slack = (A @ res.x - b) / np.where(mx > 0, mx, 1.0)
+            assert np.all(slack >= -1e-8 * max(1.0, np.abs(res.x).max())), (A, b, slack)
     assert all(count >= 50 for count in seen.values()), seen

@@ -977,7 +977,7 @@ def test_tangent_lp_point_outside_the_ball_is_tilted_toward_the_slater_point():
 def test_unknown_names_the_endpoint_residual_and_stop_reason(monkeypatch):
     import robustmolp.efficiency as eff
     from robustmolp.numerics import ConeResult
-    # a certified point: a failing endpoint leaves no direction to refute with
+    # a certified point whose certificate residuals are called too large
     p = UncertainMOLP(1, 1, [[1.0]], [0.0], [0.0],
                       (NormBall([1.0], [[1.0]], 0.5, 2, 0.0, 0.0),))
     vp, x = validate_problem(p), np.array([0.0])
@@ -986,16 +986,39 @@ def test_unknown_names_the_endpoint_residual_and_stop_reason(monkeypatch):
         out = certify_weak_efficiency(vp, x)
     assert out.status == "unknown" and out.certificate is None
     assert out.reason.startswith("certificate residual above RESIDUAL_TOL (")
-    # every cone solve ends infeasible at the iteration budget
+    # every cone solve ends infeasible at the iteration budget: the tangent
+    # column (z = 0 at the point, so w* = 0 and the column is -a_bar)
+    # solves the endpoint, and its block (0, mu) certifies; the unknown
+    # that names the residual and the stop reason is the next test's
     monkeypatch.setattr(eff, "solve_cone_system", lambda A, b, blocks: ConeResult(
         False, False, 0.25, np.zeros(A.shape[1]), 7, "budget"))
     out = certify_weak_efficiency(vp, x)
-    assert out.status == "unknown" and out.refutation is None
-    assert out.reason == ("nominal endpoint infeasible (residual 2.500e-01, stop budget) "
-                          "but its tangent endpoint system is feasible, so there is no "
-                          "direction to refute along")
-    # the failing nominal endpoint ends the run: no perturbed entry
-    assert out.residuals == {"nominal": 0.25}
+    assert out.status == "certified" and out.reason is None
+    rec = out.certificate.nominal[0]
+    assert (rec.mu, rec.scenario_a.tolist(), rec.witness.tolist()) == (1.0, [1.0], [0.0])
+    assert verify_certificate(vp, x, out.certificate).ok
+    # an endpoint decided by its minimum-norm point has no residual entry
+    assert not any(k.startswith("system_") for k in out.residuals)
+
+
+def test_failed_cone_solve_certifies_by_its_tangent_system(monkeypatch):
+    # the unit disc tight at (1, 0), minimizing -x1: with the cone solve
+    # failing, the tangent column is the realized row of w* = (1, 0), tight
+    # there, and its coefficient mu gives the block (mu w*, mu); the point
+    # once came back unknown ("its tangent endpoint system is feasible")
+    import robustmolp.efficiency as eff
+    from robustmolp.numerics import ConeResult
+    p = UncertainMOLP(1, 2, [[-1.0, 0.0]], [0.0], [0.0, 0.0],
+                      (NormBall([0.0, 0.0], np.eye(2), 1.0, 2, -2.0, -1.0),))
+    vp, x = validate_problem(p), np.array([1.0, 0.0])
+    monkeypatch.setattr(eff, "solve_cone_system", lambda A, b, blocks: ConeResult(
+        False, False, 0.25, np.zeros(A.shape[1]), 7, "budget"))
+    out = certify_weak_efficiency(vp, x)
+    assert out.status == "certified"
+    rec = out.certificate.nominal[0]
+    assert rec.mu == 1.0 and rec.witness.tolist() == [1.0, 0.0]
+    assert (rec.scenario_a.tolist(), rec.scenario_b) == ([-1.0, 0.0], -1.0)
+    assert verify_certificate(vp, x, out.certificate).ok
 
 
 def test_unknown_tells_a_direction_without_a_replaying_witness(monkeypatch):

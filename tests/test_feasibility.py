@@ -96,6 +96,9 @@ def test_infeasibility_equals_marker_membership(rng):
         feas = is_feasible(rows).feasible
         member = cone_contains(gens, target).contains
         assert feas == (not member), (rows, feas, member)
+        # both answers come from one kernel: HiGHS is the independent one
+        A, b = map(np.array, zip(*rows))
+        assert feas == (highs(np.zeros(n), A, b, -_INF)[0] == "optimal"), rows
         hits += not feas
     assert 0 < hits < 100     # the sample covers both outcomes
 
@@ -273,19 +276,19 @@ def _counting(monkeypatch, name):
 
 
 # ---------------------------------------------------------------------------
-# nominal feasibility from the radius: the closed-form point, else the LP
+# nominal feasibility from the radius: the closed-form point, else the marker
 # ---------------------------------------------------------------------------
 
-def test_zero_radius_decides_nominal_feasibility_by_one_lp(monkeypatch):
+def test_zero_radius_decides_nominal_feasibility_by_the_marker_projection(monkeypatch):
     # 0.x >= 0, x1 >= 0 and -x1 >= 0 in R^2: the zero row puts the origin
     # in the hypographical set, so rho is 0 exactly and cannot prove
-    # feasibility
+    # feasibility; a second minimum-norm point, of the marker, does
     with monkeypatch.context() as m:
-        feas = _counting(m, "is_feasible")
+        mnp = _counting(m, "min_norm_point")
         lps = _counting(m, "solve_lp")
         assert radius_of_robust_feasibility(_nominal("zero_radius_problem.json")).rho == 0.0
-    assert (len(feas), len(lps)) == (1, 1)
-    # the LP reads the rows a second time, which an iterator of them allows
+    assert (len(mnp), len(lps)) == (2, 0)
+    # the rows are read once, so an iterator of them will do
     rows = _nominal("zero_radius_problem.json")
     assert radius_of_robust_feasibility(iter(rows)).rho == 0.0
     # without the zero row rho is 0 up to the rounding of the min-norm solve
@@ -300,6 +303,8 @@ def test_radius_raises_nominal_infeasible_exactly_when_the_lp_does(rng):
         rows = [(rng.integers(-3, 4, n).astype(float), float(rng.integers(-3, 4)))
                 for _ in range(p)]
         feasible = is_feasible(rows).feasible
+        A, b = map(np.array, zip(*rows))
+        assert feasible == (highs(np.zeros(n), A, b, -_INF)[0] == "optimal"), rows
         try:
             radius_of_robust_feasibility(rows)
         except NominalInfeasibleError:
@@ -367,12 +372,10 @@ def test_ball_witness_of_a_radius_past_1e154():
     assert worst == pytest.approx(2.9289321881345e299, rel=1e-12)
 
 
-@pytest.mark.xfail(strict=True, reason="the Phase-I LP calls these rows near 1e300 "
-                                       "infeasible")
-def test_phase_one_lp_finds_rows_near_1e300_feasible():
+def test_is_feasible_finds_rows_near_1e300_feasible():
     # x = (-6, 3, 5.7e-300) satisfies every row of the file in exact
-    # rationals, but is_feasible answers infeasible; the radius and the
-    # probe at alpha = 0 decide these rows without it
+    # rationals; a Phase-I LP once called these rows infeasible, and the
+    # marker projection gives a witness that meets them exactly
     rows = _nominal("float_limit_feasible_problem.json")
     x = [Fraction(v) for v in (-6.0, 3.0, 5.7e-300)]
     assert all(sum(Fraction(ai) * xi for ai, xi in zip(a.tolist(), x)) >= Fraction(b)
@@ -384,9 +387,51 @@ def test_phase_one_lp_finds_rows_near_1e300_feasible():
         assert sum(Fraction(ai) * xi for ai, xi in zip(a.tolist(), x)) >= Fraction(b)
 
 
+# x1 >= 1, x2 >= 1e5 x1, x3 >= 1e5 x2: unit rows with right-hand sides of
+# at most 1, whose least-norm point (1, 1e5, 1e10) puts the marker
+# projection about 1e-10 from 0, inside VI_TOL
+CHAIN = [(np.array([1.0, 0.0, 0.0]), 1.0), (np.array([-1e5, 1.0, 0.0]), 0.0),
+         (np.array([0.0, -1e5, 1.0]), 0.0)]
+
+
+def test_a_chain_to_1e10_is_feasible_though_the_marker_is_near_its_cone():
+    # the ray coefficients of that projection do not replay as a Farkas
+    # certificate (A^T y is 1e-10 in x3, all of |A|^T y there), so the
+    # distance alone does not decide; the refined point is the least-norm one
+    res = is_feasible(CHAIN)
+    assert res.feasible
+    np.testing.assert_allclose(res.x, [1.0, 1e5, 1e10], rtol=1e-9)
+    assert radius_of_robust_feasibility(CHAIN).rho > 0
+    assert ball_robust_feasible(CHAIN, 0.0).status == "feasible"
+
+
+def test_a_chain_capped_below_its_least_point_is_infeasible():
+    # -x3 >= -5e8 caps a chain that needs x3 >= 1e9; the projection ends
+    # 1e-9 from 0 without the cap row, and the certificate (1, 1, 1e-4,
+    # 2e-9) comes from least squares on the rows that its refined point
+    # (1, 1e4, 1e9) meets with equality or misses, each scaled to length 1
+    rows = [(np.array([1.0, 0.0, 0.0]), 1.0), (np.array([-1e4, 1.0, 0.0]), 0.0),
+            (np.array([0.0, -1e5, 1.0]), 0.0), (np.array([0.0, 0.0, -1.0]), -5e8)]
+    assert highs(np.zeros(3), *map(np.array, zip(*rows)), -_INF)[0] == "infeasible"
+    assert not is_feasible(rows).feasible
+    with pytest.raises(NominalInfeasibleError):
+        radius_of_robust_feasibility(rows)
+
+
+def test_a_thin_region_near_1e9_is_feasible():
+    # feasible near (0, 1e9), about 1 wide: the projection's own point misses
+    # 4 x1 >= -1 by 1e-7, and the least-squares step onto the rows that it
+    # meets with equality or misses gives a point that meets every row
+    rows = [(np.array([4.0, 2.0]), 1999999998.0), (np.array([1.0, -1.0]), -1000000002.0),
+            (np.array([4.0, 0.0]), -1.0), (np.array([-3.0, 4.0]), 3999999999.0)]
+    res = is_feasible(rows)
+    assert res.feasible
+    assert all(a @ res.x - b >= -1e-8 * np.abs(a) @ np.abs(res.x) for a, b in rows)
+
+
 def test_alpha_zero_probe_of_rows_near_1e300_is_the_rho_half_point():
-    # the Phase-I LP calls these rows infeasible, and the probe at alpha = 0
-    # once took its word; x = (-6, 3, 5.7e-300) satisfies every row, and
+    # a Phase-I LP once called these rows infeasible, and the probe at
+    # alpha = 0 took its word; x = (-6, 3, 5.7e-300) satisfies every row, and
     # the radius's rho/2 point does too, exactly
     rows = _nominal("float_limit_feasible_problem.json")
     assert radius_of_robust_feasibility(rows).rho == pytest.approx(4.4232586846e299,
@@ -399,8 +444,8 @@ def test_alpha_zero_probe_of_rows_near_1e300_is_the_rho_half_point():
 
 
 def test_alpha_zero_probe_never_raises_non_certified(monkeypatch):
-    # an uncertified solve proves nothing: the LP decides alpha = 0 and
-    # gives its point, while a probe at alpha > 0 still raises
+    # an uncertified radius proves nothing: the marker projection decides
+    # alpha = 0 and gives its point, while a probe at alpha > 0 still raises
     real = feasibility.min_norm_point
     monkeypatch.setattr(feasibility, "min_norm_point",
                         lambda *args: replace(real(*args), certified=False))
@@ -619,7 +664,7 @@ def test_nan_alpha_raises():
         ball_robust_feasible(HYPO, -1.0)
 
 
-# x1 >= -1 beside a row with a NaN coefficient: the Phase-I LP once
+# x1 >= -1 beside a row with a NaN coefficient: a Phase-I LP once
 # answered feasible with x = (0, nan)
 NAN_ROWS = [(np.array([_NAN, 1.0]), 0.0), (np.array([1.0, 0.0]), -1.0)]
 

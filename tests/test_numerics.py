@@ -186,6 +186,20 @@ def test_lp_whose_scaled_data_or_optimum_is_not_finite_breaks_down():
     assert sol.optimal and sol.x.tolist() == [2e300]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_row_whose_scaled_right_hand_side_is_minus_inf_is_dropped():
+    # 1e-300 x >= -1e300 scales to x >= -inf, which every finite x meets;
+    # it once made the whole LP, and the feasibility check, break down
+    from robustmolp.feasibility import is_feasible
+    res = is_feasible([(np.array([1e-300]), -1e300), (np.array([1.0]), 0.0)])
+    assert res.feasible and res.x.tolist() == [0.0]
+    sol = solve_lp([1.0], [[1e-300], [1.0]], [-1e300, 0.0], -_INF)
+    assert sol.optimal and sol.x.tolist() == [0.0]
+    # with every row dropped only the bounds are left
+    assert solve_lp([1.0], [[1e-300]], [-1e300], 2.0).x.tolist() == [2.0]
+    assert is_feasible([(np.array([1e-300]), -1e300)]).x.tolist() == [0.0]
+
+
 def test_lp_bounds_broadcast_alike(rng):
     # a scalar bound and its per-entry array give the same bits: the set-up
     # builds free columns only where they are needed
@@ -316,6 +330,21 @@ def test_min_norm_point_on_the_line_of_two_free_points_does_not_enter():
     d = p3 - p2
     s = min(max(-(p2 @ d) / (d @ d), 0.0), 1.0)
     assert res.distance == pytest.approx(np.linalg.norm(p2 + s * d), rel=1e-12)
+
+
+def test_min_norm_point_keeps_the_last_iterate_that_lowered_the_value():
+    # HiGHS proves these rows (a | b) infeasible with y = (0, 0, 25, 8, 19)/7,
+    # so the marker (0, 0, 1) is in their cone.  The value reached 1.9e-27;
+    # a column then entered on a gradient of 2.6e-14, just above the
+    # tolerance, the value rose to 0.425, and the solve returned that
+    # rejected iterate: uncertified, at distance 1
+    from robustmolp.feasibility import cone_contains
+    rows = np.array([(-2, 4, -2), (-3, 2, 2), (-4, -1, 2), (3, -4, -3), (4, 3, -1)], float)
+    res = min_norm_point([(0.0, 0.0, -1.0)], rows)
+    assert res.certified and res.distance <= 1e-14
+    assert res.mu == pytest.approx([0.0, 0.0, 25 / 7, 8 / 7, 19 / 7], abs=1e-9)
+    member = cone_contains(rows, (0.0, 0.0, 1.0))
+    assert member.contains and member.weights == pytest.approx(res.mu, abs=1e-12)
 
 
 def test_min_norm_point_takes_an_array_or_a_sequence_of_points(rng):
