@@ -27,8 +27,8 @@ from .efficiency import (RESIDUAL_TOL, EfficiencyCertificate, ConstraintMultipli
 from .feasibility import (NominalInfeasibleError, NonCertifiedError,
                           UnsupportedClassError, _system, ball_robust_feasible,
                           radius_of_robust_feasibility)
-from .model import (ProblemFormatError, Singleton, ValidationError, _json_numbers,
-                    load_problem, reject_nonfinite_constant,
+from .model import (ProblemFormatError, RobustFeasibleSet, Singleton, ValidationError,
+                    _json_numbers, load_problem, reject_nonfinite_constant,
                     validate_dimensions, validate_problem)
 from .numerics import NumericalBreakdown, SingularMatrixError
 
@@ -162,7 +162,9 @@ def cmd_feasible(args) -> int:
     if res.x is not None:
         payload["witness"] = res.x.tolist()
         S = _system(rows)
-        residuals["nominal_min_slack"] = float((S[:, :-1] @ res.x - S[:, -1]).min())
+        # the overflow-safe slack; one past the float range reads as the largest float
+        slack = RobustFeasibleSet(res.x.size, S, np.arange(len(S))).slack(res.x).min()
+        residuals["nominal_min_slack"] = min(float(slack), sys.float_info.max)
     _emit(_report("feasible", _digest(args.problem_file), res.status,
                   payload, residuals, t0), args.json)
     return {"feasible": EXIT_OK, "infeasible": EXIT_NEGATIVE,

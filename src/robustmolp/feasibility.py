@@ -11,7 +11,7 @@ non-finite system is rejected; its rows are the points of the
 hypographical set.  A radius rho > 0 proves the nominal system feasible
 by a closed-form point, so is_feasible runs only when rho = 0 or that
 point fails its check.  A probe is one radius pass whose rho/2 point it
-reuses, and its band scales with the largest entry of [A | b].
+reuses, and each of its answers is evidence that it checks itself.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
 CUT_ROUNDS = 40         # tangent-cut LPs for s = 2 rows in the Slater check
-BOUNDARY_TOL = 1e-6     # |alpha - rho| / max|[A | b]| at which a probe is inconclusive
 SLATER_MARGIN = 1e-6    # 2-norm row slack at which the Slater search stops
 
 
@@ -174,17 +173,15 @@ def _ball_witness(points, p_star, rho, alpha):
 
 def _radius(nominal):
     """The radius computed once for radius_of_robust_feasibility and each
-    ball probe: its RadiusResult, certified False where the public function
-    raises NonCertifiedError; the array [A | b]; the rho/2 probe's
-    (x, min_j a_j.x - b_j), (None, -inf) unless rho > 0 is certified; and
-    is_feasible's point, None unless that x fails its check.  Raises
-    NominalInfeasibleError.
+    ball probe: its RadiusResult; the array [A | b]; the rho/2 probe's
+    (x, min_j a_j.x - b_j), (None, -inf) unless rho > 0; and is_feasible's
+    point, None unless that x fails its check.  Raises NominalInfeasibleError.
     """
     S = _system(nominal)
     k = S.shape[1]
     res = min_norm_point(S, -np.eye(1, k, k - 1))           # the ray (0, ..., 0, -1)
     half, nominal_x = (None, -_INF), None
-    if res.certified and res.distance > 0:
+    if res.distance > 0:
         half = _ball_witness(S, res.p_star, res.distance, res.distance / 2)
     if not half[1] >= 0 and (nominal_x := _nominal_point(S)) is None:
         raise NominalInfeasibleError("nominal system is infeasible")
@@ -196,10 +193,9 @@ def radius_of_robust_feasibility(nominal) -> RadiusResult:
     """Largest coefficient-ball radius keeping the system feasible.
 
     Equals the distance from the origin to the hypographical set of the
-    nominal rows, computed as a minimum-norm point.  A certified rho > 0
-    proves the nominal system feasible by the point of the rho/2-ball probe,
-    whose slacks are >= rho/2 (alpha = 0's are tight), checked >= 0 in
-    floats; otherwise is_feasible decides, before NonCertifiedError.
+    nominal rows, one minimum-norm point.  A rho > 0 proves the nominal
+    system feasible when the rho/2-ball probe's point (slacks >= rho/2)
+    passes a float check; else is_feasible decides, then NonCertifiedError.
     """
     rr = _radius(nominal)[0]
     if not rr.certified:
@@ -298,36 +294,40 @@ class BallFeasibility:
     rho: float | None = None
 
 
+def _refutes(S, rr, alpha):
+    """Whether the radius's output refutes the alpha-ball probe of S = [A | b]:
+    rows moved by -(a*, beta), beta = -sqrt(alpha^2 - |a*|^2) (norm alpha),
+    that the weights w >= 0 combine into 0.x >= b.w - beta > 0, up to A^T w
+    rebuilding a* within VI_TOL of |A|^T w + |a*|.  b.w - beta > 0 is alpha >
+    hypot(a*, max(-b.w, 0)), with b.w lowered by its rounding; the moved
+    rows, which overflow near 1e300, are never formed; a NaN refutes nothing.
+    """
+    A, b, a, w = S[:, :-1], S[:, -1], rr.p_star[:-1], rr.weights
+    with np.errstate(over="ignore", invalid="ignore"):
+        rebuilt = (np.abs(A.T @ w - a) <= VI_TOL * (np.abs(A).T @ w + np.abs(a))).all()
+        bw = float(b @ w) - len(S) * _EPS * float(np.abs(b) @ w)
+    return bool((w >= 0).all() and rebuilt and alpha > math.hypot(*a, max(-bw, 0.0)))
+
+
 def ball_robust_feasible(nominal, alpha: float) -> BallFeasibility:
     """Probe feasibility when every row's (a, b) may move in an alpha-ball.
 
-    The sign decision near the boundary is delegated to the radius value;
-    strictly inside, the witness comes in closed form from the radius's
-    nearest point and is checked to have worst-case slack >= -1e-8 times
-    min(1, m), where m is the largest |entry| of [A | b] (a check that
-    overflow leaves undecided reads as inconclusive).  For b* < 0 it is
-    the radius's rho/2 point, reused.  Exactly at the radius (within
-    BOUNDARY_TOL * m) the answer is inconclusive because attainment of the
-    supremum is not guaranteed.  At alpha = 0 the rho/2 point is the
-    witness when rho > 0 is certified and its slacks are >= 0; otherwise
-    is_feasible decides, and alpha = 0 never raises NonCertifiedError.
+    Each answer replays the radius's output and checks itself, whatever the
+    float rho reads.  Feasible: alpha < rho and the closed-form point (for
+    b* < 0 the radius's rho/2 point, reused) has worst-case slack >= 0 in
+    floats.  Infeasible: _refutes holds.  Otherwise, as at alpha = rho,
+    inconclusive.  At alpha = 0 the rho/2 point is the witness when its
+    slacks are >= 0, else is_feasible's.  rho is None unless the
+    minimum-norm solve is certified; NonCertifiedError is never raised.
     """
     if not alpha >= 0:
         raise ValueError("alpha must be >= 0")
     rr, S, (x, slack), nominal_x = _radius(nominal)   # raises on infeasible nominal
     if alpha == 0.0:
         return BallFeasibility("feasible", x if nominal_x is None else nominal_x, None)
-    if not rr.certified:
-        raise NonCertifiedError("minimum-norm solve did not certify optimality")
-    scale = float(np.abs(S).max())
-    band = BOUNDARY_TOL * scale
-    if alpha > rr.rho + band:
-        return BallFeasibility("infeasible", None, rr.rho)
-    if abs(alpha - rr.rho) <= band:
-        return BallFeasibility("inconclusive", None, rr.rho)
-    if not rr.p_star[-1] < 0:
-        # t a* depends on alpha; for b* < 0, x = a*/|b*| is rho/2's point
+    rho = rr.rho if rr.certified else None
+    if alpha < rr.rho and not rr.p_star[-1] < 0:
         x, slack = _ball_witness(S, rr.p_star, rr.rho, alpha)
-    if x is None or not slack - alpha * math.hypot(*x, 1.0) >= -1e-8 * min(1.0, scale):
-        return BallFeasibility("inconclusive", None, rr.rho)
-    return BallFeasibility("feasible", x, rr.rho)
+    if alpha < rr.rho and x is not None and slack - alpha * math.hypot(*x, 1.0) >= 0:
+        return BallFeasibility("feasible", x, rho)
+    return BallFeasibility("infeasible" if _refutes(S, rr, alpha) else "inconclusive", None, rho)

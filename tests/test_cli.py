@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -148,6 +149,36 @@ def test_radius_and_alpha_zero_of_a_feasible_system_near_the_float_limit(capsys)
     code, rep = _run_json(capsys, ["feasible", path, "--alpha", "0"])
     assert (code, rep["verdict"], rep["payload"]["radius"]) == (0, "feasible", None)
     assert rep["residuals"]["nominal_min_slack"] >= 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_feasible_alpha_zero_reports_a_slack_past_the_float_range_exactly(tmp_path, capsys):
+    # (1e300, -1e300 | 0) and (0, 1 | 1e10): at the witness (1e10, 1e10) the
+    # first row's products overflow, and a float residual once read -inf
+    # (exit 3 with --json, "non-finite float in report"); both slacks are 0
+    path = str(Path(__file__).with_name("overflow_slack_problem.json"))
+    code, rep = _run_json(capsys, ["feasible", path, "--alpha", "0"])
+    assert (code, rep["verdict"]) == (0, "feasible")
+    assert rep["payload"]["witness"] == [1e10, 1e10]
+    assert rep["residuals"]["nominal_min_slack"] == 0.0
+    # 1e150 x >= -1e-10 at x = 1e160: the slack 1e310 is past the float
+    # range, once +inf (exit 3), now the largest float
+    doc = {"m": 1, "n": 1, "C_bar": [[0.0]], "u": [0.0], "v": [0.0],
+           "constraints": [{"kind": "singleton", "a_bar": [1e150], "b_bar": -1e-10}]}
+    code, rep = _run_json(capsys, ["feasible", _write(tmp_path, doc), "--alpha", "0"])
+    assert (code, rep["verdict"], rep["payload"]["witness"]) == (0, "feasible", [1e160])
+    assert rep["residuals"]["nominal_min_slack"] == sys.float_info.max
+
+
+def test_feasible_on_both_sides_of_a_radius_beside_a_1e300_row(capsys):
+    # rho = sqrt(26): a band set by the 3e300 row once answered exit 2 for
+    # every alpha up to about 3e294; the CI workflow runs the installed
+    # script on the same file
+    path = str(Path(__file__).with_name("float_limit_radius_problem.json"))
+    for alpha, expected in (("0.1", (0, "feasible")), ("5.2", (1, "infeasible")),
+                            ("1e10", (1, "infeasible"))):
+        code, rep = _run_json(capsys, ["feasible", path, "--alpha", alpha])
+        assert (code, rep["verdict"]) == expected, alpha
 
 
 def test_feasible_on_the_golden_system_in_tiny_units(capsys):
