@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feasibility import SLATER_MARGIN, SlackSearch, maximize_min_slack
+from .feasibility import maximize_min_slack
 from .model import (RobustFeasibleSet, ValidatedProblem, endpoint_objectives, own_row,
                     reduce_constraints)
 from .numerics import (VI_TOL, min_norm_point, norm_value, slack_value,
@@ -146,25 +146,20 @@ def weakly_efficient_for_scenario(C, rows, x_bar) -> ScenarioCheck:
 @dataclass(frozen=True)
 class SlaterCheck:
     ok: bool
-    x0: np.ndarray | None
-    min_slack: float          # achieved at x0
-    max_slack: float          # certified bound when ok is False
+    x0: np.ndarray | None       # a point of positive 2-norm slack when ok
+    reason: str | None = None   # why ok is False
 
 
 def check_slater(X: RobustFeasibleSet) -> SlaterCheck:
-    """Decide the refined Slater condition: some point satisfies every
-    polyhedral row (linear, s = 1/inf balls, boxes) and has worst-case
-    slack >= SLATER_MARGIN on every 2-norm row (norm ball, ellipsoid or
-    joint ball).
-
-    An LP for the polyhedral rows; for s = 2 rows a 1-norm LP proves it
-    and an inf-norm LP with tangent cuts disproves it, with max_slack the
-    relaxation's bound (see maximize_min_slack).
-    """
-    search: SlackSearch = maximize_min_slack(X)
-    if search.value >= SLATER_MARGIN:
-        return SlaterCheck(True, search.x, search.value, _INF)
-    return SlaterCheck(False, None, search.value, search.upper_bound)
+    """Decide the refined Slater condition, a point that satisfies every
+    polyhedral row (linear, s = 1/inf balls, boxes) with worst-case slack
+    > 0 on every 2-norm row: the sign of maximize_min_slack's value, else a
+    reason that says whether the search proved that there is none."""
+    search = maximize_min_slack(X)
+    if search.value > 0:
+        return SlaterCheck(True, search.x)
+    what = "exists" if search.stop == "none" else f"found in {search.rounds} rounds"
+    return SlaterCheck(False, None, f"no Slater point {what} (distance {search.distance:.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +520,7 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
     # untilted, the direction is tangent to the active 2-norm rows, and only
     # a step whose curvature rounds away would replay along it
     if cones and not (slater := check_slater(X)).ok:
-        why = ("no Slater point exists to tilt its Farkas direction into the active "
-               f"2-norm rows (max_slack {slater.max_slack:.3e})")
+        why = f"{slater.reason} to tilt its Farkas direction into the active 2-norm rows"
     else:
         found = _refute(XL, xl, e.direction[:p.n], C, slater.x0 if cones else None)
         why = "no step along its Farkas direction replays as a strictly dominating witness"

@@ -17,19 +17,18 @@ reuses, and each of its answers is evidence that it checks itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import RobustFeasibleSet
-from .numerics import VI_TOL, NumericalBreakdown, min_norm_point, solve_lp, unit_rows
+from .numerics import VI_TOL, NumericalBreakdown, min_norm_point, unit_rows
 
 _INF = float("inf")
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
-CUT_ROUNDS = 40         # tangent-cut LPs for s = 2 rows in the Slater check
-SLATER_MARGIN = 1e-6    # 2-norm row slack at which the Slater search stops
+CUT_ROUNDS = 40         # minimum-norm solves of the Slater search
 
 
 class NominalInfeasibleError(Exception):
@@ -91,14 +90,19 @@ def _nominal_point(S):
         x = s * (res.p_star[:-1] / -res.p_star[-1])
         T = (res.mu > 0) | (A @ x <= b)
         for x in (x, x + np.linalg.lstsq(A[T], b[T] - A[T] @ x, rcond=None)[0]):
-            if np.isfinite(x).all() and (A @ x - b >= -VI_TOL * np.maximum(
-                    1.0, np.abs(A) @ np.abs(x))).all():
+            if _meets(U, x):
                 return x
         T |= A @ x <= b
         V = U[T] / np.maximum(np.hypot.reduce(U[T], axis=1), _TINY)[:, None]
         if _farkas(V, np.linalg.lstsq(V.T, np.eye(k)[-1], rcond=None)[0]):
             return None
     raise NumericalBreakdown("no point of the marker projection meets every row")
+
+
+def _meets(U, x):
+    """Whether x is finite and meets each unit row [a | b] of U to -VI_TOL max(1, |a|.|x|)."""
+    return bool(np.isfinite(x).all() and (U[:, :-1] @ x - U[:, -1] >= -VI_TOL * np.maximum(
+        1.0, np.abs(U[:, :-1]) @ np.abs(x))).all())
 
 
 def _farkas(U, y):
@@ -204,87 +208,59 @@ def radius_of_robust_feasibility(nominal) -> RadiusResult:
 
 
 # ---------------------------------------------------------------------------
-# Min-slack maximization by LP (the Slater check)
+# The refined Slater search: one minimum-norm point with generated columns
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SlackSearch:
-    x: np.ndarray | None
-    value: float          # min-slack achieved at x
-    upper_bound: float    # LP bound on the supremum; inf if x decided it
-
-
-def _slack_lp(X, s, cuts):
-    """max t <= 1 s.t. slack_j(x) >= t on the 2-norm rows, slack_j(x) >= 0
-    on the others, and g.x - t >= b for each cut [g | b].
-
-    The LP is X's lift (RobustFeasibleSet.lift) with the 2-norm of each
-    s = 2 row replaced by the dual norm of s (the 1-norm for s = inf, the
-    inf-norm for s = 1), plus a column t: -1 on the main rows of those
-    rows, 0 on every other row.  The cuts and t <= 1 follow the lifted
-    rows.  Returns (x, t), or (None, -inf) when no x satisfies the other
-    rows.
-    """
-    n = X.n
-    two = [r.source for r in X.concave if r.s == 2]
-    rows = tuple(replace(r, s=s) if r.s == 2 else r for r in X.concave)
-    XL, _ = replace(X, concave=rows).lift(np.zeros(n))
-    k = len(XL.rows)
-    G = np.zeros((k + len(cuts) + 1, XL.n + 1))
-    G[:k, :-1], G[k:, -1] = XL.A, -1.0
-    G[[i for i, r in XL.lifted if r.source in two], -1] = -1.0
-    for row, cut in zip(G[k:], cuts):
-        row[:n] = cut[:-1]
-    h = np.concatenate([XL.b, [cut[-1] for cut in cuts], [-1.0]])
-    lower = np.zeros(XL.n + 1)
-    lower[:n] = lower[-1] = -_INF
-    sol = solve_lp(G[-1], G, h, lower)          # min -t
-    if not sol.optimal:
-        return None, -_INF
-    return sol.x[:n], float(sol.x[-1])
+    x: np.ndarray | None  # a point of positive 2-norm slack, None if not found
+    value: float          # least 2-norm slack at x, 1 with none; -inf without x
+    distance: float       # of the nearest point, on rows of unit scale
+    rounds: int           # minimum-norm solves
+    stop: str             # "found" | "none" | "rounds"
 
 
 def maximize_min_slack(X: RobustFeasibleSet) -> SlackSearch:
-    """The refined Slater search: maximize the least worst-case slack of
-    the 2-norm (s = 2) rows of the reduced set X over the x in R^n where
-    every other row, linear or concave, has slack >= 0.
+    """The refined Slater search: a point of the reduced set X with
+    worst-case slack > 0 on every 2-norm (s = 2) row and >= 0 on the
+    others, or the proof that there is none: the minimum-norm point q of
+    conv(-e, scenario rows) + cone(rows of the lift XL) is 0, e = (0, ...,
+    0, 1) (Motzkin's transposition theorem in conic form).
 
-    One LP in (x, t) maximizes t <= 1 subject to slack_j(x) >= t, each
-    dual norm written with the band rows of the lift (Ben-Tal, El Ghaoui &
-    Nemirovski, Robust Optimization, 2009).  With no 2-norm row it is one
-    feasibility LP of the other rows, whose value is 1.  The 2-norm of an
-    s = 2 row lies between the inf-norm and the 1-norm: the LP with the
-    1-norm is a restriction whose point is a witness, and the LP with the
-    inf-norm plus Kelley's tangent cuts yhat.P^T (x, -1) <=
-    ||P^T (x, -1)||_2 at each round's point (its worst row there,
-    supergradient) is a relaxation whose value bounds the supremum.  The
-    cut rounds stop when a point reaches SLATER_MARGIN, when the bound
-    falls below it, or after CUT_ROUNDS.  With no point satisfying the
-    other rows the value and bound are -inf.
+    Each 2-norm row [a_bar | b] - P w, divided by its largest |entry|,
+    enters at w = 0; each round adds its supergradient at x = q[:-1]/-q[-1]
+    while [a_bar | b].q - ||P^T q|| >= ||q||^2 fails by VI_TOL ||q|| (Wolfe's
+    nearest point with generated columns).  q maximizes min(1, least scaled
+    2-norm slack)/||(x, -1)|| over the x meeting the rows.  "found": the last
+    x, reflected across the rows it misses, that meets them (_meets) with
+    every 2-norm slack > 0 in floats.  Else "none" if the distance is within
+    VI_TOL, and "rounds" once every support inequality holds or after
+    CUT_ROUNDS solves.
     """
-    round_rows = [r for r in X.concave if r.s == 2]
-
-    def phi(pt):
-        return min([r.slack(pt) for r in round_rows], default=1.0)
-
-    x, bound = _slack_lp(X, _INF, ())
-    if x is None:
-        return SlackSearch(None, -_INF, -_INF)
-    best_x, best_v = x, phi(x)
-    if not round_rows:
-        return SlackSearch(best_x, best_v, bound)
-    bound, cuts = _INF, []
-    for _ in range(CUT_ROUNDS):
-        if best_v >= SLATER_MARGIN:
+    XL = X.lift(np.zeros(X.n))[0]           # its concave rows are the 2-norm rows
+    U = unit_rows(XL.A, XL.b)
+    base = [r.realize(np.zeros(r.P.shape[1])) for r in XL.concave]
+    scale = [max(np.abs(h).max(), np.abs(r.P).max()) or 1.0 for r, h in zip(XL.concave, base)]
+    points, found = [-np.eye(1, XL.n + 1, XL.n)[0], *map(np.divide, base, scale)], None
+    for rounds in range(1, CUT_ROUNDS + 1):
+        res = min_norm_point(points, U)
+        q = res.p_star
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            x = q[:-1] / -q[-1]
+            gap = np.maximum(U[:, -1] - U[:, :-1] @ x, 0.0)     # what each row misses
+            if not (q[-1] < 0 and np.isfinite(x).all() and np.isfinite(gap).all()):
+                break
+            xr = x + 2 * np.linalg.lstsq(U[gap > 0, :-1], gap[gap > 0], rcond=None)[0]
+            least = min((r.slack(xr) for r in XL.concave), default=1.0)
+            if least > 0 and _meets(U, xr):
+                found = SlackSearch(xr[:X.n], least, res.distance, rounds, "found")
+        cuts = [h for h in map(np.divide, (r.supergradient(x) for r in XL.concave), scale)
+                if h @ q - q @ q < -VI_TOL * res.distance]
+        if not cuts or found is None and res.distance <= VI_TOL:
             break
-        cuts += [r.supergradient(x) for r in round_rows]
-        x, bound = _slack_lp(X, 1, cuts)
-        if bound < SLATER_MARGIN:
-            break
-        v = phi(x)
-        if v > best_v:
-            best_x, best_v = x, v
-    return SlackSearch(best_x, best_v, bound)
+        points += cuts
+    return found or SlackSearch(None, -_INF, res.distance, rounds,
+                                "none" if res.distance <= VI_TOL else "rounds")
 
 
 @dataclass(frozen=True)

@@ -69,14 +69,15 @@ def unit_rows(G, h):
         U = np.column_stack([G, h]) / np.where(mx > 0, mx, 1.0)[:, None]
     U = U[U[:, -1] != -_INF]
     if not np.isfinite(U).all():
-        raise NumericalBreakdown("row-scaled LP data is not finite")
+        raise NumericalBreakdown(
+            "unit_rows: a row divided by its largest |coefficient| is not finite")
     return U
 
 
 def solve_lp(c, G, h, lower) -> LpSolution:
     """min c.x  subject to  G x >= h and x >= lower (-inf: a free
-    variable): the Slater LP and the scenario LP; feasibility alone is a
-    minimum-norm point (feasibility.is_feasible).
+    variable): the oracle's scenario LP; feasibility and the Slater search
+    are minimum-norm points (feasibility.is_feasible, maximize_min_slack).
 
     Two-phase dense simplex with Bland's anti-cycling rule on unit_rows.
     Infeasible and unbounded verdicts are exact (up to the scaled phase-1

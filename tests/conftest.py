@@ -1,10 +1,13 @@
 """Shared random-instance generators for the property suites, the replay
-of a refutation witness, and the HiGHS reference for LP optima.
+of a refutation witness, the HiGHS reference for LP optima, and a spy
+that fails on any LP solve.
 
 Instances are integer-ish (coefficients in [-5, 5]) and anchored at an
 integer point so feasibility, strict feasibility, and boundedness are
 guaranteed by construction.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -150,6 +153,20 @@ def assert_replaying_refutation(p, x_bar, out):
     r = out.refutation
     assert r.rho == {"nominal": 0.0, "perturbed": 1.0}[r.endpoint]
     assert_replaying_witness(p, x_bar, r.rho, r.x)
+
+
+def forbid_lp(monkeypatch):
+    """Make every binding of numerics.solve_lp in the package raise, so that
+    the calls that follow fail on any LP solve."""
+    import robustmolp
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no LP is solved here")
+
+    for module in [robustmolp, *(m for name, m in list(sys.modules.items())
+                                 if name.startswith("robustmolp."))]:
+        if getattr(module, "solve_lp", None) is solve_lp:
+            monkeypatch.setattr(module, "solve_lp", forbidden)
 
 
 @pytest.fixture

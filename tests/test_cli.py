@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import forbid_lp
 from robustmolp.cli import main
 
 EX1 = {
@@ -121,12 +122,7 @@ def test_radius_and_alpha_zero_of_a_boundary_pair_exit_0(capsys, monkeypatch):
     # decides, with no LP; the CI workflow runs the installed script on the
     # same file.  The min-norm solve reports 1.1e-16 for that 0, a known
     # rounding defect on ROADMAP.md, hence the bound of 1e-15
-    from robustmolp import feasibility
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("nominal feasibility needs no LP")
-
-    monkeypatch.setattr(feasibility, "solve_lp", forbidden)
+    forbid_lp(monkeypatch)
     path = str(Path(__file__).with_name("boundary_third_problem.json"))
     code, rep = _run_json(capsys, ["radius", path])
     assert code == 0 and 0.0 <= rep["payload"]["radius"] <= 1e-15
@@ -278,6 +274,18 @@ def test_certify_with_oracle_cross_check(tmp_path, capsys):
     assert rep["payload"]["oracle"]["outcome"] == "confirmed"
 
 
+def test_a_row_past_the_float_range_once_scaled_exit_2_naming_unit_rows(tmp_path, capsys):
+    # 1e-300 x >= 1e300 is met by x = 1e600 but by no float; which answer is
+    # right is open (ROADMAP), and the message names the scaled rows, not an LP
+    doc = {"m": 1, "n": 1, "C_bar": [[1.0]], "u": [0.0], "v": [0.0],
+           "constraints": [{"kind": "singleton", "a_bar": [1e-300], "b_bar": 1e300}]}
+    path = _write(tmp_path, doc)
+    for argv in (["radius", path], ["feasible", path, "--alpha", "0"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: unit_rows: a row divided by its largest |coefficient| is not finite\n")
+
+
 def test_certify_negative_u_exit_5(tmp_path, capsys):
     doc = json.loads(json.dumps(EX2))
     doc["u"] = [-1.0, 1.0]
@@ -370,6 +378,17 @@ def test_certify_without_slater_point_exit_0(tmp_path, capsys):
     cert_file.write_text(out, encoding="utf-8")
     code, rep = _run_json(capsys, ["verify", path, "--point", "0", "--cert", str(cert_file)])
     assert code == 0 and rep["verdict"] == "valid"
+
+
+def test_certify_a_unit_disc_in_rows_scaled_by_1e_9_exit_1(capsys):
+    # the unit disc tight at (1, 0), its row scaled by 1e-9, under an
+    # objective along its tangent: the Slater point that tilts the
+    # refutation is found on rows of unit scale, where a simplex phase 1
+    # once raised "unbounded" (exit 2); the CI workflow runs the installed
+    # script on the same file
+    path = str(Path(__file__).with_name("scaled_disc_problem.json"))
+    code, rep = _run_json(capsys, ["certify", path, "--point=1,0"])
+    assert (code, rep["verdict"]) == (1, "refuted")
 
 
 # two joint balls x_i - 0.1 sqrt(x.x + 1) >= -0.1, both tight at (0, 0), with

@@ -4,18 +4,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (assert_replaying_refutation, box_vertices, random_feasible_rows,
-                      random_polyhedral_problem, vertex_candidate, vertex_multipliers,
-                      worst_slack)
+from conftest import (assert_replaying_refutation, box_vertices, forbid_lp,
+                      random_feasible_rows, random_polyhedral_problem, vertex_candidate,
+                      vertex_multipliers, worst_slack)
 from robustmolp import feasibility
-from robustmolp.efficiency import (SLATER_MARGIN, NotFeasiblePointError, active_geometry,
+from robustmolp.efficiency import (NotFeasiblePointError, active_geometry,
                                    certify_weak_efficiency, check_slater,
                                    weakly_efficient_for_scenario)
 from robustmolp.feasibility import radius_of_robust_feasibility
 from robustmolp.model import (Ball, Box, Ellipsoid, NormBall,
                               Polytope, Singleton, UncertainMOLP,
                               reduce_constraints, validate_problem)
-from robustmolp.numerics import norm_value
+from robustmolp.numerics import VI_TOL, norm_value
 from robustmolp.oracle import refute_robust_weak_efficiency, verify_certificate
 
 _INF = float("inf")
@@ -182,8 +182,8 @@ def test_slater_on_joint_balls_holds_exactly_inside_the_radius(rng):
             slater = check_slater(X)
             assert slater.ok == ok, (rows, frac, slater)
             if ok:
-                # to rounding: worst_slack sums as the class reads
-                assert min(worst_slack(c, slater.x0) for c in balls) >= SLATER_MARGIN - 1e-12
+                # worst_slack sums as the class reads, not as the search does
+                assert min(worst_slack(c, slater.x0) for c in balls) > 0.0
         done += 1
 
 
@@ -305,7 +305,7 @@ def test_slater_zero_delta_strictly_feasible():
         NormBall([0.0, 0.0, -1.0], np.eye(3), 0.0, 2, -3.0, -3.0)))
     X = reduce_constraints(validate_problem(p))
     chk = check_slater(X)
-    assert chk.ok and chk.min_slack > 0
+    assert chk.ok and feasibility.maximize_min_slack(X).value > 0
     # interior witness: slacks at (1, 1, 1) are all >= 1
     x = np.array([1.0, 1.0, 1.0])
     assert min(X.slack(x)) >= 1.0 and not X.concave
@@ -318,8 +318,9 @@ def test_slater_violated_when_delta_too_large():
                       (NormBall([1.0], [[1.0]], 2.0, 2, 0.0, 0.0),))
     vp = validate_problem(p)
     chk = check_slater(reduce_constraints(vp))
-    assert not chk.ok
-    assert chk.max_slack <= 0.0 + 1e-9
+    assert not chk.ok and chk.x0 is None
+    # the supergradients at a point x > 0 and at -x span the line through 0
+    assert chk.reason == "no Slater point exists (distance 0.000e+00)"
     x = np.array([0.0])
     out = certify_weak_efficiency(vp, x)
     assert out.status == "certified"
@@ -357,13 +358,13 @@ def test_no_slater_point_no_refutation_across_an_active_two_norm_row(cons, C, x)
     x = np.array(x)
     vp = validate_problem(UncertainMOLP(1, x.size, C, [0.0], np.zeros(x.size), cons))
     chk = check_slater(reduce_constraints(vp))
-    assert not chk.ok
+    assert not chk.ok and chk.reason.startswith("no Slater point exists (distance ")
     out = certify_weak_efficiency(vp, x)
     assert out.status == "unknown" and out.refutation is None
     assert out.reason.startswith("nominal endpoint infeasible (residual ")
     assert ", stop " in out.reason
-    assert out.reason.endswith("but no Slater point exists to tilt its Farkas direction "
-                               f"into the active 2-norm rows (max_slack {chk.max_slack:.3e})")
+    assert out.reason.endswith(f"but {chk.reason} to tilt its Farkas direction "
+                               "into the active 2-norm rows")
 
 
 def test_certified_active_two_norm_row_runs_no_slater_search(monkeypatch):
@@ -400,20 +401,14 @@ def test_each_norm_ball_is_inverted_once_per_certify(monkeypatch):
     assert len(calls) == len(balls)
 
 
-def _slater_lps(monkeypatch, delta, s):
-    """Slater check of the row (1, 1).x - delta ||x||_{s*} >= 0 with the LPs
-    it solves, where s* is the norm conjugate to s."""
-    calls = []
-    solve = feasibility.solve_lp
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(feasibility, "solve_lp", counted)
+def _slater_search(monkeypatch, delta, s):
+    """The Slater search of the row (1, 1).x - delta ||x||_{s*} >= 0, where
+    s* is the norm conjugate to s, and its check, which solves no LP."""
+    forbid_lp(monkeypatch)
     p = UncertainMOLP(1, 2, [[1.0, 0.0]], [0.0], [0.0, 0.0],
                       (NormBall([1.0, 1.0], np.eye(2), delta, s, 0.0, 0.0),))
-    return check_slater(reduce_constraints(validate_problem(p))), len(calls)
+    X = reduce_constraints(validate_problem(p))
+    return feasibility.maximize_min_slack(X), check_slater(X)
 
 
 @pytest.mark.parametrize("s, threshold", [(1, 2.0), (_INF, 1.0)])
@@ -421,35 +416,99 @@ def test_slater_of_norm_one_and_inf_rows_is_one_lp(monkeypatch, s, threshold):
     # the row's min-slack has supremum +inf below delta = threshold and is
     # 0 only at x = 0 above it; the refined Slater condition asks a
     # polyhedral row only to be satisfied, so even the set {0} passes, in
-    # one feasibility LP whose value is 1
+    # one solve, the minimum-norm point of the lift's feasibility LP, whose
+    # point is -e, x = 0, and whose value is 1
     for delta in (0.9 * threshold, 1.1 * threshold):
-        p = UncertainMOLP(1, 2, [[1.0, 0.0]], [0.0], [0.0, 0.0],
-                          (NormBall([1.0, 1.0], np.eye(2), delta, s, 0.0, 0.0),))
-        X = reduce_constraints(validate_problem(p))
-        search = feasibility.maximize_min_slack(X)
-        assert search.value == search.upper_bound == 1.0
-        row = X.concave[0]
-        assert row.slack(search.x) >= -1e-12
-        chk, lps = _slater_lps(monkeypatch, delta, s)
-        assert chk.ok and lps == 1
-        assert chk.x0.tolist() == search.x.tolist()
+        search, chk = _slater_search(monkeypatch, delta, s)
+        assert (search.value, search.distance, search.rounds, search.stop) == (1.0, 1.0, 1, "found")
+        assert search.x.tolist() == [0.0, 0.0]
+        assert chk.ok and chk.x0.tolist() == search.x.tolist() and chk.reason is None
 
 
 def test_slater_of_two_norm_row_decided_by_tangent_cuts(monkeypatch):
-    # with the 1-norm in place of the 2-norm, (1, 1).x - 1.2 ||x||_1 <= 0,
-    # so the inner LP fails; 1.2 < sqrt(2) makes the true supremum +inf,
-    # and the first inf-norm LP's point shows it
-    chk, lps = _slater_lps(monkeypatch, 1.2, 2)
-    assert chk.ok and chk.min_slack > 0.3 and lps == 2
+    # 1.2 < sqrt(2) makes the supremum +inf; the row at w = 0 gives x = 0,
+    # where the slack is 0, and its supergradient there, the row's tangent
+    # cut, generated as a column, gives the nearest point: x = t (1, 1)
+    # with scaled slack (2t - 1.2 sqrt(2) t)/1.2 = 1
+    search, chk = _slater_search(monkeypatch, 1.2, 2)
+    assert (search.stop, search.rounds) == ("found", 2)
+    assert search.value == pytest.approx(1.2) and search.distance > 0.1
     x = chk.x0
-    assert x.sum() - 1.2 * np.linalg.norm(x) == pytest.approx(chk.min_slack)
+    assert chk.ok and x[0] == x[1] and x.sum() - 1.2 * np.linalg.norm(x) == search.value
 
 
 def test_slater_of_two_norm_row_violated_reports_nonpositive_bound(monkeypatch):
-    # 1.5 > sqrt(2): the supremum is 0 at x = 0; the inf-norm relaxation is
-    # reaches its cap of 1 until a tangent cut at its point closes it
-    chk, lps = _slater_lps(monkeypatch, 1.5, 2)
-    assert not chk.ok and chk.max_slack <= 0.0 and lps == 3
+    # 1.5 > sqrt(2): the supremum is 0 at x = 0; the tangent cuts at x = 0
+    # and at the next point combine with -e into 0, a distance within
+    # VI_TOL, so the bound reported is -inf
+    search, chk = _slater_search(monkeypatch, 1.5, 2)
+    assert (search.x, search.value, search.rounds, search.stop) == (None, -_INF, 2, "none")
+    assert search.distance <= VI_TOL
+    assert not chk.ok and chk.reason == f"no Slater point exists (distance {search.distance:.3e})"
+
+
+def test_slater_point_on_a_linear_row_by_rounding_is_reflected_inside_it():
+    # the nearest point lies on x1 = x2, which is active at x_bar, and its
+    # x misses that row by 9e-15; tilted toward it, the refutation's step
+    # would leave the row at once.  Reflected across the rows it misses,
+    # the point meets them in floats, and the tilted step replays
+    cons = (Singleton([-1.0, 3.0, -3.0], 5.0), Singleton([3.0, -3.0, 0.0], 0.0),
+            NormBall([-2.0, 2.0, 3.0], np.eye(3), 1.0, 2, -9.0, -8.0),
+            Ellipsoid([-3.0, 2.0, -3.0], ((1.0, 1.0, -1.0), (-1.0, 1.0, 1.0)),
+                      6.0 - 2.0 * np.sqrt(2.0) - 1.0, 6.0 - 2.0 * np.sqrt(2.0)))
+    p = UncertainMOLP(1, 3, [[2.0, -2.0, -3.0]], [0.0], [1.0, 2.0, 2.0], cons)
+    X = reduce_constraints(validate_problem(p))
+    chk = check_slater(X)
+    assert chk.ok and X.slack(chk.x0).min() >= 0.0
+    x = np.array([0.0, 0.0, -2.0])
+    assert_replaying_refutation(p, x, certify_weak_efficiency(validate_problem(p), x))
+
+
+def _scaled_disc(c):
+    """The unit disc tight at x = (1, 0) with its row scaled by c, under the
+    objective -x2 along its tangent there (C_bar + u v^T = 0)."""
+    disc = NormBall([0.0, 0.0], np.eye(2) / c, 1.0, 2, -2 * c, -c)
+    return UncertainMOLP(1, 2, [[0.0, -1.0]], [1.0], [0.0, 1.0], (disc,)), np.array([1.0, 0.0])
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-4, 1e-6, 1e-7, 1e-9])
+def test_unit_disc_in_rows_scaled_by_c_is_refuted(c):
+    # the Slater point that tilts the refutation is searched for on rows of
+    # unit scale, whatever c: an absolute margin of 1e-6 once read "no
+    # Slater point" at c = 1e-7, and a phase-1 LP raised at c = 1e-9
+    p, x = _scaled_disc(c)
+    out = certify_weak_efficiency(validate_problem(p), x)
+    assert_replaying_refutation(p, x, out)
+    assert worst_slack(p.constraints[0], out.refutation.x) > 0.0
+
+
+def test_certify_decides_the_slater_instances_without_an_lp(monkeypatch):
+    # the Slater search is one minimum-norm point with generated columns:
+    # no certify call reaches the simplex, whose only caller left is the
+    # oracle's scenario LP
+    import robustmolp.efficiency as eff
+    forbid_lp(monkeypatch)
+    searches = []
+    check = eff.check_slater
+    monkeypatch.setattr(eff, "check_slater", lambda X: searches.append(X) or check(X))
+    cases = [((LINE,), [[1.0, 0.0]], [0.0, 0.0], "unknown"),
+             (TANGENT_DISKS, [[0.0, 1.0, 0.0]], [0.0, 0.0, 1.0], "unknown"),
+             (JOINT_BALLS, -np.eye(2), [0.0, 0.0], "refuted"),
+             ((NormBall([0.0, 0.0], np.eye(2), 1.0, 2, -2.0, -1.0),), [[0.0, 1.0]],
+              [1.0, 0.0], "refuted")]
+    for cons, C, x, status in cases:
+        x = np.array(x)
+        p = UncertainMOLP(len(C), x.size, C, np.zeros(len(C)), np.zeros(x.size), cons)
+        assert certify_weak_efficiency(validate_problem(p), x).status == status
+    for c in (1.0, 1e-9):
+        p, x = _scaled_disc(c)
+        assert certify_weak_efficiency(validate_problem(p), x).status == "refuted"
+    assert len(searches) == len(cases) + 2
+    # and the check alone, where a Slater point exists and where none does
+    for delta, ok in ((0.5, True), (2.0, False)):
+        p = UncertainMOLP(1, 1, [[1.0]], [0.0], [0.0],
+                          (NormBall([1.0], [[1.0]], delta, 2, 0.0, 0.0),))
+        assert check_slater(reduce_constraints(validate_problem(p))).ok == ok
 
 
 # ---------------------------------------------------------------------------
@@ -1091,13 +1150,18 @@ def test_certify_norm_wrapper_and_slater_error():
     assert out.status == "certified"        # both endpoint systems feasible
 
 
-def test_no_active_two_norm_row_needs_no_slater_point():
+def test_no_active_two_norm_row_needs_no_slater_point(monkeypatch):
+    import robustmolp.efficiency as eff
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an inactive 2-norm row needs no Slater point")
+
     # the row's slack at 0 is 5e-7: above ACTIVE_TOL, so both endpoints are
-    # exact LPs, and below SLATER_MARGIN, so a Slater check would fail
+    # minimum-norm points, and no refutation is tilted
+    monkeypatch.setattr(eff, "check_slater", forbidden)
     ball = NormBall([0.0], [[1.0]], 0.5, 2, -1.0, -5e-7)    # |x| <= 1e-6
     x = np.array([0.0])
     vp = validate_problem(UncertainMOLP(2, 1, [[1.0], [-1.0]], [0.0, 0.0], [0.0], (ball,)))
-    assert not check_slater(reduce_constraints(vp)).ok
     out = certify_weak_efficiency(vp, x)
     assert out.status == "certified"
     assert verify_certificate(vp, x, out.certificate).ok

@@ -127,7 +127,7 @@ def _calls(source):
 
 
 def test_only_the_lift_assembles_band_rows():
-    # the Slater LP and the endpoint systems read the lifted set instead
+    # the Slater search and the endpoint systems read the lifted set instead
     assert {"dual_norm_bands", "positions"} <= _calls((PKG / "model.py").read_text(encoding="utf-8"))
     for name in MODULES - {"model"}:
         calls = _calls((PKG / f"{name}.py").read_text(encoding="utf-8"))
