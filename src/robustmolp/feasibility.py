@@ -126,11 +126,14 @@ def cone_contains(generators, target) -> ConeMembership:
     Finitely generated cones are closed, so target is a member exactly
     when -target + cone(generators) comes within VI_TOL * max|target| of 0
     (one minimum-norm point, whose ray coefficients are the weights).
+    Raises ValueError when there is no generator or an entry is not finite.
     """
     gens = np.array([np.asarray(g, float) for g in generators])
     if not len(gens):
         raise ValueError("generators must be nonempty")
     t = np.asarray(target, float)
+    if not (np.isfinite(gens).all() and np.isfinite(t).all()):
+        raise ValueError("generators and target must be finite")
     res = min_norm_point([-t], gens)
     if res.distance > VI_TOL * float(np.abs(t).max(initial=0.0)):
         return ConeMembership(False)

@@ -21,6 +21,7 @@ import numpy as np
 
 _INF = float("inf")
 _TINY = float(np.finfo(float).tiny)
+_EPS = float(np.finfo(float).eps)
 
 DET_TOL = 1e-12         # scaled determinant below which a matrix is singular
 VI_TOL = 1e-8           # minimum-norm variational inequality, on scaled data
@@ -371,10 +372,12 @@ def _nnls(E, f):
     outer steps, so no free set repeats and the loop is finite; a step
     that fails to decrease it (a gradient entry at rounding level) ends the
     solve at the last iterate that did, with its free set and factor.  G_FF
-    is held as a Cholesky factor in Python floats, extended when a column
-    enters and rebuilt after a step back.  A pivot G_jj - y.y that cancels
-    below _CANCELLED * G_jj is recomputed from the part of column j off the
-    free columns, so that a near-dependent column keeps an accurate pivot.
+    is held as a Cholesky factor L in Python floats, and L^-1 h_F beside it:
+    both are extended when a column enters and rebuilt after a step back,
+    so each inner solve is one back-substitution.  A pivot G_jj - y.y that
+    cancels below _CANCELLED * G_jj is recomputed from the part of column j
+    off the free columns, so that a near-dependent column keeps an accurate
+    pivot.
     A column whose pivot is not positive to working precision lies in the
     span of the free columns, where its gradient entry can only be
     rounding: it does not enter, and the solve ends.  One corrected
@@ -383,13 +386,13 @@ def _nnls(E, f):
     Returns (u, number of active-set least-squares solves).
     """
     n = E.shape[1]
-    tol = 10.0 * np.finfo(float).eps * sum(E.shape)
+    tol = 10.0 * _EPS * sum(E.shape)
     G, h = E.T @ E, E.T @ f
     Gl, hl = G.tolist(), h.tolist()
     u, grad, resid = [0.0] * n, hl, f
-    free, L = [], []       # free columns in order, rows of the factor of G_FF
+    free, L, yh = [], [], []   # free columns in order, rows of the factor of G_FF, L^-1 h_F
     value, solves = float(f @ f), 0
-    accepted = (u[:], [], [], resid)      # the last iterate that lowered the value
+    accepted = (u[:], [], [], [], resid)  # the last iterate that lowered the value
 
     def enter(j):
         """Extend the factor by column j; False if its pivot is not positive."""
@@ -403,17 +406,20 @@ def _nnls(E, f):
         if not pivot > tol * tol * Gl[j][j]:
             return False
         L.append(y + [math.sqrt(pivot)])
+        yh.append((hl[j] - sum(map(mul, y, yh))) / L[-1][-1])    # _forward(L, h_F)'s last row
         free.append(j)
         return True
 
     while True:
-        bound = [j for j in range(n) if j not in free]
-        j = max(bound, key=grad.__getitem__, default=None)
+        j = None               # the first bound column of largest gradient
+        for i in range(n):
+            if i not in free and (j is None or grad[i] > grad[j]):
+                j = i
         if j is None or grad[j] <= tol or not enter(j):
             break
         while True:
             solves += 1
-            z = _backward(L, _forward(L, [hl[i] for i in free]))
+            z = _backward(L, yh)
             if all(zi > 0.0 for zi in z):
                 for i, zi in zip(free, z):
                     u[i] = zi
@@ -425,7 +431,7 @@ def _nnls(E, f):
                 u[k] += step * (zk - u[k])
             u[i] = 0.0
             kept = free[:]
-            del free[:], L[:]
+            del free[:], L[:], yh[:]
             for k in kept:
                 if not (u[k] > 0.0 and enter(k)):
                     u[k] = 0.0
@@ -433,10 +439,10 @@ def _nnls(E, f):
         new_resid = f - E @ ua
         new_value = float(new_resid @ new_resid)
         if not new_value < value:
-            u, free, L, resid = accepted
+            u, free, L, yh, resid = accepted
             break
         value, grad, resid = new_value, (h - G @ ua).tolist(), new_resid
-        accepted = (u[:], free[:], L[:], resid)
+        accepted = (u[:], free[:], L[:], yh[:], resid)
     if free:
         # one corrected semi-normal step: G_FF d = E_F^T (f - E u)
         g = (E.T @ resid).tolist()
@@ -458,7 +464,10 @@ def _backward(L, y):
     """z with L^T z = y, for L given by the rows of a lower triangle."""
     z = y[:]
     for r in range(len(z) - 1, -1, -1):
-        z[r] = (z[r] - sum(L[c][r] * z[c] for c in range(r + 1, len(z)))) / L[r][r]
+        s = 0
+        for c in range(r + 1, len(z)):
+            s += L[c][r] * z[c]
+        z[r] = (z[r] - s) / L[r][r]
     return z
 
 
@@ -499,7 +508,8 @@ def min_norm_point(points, rays) -> MinNormResult:
     qs = E[:k] @ u / t
     cert = _vi_margin(E[:k], qs, p) >= -VI_TOL
     q = qs * big
-    return MinNormResult(q, u[:p] / t, u[p:] / lens * (big / t), cert, solves, math.hypot(*q))
+    return MinNormResult(q, u[:p] / t, u[p:] / lens * (big / t), cert, solves,
+                         math.hypot(*q.tolist()))
 
 
 # ---------------------------------------------------------------------------

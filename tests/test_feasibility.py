@@ -69,6 +69,19 @@ def test_cone_membership_is_one_min_norm_point(monkeypatch):
     assert len(solves) == 3
 
 
+@pytest.mark.parametrize("generators, target", [
+    ([[1.0, 0.0]], [_NAN, 0.0]),
+    ([[1.0, 0.0]], [_INF, 0.0]),
+    ([[_NAN, 0.0]], [1.0, 0.0]),
+    ([[1.0, 0.0], [0.0, -_INF]], [1.0, 0.0]),
+])
+def test_cone_membership_of_data_that_is_not_finite_raises(generators, target):
+    # a NaN or infinite entry once came back contained, with weights [nan],
+    # after an "invalid value" RuntimeWarning
+    with pytest.raises(ValueError, match="finite"):
+        cone_contains(generators, target)
+
+
 def test_cone_membership_marker_on_five_row_system():
     gens = [np.concatenate([a, [b]]) for a, b in HYPO]
     # feasible system: the inconsistency marker is outside the data cone

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -398,6 +399,70 @@ def test_min_norm_variational_inequality_property(rng):
         assert res.weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert res.mu >= 0
         assert 1 <= res.iterations <= 3 * (p + 1)
+
+
+# `pinned_min_norm.json` holds min_norm_point inputs and outputs bit for bit:
+# the points and rays, and p_star, weights, mu and distance as `float.hex`,
+# with certified and iterations.  The inputs are one radius system of each
+# shape the bench's radius catalogue draws, (3, 3) to (7, 6), the golden
+# system, a point within 1e-7 of another (its pivot cancels), a point on the
+# line of two others (its column is refused), the marker in a cone where the
+# guard stops, a cone membership query, a zero ray and rows near 1e300.  A
+# change to the arithmetic of the Lawson-Hanson solve must leave every
+# record as it is.
+PINNED_MIN_NORM = Path(__file__).with_name("pinned_min_norm.json")
+
+
+def _unhex(rows):
+    return [[float.fromhex(t) for t in row] for row in rows]
+
+
+def min_norm_record(points, rays):
+    """The pinned fields of one min_norm_point solve."""
+    res = min_norm_point(points, rays)
+    return {"p_star": [t.hex() for t in res.p_star.tolist()],
+            "weights": [t.hex() for t in res.weights.tolist()],
+            "mu": [t.hex() for t in res.mu.tolist()],
+            "distance": res.distance.hex(), "certified": bool(res.certified),
+            "iterations": res.iterations}
+
+
+def test_min_norm_point_pinned():
+    for name, rec in json.loads(PINNED_MIN_NORM.read_text()).items():
+        want = {key: rec[key] for key in rec if key not in ("points", "rays")}
+        assert min_norm_record(_unhex(rec["points"]), _unhex(rec["rays"])) == want, name
+
+
+def test_pinned_min_norm_inputs_reach_every_line_of_the_kernel():
+    # every line of _nnls and of the functions it defines runs on one of the
+    # pinned inputs: each branch of the active-set loop is pinned by a record
+    codes, todo = [], [numerics._nnls.__code__]
+    while todo:
+        code = todo.pop()
+        codes.append(code)
+        todo += [c for c in code.co_consts if hasattr(c, "co_lines")]
+    want = {(code, line) for code in codes for _, _, line in code.co_lines()
+            if line is not None and line != code.co_firstlineno}
+    seen = set()
+
+    def trace(frame, event, arg):
+        if frame.f_code not in codes:
+            return None
+
+        def local(frame, event, arg):
+            if event == "line":
+                seen.add((frame.f_code, frame.f_lineno))
+            return local
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        for rec in json.loads(PINNED_MIN_NORM.read_text()).values():
+            min_norm_point(_unhex(rec["points"]), _unhex(rec["rays"]))
+    finally:
+        sys.settrace(previous)
+    assert sorted((c.co_name, line) for c, line in want - seen) == []
 
 
 # ---------------------------------------------------------------------------
