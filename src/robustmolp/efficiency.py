@@ -227,7 +227,8 @@ def _solve_endpoint(C, S, geo: ActiveGeometry, cones, xl):
     residual, stop, rays, x = None, "infeasible", geo.generators, None
     dims = [r.P.shape[1] + 1 for r in cones]
     if cones:
-        S[:n, :m], S[n, :m] = C.T, C @ xl
+        with np.errstate(over="ignore", invalid="ignore"):   # inf: solve_cone_system raises
+            S[:n, :m], S[n, :m] = C.T, C @ xl
         blocks = [("simplex", m)] + [("nonneg", k)] * (k > 0) + [("soc", d) for d in dims]
         res = solve_cone_system(S.copy(), np.zeros(n + 1), blocks)
         residual, stop = res.residual, res.stop_reason

@@ -229,16 +229,18 @@ def solve_lp(c, G, h, lower) -> LpSolution:
 # ---------------------------------------------------------------------------
 
 def project_simplex(y: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum(x) = 1} (sort-based, exact)."""
+    """Euclidean projection onto {x >= 0, sum(x) = 1}, sorted in Python floats
+    (exact); IndexError if no entry clears its threshold (a NaN or +inf entry)."""
     y = np.asarray(y, float)
     if y.ndim != 1 or y.size == 0:
         raise ValueError("expected a nonempty vector")
-    u = np.sort(y)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, y.size + 1)
-    cond = u - (css - 1.0) / idx > 0
-    rho = np.nonzero(cond)[0][-1]
-    theta = (css[rho] - 1.0) / (rho + 1.0)
+    css, theta = 0.0, None          # np.cumsum's running sum, term by term
+    for i, ui in enumerate(sorted(y.tolist(), reverse=True), 1):
+        css += ui
+        if ui - (css - 1.0) / i > 0:
+            theta = (css - 1.0) / i
+    if theta is None or css != css:     # np.sort puts a NaN first: then none clears
+        raise IndexError("no entry clears its simplex threshold")
     return np.maximum(y - theta, 0.0)
 
 
@@ -526,29 +528,25 @@ class ConeResult:
     stop_reason: str          # "converged" | "farkas" | "stalled" | "budget"
 
 
-def _project_soc(y, t):
-    ny = float(np.linalg.norm(y))
-    if ny <= t:
-        return y, t
-    if ny <= -t:
-        return np.zeros_like(y), 0.0
-    beta = 0.5 * (ny + t)
-    return y * (beta / ny), beta
-
-
 def _project_blocks(x, blocks, offsets):
-    out = x.copy()
+    """Project x, a fresh array, onto the blocks in place and return it."""
     for o, (kind, dim) in zip(offsets, blocks):
-        seg = out[o:o + dim]
+        seg = x[o:o + dim]
         if kind == "nonneg":
-            out[o:o + dim] = np.maximum(seg, 0.0)
+            np.maximum(seg, 0.0, out=seg)
         elif kind == "simplex":
-            out[o:o + dim] = project_simplex(seg)
+            seg[:] = project_simplex(seg)
         elif kind == "soc":
-            y, t = _project_soc(seg[:-1], float(seg[-1]))
-            out[o:o + dim - 1] = y
-            out[o + dim - 1] = t
-    return out
+            y, t = seg[:-1], float(seg[-1])
+            ny = math.sqrt(y @ y)
+            if ny <= t:
+                continue
+            if ny <= -t:
+                seg[:] = 0.0
+            else:
+                seg[-1] = beta = 0.5 * (ny + t)
+                y *= beta / ny
+    return x
 
 
 def _initial_point(blocks, offsets, D):
@@ -634,12 +632,11 @@ def _farkas_bound(A, b, z, blocks, offsets):
         seg = c[o:o + dim]
         if kind == "simplex":
             g += float(seg.min())
-        elif kind == "nonneg":
-            if seg.min() < 0.0:
-                return -_INF
-        elif np.linalg.norm(seg[:-1]) > seg[-1]:    # soc
+        elif kind == "nonneg" and seg.min() < 0.0:
             return -_INF
-    return g / float(np.linalg.norm(z))
+        elif kind == "soc" and math.sqrt(seg[:-1] @ seg[:-1]) > seg[-1]:
+            return -_INF
+    return g / math.sqrt(z @ z)
 
 
 def _pgd_min_residual(A, b, blocks, tol, max_iter):
@@ -658,9 +655,9 @@ def _pgd_min_residual(A, b, blocks, tol, max_iter):
     step = 1.0 / max(sigma * sigma, 1e-12)
     x = _project_blocks(_initial_point(blocks, offsets, A.shape[1]), blocks, offsets)
     z = A @ x - b
-    r_x = float(np.linalg.norm(z))
+    r_x = math.sqrt(z @ z)
     best_x, best_z, best_r = x, z, r_x
-    yv, t_acc = x.copy(), 1.0
+    yv, t_acc = x, 1.0
     stall_mark, stalls = best_r, 0
     done, reason = 0, "budget"
     for it in range(max_iter):
@@ -668,20 +665,20 @@ def _pgd_min_residual(A, b, blocks, tol, max_iter):
         grad = A.T @ (A @ yv - b)
         x_new = _project_blocks(yv - step * grad, blocks, offsets)
         z_new = A @ x_new - b
-        r_new = float(np.linalg.norm(z_new))
+        r_new = math.sqrt(z_new @ z_new)
         if r_new < best_r:
             best_x, best_z, best_r = x_new, z_new, r_new
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
         yv = x_new + ((t_acc - 1.0) / t_new) * (x_new - x)
         if r_new > r_x:
-            yv, t_new = x_new.copy(), 1.0      # restart on non-monotone step
+            yv, t_new = x_new, 1.0      # restart on non-monotone step
         x, r_x, t_acc = x_new, r_new, t_new
         if it % 512 == 0 or best_r <= 1e-12:
             cand = _polish_cone(A, b, best_x, blocks, offsets)
             if cand is not None:
                 cand = _project_blocks(cand, blocks, offsets)
                 z_cand = A @ cand - b
-                r_cand = float(np.linalg.norm(z_cand))
+                r_cand = math.sqrt(z_cand @ z_cand)
                 if r_cand < best_r:
                     best_x, best_z, best_r = cand, z_cand, r_cand
             if best_r <= min(tol * 1e-2, 1e-10):
@@ -723,6 +720,8 @@ def solve_cone_system(A, b, blocks) -> ConeResult:
             raise ValueError("block dimension must be >= 1")
     if A.ndim != 2 or b.shape != A.shape[:1] or A.shape[1] != sum(d for _, d in blocks):
         raise ValueError("A must be k x (sum of block dimensions), b of length k")
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise NumericalBreakdown("solve_cone_system: A or b is not finite")
     mx = np.abs(A).max(axis=1, initial=0.0)
     scale = np.divide(1.0, mx, out=np.ones_like(mx), where=mx > 0)
     x_best, r_best, its, reason = _pgd_min_residual(

@@ -66,3 +66,40 @@ def test_tracer_reads_fields_that_real_results_have():
     assert reads and set(reads) <= set(results), set(reads) - set(results)
     for name in reads:
         outcome(name, results[name])
+
+
+def test_the_cone_solver_counts_one_simplex_projection_per_projected_point(monkeypatch):
+    # the tracer reports numerics.solve_cone_system.steps as the calls of
+    # numerics.project_simplex inside the span, so the solver must call it
+    # through the module attribute once per projected point: the initial
+    # point, each step and each polish candidate (every system here has
+    # one simplex block); numerics.min_norm_point.steps, counted the same
+    # way, reads 0 since that kernel stopped projecting
+    import json
+
+    from robustmolp import numerics
+
+    calls, candidates = [], []
+    project, polish = numerics.project_simplex, numerics._polish_cone
+
+    def unhex(v):
+        return [float.fromhex(t) for t in v]
+
+    def counted_project(y):
+        calls.append(1)
+        return project(y)
+
+    def counted_polish(*args):
+        cand = polish(*args)
+        candidates.append(cand is not None)
+        return cand
+
+    monkeypatch.setattr(numerics, "project_simplex", counted_project)
+    monkeypatch.setattr(numerics, "_polish_cone", counted_polish)
+    pinned = json.loads(Path(__file__).with_name("pinned_cone.json").read_text())
+    for name, rec in pinned.items():
+        del calls[:], candidates[:]
+        res = numerics.solve_cone_system([unhex(row) for row in rec["A"]], unhex(rec["b"]),
+                                         [tuple(block) for block in rec["blocks"]])
+        assert [kind for kind, _ in rec["blocks"]].count("simplex") == 1
+        assert len(calls) == 1 + res.iterations + sum(candidates), name

@@ -491,6 +491,27 @@ def test_certify_overflowing_perturbed_objective_exit_3(tmp_path, capsys):
     assert "NonFinite" in capsys.readouterr().err
 
 
+def test_certify_whose_endpoint_row_overflows_exit_2(tmp_path, capsys):
+    # C_bar = 1e308 (1, 1) at x_bar = (1, 1), a 2-norm ball tight there:
+    # the endpoint row C x_bar overflows.  The cone solver once took its
+    # inf, scaled the row to NaN and leaked numpy's LinAlgError, a
+    # ValueError, so the run exited 3 as if the file did not parse (and
+    # with RuntimeWarnings as errors it was a traceback, exit 1).  The
+    # CI workflow runs the installed script on the same file.
+    path = str(Path(__file__).with_name("overflow_cone_problem.json"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["certify", path, "--point=1,1", "--json"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "not finite" in captured.err
+    # the same objective at a scale that stays finite is refuted
+    doc = json.loads(Path(path).read_text())
+    doc["C_bar"] = [[1e18, 1e18]]
+    code, rep = _run_json(capsys, ["certify", _write(tmp_path, doc), "--point=1,1"])
+    assert (code, rep["verdict"]) == (1, "refuted")
+
+
 @pytest.mark.parametrize("rows, point, exit_code", [
     # a.x overflows to inf - inf in floats; its true value 0 misses b = 1
     ([[1e300, -1e300]], "1e300,1e300", 4),

@@ -234,6 +234,64 @@ def test_project_simplex_is_euclidean_projection(rng):
             assert np.linalg.norm(y - px) <= np.linalg.norm(y - z) + 1e-12
 
 
+def _project_simplex_reference(y):
+    """The sort and cumulative-sum form of the projection in numpy calls:
+    the reference project_simplex must match bit for bit."""
+    y = np.asarray(y, float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.sort(y)[::-1]
+        css = np.cumsum(u)
+        cond = u - (css - 1.0) / np.arange(1, y.size + 1) > 0
+        rho = np.nonzero(cond)[0][-1]
+        theta = (css[rho] - 1.0) / (rho + 1.0)
+        return np.maximum(y - theta, 0.0)
+
+
+def _projection_or_error(project, y):
+    try:
+        return [t.hex() for t in project(y).tolist()]
+    except IndexError:
+        return "IndexError"
+
+
+def test_project_simplex_matches_the_sort_and_cumsum_form_bit_for_bit(rng):
+    cases = []
+    for _ in range(300):
+        d = int(rng.integers(1, 10))
+        cases += [rng.normal(0, 3, d), rng.normal(0, 1, d) * 10.0 ** rng.integers(-20, 20, d),
+                  rng.integers(-2, 3, d) / 2.0,                        # ties
+                  rng.choice([0.0, -0.0, 0.5, 1.0, -0.25], d),          # signed zeros
+                  rng.normal(0, 1, d) * 10.0 ** rng.choice([-300, 300], d)]
+    cases += [[0.0], [-0.0], [0.0, -0.0], [-0.0, 0.0, -0.0], [0.5, 0.5], [1.0, 0.0, -0.0],
+              [1e300], [-1e300, 1.0], [1e-300, -1e-300], [1e-300, 1e-300, 2.0]]
+    errors = 0
+    for y in cases:
+        want = _projection_or_error(_project_simplex_reference, y)
+        assert _projection_or_error(project_simplex, y) == want, list(y)
+        errors += want == "IndexError"
+    assert errors        # entries near 1e300 clear no threshold in either form
+
+
+def test_project_simplex_keeps_its_answers_on_non_finite_entries():
+    # recorded from the sort and cumulative-sum form, whose numpy calls
+    # also warned on inf (the answer is what is pinned): a NaN (which
+    # np.sort puts last, so first in decreasing order) or a +inf entry
+    # leaves no index where the threshold test holds, and
+    # np.nonzero(cond)[0][-1] raised IndexError; a -inf entry projects to 0
+    inf, nan = _INF, float("nan")
+    answers = [([nan], "IndexError"), ([nan, 1.0], "IndexError"),
+               ([1.0, nan], "IndexError"), ([0.5, nan, 0.25], "IndexError"),
+               ([inf], "IndexError"), ([inf, 1.0], "IndexError"),
+               ([-inf], "IndexError"), ([inf, -inf], "IndexError"),
+               ([1e308, 1e308], "IndexError"),
+               ([-inf, 1.0], ["0x0.0p+0", "0x1.0000000000000p+0"]),
+               ([1.0, -inf, 0.5], ["0x1.8000000000000p-1", "0x0.0p+0", "0x1.0000000000000p-2"])]
+    for y, want in answers:
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _projection_or_error(project_simplex, y) == want, y
+        assert _projection_or_error(_project_simplex_reference, y) == want, y
+
+
 # ---------------------------------------------------------------------------
 # norms, inverse, directions
 # ---------------------------------------------------------------------------
@@ -469,6 +527,68 @@ def test_pinned_min_norm_inputs_reach_every_line_of_the_kernel():
 # solve_cone_system
 # ---------------------------------------------------------------------------
 
+# `pinned_cone.json` holds solve_cone_system inputs and outputs bit for bit:
+# A, b and the blocks, and x and the residual as `float.hex`, with feasible,
+# iterations and the stop reason.  The inputs are three endpoint systems of
+# the bench's certify-cone catalogue (one of 3,585 steps, one that
+# converges at its first polish, a 5 x 5), an s = 2 ball beside an s = 1
+# ball that runs to the budget (`_mixed_ball_problem(default_rng(1), (2, 1))`
+# in test_efficiency.py), two Farkas stops, a system with a nonnegative
+# block, one whose residual stalls at 1e-8, and one whose second-order
+# block projects to its apex.  A change to how a projected-gradient step
+# is computed must leave every record as it is.
+PINNED_CONE = Path(__file__).with_name("pinned_cone.json")
+
+
+def _pinned_cone_systems():
+    for name, rec in json.loads(PINNED_CONE.read_text()).items():
+        blocks = [tuple(block) for block in rec["blocks"]]
+        yield name, rec, (_unhex(rec["A"]), [float.fromhex(t) for t in rec["b"]], blocks)
+
+
+def test_solve_cone_system_pinned():
+    for name, rec, system in _pinned_cone_systems():
+        res = solve_cone_system(*system)
+        got = {"x": [t.hex() for t in res.x.tolist()], "residual": res.residual.hex(),
+               "feasible": bool(res.feasible), "iterations": res.iterations,
+               "stop_reason": res.stop_reason}
+        assert got == {key: rec[key] for key in got}, name
+
+
+def test_pinned_cone_inputs_reach_every_line_of_the_projections():
+    # every line of _project_blocks and project_simplex runs on one of the
+    # pinned systems, except project_simplex's raises: its input checks and
+    # the IndexError of a NaN or +inf entry, which the tests above pin
+    import inspect
+    codes = [numerics._project_blocks.__code__, numerics.project_simplex.__code__]
+    want = set()
+    for code in codes:
+        lines, first = inspect.getsourcelines(code)
+        raises = {first + i for i, text in enumerate(lines) if text.strip().startswith("raise ")}
+        want |= {(code, line) for _, _, line in code.co_lines()
+                 if line is not None and line != code.co_firstlineno and line not in raises}
+    seen = set()
+
+    def trace(frame, event, arg):
+        if frame.f_code not in codes:
+            return None
+
+        def local(frame, event, arg):
+            if event == "line":
+                seen.add((frame.f_code, frame.f_lineno))
+            return local
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        for _, _, system in _pinned_cone_systems():
+            solve_cone_system(*system)
+    finally:
+        sys.settrace(previous)
+    assert sorted((c.co_name, line) for c, line in want - seen) == []
+
+
 def test_cone_simplex_equality_feasible():
     res = solve_cone_system([[1.0, -1.0]], [0.0], [("simplex", 2)])
     assert res.feasible and res.stop_reason == "converged"
@@ -507,6 +627,16 @@ def test_cone_system_input_checks():
     for width in (2, 4):                   # blocks span 3 columns
         with pytest.raises(ValueError, match="sum of block dimensions"):
             solve_cone_system(np.ones((1, width)), [1.0], [("simplex", 1), ("soc", 2)])
+
+
+def test_cone_system_whose_data_is_not_finite_breaks_down():
+    # an overflowed endpoint row C x_bar reached the row scaling as inf,
+    # which made NaN entries, and numpy's SVD raised LinAlgError
+    from robustmolp.numerics import NumericalBreakdown
+    blocks = [("simplex", 1), ("soc", 2)]
+    for A, b in (([[_INF, 1.0, -1.0]], [0.0]), ([[1.0, 1.0, -1.0]], [float("nan")])):
+        with pytest.raises(NumericalBreakdown, match="not finite"):
+            solve_cone_system(A, b, blocks)
 
 
 def test_cone_soc_projection_path():
