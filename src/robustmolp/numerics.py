@@ -643,8 +643,10 @@ def _pgd_min_residual(A, b, blocks, tol, max_iter):
     """FISTA on 0.5*||Ax - b||^2 with per-block projections.
 
     Returns (best point, its residual norm, iterations, stop reason).  The
-    run stops when the best residual is "converged" (at most
-    min(tol/100, 1e-10)); at "farkas", once the best point's residual
+    run stops when the polished best residual is "converged" (at most
+    min(tol/100, 1e-10)), tested every 512 iterations and at iterations 1,
+    2, 4, ..., 256, whose polish is dropped unless it converges; at
+    "farkas", once the best point's residual
     z = A x - b certifies through _farkas_bound that no block-feasible point
     gets within tol (checked every _FARKAS_STRIDE iterations); when the
     improvement between checkpoints has "stalled"; or at max_iter
@@ -659,7 +661,7 @@ def _pgd_min_residual(A, b, blocks, tol, max_iter):
     best_x, best_z, best_r = x, z, r_x
     yv, t_acc = x, 1.0
     stall_mark, stalls = best_r, 0
-    done, reason = 0, "budget"
+    done, reason, conv = 0, "budget", min(tol * 1e-2, 1e-10)
     for it in range(max_iter):
         done = it + 1
         grad = A.T @ (A @ yv - b)
@@ -673,17 +675,19 @@ def _pgd_min_residual(A, b, blocks, tol, max_iter):
         if r_new > r_x:
             yv, t_new = x_new, 1.0      # restart on non-monotone step
         x, r_x, t_acc = x_new, r_new, t_new
-        if it % 512 == 0 or best_r <= 1e-12:
+        checkpoint = it % 512 == 0 or best_r <= 1e-12
+        if checkpoint or not it & (it - 1):     # or it = 1, 2, 4, ..., 256
             cand = _polish_cone(A, b, best_x, blocks, offsets)
             if cand is not None:
                 cand = _project_blocks(cand, blocks, offsets)
                 z_cand = A @ cand - b
                 r_cand = math.sqrt(z_cand @ z_cand)
-                if r_cand < best_r:
+                if r_cand < best_r and (checkpoint or r_cand <= conv):
                     best_x, best_z, best_r = cand, z_cand, r_cand
-            if best_r <= min(tol * 1e-2, 1e-10):
+            if best_r <= conv:
                 reason = "converged"
                 break
+        if checkpoint:
             # infeasible systems converge to a positive floor; stop once
             # the checkpoint-to-checkpoint improvement dies out
             if stall_mark - best_r <= 1e-13 * max(1.0, best_r):
@@ -720,10 +724,16 @@ def solve_cone_system(A, b, blocks) -> ConeResult:
             raise ValueError("block dimension must be >= 1")
     if A.ndim != 2 or b.shape != A.shape[:1] or A.shape[1] != sum(d for _, d in blocks):
         raise ValueError("A must be k x (sum of block dimensions), b of length k")
-    if not (np.isfinite(A).all() and np.isfinite(b).all()):
-        raise NumericalBreakdown("solve_cone_system: A or b is not finite")
     mx = np.abs(A).max(axis=1, initial=0.0)
-    scale = np.divide(1.0, mx, out=np.ones_like(mx), where=mx > 0)
-    x_best, r_best, its, reason = _pgd_min_residual(
-        A * scale[:, None], b * scale, blocks, CONE_TOL, CONE_MAX_ITER)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.divide(1.0, mx, out=np.ones_like(mx), where=mx > 0)
+        # a subnormal maximum's reciprocal overflows: divide that row by it,
+        # as unit_rows does (x / 1.0 is x, so every other row keeps its bits)
+        over = np.isinf(scale)
+        div = np.where(over, mx, 1.0)
+        scale[over] = 1.0
+        A, b = A * scale[:, None] / div[:, None], b * scale / div
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise NumericalBreakdown("solve_cone_system: A or b, row-scaled, is not finite")
+    x_best, r_best, its, reason = _pgd_min_residual(A, b, blocks, CONE_TOL, CONE_MAX_ITER)
     return ConeResult(r_best <= CONE_TOL, False, r_best, x_best, its, reason)

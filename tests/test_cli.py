@@ -411,6 +411,19 @@ def test_certify_joint_balls_and_verify_round_trip_exit_0(tmp_path, capsys):
     assert code == 0 and rep["verdict"] == "valid"
 
 
+def test_certify_whose_cone_systems_stop_early_and_verify_exit_0(tmp_path, capsys):
+    # a certify-cone catalogue instance whose endpoint cone systems converge
+    # at early convergence tests (129 and 17 steps; the CI workflow runs
+    # the installed script on the same file)
+    path = str(Path(__file__).with_name("early_polish_problem.json"))
+    code, out = _run(capsys, ["certify", path, "--point=-3,1,1.5", "--json"])
+    assert code == 0 and json.loads(out)["verdict"] == "certified"
+    cert = tmp_path / "cert.json"
+    cert.write_text(out, encoding="utf-8")
+    code, rep = _run_json(capsys, ["verify", path, "--point=-3,1,1.5", "--cert", str(cert)])
+    assert code == 0 and rep["verdict"] == "valid"
+
+
 POLYTOPE_BOX_PROBLEM = str(Path(__file__).with_name("polytope_box_problem.json"))
 
 
@@ -757,20 +770,24 @@ DERIVED_KEYS_CERTIFICATE = json.loads("""{
 
 
 def test_certificate_with_the_derived_keys_verifies_with_the_same_report(tmp_path, capsys):
+    # the stored certificate is valid with and without the keys certify no
+    # longer writes, with the same report; a fresh certificate carries
+    # exactly the kept keys and is valid too, whichever multipliers the
+    # cone solver returns
     path = _write(tmp_path, TIGHT_BALL)
     code, rep = _run_json(capsys, ["certify", path, "--point=0,0"])
     assert code == 0
-    kept = rep["payload"]["certificate"]
-    # the kept fields are the earlier certificate's, bit for bit
+    fresh = rep["payload"]["certificate"]
     old = DERIVED_KEYS_CERTIFICATE
-    want = {k: old[k] for k in ("lambda", "lambda_tilde")}
+    kept = {k: old[k] for k in ("lambda", "lambda_tilde")}
     for k in ("nominal", "perturbed"):
-        want[k] = [{f: v for f, v in r.items() if f not in ("complementarity", "witness_norm")}
+        kept[k] = [{f: v for f, v in r.items() if f not in ("complementarity", "witness_norm")}
                    for r in old[k]]
-    assert kept == want
-    assert rep["residuals"] == old["residuals"]
+    assert sorted(fresh) == sorted(kept)
+    for k in ("nominal", "perturbed"):
+        assert [sorted(r) for r in fresh[k]] == [sorted(r) for r in kept[k]]
     reports = []
-    for doc in (old, kept):
+    for doc in (old, kept, fresh):
         code, rep = _run_json(capsys, ["verify", path, "--point=0,0", "--cert",
                                        _write(tmp_path, doc, "c.json")])
         assert code == 0 and rep["verdict"] == "valid"

@@ -923,6 +923,28 @@ def test_catalogue_endpoint_lp_count_is_pinned(monkeypatch, workload, count):
     assert len(solves) == count
 
 
+def test_catalogue_cone_step_count_is_pinned(monkeypatch):
+    # 28,941 steps while the cone solver tested for convergence only at
+    # every 512th step; its early tests at 1, 2, 4, ..., 256 stop 19 of the
+    # 28 solves sooner
+    import robustmolp
+    import robustmolp.efficiency as eff
+    catalogue = runpy.run_path(str(WORKLOADS))["CertifyConeWorkload"]().make_inputs(
+        robustmolp, None, 0)
+    solve, results = eff.solve_cone_system, []
+
+    def spy(A, b, blocks):
+        results.append(solve(A, b, blocks))
+        return results[-1]
+
+    monkeypatch.setattr(eff, "solve_cone_system", spy)
+    for inst in catalogue:
+        certify_weak_efficiency(validate_problem(inst.problem), inst.x_bar)
+    assert len(results) == 28
+    assert {r.stop_reason for r in results} == {"converged"}
+    assert sum(r.iterations for r in results) == 11_743
+
+
 def _flat_classes_problem():
     """A flat box, a zero-radius norm ball and a span-less ellipsoid, each
     one linear row, the first two tight at the origin, which is certified."""

@@ -530,13 +530,16 @@ def test_pinned_min_norm_inputs_reach_every_line_of_the_kernel():
 # `pinned_cone.json` holds solve_cone_system inputs and outputs bit for bit:
 # A, b and the blocks, and x and the residual as `float.hex`, with feasible,
 # iterations and the stop reason.  The inputs are three endpoint systems of
-# the bench's certify-cone catalogue (one of 3,585 steps, one that
-# converges at its first polish, a 5 x 5), an s = 2 ball beside an s = 1
-# ball that runs to the budget (`_mixed_ball_problem(default_rng(1), (2, 1))`
-# in test_efficiency.py), two Farkas stops, a system with a nonnegative
-# block, one whose residual stalls at 1e-8, and one whose second-order
-# block projects to its apex.  A change to how a projected-gradient step
-# is computed must leave every record as it is.
+# the bench's certify-cone catalogue (one that converges at an early
+# test after 17 steps, one that converges at its first polish, a 5 x 5), an
+# s = 2 ball beside an s = 1 ball that runs to the budget
+# (`_mixed_ball_problem(default_rng(1), (2, 1))` in test_efficiency.py),
+# two Farkas stops, a system with a nonnegative block, one whose residual
+# stalls at 1e-8, and one whose second-order block projects to its apex.
+# A change to how a projected-gradient step is computed must leave every
+# record as it is.  `catalogue_early_stop` took 3,585 steps while the
+# convergence test ran only every 512th step, and was re-recorded when it
+# began to run at every power of two below 512 as well.
 PINNED_CONE = Path(__file__).with_name("pinned_cone.json")
 
 
@@ -553,6 +556,24 @@ def test_solve_cone_system_pinned():
                "feasible": bool(res.feasible), "iterations": res.iterations,
                "stop_reason": res.stop_reason}
         assert got == {key: rec[key] for key in got}, name
+
+
+def test_a_failed_early_convergence_test_leaves_the_run_as_it_was(monkeypatch):
+    # stalled_simplex never converges: its nine early tests (steps 1, 2,
+    # 4, ..., 256) polish and fail, beside the checkpoints at 0, 512, 1,024
+    # and 1,536, and the run still ends on its pinned bits
+    polish, calls = numerics._polish_cone, []
+
+    def counted(A, b, x, blocks, offsets):
+        calls.append(1)
+        return polish(A, b, x, blocks, offsets)
+
+    monkeypatch.setattr(numerics, "_polish_cone", counted)
+    (_, rec, system), = [s for s in _pinned_cone_systems() if s[0] == "stalled_simplex"]
+    res = solve_cone_system(*system)
+    assert (res.iterations, res.stop_reason, len(calls)) == (1537, "stalled", 13)
+    assert [t.hex() for t in res.x.tolist()] == rec["x"]
+    assert res.residual.hex() == rec["residual"]
 
 
 def test_pinned_cone_inputs_reach_every_line_of_the_projections():
@@ -631,12 +652,25 @@ def test_cone_system_input_checks():
 
 def test_cone_system_whose_data_is_not_finite_breaks_down():
     # an overflowed endpoint row C x_bar reached the row scaling as inf,
-    # which made NaN entries, and numpy's SVD raised LinAlgError
+    # which made NaN entries, and numpy's SVD raised LinAlgError; a
+    # right-hand side of 1e10 on a row of 1e-300 overflows once scaled
     from robustmolp.numerics import NumericalBreakdown
     blocks = [("simplex", 1), ("soc", 2)]
-    for A, b in (([[_INF, 1.0, -1.0]], [0.0]), ([[1.0, 1.0, -1.0]], [float("nan")])):
+    for A, b in (([[_INF, 1.0, -1.0]], [0.0]), ([[1.0, 1.0, -1.0]], [float("nan")]),
+                 ([[1e-300, 0.0, 0.0]], [1e10])):
         with pytest.raises(NumericalBreakdown, match="not finite"):
             solve_cone_system(A, b, blocks)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cone_system_with_a_subnormal_row_is_scaled_without_overflow():
+    # x1 = x3 on the simplex: the row's largest |entry| is 1e-310, whose
+    # reciprocal overflows, so the row is divided by it instead; its
+    # reciprocal scaled the row by inf, with a warning, and numpy's SVD
+    # then raised LinAlgError (exit 3 in the CLI)
+    res = solve_cone_system([[1e-310, 0.0, -1e-310]], [0.0], [("simplex", 2), ("nonneg", 1)])
+    assert res.feasible and res.stop_reason == "converged"
+    assert res.x[0] == pytest.approx(res.x[2], abs=1e-9)
 
 
 def test_cone_soc_projection_path():

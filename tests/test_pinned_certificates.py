@@ -15,7 +15,11 @@ row multipliers, the residuals and each record's witness_norm and
 complementarity were deleted from every entry, with no other value
 re-recorded; a change to the lift alone no longer shows here.  Any change
 to the reduction, the endpoint systems or the certificate records that
-moves a multiplier, scenario row or witness does.
+moves a multiplier, scenario row or witness does.  The `ellipsoid` and
+`polytope_and_norm_ball` entries were re-recorded when the cone solver
+began to test for convergence at iterations 1, 2, 4, ..., 256: it stops
+sooner, at another point of the same multiplier set, and both new
+certificates replay.
 """
 
 import json
