@@ -277,6 +277,8 @@ def cmd_certify(args) -> int:
 def cmd_verify(args) -> int:
     t0 = time.monotonic()
     _finite_option("--tol", args.tol)
+    if args.tol < 0:
+        raise ProblemFormatError(f"--tol must be >= 0, got {args.tol}")
     problem = load_problem(args.problem_file)
     vp = validate_problem(problem)
     x_bar = _parse_point(args.point, problem.n)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -76,9 +77,9 @@ def active_geometry(X: RobustFeasibleSet, x_bar) -> ActiveGeometry:
     x_bar = np.asarray(x_bar, float)
     s = X.slack(x_bar)
     if s.size and (worst := s.min()) < -ACTIVE_TOL:
-        raise NotFeasiblePointError(f"row {np.argmin(s)} violated by {-worst:.3e} "
+        raise NotFeasiblePointError(f"row {s.argmin()} violated by {-worst:.3e} "
                                     "at the candidate point")
-    groups = {i: [i] for i in np.flatnonzero(s <= ACTIVE_TOL).tolist()}
+    groups = {i: [i] for i in (s <= ACTIVE_TOL).nonzero()[0].tolist()}
     active = tuple(groups)
     for k0, row in X.lifted:
         q = row.P.shape[1]
@@ -92,8 +93,8 @@ def active_geometry(X: RobustFeasibleSet, x_bar) -> ActiveGeometry:
                     if k0 in groups:
                         groups[k0].append(i)
     A = X.A
-    gens = np.reshape([-A[g[0]] if len(g) == 1 else -sum(A[i] for i in g)
-                       for g in groups.values()], (-1, X.n))
+    gens = np.array([-A[g[0]] if len(g) == 1 else -sum(A[i] for i in g)
+                     for g in groups.values()], float).reshape(-1, X.n)
     return ActiveGeometry(active, gens, tuple(map(tuple, groups.values())))
 
 
@@ -201,7 +202,7 @@ def _endpoint_rows(XL, geo: ActiveGeometry, cones, m):
     o = m + k
     for r, d in zip(cones, dims):
         S[:, o:o + d - 1] = r.P
-        S[:, o + d - 1] = -np.append(r.a_bar, r.b)
+        S[:-1, o + d - 1], S[-1, o + d - 1] = -r.a_bar, -r.b
         o += d
     return S
 
@@ -249,7 +250,7 @@ def _solve_endpoint(C, S, geo: ActiveGeometry, cones, xl):
     for rows, mu in zip(geo.groups, np.maximum(x[m:m + k], 0.0).tolist()):
         for i in rows:
             mu_of[i] = mu
-    segs = np.split(x[m + k:], np.cumsum(dims)[:-1]) if cones else ()
+    segs = [x[o:o + d] for d, o in zip(dims, accumulate(dims, initial=m + k))]
     return EndpointSolve(True, residual, stop, lam, mu_of,
                          {r.source: (r, seg) for r, seg in zip(cones, segs)})
 
@@ -283,7 +284,7 @@ def _in_rn(a, n):
 def _witness_record(row, n, mu_j, y):
     """Record of a concave row whose multiplier mu_j carries y = mu_j w: its
     realized row [a_bar | b] - P w, w scaled back into the unit s-ball."""
-    w = y / mu_j if mu_j > 1e-10 else np.zeros_like(y)
+    w = y / mu_j if mu_j > 1e-10 else np.zeros(y.size)
     w = w / max(1.0, norm_value(w, row.s))
     r = row.realize(w)
     return ConstraintMultiplier(mu_j, r[:n].copy(), float(r[-1]), w)
@@ -307,7 +308,7 @@ def _constraint_records(p, X, XL, e0, e1):
     n, A = p.n, X.A
     # the rows of constraint j are first[j]:first[j + 1] in X
     ends = np.arange(len(p.constraints) + 1)
-    first = np.searchsorted(X.source, ends).tolist()
+    first = X.source.searchsorted(ends).tolist()
     b = X.b.tolist()
     zero = [ConstraintMultiplier(0.0, own_row(c, 0, n), b[first[j]], None)
             if first[j] < first[j + 1] else None for j, c in enumerate(p.constraints)]
@@ -326,11 +327,13 @@ def _constraint_records(p, X, XL, e0, e1):
         # the active rows of constraint j in XL are act[bounds[j]:bounds[j + 1]]
         act, mus = list(sol.mu_of), list(sol.mu_of.values())
         src = XL.source[act]
-        bounds = np.searchsorted(src, ends).tolist()
+        bounds = src.searchsorted(ends).tolist()
         weighted = np.array(mus)[:, None] * XL.rows[act]
         for j in dict.fromkeys(src.tolist()):
             s, e = bounds[j], bounds[j + 1]
-            mu_j = float(sum(mus[s:e]))
+            mu_j = 0.0
+            for mu in mus[s:e]:     # left to right, which sum() is not from Python 3.12 on
+                mu_j += mu
             if zero[j] is None or not mu_j > 1e-15:     # a lifted ball's rows, or no mass
                 continue
             total = sum(weighted[s:e])
@@ -355,9 +358,9 @@ def _certificate_residuals(C0, C1, cert, x_bar):
     A = np.array([r.scenario_a for r in recs]).reshape(2, mu.shape[1], -1)
     b = np.array([r.scenario_b for r in recs]).reshape(2, -1)
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs = np.cumsum(mu[:, :, None] * A, axis=1)[:, -1]
+        rhs = (mu[:, :, None] * A).cumsum(axis=1)[:, -1]
         s = A @ x_bar - b
-        for e, j in zip(*np.nonzero(~np.isfinite(s))):
+        for e, j in zip(*(~np.isfinite(s)).nonzero()):
             s[e, j] = slack_value(A[e, j], x_bar, b[e, j])
         comp = np.where(mu != 0, np.abs(mu * s), 0.0).max(axis=1)
     eq = [float(np.linalg.norm(C.T @ lam - r)) for C, lam, r in
@@ -409,12 +412,12 @@ def _refute(XL, xl, d, C, x0):
     n = C.shape[1]
     x_bar = xl[:n]
     with np.errstate(over="ignore", invalid="ignore"):
-        drop = -float(np.max(C @ d))
+        drop = -float((C @ d).max())
         if not drop > 0.0:          # NaN too
             return None
         d = d / drop
         if x0 is not None:
-            top = float(np.max(C @ (x0 - x_bar)))
+            top = float((C @ (x0 - x_bar)).max())
             eps = min(1.0, 0.5 / top) if top > 0.0 else 1.0
             d = (d + eps * (x0 - x_bar)) / (1.0 + eps)
         A, b = XL.A, XL.b
@@ -422,17 +425,17 @@ def _refute(XL, xl, d, C, x0):
         dl = np.zeros(XL.n)
         dl[:n] = d
         for k0, row in XL.lifted:
-            cols = n + np.flatnonzero(A[k0, n:])    # one for s = 1, q for s = inf
+            cols = n + A[k0, n:].nonzero()[0]       # one for s = 1, q for s = inf
             rate = {}
             for j in range(2 * row.P.shape[1]):
                 if slacks[k0 + 1 + j] <= ACTIVE_TOL:
                     a, c = A[k0 + 1 + j], cols[j % cols.size]
                     rate[c] = max(rate.get(c, -_INF), -float(a[:n] @ d) / a[c])
             dl[list(rate)] = list(rate.values())
-        scale = float(np.max(np.abs(C) @ np.abs(x_bar)))
+        scale = float((np.abs(C) @ np.abs(x_bar)).max())
         t = max(1.0, math.ldexp(scale, -26)) if math.isfinite(scale) else 1.0
         # the ratio test, each ratio from its row's dot products: A @ dl may round otherwise
-        for i in np.flatnonzero((slacks > ACTIVE_TOL) & (A @ dl < 0.0)):
+        for i in ((slacks > ACTIVE_TOL) & (A @ dl < 0.0)).nonzero()[0]:
             if (ad := float(A[i] @ dl)) < 0.0:
                 t = min(t, slack_value(A[i], xl, b[i]) / -ad)
         # the replay: every linear row of XL, a lifted ball as its own worst
@@ -445,11 +448,11 @@ def _refute(XL, xl, d, C, x0):
         floors = [(r, k, min(0.0, r.slack(xl[:k]))) for r, k in curved]
         for _ in range(64):
             x = xl + t * dl
-            if (np.isfinite(x).all() and np.all(XL.slack(x) >= floor)
+            if (np.isfinite(x).all() and (XL.slack(x) >= floor).all()
                     and all(r.slack(x[:k]) >= f for r, k, f in floors)):
                 x = _in_rn(x, n)
                 gap = C @ x_bar - C @ x
-                return (x, gap) if np.all(gap > 0.0) else None
+                return (x, gap) if (gap > 0.0).all() else None
             t *= 0.5
     return None
 
@@ -496,8 +499,9 @@ def certify_weak_efficiency(vp: ValidatedProblem, x_bar) -> CertifyOutcome:
     same = C0.tobytes() == C1.tobytes()
     XL, xl = X.lift(x_bar)
     # the objectives do not see the lift's auxiliary columns
-    D0, D1 = ((C0, C1) if XL is X else
-              (np.hstack([C, np.zeros((p.m, XL.n - p.n))]) for C in (C0, C1)))
+    D0, D1 = (C0, C1) if XL is X else np.zeros((2, p.m, XL.n))
+    if XL is not X:
+        D0[:, :p.n], D1[:, :p.n] = C0, C1
     geo = active_geometry(XL, xl)
     # complementarity zeroes the multiplier of a 2-norm row slack at xl
     cones = [r for r in XL.concave if r.slack(xl) <= ACTIVE_TOL]

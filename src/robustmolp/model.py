@@ -110,7 +110,7 @@ class Box(_UncertaintySet, kind="box"):
     b_hi: Scalar
 
     def check_rules(self, j):
-        if np.any(self.a_lo > self.a_hi) or self.b_lo > self.b_hi:
+        if (self.a_lo > self.a_hi).any() or self.b_lo > self.b_hi:
             raise ValidationError("BadInterval", "lower bound exceeds upper bound", j)
 
 
@@ -238,8 +238,8 @@ def validate_problem(p: UncertainMOLP) -> ValidatedProblem:
     validate_dimensions(p)
     with np.errstate(over="ignore"):
         _check_finite("C_bar + u v^T", endpoint_objectives(p)[1])
-    if np.any(p.u < 0):
-        bad = int(np.argmin(p.u))
+    if (p.u < 0).any():
+        bad = int(p.u.argmin())
         raise ValidationError(
             "NegativeU",
             f"u[{bad}] = {p.u[bad]} violates the componentwise u >= 0 requirement")
@@ -379,7 +379,7 @@ def _dual_norm_subgradient(y, s):
     if s == 1:
         # conjugate norm is max-abs: subgradient supported on argmax
         d = np.zeros_like(y)
-        i = int(np.argmax(np.abs(y)))
+        i = int(np.abs(y).argmax())
         d[i] = np.sign(y[i])
         return d
     return np.sign(y)
@@ -415,8 +415,9 @@ class RobustFeasibleSet:
         x = np.asarray(x, float)
         with np.errstate(over="ignore", invalid="ignore"):
             s = self.A @ x - self.b
-        for i in np.flatnonzero(~np.isfinite(s)):
-            s[i] = slack_value(self.A[i], x, self.b[i])
+        if not np.isfinite(s).all():
+            for i in (~np.isfinite(s)).nonzero()[0]:
+                s[i] = slack_value(self.A[i], x, self.b[i])
         return s
 
     def positions(self, sizes):
@@ -424,9 +425,9 @@ class RobustFeasibleSet:
         sizes[i] rows among the linear rows: those of the linear rows, and
         the first of each concave row's."""
         src = [r.source for r in self.concave]
-        ends = np.cumsum([0, *sizes])
-        return (np.arange(len(self.rows)) + ends[np.searchsorted(src, self.source)],
-                np.searchsorted(self.source, src) + ends[:-1])
+        ends = np.array([0, *sizes]).cumsum()
+        return (np.arange(len(self.rows)) + ends[np.array(src, int).searchsorted(self.source)],
+                self.source.searchsorted(src) + ends[:-1])
 
     def lift(self, x_bar):
         """Rewrite each s = 1/inf ConcaveRow, boxes included, as linear rows
@@ -501,15 +502,16 @@ def reduce_constraints(vp: ValidatedProblem) -> RobustFeasibleSet:
             continue
         a, P, s = own_row(c, 0, p.n), None, 2
         b = c.b_bar if isinstance(c, (Singleton, Ball)) else c.b_hi
-        if isinstance(c, Box):
-            half = 0.5 * c.a_hi - 0.5 * c.a_lo
-            P, s = np.diag(half)[:, half > 0.0], _INF
-        elif isinstance(c, NormBall) and c.delta != 0.0:
+        if isinstance(c, NormBall) and c.delta != 0.0:
             P, s = c.delta * invert_symmetric(c.Z), c.s
         elif isinstance(c, Ellipsoid) and c.spans:
             P = np.array(c.spans).T
         if P is not None:
-            P = np.vstack([P, np.zeros(P.shape[1])])
+            P = np.concatenate([P, np.zeros((1, P.shape[1]))])
+        elif isinstance(c, Box):
+            # diag(half widths) over a zero row for b, zero widths dropped
+            keep = (half := 0.5 * c.a_hi - 0.5 * c.a_lo) > 0.0
+            P, s = np.eye(p.n + 1, p.n)[:, keep] * half[keep], _INF
         elif isinstance(c, Ball) and c.alpha != 0.0:
             P = c.alpha * np.eye(p.n + 1)
         if P is None or not P.size:
@@ -517,8 +519,8 @@ def reduce_constraints(vp: ValidatedProblem) -> RobustFeasibleSet:
             source.append(j)
         else:
             concave.append(ConcaveRow(a, b, j, P, s))
-    return RobustFeasibleSet(p.n, np.reshape(rows, (-1, p.n + 1)), np.array(source, int),
-                             tuple(concave))
+    return RobustFeasibleSet(p.n, np.array(rows, float).reshape(-1, p.n + 1),
+                             np.array(source, int), tuple(concave))
 
 
 def own_row(c, i, n):
@@ -536,7 +538,7 @@ def endpoint_objectives(vp: ValidatedProblem):
     """The two extreme objective matrices of the rank-1 segment."""
     p = vp.problem if isinstance(vp, ValidatedProblem) else vp
     C0 = p.C_bar.copy()
-    return C0, C0 + np.outer(p.u, p.v)
+    return C0, C0 + p.u[:, None] * p.v
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 import numpy as np
 
@@ -230,7 +229,8 @@ def solve_lp(c, G, h, lower) -> LpSolution:
 
 def project_simplex(y: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {x >= 0, sum(x) = 1}, sorted in Python floats
-    (exact); IndexError if no entry clears its threshold (a NaN or +inf entry)."""
+    (exact); IndexError if no entry clears its threshold and one is NaN or
+    infinite."""
     y = np.asarray(y, float)
     if y.ndim != 1 or y.size == 0:
         raise ValueError("expected a nonempty vector")
@@ -239,6 +239,12 @@ def project_simplex(y: np.ndarray) -> np.ndarray:
         css += ui
         if ui - (css - 1.0) / i > 0:
             theta = (css - 1.0) / i
+    if theta is None and np.isfinite(y).all():
+        # past 2^53, u - (css - 1)/i can round to 0 at every entry; the
+        # projection is translation-invariant, and the top entry clears once
+        # it is 0 (in Python floats an entry pushed past the range is -inf)
+        top = float(y.max())
+        return project_simplex([u - top for u in y.tolist()])
     if theta is None or css != css:     # np.sort puts a NaN first: then none clears
         raise IndexError("no entry clears its simplex threshold")
     return np.maximum(y - theta, 0.0)
@@ -399,7 +405,7 @@ def _nnls(E, f):
     def enter(j):
         """Extend the factor by column j; False if its pivot is not positive."""
         y = _forward(L, [Gl[j][i] for i in free])
-        pivot = Gl[j][j] - sum(map(mul, y, y))
+        pivot = Gl[j][j] - _dot(y, y)
         if pivot < _CANCELLED * Gl[j][j]:
             # G_jj - y.y lost most of its digits: take the pivot from the
             # part of column j off the free columns, E_j - E_F G_FF^-1 G_Fj
@@ -408,7 +414,7 @@ def _nnls(E, f):
         if not pivot > tol * tol * Gl[j][j]:
             return False
         L.append(y + [math.sqrt(pivot)])
-        yh.append((hl[j] - sum(map(mul, y, yh))) / L[-1][-1])    # _forward(L, h_F)'s last row
+        yh.append((hl[j] - _dot(y, yh)) / L[-1][-1])    # _forward(L, h_F)'s last row
         free.append(j)
         return True
 
@@ -454,11 +460,20 @@ def _nnls(E, f):
     return np.array(u), solves
 
 
+def _dot(a, b):
+    """sum(a_i b_i) added left to right: from Python 3.12 on, sum() of
+    floats is compensated and rounds differently."""
+    s = 0.0
+    for ai, bi in zip(a, b):
+        s += ai * bi
+    return s
+
+
 def _forward(L, b):
     """y with L y = b, for L given by the rows of a lower triangle."""
     y = []
     for row, bi in zip(L, b):
-        y.append((bi - sum(map(mul, row, y))) / row[-1])
+        y.append((bi - _dot(row, y)) / row[-1])
     return y
 
 

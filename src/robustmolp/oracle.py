@@ -163,20 +163,20 @@ def _check_shape(p, cert):
     last constraint would enter the sums unchecked."""
     for name, lam in (("lambda", cert.lambda_nominal),
                       ("lambda_tilde", cert.lambda_perturbed)):
-        if np.shape(lam) != (p.m,):
-            raise ValueError(f"{name} has shape {np.shape(lam)}, expected ({p.m},)")
+        if (shape := np.asarray(lam).shape) != (p.m,):
+            raise ValueError(f"{name} has shape {shape}, expected ({p.m},)")
     for name, recs in (("nominal", cert.nominal), ("perturbed", cert.perturbed)):
         if len(recs) != len(p.constraints):
             raise ValueError(f"{len(recs)} {name} records for "
                              f"{len(p.constraints)} constraints")
-        if any(np.shape(r.scenario_a) != (p.n,) for r in recs):
+        if any(np.asarray(r.scenario_a).shape != (p.n,) for r in recs):
             raise ValueError(f"a {name} scenario_a is not a vector of length {p.n}")
 
 
 def _polytope_distance(vertices, a, b):
     """Distance from (a, b) to the convex hull of the vertices: exactly 0
     for a vertex itself, bit for bit, and otherwise by min_norm_point."""
-    target = np.concatenate([np.asarray(a, float), [float(b)]])
+    target = np.array([*np.asarray(a, float).tolist(), float(b)])
     if any(np.asarray(v, float).tobytes() == target.tobytes() for v in vertices):
         return 0.0
     res = min_norm_point(np.asarray(vertices, float) - target, ())
@@ -251,14 +251,16 @@ def verify_certificate(vp, x_bar, cert, tol: float = RESIDUAL_TOL) -> Verificati
     two endpoint equalities in realized-scenario form, and complementary
     slackness.  The report lists each check's residual; verification
     passes only if all of them are within tol.  A certificate whose shape
-    does not match the problem raises ValueError.
+    does not match the problem, or a tol that is negative or NaN, raises
+    ValueError.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     p = _as_problem(vp)
     _check_shape(p, cert)
     x_bar = np.asarray(x_bar, float)
-    U = np.outer(p.u, p.v)
     C0 = p.C_bar
-    C1 = p.C_bar + U
+    C1 = p.C_bar + p.u[:, None] * p.v
     # the records stacked once, endpoint e = 0 nominal or 1 perturbed first:
     # mu[e, 0, j], b[e, j], and record j's scenario row as column j of A[e]
     k, n = len(p.constraints), p.n
@@ -297,7 +299,7 @@ def verify_certificate(vp, x_bar, cert, tol: float = RESIDUAL_TOL) -> Verificati
     # a float sum that overflows is redone exactly, so its warning is noise
     with np.errstate(over="ignore", invalid="ignore"):
         # sum_j mu_j a_j in record order (a cumulative sum is sequential)
-        rhs = np.cumsum(mu * A, axis=2)[:, :, -1] if k else np.zeros((2, n))
+        rhs = (mu * A).cumsum(axis=2)[:, :, -1] if k else np.zeros((2, n))
         for e, (name, C, lam) in enumerate((
                 ("endpoint_equality_nominal", C0, cert.lambda_nominal),
                 ("endpoint_equality_perturbed", C1, cert.lambda_perturbed))):
@@ -307,7 +309,7 @@ def verify_certificate(vp, x_bar, cert, tol: float = RESIDUAL_TOL) -> Verificati
                 res = _exact_norm(np.hstack([C.T, A[e]]).tolist(), [*lam, *(-mu[e, 0])])
             add(name, res)
         comp = np.abs(mu[:, 0] * (x_bar @ A - b))
-        for e, j in zip(*np.nonzero(~np.isfinite(comp))):
+        for e, j in zip(*(~np.isfinite(comp)).nonzero()):
             comp[e, j] = _exact_norm([[*A[e, :, j], b[e, j]]], [*x_bar, -1.0], mu[e, 0, j])
     add("complementarity", comp.max(initial=0.0))
 

@@ -931,6 +931,22 @@ def test_non_finite_problem_file_exit_3(tmp_path, capsys):
     assert err.count("error:") == 2 and "non-finite" in err
 
 
+def test_verify_with_a_negative_tolerance_exit_3(tmp_path, capsys):
+    # --tol -1 once called a valid certificate invalid (exit 1), every
+    # residual 0.0: a negative verdict from a meaningless option
+    path = str(Path(__file__).with_name("polytope_box_problem.json"))
+    code, out = _run(capsys, ["certify", path, "--point=1,1", "--json"])
+    assert code == 0
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(out, encoding="utf-8")
+    argv = ["verify", path, "--point=1,1", "--cert", str(cert_file)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main([*argv, "--tol", "-1"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "--tol must be >= 0" in err
+
+
 def test_non_finite_options_exit_3(tmp_path, capsys):
     path = _write(tmp_path, EX2)
     assert main(["certify", path, "--point", "nan,0,0"]) == 3

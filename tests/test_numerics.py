@@ -264,12 +264,17 @@ def test_project_simplex_matches_the_sort_and_cumsum_form_bit_for_bit(rng):
                   rng.normal(0, 1, d) * 10.0 ** rng.choice([-300, 300], d)]
     cases += [[0.0], [-0.0], [0.0, -0.0], [-0.0, 0.0, -0.0], [0.5, 0.5], [1.0, 0.0, -0.0],
               [1e300], [-1e300, 1.0], [1e-300, -1e-300], [1e-300, 1e-300, 2.0]]
-    errors = 0
+    shifted = 0
     for y in cases:
         want = _projection_or_error(_project_simplex_reference, y)
+        if want == "IndexError":
+            # entries near 1e300 clear no threshold in the sort and cumsum
+            # form: project_simplex projects the translate y - max(y) there
+            top = max(map(float, y))
+            want = _projection_or_error(_project_simplex_reference, [u - top for u in y])
+            shifted += 1
         assert _projection_or_error(project_simplex, y) == want, list(y)
-        errors += want == "IndexError"
-    assert errors        # entries near 1e300 clear no threshold in either form
+    assert shifted
 
 
 def test_project_simplex_keeps_its_answers_on_non_finite_entries():
@@ -283,13 +288,25 @@ def test_project_simplex_keeps_its_answers_on_non_finite_entries():
                ([1.0, nan], "IndexError"), ([0.5, nan, 0.25], "IndexError"),
                ([inf], "IndexError"), ([inf, 1.0], "IndexError"),
                ([-inf], "IndexError"), ([inf, -inf], "IndexError"),
-               ([1e308, 1e308], "IndexError"),
                ([-inf, 1.0], ["0x0.0p+0", "0x1.0000000000000p+0"]),
                ([1.0, -inf, 0.5], ["0x1.8000000000000p-1", "0x0.0p+0", "0x1.0000000000000p-2"])]
     for y, want in answers:
         with np.errstate(over="ignore", invalid="ignore"):
             assert _projection_or_error(project_simplex, y) == want, y
         assert _projection_or_error(_project_simplex_reference, y) == want, y
+
+
+def test_project_simplex_past_2_53_projects_the_translate():
+    # u - (css - 1)/i rounds to 0 at every entry past 2^53, where the
+    # sort and cumsum form finds no threshold and raised IndexError; the
+    # projection is translation-invariant, so y - max(y) decides it, an
+    # entry pushed below the float range included (no warning)
+    answers = [([1e16], [1.0]), ([9.1e15, 0.0], [1.0, 0.0]), ([-1e20], [1.0]),
+               ([1e308, 1e308], [0.5, 0.5]), ([1e308, -1e308], [1.0, 0.0]),
+               ([0.0, 1e17, 1e17 + 16.0, 1e17 + 16.0], [0.0, 0.0, 0.5, 0.5])]
+    for y, want in answers:
+        assert _projection_or_error(_project_simplex_reference, y) == "IndexError", y
+        assert project_simplex(y).tolist() == want, y
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +508,17 @@ def test_min_norm_point_pinned():
         assert min_norm_record(_unhex(rec["points"]), _unhex(rec["rays"])) == want, name
 
 
+def test_forward_adds_its_products_left_to_right():
+    # three products that a pinned min-norm solve sums: left to right they
+    # add to 0x1.ddcd6d1852d83p-1, and to ...84p-1 in sum(), which
+    # compensates float sums from Python 3.12 on
+    p = [float.fromhex(h) for h in ("0x1.b64d9364d9364p-1", "0x1.b843e6cf89b85p-5",
+                                    "0x1.7f7368d020cefp-6")]
+    L = [[1.0], [0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0, 1.0]]
+    y = numerics._forward(L, [*p, 0.0])
+    assert [t.hex() for t in y] == [*(t.hex() for t in p), "-0x1.ddcd6d1852d83p-1"]
+
+
 def test_pinned_min_norm_inputs_reach_every_line_of_the_kernel():
     # every line of _nnls and of the functions it defines runs on one of the
     # pinned inputs: each branch of the active-set loop is pinned by a record
@@ -578,16 +606,18 @@ def test_a_failed_early_convergence_test_leaves_the_run_as_it_was(monkeypatch):
 
 def test_pinned_cone_inputs_reach_every_line_of_the_projections():
     # every line of _project_blocks and project_simplex runs on one of the
-    # pinned systems, except project_simplex's raises: its input checks and
-    # the IndexError of a NaN or +inf entry, which the tests above pin
+    # pinned systems, except project_simplex's raises (its input checks and
+    # the IndexError of a NaN or +inf entry) and its translation past 2^53,
+    # which no cone solve reaches: the tests above pin those
     import inspect
     codes = [numerics._project_blocks.__code__, numerics.project_simplex.__code__]
     want = set()
     for code in codes:
         lines, first = inspect.getsourcelines(code)
-        raises = {first + i for i, text in enumerate(lines) if text.strip().startswith("raise ")}
+        pinned_above = {first + i for i, text in enumerate(lines) if text.strip().startswith(
+            ("raise ", "top = ", "return project_simplex("))}
         want |= {(code, line) for _, _, line in code.co_lines()
-                 if line is not None and line != code.co_firstlineno and line not in raises}
+                 if line is not None and line != code.co_firstlineno and line not in pinned_above}
     seen = set()
 
     def trace(frame, event, arg):

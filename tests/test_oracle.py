@@ -161,6 +161,16 @@ def test_verify_certificate_accepts_valid():
     assert rep.ok and rep.first_failing is None
 
 
+def test_verify_certificate_refuses_a_negative_or_nan_tolerance():
+    # a negative tol failed every residual, 0.0 included: a certificate
+    # called invalid by a meaningless tolerance
+    vp, cert = _derived_certificate()
+    for tol in (-1.0, -1e-300, float("nan")):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            verify_certificate(vp, XBAR, cert, tol)
+    assert verify_certificate(vp, XBAR, cert, 0.0).checks
+
+
 def test_verify_certificate_rejects_perturbed_lambda():
     from dataclasses import replace
     vp, cert = _derived_certificate()
