@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .numerics import (NumericalBreakdown, SingularMatrixError, invert_symmetric,
-                       norm_value, require_nonsingular, slack_value)
+                       require_nonsingular, slack_value)
 
 _INF = float("inf")
 
@@ -312,11 +312,6 @@ class ConcaveRow:
         # 0.0 + turns a -0.0 into 0.0: a zero last row leaves b bit for bit
         r[-1] = self.b - (0.0 + self.P[-1] @ w)
         return r
-
-    def scenario_row(self, direction):
-        """One realized row [a | b] from a direction in R^q."""
-        d = np.asarray(direction, float)
-        return self.realize(d / -max(1e-30, norm_value(d, self.s)))
 
 
 def dual_norm_bands(P, s, width, col):

@@ -22,7 +22,7 @@ _INF = float("inf")
 _TINY = float(np.finfo(float).tiny)
 _EPS = float(np.finfo(float).eps)
 
-DET_TOL = 1e-12         # scaled determinant below which a matrix is singular
+RCOND_TOL = 1e-12       # least over largest singular value of a singular matrix
 VI_TOL = 1e-8           # minimum-norm variational inequality, on scaled data
 CONE_TOL = 1e-7         # row-scaled equality residual of a feasible cone point
 CONE_MAX_ITER = 30_000  # projected-gradient iterations per cone system
@@ -34,7 +34,7 @@ class NumericalBreakdown(Exception):
 
 
 class SingularMatrixError(Exception):
-    """Matrix numerically singular (scaled determinant below threshold)."""
+    """Matrix numerically singular (singular value ratio below RCOND_TOL)."""
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +283,15 @@ def slack_value(a, x, b) -> float:
 
 
 def require_nonsingular(Z: np.ndarray) -> np.ndarray:
-    """Z as a float array; raises SingularMatrixError when the determinant
-    of the max-abs-scaled matrix falls below DET_TOL."""
+    """Z as a float array; raises SingularMatrixError when its least
+    singular value is at most RCOND_TOL times its largest."""
     Z = np.asarray(Z, float)
     if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
         raise ValueError("expected a square matrix")
-    scale = np.abs(Z).max()
-    if scale == 0 or abs(np.linalg.det(Z / scale)) <= DET_TOL:
+    sv = np.linalg.svd(Z, compute_uv=False)
+    if sv[0] == _INF:           # scaled, so that no singular value overflows
+        sv = np.linalg.svd(Z / np.abs(Z).max(), compute_uv=False)
+    if sv[-1] <= RCOND_TOL * sv[0]:
         raise SingularMatrixError("matrix is numerically singular")
     return Z
 
@@ -297,51 +299,6 @@ def require_nonsingular(Z: np.ndarray) -> np.ndarray:
 def invert_symmetric(Z: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric matrix that passes require_nonsingular."""
     return np.linalg.inv(require_nonsingular(Z))
-
-
-_GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
-
-
-def sphere_directions(k: int, count: int) -> np.ndarray:
-    """Deterministic low-discrepancy unit directions in R^k.
-
-    Alternating signs in 1-D, golden-angle points on the circle and the
-    Fibonacci spiral on the 2-sphere; higher dimensions use a Kronecker
-    sequence pushed through Box-Muller and normalized.
-    """
-    if k < 1 or count < 1:
-        raise ValueError("k and count must be positive")
-    if k == 1:
-        return np.array([[1.0 if i % 2 == 0 else -1.0] for i in range(count)])
-    if k == 2:
-        th = _GOLDEN_ANGLE * np.arange(count)
-        return np.column_stack([np.cos(th), np.sin(th)])
-    if k == 3:
-        i = np.arange(count)
-        z = 1.0 - 2.0 * (i + 0.5) / count
-        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        th = _GOLDEN_ANGLE * i
-        return np.column_stack([r * np.cos(th), r * np.sin(th), z])
-    # generalized golden ratio of dimension d: root of x**(d+1) = x + 1
-    pairs = (k + 1) // 2
-    dim = 2 * pairs
-    phi = 2.0
-    for _ in range(64):
-        phi = (1.0 + phi) ** (1.0 / (dim + 1))
-    alpha = np.array([phi ** -(j + 1) for j in range(dim)])
-    out = np.zeros((count, k))
-    for i in range(count):
-        u = (0.5 + (i + 1) * alpha) % 1.0
-        u = np.clip(u, 1e-12, 1.0 - 1e-12)
-        g = np.empty(dim)
-        for p in range(pairs):
-            r = math.sqrt(-2.0 * math.log(u[2 * p]))
-            g[2 * p] = r * math.cos(2.0 * math.pi * u[2 * p + 1])
-            g[2 * p + 1] = r * math.sin(2.0 * math.pi * u[2 * p + 1])
-        v = g[:k]
-        nv = np.linalg.norm(v)
-        out[i] = v / nv if nv > 1e-12 else np.eye(k)[0]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,17 @@ and certificate replay.
 This layer only cross-checks the certifiers, which never call it.  It
 claims a confirmation only when the decision was exact (a feasible set
 that is all-linear once its s = 1/inf norm balls are lifted, endpoint
-scenario LPs); anything that needed sampling caps at inconclusive.  It
-deliberately skips the u >= 0 validation gate so that instances with
-sign-violating rank-1 factors can still be analysed.
+scenario LPs); a set with a 2-norm row is searched over a polyhedral
+relaxation and caps at inconclusive.  It deliberately skips the u >= 0
+validation gate so that instances with sign-violating rank-1 factors can
+still be analysed.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -22,11 +23,9 @@ from .efficiency import RESIDUAL_TOL, NotFeasiblePointError, weakly_efficient_fo
 from .model import (Ball, Box, Ellipsoid, NormBall, Polytope,
                     RobustFeasibleSet, Singleton, UncertainMOLP,
                     ValidatedProblem, reduce_constraints, validate_dimensions)
-from .numerics import min_norm_point, norm_value, sphere_directions
+from .numerics import min_norm_point, norm_value
 
 _INF = float("inf")
-
-SUPPORT_SAMPLES = 32      # scenario rows sampled per concave constraint
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -85,17 +84,34 @@ def _pull_witness_inside(X, x_bar, w):
     return lo
 
 
+def _anchored_cross_polytope(row, x_bar):
+    """The 2-norm row at s = 1 with P R, R the Householder reflection that
+    takes e_1 to +-u for u = row.worst_case(x_bar) (the identity when
+    u = 0).  Its set {R w : ||w||_1 <= 1} lies in the unit ball and has u
+    as a vertex, so the relaxed row holds on a superset of the row's
+    points and has the same slack at x_bar to first order."""
+    u = row.worst_case(x_bar)
+    R = np.eye(len(u))
+    if u.any():
+        v = u.copy()
+        v[0] += math.copysign(1.0, u[0])
+        R -= (2.0 / (v @ v)) * np.outer(v, v)
+    return replace(row, s=1, P=row.P @ R)
+
+
 def refute_robust_weak_efficiency(p, x_bar, k: int = 11) -> OracleVerdict:
     """Scan a scenario grid for a feasible point strictly dominating x_bar.
 
     The scenario LPs run over the lifted set (RobustFeasibleSet.lift), so
     singleton, polytope, box and s = 1/inf norm-ball classes are exact.
-    Each 2-norm row, the joint ball included, is replaced by
-    SUPPORT_SAMPLES boundary-scenario rows (a superset of the true set), so every candidate
-    witness is replayed against the exact rows before a refutation is
-    claimed; with sampling in play and no refutation found the verdict
-    stays inconclusive.  A ValidatedProblem is taken as validated; a raw
-    problem is checked by validate_dimensions.
+    Each 2-norm row, the joint ball included, is first relaxed to the
+    cross-polytope anchored at x_bar (_anchored_cross_polytope), a
+    superset of the true set, so every candidate witness is replayed
+    against the exact rows, or pulled back toward x_bar until it meets
+    them, before a refutation is claimed; with a 2-norm row in play and no
+    refutation found the verdict stays inconclusive.  A ValidatedProblem
+    is taken as validated; a raw problem is checked by
+    validate_dimensions.
     """
     if isinstance(p, ValidatedProblem):
         vp, p = p, p.problem
@@ -106,23 +122,22 @@ def refute_robust_weak_efficiency(p, x_bar, k: int = 11) -> OracleVerdict:
     X = reduce_constraints(vp)
     if (worst := _min_slack(X, x_bar)) < -1e-8:
         raise NotFeasiblePointError(f"a row is violated by {-worst:.3e}")
-    XL, xl = X.lift(x_bar)
-    exact = not XL.concave
-    X_dec = np.vstack([XL.rows, *(cr.scenario_row(d) for cr in XL.concave
-                                  for d in sphere_directions(cr.P.shape[1], SUPPORT_SAMPLES))])
+    exact = all(r.s != 2 for r in X.concave)
+    XL, xl = replace(X, concave=tuple(_anchored_cross_polytope(r, x_bar) if r.s == 2 else r
+                                      for r in X.concave)).lift(x_bar)
     tau_cols = np.zeros((p.m, XL.n - p.n))
 
     checks = 0
     for i, C in enumerate(scenario_grid(p, k)):
         rho = i / (k - 1)
-        chk = weakly_efficient_for_scenario(np.hstack([C, tau_cols]), X_dec, xl)
+        chk = weakly_efficient_for_scenario(np.hstack([C, tau_cols]), XL.rows, xl)
         checks += 1
         if chk.efficient:
             continue
         w = chk.witness[:p.n]
         if exact or _min_slack(X, w) >= -1e-9:
             return OracleVerdict("refuted", Witness(rho, w, chk.gap), checks)
-        # sampled rows over-approximate the set, so walk the candidate
+        # the relaxation is a superset of the set, so walk the candidate
         # witness back toward x_bar until it is exactly feasible
         t = _pull_witness_inside(X, x_bar, w)
         if t > 0.0 and np.all(t * chk.gap > 1e-9):

@@ -397,8 +397,8 @@ JOINT_BALL_PROBLEM = str(Path(__file__).with_name("joint_ball_problem.json"))
 
 
 def test_certify_joint_balls_and_verify_round_trip_exit_0(tmp_path, capsys):
-    # the oracle samples each ball's boundary, so it cannot confirm, and
-    # it must not refute what certify certified
+    # the oracle relaxes each ball to a cross-polytope, so it cannot
+    # confirm, and it must not refute what certify certified
     code, out = _run(capsys, ["certify", JOINT_BALL_PROBLEM, "--point=0,0", "--oracle", "3",
                               "--json"])
     rep = json.loads(out)
@@ -409,6 +409,19 @@ def test_certify_joint_balls_and_verify_round_trip_exit_0(tmp_path, capsys):
     code, rep = _run_json(capsys, ["verify", JOINT_BALL_PROBLEM, "--point=0,0",
                                    "--cert", str(cert)])
     assert code == 0 and rep["verdict"] == "valid"
+
+
+def test_certify_chain_of_rows_1e5_apart_with_oracle_exit_2(capsys):
+    # x1 >= 1, x2 >= 1e5 x1, x3 >= 1e5 x2 and an ellipsoid row, all tight at
+    # x_bar but the third: certify answers unknown (its Slater search
+    # misses x0 = (1, 1e5, 1e10), a known defect) and the oracle refutes,
+    # never calling x_bar infeasible (exit 4).  The CI workflow runs the
+    # installed script on the same file
+    path = str(Path(__file__).with_name("chain_ellipsoid_problem.json"))
+    code, rep = _run_json(capsys, ["certify", path, "--point=1,100000,20000000000",
+                                   "--oracle", "3"])
+    assert (code, rep["verdict"]) == (2, "unknown")
+    assert rep["payload"]["oracle"]["outcome"] == "refuted"
 
 
 def test_certify_whose_cone_systems_stop_early_and_verify_exit_0(tmp_path, capsys):

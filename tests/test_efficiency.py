@@ -13,7 +13,7 @@ from robustmolp.efficiency import (NotFeasiblePointError, active_geometry,
                                    weakly_efficient_for_scenario)
 from robustmolp.feasibility import radius_of_robust_feasibility
 from robustmolp.model import (Ball, Box, Ellipsoid, NormBall,
-                              Polytope, Singleton, UncertainMOLP,
+                              Polytope, Singleton, UncertainMOLP, load_problem,
                               reduce_constraints, validate_problem)
 from robustmolp.numerics import VI_TOL, norm_value
 from robustmolp.oracle import refute_robust_weak_efficiency, verify_certificate
@@ -365,6 +365,22 @@ def test_no_slater_point_no_refutation_across_an_active_two_norm_row(cons, C, x)
     assert ", stop " in out.reason
     assert out.reason.endswith(f"but {chk.reason} to tilt its Farkas direction "
                                "into the active 2-norm rows")
+
+
+@pytest.mark.xfail(strict=True, reason="the Slater search answers 'none' from its distance "
+                                       "alone on rows scaled 1e5 apart (ROADMAP known defects)")
+def test_chain_of_rows_1e5_apart_has_a_slater_point_and_is_refuted():
+    # x1 >= 1, x2 >= 1e5 x1, x3 >= 1e5 x2 and the ellipsoid row
+    # x1 >= 5e-11 |x3| under min x3: x0 = (1, 1e5, 1e10) meets the linear
+    # rows and the 2-norm row with slack 0.5, yet the search reports "no
+    # Slater point exists (distance 1.000e-10)", so certify at
+    # x_bar = (1, 1e5, 2e10) answers unknown where x0 refutes it
+    vp = validate_problem(load_problem(Path(__file__).with_name("chain_ellipsoid_problem.json")))
+    X = reduce_constraints(vp)
+    x0, x_bar = np.array([1.0, 1e5, 1e10]), np.array([1.0, 1e5, 2e10])
+    assert min(X.slack(x0)) >= 0.0 and X.concave[0].slack(x0) == 0.5
+    assert check_slater(X).ok
+    assert_replaying_refutation(vp.problem, x_bar, certify_weak_efficiency(vp, x_bar))
 
 
 def test_certified_active_two_norm_row_runs_no_slater_search(monkeypatch):

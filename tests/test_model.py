@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import box_vertices
+from robustmolp.efficiency import certify_weak_efficiency
 from robustmolp.model import (Ball, Box, ConcaveRow, Ellipsoid,
                               NormBall, Polytope, ProblemFormatError,
                               RobustFeasibleSet, Singleton, UncertainMOLP,
@@ -13,7 +14,8 @@ from robustmolp.model import (Ball, Box, ConcaveRow, Ellipsoid,
                               endpoint_objectives, load_problem, parse_problem,
                               problem_to_dict, reduce_constraints,
                               validate_dimensions, validate_problem)
-from robustmolp.numerics import sphere_directions
+from robustmolp.numerics import norm_value
+from robustmolp.oracle import verify_certificate
 
 _INF = float("inf")
 
@@ -92,6 +94,32 @@ def test_singular_z_rejected():
     with pytest.raises(ValidationError) as exc:
         validate_problem(p)
     assert exc.value.kind == "SingularZ"
+
+
+def test_ill_scaled_z_in_eight_dimensions_validates_and_certifies():
+    # Z = diag(1, 0.01, ..., 0.01) has condition number 100 but det(Z) =
+    # 1e-14, while diag(1, 1e-7, 1) has condition number 1e7 and det 1e-7:
+    # only the singular values order the two as their conditioning does
+    n = 8
+    Z = np.diag([1.0] + [0.01] * (n - 1))
+    e1 = np.eye(n)[0]
+    p = UncertainMOLP(1, n, [e1], [0.0], np.zeros(n),
+                      (NormBall(np.zeros(n), Z, 1.0, 2, -2.0, -1.0),))
+    vp = validate_problem(p)
+    # x = -e1 is the row's nearest point to the origin with C = e1^T, so it
+    # minimizes the objective over the set
+    out = certify_weak_efficiency(vp, -e1)
+    assert out.status == "certified"
+    assert verify_certificate(vp, -e1, out.certificate).ok
+
+
+def test_z_whose_largest_singular_value_overflows_validates():
+    # singular values 2.5e308 (past the float range) and 5e307: the
+    # singular-value test runs on Z divided by its largest entry
+    Z = [[1.5e308, 1e308], [1e308, 1.5e308]]
+    p = UncertainMOLP(1, 2, [[1.0, 0.0]], [0.0], [0.0, 0.0],
+                      (NormBall([1.0, 0.0], Z, 1.0, 2, -1.0, 0.0),))
+    validate_problem(p)
 
 
 def test_empty_vertex_list_rejected():
@@ -221,8 +249,8 @@ def test_ball_concave_value_lower_bounds_sampled_scenarios(rng):
         x = rng.normal(0, 2, n)
         val = row.slack(x)
         sampled = []
-        for d in sphere_directions(n + 1, 64):
-            r = row.scenario_row(d)
+        for d in rng.normal(0, 1, (64, n + 1)):
+            r = row.realize(d / np.linalg.norm(d))
             assert np.linalg.norm(r - [*a, b]) == pytest.approx(alpha)
             sampled.append(float(r[:-1] @ x - r[-1]))
         # one-sided bound: the worst case is below every sampled scenario
@@ -245,8 +273,8 @@ def test_norm_ball_concave_row_lower_bounds_scenarios(rng):
         row = reduce_constraints(validate_problem(p)).concave[0]
         x = rng.normal(0, 2, n)
         val = row.slack(x)
-        for d in sphere_directions(n, 64):
-            r = row.scenario_row(d)
+        for d in rng.normal(0, 1, (64, n)):
+            r = row.realize(d / norm_value(d, s))
             assert val <= float(r[:-1] @ x - r[-1]) + 1e-12
         assert r[-1] == 2.0       # worst case uses the upper b endpoint
 
@@ -273,7 +301,7 @@ def test_norm_ball_and_ellipsoid_share_one_row(rng):
             d = rng.normal(0, 1, n)
             assert nb.slack(x) == pytest.approx(el.slack(x), rel=0, abs=1e-12)
             assert nb.supergradient(x) == pytest.approx(el.supergradient(x), rel=0, abs=1e-12)
-            r_nb, r_el = nb.scenario_row(d), el.scenario_row(d)
+            r_nb, r_el = nb.realize(d / np.linalg.norm(d)), el.realize(d / np.linalg.norm(d))
             assert r_nb[:-1] == pytest.approx(r_el[:-1], rel=0, abs=1e-12)
             assert r_nb[-1] == r_el[-1] == 2.0
 

@@ -10,8 +10,7 @@ from conftest import as_geq, highs
 from robustmolp import numerics
 from robustmolp.numerics import (SingularMatrixError,
                                  invert_symmetric, min_norm_point,
-                                 project_simplex, solve_cone_system, solve_lp,
-                                 sphere_directions)
+                                 project_simplex, solve_cone_system, solve_lp)
 
 _INF = float("inf")
 _EPS = float(np.finfo(float).eps)
@@ -310,7 +309,7 @@ def test_project_simplex_past_2_53_projects_the_translate():
 
 
 # ---------------------------------------------------------------------------
-# norms, inverse, directions
+# norms, inverse
 # ---------------------------------------------------------------------------
 
 def test_invert_symmetric():
@@ -323,15 +322,6 @@ def test_invert_symmetric():
     assert np.abs(Z @ Zi - np.eye(2)).max() <= 1e-8
     with pytest.raises(SingularMatrixError):
         invert_symmetric(np.array([[1.0, 1.0], [1.0, 1.0]]))
-
-
-def test_sphere_directions_unit_and_deterministic():
-    for k in (1, 2, 3, 5):
-        d1 = sphere_directions(k, 32)
-        d2 = sphere_directions(k, 32)
-        assert np.array_equal(d1, d2)
-        assert d1.shape == (32, k)
-        assert np.linalg.norm(d1, axis=1) == pytest.approx(np.ones(32), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

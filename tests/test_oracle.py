@@ -1,10 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import assert_replaying_witness, random_polyhedral_problem, vertex_candidate
+from conftest import (assert_replaying_witness, random_feasible_rows,
+                      random_polyhedral_problem, vertex_candidate)
 from robustmolp.efficiency import certify_weak_efficiency
 from robustmolp.model import (Ball, Ellipsoid, NormBall, Polytope, Singleton, UncertainMOLP,
-                              reduce_constraints, validate_problem)
+                              load_problem, reduce_constraints, validate_problem)
 from robustmolp.oracle import (refute_robust_weak_efficiency, scenario_grid,
                                verify_certificate)
 
@@ -12,6 +15,7 @@ V1 = Polytope(((-2, -1, -2, -6), (-1, -2, -2, -6)))
 V2 = Polytope(((-1, 0, 0, -3), (0, -1, 0, -3), (0, 0, -1, -3)))
 C2 = np.array([[-3.0, -1, -2], [0.0, -1, -2]])
 XBAR = np.array([1.0, 1.0, 1.5])
+CHAIN_ELLIPSOID = Path(__file__).with_name("chain_ellipsoid_problem.json")
 
 
 def original_instance():
@@ -75,18 +79,20 @@ def test_confirms_zero_objective():
 
 def test_inconclusive_with_concave_rows_when_no_witness():
     # strictly interior X boundary far away; certified instance stays
-    # inconclusive for the oracle because sampling was needed
+    # inconclusive for the oracle because the 2-norm row was relaxed
     p = UncertainMOLP(1, 1, [[1.0]], [0.0], [0.0],
                       (NormBall([1.0], [[1.0]], 0.5, 2, 0.0, 0.0),))
     v = refute_robust_weak_efficiency(p, [0.0], k=3)
     assert v.outcome == "inconclusive"
 
 
-def test_sampled_witness_outside_the_set_is_pulled_back_inside(monkeypatch):
+def test_relaxed_witness_outside_the_set_is_pulled_back_inside(monkeypatch):
     # x3 = 1 and a disk of radius 0.01 in (x1, x2), an ellipsoid homogenized
-    # over (x, t): the scenario LP over its sampled rows, a superset of the
-    # disk, finds a witness just outside it, which is walked back toward
-    # x_bar until it is exactly feasible
+    # over (x, t): the scenario LP over its anchored cross-polytope, a
+    # square with x_bar in the middle of an edge, finds the witness at a
+    # corner outside the disk, which is walked back toward x_bar until it
+    # is exactly feasible; the segment is tangent to the disk at x_bar, so
+    # only a short piece of it (about 1.4e-5) stays inside
     import robustmolp.oracle as oracle
     e3 = np.array([0.0, 0.0, 1.0])
     p = UncertainMOLP(1, 3, [[0.0, 1.0, 0.0]], [0.0], np.zeros(3), (
@@ -103,7 +109,7 @@ def test_sampled_witness_outside_the_set_is_pulled_back_inside(monkeypatch):
     monkeypatch.setattr(oracle, "_pull_witness_inside", spy)
     v = refute_robust_weak_efficiency(p, x_bar, k=3)
     assert v.outcome == "refuted"
-    assert len(pulled) == 1 and 0.9 < pulled[0] < 1.0
+    assert len(pulled) == 1 and 0.0 < pulled[0] < 1.0
     assert_replaying_witness(p, x_bar, v.witness.rho, v.witness.x)
 
 
@@ -122,6 +128,59 @@ def test_no_false_refutations_property(rng):
         X = reduce_constraints(validate_problem(prob))
         assert min(X.slack(w.x)) >= -1e-9
     assert refs > 0
+
+
+def _two_norm_class(rng, x0):
+    """A random 2-norm ball, ellipsoid or joint ball that x0 meets, on its
+    boundary or at slack 1."""
+    n = x0.size
+    a = rng.integers(-3, 4, n).astype(float)
+    r = float(rng.uniform(0.1, 1.0))
+    gap = float(rng.integers(0, 2))
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        b = float(a @ x0 - r * np.linalg.norm(x0)) - gap
+        return NormBall(a, np.eye(n), r, 2, b - 1.0, b)
+    if kind == 1:
+        spans = rng.normal(0, r, (int(rng.integers(1, 3)), n))
+        b = float(a @ x0 - np.linalg.norm(spans @ x0)) - gap
+        return Ellipsoid(a, tuple(spans), b - 1.0, b)
+    return Ball(a, float(a @ x0 - r * np.sqrt(x0 @ x0 + 1.0)) - gap, r)
+
+
+def test_no_false_refutations_on_two_norm_rows(rng):
+    # the scenario LPs see each 2-norm row relaxed to a cross-polytope, a
+    # superset of it, so every refutation must replay against the exact
+    # rows, and no verdict can be a confirmation
+    refs = 0
+    for _ in range(60):
+        n = int(rng.integers(1, 4))
+        rows, x0 = random_feasible_rows(rng, n=n, p=int(rng.integers(0, 3)))
+        m = int(rng.integers(1, 3))
+        prob = UncertainMOLP(m, n, rng.integers(-3, 4, (m, n)).astype(float),
+                             rng.integers(0, 3, m).astype(float),
+                             rng.integers(-3, 4, n).astype(float),
+                             (*(Singleton(a, b) for a, b in rows), _two_norm_class(rng, x0)))
+        v = refute_robust_weak_efficiency(prob, x0, k=5)
+        assert v.outcome != "confirmed"
+        if v.outcome == "refuted":
+            refs += 1
+            assert_replaying_witness(prob, x0, v.witness.rho, v.witness.x)
+    assert refs > 0
+
+
+def test_chain_of_rows_1e5_apart_is_refuted_with_a_replaying_witness():
+    # x1 >= 1, x2 >= 1e5 x1, x3 >= 1e5 x2 and the ellipsoid row
+    # x1 >= 5e-11 |x3|, all tight at x_bar = (1, 1e5, 2e10) but the third;
+    # x3 is minimized, so (1, 1e5, 1e10) dominates.  The scenario LPs must
+    # keep x_bar feasible (no NotFeasiblePointError) across rows 1e5 apart
+    p = load_problem(CHAIN_ELLIPSOID)
+    x_bar = np.array([1.0, 1e5, 2e10])
+    v = refute_robust_weak_efficiency(p, x_bar, k=3)
+    assert v.outcome == "refuted"
+    assert v.witness.x == pytest.approx([1.0415, 104151.76, 2e10 - 0.0415], rel=1e-4)
+    assert v.witness.gap == pytest.approx([0.0415], rel=1e-2)
+    assert_replaying_witness(p, x_bar, v.witness.rho, v.witness.x)
 
 
 def test_grid_monotonicity(rng):
