@@ -8,9 +8,8 @@ from .model import (Ball, Box, ConcaveRow, Ellipsoid, NormBall,
                     ValidatedProblem, ValidationError, endpoint_objectives,
                     load_problem, parse_problem, problem_to_dict,
                     reduce_constraints, validate_dimensions, validate_problem)
-from .numerics import (NumericalBreakdown, SingularMatrixError,
-                       invert_symmetric, min_norm_point, project_simplex,
-                       solve_cone_system, solve_lp)
+from .numerics import (NumericalBreakdown, SingularMatrixError, min_norm_point,
+                       project_simplex, solve_cone_system, solve_lp)
 from .feasibility import (BallFeasibility, FeasibilityResult,
                           NominalInfeasibleError, NonCertifiedError,
                           RadiusResult, UnsupportedClassError,

@@ -113,13 +113,19 @@ def weakly_efficient_for_scenario(C, rows, x_bar) -> ScenarioCheck:
     """Is x_bar weakly efficient for objective C over {x : A x >= b}, rows = [A | b]?
 
     Maximizes the smallest componentwise improvement t over it (capped at
-    1 so the LP always has an optimum); no point improves every objective
-    strictly exactly when the optimal t is <= IMPROVEMENT_TOL.
+    1 so the LP always has an optimum), from (x_bar, t = 0); no point
+    improves every objective strictly exactly when the optimal t is
+    <= IMPROVEMENT_TOL.  A row that x_bar misses by more than ACTIVE_TOL
+    raises NotFeasiblePointError.
     """
     C = np.atleast_2d(np.asarray(C, float))
     m, n = C.shape
     rows = np.reshape(np.asarray(rows, float), (-1, n + 1))
     x_bar = np.asarray(x_bar, float)
+    s = RobustFeasibleSet(n, rows, np.arange(len(rows))).slack(x_bar)
+    if s.size and (worst := s.min()) < -ACTIVE_TOL:
+        raise NotFeasiblePointError(f"row {s.argmin()} violated by {-worst:.3e} "
+                                    "at the candidate point")
     base = C @ x_bar
     k = len(rows)
     # rows over (x, t): a.x >= b, C_i x + t <= C_i x_bar, and t <= 1
@@ -128,9 +134,7 @@ def weakly_efficient_for_scenario(C, rows, x_bar) -> ScenarioCheck:
     G[k:k + m, :n] = -C
     G[k:, n] = -1.0
     h = np.concatenate([rows[:, n], -base, [-1.0]])
-    sol = solve_lp(G[-1], G, h, -_INF)         # min -t
-    if sol.status == "infeasible":
-        raise NotFeasiblePointError("candidate point is not in the set")
+    sol = solve_lp(G[-1], G, h, np.append(x_bar, 0.0))     # min -t
     if sol.status == "unbounded":  # pragma: no cover - cap prevents this
         return ScenarioCheck(False)
     t = float(sol.x[n])

@@ -18,8 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import (NumericalBreakdown, SingularMatrixError, invert_symmetric,
-                       require_nonsingular, slack_value)
+from .numerics import NumericalBreakdown, SingularMatrixError, require_nonsingular, slack_value
 
 _INF = float("inf")
 
@@ -498,7 +497,7 @@ def reduce_constraints(vp: ValidatedProblem) -> RobustFeasibleSet:
         a, P, s = own_row(c, 0, p.n), None, 2
         b = c.b_bar if isinstance(c, (Singleton, Ball)) else c.b_hi
         if isinstance(c, NormBall) and c.delta != 0.0:
-            P, s = c.delta * invert_symmetric(c.Z), c.s
+            P, s = c.delta * np.linalg.inv(c.Z), c.s
         elif isinstance(c, Ellipsoid) and c.spans:
             P = np.array(c.spans).T
         if P is not None:

@@ -1,9 +1,10 @@
 """Self-contained dense numerical kernel.
 
-Provides the primitives everything else is built on: a two-phase simplex
-LP solver, Euclidean projection onto the unit simplex, the minimum-norm
-point of a polytope-plus-cone set conv(points) + cone(rays), and a
-block-structured second-order-cone feasibility solver.  The minimum-norm
+Provides the primitives everything else is built on: a one-phase simplex
+LP solver started at a given feasible point, Euclidean projection onto the
+unit simplex, the minimum-norm point of a polytope-plus-cone set
+conv(points) + cone(rays), and a block-structured second-order-cone
+feasibility solver.  The minimum-norm
 point decides every feasibility question at distance 0: the radius is its
 distance with the single ray (0, ..., 0, -1); nominal rows are infeasible
 when (0, ..., 0, 1) is in their cone; an endpoint multiplier system is
@@ -41,21 +42,21 @@ class SingularMatrixError(Exception):
 # Linear programming
 # ---------------------------------------------------------------------------
 
-MAX_PIVOTS = 100_000    # Bland pivots per LP, phases 1 and 2
+MAX_PIVOTS = 100_000    # Bland pivots per LP
 
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "unbounded"
     x: np.ndarray | None = None
-    pivots: int = 0                       # Bland pivots, phases 1 and 2
+    pivots: int = 0                       # Bland pivots
 
     @property
     def optimal(self):
         return self.status == "optimal"
 
 
-_PIV_EPS = 1e-9         # pivots on entries near 1e-10 let phase 1 drift
+_PIV_EPS = 1e-9         # least pivot entry: pivots near 1e-10 let a tableau drift
 _RC_EPS = 1e-9
 
 
@@ -74,150 +75,82 @@ def unit_rows(G, h):
     return U
 
 
-def solve_lp(c, G, h, lower) -> LpSolution:
-    """min c.x  subject to  G x >= h and x >= lower (-inf: a free
-    variable): the oracle's scenario LP; feasibility and the Slater search
-    are minimum-norm points (feasibility.is_feasible, maximize_min_slack).
+def solve_lp(c, G, h, x0) -> LpSolution:
+    """min c.x  subject to  G x >= h over free x, from a point x0 that
+    meets every row: the oracle's scenario LP; feasibility and the Slater
+    search are minimum-norm points (feasibility.is_feasible,
+    maximize_min_slack).
 
-    Two-phase dense simplex with Bland's anti-cycling rule on unit_rows.
-    Infeasible and unbounded verdicts are exact (up to the scaled phase-1
-    threshold).  More than MAX_PIVOTS pivots in phases 1 and 2 raise
-    NumericalBreakdown; the drive-out of artificial variables between them
-    is not counted.  An optimal point that is not finite raises it too.
+    One phase of dense simplex with Bland's anti-cycling rule on
+    unit_rows, in x = x0 + d with d = d+ - d-: x0 makes the slack basis
+    feasible, so no phase finds a start.  A row that x0 misses by
+    rounding is taken as met (its right-hand side in d is clamped to 0),
+    so the status is never "infeasible"; a caller checks x0 against its
+    own tolerance first.  "unbounded" is exact up to _PIV_EPS.  More than
+    MAX_PIVOTS pivots raise NumericalBreakdown, and so does data or an
+    optimal point that is not finite.
 
-    The tableau is stored transposed, one array row per column, so that a
-    pivot is a single rank-1 update of the columns where the pivot row is
-    nonzero.  Its last column holds the reduced costs and its last row
-    the right-hand side.  A basic column is an exact unit vector with a
-    zero reduced cost (a pivot never touches it), so Bland's scan for the
-    entering column needs no test of basis membership.
+    The tableau is stored transposed, one array row per column (d+_j and
+    d-_j side by side, then the slacks), so that a pivot is a single
+    rank-1 update of the columns where the pivot row is nonzero.  Its last
+    column holds the reduced costs and its last row the right-hand side.
+    A basic column is an exact unit vector with a zero reduced cost (a
+    pivot never touches it), so Bland's scan for the entering column
+    needs no test of basis membership.
     """
     c = np.asarray(c, float)
-    d = c.size
-    lb = np.empty(d)
-    lb[:] = lower
-    free = ~np.isfinite(lb)
-    n_free = int(np.count_nonzero(free))
-
-    # Shift finitely-bounded variables to >= 0; a free variable gets a
-    # negated copy in the column right after its own.
-    offsets, first = lb, slice(d)
-    if n_free:
-        offsets = np.where(free, 0.0, lb)
-        first = np.arange(d) + np.cumsum(free) - free
-        neg = first[free] + 1
-    n_var = d + n_free
-
-    G = np.asarray(G, float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        U = unit_rows(G, h - G @ offsets if offsets.any() else h)
+    x0 = np.asarray(x0, float)
+    n = c.size
+    U = unit_rows(np.asarray(G, float), h)
     m = len(U)
-    if m == 0:
-        if np.any(c < -1e-12) or np.any(c[free] > 1e-12):
-            return LpSolution("unbounded")
-        return LpSolution("optimal", offsets)
-    N = n_var + m
-    c_std = np.zeros(N)
-    c_std[first] = c
+    A = U[:, :-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = U[:, -1] - A @ x0
+    if not np.isfinite(r).all():
+        raise NumericalBreakdown("solve_lp: a row's slack at the start is not finite")
 
-    rhs = U[:, -1]
-    flips = np.where(rhs < 0, -1.0, 1.0)        # unit rows flipped to make b >= 0
-    rows = U[:, :-1] * flips[:, None]
-
-    # Phase 1: [A | slacks | artificials | b]^T, reduced costs last.
-    # Phase-1 reduced costs: minus the sum of the rows, added in row order
-    # (a cumulative sum is sequential, where sum may pair terms up).  A
-    # slack column holds one entry, an artificial one cancels its cost.
-    T = np.zeros((N + m + 1, m + 1))
-    total = rows.cumsum(axis=0)[-1]
-    T[first, :m] = rows.T
-    T[first, m] = -total
-    if n_free:
-        c_std[neg] = -c[free]
-        T[neg, :m] = -rows[:, free].T
-        T[neg, m] = total[free]
-    T[np.arange(n_var, N), np.arange(m)] = -flips
-    T[n_var:N, m] = flips
-    np.fill_diagonal(T[N:N + m], 1.0)
-    T[-1, :m] = rhs * flips
-    T[-1, m] = -T[-1, :m].cumsum()[-1]
-    basis = list(range(N, N + m))
+    # the rows A d - s = r, s >= 0, negated: the slacks form the basis, and
+    # the right-hand side -r is >= 0 once a miss by rounding is clamped
+    N = 2 * n + m
+    T = np.zeros((N + 1, m + 1))
+    T[0:2 * n:2, :m] = -A.T
+    T[1:2 * n:2, :m] = A.T
+    np.fill_diagonal(T[2 * n:N], 1.0)
+    T[0:2 * n:2, m] = c
+    T[1:2 * n:2, m] = -c
+    T[-1, :m] = -np.minimum(r, 0.0)
+    basis = list(range(2 * n, N))
     pivots = 0
-
-    def pivot(r, enter):
-        nz = T[:, r].nonzero()[0]
+    while True:
+        cand = (T[:N, -1] < -_RC_EPS).nonzero()[0]
+        if not cand.size:
+            break
+        enter = int(cand[0])
+        col = T[enter, :-1]
+        elig = (col > _PIV_EPS).nonzero()[0]
+        if not elig.size:
+            return LpSolution("unbounded", pivots=pivots)
+        best, leave = _INF, -1
+        ratios = T[-1].take(elig) / col.take(elig)
+        for i, ratio in zip(elig.tolist(), ratios.tolist()):
+            if (leave < 0 or ratio < best - 1e-12 or
+                    (abs(ratio - best) <= 1e-12 and basis[i] < basis[leave])):
+                best, leave = ratio, i
+        nz = T[:, leave].nonzero()[0]
         block = T.take(nz, axis=0)
-        prow = block[:, r] / T[enter, r]
-        # the update also reaches row r (column r of block); reset it
+        prow = block[:, leave] / T[enter, leave]
+        # the update also reaches row leave (column leave of block); reset it
         block -= np.multiply.outer(prow, T[enter])
-        block[:, r] = prow
+        block[:, leave] = prow
         T[nz] = block
-        basis[r] = enter
-
-    def run_simplex(allowed):
-        nonlocal pivots
-        while True:
-            cand = (T[:allowed, -1] < -_RC_EPS).nonzero()[0]
-            if not cand.size:
-                return "optimal"
-            enter = int(cand[0])
-            col = T[enter, :-1]
-            elig = (col > _PIV_EPS).nonzero()[0]
-            if not elig.size:
-                return "unbounded"
-            best, leave = _INF, -1
-            ratios = T[-1].take(elig) / col.take(elig)
-            for i, ratio in zip(elig.tolist(), ratios.tolist()):
-                if (leave < 0 or ratio < best - 1e-12 or
-                        (abs(ratio - best) <= 1e-12 and basis[i] < basis[leave])):
-                    best, leave = ratio, i
-            pivot(leave, enter)
-            pivots += 1
-            if pivots > MAX_PIVOTS:
-                raise NumericalBreakdown(f"pivot budget {MAX_PIVOTS} exhausted")
-
-    # phase 1 is bounded below by 0: "unbounded" means the tableau drifted,
-    # after pivots on entries barely above _PIV_EPS, until a column with a
-    # negative reduced cost kept no entry above it
-    if run_simplex(N + m) == "unbounded":
-        raise NumericalBreakdown("phase-1 unbounded")
-    if -T[-1, -1] > 1e-9:
-        return LpSolution("infeasible", pivots=pivots)
-
-    # Drive remaining artificials out of the basis; move the rows where
-    # none can leave behind the live ones, and drop them.
-    mk = m
-    r = 0
-    while r < mk:
-        if basis[r] >= N:
-            cand = (np.abs(T[:N, r]) > 1e-9).nonzero()[0]
-            if not cand.size:
-                last = mk - 1
-                T[:, [r, last]] = T[:, [last, r]]
-                basis[r], basis[last] = basis[last], basis[r]
-                mk -= 1
-                continue
-            pivot(r, int(cand[0]))
-        r += 1
-    del basis[mk:]
-
-    # Phase 2 over the kept rows, without the artificial columns: the
-    # right-hand side moves up over the first of them, and a view drops
-    # the rest and the dropped rows.
-    T[N] = T[-1]
-    T = T[:N + 1, :mk + 1]
-    T[:N, -1] = c_std
-    T[-1, -1] = 0.0
-    for i in np.flatnonzero(c_std[basis]).tolist():
-        T[:, -1] -= c_std[basis[i]] * T[:, i]
-    if run_simplex(N) == "unbounded":
-        return LpSolution("unbounded", pivots=pivots)
-    x_std = np.zeros(N)
-    x_std[basis] = T[-1, :-1]
+        basis[leave] = enter
+        pivots += 1
+        if pivots > MAX_PIVOTS:
+            raise NumericalBreakdown(f"pivot budget {MAX_PIVOTS} exhausted")
+    d_std = np.zeros(N)
+    d_std[basis] = T[-1, :-1]
     with np.errstate(over="ignore"):
-        x = offsets + x_std[first]
-    if n_free:
-        x[free] -= x_std[neg]
+        x = x0 + (d_std[0:2 * n:2] - d_std[1:2 * n:2])
     if not np.isfinite(x).all():
         raise NumericalBreakdown("the optimal point is not finite")
     return LpSolution("optimal", x, pivots)
@@ -295,10 +228,6 @@ def require_nonsingular(Z: np.ndarray) -> np.ndarray:
         raise SingularMatrixError("matrix is numerically singular")
     return Z
 
-
-def invert_symmetric(Z: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric matrix that passes require_nonsingular."""
-    return np.linalg.inv(require_nonsingular(Z))
 
 
 # ---------------------------------------------------------------------------

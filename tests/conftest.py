@@ -59,7 +59,8 @@ def random_feasible_rows(rng, n=None, p=None, min_slack=0):
 
 
 def random_polyhedral_problem(rng, m_max=3, n_max=4, p_max=4, box=6.0):
-    """All-singleton/polytope instance with u >= 0 and a bounding box."""
+    """All-singleton/polytope instance with u >= 0 and a bounding box, and
+    the integer anchor that meets every row."""
     m = int(rng.integers(1, m_max + 1))
     n = int(rng.integers(1, n_max + 1))
     x0 = rng.integers(-2, 3, n).astype(float)
@@ -87,7 +88,7 @@ def random_polyhedral_problem(rng, m_max=3, n_max=4, p_max=4, box=6.0):
     C = rng.integers(-5, 6, (m, n)).astype(float)
     u = rng.integers(0, 4, m).astype(float)
     v = rng.integers(-5, 6, n).astype(float)
-    return UncertainMOLP(m, n, C, u, v, tuple(cons))
+    return UncertainMOLP(m, n, C, u, v, tuple(cons)), x0
 
 
 def box_vertices(a_lo, a_hi):
@@ -105,13 +106,14 @@ def vertex_multipliers(rec, vertices):
     return [rec.mu if np.array_equal(row, v) else 0.0 for v in vertices]
 
 
-def vertex_candidate(rng, problem):
+def vertex_candidate(rng, problem, anchor):
     """A vertex of the linear rows of the reduced feasible set (basic
-    optimum of a random LP); rows of other kinds are left out."""
+    optimum of a random LP started at an anchor that meets them); rows of
+    other kinds are left out."""
     X = reduce_constraints(validate_problem(problem))
     n = problem.n
     c = rng.integers(-5, 6, n).astype(float)
-    sol = solve_lp(c, X.A, X.b, -_INF)
+    sol = solve_lp(c, X.A, X.b, anchor)
     assert sol.optimal, "bounding box should keep the LP bounded"
     return sol.x
 

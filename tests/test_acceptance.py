@@ -110,9 +110,9 @@ def test_criterion_5_endpoint_equivalence_suite():
     t0 = time.monotonic()
     disagreements = 0
     for _ in range(200):
-        prob = random_polyhedral_problem(rng)
+        prob, anchor = random_polyhedral_problem(rng)
         vp = validate_problem(prob)
-        x = vertex_candidate(rng, prob)
+        x = vertex_candidate(rng, prob, anchor)
         out = certify_weak_efficiency(vp, x)
         X = reduce_constraints(vp)
         C1 = prob.C_bar + np.outer(prob.u, prob.v)
@@ -146,7 +146,7 @@ def _box_poly_pair(rng):
     u = rng.integers(0, 3, m).astype(float)
     v = rng.integers(-5, 6, n).astype(float)
     return (UncertainMOLP(m, n, C, u, v, tuple(boxes)),
-            UncertainMOLP(m, n, C, u, v, tuple(polys)))
+            UncertainMOLP(m, n, C, u, v, tuple(polys)), x0)
 
 
 def _norm_ell_pair(rng):
@@ -172,9 +172,9 @@ def test_criterion_6_cross_class_consistency():
     rng = np.random.default_rng(20240613)
     box_ok = True
     for _ in range(50):
-        pb, pp = _box_poly_pair(rng)
+        pb, pp, anchor = _box_poly_pair(rng)
         # a vertex of the same set, taken from its vertex rows
-        x = vertex_candidate(rng, pp)
+        x = vertex_candidate(rng, pp, anchor)
         box_ok &= (certify_weak_efficiency(validate_problem(pb), x).status
                    == certify_weak_efficiency(validate_problem(pp), x).status)
 
@@ -187,7 +187,7 @@ def test_criterion_6_cross_class_consistency():
     d0_ok = True
     done = 0
     while done < 50:
-        prob = random_polyhedral_problem(rng, n_max=3)
+        prob, anchor = random_polyhedral_problem(rng, n_max=3)
         sing = [c for c in prob.constraints if isinstance(c, Singleton)]
         if not sing:
             continue
@@ -195,7 +195,7 @@ def test_criterion_6_cross_class_consistency():
                      for c in sing)
         pn = UncertainMOLP(prob.m, prob.n, prob.C_bar, prob.u, prob.v, norm)
         ps = UncertainMOLP(prob.m, prob.n, prob.C_bar, prob.u, prob.v, tuple(sing))
-        x = vertex_candidate(rng, ps)
+        x = vertex_candidate(rng, ps, anchor)
         d0_ok &= (certify_weak_efficiency(validate_problem(pn), x).status
                   == certify_weak_efficiency(validate_problem(ps), x).status)
         done += 1
@@ -238,7 +238,8 @@ def test_criterion_7_numerical_kernel_suite():
             G.append(g)
             h.append(float(g @ x0 - rng.integers(0, 5)))
         G, h = np.vstack(G + [-np.eye(n)]), np.array(h + [-10.0] * n)   # x_i <= 10
-        sol = solve_lp(c, G, h, 0.0)
+        # from the anchor, with x >= 0 as rows
+        sol = solve_lp(c, np.vstack([G, np.eye(n)]), np.append(h, np.zeros(n)), x0)
         lp_ok &= sol.optimal and abs(c @ sol.x - _vertex_min(c, G, h)) <= 1e-7
     _line("criterion 7: kernel suite (min-norm VI, simplex projection, "
           "LP optimum; 100 each)", vi_ok and proj_ok and lp_ok)

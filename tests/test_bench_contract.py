@@ -41,7 +41,7 @@ def _real_results():
     x = np.zeros(2)
     outcome = certify_weak_efficiency(vp, x)
     return {
-        "numerics.solve_lp": solve_lp([1.0], [[1.0]], [1.0], 0.0),
+        "numerics.solve_lp": solve_lp([1.0], [[1.0]], [1.0], [1.0]),
         "numerics.min_norm_point": min_norm_point([np.ones(2)], np.zeros(2)),
         "numerics.solve_cone_system": solve_cone_system([[1.0, 0.0, 1.0]], [2.0], [("soc", 3)]),
         "model.reduce_constraints": reduce_constraints(vp),

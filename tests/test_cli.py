@@ -440,6 +440,21 @@ def test_certify_whose_cone_systems_stop_early_and_verify_exit_0(tmp_path, capsy
 POLYTOPE_BOX_PROBLEM = str(Path(__file__).with_name("polytope_box_problem.json"))
 
 
+def test_certify_with_oracle_takes_a_point_5e_9_outside_a_row_as_in_the_set(tmp_path, capsys):
+    # within the 1e-8 that certify and the oracle allow: the oracle's
+    # scenario LPs start at the point and take the row it misses as met
+    doc = {"m": 2, "n": 2, "C_bar": [[-1.0, 0.0], [0.0, -1.0]], "u": [0.0, 0.0],
+           "v": [0.0, 0.0],
+           "constraints": [{"kind": "singleton", "a_bar": a, "b_bar": b}
+                           for a, b in (([1.0, 0.0], 0.0), ([0.0, 1.0], 0.0),
+                                        ([-1.0, 0.0], -1.0), ([0.0, -1.0], -1.0))]}
+    code, rep = _run_json(capsys, ["certify", _write(tmp_path, doc), f"--point={1 + 5e-9!r},1",
+                                   "--oracle", "3"])
+    assert code == 0 and rep["verdict"] == "certified"
+    assert rep["payload"]["oracle"]["outcome"] == "confirmed"
+    assert rep["payload"]["oracle"]["checks_run"] == 3
+
+
 def test_certify_on_objectives_scaled_by_1e8_is_not_refuted(capsys):
     # a point certified at scale 1 once came back refuted (exit 1), with a
     # witness that left an active row by 0.033 (the CI workflow runs the

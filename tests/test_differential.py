@@ -16,35 +16,35 @@ optimize = pytest.importorskip("scipy.optimize")
 _INF = float("inf")
 
 
-def _lp(c, rows, lb):
+def _lp(c, rows, x0):
     """The arguments (c, G, h, lower, eq) of conftest.highs for (g, h,
-    sense) rows; _solve hands them to solve_lp."""
+    sense) rows over free variables, and the anchor x0 that meets them;
+    _solve hands the rows and x0 to solve_lp."""
     G, h, senses = zip(*rows)
-    return c, np.array(G), np.array(h), lb, np.array(senses) == "=="
+    return (c, np.array(G), np.array(h), -_INF, np.array(senses) == "=="), x0
 
 
-def _solve(c, G, h, lb, eq):
+def _solve(c, G, h, lb, eq, x0):
     """solve_lp on the LP with each equality row written as two ">=" rows."""
-    return solve_lp(c, *as_geq(G, h, eq), lb)
+    return solve_lp(c, *as_geq(G, h, eq), x0)
 
 
 def _random_lp(rng):
-    """Small LP with free variables, equality rows and degenerate ties.
+    """Small LP with free and sign-bound variables, equality rows and
+    degenerate ties.
 
-    Rows are tight at an integer anchor point (degenerate vertices),
-    duplicated now and then, and every other instance gets a random
-    right-hand side that may make it infeasible.
+    Rows are tight at an integer anchor point (degenerate vertices) or
+    hold there with slack, and are duplicated now and then; one instance
+    in four has no box and may be unbounded.
     """
     d = int(rng.integers(1, 6))
-    lb = np.where(rng.integers(0, 2, d) == 0, 0.0, -_INF)
+    signed = rng.integers(0, 2, d) == 0
     x0 = rng.integers(0, 3, d).astype(float)
-    rows = []
+    rows = [(e, 0.0, ">=") for e in np.eye(d)[signed]]
     for _ in range(int(rng.integers(1, 7))):
         g = rng.integers(-3, 4, d).astype(float)
         sense = ">=" if rng.integers(0, 3) else "=="
-        h = float(g @ x0) - (float(rng.integers(0, 2)) if sense == ">=" else 0.0)
-        if rng.integers(0, 2):
-            h = float(rng.integers(-4, 5))
+        h = float(g @ x0) - (float(rng.integers(0, 3)) if sense == ">=" else 0.0)
         rows.append((g, h, sense))
         if rng.integers(0, 4) == 0:
             rows.append((g.copy(), h, sense))
@@ -56,24 +56,30 @@ def _random_lp(rng):
             rows.append((e, -5.0, ">="))
             rows.append((-e, -5.0, ">="))
     c = rng.integers(-3, 4, d).astype(float)
-    return _lp(c, rows, lb)
+    return _lp(c, rows, x0)
+
+
+def _check_optimum(sol, lp):
+    """sol is optimal with HiGHS's value, and meets the rows to 1e-7."""
+    c, G, h, _, eq = lp
+    ref_status, ref_value = highs(*lp)
+    assert sol.status == ref_status == "optimal"
+    assert c @ sol.x == pytest.approx(ref_value, abs=1e-7)
+    slack = G @ sol.x - h
+    assert np.all(slack[~eq] >= -1e-7) and np.all(np.abs(slack[eq]) <= 1e-7)
 
 
 def test_solve_lp_matches_highs_on_random_degenerate_free_lps():
     rng = np.random.default_rng(20261018)
-    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    seen = {"optimal": 0, "unbounded": 0}
     for _ in range(300):
-        lp = c, G, h, lb, eq = _random_lp(rng)
-        ref_status, ref_value = highs(*lp)
-        assert ref_status != "other"
-        sol = _solve(*lp)
-        assert sol.status == ref_status
+        lp, x0 = _random_lp(rng)
+        sol = _solve(*lp, x0)
         seen[sol.status] += 1
         if sol.optimal:
-            assert c @ sol.x == pytest.approx(ref_value, abs=1e-7)
-            slack = G @ sol.x - h
-            assert np.all(slack[~eq] >= -1e-7) and np.all(np.abs(slack[eq]) <= 1e-7)
-            assert np.all(sol.x >= lb - 1e-9)
+            _check_optimum(sol, lp)
+        else:
+            assert highs(*lp)[0] == "unbounded"
     assert all(count >= 10 for count in seen.values()), seen
 
 
@@ -146,74 +152,49 @@ def test_min_norm_point_matches_scipy_nnls():
 
 
 def _large_lp(rng):
-    """200 to 260 rows over 4 to 8 variables, half of them free.
+    """200 to 260 rows over 4 to 8 variables, half of them sign-bound.
 
     Most inequality rows are tight at an integer anchor (degenerate ties
-    in the ratio test), and every equality row comes twice, so phase 1
-    ends with artificials to drive out and redundant rows to drop; every
-    fourth instance gets a contradicting equality and is infeasible.
+    in the ratio test), and every equality row comes twice.
     """
     d = int(rng.integers(4, 9))
-    lb = np.where(rng.integers(0, 2, d) == 0, 0.0, -_INF)
+    signed = rng.integers(0, 2, d) == 0
     x0 = rng.integers(0, 3, d).astype(float)
-    rows = []
+    rows = [(e, 0.0, ">=") for e in np.eye(d)[signed]]
     for _ in range(int(rng.integers(200, 251))):
         g = rng.integers(-3, 4, d).astype(float)
         rows.append((g, float(g @ x0) - float(rng.integers(0, 3) // 2), ">="))
     for _ in range(int(rng.integers(2, 5))):
         g = rng.integers(-3, 4, d).astype(float)
         rows += [(g, float(g @ x0), "==")] * 2
-    if rng.integers(0, 4) == 0:
-        rows.append((rows[-1][0], rows[-1][1] + 1.0, "=="))
     for j in range(d):
         e = np.zeros(d)
         e[j] = 1.0
         rows += [(e, -9.0, ">="), (-e, -9.0, ">=")]
     rng.shuffle(rows)
-    return _lp(rng.integers(-3, 4, d).astype(float), rows, lb)
+    return _lp(rng.integers(-3, 4, d).astype(float), rows, x0)
 
 
 def test_solve_lp_matches_highs_on_large_degenerate_lps_with_duplicate_rows():
     rng = np.random.default_rng(20261020)
-    seen = {"optimal": 0, "infeasible": 0}
     for _ in range(24):
-        lp = c, G, h, lb, eq = _large_lp(rng)
-        ref_status, ref_value = highs(*lp)
-        sol = _solve(*lp)
-        assert sol.status == ref_status
-        seen[sol.status] += 1
-        if not sol.optimal:
-            continue
-        assert c @ sol.x == pytest.approx(ref_value, abs=1e-7)
-        slack = G @ sol.x - h
-        assert np.all(slack[~eq] >= -1e-7) and np.all(np.abs(slack[eq]) <= 1e-7)
-        assert np.all(sol.x >= lb - 1e-9)
-    assert all(count >= 4 for count in seen.values()), seen
+        lp, x0 = _large_lp(rng)
+        _check_optimum(_solve(*lp, x0), lp)
 
 
 def test_zero_objective_lps_match_highs():
-    # feasibility LPs from both generators, and a hand case whose duplicate
-    # equality rows leave an artificial basic at zero after phase 1; with
-    # no early exit for a zero objective, they run the drive-out and a
-    # phase 2 that finds every reduced cost zero
+    # feasibility LPs from both generators, and a hand case with duplicate
+    # equality rows, each from its anchor: every reduced cost is zero, so
+    # the anchor is the optimum, bit for bit
     rng = np.random.default_rng(20261022)
     dup = _lp(np.zeros(2), [([1.0, 1.0], 2.0, "==")] * 2 + [([1.0, -1.0], 0.0, ">=")],
-              np.zeros(2))
+              np.ones(2))
     lps = [dup] + [_random_lp(rng) if k % 12 else _large_lp(rng) for k in range(240)]
-    seen = {"optimal": 0, "infeasible": 0}
-    for _, G, h, lb, eq in lps:
+    for (_, G, h, lb, eq), x0 in lps:
         lp = np.zeros(G.shape[1]), G, h, lb, eq
-        sol = _solve(*lp)
-        assert sol.status == highs(*lp)[0]
-        seen[sol.status] += 1
-        if not sol.optimal:
-            continue
-        mx = np.abs(G).max(axis=1)
-        slack = (G @ sol.x - h) / np.where(mx > 0, mx, 1.0)
-        assert np.all(slack[~eq] >= -1e-9) and np.all(np.abs(slack[eq]) <= 1e-9)
-        bounded = np.isfinite(lb)
-        assert np.all(sol.x[bounded] >= lb[bounded] - 1e-9)
-    assert all(count >= 20 for count in seen.values()), seen
+        sol = _solve(*lp, x0)
+        _check_optimum(sol, lp)
+        assert sol.x.tobytes() == x0.tobytes() and sol.pivots == 0
 
 
 def _endpoint_system(rng):

@@ -75,6 +75,15 @@ def test_scenario_check_zero_row_always_efficient(rng):
     assert weakly_efficient_for_scenario(C, X.rows, XBAR).efficient
 
 
+def test_scenario_check_rejects_a_point_outside_a_row():
+    # the LP starts at x_bar, so a point that misses x1 <= 1 by 1, beyond
+    # ACTIVE_TOL, is refused rather than taken as met
+    square = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, -1.0], [0.0, -1.0, -1.0]]
+    with pytest.raises(NotFeasiblePointError, match="row 2 violated by 1.000e"):
+        weakly_efficient_for_scenario(-np.eye(2), square, [2.0, 1.0])
+    assert weakly_efficient_for_scenario(-np.eye(2), square, [1.0, 1.0]).efficient
+
+
 def test_scenario_check_endpoints_of_derived_instance():
     vp = derived_instance()
     X = reduce_constraints(vp)
@@ -191,11 +200,11 @@ def test_certify_singletons_equals_endpointwise_efficiency(rng):
     # all-singleton constraints: the verdict equals weak efficiency of the
     # point for both endpoint problems separately
     for _ in range(30):
-        prob = random_polyhedral_problem(rng)
+        prob, anchor = random_polyhedral_problem(rng)
         if not all(isinstance(c, Singleton) for c in prob.constraints):
             continue
         vp = validate_problem(prob)
-        x = vertex_candidate(rng, prob)
+        x = vertex_candidate(rng, prob, anchor)
         X = reduce_constraints(vp)
         out = certify_weak_efficiency(vp, x)
         C1 = prob.C_bar + np.outer(prob.u, prob.v)
@@ -250,12 +259,12 @@ def test_certify_box_one_dimensional_hand_case():
 
 def test_degenerate_box_equals_singleton(rng):
     for _ in range(10):
-        prob = random_polyhedral_problem(rng, n_max=3)
+        prob, anchor = random_polyhedral_problem(rng, n_max=3)
         sing = [c for c in prob.constraints if isinstance(c, Singleton)]
         boxes = tuple(Box(c.a_bar, c.a_bar, c.b_bar, c.b_bar) for c in sing)
         pb = UncertainMOLP(prob.m, prob.n, prob.C_bar, prob.u, prob.v, boxes)
         ps = UncertainMOLP(prob.m, prob.n, prob.C_bar, prob.u, prob.v, tuple(sing))
-        x = vertex_candidate(rng, ps)
+        x = vertex_candidate(rng, ps, anchor)
         ob = certify_weak_efficiency(validate_problem(pb), x)
         os_ = certify_weak_efficiency(validate_problem(ps), x)
         assert ob.status == os_.status
@@ -286,7 +295,7 @@ def test_box_vs_polytope_agreement(rng):
         pb = UncertainMOLP(m, n, C, u, v, tuple(boxes))
         pp = UncertainMOLP(m, n, C, u, v, tuple(polys))
         # a vertex of the same set, taken from its vertex rows
-        x = vertex_candidate(rng, pp)
+        x = vertex_candidate(rng, pp, x0)
         ob = certify_weak_efficiency(validate_problem(pb), x)
         op = certify_weak_efficiency(validate_problem(pp), x)
         assert ob.status == op.status
@@ -401,20 +410,23 @@ def test_certified_active_two_norm_row_runs_no_slater_search(monkeypatch):
 
 
 def test_each_norm_ball_is_inverted_once_per_certify(monkeypatch):
+    # validation proves each Z nonsingular by its singular values, and
+    # reduce_constraints inverts the validated Z without decomposing it
+    # again: one require_nonsingular and one inverse per norm ball across
+    # validate_problem and certify_weak_efficiency
     import robustmolp.model as model
-    calls = []
-    invert = model.invert_symmetric
-
-    def counted(Z):
-        calls.append(Z)
-        return invert(Z)
-
-    monkeypatch.setattr(model, "invert_symmetric", counted)
+    import robustmolp.numerics as numerics
+    checked, inverted = [], []
+    check, inv = numerics.require_nonsingular, np.linalg.inv
+    for module in (model, numerics):
+        monkeypatch.setattr(module, "require_nonsingular",
+                            lambda Z: checked.append(Z) or check(Z))
+    monkeypatch.setattr(np.linalg, "inv", lambda Z: inverted.append(Z) or inv(Z))
     balls = tuple(NormBall([1.0, float(k)], [[2.0, 1.0], [1.0, 2.0]], 0.5, s, -1.0, 0.0)
                   for k, s in enumerate((1, 2, _INF)))
     p = UncertainMOLP(1, 2, [[1.0, 0.0]], [0.0], [0.0, 0.0], balls)
     certify_weak_efficiency(validate_problem(p), np.array([10.0, 10.0]))
-    assert len(calls) == len(balls)
+    assert len(checked) == len(inverted) == len(balls)
 
 
 def _slater_search(monkeypatch, delta, s):
@@ -792,8 +804,8 @@ def test_all_inactive_two_norm_rows_make_no_cone_solve(monkeypatch, rng):
     _forbid_cone_solve(monkeypatch)
     statuses = []
     for _ in range(20):
-        prob = random_polyhedral_problem(rng, n_max=3)
-        x = vertex_candidate(rng, prob)
+        prob, anchor = random_polyhedral_problem(rng, n_max=3)
+        x = vertex_candidate(rng, prob, anchor)
         vq = validate_problem(_with_inactive_balls(prob, x, 2))
         # rows slack at x do not move the normal cone there, so the verdict
         # of the set without them stands
@@ -1139,7 +1151,7 @@ def test_unknown_tells_a_direction_without_a_replaying_witness(monkeypatch):
 
 def test_zero_delta_norm_matches_singleton_verdicts(rng):
     for _ in range(25):
-        prob = random_polyhedral_problem(rng, n_max=3)
+        prob, anchor = random_polyhedral_problem(rng, n_max=3)
         sing = [c for c in prob.constraints if isinstance(c, Singleton)]
         if not sing:
             continue
@@ -1147,7 +1159,7 @@ def test_zero_delta_norm_matches_singleton_verdicts(rng):
                      for c in sing)
         pn = UncertainMOLP(prob.m, prob.n, prob.C_bar, prob.u, prob.v, norm)
         ps = UncertainMOLP(prob.m, prob.n, prob.C_bar, prob.u, prob.v, tuple(sing))
-        x = vertex_candidate(rng, ps)
+        x = vertex_candidate(rng, ps, anchor)
         on = certify_weak_efficiency(validate_problem(pn), x)
         os_ = certify_weak_efficiency(validate_problem(ps), x)
         assert on.status == os_.status
@@ -1264,9 +1276,9 @@ def test_mixed_classes_joint_system():
 def test_endpoint_equivalence_property(rng):
     disagreements = 0
     for _ in range(60):
-        prob = random_polyhedral_problem(rng)
+        prob, anchor = random_polyhedral_problem(rng)
         vp = validate_problem(prob)
-        x = vertex_candidate(rng, prob)
+        x = vertex_candidate(rng, prob, anchor)
         X = reduce_constraints(vp)
         out = certify_weak_efficiency(vp, x)
         C1 = prob.C_bar + np.outer(prob.u, prob.v)
@@ -1279,9 +1291,9 @@ def test_endpoint_equivalence_property(rng):
 def test_scenario_closure_when_certified(rng):
     found = 0
     for _ in range(40):
-        prob = random_polyhedral_problem(rng)
+        prob, anchor = random_polyhedral_problem(rng)
         vp = validate_problem(prob)
-        x = vertex_candidate(rng, prob)
+        x = vertex_candidate(rng, prob, anchor)
         out = certify_weak_efficiency(vp, x)
         if out.status != "certified":
             continue
@@ -1297,9 +1309,9 @@ def test_scenario_closure_when_certified(rng):
 
 def test_certificate_closure_and_complementarity(rng):
     for _ in range(40):
-        prob = random_polyhedral_problem(rng)
+        prob, anchor = random_polyhedral_problem(rng)
         vp = validate_problem(prob)
-        x = vertex_candidate(rng, prob)
+        x = vertex_candidate(rng, prob, anchor)
         out = certify_weak_efficiency(vp, x)
         if out.status != "certified":
             continue
@@ -1312,9 +1324,9 @@ def test_certificate_closure_and_complementarity(rng):
 
 def test_positive_scaling_invariance(rng):
     for _ in range(20):
-        prob = random_polyhedral_problem(rng)
+        prob, anchor = random_polyhedral_problem(rng)
         vp = validate_problem(prob)
-        x = vertex_candidate(rng, prob)
+        x = vertex_candidate(rng, prob, anchor)
         base = certify_weak_efficiency(vp, x).status
         scale = float(rng.choice([0.5, 2.0, 3.7]))
         C_scaled = prob.C_bar.copy()

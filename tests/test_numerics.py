@@ -8,9 +8,8 @@ import pytest
 
 from conftest import as_geq, highs
 from robustmolp import numerics
-from robustmolp.numerics import (SingularMatrixError,
-                                 invert_symmetric, min_norm_point,
-                                 project_simplex, solve_cone_system, solve_lp)
+from robustmolp.numerics import (min_norm_point, project_simplex, solve_cone_system,
+                                 solve_lp)
 
 _INF = float("inf")
 _EPS = float(np.finfo(float).eps)
@@ -26,17 +25,13 @@ HYPO_POINTS = [(-2, -1, -2, -6), (-1, -2, -2, -6),
 # ---------------------------------------------------------------------------
 
 def test_lp_simple_bounded():
-    sol = solve_lp([-1.0], [[-1.0]], [-1.0], 0.0)
+    sol = solve_lp([-1.0], [[-1.0], [1.0]], [-1.0, 0.0], [0.0])
     assert sol.optimal
     assert sol.x == pytest.approx([1.0], abs=1e-9)
 
 
-def test_lp_infeasible():
-    assert solve_lp([0.0], [[1.0], [-1.0]], [0.0, 1.0], -_INF).status == "infeasible"
-
-
 def test_lp_unbounded():
-    assert solve_lp([-1.0], [[1.0]], [0.0], 0.0).status == "unbounded"
+    assert solve_lp([-1.0], [[1.0]], [0.0], [0.0]).status == "unbounded"
 
 
 def _grid_min_over_box(c, rows, lo, hi, step):
@@ -70,19 +65,19 @@ def test_lp_grid_oracle_on_five_row_system():
         val = float(vals.min())
     assert val == pytest.approx(-20.0, abs=1e-3)   # frozen oracle value
 
-    # the five rows, then -10 <= x_i <= 10
+    # the five rows, then -10 <= x_i <= 10, from the origin, which meets them
     G = np.vstack([[a for a, _ in HYPO_ROWS],
                    np.stack([np.eye(3), -np.eye(3)], 1).reshape(-1, 3)])
     h = [b for _, b in HYPO_ROWS] + [-10.0] * 6
-    sol = solve_lp(c, G, h, -_INF)
+    sol = solve_lp(c, G, h, np.zeros(3))
     assert sol.optimal
     assert c @ sol.x == pytest.approx(val, abs=1e-3)
     assert c @ sol.x == pytest.approx(-20.0, abs=1e-9)
 
 
 def _random_solvable_lp(rng):
-    """(c, G, h): up to 3 rows with slack at an integer anchor, then
-    x_i <= 10, over x >= 0."""
+    """(c, G, h, x0): up to 3 rows with slack at an integer anchor x0,
+    then 0 <= x_i <= 10."""
     n = int(rng.integers(1, 5))
     k = int(rng.integers(0, 4))
     c = rng.integers(-5, 6, n).astype(float)
@@ -92,40 +87,49 @@ def _random_solvable_lp(rng):
         g = rng.integers(-5, 6, n).astype(float)
         G.append(g)
         h.append(float(g @ x0 - rng.integers(0, 5)))
-    return c, np.vstack(G + [-np.eye(n)]), np.array(h + [-10.0] * n)
+    return (c, np.vstack(G + [-np.eye(n), np.eye(n)]),
+            np.array(h + [-10.0] * n + [0.0] * n), x0)
 
 
 def test_lp_optimum_on_random_solvable_instances(rng):
     for _ in range(100):
-        c, G, h = _random_solvable_lp(rng)
-        sol = solve_lp(c, G, h, 0.0)
+        c, G, h, x0 = _random_solvable_lp(rng)
+        sol = solve_lp(c, G, h, x0)
         assert sol.optimal
-        assert c @ sol.x == pytest.approx(highs(c, G, h, 0.0)[1], abs=1e-7)
+        assert c @ sol.x == pytest.approx(highs(c, G, h, -_INF)[1], abs=1e-7)
         # primal feasibility of the reported point
-        assert np.all(G @ sol.x >= h - 1e-9) and np.all(sol.x >= -1e-9)
+        assert np.all(G @ sol.x >= h - 1e-9)
 
 
 def test_lp_pivot_budget_breakdown(monkeypatch):
     from robustmolp import numerics
-    c, G, h = [1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], [1.0, 0.0]
+    c, G, h = [1.0, 1.0], [[1.0, 1.0], [1.0, -1.0], [1.0, 0.0], [0.0, 1.0]], [1.0, 0.0, 0.0, 0.0]
+    x0 = [3.0, 1.0]
     monkeypatch.setattr(numerics, "MAX_PIVOTS", 1)
     with pytest.raises(numerics.NumericalBreakdown):
-        solve_lp(c, G, h, 0.0)
+        solve_lp(c, G, h, x0)
     monkeypatch.undo()
-    sol = solve_lp(c, G, h, 0.0)
-    assert sol.optimal
+    sol = solve_lp(c, G, h, x0)
+    assert sol.optimal and c @ sol.x == pytest.approx(1.0, abs=1e-12)
     # the count is the one the budget bounds
     assert sol.pivots == 2
     monkeypatch.setattr(numerics, "MAX_PIVOTS", sol.pivots)
-    assert solve_lp(c, G, h, 0.0).pivots == sol.pivots
+    assert solve_lp(c, G, h, x0).pivots == sol.pivots
 
 
 def test_lp_without_variables():
-    # every row is redundant or contradictory: the drive-out drops them all
+    # with no variable the slack basis at the empty start is the optimum
     empty = np.zeros(0)
-    sol = solve_lp(empty, *as_geq(np.zeros((2, 0)), [0.0, 0.0], True), empty)
-    assert sol.optimal and sol.x.size == 0
-    assert solve_lp(empty, np.zeros((1, 0)), [1.0], empty).status == "infeasible"
+    sol = solve_lp(empty, np.zeros((2, 0)), [0.0, -1.0], empty)
+    assert sol.optimal and sol.x.size == 0 and sol.pivots == 0
+
+
+def test_lp_takes_a_row_the_start_misses_by_rounding_as_met():
+    # x0 misses x >= 0.3 by one ulp: the row is taken as met at x0, which
+    # is then the optimum of min x, bit for bit
+    x0 = np.array([np.nextafter(0.3, 0.0)])
+    sol = solve_lp([1.0], [[1.0]], [0.3], x0)
+    assert sol.optimal and sol.x.tobytes() == x0.tobytes()
 
 
 def test_lp_equality_rows_and_free_vars(rng):
@@ -143,7 +147,7 @@ def test_lp_equality_rows_and_free_vars(rng):
         h = np.array(h + [-8.0] * 2 * n)
         eq = np.arange(len(G)) == 0
         c = rng.integers(-3, 4, n).astype(float)
-        sol = solve_lp(c, *as_geq(G, h, eq), -_INF)
+        sol = solve_lp(c, *as_geq(G, h, eq), x0)
         assert sol.optimal
         assert abs(G[0] @ sol.x - G[0] @ x0) <= 1e-8
         assert c @ sol.x == pytest.approx(highs(c, G, h, -_INF, eq)[1], abs=1e-7)
@@ -152,14 +156,17 @@ def test_lp_equality_rows_and_free_vars(rng):
 def test_lp_whose_bland_pivots_sit_just_above_a_tiny_threshold():
     # a Kelley-cut Slater LP (43 x 9, four free columns) recorded from a
     # check_slater run: with a pivot threshold of 1e-10 its phase 1 took
-    # pivots of 1.16e-10 and 1.94e-10, drifted, and declared itself unbounded
+    # pivots of 1.16e-10 and 1.94e-10, drifted, and declared itself
+    # unbounded; started from a point that meets its rows, x = (0, 0, 1),
+    # t = -10 and the five bounded columns at 1, it is one phase
     d = json.loads(Path(__file__).with_name("slater_lp_phase_one.json").read_text())
     c, G, h = (np.array(d[k]) for k in ("c", "G", "h"))
-    lower = np.zeros(len(c))
-    lower[d["free"]] = -_INF
-    sol = solve_lp(c, G, h, lower)
+    bounded = np.delete(np.eye(len(c)), d["free"], axis=0)
+    G, h = np.vstack([G, bounded]), np.concatenate([h, np.zeros(len(bounded))])
+    x0 = np.array([0.0, 0.0, 1.0, -10.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    sol = solve_lp(c, G, h, x0)
     assert sol.optimal and np.all(G @ sol.x >= h - 1e-9)
-    status, value = highs(c, G, h, lower)
+    status, value = highs(c, G, h, -_INF)
     assert status == "optimal" and c @ sol.x == pytest.approx(value, abs=1e-9)
 
 
@@ -170,20 +177,21 @@ def test_lp_whose_scaled_data_or_optimum_is_not_finite_breaks_down():
     # 1e-300 x >= 3e300 needs x >= 3e600: the row's scaled right-hand side
     # overflowed, a pivot subtracted inf from inf, and the LP was "optimal"
     # at x = [inf], with a RuntimeWarning at each of the two steps
-    for lower in (-_INF, 0.0):
+    for x0 in (0.0, 1e308):
         with pytest.raises(NumericalBreakdown, match="not finite"):
-            solve_lp(np.zeros(1), [[1e-300]], [3e300], lower)
+            solve_lp(np.zeros(1), [[1e-300]], [3e300], [x0])
     with pytest.raises(NumericalBreakdown, match="not finite"):
         is_feasible([(np.array([1e-300]), 3e300)])
     # an infinite coefficient scales its row to NaN
     with pytest.raises(NumericalBreakdown, match="not finite"):
-        solve_lp(np.zeros(2), [[_INF, 1.0]], [1.0], 0.0)
-    # finite scaled data whose optimum overflows once shifted back by its
-    # bound: x >= 2e308; the bound 1e300 leaves x = 2e300 in range
+        solve_lp(np.zeros(2), [[_INF, 1.0]], [1.0], np.zeros(2))
+    # finite rows whose slack at the start overflows: x <= 1e308 from -1e308
     with pytest.raises(NumericalBreakdown, match="not finite"):
-        solve_lp(np.zeros(1), [[0.5]], [1e308], [1e308])
-    sol = solve_lp(np.zeros(1), [[0.5]], [1e300], [1e300])
-    assert sol.optimal and sol.x.tolist() == [2e300]
+        solve_lp([-1.0], [[-1.0]], [-1e308], [-1e308])
+    # finite rows x1 - x2 <= 1e308 and x2 <= 1e308 whose optimum x1 = 2e308
+    # overflows once added to the start
+    with pytest.raises(NumericalBreakdown, match="not finite"):
+        solve_lp([-1.0, 0.0], [[-1.0, 1.0], [0.0, -1.0]], [-1e308, -1e308], [1e308, 1e308])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -193,23 +201,11 @@ def test_a_row_whose_scaled_right_hand_side_is_minus_inf_is_dropped():
     from robustmolp.feasibility import is_feasible
     res = is_feasible([(np.array([1e-300]), -1e300), (np.array([1.0]), 0.0)])
     assert res.feasible and res.x.tolist() == [0.0]
-    sol = solve_lp([1.0], [[1e-300], [1.0]], [-1e300, 0.0], -_INF)
+    sol = solve_lp([1.0], [[1e-300], [1.0]], [-1e300, 0.0], [2.0])
     assert sol.optimal and sol.x.tolist() == [0.0]
-    # with every row dropped only the bounds are left
-    assert solve_lp([1.0], [[1e-300]], [-1e300], 2.0).x.tolist() == [2.0]
+    # with every row dropped the start is the optimum of a zero objective
+    assert solve_lp([0.0], [[1e-300]], [-1e300], [2.0]).x.tolist() == [2.0]
     assert is_feasible([(np.array([1e-300]), -1e300)]).x.tolist() == [0.0]
-
-
-def test_lp_bounds_broadcast_alike(rng):
-    # a scalar bound and its per-entry array give the same bits: the set-up
-    # builds free columns only where they are needed
-    for _ in range(30):
-        c, G, h = _random_solvable_lp(rng)
-        for lower in (0.0, -_INF, -2.0):
-            one = solve_lp(c, G, h, lower)
-            per = solve_lp(c, G, h, np.full(G.shape[1], lower))
-            assert (one.status, one.pivots) == (per.status, per.pivots)
-            assert (one.x is None and per.x is None) or one.x.tobytes() == per.x.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -306,22 +302,6 @@ def test_project_simplex_past_2_53_projects_the_translate():
     for y, want in answers:
         assert _projection_or_error(_project_simplex_reference, y) == "IndexError", y
         assert project_simplex(y).tolist() == want, y
-
-
-# ---------------------------------------------------------------------------
-# norms, inverse
-# ---------------------------------------------------------------------------
-
-def test_invert_symmetric():
-    assert invert_symmetric(np.eye(3)) == pytest.approx(np.eye(3))
-    assert invert_symmetric(np.diag([2.0, 4.0])) == pytest.approx(np.diag([0.5, 0.25]))
-    Z = np.array([[2.0, 1.0], [1.0, 2.0]])
-    Zi = invert_symmetric(Z)
-    # hand-checked inverse (1/3) [[2, -1], [-1, 2]]
-    assert Zi == pytest.approx(np.array([[2, -1], [-1, 2]]) / 3.0, abs=1e-12)
-    assert np.abs(Z @ Zi - np.eye(2)).max() <= 1e-8
-    with pytest.raises(SingularMatrixError):
-        invert_symmetric(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +725,7 @@ def _lp_feasible(A, b, blocks, soc_norm=None):
             rows.append((g, 0.0, ">="))
             aux += dy
     G, h, senses = zip(*rows)
-    return solve_lp(np.zeros(width), *as_geq(G, h, np.array(senses) == "=="), lb).optimal
+    return highs(np.zeros(width), G, h, lb, np.array(senses) == "==")[0] == "optimal"
 
 
 def test_cone_polyhedral_paths_agree(rng):

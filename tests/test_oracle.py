@@ -116,8 +116,8 @@ def test_relaxed_witness_outside_the_set_is_pulled_back_inside(monkeypatch):
 def test_no_false_refutations_property(rng):
     refs = 0
     for _ in range(40):
-        prob = random_polyhedral_problem(rng)
-        x = vertex_candidate(rng, prob)
+        prob, anchor = random_polyhedral_problem(rng)
+        x = vertex_candidate(rng, prob, anchor)
         v = refute_robust_weak_efficiency(prob, x, k=5)
         if v.outcome != "refuted":
             continue
@@ -173,20 +173,22 @@ def test_chain_of_rows_1e5_apart_is_refuted_with_a_replaying_witness():
     # x1 >= 1, x2 >= 1e5 x1, x3 >= 1e5 x2 and the ellipsoid row
     # x1 >= 5e-11 |x3|, all tight at x_bar = (1, 1e5, 2e10) but the third;
     # x3 is minimized, so (1, 1e5, 1e10) dominates.  The scenario LPs must
-    # keep x_bar feasible (no NotFeasiblePointError) across rows 1e5 apart
+    # keep x_bar feasible (no NotFeasiblePointError) across rows 1e5 apart.
+    # From x_bar the LP lowers x3 by its improvement cap of 1, a point
+    # inside the ellipsoid row, so the witness replays without a pull-back
     p = load_problem(CHAIN_ELLIPSOID)
     x_bar = np.array([1.0, 1e5, 2e10])
     v = refute_robust_weak_efficiency(p, x_bar, k=3)
     assert v.outcome == "refuted"
-    assert v.witness.x == pytest.approx([1.0415, 104151.76, 2e10 - 0.0415], rel=1e-4)
-    assert v.witness.gap == pytest.approx([0.0415], rel=1e-2)
+    assert v.witness.x == pytest.approx([1.0, 1e5, 2e10 - 1.0], rel=1e-12)
+    assert v.witness.gap == pytest.approx([1.0], rel=1e-6)
     assert_replaying_witness(p, x_bar, v.witness.rho, v.witness.x)
 
 
 def test_grid_monotonicity(rng):
     for _ in range(25):
-        prob = random_polyhedral_problem(rng)
-        x = vertex_candidate(rng, prob)
+        prob, anchor = random_polyhedral_problem(rng)
+        x = vertex_candidate(rng, prob, anchor)
         small = refute_robust_weak_efficiency(prob, x, k=3)
         big = refute_robust_weak_efficiency(prob, x, k=7)
         if small.outcome == "refuted":
@@ -195,12 +197,35 @@ def test_grid_monotonicity(rng):
 
 def test_oracle_certifier_agreement(rng):
     for _ in range(40):
-        prob = random_polyhedral_problem(rng)
+        prob, anchor = random_polyhedral_problem(rng)
         vp = validate_problem(prob)
-        x = vertex_candidate(rng, prob)
+        x = vertex_candidate(rng, prob, anchor)
         out = certify_weak_efficiency(vp, x)
         v = refute_robust_weak_efficiency(prob, x, k=2)
         assert (out.status == "certified") == (v.outcome == "confirmed")
+
+
+def test_catalogue_scenario_lp_pivot_count_is_pinned(monkeypatch):
+    # 12,275 pivots, 12,135 of them finding a start, while each scenario LP
+    # ran a phase 1 over artificial columns; started at (x_bar, t = 0), the
+    # 265 LPs of the seed-0 certify-poly and certify-cone catalogues at
+    # k = 3 take 1,818 (1,389 and 429)
+    import runpy
+    import robustmolp
+    import robustmolp.efficiency as eff
+    bench = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    solve, pivots = eff.solve_lp, []
+
+    def spy(*args):
+        sol = solve(*args)
+        pivots.append(sol.pivots)
+        return sol
+
+    monkeypatch.setattr(eff, "solve_lp", spy)
+    for workload in ("CertifyPolyWorkload", "CertifyConeWorkload"):
+        for inst in runpy.run_path(str(bench))[workload]().make_inputs(robustmolp, None, 0):
+            refute_robust_weak_efficiency(inst.problem, inst.x_bar, k=3)
+    assert (len(pivots), sum(pivots)) == (265, 1_818)
 
 
 # ---------------------------------------------------------------------------
