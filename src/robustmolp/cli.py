@@ -3,12 +3,17 @@
 Reports are JSON objects with sorted keys and 17-significant-digit float
 formatting so that reruns on identical inputs produce identical output
 (the wall_time_ms field is the one measured, hence non-reproducible,
-entry).  Exit codes: 0 success/positive verdict, 1 negative verdict,
-2 inconclusive/unknown (including a numerical failure), 3 parse or
-schema error, 4 infeasibility of the nominal system or candidate point,
-5 precondition violation (radius or feasible on a constraint that is not
-a singleton, negative u), 6 certifier/oracle disagreement.  certify and
-verify take every uncertainty class, the joint ball included.
+entry).  Each command returns its verdict, and main alone times it,
+hashes the problem file, emits the report and maps the verdict to an
+exit code (_EXIT_OF): 0 success/positive verdict, 1 negative verdict,
+2 inconclusive/unknown, 6 certifier/oracle disagreement.  An error exits
+by the first row of _EXIT_ON that names its class: 2 a numerical
+failure, 3 a parse or schema error, 4 infeasibility of the nominal
+system or candidate point, 5 a precondition violation (radius or
+feasible on a constraint that is not a singleton, negative u).  An error
+that no row names exits 2 with its traceback on stderr, for Python's
+own 1 would read as a negative verdict.  certify and verify take every
+uncertainty class, the joint ball included.
 """
 
 from __future__ import annotations
@@ -32,13 +37,17 @@ from .model import (ProblemFormatError, RobustFeasibleSet, Singleton, Validation
                     validate_dimensions, validate_problem)
 from .numerics import NumericalBreakdown, SingularMatrixError
 
-EXIT_OK = 0
-EXIT_NEGATIVE = 1
-EXIT_INCONCLUSIVE = 2
-EXIT_PARSE = 3
-EXIT_INFEASIBLE = 4
-EXIT_PRECONDITION = 5
-EXIT_DISAGREEMENT = 6
+_EXIT_OF = {"ok": 0, "feasible": 0, "certified": 0, "valid": 0,
+            "infeasible": 1, "refuted": 1, "invalid": 1,
+            "inconclusive": 2, "unknown": 2, "disagreement": 6}
+
+# an error exits by the first row that names its class
+_EXIT_ON = (
+    ((ProblemFormatError, OSError, ValueError, ValidationError), 3),
+    ((NominalInfeasibleError, NotFeasiblePointError), 4),
+    ((UnsupportedClassError,), 5),
+    ((NonCertifiedError, NumericalBreakdown, SingularMatrixError), 2),
+)
 
 
 def _canonical(obj, out):
@@ -105,17 +114,6 @@ def _emit(report, as_json):
     print(f"wall_time_ms: {report['wall_time_ms']}")
 
 
-def _report(command, digest, verdict, payload, residuals, t0):
-    return {
-        "command": command,
-        "input_digest": digest,
-        "verdict": verdict,
-        "payload": payload,
-        "residuals": residuals,
-        "wall_time_ms": int((time.monotonic() - t0) * 1000),
-    }
-
-
 def _nominal_rows(problem):
     if not all(isinstance(c, Singleton) for c in problem.constraints):
         raise UnsupportedClassError(
@@ -123,8 +121,7 @@ def _nominal_rows(problem):
     return [(c.a_bar, c.b_bar) for c in problem.constraints]
 
 
-def cmd_radius(args) -> int:
-    t0 = time.monotonic()
+def cmd_radius(args):
     problem = load_problem(args.problem_file)
     validate_dimensions(problem)
     rows = _nominal_rows(problem)
@@ -140,9 +137,7 @@ def cmd_radius(args) -> int:
     recon[-1] -= res.mu
     # hypot: the norm's sum of squares overflows past entries of 1e154
     residuals = {"reconstruction": math.hypot(*(recon - res.p_star))}
-    _emit(_report("radius", _digest(args.problem_file), "ok",
-                  payload, residuals, t0), args.json)
-    return EXIT_OK
+    return "ok", payload, residuals
 
 
 def _finite_option(name, value):
@@ -150,8 +145,7 @@ def _finite_option(name, value):
         raise ProblemFormatError(f"{name} must be finite, got {value}")
 
 
-def cmd_feasible(args) -> int:
-    t0 = time.monotonic()
+def cmd_feasible(args):
     _finite_option("--alpha", args.alpha)
     problem = load_problem(args.problem_file)
     validate_dimensions(problem)
@@ -165,10 +159,7 @@ def cmd_feasible(args) -> int:
         # the overflow-safe slack; one past the float range reads as the largest float
         slack = RobustFeasibleSet(res.x.size, S, np.arange(len(S))).slack(res.x).min()
         residuals["nominal_min_slack"] = min(float(slack), sys.float_info.max)
-    _emit(_report("feasible", _digest(args.problem_file), res.status,
-                  payload, residuals, t0), args.json)
-    return {"feasible": EXIT_OK, "infeasible": EXIT_NEGATIVE,
-            "inconclusive": EXIT_INCONCLUSIVE}[res.status]
+    return res.status, payload, residuals
 
 
 def _multiplier_to_dict(rec: ConstraintMultiplier):
@@ -233,8 +224,7 @@ def _parse_point(text, n):
     return np.array(vals)
 
 
-def cmd_certify(args) -> int:
-    t0 = time.monotonic()
+def cmd_certify(args):
     problem = load_problem(args.problem_file)
     vp = validate_problem(problem)
     x_bar = _parse_point(args.point, problem.n)
@@ -248,11 +238,7 @@ def cmd_certify(args) -> int:
                                  "x": ref.x.tolist(), "gap": ref.gap.tolist()}
     if outcome.status == "unknown":
         payload["reason"] = outcome.reason
-    residuals = dict(outcome.residuals)
     verdict = outcome.status
-
-    exit_code = {"certified": EXIT_OK, "refuted": EXIT_NEGATIVE,
-                 "unknown": EXIT_INCONCLUSIVE}[outcome.status]
     if args.oracle:
         ov = oracle.refute_robust_weak_efficiency(vp, x_bar, k=args.oracle)
         payload["oracle"] = {
@@ -264,18 +250,12 @@ def cmd_certify(args) -> int:
                 "gap": ov.witness.gap.tolist(),
             },
         }
-        disagree = ((outcome.status == "certified" and ov.outcome == "refuted")
-                    or (outcome.status == "refuted" and ov.outcome == "confirmed"))
-        if disagree:
+        if (verdict, ov.outcome) in (("certified", "refuted"), ("refuted", "confirmed")):
             verdict = "disagreement"
-            exit_code = EXIT_DISAGREEMENT
-    _emit(_report("certify", _digest(args.problem_file), verdict,
-                  payload, residuals, t0), args.json)
-    return exit_code
+    return verdict, payload, dict(outcome.residuals)
 
 
-def cmd_verify(args) -> int:
-    t0 = time.monotonic()
+def cmd_verify(args):
     _finite_option("--tol", args.tol)
     if args.tol < 0:
         raise ProblemFormatError(f"--tol must be >= 0, got {args.tol}")
@@ -303,11 +283,8 @@ def cmd_verify(args) -> int:
                    for c in report.checks],
         "first_failing": report.first_failing,
     }
-    residuals = {c.name: c.residual for c in report.checks}
-    _emit(_report("verify", _digest(args.problem_file),
-                  "valid" if report.ok else "invalid",
-                  payload, residuals, t0), args.json)
-    return EXIT_OK if report.ok else EXIT_NEGATIVE
+    return ("valid" if report.ok else "invalid", payload,
+            {c.name: c.residual for c in report.checks})
 
 
 def _build_parser():
@@ -356,27 +333,24 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse has printed help (code 0) or a usage error on stderr;
         # its own code 2 would read as "inconclusive"
-        return EXIT_OK if exc.code == 0 else EXIT_PARSE
+        return 0 if exc.code == 0 else 3
+    t0 = time.monotonic()
     try:
-        return args.func(args)
-    except (ProblemFormatError, OSError, ValueError) as exc:
+        verdict, payload, residuals = args.func(args)
+        _emit({"command": args.command, "input_digest": _digest(args.problem_file),
+               "verdict": verdict, "payload": payload, "residuals": residuals,
+               "wall_time_ms": int((time.monotonic() - t0) * 1000)}, args.json)
+        return _EXIT_OF[verdict]
+    except Exception as exc:
+        code = next((c for classes, c in _EXIT_ON if isinstance(exc, classes)), None)
+        if code is None:
+            import traceback
+            traceback.print_exc()
+            return 2
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.kind == "NegativeU":
-            return EXIT_PRECONDITION
-        return EXIT_PARSE
-    except (NominalInfeasibleError, NotFeasiblePointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except UnsupportedClassError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (NonCertifiedError, NumericalBreakdown, SingularMatrixError) as exc:
-        # the library could not decide; exit 1 would read as a negative verdict
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
+        if isinstance(exc, ValidationError) and exc.kind == "NegativeU":
+            return 5
+        return code
 
 
 if __name__ == "__main__":

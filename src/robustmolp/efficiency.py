@@ -32,8 +32,8 @@ import numpy as np
 from .feasibility import maximize_min_slack
 from .model import (RobustFeasibleSet, ValidatedProblem, endpoint_objectives, own_row,
                     reduce_constraints)
-from .numerics import (VI_TOL, min_norm_point, norm_value, slack_value,
-                       solve_cone_system, solve_lp)
+from .numerics import (VI_TOL, NumericalBreakdown, min_norm_point, norm_value,
+                       slack_value, solve_cone_system, solve_lp)
 
 _INF = float("inf")
 
@@ -116,7 +116,8 @@ def weakly_efficient_for_scenario(C, rows, x_bar) -> ScenarioCheck:
     1 so the LP always has an optimum), from (x_bar, t = 0); no point
     improves every objective strictly exactly when the optimal t is
     <= IMPROVEMENT_TOL.  A row that x_bar misses by more than ACTIVE_TOL
-    raises NotFeasiblePointError.
+    raises NotFeasiblePointError; an "unbounded" answer, which the cap
+    leaves only to a pivoting breakdown, raises NumericalBreakdown.
     """
     C = np.atleast_2d(np.asarray(C, float))
     m, n = C.shape
@@ -135,8 +136,8 @@ def weakly_efficient_for_scenario(C, rows, x_bar) -> ScenarioCheck:
     G[k:, n] = -1.0
     h = np.concatenate([rows[:, n], -base, [-1.0]])
     sol = solve_lp(G[-1], G, h, np.append(x_bar, 0.0))     # min -t
-    if sol.status == "unbounded":  # pragma: no cover - cap prevents this
-        return ScenarioCheck(False)
+    if sol.status == "unbounded":
+        raise NumericalBreakdown("the scenario LP, capped at t <= 1, came back unbounded")
     t = float(sol.x[n])
     if t <= IMPROVEMENT_TOL:
         return ScenarioCheck(True)

@@ -109,8 +109,11 @@ def refute_robust_weak_efficiency(p, x_bar, k: int = 11) -> OracleVerdict:
     superset of the true set, so every candidate witness is replayed
     against the exact rows, or pulled back toward x_bar until it meets
     them, before a refutation is claimed; with a 2-norm row in play and no
-    refutation found the verdict stays inconclusive.  A ValidatedProblem
-    is taken as validated; a raw problem is checked by
+    refutation found the verdict stays inconclusive.  Each scenario
+    objective reaches its LP divided by its largest |entry|, which leaves
+    weak efficiency as it is and reads the LP's absolute IMPROVEMENT_TOL
+    in C's units; a witness's gap is taken from the unscaled C.  A
+    ValidatedProblem is taken as validated; a raw problem is checked by
     validate_dimensions.
     """
     if isinstance(p, ValidatedProblem):
@@ -130,17 +133,20 @@ def refute_robust_weak_efficiency(p, x_bar, k: int = 11) -> OracleVerdict:
     checks = 0
     for i, C in enumerate(scenario_grid(p, k)):
         rho = i / (k - 1)
-        chk = weakly_efficient_for_scenario(np.hstack([C, tau_cols]), XL.rows, xl)
+        top = abs(C).max()
+        chk = weakly_efficient_for_scenario(np.hstack([C / top if top else C, tau_cols]),
+                                            XL.rows, xl)
         checks += 1
         if chk.efficient:
             continue
         w = chk.witness[:p.n]
+        gap = C @ x_bar - C @ w
         if exact or _min_slack(X, w) >= -1e-9:
-            return OracleVerdict("refuted", Witness(rho, w, chk.gap), checks)
+            return OracleVerdict("refuted", Witness(rho, w, gap), checks)
         # the relaxation is a superset of the set, so walk the candidate
         # witness back toward x_bar until it is exactly feasible
         t = _pull_witness_inside(X, x_bar, w)
-        if t > 0.0 and np.all(t * chk.gap > 1e-9):
+        if t > 0.0 and np.all(t * gap > 1e-9):
             x_t = x_bar + t * (w - x_bar)
             return OracleVerdict("refuted",
                                  Witness(rho, x_t, C @ x_bar - C @ x_t), checks)

@@ -924,6 +924,45 @@ def test_oracle_disagreement_exit_6(tmp_path, capsys, monkeypatch):
     assert rep["verdict"] == "disagreement"
 
 
+TINY_OBJECTIVE_PROBLEM = str(Path(__file__).with_name("tiny_objective_problem.json"))
+
+
+def test_certify_a_tiny_objective_with_oracle_exit_1(capsys):
+    # C_bar = -1e-10 I over x1 <= 1, x2 <= 1: certify refutes (0, 0) with
+    # (1, 1), and the oracle, whose absolute improvement test once read
+    # gaps of 1e-10 as none, refutes it too instead of a disagreement (6)
+    code, rep = _run_json(capsys, ["certify", TINY_OBJECTIVE_PROBLEM, "--point=0,0",
+                                   "--oracle", "3"])
+    assert (code, rep["verdict"]) == (1, "refuted")
+    assert rep["payload"]["oracle"]["outcome"] == "refuted"
+
+
+def test_certify_oracle_whose_scenario_lp_breaks_down_exit_2(capsys, monkeypatch):
+    # an "unbounded" scenario LP once left a witness-less check, whose
+    # subscript raised a TypeError: a traceback and exit 1 ("refuted")
+    import robustmolp.efficiency as eff
+    from robustmolp.numerics import LpSolution
+    monkeypatch.setattr(eff, "solve_lp", lambda *args: LpSolution("unbounded"))
+    code = main(["certify", TINY_OBJECTIVE_PROBLEM, "--point=0,0", "--oracle", "3"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_an_error_no_table_names_exits_2_with_its_traceback(tmp_path, capsys, monkeypatch):
+    # Python's own exit 1 would read as a negative verdict
+    import robustmolp.cli as cli_mod
+
+    def failing(rows):
+        raise RuntimeError("no table names this")
+
+    monkeypatch.setattr(cli_mod, "radius_of_robust_feasibility", failing)
+    assert main(["radius", _write(tmp_path, EX1)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith("RuntimeError: no table names this\n")
+
+
 def test_text_mode_smoke(tmp_path, capsys):
     path = _write(tmp_path, EX1)
     code, out = _run(capsys, ["radius", path])

@@ -3,7 +3,8 @@
 Documents follow the JSON schema's shape but draw wrong-length vectors,
 huge and tiny magnitudes and an unsupported norm index (s = 3).  Every run
 of `radius`, `feasible` and `certify` must end in a documented exit code
-(0-6) instead of raising.  So must `verify` on certificate documents with
+(0-6) instead of raising, and none may reach it by the CLI's exit 2 for an
+error that no table names, which prints a traceback.  So must `verify` on certificate documents with
 record lists cut or padded, records that are not objects, wrong-length
 vectors and payload wrappers of the wrong type, and it must never accept
 a certificate whose record count differs from the constraint count.
@@ -80,10 +81,11 @@ def test_cli_exit_codes_on_fuzzed_documents(tmp_path, case):
     for argv in (["radius", str(path), "--json"],
                  ["feasible", str(path), f"--alpha={abs(alpha)!r}", "--json"],
                  ["certify", str(path), f"--point={point}", "--json"]):
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
         assert code in range(7), (argv, doc)
+        assert "Traceback" not in err.getvalue(), (argv, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +168,11 @@ def test_verify_exit_codes_on_fuzzed_certificates(tmp_path, case, data):
                                 {"payload": [cert]}, {"payload": 5}]))
     cert_path.write_text(json.dumps(doc), encoding="utf-8")
     for fmt in ("--json", "--text"):
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["verify", str(path), f"--point={point}",
                          "--cert", str(cert_path), fmt])
         assert code in range(7), (problem, doc)
+        assert "Traceback" not in err.getvalue(), (problem, doc)
         if len(cert["nominal"]) != k or len(cert["perturbed"]) != k:
             assert code != 0, (problem, doc)

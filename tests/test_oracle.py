@@ -16,6 +16,8 @@ V2 = Polytope(((-1, 0, 0, -3), (0, -1, 0, -3), (0, 0, -1, -3)))
 C2 = np.array([[-3.0, -1, -2], [0.0, -1, -2]])
 XBAR = np.array([1.0, 1.0, 1.5])
 CHAIN_ELLIPSOID = Path(__file__).with_name("chain_ellipsoid_problem.json")
+TINY_OBJECTIVE = Path(__file__).with_name("tiny_objective_problem.json")
+NARROW_ROW = Path(__file__).with_name("narrow_row_problem.json")
 
 
 def original_instance():
@@ -209,7 +211,8 @@ def test_catalogue_scenario_lp_pivot_count_is_pinned(monkeypatch):
     # 12,275 pivots, 12,135 of them finding a start, while each scenario LP
     # ran a phase 1 over artificial columns; started at (x_bar, t = 0), the
     # 265 LPs of the seed-0 certify-poly and certify-cone catalogues at
-    # k = 3 take 1,818 (1,389 and 429)
+    # k = 3 took 1,818 (1,389 and 429), and take 1,939 (1,480 and 459) with
+    # each objective divided by its largest |entry|
     import runpy
     import robustmolp
     import robustmolp.efficiency as eff
@@ -225,7 +228,38 @@ def test_catalogue_scenario_lp_pivot_count_is_pinned(monkeypatch):
     for workload in ("CertifyPolyWorkload", "CertifyConeWorkload"):
         for inst in runpy.run_path(str(bench))[workload]().make_inputs(robustmolp, None, 0):
             refute_robust_weak_efficiency(inst.problem, inst.x_bar, k=3)
-    assert (len(pivots), sum(pivots)) == (265, 1_818)
+    assert (len(pivots), sum(pivots)) == (265, 1_939)
+
+
+def test_a_tiny_objective_is_refuted_in_its_own_units():
+    # C_bar = -1e-10 I over x1 <= 1, x2 <= 1: (1, 1) improves both
+    # objectives by 1e-10, which an absolute 1e-9 improvement test took
+    # for none, so the oracle confirmed (0, 0) on an all-linear set
+    p = load_problem(TINY_OBJECTIVE)
+    out = refute_robust_weak_efficiency(p, [0.0, 0.0], k=3)
+    assert out.outcome == "refuted"
+    assert out.witness.x.tolist() == [1.0, 1.0]
+    assert out.witness.gap.tolist() == [1e-10, 1e-10]
+
+
+@pytest.mark.xfail(strict=True, reason="the scenario LP's improvement test is absolute in "
+                                       "x units: a set 1e-10 wide is read as a single point "
+                                       "(ROADMAP known defects)")
+def test_a_narrow_row_is_not_confirmed():
+    # -1e10 x >= -1 under min -x at x = 0: x = 1e-10 improves the objective,
+    # which certify refutes, but the oracle's best t is 1e-10 <= 1e-9
+    out = refute_robust_weak_efficiency(load_problem(NARROW_ROW), [0.0], k=3)
+    assert out.outcome != "confirmed"
+
+
+def test_an_unbounded_scenario_lp_is_a_numerical_breakdown(monkeypatch):
+    # the LP is capped at t <= 1, so "unbounded" is a pivoting breakdown,
+    # which once came back as a witness-less ScenarioCheck(False)
+    import robustmolp.efficiency as eff
+    from robustmolp.numerics import LpSolution, NumericalBreakdown
+    monkeypatch.setattr(eff, "solve_lp", lambda *args: LpSolution("unbounded"))
+    with pytest.raises(NumericalBreakdown):
+        refute_robust_weak_efficiency(load_problem(TINY_OBJECTIVE), [0.0, 0.0], k=3)
 
 
 # ---------------------------------------------------------------------------

@@ -24,3 +24,19 @@ def test_library_quick_start(capsys):
     out = scope["out"]
     assert out.status == "certified"
     assert out.certificate.lambda_nominal == pytest.approx([2 / 3, 1 / 3], abs=1e-9)
+
+
+def exit_code_rows():
+    """{code: meaning} from the table under "Reports and exit codes"."""
+    section = README.read_text(encoding="utf-8").split("### Reports and exit codes", 1)[1]
+    return {int(code): meaning
+            for code, meaning in re.findall(r"^\| (\d+) \| (.*) \|$", section, re.M)}
+
+
+def test_exit_code_table_matches_the_cli():
+    from robustmolp.cli import _EXIT_OF, _EXIT_ON
+    rows = exit_code_rows()
+    assert set(rows) == {*_EXIT_OF.values(), *(code for _, code in _EXIT_ON)}
+    for verdict, code in _EXIT_OF.items():
+        word = "success" if verdict == "ok" else verdict
+        assert re.search(rf"\b{word}\b", rows[code]), (verdict, code, rows[code])
