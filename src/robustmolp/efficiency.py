@@ -18,7 +18,8 @@ from the set, so d = -q strictly improves its objectives (Farkas'
 lemma), and a step along d that every row replays is the witness; no
 LP is solved.  Only a step across an active 2-norm row needs the refined
 Slater condition (strict slack on the 2-norm rows only), to tilt toward
-its point; with no such point the outcome is "unknown".
+the point of feasibility's nearest-point search, whose "none" replays a
+Farkas certificate; with no such point the outcome is "unknown".
 """
 
 from __future__ import annotations
@@ -157,10 +158,9 @@ class SlaterCheck:
 
 
 def check_slater(X: RobustFeasibleSet) -> SlaterCheck:
-    """Decide the refined Slater condition, a point that satisfies every
-    polyhedral row (linear, s = 1/inf balls, boxes) with worst-case slack
-    > 0 on every 2-norm row: the sign of maximize_min_slack's value, else a
-    reason that says whether the search proved that there is none."""
+    """Decide the refined Slater condition, a point that meets every
+    polyhedral row with worst-case slack > 0 on every 2-norm row, by
+    maximize_min_slack; the reason says whether it replayed a proof of none."""
     search = maximize_min_slack(X)
     if search.value > 0:
         return SlaterCheck(True, search.x)

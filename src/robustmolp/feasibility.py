@@ -1,15 +1,17 @@
 """Robust feasibility analysis.
 
 Finite-system feasibility checks, conic membership of the marker vector
-(0,...,0,1) that characterizes inconsistency, the radius of robust
+e = (0,...,0,1) that characterizes inconsistency, the radius of robust
 feasibility under joint coefficient ball perturbations, feasibility
 probing at a given perturbation size, and the refined Slater search.
-Nominal feasibility, cone membership and the radius are each one
+Nominal feasibility and the refined Slater point are one nearest-point
+search with generated columns, whose "none" counts only when a Farkas
+certificate replays; cone membership and the radius are each one
 minimum-norm point.  Each public call on a nominal system turns its rows
 (a_j, b_j) into one array [A | b] once, which is also where an empty or
 non-finite system is rejected; its rows are the points of the
 hypographical set.  A radius rho > 0 proves the nominal system feasible
-by a closed-form point, so is_feasible runs only when rho = 0 or that
+by a closed-form point, so the search runs only when rho = 0 or that
 point fails its check.  A probe is one radius pass whose rho/2 point it
 reuses, and each of its answers is evidence that it checks itself.
 """
@@ -17,7 +19,7 @@ reuses, and each of its answers is evidence that it checks itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +30,7 @@ _INF = float("inf")
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
-CUT_ROUNDS = 40         # minimum-norm solves of the Slater search
+CUT_ROUNDS = 40         # minimum-norm solves of the nearest-point search
 
 
 class NominalInfeasibleError(Exception):
@@ -62,41 +64,17 @@ class FeasibilityResult:
 
 
 def is_feasible(rows) -> FeasibilityResult:
-    """Decide {a.x >= b} over free variables, with a witness when feasible.
-
-    One minimum-norm point q of -e + cone(rows), e = (0,...,0,1), on
-    unit_rows with b divided by s = max(1, max_j b_j).  Infeasible when q
-    is within VI_TOL of 0 and its ray coefficients replay as a Farkas
-    certificate (_farkas); a small distance may be a far-out x.  Otherwise
-    the witness is x = -s q[:n]/q[n], or x moved by least squares onto the
-    rows with a positive coefficient or that x misses, whichever first
-    meets every row to -VI_TOL max(1, |a_j|.|x|).  Failing both, those rows
-    and the ones the moved x misses, each of length 1, give a certificate
-    by least squares; if it does not replay, NumericalBreakdown is raised.
-    """
+    """Decide {a.x >= b} over free variables, with a witness when feasible:
+    _search with no 2-norm row, whose "rounds" raises NumericalBreakdown."""
     x = _nominal_point(_system(rows))
     return FeasibilityResult(x is not None, x)
 
 
 def _nominal_point(S):
     """is_feasible's witness for the rows of S = [A | b], None if there is none."""
-    U = unit_rows(S[:, :-1], S[:, -1])
-    A, b, k = U[:, :-1], U[:, -1], U.shape[1]
-    s = float(b.max(initial=1.0))
-    res = min_norm_point(-np.eye(1, k, k - 1), np.column_stack([A, b / s]))
-    if res.distance <= VI_TOL and _farkas(U, res.mu):
-        return None
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        x = s * (res.p_star[:-1] / -res.p_star[-1])
-        T = (res.mu > 0) | (A @ x <= b)
-        for x in (x, x + np.linalg.lstsq(A[T], b[T] - A[T] @ x, rcond=None)[0]):
-            if _meets(U, x):
-                return x
-        T |= A @ x <= b
-        V = U[T] / np.maximum(np.hypot.reduce(U[T], axis=1), _TINY)[:, None]
-        if _farkas(V, np.linalg.lstsq(V.T, np.eye(k)[-1], rcond=None)[0]):
-            return None
-    raise NumericalBreakdown("no point of the marker projection meets every row")
+    if (search := _search(unit_rows(S[:, :-1], S[:, -1]))).stop == "rounds":
+        raise NumericalBreakdown("no point of the marker projection meets every row")
+    return search.x
 
 
 def _meets(U, x):
@@ -105,12 +83,15 @@ def _meets(U, x):
         1.0, np.abs(U[:, :-1]) @ np.abs(x))).all())
 
 
-def _farkas(U, y):
-    """Whether y replays as a Farkas certificate of the rows U = [A | b]:
-    y >= 0, b.y > 0 and |A^T y| <= VI_TOL |A|^T y, up to the rounding of
-    the largest entry of |A|^T y."""
-    A, w = U[:, :-1], np.abs(U[:, :-1]).T @ y
-    return bool((y >= 0).all() and U[:, -1] @ y > 0
+def _farkas(U, y, strict=0):
+    """Whether y replays as a Farkas certificate of the rows U = [A | b],
+    the first `strict` of them asked for slack > 0: y >= 0,
+    |A^T y| <= VI_TOL |A|^T y up to the rounding of the largest entry of
+    |A|^T y, and b.y > 0 or, with weight on a strict row, b.y not below
+    its rounding."""
+    A, b, w = U[:, :-1], U[:, -1], np.abs(U[:, :-1]).T @ y
+    return bool((y >= 0).all()
+                and (b @ y > 0 or y[:strict].any() and b @ y >= -len(y) * _EPS * np.abs(b) @ y)
                 and (np.abs(A.T @ y) <= VI_TOL * w + _EPS * w.max(initial=0.0)).all())
 
 
@@ -125,7 +106,9 @@ def cone_contains(generators, target) -> ConeMembership:
 
     Finitely generated cones are closed, so target is a member exactly
     when -target + cone(generators) comes within VI_TOL * max|target| of 0
-    (one minimum-norm point, whose ray coefficients are the weights).
+    (one minimum-norm point, whose ray coefficients are the weights) and
+    G^T w rebuilds target to VI_TOL (|G|^T w + |target|) entrywise, up to
+    rounding: a small distance may sit on generators far apart in scale.
     Raises ValueError when there is no generator or an entry is not finite.
     """
     gens = np.array([np.asarray(g, float) for g in generators])
@@ -135,7 +118,9 @@ def cone_contains(generators, target) -> ConeMembership:
     if not (np.isfinite(gens).all() and np.isfinite(t).all()):
         raise ValueError("generators and target must be finite")
     res = min_norm_point([-t], gens)
-    if res.distance > VI_TOL * float(np.abs(t).max(initial=0.0)):
+    w = np.abs(gens).T @ res.mu + np.abs(t)
+    if (res.distance > VI_TOL * float(np.abs(t).max(initial=0.0))
+            or not (np.abs(gens.T @ res.mu - t) <= VI_TOL * w + _EPS * w.max()).all()):
         return ConeMembership(False)
     return ConeMembership(True, res.mu)
 
@@ -211,59 +196,73 @@ def radius_of_robust_feasibility(nominal) -> RadiusResult:
 
 
 # ---------------------------------------------------------------------------
-# The refined Slater search: one minimum-norm point with generated columns
+# The nearest-point search: nominal feasibility and the refined Slater point
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SlackSearch:
     x: np.ndarray | None  # a point of positive 2-norm slack, None if not found
     value: float          # least 2-norm slack at x, 1 with none; -inf without x
-    distance: float       # of the nearest point, on rows of unit scale
+    distance: float       # of the last nearest point, on the rows of _search
     rounds: int           # minimum-norm solves
     stop: str             # "found" | "none" | "rounds"
 
 
+def _search(U, concave=()):
+    """A point that meets the unit rows U = [A | b] (_meets) with slack > 0
+    on every 2-norm ConcaveRow of concave, or a replayed proof that there
+    is none (Motzkin's transposition theorem in conic form).
+
+    Each round is the minimum-norm point q of conv(-e, generated rows) +
+    cone(rows of U), with b divided by s = max(1, max_j b_j).  Its
+    candidates are x = -s q[:n]/q[n], then x moved by least squares onto
+    the rows with a positive coefficient or that x misses.  Failing both,
+    each 2-norm row's worst realization at x, divided by the row's largest
+    |entry|, enters as a point if [h | b/s].q >= ||q||^2 fails by VI_TOL
+    ||q|| (Wolfe's nearest point with generated columns), up to CUT_ROUNDS
+    solves.  "none" only when a certificate replays: the weights of a q
+    within VI_TOL of 0 (_farkas, the generated rows strict), or least
+    squares on the unit-length rows that the last point meets with
+    equality or misses; else "rounds".
+    """
+    A, b, k = U[:, :-1], U[:, -1], U.shape[1]
+    s = float(b.max(initial=1.0))
+    D = np.append(np.ones(k - 1), s)
+    scale = [max(*np.abs(r.a_bar), abs(r.b), np.abs(r.P).max()) or 1.0 for r in concave]
+    G = np.empty((0, k))                    # generated rows, each divided by its scale
+    rays = U / D
+    for rounds in range(1, CUT_ROUNDS + 1):
+        res = min_norm_point(np.vstack([-np.eye(1, k, k - 1), G / D]), rays)
+        q = res.p_star
+        w = np.concatenate([res.weights[1:], res.mu])       # on the rows of [G; U]
+        if res.distance <= VI_TOL and _farkas(np.vstack([G, U]), w, len(G)):
+            return SlackSearch(None, -_INF, res.distance, rounds, "none")
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            x = s * (q[:-1] / -q[-1])
+            T = (res.mu > 0) | (A @ x <= b)
+            for y in (x, x + np.linalg.lstsq(A[T], b[T] - A[T] @ x, rcond=None)[0]):
+                if _meets(U, y) and (least := min((r.slack(y) for r in concave),
+                                                  default=1.0)) > 0:
+                    return SlackSearch(y, least, res.distance, rounds, "found")
+            cuts = [h for h in (r.supergradient(x) / c for r, c in zip(concave, scale))
+                    if (h / D) @ q - q @ q < -VI_TOL * res.distance]
+        if not cuts:
+            break
+        G = np.vstack([G, cuts])
+    with np.errstate(over="ignore", invalid="ignore"):
+        T |= A @ y <= b
+        V = U[T] / np.maximum(np.hypot.reduce(U[T], axis=1), _TINY)[:, None]
+        none = _farkas(V, np.linalg.lstsq(V.T, np.eye(k)[-1], rcond=None)[0])
+    return SlackSearch(None, -_INF, res.distance, rounds, "none" if none else "rounds")
+
+
 def maximize_min_slack(X: RobustFeasibleSet) -> SlackSearch:
     """The refined Slater search: a point of the reduced set X with
-    worst-case slack > 0 on every 2-norm (s = 2) row and >= 0 on the
-    others, or the proof that there is none: the minimum-norm point q of
-    conv(-e, scenario rows) + cone(rows of the lift XL) is 0, e = (0, ...,
-    0, 1) (Motzkin's transposition theorem in conic form).
-
-    Each 2-norm row [a_bar | b] - P w, divided by its largest |entry|,
-    enters at w = 0; each round adds its supergradient at x = q[:-1]/-q[-1]
-    while [a_bar | b].q - ||P^T q|| >= ||q||^2 fails by VI_TOL ||q|| (Wolfe's
-    nearest point with generated columns).  q maximizes min(1, least scaled
-    2-norm slack)/||(x, -1)|| over the x meeting the rows.  "found": the last
-    x, reflected across the rows it misses, that meets them (_meets) with
-    every 2-norm slack > 0 in floats.  Else "none" if the distance is within
-    VI_TOL, and "rounds" once every support inequality holds or after
-    CUT_ROUNDS solves.
-    """
-    XL = X.lift(np.zeros(X.n))[0]           # its concave rows are the 2-norm rows
-    U = unit_rows(XL.A, XL.b)
-    base = [r.realize(np.zeros(r.P.shape[1])) for r in XL.concave]
-    scale = [max(np.abs(h).max(), np.abs(r.P).max()) or 1.0 for r, h in zip(XL.concave, base)]
-    points, found = [-np.eye(1, XL.n + 1, XL.n)[0], *map(np.divide, base, scale)], None
-    for rounds in range(1, CUT_ROUNDS + 1):
-        res = min_norm_point(points, U)
-        q = res.p_star
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            x = q[:-1] / -q[-1]
-            gap = np.maximum(U[:, -1] - U[:, :-1] @ x, 0.0)     # what each row misses
-            if not (q[-1] < 0 and np.isfinite(x).all() and np.isfinite(gap).all()):
-                break
-            xr = x + 2 * np.linalg.lstsq(U[gap > 0, :-1], gap[gap > 0], rcond=None)[0]
-            least = min((r.slack(xr) for r in XL.concave), default=1.0)
-            if least > 0 and _meets(U, xr):
-                found = SlackSearch(xr[:X.n], least, res.distance, rounds, "found")
-        cuts = [h for h in map(np.divide, (r.supergradient(x) for r in XL.concave), scale)
-                if h @ q - q @ q < -VI_TOL * res.distance]
-        if not cuts or found is None and res.distance <= VI_TOL:
-            break
-        points += cuts
-    return found or SlackSearch(None, -_INF, res.distance, rounds,
-                                "none" if res.distance <= VI_TOL else "rounds")
+    worst-case slack > 0 on every 2-norm (s = 2) row and >= 0 on the others,
+    or a replayed proof that there is none; _search on the rows of X's lift."""
+    XL = X.lift(np.zeros(X.n))[0]
+    search = _search(unit_rows(XL.A, XL.b), XL.concave)
+    return search if search.x is None else replace(search, x=search.x[:X.n])
 
 
 @dataclass(frozen=True)

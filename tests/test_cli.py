@@ -411,16 +411,16 @@ def test_certify_joint_balls_and_verify_round_trip_exit_0(tmp_path, capsys):
     assert code == 0 and rep["verdict"] == "valid"
 
 
-def test_certify_chain_of_rows_1e5_apart_with_oracle_exit_2(capsys):
+def test_certify_chain_of_rows_1e5_apart_with_oracle_exit_1(capsys):
     # x1 >= 1, x2 >= 1e5 x1, x3 >= 1e5 x2 and an ellipsoid row, all tight at
-    # x_bar but the third: certify answers unknown (its Slater search
-    # misses x0 = (1, 1e5, 1e10), a known defect) and the oracle refutes,
-    # never calling x_bar infeasible (exit 4).  The CI workflow runs the
-    # installed script on the same file
+    # x_bar but the third: certify refutes by tilting toward the Slater
+    # point x0 = (1, 1e5, 1e10) and the oracle refutes too, neither calling
+    # x_bar infeasible (exit 4).  The CI workflow runs the installed script
+    # on the same file
     path = str(Path(__file__).with_name("chain_ellipsoid_problem.json"))
     code, rep = _run_json(capsys, ["certify", path, "--point=1,100000,20000000000",
                                    "--oracle", "3"])
-    assert (code, rep["verdict"]) == (2, "unknown")
+    assert (code, rep["verdict"]) == (1, "refuted")
     assert rep["payload"]["oracle"]["outcome"] == "refuted"
 
 

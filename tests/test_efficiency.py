@@ -376,20 +376,37 @@ def test_no_slater_point_no_refutation_across_an_active_two_norm_row(cons, C, x)
                                "into the active 2-norm rows")
 
 
-@pytest.mark.xfail(strict=True, reason="the Slater search answers 'none' from its distance "
-                                       "alone on rows scaled 1e5 apart (ROADMAP known defects)")
 def test_chain_of_rows_1e5_apart_has_a_slater_point_and_is_refuted():
     # x1 >= 1, x2 >= 1e5 x1, x3 >= 1e5 x2 and the ellipsoid row
     # x1 >= 5e-11 |x3| under min x3: x0 = (1, 1e5, 1e10) meets the linear
-    # rows and the 2-norm row with slack 0.5, yet the search reports "no
-    # Slater point exists (distance 1.000e-10)", so certify at
-    # x_bar = (1, 1e5, 2e10) answers unknown where x0 refutes it
+    # rows and the 2-norm row with slack 0.5.  The search's first nearest
+    # point is 1e-10 from 0, but its weights do not replay, so it is no
+    # "none"; its least-squares point, x0 up to rounding, is the Slater
+    # point, and certify at x_bar = (1, 1e5, 2e10) tilts toward it and refutes
     vp = validate_problem(load_problem(Path(__file__).with_name("chain_ellipsoid_problem.json")))
     X = reduce_constraints(vp)
     x0, x_bar = np.array([1.0, 1e5, 1e10]), np.array([1.0, 1e5, 2e10])
     assert min(X.slack(x0)) >= 0.0 and X.concave[0].slack(x0) == 0.5
     assert check_slater(X).ok
     assert_replaying_refutation(vp.problem, x_bar, certify_weak_efficiency(vp, x_bar))
+
+
+@pytest.mark.xfail(strict=True, reason="_refute tilts the endpoint direction toward the "
+                                       "Slater point by at most eps = 1 (ROADMAP known defects)")
+def test_a_point_that_the_oracle_refutes_across_an_ellipsoid_is_refuted():
+    # -x1 - 3 x2 - |x1 - x2/2| >= 7 under max x1 + x2, tight at
+    # x_bar = (-1, -2): the direction (1.2, -1) improves and stays in the
+    # set, and the oracle's scenario LP finds (4, -6), 1 better; but the
+    # endpoint direction (1.5, -0.5), tilted toward the Slater point by at
+    # most eps = 1, still leaves the set, so certify answers unknown
+    p = UncertainMOLP(1, 2, [[-1.0, -1.0]], [0.0], [0.0, 0.0],
+                      (Ellipsoid([-1.0, -3.0], ((1.0, -0.5),), 6.0, 7.0),))
+    vp = validate_problem(p)
+    x_bar = np.array([-1.0, -2.0])
+    assert check_slater(reduce_constraints(vp)).ok
+    seen = refute_robust_weak_efficiency(p, x_bar, 3)
+    assert seen.outcome == "refuted" and seen.witness.x.tolist() == [4.0, -6.0]
+    assert_replaying_refutation(p, x_bar, certify_weak_efficiency(vp, x_bar))
 
 
 def test_certified_active_two_norm_row_runs_no_slater_search(monkeypatch):
@@ -454,23 +471,25 @@ def test_slater_of_norm_one_and_inf_rows_is_one_lp(monkeypatch, s, threshold):
 
 
 def test_slater_of_two_norm_row_decided_by_tangent_cuts(monkeypatch):
-    # 1.2 < sqrt(2) makes the supremum +inf; the row at w = 0 gives x = 0,
-    # where the slack is 0, and its supergradient there, the row's tangent
-    # cut, generated as a column, gives the nearest point: x = t (1, 1)
-    # with scaled slack (2t - 1.2 sqrt(2) t)/1.2 = 1
+    # 1.2 < sqrt(2) makes the supremum +inf; the first round, with no
+    # column of the row, gives x = 0, where the slack is 0, and the row's
+    # tangent cut there, (1, 1, 0)/1.2 generated as a column, gives the
+    # nearest point of its segment to -e: x = (0.6, 0.6), with slack
+    # 1.2 - 0.72 sqrt(2) > 0
     search, chk = _slater_search(monkeypatch, 1.2, 2)
     assert (search.stop, search.rounds) == ("found", 2)
-    assert search.value == pytest.approx(1.2) and search.distance > 0.1
+    assert search.value == pytest.approx(1.2 - 0.72 * np.sqrt(2.0)) and search.distance > 0.1
     x = chk.x0
     assert chk.ok and x[0] == x[1] and x.sum() - 1.2 * np.linalg.norm(x) == search.value
 
 
 def test_slater_of_two_norm_row_violated_reports_nonpositive_bound(monkeypatch):
-    # 1.5 > sqrt(2): the supremum is 0 at x = 0; the tangent cuts at x = 0
-    # and at the next point combine with -e into 0, a distance within
-    # VI_TOL, so the bound reported is -inf
+    # 1.5 > sqrt(2): the supremum is 0 at x = 0; after the first round,
+    # which has no column of the row, the tangent cuts at x = 0 and at the
+    # next point combine with -e into 0, a distance within VI_TOL whose
+    # weights replay, so the bound reported is -inf
     search, chk = _slater_search(monkeypatch, 1.5, 2)
-    assert (search.x, search.value, search.rounds, search.stop) == (None, -_INF, 2, "none")
+    assert (search.x, search.value, search.rounds, search.stop) == (None, -_INF, 3, "none")
     assert search.distance <= VI_TOL
     assert not chk.ok and chk.reason == f"no Slater point exists (distance {search.distance:.3e})"
 

@@ -104,9 +104,16 @@ def test_infeasibility_equals_marker_membership(rng):
         gens = [np.concatenate([a, [b]]) for a, b in rows]
         target = np.zeros(n + 1)
         target[-1] = 1.0
-        feas = is_feasible(rows).feasible
+        res = is_feasible(rows)
+        feas = res.feasible
         member = cone_contains(gens, target).contains
         assert feas == (not member), (rows, feas, member)
+        # with no 2-norm row the Slater search is the same search: "none"
+        # exactly where is_feasible says infeasible, else its point
+        search = maximize_min_slack(RobustFeasibleSet(n, np.array(gens), np.arange(p)))
+        assert (search.stop == "none") == (not feas), (rows, search)
+        if feas:
+            assert search.x.tobytes() == res.x.tobytes(), rows
         # both answers come from one kernel: HiGHS is the independent one
         A, b = map(np.array, zip(*rows))
         assert feas == (highs(np.zeros(n), A, b, -_INF)[0] == "optimal"), rows
@@ -419,6 +426,16 @@ def test_a_chain_to_1e10_is_feasible_though_the_marker_is_near_its_cone():
     assert ball_robust_feasible(CHAIN, 0.0).status == "feasible"
 
 
+def test_the_marker_is_not_in_the_cone_of_a_chain_to_1e10():
+    # the weights (1, 1e-5, 1e-10) bring -e + cone(rows) within VI_TOL of 0
+    # but rebuild the marker only to 1e-10 in x3, all of |G|^T w there: a
+    # distance alone once made it a member, an infeasibility proof for rows
+    # that is_feasible meets at (1, 1e5, 1e10)
+    gens = [np.append(a, b) for a, b in CHAIN]
+    assert feasibility.min_norm_point([-np.eye(1, 4, 3)[0]], gens).distance <= VI_TOL
+    assert not cone_contains(gens, (0.0, 0.0, 0.0, 1.0)).contains
+
+
 def test_a_chain_capped_below_its_least_point_is_infeasible():
     # -x3 >= -5e8 caps a chain that needs x3 >= 1e9; the projection ends
     # 1e-9 from 0 without the cap row, and the certificate (1, 1, 1e-4,
@@ -595,10 +612,12 @@ def test_min_slack_needs_a_lift_and_strict_two_norm_rows():
     search = maximize_min_slack(X)
     assert search.x.tolist() == [0.0] and search.value == 0.5
     # strict slack is asked of the 2-norm row x - |x| / 2 >= 0 only: beside
-    # x >= 0, whose slack is not maximized, it reaches the cap at a large x
+    # x >= 0, whose slack is not maximized, its tangent cut at x = 0 gives
+    # x = 1, the first point of positive slack, 1/2
     two = ConcaveRow(np.array([1.0]), 0.0, 1, np.array([[0.5], [0.0]]), 2.0)
     X = RobustFeasibleSet(1, np.array([[1.0, 0.0]]), np.array([0]), (two,))
-    assert maximize_min_slack(X).value == 1.0
+    search = maximize_min_slack(X)
+    assert (search.x.tolist(), search.value, search.rounds) == ([1.0], 0.5, 2)
 
 
 def _witness_systems(rng):
